@@ -76,7 +76,7 @@ Prepared prepare_session(workload::Testbed& bed,
   cas::InstanceRequest request;
   request.session_name = session;
   request.common_sigstruct = common;
-  const cas::InstanceResponse resp = bed.cas().handle_instance(request);
+  const cas::InstanceResponse resp = bed.server().handle_instance(request);
   if (!resp.ok())
     throw Error("bench: instance retrieval failed: " + resp.status.message());
 

@@ -10,6 +10,7 @@
 #include "core/signer.h"
 #include "crypto/sha256.h"
 #include "runtime/starter.h"
+#include "server/cas_server.h"
 #include "workload/testbed.h"
 
 using namespace sinclave;
@@ -81,7 +82,8 @@ int main() {
         &bed.attestation(), crypto::RsaKeyPair::generate(attacker_rng, 1024),
         bed.child_rng("attacker-cas"));
     attacker_cas.add_signer_key(bed.user_signer());
-    attacker_cas.bind(bed.network(), "cas.attacker");
+    server::CasServer attacker_server(&attacker_cas);
+    attacker_server.bind(bed.network(), "cas.attacker");
     cas::Policy coerced;
     coerced.session_name = "coerced";
     coerced.expected_signer =
@@ -138,7 +140,8 @@ int main() {
         &bed.attestation(), crypto::RsaKeyPair::generate(attacker_rng, 1024),
         bed.child_rng("attacker-cas"));
     attacker_cas.add_signer_key(bed.user_signer());
-    attacker_cas.bind(bed.network(), "cas.attacker");
+    server::CasServer attacker_server(&attacker_cas);
+    attacker_server.bind(bed.network(), "cas.attacker");
 
     // Variant (a): boot the common enclave against the attacker's CAS.
     const auto enclave =

@@ -10,6 +10,9 @@
 //  3. The frame servers (serve_instance_frame, serve_config_frame,
 //     decode_attest_payload) never throw AT ALL: malformed input must
 //     become a typed wire answer, not an exception.
+//  4. A frame without the envelope magic gets a typed kMalformedRequest:
+//     a v1 envelope on the instance and config endpoints, the refusal
+//     status from the handshake decoder.
 #include "harnesses.h"
 
 #include <string>
@@ -50,16 +53,42 @@ void stable(const Bytes& input) {
   });
 }
 
-/// The legacy (v0) encodings of the response types, same property.
-template <typename T>
-void stable_v0(const Bytes& input) {
-  typed_only(input, [](ByteView raw) {
-    const T first = T::deserialize_v0(raw);
-    const Bytes once = first.serialize_v0();
-    const T second = T::deserialize_v0(once);
-    require(second.serialize_v0() == once,
-            "v0 serialize(deserialize(b)) not a fixed point");
-  });
+/// Property 4 for one endpoint: `serve` answers `input` with bytes that
+/// decode as a v1 envelope of `command`; when `input` lacks the envelope
+/// magic, its Response payload carries kMalformedRequest.
+template <typename Response, typename Serve>
+void typed_refusal(const Bytes& input, cas::Command command,
+                   const Serve& serve) {
+  const Bytes answer = serve(input);
+  const Envelope reply = Envelope::deserialize(answer);
+  require(reply.version == cas::kProtocolVersion,
+          "answer not in the current protocol version");
+  if (Envelope::matches(input)) return;
+  require(reply.command == command && reply.request_id == 0,
+          "non-envelope frame answered under the wrong header");
+  require(Response::deserialize(reply.payload).status.code ==
+              StatusCode::kMalformedRequest,
+          "non-envelope frame not answered kMalformedRequest");
+}
+
+cas::InstanceResponse ok_instance(const cas::InstanceRequest&) {
+  cas::InstanceResponse resp;
+  resp.status = Status(StatusCode::kOk);
+  return resp;
+}
+
+cas::IntrospectResponse ok_introspect(const cas::IntrospectRequest&) {
+  cas::IntrospectResponse resp;
+  resp.status = Status(StatusCode::kOk);
+  resp.metrics = "{}";
+  return resp;
+}
+
+cas::ConfigResponse ok_config() {
+  cas::ConfigResponse resp;
+  resp.status = Status(StatusCode::kOk);
+  resp.config.program = "p";
+  return resp;
 }
 
 }  // namespace
@@ -97,7 +126,10 @@ int run_envelope(const std::uint8_t* data, std::size_t size) {
       stable<cas::InstanceResponse>(input);
       break;
     case 4:
-      stable_v0<cas::InstanceResponse>(input);
+      typed_refusal<cas::InstanceResponse>(
+          input, cas::Command::kGetInstance, [](const Bytes& raw) {
+            return cas::serve_instance_frame(raw, ok_instance, ok_introspect);
+          });
       break;
     case 5:
       stable<cas::AttestPayload>(input);
@@ -106,7 +138,10 @@ int run_envelope(const std::uint8_t* data, std::size_t size) {
       stable<cas::ConfigResponse>(input);
       break;
     case 7:
-      stable_v0<cas::ConfigResponse>(input);
+      typed_refusal<cas::ConfigResponse>(
+          input, cas::Command::kGetConfig, [](const Bytes& raw) {
+            return cas::serve_config_frame(raw, ok_config);
+          });
       break;
     case 8:
       stable<cas::IntrospectRequest>(input);
@@ -117,44 +152,28 @@ int run_envelope(const std::uint8_t* data, std::size_t size) {
     case 10: {
       // The instance-endpoint frame server: must never throw, and must
       // always produce a non-empty answer (a frontend never goes silent).
-      const auto handler = [](const cas::InstanceRequest&) {
-        cas::InstanceResponse resp;
-        resp.status = Status(StatusCode::kOk);
-        return resp;
-      };
-      const auto introspect = [](const cas::IntrospectRequest&) {
-        cas::IntrospectResponse resp;
-        resp.status = Status(StatusCode::kOk);
-        resp.metrics = "{}";
-        return resp;
-      };
       cas::FrameInfo info;
       const Bytes answer =
-          cas::serve_instance_frame(input, handler, introspect, &info);
+          cas::serve_instance_frame(input, ok_instance, ok_introspect, &info);
       require(!answer.empty(), "frame server produced an empty answer");
       break;
     }
     case 11: {
-      const auto handler = [] {
-        cas::ConfigResponse resp;
-        resp.status = Status(StatusCode::kOk);
-        resp.config.program = "p";
-        return resp;
-      };
       cas::FrameInfo info;
-      const Bytes answer = cas::serve_config_frame(input, handler, &info);
+      const Bytes answer = cas::serve_config_frame(input, ok_config, &info);
       require(!answer.empty(), "config frame server went silent");
       break;
     }
     case 12: {
       // decode_attest_payload returns nullopt on garbage — never throws —
-      // and the legacy status-string reverse map accepts any string.
+      // and refuses a non-envelope handshake payload as malformed.
       cas::FrameInfo info;
-      (void)cas::decode_attest_payload(input, &info);
-      const std::string text(input.begin(), input.end());
-      const StatusCode code = cas::status_code_from_legacy(text);
-      require(std::string(to_string(code)) != "unknown",
-              "legacy status mapping produced an out-of-enum code");
+      const auto decoded = cas::decode_attest_payload(input, &info);
+      require(decoded.has_value() == (info.status == StatusCode::kOk),
+              "handshake decode and its refusal status disagree");
+      if (!Envelope::matches(input))
+        require(info.status == StatusCode::kMalformedRequest,
+                "non-envelope handshake not refused as malformed");
       break;
     }
   }

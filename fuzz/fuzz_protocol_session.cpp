@@ -1,7 +1,8 @@
 // Structured stateful protocol fuzzing.
 //
 // The input bytes decode into a SEQUENCE OF OPERATIONS against a live
-// CasService bound to a simulated network — valid singleton retrievals,
+// CasService served by a server::CasServer (one worker, so the per-input
+// cost stays bounded) on a simulated network — valid singleton retrievals,
 // honest attestations, token-replay attempts, config fetches,
 // introspection, and raw garbage frames on both endpoints, interleaved
 // across two policy sessions. After EVERY operation the global invariants
@@ -11,8 +12,9 @@
 //     outstanding == minted - used, and a replayed token is rejected;
 //   * no session leak: the secure channel's open-session count equals the
 //     number of accepted handshakes (CAS never closes implicitly);
-//   * total accounting: every request produced a decodable answer —
-//     issued == ok + errors, nothing dropped, nothing thrown.
+//   * total accounting: every request produced a decodable answer — an
+//     envelope, even for garbage — so issued == ok + errors, nothing
+//     dropped, nothing thrown.
 //
 // The per-iteration services are rebuilt from scratch; the expensive
 // immutable platform (RSA keys, SGX CPU, quoting enclave, signed image)
@@ -37,6 +39,7 @@
 #include "net/sim_network.h"
 #include "quote/quoting_enclave.h"
 #include "runtime/starter.h"
+#include "server/cas_server.h"
 #include "sgx/cpu.h"
 
 namespace sinclave::fuzz {
@@ -95,7 +98,9 @@ class SessionMachine {
       policy.config.program = "prog";
       cas_->install_policy(policy);
     }
-    cas_->bind(net_, "cas");
+    server_ = std::make_unique<server::CasServer>(
+        cas_.get(), server::CasServerConfig{.workers = 1});
+    server_->bind(net_, "cas");
   }
 
   void run() {
@@ -132,8 +137,8 @@ class SessionMachine {
     return answer;
   }
 
-  /// Wrap a payload in a v1 envelope (or send it raw legacy, fuzz's
-  /// choice) and return the decoded response payload.
+  /// Wrap a payload in a v1 envelope and return the decoded response
+  /// payload.
   Bytes enveloped_round_trip(cas::Command command, const Bytes& payload) {
     cas::Envelope env;
     env.command = command;
@@ -188,7 +193,8 @@ class SessionMachine {
     payload.token = m.token;
     ++issued_;
     const auto outcome = client->connect(
-        net_.connect("cas"), cas_->identity(), payload.serialize());
+        net_.connect("cas"), cas_->identity(),
+        cas::encode_attest_payload(payload));
     if (outcome.has_value() && keep != nullptr) *keep = std::move(client);
     return outcome.has_value();
   }
@@ -268,15 +274,9 @@ class SessionMachine {
     const std::size_t before = cas_->tokens_outstanding();
     const Bytes answer = call_instance(frame);
     garbage_minted_ += cas_->tokens_outstanding() - before;
-    // Whatever came in, the answer must decode on one of the two
-    // documented response paths (envelope or legacy v0).
+    // Whatever came in, the answer must be an envelope.
     try {
-      if (cas::Envelope::matches(answer)) {
-        const cas::Envelope reply = cas::Envelope::deserialize(answer);
-        (void)reply;
-      } else {
-        (void)cas::InstanceResponse::deserialize_v0(answer);
-      }
+      (void)cas::Envelope::deserialize(answer);
     } catch (const Error&) {
       require(false, "instance endpoint answered garbage with garbage");
     }
@@ -306,6 +306,7 @@ class SessionMachine {
   quote::AttestationService attestation_;
   std::unique_ptr<cas::CasService> cas_;
   net::SimNetwork net_;
+  std::unique_ptr<server::CasServer> server_;  // unbinds before net_ dies
   std::vector<Minted> minted_;
   std::vector<std::unique_ptr<net::SecureClient>> clients_;
   std::uint64_t next_request_id_ = 0;

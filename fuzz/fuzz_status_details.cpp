@@ -7,8 +7,8 @@
 //  * composing a detail and parsing it back round-trips the value;
 //  * every wire status byte maps into the enum (to_string never falls
 //    through to "unknown") and known bytes map to themselves;
-//  * the legacy error-string reverse map agrees with the forward
-//    status_message table on every code.
+//  * the v1 Status prefix carries every code and any detail through a
+//    response's encode/decode unchanged.
 #include "harnesses.h"
 
 #include <chrono>
@@ -67,16 +67,18 @@ int run_status_details(const std::uint8_t* data, std::size_t size) {
       break;
     }
     case 3: {
-      // Legacy reverse map: canonical strings map back to their code,
-      // anything else lands on kInternal.
-      const std::uint8_t wire = in.u8();
-      const StatusCode code = status_code_from_wire(wire);
-      if (code != StatusCode::kOk && code != StatusCode::kInternal)
-        require(cas::status_code_from_legacy(status_message(code)) == code,
-                "legacy map disagrees with status_message");
+      // The Status prefix every v1 response leads with: any enum code and
+      // any detail survive encode/decode (a refusal reaches the client
+      // typed, its detail intact).
+      cas::ConfigResponse resp;
+      resp.status.code = status_code_from_wire(in.u8());
       const Bytes raw = in.rest();
-      (void)cas::status_code_from_legacy(
-          std::string(raw.begin(), raw.end()));
+      resp.status.detail.assign(raw.begin(), raw.end());
+      const cas::ConfigResponse back =
+          cas::ConfigResponse::deserialize(resp.serialize());
+      require(back.status.code == resp.status.code &&
+                  back.status.detail == resp.status.detail,
+              "status prefix did not round-trip");
       break;
     }
     case 4: {

@@ -11,9 +11,9 @@
 
 namespace sinclave::fuzz {
 
-/// Envelope + every protocol message decoder (v1 and legacy v0):
-/// only typed errors escape, successful decodes re-serialize stably,
-/// frame servers never throw at all.
+/// Envelope + every protocol message decoder: only typed errors escape,
+/// successful decodes re-serialize stably, frame servers never throw at
+/// all and answer non-envelope frames with a typed kMalformedRequest.
 int run_envelope(const std::uint8_t* data, std::size_t size);
 
 /// SecureServer/SecureClient record and handshake decoding against live
@@ -30,8 +30,8 @@ int run_persistence(const std::uint8_t* data, std::size_t size);
 /// typed errors only, decode(serialize(x)) == x.
 int run_sigstruct_quote(const std::uint8_t* data, std::size_t size);
 
-/// Status detail parsers (parse_retry_after and friends) plus the
-/// wire/legacy status-code mappings.
+/// Status detail parsers (parse_retry_after and friends) plus the wire
+/// status-code mapping and the v1 Status prefix round trip.
 int run_status_details(const std::uint8_t* data, std::size_t size);
 
 /// Differential oracle: Montgomery exp/exp_u64/mul_mod/reduce vs a naive

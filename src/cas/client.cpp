@@ -519,18 +519,16 @@ Status AttestedChannel::attest(const crypto::RsaPublicKey& cas_identity,
       obs::Tracer::instance().phase("client_attest");
   static obs::Phase& p_handshake =
       obs::Tracer::instance().phase("client_handshake");
-  Envelope env;
-  env.command = Command::kAttest;
-  env.request_id = next_request_id_++;
-  env.payload = payload.serialize();
-  RootScope rs(p_root, env.request_id);
+  const std::uint64_t request_id = next_request_id_++;
+  RootScope rs(p_root, request_id);
 
   std::optional<Bytes> accepted;
   StatusCode rejected = StatusCode::kAttestationRejected;
   try {
     obs::Span span(p_handshake);
     accepted = client_.connect(net_->connect(cas_address_), cas_identity,
-                               env.serialize(), &rejected);
+                               encode_attest_payload(payload, request_id),
+                               &rejected);
   } catch (const net::IdentityMismatchError&) {
     throw;  // an active attack must stay loud, never become a Status
   } catch (const Error& e) {
@@ -559,6 +557,8 @@ Result<AppConfig> AttestedChannel::get_config() {
   try {
     obs::Span span(p_call);
     plaintext = client_.call(env.serialize());
+  } catch (const net::RecordRejectedError& e) {
+    return Status(e.code());  // e.g. the server reaped the idle session
   } catch (const Error& e) {
     return transport_status(e);
   }

@@ -104,37 +104,7 @@ Status read_status(ByteReader& r) {
   return s;
 }
 
-/// Seed-era status prefix: `u8 ok | str error` (error empty on success).
-void write_status_v0(ByteWriter& w, const Status& status) {
-  w.u8(status.ok() ? 1 : 0);
-  w.str(status.ok() ? std::string{} : status.message());
-}
-
-Status read_status_v0(ByteReader& r) {
-  const bool was_ok = r.u8() != 0;
-  const std::string error = r.str();
-  if (was_ok) return Status();
-  const StatusCode code = status_code_from_legacy(error);
-  // Preserve non-canonical detail so nothing is lost in translation.
-  return error == status_message(code) ? Status(code) : Status(code, error);
-}
-
 }  // namespace
-
-StatusCode status_code_from_legacy(const std::string& error) {
-  for (const StatusCode code :
-       {StatusCode::kUnknownSession, StatusCode::kNotSingleton,
-        StatusCode::kNoSignerKey, StatusCode::kBadSignature,
-        StatusCode::kWrongSigner, StatusCode::kBaseHashMismatch,
-        StatusCode::kTokenUnknown, StatusCode::kTokenReused,
-        StatusCode::kSessionNotAttested, StatusCode::kAttestationRejected,
-        StatusCode::kMalformedRequest, StatusCode::kUnsupportedVersion,
-        StatusCode::kUnknownCommand, StatusCode::kUnavailable,
-        StatusCode::kDeadlineExceeded, StatusCode::kNotLeader}) {
-    if (error == status_message(code)) return code;
-  }
-  return StatusCode::kInternal;
-}
 
 // --- messages ---------------------------------------------------------------
 
@@ -220,27 +190,6 @@ InstanceResponse InstanceResponse::deserialize(ByteView data) {
   return resp;
 }
 
-Bytes InstanceResponse::serialize_v0() const {
-  ByteWriter w;
-  write_status_v0(w, status);
-  w.raw(token.view());
-  w.raw(verifier_id.view());
-  w.bytes(ok() ? singleton_sigstruct.serialize() : Bytes{});
-  return std::move(w).take();
-}
-
-InstanceResponse InstanceResponse::deserialize_v0(ByteView data) {
-  ByteReader r(data);
-  InstanceResponse resp;
-  resp.status = read_status_v0(r);
-  resp.token = r.fixed<32>();
-  resp.verifier_id = r.fixed<32>();
-  const Bytes sig = r.bytes();
-  if (resp.ok()) resp.singleton_sigstruct = sgx::SigStruct::deserialize(sig);
-  r.expect_done();
-  return resp;
-}
-
 Bytes AttestPayload::serialize() const {
   ByteWriter w;
   w.str(session_name);
@@ -271,23 +220,6 @@ ConfigResponse ConfigResponse::deserialize(ByteView data) {
   ByteReader r(data);
   ConfigResponse resp;
   resp.status = read_status(r);
-  const Bytes cfg = r.bytes();
-  if (resp.ok()) resp.config = AppConfig::deserialize(cfg);
-  r.expect_done();
-  return resp;
-}
-
-Bytes ConfigResponse::serialize_v0() const {
-  ByteWriter w;
-  write_status_v0(w, status);
-  w.bytes(ok() ? config.serialize() : Bytes{});
-  return std::move(w).take();
-}
-
-ConfigResponse ConfigResponse::deserialize_v0(ByteView data) {
-  ByteReader r(data);
-  ConfigResponse resp;
-  resp.status = read_status_v0(r);
   const Bytes cfg = r.bytes();
   if (resp.ok()) resp.config = AppConfig::deserialize(cfg);
   r.expect_done();
@@ -383,117 +315,78 @@ IntrospectResponse IntrospectResponse::deserialize(ByteView data) {
 
 namespace {
 
-/// Legacy v0 secure-channel command byte (the old `Command::kGetConfig`).
-constexpr std::uint8_t kLegacyGetConfig = 1;
-
 void note(FrameInfo* info, const FrameInfo& value) {
   if (info != nullptr) *info = value;
 }
 
-/// Decode the envelope and run the version/command gate common to both
-/// endpoints. Returns the response payload to send (already enveloped) via
-/// `reject`, or nullopt when dispatch should proceed.
-template <typename MakeErrorPayload>
-std::optional<Bytes> gate_envelope(const Envelope& env, Command expected,
-                                   const MakeErrorPayload& error_payload,
-                                   FrameInfo* info) {
+template <typename Response>
+Bytes error_payload(StatusCode code) {
+  Response resp;
+  resp.status = Status(code);
+  return resp.serialize();
+}
+
+/// The envelope in `raw`, or nullopt when there is none (no magic, or the
+/// magic but not the layout).
+std::optional<Envelope> decode_envelope(ByteView raw) {
+  try {
+    return Envelope::deserialize(raw);
+  } catch (const Error&) {
+    return std::nullopt;
+  }
+}
+
+/// The answer to a frame that is not an envelope: a malformed-request
+/// envelope with request_id 0 (we never learned the real one).
+template <typename Response>
+Bytes malformed_frame(Command command, FrameInfo* info) {
   FrameInfo fi;
-  fi.version = env.version;
+  fi.command = command;
+  fi.status = StatusCode::kMalformedRequest;
+  note(info, fi);
+  Envelope out;
+  out.command = command;
+  out.payload = error_payload<Response>(StatusCode::kMalformedRequest);
+  return out.serialize();
+}
+
+/// The version/command gate common to every endpoint: records the frame's
+/// facts in `info` and returns the refusal code (kOk to dispatch).
+StatusCode gate_envelope(const Envelope& env, Command expected,
+                         FrameInfo* info) {
+  FrameInfo fi;
   fi.command = env.command;
   fi.request_id = env.request_id;
-  if (env.version > kProtocolVersion) {
+  if (env.version > kProtocolVersion)
     fi.status = StatusCode::kUnsupportedVersion;
-    note(info, fi);
-    return env.reply(error_payload(StatusCode::kUnsupportedVersion))
-        .serialize();
-  }
-  if (env.command != expected) {
+  else if (env.command != expected)
     fi.status = StatusCode::kUnknownCommand;
-    note(info, fi);
-    return env.reply(error_payload(StatusCode::kUnknownCommand)).serialize();
-  }
   note(info, fi);
-  return std::nullopt;
+  return fi.status;
 }
 
 }  // namespace
 
 Bytes serve_instance_frame(ByteView raw, const InstanceHandler& handler,
-                           FrameInfo* info) {
-  return serve_instance_frame(raw, handler, IntrospectHandler{}, info);
-}
-
-Bytes serve_instance_frame(ByteView raw, const InstanceHandler& handler,
                            const IntrospectHandler& introspect,
                            FrameInfo* info) {
-  const auto error_payload = [](StatusCode code) {
-    InstanceResponse resp;
-    resp.status = Status(code);
-    return resp.serialize();
-  };
+  const std::optional<Envelope> env = decode_envelope(raw);
+  if (!env.has_value())
+    return malformed_frame<InstanceResponse>(Command::kGetInstance, info);
 
-  // Request decode and handler dispatch live in SEPARATE try blocks so
-  // blame lands correctly: a ParseError while decoding the frame is the
-  // client's fault (kMalformedRequest), but a ParseError escaping the
-  // handler is a server-side fault — e.g. a corrupt stored policy — and
-  // must answer kInternal, not accuse a well-formed request.
-  const auto dispatch = [&handler](const InstanceRequest& req) {
-    try {
-      return handler(req);
-    } catch (const Error&) {
-      InstanceResponse resp;
-      resp.status = Status(StatusCode::kInternal);
-      return resp;
-    }
-  };
-
-  if (!Envelope::matches(raw)) {
-    // Legacy v0 peer: raw InstanceRequest in, raw v0 response out.
-    FrameInfo fi;
-    fi.legacy = true;
-    fi.version = 0;
-    InstanceResponse resp;
-    try {
-      const InstanceRequest req = InstanceRequest::deserialize(raw);
-      resp = dispatch(req);
-    } catch (const Error&) {
-      resp = InstanceResponse{};
-      resp.status = Status(StatusCode::kMalformedRequest);
-    }
-    fi.status = resp.status.code;
-    note(info, fi);
-    return resp.serialize_v0();
-  }
-
-  Envelope env;
-  try {
-    env = Envelope::deserialize(raw);
-  } catch (const Error&) {
-    // Carried the magic but not the layout: answer a malformed-request
-    // envelope with request_id 0 (we never learned the real one).
-    FrameInfo fi;
-    fi.status = StatusCode::kMalformedRequest;
-    note(info, fi);
-    Envelope out;
-    out.payload = error_payload(StatusCode::kMalformedRequest);
-    return out.serialize();
-  }
-
-  if (env.command == Command::kIntrospect && introspect != nullptr) {
+  if (env->command == Command::kIntrospect) {
     // The introspect branch answers with IntrospectResponse-shaped
     // payloads (the Status prefix layout is shared, so even a client that
     // guessed the wrong command can decode the refusal).
-    const auto introspect_error = [](StatusCode code) {
-      IntrospectResponse resp;
-      resp.status = Status(code);
-      return resp.serialize();
-    };
-    if (auto rejected =
-            gate_envelope(env, Command::kIntrospect, introspect_error, info))
-      return std::move(*rejected);
+    if (const StatusCode refused =
+            gate_envelope(*env, Command::kIntrospect, info);
+        refused != StatusCode::kOk)
+      return env->reply(error_payload<IntrospectResponse>(refused))
+          .serialize();
     IntrospectResponse resp;
     try {
-      const IntrospectRequest req = IntrospectRequest::deserialize(env.payload);
+      const IntrospectRequest req =
+          IntrospectRequest::deserialize(env->payload);
       try {
         resp = introspect(req);
       } catch (const Error&) {
@@ -505,125 +398,82 @@ Bytes serve_instance_frame(ByteView raw, const InstanceHandler& handler,
       resp.status = Status(StatusCode::kMalformedRequest);
     }
     if (info != nullptr) info->status = resp.status.code;
-    return env.reply(resp.serialize()).serialize();
+    return env->reply(resp.serialize()).serialize();
   }
 
-  if (auto rejected =
-          gate_envelope(env, Command::kGetInstance, error_payload, info))
-    return std::move(*rejected);
+  if (const StatusCode refused =
+          gate_envelope(*env, Command::kGetInstance, info);
+      refused != StatusCode::kOk)
+    return env->reply(error_payload<InstanceResponse>(refused)).serialize();
 
+  // Request decode and handler dispatch live in SEPARATE try blocks so
+  // blame lands correctly: a ParseError while decoding the frame is the
+  // client's fault (kMalformedRequest), but a ParseError escaping the
+  // handler is a server-side fault — e.g. a corrupt stored policy — and
+  // must answer kInternal, not accuse a well-formed request.
   InstanceResponse resp;
   try {
-    const InstanceRequest req = InstanceRequest::deserialize(env.payload);
-    resp = dispatch(req);
+    const InstanceRequest req = InstanceRequest::deserialize(env->payload);
+    try {
+      resp = handler(req);
+    } catch (const Error&) {
+      resp = InstanceResponse{};
+      resp.status = Status(StatusCode::kInternal);
+    }
   } catch (const Error&) {
     resp = InstanceResponse{};
     resp.status = Status(StatusCode::kMalformedRequest);
   }
   if (info != nullptr) info->status = resp.status.code;
-  return env.reply(resp.serialize()).serialize();
+  return env->reply(resp.serialize()).serialize();
 }
 
 Bytes serve_config_frame(ByteView plaintext, const ConfigHandler& handler,
                          FrameInfo* info) {
-  const auto error_payload = [](StatusCode code) {
-    ConfigResponse resp;
-    resp.status = Status(code);
-    return resp.serialize();
-  };
-  const auto run = [&handler]() {
-    try {
-      return handler();
-    } catch (const Error&) {
-      ConfigResponse resp;
-      resp.status = Status(StatusCode::kInternal);
-      return resp;
-    }
-  };
+  const std::optional<Envelope> env = decode_envelope(plaintext);
+  if (!env.has_value())
+    return malformed_frame<ConfigResponse>(Command::kGetConfig, info);
+  if (const StatusCode refused =
+          gate_envelope(*env, Command::kGetConfig, info);
+      refused != StatusCode::kOk)
+    return env->reply(error_payload<ConfigResponse>(refused)).serialize();
 
-  if (!Envelope::matches(plaintext)) {
-    // Legacy v0 record: `u8 command` plaintext, answered in kind. Like
-    // the seed decoder, only the command byte is interpreted — trailing
-    // bytes are tolerated, so pre-envelope peers keep working unchanged.
-    FrameInfo fi;
-    fi.legacy = true;
-    fi.version = 0;
-    fi.command = Command::kGetConfig;
-    ConfigResponse resp;
-    if (plaintext.empty()) {
-      resp.status = Status(StatusCode::kMalformedRequest);
-    } else if (plaintext[0] != kLegacyGetConfig) {
-      resp.status = Status(StatusCode::kUnknownCommand);
-    } else {
-      resp = run();
-    }
-    fi.status = resp.status.code;
-    note(info, fi);
-    return resp.serialize_v0();
-  }
-
-  Envelope env;
+  ConfigResponse resp;
   try {
-    env = Envelope::deserialize(plaintext);
+    resp = handler();
   } catch (const Error&) {
-    FrameInfo fi;
-    fi.command = Command::kGetConfig;
-    fi.status = StatusCode::kMalformedRequest;
-    note(info, fi);
-    Envelope out;
-    out.command = Command::kGetConfig;
-    out.payload = error_payload(StatusCode::kMalformedRequest);
-    return out.serialize();
+    resp = ConfigResponse{};
+    resp.status = Status(StatusCode::kInternal);
   }
-
-  if (auto rejected =
-          gate_envelope(env, Command::kGetConfig, error_payload, info))
-    return std::move(*rejected);
-
-  const ConfigResponse resp = run();
   if (info != nullptr) info->status = resp.status.code;
-  return env.reply(resp.serialize()).serialize();
+  return env->reply(resp.serialize()).serialize();
+}
+
+Bytes encode_attest_payload(const AttestPayload& payload,
+                            std::uint64_t request_id) {
+  Envelope env;
+  env.command = Command::kAttest;
+  env.request_id = request_id;
+  env.payload = payload.serialize();
+  return env.serialize();
 }
 
 std::optional<AttestPayload> decode_attest_payload(ByteView raw,
                                                    FrameInfo* info) {
-  if (Envelope::matches(raw)) {
+  const std::optional<Envelope> env = decode_envelope(raw);
+  if (!env.has_value()) {
     FrameInfo fi;
-    try {
-      const Envelope env = Envelope::deserialize(raw);
-      fi.version = env.version;
-      fi.command = env.command;
-      fi.request_id = env.request_id;
-      if (env.version > kProtocolVersion) {
-        fi.status = StatusCode::kUnsupportedVersion;
-        note(info, fi);
-        return std::nullopt;
-      }
-      if (env.command != Command::kAttest) {
-        fi.status = StatusCode::kUnknownCommand;
-        note(info, fi);
-        return std::nullopt;
-      }
-      AttestPayload payload = AttestPayload::deserialize(env.payload);
-      note(info, fi);
-      return payload;
-    } catch (const Error&) {
-      fi.status = StatusCode::kMalformedRequest;
-      note(info, fi);
-      return std::nullopt;
-    }
-  }
-  FrameInfo fi;
-  fi.legacy = true;
-  fi.version = 0;
-  fi.command = Command::kAttest;
-  try {
-    AttestPayload payload = AttestPayload::deserialize(raw);
-    note(info, fi);
-    return payload;
-  } catch (const Error&) {
+    fi.command = Command::kAttest;
     fi.status = StatusCode::kMalformedRequest;
     note(info, fi);
+    return std::nullopt;
+  }
+  if (gate_envelope(*env, Command::kAttest, info) != StatusCode::kOk)
+    return std::nullopt;
+  try {
+    return AttestPayload::deserialize(env->payload);
+  } catch (const Error&) {
+    if (info != nullptr) info->status = StatusCode::kMalformedRequest;
     return std::nullopt;
   }
 }

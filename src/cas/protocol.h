@@ -20,12 +20,10 @@
 // Version rules: a server answers frames of its own major version in kind;
 // frames with a HIGHER version get a well-formed current-version response
 // carrying kUnsupportedVersion (the payload layout of the Status prefix is
-// frozen, so future clients can always decode the refusal); frames that are
-// not envelopes at all are served on the legacy (v0) path — decoded as the
-// seed-era raw message and answered in the seed-era encoding — so old peers
-// keep working. Unknown commands get kUnknownCommand, undecodable payloads
-// kMalformedRequest; a frontend never answers a parse failure with a
-// dropped or garbage reply.
+// frozen, so future clients can always decode the refusal). Frames without
+// the envelope magic and undecodable payloads get kMalformedRequest,
+// unknown commands kUnknownCommand — always inside a v1 envelope; a
+// frontend never answers a parse failure with a dropped or garbage reply.
 #pragma once
 
 #include <cstdint>
@@ -46,10 +44,7 @@ namespace sinclave::cas {
 
 // --- envelope ---------------------------------------------------------------
 
-/// First four bytes of every enveloped frame. Legacy (v0) frames can never
-/// collide: a v0 instance request starts with a u32 session-name length and
-/// a v0 secure-channel plaintext with a u8 command — neither reaches this
-/// value.
+/// First four bytes of every enveloped frame.
 inline constexpr std::uint32_t kEnvelopeMagic = 0xC0A5E4F1u;
 /// Current protocol version spoken by this build.
 inline constexpr std::uint16_t kProtocolVersion = 1;
@@ -63,8 +58,7 @@ enum class Command : std::uint8_t {
   /// Attested endpoint: the handshake payload (quote + token).
   kAttest = 3,
   /// Instance endpoint: observability introspection — metrics snapshot,
-  /// recent traces, slow-request log. Envelope-only (v1+): there is no
-  /// legacy encoding because no v0 peer ever spoke it.
+  /// recent traces, slow-request log.
   kIntrospect = 4,
   // Inter-CAS replication traffic (cas/replication.h). These ride ONLY
   // v2 envelopes on the dedicated `<address>.raft` endpoint — a v1 client
@@ -90,8 +84,7 @@ struct Envelope {
 
   Bytes serialize() const;
   static Envelope deserialize(ByteView data);
-  /// Cheap sniff: does this frame start with the envelope magic? (False
-  /// selects the legacy v0 decode path.)
+  /// Cheap sniff: does this frame start with the envelope magic?
   static bool matches(ByteView data);
 
   /// Response envelope echoing this request's command and id.
@@ -100,7 +93,7 @@ struct Envelope {
   /// Cheap header peek: the request id of an enveloped frame without
   /// decoding (or validating) the payload — what the event-driven
   /// frontend stamps into a TraceContext at accept time, before any
-  /// worker touches the frame. Nullopt for legacy/truncated frames.
+  /// worker touches the frame. Nullopt for non-envelope/truncated frames.
   static std::optional<std::uint64_t> peek_request_id(ByteView data);
 };
 
@@ -144,17 +137,12 @@ struct InstanceResponse {
 
   bool ok() const { return status.ok(); }
 
-  Bytes serialize() const;  // v1 payload (Status-prefixed)
+  Bytes serialize() const;  // Status-prefixed
   static InstanceResponse deserialize(ByteView data);
-  /// Seed-era (v0) encoding: `u8 ok | str error | ...` — what legacy peers
-  /// sent and still receive. Decoding reverse-maps the canonical error
-  /// strings back onto StatusCodes.
-  Bytes serialize_v0() const;
-  static InstanceResponse deserialize_v0(ByteView data);
 };
 
 /// Client handshake payload on the attestation endpoint (envelope payload
-/// of kAttest; legacy peers send it raw).
+/// of kAttest).
 struct AttestPayload {
   std::string session_name;
   quote::Quote quote;
@@ -173,10 +161,8 @@ struct ConfigResponse {
 
   bool ok() const { return status.ok(); }
 
-  Bytes serialize() const;  // v1 payload (Status-prefixed)
+  Bytes serialize() const;  // Status-prefixed
   static ConfigResponse deserialize(ByteView data);
-  Bytes serialize_v0() const;  // seed-era `u8 ok | str error | config`
-  static ConfigResponse deserialize_v0(ByteView data);
 };
 
 /// How an IntrospectResponse's metrics snapshot is rendered.
@@ -236,43 +222,27 @@ struct IntrospectResponse {
   static IntrospectResponse deserialize(ByteView data);
 };
 
-/// Map a legacy (v0) error string back to its StatusCode. Strings that are
-/// not canonical messages decode as kInternal with the string preserved as
-/// the detail.
-StatusCode status_code_from_legacy(const std::string& error);
-
 // --- shared frontend glue ---------------------------------------------------
 
-/// What a decoded frame turned out to be — both serving frontends bump
-/// their per-command metrics from this, so classification can't drift.
+/// What a decoded frame turned out to be — the serving frontend bumps its
+/// per-command metrics from this.
 struct FrameInfo {
-  bool legacy = false;                      // served on the v0 path
-  std::uint16_t version = kProtocolVersion; // as sent by the peer
   Command command = Command::kGetInstance;
   std::uint64_t request_id = 0;
-  StatusCode status = StatusCode::kOk;      // status of the answer
+  StatusCode status = StatusCode::kOk;  // status of the answer
 };
 
 using InstanceHandler =
     std::function<InstanceResponse(const InstanceRequest&)>;
 
-/// Serve one instance-endpoint frame: decode (envelope or legacy v0),
-/// version-check, dispatch kGetInstance to `handler`, and encode the
-/// response in the flavor the peer spoke. Never throws on malformed input —
-/// deserializer exceptions become kMalformedRequest answers, handler
-/// exceptions kInternal. Used verbatim by CasService::bind and
-/// server::CasServer so the two frontends answer identically.
-Bytes serve_instance_frame(ByteView raw, const InstanceHandler& handler,
-                           FrameInfo* info = nullptr);
-
 using IntrospectHandler =
     std::function<IntrospectResponse(const IntrospectRequest&)>;
 
-/// serve_instance_frame with the observability command wired in: frames
-/// carrying Command::kIntrospect dispatch to `introspect` (version-gated
-/// like everything else; a null handler answers kUnknownCommand exactly
-/// as the overload above does, so frontends without introspection stay
-/// indistinguishable from older servers).
+/// Serve one instance-endpoint frame: decode the envelope, version-check,
+/// and dispatch kGetInstance to `handler` and kIntrospect to `introspect`.
+/// Never throws on malformed input — deserializer exceptions (and frames
+/// without the envelope magic) become kMalformedRequest answers, handler
+/// exceptions kInternal.
 Bytes serve_instance_frame(ByteView raw, const InstanceHandler& handler,
                            const IntrospectHandler& introspect,
                            FrameInfo* info = nullptr);
@@ -280,16 +250,20 @@ Bytes serve_instance_frame(ByteView raw, const InstanceHandler& handler,
 using ConfigHandler = std::function<ConfigResponse()>;
 
 /// Serve one decrypted attested-endpoint record: dispatch kGetConfig to
-/// `handler` with the same envelope/legacy/version/command handling as the
+/// `handler` with the same envelope/version/command handling as the
 /// instance endpoint.
 Bytes serve_config_frame(ByteView plaintext, const ConfigHandler& handler,
                          FrameInfo* info = nullptr);
 
-/// Decode a handshake payload that may be either an envelope-wrapped
-/// (v1, kAttest) or raw legacy AttestPayload. Returns nullopt — never
-/// throws — when the bytes are neither. `info` reports which flavor the
-/// peer spoke so the accept payload can answer in kind (Envelope::reply
-/// for v1, raw bytes for legacy).
+/// The handshake payload a client opens the attested channel with: `payload`
+/// wrapped in a kAttest envelope.
+Bytes encode_attest_payload(const AttestPayload& payload,
+                            std::uint64_t request_id = 0);
+
+/// Decode an envelope-wrapped (kAttest) handshake payload. Returns nullopt
+/// — never throws — when the bytes are not one; `info->status` then names
+/// the typed refusal (kMalformedRequest, kUnsupportedVersion,
+/// kUnknownCommand) and `info->request_id` the id to answer under.
 std::optional<AttestPayload> decode_attest_payload(ByteView raw,
                                                    FrameInfo* info = nullptr);
 

@@ -11,7 +11,6 @@
 namespace sinclave::cas {
 
 namespace {
-using Clock = std::chrono::steady_clock;
 
 std::string policy_path(const std::string& session_name) {
   return "policies/" + session_name;
@@ -69,19 +68,13 @@ CasService::CasService(quote::AttestationService* attestation,
     throw Error("cas: attestation service required");
 
   // The service's own collector: token accounting, the token-minting DRBG
-  // pool, the secure endpoint's frame classification, and the secure
-  // channel's raw stats (under channel_* names; the serving layer's
-  // ServerMetrics mirror keeps its own secure_* spellings). The registry
-  // dies with the service, so `this` cannot dangle.
+  // pool, and the secure channel's stats as the channel_* series (the
+  // secure endpoint's only export). The registry dies with the service, so
+  // `this` cannot dangle.
   registry_.add_collector([this](obs::MetricsSnapshot& snap) {
     snap.gauge("tokens_outstanding", tokens_outstanding());
     snap.counter("tokens_spent", tokens_used());
     snap.counter("token_rng_stripe_collisions", token_rng_.collisions());
-    const SecureFrameStats frames = secure_frame_stats();
-    snap.counter("secure_attest_legacy_frames", frames.attest_legacy);
-    snap.counter("secure_attest_envelope_frames", frames.attest_envelope);
-    snap.counter("secure_config_legacy_frames", frames.config_legacy);
-    snap.counter("secure_config_envelope_frames", frames.config_envelope);
     // ensure_secure_server(): call_once is the synchronization that makes
     // secure_server_ safely readable here (a bare null check would race
     // a first handshake on another thread).
@@ -195,31 +188,7 @@ void CasService::set_replication_gate(ReplicationGate* gate) {
 
 Bytes CasService::handle_secure(ByteView raw) {
   ensure_secure_server();
-  obs::Tracer& tracer = obs::Tracer::instance();
-  // The event-driven frontend (server::CasServer) opens its own scope on
-  // the worker before calling in and records its own root; only open one
-  // here when this is the outermost traced entry (the bind() frontend or
-  // a direct caller).
-  if (obs::TraceScope::active() || !tracer.enabled())
-    return secure_server_->handle(raw);
-
-  obs::TraceContext ctx;
-  ctx.trace_id = tracer.new_trace_id();
-  ctx.session_id = net::peek_session_id(raw).value_or(0);
-  obs::TraceScope scope(ctx);
-  const std::int64_t start = obs::Tracer::now_ns();
-  const net::RecordType type = net::classify_record(raw);
-  Bytes out = secure_server_->handle(raw);
-  static obs::Phase& p_attest = tracer.phase("request_attest");
-  static obs::Phase& p_config = tracer.phase("request_get_config");
-  static obs::Phase& p_unknown = tracer.phase("request_secure_unknown");
-  obs::Phase& root = type == net::RecordType::kHandshake ? p_attest
-                     : type == net::RecordType::kData    ? p_config
-                                                         : p_unknown;
-  // The scope carries the session id the handshake bound mid-request.
-  tracer.record_phase_root(root, obs::TraceScope::current(), start,
-                           obs::Tracer::now_ns());
-  return out;
+  return secure_server_->handle(raw);
 }
 
 net::SecureServer::Stats CasService::secure_channel_stats() {
@@ -227,53 +196,17 @@ net::SecureServer::Stats CasService::secure_channel_stats() {
   return secure_server_->stats();
 }
 
-void CasService::bind(net::SimNetwork& net, const std::string& address) {
-  net.listen(address + ".instance", [this](ByteView raw) {
-    // Envelope/legacy decode, version gate, and malformed-input handling
-    // all live in serve_instance_frame — shared with server::CasServer so
-    // the two frontends answer identically.
-    obs::Tracer& tracer = obs::Tracer::instance();
-    obs::TraceContext ctx;
-    ctx.trace_id = tracer.new_trace_id();
-    ctx.request_id = Envelope::peek_request_id(raw).value_or(0);
-    obs::TraceScope scope(ctx);
-    const std::int64_t start = obs::Tracer::now_ns();
-    FrameInfo frame;
-    Bytes out = serve_instance_frame(
-        raw,
-        [this](const InstanceRequest& req) { return handle_instance(req); },
-        [this](const IntrospectRequest& req) {
-          return handle_introspect(req);
-        },
-        &frame);
-    if (ctx.active()) {
-      static obs::Phase& p_instance =
-          tracer.phase("request_get_instance");
-      static obs::Phase& p_introspect =
-          tracer.phase("request_introspect");
-      tracer.record_phase_root(frame.command == Command::kIntrospect
-                                   ? p_introspect
-                                   : p_instance,
-                               ctx, start, obs::Tracer::now_ns());
-    }
-    return out;
-  });
-
-  ensure_secure_server();
-  net.listen(address,
-             [this](ByteView raw) { return handle_secure(raw); });
-}
-
 MintedCredential CasService::mint_credential(
-    const Policy& policy, const sgx::SigStruct& common_sigstruct,
-    InstanceTimings* timings) {
-  return std::move(mint_batch(policy, common_sigstruct, 1, timings).front());
+    const Policy& policy, const sgx::SigStruct& common_sigstruct) {
+  return std::move(mint_batch(policy, common_sigstruct, 1).front());
 }
 
 std::vector<MintedCredential> CasService::mint_batch(
     const Policy& policy, const sgx::SigStruct& common_sigstruct,
-    std::size_t count, InstanceTimings* timings) {
+    std::size_t count) {
   static obs::Phase& p_mint = obs::Tracer::instance().phase("mint");
+  static obs::Phase& p_predict = obs::Tracer::instance().phase("predict");
+  static obs::Phase& p_sign = obs::Tracer::instance().phase("sign");
   obs::Span span(p_mint);
   if (!policy.require_singleton || !policy.base_hash.has_value())
     throw Error("cas: policy is not configured for singleton enclaves");
@@ -309,19 +242,35 @@ std::vector<MintedCredential> CasService::mint_batch(
   }
 
   for (MintedCredential& cred : batch) {
-    auto mark = Clock::now();
-    core::InstancePage page;
-    page.token = cred.token;
-    page.verifier_id = vid;
-    cred.mr_enclave =
-        core::MeasurementPredictor::predict(*policy.base_hash, page);
-    if (timings != nullptr) timings->predict += Clock::now() - mark;
-
-    mark = Clock::now();
+    {
+      obs::Span predict_span(p_predict);
+      core::InstancePage page;
+      page.token = cred.token;
+      page.verifier_id = vid;
+      cred.mr_enclave =
+          core::MeasurementPredictor::predict(*policy.base_hash, page);
+    }
+    obs::Span sign_span(p_sign);
     cred.sigstruct = minter.make(cred.mr_enclave);
-    if (timings != nullptr) timings->sign += Clock::now() - mark;
   }
   return batch;
+}
+
+Status CasService::arm_token(const core::AttestationToken& token,
+                             const std::string& session_name,
+                             const sgx::Measurement& expected_mr) {
+  if (ReplicationGate* gate =
+          replication_gate_.load(std::memory_order_acquire);
+      gate != nullptr)
+    return gate->register_token(token, session_name, expected_mr);
+  register_token(token, session_name, expected_mr);
+  return Status();
+}
+
+Status CasService::accepts_writes() const {
+  const ReplicationGate* gate =
+      replication_gate_.load(std::memory_order_acquire);
+  return gate != nullptr ? gate->accepts_writes() : Status();
 }
 
 void CasService::register_token(const core::AttestationToken& token,
@@ -374,84 +323,6 @@ std::optional<StatusCode> CasService::check_retrieval_preconditions(
   return std::nullopt;
 }
 
-InstanceResponse CasService::handle_instance(const InstanceRequest& request) {
-  InstanceResponse resp;
-  InstanceTimings t;
-  const auto total_start = Clock::now();
-
-  // "Misc": decrypt and parse the session's policy from the encrypted DB
-  // (or the decrypted-policy cache, when the serving layer attached one).
-  auto mark = Clock::now();
-  const auto policy = get_policy(request.session_name);
-  t.db_load = Clock::now() - mark;
-
-  if (!policy.has_value()) {
-    resp.status = Status(StatusCode::kUnknownSession);
-    return resp;
-  }
-  if (const auto refused = check_retrieval_preconditions(*policy)) {
-    resp.status = Status(*refused);
-    return resp;
-  }
-
-  // Verify the received common SigStruct: authentic (RSA) and from the
-  // expected signer.
-  mark = Clock::now();
-  const bool sig_ok = request.common_sigstruct.signature_valid();
-  t.verify = Clock::now() - mark;
-  if (!sig_ok) {
-    resp.status = Status(StatusCode::kBadSignature);
-    return resp;
-  }
-  if (request.common_sigstruct.mr_signer() != policy->expected_signer) {
-    resp.status = Status(StatusCode::kWrongSigner);
-    return resp;
-  }
-
-  // Cross-check the received SigStruct against the policy's base hash.
-  mark = Clock::now();
-  const sgx::Measurement expected_common =
-      core::MeasurementPredictor::predict_common(*policy->base_hash);
-  t.predict = Clock::now() - mark;
-  if (request.common_sigstruct.enclave_hash != expected_common) {
-    resp.status = Status(StatusCode::kBaseHashMismatch);
-    return resp;
-  }
-
-  // Mint the singleton credential (token + prediction + on-demand
-  // SigStruct) and arm its one-time token. In cluster mode the arming is
-  // a log entry: the gate answers only after a majority committed it and
-  // THIS node applied it (register_token via the log), so a credential
-  // is never released that a failover could forget.
-  const MintedCredential cred =
-      mint_credential(*policy, request.common_sigstruct, &t);
-  if (ReplicationGate* gate =
-          replication_gate_.load(std::memory_order_acquire);
-      gate != nullptr) {
-    const Status committed =
-        gate->register_token(cred.token, request.session_name,
-                             cred.mr_enclave);
-    if (!committed.ok()) {
-      resp.status = committed;
-      return resp;
-    }
-  } else {
-    register_token(cred.token, request.session_name, cred.mr_enclave);
-  }
-
-  resp.status = Status();
-  resp.token = cred.token;
-  resp.verifier_id = verifier_id();
-  resp.singleton_sigstruct = cred.sigstruct;
-
-  t.total = Clock::now() - total_start;
-  {
-    MutexLock lock(observe_mutex_);
-    last_timings_ = t;
-  }
-  return resp;
-}
-
 std::optional<Bytes> CasService::on_handshake(ByteView client_payload,
                                               ByteView client_dh,
                                               std::uint64_t session_id,
@@ -461,19 +332,13 @@ std::optional<Bytes> CasService::on_handshake(ByteView client_payload,
     last_attest_verdict_ = v;
   };
 
-  // Envelope-wrapped (v1 kAttest) or raw legacy payload, decoded without
-  // letting deserializer exceptions escape; the accept payload below
-  // answers in the flavor the peer spoke. Only protocol-level refusals
-  // ride back to the (unauthenticated) peer as typed statuses —
-  // verification failures stay the generic rejection so the handshake is
-  // no oracle; the fine-grained Verdict is server-side observability.
+  // The enveloped kAttest payload, decoded without letting deserializer
+  // exceptions escape. Only protocol-level refusals ride back to the
+  // (unauthenticated) peer as typed statuses — verification failures stay
+  // the generic rejection so the handshake is no oracle; the fine-grained
+  // Verdict is server-side observability.
   FrameInfo frame;
   const auto decoded = decode_attest_payload(client_payload, &frame);
-  // Legacy-vs-envelope classification lives here, past the encryption
-  // boundary, where the plaintext flavor is actually visible; the serving
-  // layer mirrors these into its per-command metrics at snapshot time.
-  (frame.legacy ? attest_legacy_frames_ : attest_envelope_frames_)
-      .fetch_add(1, std::memory_order_relaxed);
   if (!decoded.has_value()) {
     if (reject_status != nullptr && is_protocol_level(frame.status))
       *reject_status = frame.status;
@@ -606,7 +471,6 @@ std::optional<Bytes> CasService::on_handshake(ByteView client_payload,
   }
 
   verdict(Verdict::kOk);
-  if (frame.legacy) return to_bytes("attested");
   Envelope accept;
   accept.command = Command::kAttest;
   accept.request_id = frame.request_id;
@@ -616,20 +480,7 @@ std::optional<Bytes> CasService::on_handshake(ByteView client_payload,
 
 Bytes CasService::on_request(std::uint64_t session_id, ByteView plaintext) {
   static obs::Phase& p_serve = obs::Tracer::instance().phase("config_serve");
-  FrameInfo frame;
-  Bytes out;
-  {
-    obs::Span span(p_serve);
-    out = serve_config_frame_inner(session_id, plaintext, &frame);
-  }
-  (frame.legacy ? config_legacy_frames_ : config_envelope_frames_)
-      .fetch_add(1, std::memory_order_relaxed);
-  return out;
-}
-
-Bytes CasService::serve_config_frame_inner(std::uint64_t session_id,
-                                           ByteView plaintext,
-                                           FrameInfo* frame) {
+  obs::Span span(p_serve);
   return serve_config_frame(plaintext, [this, session_id]() {
     ConfigResponse resp;
     std::string session_name;
@@ -652,16 +503,7 @@ Bytes CasService::serve_config_frame_inner(std::uint64_t session_id,
     resp.status = Status();
     resp.config = policy->config;
     return resp;
-  }, frame);
-}
-
-CasService::SecureFrameStats CasService::secure_frame_stats() const {
-  SecureFrameStats s;
-  s.attest_legacy = attest_legacy_frames_.load(std::memory_order_relaxed);
-  s.attest_envelope = attest_envelope_frames_.load(std::memory_order_relaxed);
-  s.config_legacy = config_legacy_frames_.load(std::memory_order_relaxed);
-  s.config_envelope = config_envelope_frames_.load(std::memory_order_relaxed);
-  return s;
+  });
 }
 
 namespace {
@@ -721,11 +563,6 @@ IntrospectResponse CasService::handle_introspect(
   }
   resp.status = Status();
   return resp;
-}
-
-CasService::InstanceTimings CasService::last_instance_timings() const {
-  MutexLock lock(observe_mutex_);
-  return last_timings_;
 }
 
 Verdict CasService::last_attest_verdict() const {

@@ -13,13 +13,15 @@
 //    enclave signer's key (which is uploaded to — and never leaves — CAS),
 //    and singleton enforcement (every token attests at most once).
 //
-// Thread-safe and contention-striped: all entry points may be called
-// concurrently (the server::CasServer frontend dispatches them from a
-// worker pool). Token and singleton accounting is sharded into striped
-// buckets (token id -> stripe), each bucket its own critical section, so
-// racing attestations on *different* tokens never contend while two
-// attestations racing the *same* token still serialize inside its bucket
-// — the exactly-once-spend invariant is per bucket. Token minting draws
+// A state machine with no frontend of its own: server::CasServer is the
+// one serving frontend, with or without a ReplicationGate. Thread-safe and
+// contention-striped: all entry points may be called concurrently (the
+// frontend dispatches them from a worker pool). Token and singleton
+// accounting is sharded into striped buckets (token id -> stripe), each
+// bucket its own critical section, so racing attestations on *different*
+// tokens never contend while two attestations racing the *same* token
+// still serialize inside its bucket — the exactly-once-spend invariant is
+// per bucket. Token minting draws
 // from a striped DRBG pool (no global RNG lock on the hot path), and the
 // encrypted policy DB sits behind a shared_mutex (concurrent decrypting
 // readers, exclusive installs). An optional PolicyCache lets the serving
@@ -29,7 +31,6 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <map>
 #include <memory>
 #include <mutex>  // std::once_flag only; locking goes through common/mutex.h
@@ -44,17 +45,10 @@
 #include "crypto/rsa.h"
 #include "fs/encrypted_volume.h"
 #include "net/secure_channel.h"
-#include "net/sim_network.h"
 #include "obs/registry.h"
 #include "quote/attestation_service.h"
 
 namespace sinclave::cas {
-
-// The seed-era `cas::errors` string constants are gone: retrieval
-// refusals are StatusCodes now, and the (single) human-readable text for
-// each code lives in common/status.h's status_message table — the two
-// serving frontends and the legacy (v0) wire encoding all draw from it,
-// so they cannot drift.
 
 /// Per-session verification policy, stored encrypted in the CAS database.
 struct Policy {
@@ -89,8 +83,8 @@ class PolicyCache {
 
 /// A freshly predicted-and-signed singleton credential: the token, the
 /// MRENCLAVE an enclave carrying that token will measure to, and the
-/// on-demand SigStruct for it. Inert until its token is registered with
-/// register_token() — which is what makes it spendable, exactly once.
+/// on-demand SigStruct for it. Inert until its token is armed with
+/// arm_token() — which is what makes it spendable, exactly once.
 struct MintedCredential {
   core::AttestationToken token;
   sgx::Measurement mr_enclave;
@@ -104,8 +98,8 @@ struct MintedCredential {
 /// mutating only this node's stripes: the gate proposes the transition,
 /// blocks until a cluster majority has committed it, and every node
 /// (including this one) then applies it via register_token /
-/// apply_replicated_spend in identical log order. Both gate calls are
-/// made with NO CasService lock held.
+/// apply_replicated_spend in identical log order. All gate calls are made
+/// with NO CasService lock held.
 class ReplicationGate {
  public:
   virtual ~ReplicationGate() = default;
@@ -131,19 +125,15 @@ class ReplicationGate {
   /// instead of trusting the local miss. Defaults to true: a gateless /
   /// single-authority deployment is always authoritative.
   virtual bool ready() const { return true; }
+  /// Ok when this node may issue credentials (write the log); otherwise
+  /// the typed refusal — kNotLeader with the leader hint, or kUnavailable
+  /// for a stopped node. Asked before any pool pop or mint, so a follower
+  /// refuses without signing anything. Defaults to ok (single authority).
+  virtual Status accepts_writes() const { return Status(); }
 };
 
 class CasService {
  public:
-  /// Wall-clock breakdown of the last instance request (Fig. 7c series).
-  struct InstanceTimings {
-    std::chrono::nanoseconds db_load{0};    // decrypt+parse policy ("misc")
-    std::chrono::nanoseconds verify{0};     // common SigStruct verification
-    std::chrono::nanoseconds predict{0};    // expected-MRENCLAVE finalization
-    std::chrono::nanoseconds sign{0};       // on-demand SigStruct signing
-    std::chrono::nanoseconds total{0};
-  };
-
   CasService(quote::AttestationService* attestation,
              crypto::RsaKeyPair identity, crypto::Drbg rng);
 
@@ -170,32 +160,24 @@ class CasService {
   /// cache.
   std::optional<Policy> get_policy(const std::string& session_name) const;
 
-  /// Shared precondition checks for singleton retrieval (both serving
-  /// fronts call this): returns the typed refusal, or nullopt when the
-  /// policy is retrieval-ready.
+  /// Shared precondition checks for singleton retrieval: returns the
+  /// typed refusal, or nullopt when the policy is retrieval-ready.
   std::optional<StatusCode> check_retrieval_preconditions(
       const Policy& policy) const;
 
-  /// Start serving: `address` (secure attestation endpoint) and
-  /// `address + ".instance"` (plain starter endpoint).
-  void bind(net::SimNetwork& net, const std::string& address);
-
-  /// Raw entry point of the secure attestation endpoint; usable by custom
-  /// frontends (server::CasServer) without bind().
+  /// Raw entry point of the secure attestation endpoint. The caller owns
+  /// the trace: it opens a TraceScope (and records the root) around the
+  /// call.
   Bytes handle_secure(ByteView raw);
-
-  /// Direct entry points (benchmarks call these without the network).
-  InstanceResponse handle_instance(const InstanceRequest& request);
 
   /// Predict + sign a fresh singleton credential for `policy` against the
   /// given verified common SigStruct. Pure minting: the token is NOT yet
   /// registered and cannot attest. `policy` must be singleton-configured
   /// and its signer key uploaded; throws Error otherwise. Thread-safe —
-  /// this is what pre-minting workers call concurrently. `timings` (when
-  /// given) accumulates the predict/sign breakdown.
+  /// this is what pre-minting workers call concurrently. Records a
+  /// `predict` and a `sign` span per credential inside its `mint` span.
   MintedCredential mint_credential(const Policy& policy,
-                                   const sgx::SigStruct& common_sigstruct,
-                                   InstanceTimings* timings = nullptr);
+                                   const sgx::SigStruct& common_sigstruct);
 
   /// Batch mint: `count` credentials with the per-batch costs paid once —
   /// one signer lookup, one common-SigStruct RSA verification, one
@@ -205,9 +187,21 @@ class CasService {
   /// top-ups into batch jobs). Same preconditions as mint_credential.
   std::vector<MintedCredential> mint_batch(
       const Policy& policy, const sgx::SigStruct& common_sigstruct,
-      std::size_t count, InstanceTimings* timings = nullptr);
+      std::size_t count);
 
-  /// Arm a minted credential: register its one-time token for
+  /// Arm a minted credential's one-time token for `session_name` — the
+  /// only way a token becomes spendable. With a replication gate attached
+  /// the arming is a log entry: ok only once a majority committed it and
+  /// this node applied it (so no credential is released that a failover
+  /// could forget); otherwise the token is registered locally.
+  Status arm_token(const core::AttestationToken& token,
+                   const std::string& session_name,
+                   const sgx::Measurement& expected_mr);
+
+  /// The gate's accepts_writes() verdict (ok without a gate).
+  Status accepts_writes() const;
+
+  /// Local apply of an arming: register the one-time token for
   /// `session_name` with the expected singleton measurement. Idempotent
   /// (re-registering an armed token is a no-op) — the replicated log may
   /// apply the same entry again after a restart.
@@ -216,9 +210,8 @@ class CasService {
                       const sgx::Measurement& expected_mr);
 
   /// Attach (or detach, nullptr) the replication gate. Not owned; must
-  /// outlive serving. With a gate attached, handle_instance and the
-  /// attested handshake commit token transitions through it (see
-  /// ReplicationGate).
+  /// outlive serving. With a gate attached, arm_token and the attested
+  /// handshake commit token transitions through it (see ReplicationGate).
   void set_replication_gate(ReplicationGate* gate);
 
   /// Read-only spend precheck for the gated handshake path: the typed
@@ -241,7 +234,6 @@ class CasService {
                                 const std::string& session_name,
                                 const sgx::Measurement& mr_enclave);
 
-  InstanceTimings last_instance_timings() const;
   /// Verdict of the most recent attestation attempt (test observability).
   Verdict last_attest_verdict() const;
 
@@ -267,32 +259,20 @@ class CasService {
   void set_secure_server_options(net::SecureServerOptions options);
 
   /// Run one idle-TTL sweep increment (one stripe; see
-  /// SecureServer::sweep_idle). The serving layers call this from a
+  /// SecureServer::sweep_idle). The serving layer calls this from a
   /// periodic TimerWheel task. Returns sessions reaped.
   std::size_t sweep_idle_sessions();
 
   /// The unified metrics registry every layer's collectors plug into:
-  /// CasService registers its own collector (tokens, secure-channel
-  /// counters, legacy/envelope frame split) at construction, and serving
-  /// frontends (server::CasServer) add theirs on top. Snapshots are cold;
+  /// CasService registers its own collector (tokens, the channel_*
+  /// secure-channel counters) at construction, and the serving frontend
+  /// (server::CasServer) adds its own on top. Snapshots are cold;
   /// nothing on the record path touches this.
   obs::MetricsRegistry& metrics_registry() { return registry_; }
 
-  /// Legacy-vs-envelope classification of the secure endpoint's frames.
-  /// The split happens here — past the encryption boundary — because the
-  /// serving layer only sees ciphertext (the documented legacy_frames gap
-  /// in server/metrics.h). Counted per frame served, including rejects.
-  struct SecureFrameStats {
-    std::uint64_t attest_legacy = 0;
-    std::uint64_t attest_envelope = 0;
-    std::uint64_t config_legacy = 0;
-    std::uint64_t config_envelope = 0;
-  };
-  SecureFrameStats secure_frame_stats() const;
-
   /// Observability introspection (Command::kIntrospect on the instance
-  /// endpoint of either frontend): registry snapshot in the requested
-  /// format plus recent/slow traces from the process-wide tracer.
+  /// endpoint): registry snapshot in the requested format plus
+  /// recent/slow traces from the process-wide tracer.
   IntrospectResponse handle_introspect(const IntrospectRequest& request);
 
  private:
@@ -301,8 +281,6 @@ class CasService {
                                     std::uint64_t session_id,
                                     StatusCode* reject_status);
   Bytes on_request(std::uint64_t session_id, ByteView plaintext);
-  Bytes serve_config_frame_inner(std::uint64_t session_id, ByteView plaintext,
-                                 FrameInfo* frame);
   void ensure_secure_server();
 
   struct PendingToken {
@@ -371,14 +349,7 @@ class CasService {
   std::atomic<ReplicationGate*> replication_gate_{nullptr};
 
   mutable Mutex observe_mutex_{LockRank::kCasObserve, "cas.observe"};
-  InstanceTimings last_timings_ GUARDED_BY(observe_mutex_);
   Verdict last_attest_verdict_ GUARDED_BY(observe_mutex_) = Verdict::kOk;
-
-  /// Secure-endpoint frame classification (see SecureFrameStats).
-  std::atomic<std::uint64_t> attest_legacy_frames_{0};
-  std::atomic<std::uint64_t> attest_envelope_frames_{0};
-  std::atomic<std::uint64_t> config_legacy_frames_{0};
-  std::atomic<std::uint64_t> config_envelope_frames_{0};
 
   obs::MetricsRegistry registry_;
 };

@@ -72,8 +72,8 @@ enum class LockRank : std::uint16_t {
   kThreadPool = 86,         // server::ThreadPool queue
   kMetricsRegistry = 80,    // obs::MetricsRegistry collector list
   kClusterLifecycle = 76,   // server::ClusterNode incarnation swap (held
-                            // across the idle sweep's stripe lock and a
-                            // restart's RaftCore start, both lower)
+                            // across a restart's RaftCore start and
+                            // endpoint bind, both lower)
   kSecureSession = 70,      // net::SecureServer per-session record state
   kSecureStripe = 68,       // net::SecureServer session-table stripe
   kClusterRaft = 64,        // cas::RaftCore consensus state (above the CAS

@@ -52,8 +52,7 @@ StatusCode status_code_from_wire(std::uint8_t code) {
 
 const char* status_message(StatusCode code) {
   // The texts for the retrieval outcomes are the seed-era `cas::errors`
-  // strings verbatim: legacy (v0) peers receive them unchanged, and the
-  // legacy decode path reverse-maps them back to codes.
+  // strings verbatim.
   switch (code) {
     case StatusCode::kOk:
       return "ok";

@@ -4,9 +4,9 @@
 // the seed-era `bool ok + std::string error`: machine-readable outcomes are
 // what retry logic, replication, and metrics key on — string matching is
 // not an error model. The canonical human-readable message for each code
-// lives in ONE table here (status_message), so the two serving frontends
-// (cas::CasService and server::CasServer) and the client SDK can never
-// drift apart in what they call the same failure.
+// lives in ONE table here (status_message), so the serving frontend
+// (server::CasServer) and the client SDK can never drift apart in what
+// they call the same failure.
 //
 // Status  = code + optional detail message (empty -> canonical message).
 // Result<T> = Status or a value; the small expected<> stand-in used by the
@@ -74,8 +74,8 @@ const char* to_string(StatusCode code);
 /// assume the enum is exhaustive.
 StatusCode status_code_from_wire(std::uint8_t code);
 
-/// Canonical human-readable message for a code — the single source the
-/// serving frontends and the legacy (v0) wire encoding draw from.
+/// Canonical human-readable message for a code — the single source every
+/// caller draws from (the wire carries only the code and extra detail).
 const char* status_message(StatusCode code);
 
 /// Canonical detail composers for statuses that carry a structured hint.

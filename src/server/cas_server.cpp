@@ -12,11 +12,10 @@ namespace sinclave::server {
 namespace {
 using Clock = std::chrono::steady_clock;
 
-/// Answer a frame with a blanket refusal (shed / deadline-exceeded) in
-/// whatever wire flavor it arrived in: serve_instance_frame handles
-/// envelope, legacy, and introspect frames alike and never throws on
-/// malformed input — so overload answers are as typed and parseable as
-/// served ones, at frame-decode cost only.
+/// Answer a frame with a blanket refusal (shed / deadline-exceeded):
+/// serve_instance_frame handles instance and introspect frames alike and
+/// never throws on malformed input — so overload answers are as typed and
+/// parseable as served ones, at frame-decode cost only.
 Bytes refusal_frame(const Bytes& raw, const Status& status,
                     cas::FrameInfo* frame) {
   return cas::serve_instance_frame(
@@ -44,18 +43,10 @@ CasServer::CasServer(cas::CasService* cas, CasServerConfig config)
       pool_(config.workers) {
   if (cas_ == nullptr) throw Error("server: cas service required");
   cas_->set_policy_cache(&policy_store_);
-  // Every registry snapshot pulls this frontend's counters — and first
-  // refreshes the secure-channel mirrors and the legacy-frame split that
-  // only CasService (past the encryption boundary) can classify, so an
-  // export is never stale no matter how long ago anyone last called
-  // refresh_secure_metrics() by hand.
+  // Every registry snapshot pulls this frontend's counters (the secure
+  // channel's own come from CasService's collector).
   collector_id_ = cas_->metrics_registry().add_collector(
       [this](obs::MetricsSnapshot& snap) {
-        refresh_secure_metrics();
-        const auto frames = cas_->secure_frame_stats();
-        atomic_fetch_max(metrics_.attest.legacy_frames, frames.attest_legacy);
-        atomic_fetch_max(metrics_.get_config.legacy_frames,
-                         frames.config_legacy);
         metrics_.collect(snap);
         snap.counter("policy_cache_hits", policy_store_.hits());
         snap.counter("policy_cache_misses", policy_store_.misses());
@@ -137,22 +128,6 @@ void CasServer::unbind() {
   net_->shutdown(address_ + ".instance");
   net_->shutdown(address_);
   net_ = nullptr;
-  refresh_secure_metrics();
-}
-
-void CasServer::refresh_secure_metrics() {
-  // On demand, never per record: mirroring three shared atomics on the
-  // fast path would reintroduce exactly the cross-core line bouncing the
-  // striped design removed. The SecureServer atomics are the source of
-  // truth and all monotone; fetch-max keeps the mirror monotone too even
-  // when two refreshes race out of order.
-  const auto secure = cas_->secure_channel_stats();
-  atomic_fetch_max(metrics_.handshake_stripe_collisions,
-                   secure.stripe_collisions);
-  atomic_fetch_max(metrics_.secure_sessions_opened,
-                   secure.sessions_opened);
-  atomic_fetch_max(metrics_.secure_sessions_high_water,
-                   secure.sessions_high_water);
 }
 
 void CasServer::respond(Clock::time_point accepted,
@@ -178,7 +153,6 @@ void CasServer::respond(Clock::time_point accepted,
 
 void CasServer::note_frame(CommandMetrics& command,
                            const cas::FrameInfo& frame) {
-  if (frame.legacy) ++command.legacy_frames;
   switch (frame.status) {
     case StatusCode::kMalformedRequest:
       ++metrics_.malformed_frames;
@@ -235,8 +209,8 @@ void CasServer::accept_instance(Bytes raw, net::SimNetwork::Completion done) {
   const auto deadline = accepted + config_.request_deadline;
   auto job = [this, raw = std::move(raw), done, accepted, deadline, ctx,
               accepted_ns]() mutable {
-    // Stage 2 — serve, on a worker: decode (envelope or legacy) + policy
-    // + verify + credential. serve_instance_frame contains deserializer
+    // Stage 2 — serve, on a worker: decode + policy + verify +
+    // credential. serve_instance_frame contains deserializer
     // failures — a malformed or truncated frame answers a typed
     // kMalformedRequest, it can never escape this worker as an exception.
     if (ctx.active()) {
@@ -381,9 +355,8 @@ void CasServer::accept_attest(Bytes raw, net::SimNetwork::Completion done) {
       obs::Tracer::instance().record_phase_span(p_queue, ctx, accepted_ns,
                                                 obs::Tracer::now_ns(), 1);
     }
-    // This frontend owns the trace: CasService::handle_secure sees the
-    // active scope and records its phases into it instead of opening a
-    // second root.
+    // This frontend owns the trace: CasService::handle_secure records its
+    // phases into the active scope.
     obs::TraceScope scope(ctx);
     Bytes out;
     try {
@@ -501,6 +474,12 @@ cas::InstanceResponse CasServer::serve_instance(
   static obs::Phase& p_cred = obs::Tracer::instance().phase("credential");
   cas::InstanceResponse resp;
 
+  // Writes need the log: a follower refuses (kNotLeader + leader hint, so
+  // the client re-routes) before any policy work, pool pop, or mint.
+  if (Status writable = cas_->accepts_writes(); !writable.ok()) {
+    resp.status = std::move(writable);
+    return resp;
+  }
   const auto policy = cas_->get_policy(request.session_name);
   if (!policy.has_value()) {
     resp.status = Status(StatusCode::kUnknownSession);
@@ -549,9 +528,15 @@ cas::InstanceResponse CasServer::serve_instance(
   }
 
   // Arm the one-time token. Pre-minted or not, a credential reaches this
-  // line exactly once (the pool pop is exclusive), so each token is
-  // registered exactly once.
-  cas_->register_token(cred.token, request.session_name, cred.mr_enclave);
+  // line exactly once (the pool pop is exclusive), so each token is armed
+  // exactly once — through the log when the service is replicated, and
+  // released only once that arming committed.
+  if (Status armed = cas_->arm_token(cred.token, request.session_name,
+                                     cred.mr_enclave);
+      !armed.ok()) {
+    resp.status = std::move(armed);
+    return resp;
+  }
   ++metrics_.tokens_issued;
 
   resp.status = Status();

@@ -1,5 +1,7 @@
-// Event-driven CAS serving layer: a completion-based frontend for
-// CasService.
+// Event-driven CAS serving layer: the one frontend for CasService. A
+// standalone CAS is a CasServer over a gateless service; a replica
+// (server::ClusterNode) is the same server over a service whose
+// ReplicationGate commits token transitions through the Raft log.
 //
 // The seed's CasService serves one request at a time and re-does three
 // expensive steps on every singleton retrieval (Fig. 7c): decrypt+parse the
@@ -37,10 +39,11 @@
 //   * metrics (server/metrics.h): atomic counters, the in-flight gauge +
 //     high-water mark, and latency histograms with p50/p99.
 //
-// Security invariants are inherited, not relaxed: every issued token is
-// registered exactly once with CasService's mutex-guarded token table, so
+// Security invariants are inherited, not relaxed: every issued token —
+// pooled or freshly minted — is armed exactly once through
+// CasService::arm_token (the replicated log when a gate is attached), so
 // one-time-token and singleton guarantees hold under any interleaving
-// (tests/test_server.cpp races them).
+// (tests/test_server.cpp and tests/test_cluster.cpp race them).
 #pragma once
 
 #include <chrono>
@@ -121,8 +124,8 @@ class CasServer {
   CasServer& operator=(const CasServer&) = delete;
 
   /// Serve `address` (secure attestation) and `address + ".instance"`
-  /// (plain starter endpoint) — same wire protocol as CasService::bind,
-  /// but every request runs through the event-driven state machine above.
+  /// (plain starter endpoint); every request runs through the
+  /// event-driven state machine above.
   void bind(net::SimNetwork& net, const std::string& address);
   /// Stop accepting new requests and wait for in-flight ones to complete
   /// (idempotent; also runs on destruction).
@@ -137,12 +140,6 @@ class CasServer {
   /// actually minted (0 when the session/sigstruct does not check out).
   std::size_t premint(const std::string& session,
                       const sgx::SigStruct& common_sigstruct, std::size_t n);
-
-  /// Fold the SecureServer's contention stats (stripe collisions,
-  /// sessions high-water) into metrics(). Every registry snapshot (and
-  /// unbind()) refreshes automatically; call directly only when reading
-  /// the raw metrics() fields mid-run without snapshotting.
-  void refresh_secure_metrics();
 
   const CasServerConfig& config() const { return config_; }
   ServerMetrics& metrics() { return metrics_; }

@@ -7,6 +7,12 @@
 
 namespace sinclave::server {
 
+namespace {
+Status stopped() {
+  return Status(StatusCode::kUnavailable, "cluster: stopped");
+}
+}  // namespace
+
 ClusterNode::ClusterNode(net::SimNetwork* net,
                          quote::AttestationService* attestation,
                          crypto::RsaKeyPair identity, std::uint64_t seed,
@@ -31,25 +37,36 @@ ClusterNode::~ClusterNode() { stop(); }
 void ClusterNode::add_signer_key(const crypto::RsaKeyPair& signer) {
   MutexLock lock(lifecycle_);
   signer_keys_.push_back(signer);
-  if (cas_ != nullptr) cas_->add_signer_key(signer);
+  if (current_.cas != nullptr) current_.cas->add_signer_key(signer);
 }
 
 cas::CasService& ClusterNode::cas() {
   MutexLock lock(lifecycle_);
-  if (cas_ == nullptr) throw Error("cluster node: not started");
-  return *cas_;
+  if (current_.cas == nullptr) throw Error("cluster node: not started");
+  return *current_.cas;
+}
+
+CasServer& ClusterNode::server() {
+  MutexLock lock(lifecycle_);
+  if (current_.server == nullptr) throw Error("cluster node: not started");
+  return *current_.server;
 }
 
 cas::RaftCore& ClusterNode::raft() {
-  MutexLock lock(lifecycle_);
-  if (raft_ == nullptr) throw Error("cluster node: not started");
-  return *raft_;
+  cas::RaftCore* raft = raft_or_null();
+  if (raft == nullptr) throw Error("cluster node: not started");
+  return *raft;
 }
 
 const cas::RaftCore& ClusterNode::raft() const {
+  const cas::RaftCore* raft = raft_or_null();
+  if (raft == nullptr) throw Error("cluster node: not started");
+  return *raft;
+}
+
+cas::RaftCore* ClusterNode::raft_or_null() const {
   MutexLock lock(lifecycle_);
-  if (raft_ == nullptr) throw Error("cluster node: not started");
-  return *raft_;
+  return current_.raft.get();
 }
 
 bool ClusterNode::running() const {
@@ -57,33 +74,23 @@ bool ClusterNode::running() const {
   return running_;
 }
 
-void ClusterNode::start() {
-  MutexLock lock(lifecycle_);
-  if (running_) return;
-  // Retire (never destroy) any previous incarnation: requests that raced
-  // the shutdown may still hold its pointers.
-  if (cas_ != nullptr) retired_cas_.push_back(std::move(cas_));
-  if (raft_ != nullptr) retired_raft_.push_back(std::move(raft_));
-  ++incarnation_;
-
-  cas_ = std::make_unique<cas::CasService>(
+ClusterNode::Incarnation ClusterNode::make_incarnation(
+    std::uint64_t incarnation, const std::vector<crypto::RsaKeyPair>& keys) {
+  Incarnation inc;
+  inc.cas = std::make_unique<cas::CasService>(
       attestation_, identity_,
-      crypto::Drbg::from_seed(seed_ + incarnation_, "cluster-cas"));
-  for (const crypto::RsaKeyPair& k : signer_keys_) cas_->add_signer_key(k);
-  if (config_.session_idle_ttl.count() > 0) {
-    net::SecureServerOptions options;
-    options.idle_ttl = config_.session_idle_ttl;
-    cas_->set_secure_server_options(options);
-  }
-  cas_->set_replication_gate(this);
+      crypto::Drbg::from_seed(seed_ + incarnation, "cluster-cas"));
+  for (const crypto::RsaKeyPair& k : keys) inc.cas->add_signer_key(k);
+  inc.cas->set_replication_gate(this);
+  inc.server = std::make_unique<CasServer>(inc.cas.get(), config_.server);
 
   cas::RaftConfig rc = config_.raft;
   // Different incarnations must draw different election jitter, or a
   // restarted node replays its old timeout sequence against peers that
   // have moved on.
-  rc.seed = rc.seed ^ seed_ ^ (incarnation_ * 0x9e3779b97f4a7c15ULL);
-  cas::CasService* cas_raw = cas_.get();
-  raft_ = std::make_unique<cas::RaftCore>(
+  rc.seed = rc.seed ^ seed_ ^ (incarnation * 0x9e3779b97f4a7c15ULL);
+  cas::CasService* cas_raw = inc.cas.get();
+  inc.raft = std::make_unique<cas::RaftCore>(
       net_, std::move(rc), &store_,
       [cas_raw](const cas::LogEntry& entry) -> Status {
         switch (entry.command) {
@@ -111,82 +118,71 @@ void ClusterNode::start() {
       [cas_raw](ByteView state) { cas_raw->import_state(state); });
 
   // Replication observability rides the incarnation's own registry (the
-  // collector holds the matching RaftCore, which outlives it via the
-  // retired list).
-  cas::RaftCore* raft_raw = raft_.get();
-  cas_->metrics_registry().add_collector([raft_raw](obs::MetricsSnapshot& s) {
-    const cas::RaftStats r = raft_raw->stats();
-    s.gauge("cluster_term", r.term);
-    s.gauge("cluster_commit_index", r.commit_index);
-    s.gauge("cluster_last_applied", r.last_applied);
-    s.gauge("cluster_log_entries", r.log_entries);
-    s.gauge("cluster_is_leader", r.is_leader ? 1 : 0);
-    s.gauge("cluster_follower_lag", r.max_follower_lag);
-    s.counter("cluster_elections_started", r.elections_started);
-    s.counter("cluster_elections_won", r.elections_won);
-    s.counter("cluster_proposals", r.proposals);
-    s.counter("cluster_proposals_failed", r.proposals_failed);
-    s.counter("cluster_snapshots_taken", r.snapshots_taken);
-    s.counter("cluster_snapshots_installed", r.snapshots_installed);
-  });
+  // collector holds the matching RaftCore, which the registry's owner
+  // outlives).
+  cas::RaftCore* raft_raw = inc.raft.get();
+  inc.cas->metrics_registry().add_collector(
+      [raft_raw](obs::MetricsSnapshot& s) {
+        const cas::RaftStats r = raft_raw->stats();
+        s.gauge("cluster_term", r.term);
+        s.gauge("cluster_commit_index", r.commit_index);
+        s.gauge("cluster_last_applied", r.last_applied);
+        s.gauge("cluster_log_entries", r.log_entries);
+        s.gauge("cluster_is_leader", r.is_leader ? 1 : 0);
+        s.gauge("cluster_follower_lag", r.max_follower_lag);
+        s.counter("cluster_elections_started", r.elections_started);
+        s.counter("cluster_elections_won", r.elections_won);
+        s.counter("cluster_proposals", r.proposals);
+        s.counter("cluster_proposals_failed", r.proposals_failed);
+        s.counter("cluster_snapshots_taken", r.snapshots_taken);
+        s.counter("cluster_snapshots_installed", r.snapshots_installed);
+      });
+  return inc;
+}
 
-  try {
-    raft_->start();  // throws on rolled-back / tampered persisted state
-  } catch (...) {
-    // Failed boot: nothing is bound; drop the half-built incarnation.
-    raft_.reset();
-    cas_.reset();
-    throw;
+void ClusterNode::start() {
+  std::uint64_t incarnation = 0;
+  std::vector<crypto::RsaKeyPair> keys;
+  {
+    MutexLock lock(lifecycle_);
+    if (running_) return;
+    incarnation = incarnation_ + 1;
+    keys = signer_keys_;
   }
-
-  net_->listen(address_ + ".instance", [this](ByteView raw) {
-    return cas::serve_instance_frame(
-        raw,
-        [this](const cas::InstanceRequest& req) {
-          return handle_instance(req);
-        },
-        [this](const cas::IntrospectRequest& req) {
-          cas::CasService* cas;
-          {
-            MutexLock l(lifecycle_);
-            cas = cas_.get();
-          }
-          return cas->handle_introspect(req);
-        });
-  });
-  net_->listen(address_, [this](ByteView raw) {
-    cas::CasService* cas;
-    {
-      MutexLock l(lifecycle_);
-      cas = cas_.get();
-    }
-    return cas->handle_secure(raw);
-  });
-
+  // Built (and, on a failed boot, destroyed) with lifecycle_ released:
+  // registering metrics collectors takes the registry lock, which ranks
+  // above it.
+  Incarnation next = make_incarnation(incarnation, keys);
+  MutexLock lock(lifecycle_);  // declared after `next`: released first
+  if (running_) return;
+  incarnation_ = incarnation;
+  // Throws on rolled-back / tampered persisted state; nothing is bound
+  // yet, and the half-built incarnation dies once the lock drops.
+  next.raft->start();
+  // Retire (never destroy) the previous incarnation: requests that raced
+  // the shutdown may still hold its pointers.
+  if (current_.cas != nullptr) retired_.push_back(std::move(current_));
+  current_ = std::move(next);
+  current_.server->bind(*net_, address_);
   running_ = true;
-  if (config_.session_idle_ttl.count() > 0) arm_sweep_locked();
 }
 
 void ClusterNode::stop() {
   cas::RaftCore* raft;
+  CasServer* server;
   {
     MutexLock lock(lifecycle_);
     if (!running_) return;
     running_ = false;
-    sweep_wheel_.cancel(sweep_timer_);
-    raft = raft_.get();
+    raft = current_.raft.get();
+    server = current_.server.get();
   }
-  // Fail in-flight proposals first: handlers blocked in propose() wake
-  // with kUnavailable, so the endpoint drains below cannot deadlock.
+  // Fail in-flight proposals first: requests blocked in propose() wake
+  // with kUnavailable, so the unbind below — which waits for every
+  // accepted request — cannot deadlock. Neither runs under lifecycle_:
+  // those requests reach back into this gate.
   raft->stop();
-  try {
-    net_->shutdown(address_ + ".instance");
-  } catch (const Error&) {
-  }
-  try {
-    net_->shutdown(address_);
-  } catch (const Error&) {
-  }
+  server->unbind();
 }
 
 void ClusterNode::restart() {
@@ -194,26 +190,12 @@ void ClusterNode::restart() {
   start();
 }
 
-void ClusterNode::arm_sweep_locked() {
-  try {
-    sweep_timer_ =
-        sweep_wheel_.schedule_after(config_.idle_sweep_interval, [this] {
-          MutexLock lock(lifecycle_);
-          if (!running_) return;
-          cas_->sweep_idle_sessions();
-          arm_sweep_locked();
-        });
-  } catch (const Error&) {
-    // Sweep wheel shutting down (node being destroyed).
-  }
-}
-
 Status ClusterNode::install_policy(const cas::Policy& policy) {
   cas::RaftCore* raft;
   {
     MutexLock lock(lifecycle_);
-    if (!running_) return Status(StatusCode::kUnavailable, "cluster: stopped");
-    raft = raft_.get();
+    if (!running_) return stopped();
+    raft = current_.raft.get();
   }
   return raft->propose(cas::LogCommand::kInstallPolicy, policy.serialize());
 }
@@ -221,14 +203,8 @@ Status ClusterNode::install_policy(const cas::Policy& policy) {
 Status ClusterNode::register_token(const core::AttestationToken& token,
                                    const std::string& session_name,
                                    const sgx::Measurement& expected_mr) {
-  cas::RaftCore* raft;
-  {
-    MutexLock lock(lifecycle_);
-    if (raft_ == nullptr) {
-      return Status(StatusCode::kUnavailable, "cluster: stopped");
-    }
-    raft = raft_.get();
-  }
+  cas::RaftCore* raft = raft_or_null();
+  if (raft == nullptr) return stopped();
   const cas::TokenCommand cmd{token, session_name, expected_mr};
   return raft->propose(cas::LogCommand::kRegisterToken, cmd.serialize());
 }
@@ -236,46 +212,23 @@ Status ClusterNode::register_token(const core::AttestationToken& token,
 Status ClusterNode::spend_token(const core::AttestationToken& token,
                                 const std::string& session_name,
                                 const sgx::Measurement& mr_enclave) {
-  cas::RaftCore* raft;
-  {
-    MutexLock lock(lifecycle_);
-    if (raft_ == nullptr) {
-      return Status(StatusCode::kUnavailable, "cluster: stopped");
-    }
-    raft = raft_.get();
-  }
+  cas::RaftCore* raft = raft_or_null();
+  if (raft == nullptr) return stopped();
   const cas::TokenCommand cmd{token, session_name, mr_enclave};
   return raft->propose(cas::LogCommand::kSpendToken, cmd.serialize());
 }
 
 bool ClusterNode::ready() const {
-  cas::RaftCore* raft;
-  {
-    MutexLock lock(lifecycle_);
-    if (raft_ == nullptr) return false;
-    raft = raft_.get();
-  }
-  return raft->ready();
+  const cas::RaftCore* raft = raft_or_null();
+  return raft != nullptr && raft->ready();
 }
 
-cas::InstanceResponse ClusterNode::handle_instance(
-    const cas::InstanceRequest& request) {
-  cas::CasService* cas;
-  cas::RaftCore* raft;
-  {
-    MutexLock lock(lifecycle_);
-    cas = cas_.get();
-    raft = raft_.get();
-  }
-  if (!raft->is_leader()) {
-    // Writes need the log: bounce with the best-known leader address so
-    // the client re-routes instead of backing off.
-    cas::InstanceResponse resp;
-    resp.status =
-        Status(StatusCode::kNotLeader, not_leader_detail(raft->leader_hint()));
-    return resp;
-  }
-  return cas->handle_instance(request);
+Status ClusterNode::accepts_writes() const {
+  const cas::RaftCore* raft = raft_or_null();
+  if (raft == nullptr) return stopped();
+  if (raft->is_leader()) return Status();
+  return Status(StatusCode::kNotLeader,
+                not_leader_detail(raft->leader_hint()));
 }
 
 }  // namespace sinclave::server

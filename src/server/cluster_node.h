@@ -1,29 +1,27 @@
-// One member of a replicated CAS cluster: a CasService incarnation wired
-// to a RaftCore (cas/replication.h) through the ReplicationGate, plus the
-// durable host-side artifacts — the sealed log blob and its monotonic
+// One member of a replicated CAS cluster: each incarnation is a CasService
+// + a RaftCore (cas/replication.h) + the same server::CasServer frontend a
+// standalone CAS runs, wired together through the ReplicationGate, plus
+// the durable host-side artifacts — the sealed log blob and its monotonic
 // counter — that survive enclave restarts.
 //
 // Responsibilities:
-//   * serve the usual two client endpoints (`<address>.instance`, plain;
-//     `<address>`, secure) with LEADER GATING on writes: a follower
-//     answers singleton retrieval with kNotLeader carrying the leader
-//     hint, while introspection — and, via get_policy on an attached
-//     cache, reads generally — is served by every replica;
 //   * implement the ReplicationGate: token arming and token spends are
 //     proposed into the replicated log and only applied (on every node,
-//     in log order) once majority-committed;
+//     in log order) once majority-committed; accepts_writes() makes a
+//     follower's server answer singleton retrieval with kNotLeader
+//     carrying the leader hint, while introspection — and, via get_policy
+//     on the server's policy store, reads generally — is served by every
+//     replica;
 //   * own the node lifecycle for failover drills: stop() kills the
-//     incarnation (endpoints down, proposals failed), restart() boots a
-//     FRESH CasService + RaftCore over the SAME sealed store and counter
-//     — exactly the restart an adversarial host controls, which is why a
-//     rolled-back blob makes restart throw instead of serve;
-//   * run the per-node idle-session sweep (SecureServer TTL) on a timer.
+//     incarnation (proposals failed, endpoints down), restart() boots a
+//     FRESH incarnation over the SAME sealed store and counter — exactly
+//     the restart an adversarial host controls, which is why a rolled-back
+//     blob makes restart throw instead of serve.
 //
 // All nodes of a cluster share one verifier identity keypair (copied into
 // each), so clients pin a single identity across failover.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -36,18 +34,16 @@
 #include "common/status.h"
 #include "crypto/rsa.h"
 #include "net/sim_network.h"
-#include "net/timer_wheel.h"
 #include "quote/quote.h"
+#include "server/cas_server.h"
 
 namespace sinclave::server {
 
 struct ClusterNodeConfig {
   /// Raft identity, peers, timeouts, seed. peers must include node_id.
   cas::RaftConfig raft;
-  /// SecureServer session idle TTL (0 = no reaping) and how often the
-  /// sweep timer fires (one stripe per firing).
-  std::chrono::nanoseconds session_idle_ttl{0};
-  std::chrono::nanoseconds idle_sweep_interval{std::chrono::milliseconds(20)};
+  /// Each incarnation's serving frontend (workers, idle-session TTL, ...).
+  CasServerConfig server;
 };
 
 class ClusterNode : public cas::ReplicationGate {
@@ -66,12 +62,13 @@ class ClusterNode : public cas::ReplicationGate {
   /// Signer keys are remembered and re-uploaded into every incarnation.
   void add_signer_key(const crypto::RsaKeyPair& signer);
 
-  /// Boot an incarnation: fresh CasService + RaftCore over the sealed
-  /// store, endpoints bound, election timer armed, sweep timer armed.
-  /// Throws when the persisted blob fails to unseal or is rolled back.
+  /// Boot an incarnation: fresh CasService + RaftCore + CasServer over the
+  /// sealed store, election timer armed, endpoints bound. Throws when the
+  /// persisted blob fails to unseal or is rolled back. Lifecycle calls
+  /// (start/stop/restart) come from one control thread.
   void start();
-  /// Kill the incarnation: endpoints down, in-flight proposals failed
-  /// kUnavailable. Durable state (store + counter) survives. Idempotent.
+  /// Kill the incarnation: in-flight proposals failed kUnavailable, then
+  /// endpoints down. Durable state (store + counter) survives. Idempotent.
   void stop();
   /// stop() + start(): the host restarting the CAS enclave.
   void restart();
@@ -93,6 +90,9 @@ class ClusterNode : public cas::ReplicationGate {
   /// (RaftCore::ready()); a lagging replica's local miss must not become
   /// a verification verdict.
   bool ready() const override;
+  /// Ok on the leader; kNotLeader with the best-known leader's address
+  /// elsewhere, so the client re-routes instead of backing off.
+  Status accepts_writes() const override;
 
   const std::string& address() const { return address_; }
   std::uint64_t node_id() const { return config_.raft.node_id; }
@@ -101,6 +101,7 @@ class ClusterNode : public cas::ReplicationGate {
   /// retired incarnations stay alive until the node is destroyed, so a
   /// pointer observed just before a restart never dangles).
   cas::CasService& cas();
+  CasServer& server();
   cas::RaftCore& raft();
   const cas::RaftCore& raft() const;
 
@@ -111,8 +112,17 @@ class ClusterNode : public cas::ReplicationGate {
   cas::MonotonicCounter& counter() { return counter_; }
 
  private:
-  cas::InstanceResponse handle_instance(const cas::InstanceRequest& request);
-  void arm_sweep_locked() REQUIRES(lifecycle_);
+  /// One boot of the node. Member order is destruction order reversed:
+  /// the server dies first (its collector and policy store point into the
+  /// service), then the raft core (its apply callback writes the service).
+  struct Incarnation {
+    std::unique_ptr<cas::CasService> cas;
+    std::unique_ptr<cas::RaftCore> raft;
+    std::unique_ptr<CasServer> server;
+  };
+  Incarnation make_incarnation(std::uint64_t incarnation,
+                               const std::vector<crypto::RsaKeyPair>& keys);
+  cas::RaftCore* raft_or_null() const;
 
   net::SimNetwork* net_;
   quote::AttestationService* attestation_;
@@ -123,25 +133,16 @@ class ClusterNode : public cas::ReplicationGate {
 
   cas::MonotonicCounter counter_;
   cas::SealedLogStore store_;
-  std::vector<crypto::RsaKeyPair> signer_keys_;
 
   mutable Mutex lifecycle_{LockRank::kClusterLifecycle, "server.cluster_node"};
+  std::vector<crypto::RsaKeyPair> signer_keys_ GUARDED_BY(lifecycle_);
   bool running_ GUARDED_BY(lifecycle_) = false;
   std::uint64_t incarnation_ GUARDED_BY(lifecycle_) = 0;
-  std::unique_ptr<cas::CasService> cas_ GUARDED_BY(lifecycle_);
-  std::unique_ptr<cas::RaftCore> raft_ GUARDED_BY(lifecycle_);
+  Incarnation current_ GUARDED_BY(lifecycle_);
   /// Dead incarnations, kept alive until ~ClusterNode: an in-flight
   /// request that raced a restart still holds valid pointers (its
   /// proposals fail kUnavailable on the stopped core).
-  std::vector<std::unique_ptr<cas::CasService>> retired_cas_
-      GUARDED_BY(lifecycle_);
-  std::vector<std::unique_ptr<cas::RaftCore>> retired_raft_
-      GUARDED_BY(lifecycle_);
-  net::TimerWheel::TimerId sweep_timer_ GUARDED_BY(lifecycle_) = 0;
-
-  /// Last member: destroyed first, joining the sweep thread before the
-  /// incarnations its callbacks touch go away.
-  net::TimerWheel sweep_wheel_;
+  std::vector<Incarnation> retired_ GUARDED_BY(lifecycle_);
 };
 
 }  // namespace sinclave::server

@@ -17,7 +17,6 @@ void ServerMetrics::collect(obs::MetricsSnapshot& snap) const {
     const std::string base(name);
     snap.counter(base + "_requests", cmd.requests.load());
     snap.counter(base + "_errors", cmd.errors.load());
-    snap.counter(base + "_legacy_frames", cmd.legacy_frames.load());
     snap.histogram(base + "_latency", cmd.latency);
   };
   command("get_instance", get_instance);
@@ -36,10 +35,6 @@ void ServerMetrics::collect(obs::MetricsSnapshot& snap) const {
   snap.gauge("max_in_flight", max_in_flight.load());
   snap.counter("requests_shed", requests_shed.load());
   snap.counter("deadline_exceeded", deadline_exceeded.load());
-  snap.counter("handshake_stripe_collisions",
-               handshake_stripe_collisions.load());
-  snap.counter("secure_sessions_opened", secure_sessions_opened.load());
-  snap.gauge("secure_sessions_high_water", secure_sessions_high_water.load());
 }
 
 std::string ServerMetrics::render() const {

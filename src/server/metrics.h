@@ -27,12 +27,6 @@ struct CommandMetrics {
   /// count only transport-visible failures — their payload statuses are
   /// not observable at this layer).
   std::atomic<std::uint64_t> errors{0};
-  /// Requests served on the legacy (v0, pre-envelope) decode path.
-  /// get_instance counts these at the serving layer; the secure
-  /// endpoint's frames are classified inside CasService (past the
-  /// encryption boundary) and mirrored into the attest/get_config
-  /// counters whenever the registry snapshots (never per record).
-  std::atomic<std::uint64_t> legacy_frames{0};
   LatencyHistogram latency;
 };
 
@@ -40,7 +34,8 @@ struct CommandMetrics {
 /// increment directly; export happens through the obs::MetricsRegistry
 /// (collect()) or the legacy text dump (render(), now a thin wrapper
 /// over the registry's text renderer).
-/// (Policy-store hit/miss counters live on ShardedPolicyStore itself.)
+/// (Policy-store hit/miss counters live on ShardedPolicyStore itself, and
+/// the secure channel's counters on CasService as the channel_* series.)
 struct ServerMetrics {
   /// Instance endpoint: singleton retrieval (Command::kGetInstance).
   CommandMetrics get_instance;
@@ -87,24 +82,12 @@ struct ServerMetrics {
   std::atomic<std::uint64_t> requests_shed{0};
   std::atomic<std::uint64_t> deadline_exceeded{0};
 
-  /// Secure-channel contention observability, mirrored from the striped
-  /// SecureServer session table (CasServer's registry collector refreshes
-  /// the mirror at every snapshot, and unbind() refreshes it too — never
-  /// per record, which would bounce these lines across workers): lock
-  /// acquisitions that found their stripe busy (the residual
-  /// cross-session contention), sessions opened, and the most sessions
-  /// ever simultaneously open.
-  std::atomic<std::uint64_t> handshake_stripe_collisions{0};
-  std::atomic<std::uint64_t> secure_sessions_opened{0};
-  std::atomic<std::uint64_t> secure_sessions_high_water{0};
-
   /// Gauge helpers: enter bumps the in-flight count and its watermark.
   void enter_in_flight();
   void leave_in_flight();
 
   /// Copies every counter/gauge/histogram into a registry snapshot; the
-  /// collector CasServer registers simply forwards here (after refreshing
-  /// the secure mirrors above).
+  /// collector CasServer registers forwards here.
   void collect(obs::MetricsSnapshot& snap) const;
 
   /// Human-readable dump (one "name value" pair per line) — the registry

@@ -192,7 +192,7 @@ ChaosScenarioResult scenario_mid_handshake(const ChaosConfig& cfg) {
     cas::InstanceRequest req;
     req.session_name = kSession;
     req.common_sigstruct = fx.signed_image.sigstruct;
-    const cas::InstanceResponse resp = fx.bed.cas().handle_instance(req);
+    const cas::InstanceResponse resp = fx.bed.server().handle_instance(req);
     if (!resp.ok()) {
       r.failures.push_back("honest token preparation failed");
       return r;
@@ -232,7 +232,8 @@ ChaosScenarioResult scenario_mid_handshake(const ChaosConfig& cfg) {
     try {
       const auto accepted =
           client.connect(fx.bed.network().connect(fx.bed.cas_address()),
-                         fx.bed.cas().identity(), payload.serialize());
+                         fx.bed.cas().identity(),
+                         cas::encode_attest_payload(payload));
       if (accepted.has_value()) {
         out.ok.fetch_add(1, std::memory_order_relaxed);
         return true;
@@ -298,7 +299,7 @@ ChaosScenarioResult scenario_replay_storm(const ChaosConfig& cfg) {
     cas::InstanceRequest req;
     req.session_name = kSession;
     req.common_sigstruct = fx.signed_image.sigstruct;
-    const cas::InstanceResponse resp = fx.bed.cas().handle_instance(req);
+    const cas::InstanceResponse resp = fx.bed.server().handle_instance(req);
     if (!resp.ok()) {
       r.failures.push_back("honest token preparation failed");
       return r;
@@ -349,7 +350,8 @@ ChaosScenarioResult scenario_replay_storm(const ChaosConfig& cfg) {
       try {
         const auto outcome =
             a.client->connect(fx.bed.network().connect(fx.bed.cas_address()),
-                              fx.bed.cas().identity(), a.payload.serialize());
+                              fx.bed.cas().identity(),
+                              cas::encode_attest_payload(a.payload));
         if (outcome.has_value()) {
           out.ok.fetch_add(1, std::memory_order_relaxed);
           accepted[a.token_index].fetch_add(1, std::memory_order_relaxed);
@@ -399,7 +401,7 @@ ChaosScenarioResult scenario_byzantine(const ChaosConfig& cfg) {
   cas::InstanceRequest req;
   req.session_name = kSession;
   req.common_sigstruct = fx.signed_image.sigstruct;
-  const cas::InstanceResponse observed = fx.bed.cas().handle_instance(req);
+  const cas::InstanceResponse observed = fx.bed.server().handle_instance(req);
   if (!observed.ok()) {
     r.failures.push_back("honest token preparation failed");
     return r;
@@ -414,7 +416,8 @@ ChaosScenarioResult scenario_byzantine(const ChaosConfig& cfg) {
       crypto::RsaKeyPair::generate(attacker_rng, 1024),
       fx.bed.child_rng("chaos-attacker-cas"));
   attacker_cas.add_signer_key(fx.bed.user_signer());
-  attacker_cas.bind(fx.bed.network(), "cas.chaos-attacker");
+  server::CasServer attacker_server(&attacker_cas);
+  attacker_server.bind(fx.bed.network(), "cas.chaos-attacker");
   cas::Policy coerced;
   coerced.session_name = "coerced";
   coerced.expected_signer =

@@ -44,7 +44,9 @@ ClusterBed::ClusterBed(ClusterBedConfig config)
     node_config.raft.node_id = i + 1;
     node_config.raft.peers = peers;
     node_config.raft.seed = config_.seed;
-    node_config.session_idle_ttl = config_.session_idle_ttl;
+    // Two serving workers per replica, as perfbench's own servers run:
+    // each extra worker grows its own malloc arena.
+    node_config.server.workers = 2;
     // Per-node seed: each replica seals with its own key and — more
     // importantly — mints tokens from its own DRBG stream, so successive
     // leaders can never collide on token bytes.
@@ -187,7 +189,7 @@ ClusterBed::AttestedSpend ClusterBed::spend_once(const PreparedToken& prepared,
   try {
     const std::optional<Bytes> accepted =
         channel.connect(net_.connect(target), identity_.public_key(),
-                        payload.serialize(), &reject);
+                        cas::encode_attest_payload(payload), &reject);
     if (accepted.has_value()) {
       out.attested = true;
       return out;

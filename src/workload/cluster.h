@@ -53,8 +53,6 @@ struct ClusterBedConfig {
   std::string address_prefix = "cas-node";
   /// The fixture session default_policy() pins.
   std::string session_name = "cluster";
-  /// Forwarded to every node (0 = sessions never expire).
-  std::chrono::nanoseconds session_idle_ttl{0};
   /// Raft template: node_id/peers/seed are overwritten per node, the
   /// timing knobs (election window, heartbeat, propose_timeout,
   /// snapshot_threshold) pass through — tests tighten propose_timeout so

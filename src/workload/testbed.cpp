@@ -19,7 +19,8 @@ Testbed::Testbed(const TestbedConfig& config)
       crypto::RsaKeyPair::generate(cas_rng, config.rsa_bits),
       child_rng("cas-service"));
   cas_->add_signer_key(user_signer_);
-  cas_->bind(net_, config.cas_address);
+  server_ = std::make_unique<server::CasServer>(cas_.get());
+  server_->bind(net_, config.cas_address);
 }
 
 crypto::Drbg Testbed::child_rng(std::string_view label) {

@@ -1,7 +1,8 @@
 // Full-stack deployment fixture: one simulated platform with everything
 // the paper's system model needs (Fig. 3) — CPU, quoting enclave, TEE
-// provider attestation service, the user's trusted verifier (CAS) with the
-// user's signer key uploaded, a network, and a program registry.
+// provider attestation service, the user's trusted verifier (CAS, served
+// by a default-config server::CasServer) with the user's signer key
+// uploaded, a network, and a program registry.
 //
 // Used by integration tests, examples, and the macro benchmarks.
 #pragma once
@@ -16,6 +17,7 @@
 #include "quote/attestation_service.h"
 #include "quote/quoting_enclave.h"
 #include "runtime/enclave_runtime.h"
+#include "server/cas_server.h"
 #include "sgx/cpu.h"
 
 namespace sinclave::workload {
@@ -41,6 +43,10 @@ class Testbed {
   quote::QuotingEnclave& qe() { return *qe_; }
   quote::AttestationService& attestation() { return attestation_; }
   cas::CasService& cas() { return *cas_; }
+  /// The frontend bound at cas_address(). Tests that read the metrics
+  /// registry or introspect go through this server: a second CasServer
+  /// over cas() registers colliding collector names.
+  server::CasServer& server() { return *server_; }
   runtime::ProgramRegistry& programs() { return programs_; }
   const crypto::RsaKeyPair& user_signer() const { return user_signer_; }
 
@@ -65,6 +71,7 @@ class Testbed {
   crypto::RsaKeyPair user_signer_;
   std::unique_ptr<cas::CasService> cas_;
   runtime::ProgramRegistry programs_;
+  std::unique_ptr<server::CasServer> server_;  // dies first: it borrows cas_
 };
 
 }  // namespace sinclave::workload

@@ -17,6 +17,7 @@
 #include "core/signer.h"
 #include "crypto/sha256.h"
 #include "runtime/starter.h"
+#include "server/cas_server.h"
 #include "workload/testbed.h"
 
 namespace sinclave {
@@ -48,7 +49,9 @@ class AttackTest : public ::testing::Test {
         crypto::RsaKeyPair::generate(attacker_rng_, 1024),
         bed_.child_rng("attacker-cas"));
     attacker_cas_->add_signer_key(bed_.user_signer());
-    attacker_cas_->bind(bed_.network(), "cas.attacker");
+    attacker_server_ =
+        std::make_unique<server::CasServer>(attacker_cas_.get());
+    attacker_server_->bind(bed_.network(), "cas.attacker");
   }
 
   /// User-side deployment: install the victim session on the user's CAS.
@@ -106,6 +109,7 @@ class AttackTest : public ::testing::Test {
   core::EnclaveImage victim_image_;
   crypto::Drbg attacker_rng_;
   std::unique_ptr<cas::CasService> attacker_cas_;
+  std::unique_ptr<server::CasServer> attacker_server_;  // dies first
   sgx::SigStruct user_sigstruct_;
   runtime::RunResult last_boot_;
 };
@@ -185,7 +189,8 @@ TEST_F(AttackTest, StolenQuoteWithoutChannelBindingRejected) {
   payload.quote = *quote;
   const auto accepted =
       client.connect(bed_.network().connect(bed_.cas_address()),
-                     bed_.cas().identity(), payload.serialize());
+                     bed_.cas().identity(),
+                     cas::encode_attest_payload(payload));
   EXPECT_FALSE(accepted.has_value());
   EXPECT_EQ(bed_.cas().last_attest_verdict(), Verdict::kPolicyViolation);
 }

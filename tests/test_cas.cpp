@@ -1,6 +1,7 @@
 // Unit tests for the CAS verifier service: policy persistence, the
-// instance (token issuance) endpoint, attestation verdicts, and token
-// accounting — exercised directly, without the full runtime stack.
+// instance (token issuance) endpoint served by server::CasServer's direct
+// path, attestation verdicts, and token accounting — without the full
+// runtime stack.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,12 +16,21 @@
 #include "core/signer.h"
 #include "crypto/sha256.h"
 #include "net/secure_channel.h"
+#include "obs/trace.h"
 #include "quote/quoting_enclave.h"
 #include "runtime/starter.h"
+#include "server/cas_server.h"
 #include "sgx/cpu.h"
 
 namespace sinclave::cas {
 namespace {
+
+/// Summary of one tracer phase (zero count when it recorded nothing).
+obs::LatencyHistogram::Snapshot phase_stats(const char* name) {
+  for (const auto& row : obs::Tracer::instance().phase_summaries())
+    if (std::string(row.name) == name) return row.stats;
+  return {};
+}
 
 class CasTest : public ::testing::Test {
  protected:
@@ -32,7 +42,8 @@ class CasTest : public ::testing::Test {
         image_(core::EnclaveImage::synthetic("cas-test", sgx::kPageSize,
                                              2 * sgx::kPageSize)),
         signer_(&signer_key_),
-        signed_(signer_.sign_sinclave(image_)) {
+        signed_(signer_.sign_sinclave(image_)),
+        server_(&cas_, server::CasServerConfig{.workers = 1}) {
     cas_.add_signer_key(signer_key_);
   }
 
@@ -60,6 +71,7 @@ class CasTest : public ::testing::Test {
   core::EnclaveImage image_;
   core::Signer signer_;
   core::SinclaveSignedImage signed_;
+  server::CasServer server_;
 };
 
 TEST_F(CasTest, VerifierIdIsIdentityHash) {
@@ -69,7 +81,7 @@ TEST_F(CasTest, VerifierIdIsIdentityHash) {
 
 TEST_F(CasTest, InstanceRequestHappyPath) {
   cas_.install_policy(singleton_policy("s"));
-  const InstanceResponse resp = cas_.handle_instance(request("s"));
+  const InstanceResponse resp = server_.handle_instance(request("s"));
   ASSERT_TRUE(resp.ok()) << resp.status.message();
   EXPECT_EQ(resp.status.code, StatusCode::kOk);
   EXPECT_FALSE(resp.token.is_zero());
@@ -84,7 +96,7 @@ TEST_F(CasTest, InstanceRequestHappyPath) {
 }
 
 TEST_F(CasTest, InstanceRequestUnknownSession) {
-  const InstanceResponse resp = cas_.handle_instance(request("nope"));
+  const InstanceResponse resp = server_.handle_instance(request("nope"));
   EXPECT_FALSE(resp.ok());
   EXPECT_EQ(resp.status.code, StatusCode::kUnknownSession);
   // The human-readable message comes from the shared code->message table.
@@ -99,7 +111,7 @@ TEST_F(CasTest, InstanceRequestBaselineSessionRefused) {
   p.base_hash.reset();
   p.expected_mr_enclave = signed_.sigstruct.enclave_hash;
   cas_.install_policy(p);
-  const InstanceResponse resp = cas_.handle_instance(request("base"));
+  const InstanceResponse resp = server_.handle_instance(request("base"));
   EXPECT_FALSE(resp.ok());
   EXPECT_EQ(resp.status.code, StatusCode::kNotSingleton);
 }
@@ -109,7 +121,8 @@ TEST_F(CasTest, InstanceRequestNeedsSignerKey) {
                   crypto::RsaKeyPair::generate(rng_, 1024),
                   crypto::Drbg::from_seed(7, "bare"));
   bare.install_policy(singleton_policy("s"));
-  const InstanceResponse resp = bare.handle_instance(request("s"));
+  server::CasServer bare_server(&bare, server::CasServerConfig{.workers = 1});
+  const InstanceResponse resp = bare_server.handle_instance(request("s"));
   EXPECT_FALSE(resp.ok());
   EXPECT_EQ(resp.status.code, StatusCode::kNoSignerKey);
   EXPECT_EQ(resp.status.message(), "no signer key uploaded for this session");
@@ -119,7 +132,7 @@ TEST_F(CasTest, InstanceRequestRejectsTamperedSigstruct) {
   cas_.install_policy(singleton_policy("s"));
   InstanceRequest req = request("s");
   req.common_sigstruct.signature[3] ^= 1;
-  const InstanceResponse resp = cas_.handle_instance(req);
+  const InstanceResponse resp = server_.handle_instance(req);
   EXPECT_FALSE(resp.ok());
   EXPECT_EQ(resp.status.code, StatusCode::kBadSignature);
 }
@@ -131,7 +144,7 @@ TEST_F(CasTest, InstanceRequestRejectsForeignSigner) {
   core::Signer other_signer(&other_key);
   InstanceRequest req = request("s");
   req.common_sigstruct = other_signer.sign_sinclave(image_).sigstruct;
-  const InstanceResponse resp = cas_.handle_instance(req);
+  const InstanceResponse resp = server_.handle_instance(req);
   EXPECT_FALSE(resp.ok());
   EXPECT_EQ(resp.status.code, StatusCode::kWrongSigner);
 }
@@ -142,7 +155,7 @@ TEST_F(CasTest, InstanceRequestRejectsWrongBaseImage) {
   other.code[0] ^= 1;
   InstanceRequest req = request("s");
   req.common_sigstruct = signer_.sign_sinclave(other).sigstruct;
-  const InstanceResponse resp = cas_.handle_instance(req);
+  const InstanceResponse resp = server_.handle_instance(req);
   EXPECT_FALSE(resp.ok());
   EXPECT_EQ(resp.status.code, StatusCode::kBaseHashMismatch);
   EXPECT_NE(resp.status.message().find("base hash"), std::string::npos);
@@ -151,8 +164,8 @@ TEST_F(CasTest, InstanceRequestRejectsWrongBaseImage) {
 TEST_F(CasTest, MintBatchMintsDistinctFirstClassCredentials) {
   const Policy policy = singleton_policy("s");
   cas_.install_policy(policy);
-  CasService::InstanceTimings timings;
-  const auto batch = cas_.mint_batch(policy, signed_.sigstruct, 5, &timings);
+  obs::Tracer::instance().reset_phases();
+  const auto batch = cas_.mint_batch(policy, signed_.sigstruct, 5);
   ASSERT_EQ(batch.size(), 5u);
 
   std::set<std::string> tokens;
@@ -171,8 +184,10 @@ TEST_F(CasTest, MintBatchMintsDistinctFirstClassCredentials) {
     EXPECT_EQ(cred.sigstruct.mr_signer(), policy.expected_signer);
   }
   EXPECT_EQ(tokens.size(), 5u);  // no token minted twice
-  EXPECT_GT(timings.sign.count(), 0);
-  EXPECT_GT(timings.predict.count(), 0);
+  // One predict and one sign span per credential, inside one mint span.
+  EXPECT_EQ(phase_stats("mint").count, 1u);
+  EXPECT_EQ(phase_stats("predict").count, 5u);
+  EXPECT_EQ(phase_stats("sign").count, 5u);
   // Pure minting: nothing is registered until the serving layer issues.
   EXPECT_EQ(cas_.tokens_outstanding(), 0u);
 }
@@ -188,23 +203,32 @@ TEST_F(CasTest, MintBatchEdgeCases) {
 
 TEST_F(CasTest, TokensAreUniqueAndTracked) {
   cas_.install_policy(singleton_policy("s"));
-  const auto a = cas_.handle_instance(request("s"));
-  const auto b = cas_.handle_instance(request("s"));
+  const auto a = server_.handle_instance(request("s"));
+  const auto b = server_.handle_instance(request("s"));
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_NE(a.token, b.token);
   EXPECT_EQ(cas_.tokens_outstanding(), 2u);
   EXPECT_EQ(cas_.tokens_used(), 0u);
 }
 
-TEST_F(CasTest, TimingsPopulatedAfterInstanceRequest) {
+TEST_F(CasTest, PhasesRecordedForInstanceRequest) {
   cas_.install_policy(singleton_policy("s"));
-  ASSERT_TRUE(cas_.handle_instance(request("s")).ok());
-  const auto& t = cas_.last_instance_timings();
-  EXPECT_GT(t.total.count(), 0);
-  EXPECT_GT(t.sign.count(), 0);
-  EXPECT_GT(t.verify.count(), 0);
-  EXPECT_GT(t.predict.count(), 0);
-  EXPECT_LE(t.sign + t.verify + t.predict + t.db_load, t.total);
+  obs::Tracer::instance().reset_phases();
+  ASSERT_TRUE(server_.handle_instance(request("s")).ok());
+  const auto total = phase_stats("request_get_instance");
+  const auto mint = phase_stats("mint");
+  const auto sign = phase_stats("sign");
+  const auto predict = phase_stats("predict");
+  const auto verify = phase_stats("verify_common");
+  const auto policy = phase_stats("policy_load");
+  for (const auto& phase : {total, mint, sign, predict, verify, policy})
+    EXPECT_EQ(phase.count, 1u);
+  EXPECT_GT(sign.sum.count(), 0);
+  EXPECT_GT(predict.sum.count(), 0);
+  EXPECT_GT(verify.sum.count(), 0);
+  // Nested spans: sign and predict inside mint, all inside the root.
+  EXPECT_LE(sign.sum + predict.sum, mint.sum);
+  EXPECT_LE(mint.sum + verify.sum + policy.sum, total.sum);
 }
 
 TEST_F(CasTest, PolicyReplaceTakesEffect) {
@@ -220,11 +244,11 @@ TEST_F(CasTest, PolicyReplaceTakesEffect) {
   cas_.install_policy(p2);
 
   // Old binary refused, new binary accepted.
-  EXPECT_FALSE(cas_.handle_instance(request("s")).ok());
+  EXPECT_FALSE(server_.handle_instance(request("s")).ok());
   InstanceRequest req;
   req.session_name = "s";
   req.common_sigstruct = signed_v2.sigstruct;
-  EXPECT_TRUE(cas_.handle_instance(req).ok());
+  EXPECT_TRUE(server_.handle_instance(req).ok());
 }
 
 // --- striped token-spend store ---
@@ -262,7 +286,8 @@ TEST(CasTokenStripes, ExactlyOnceSpendUnderCrossStripeRaces) {
   cas.install_policy(policy);
 
   net::SimNetwork net;
-  cas.bind(net, "cas");
+  server::CasServer server(&cas, server::CasServerConfig{.workers = 2});
+  server.bind(net, "cas");
 
   constexpr int kTokens = 8;
   constexpr int kRacersPerToken = 2;
@@ -276,7 +301,7 @@ TEST(CasTokenStripes, ExactlyOnceSpendUnderCrossStripeRaces) {
     InstanceRequest req;
     req.session_name = "race";
     req.common_sigstruct = signed_image.sigstruct;
-    const InstanceResponse resp = cas.handle_instance(req);
+    const InstanceResponse resp = server.handle_instance(req);
     ASSERT_TRUE(resp.ok());
     core::InstancePage page;
     page.token = resp.token;
@@ -310,7 +335,7 @@ TEST(CasTokenStripes, ExactlyOnceSpendUnderCrossStripeRaces) {
     racers.emplace_back([&net, &cas, &accepted, &rejected, &a] {
       const auto outcome =
           a.client->connect(net.connect("cas"), cas.identity(),
-                            a.payload.serialize());
+                            encode_attest_payload(a.payload));
       if (outcome.has_value())
         ++accepted[static_cast<std::size_t>(a.token_index)];
       else
@@ -366,69 +391,26 @@ TEST(Protocol, EnvelopeRoundTrip) {
   EXPECT_TRUE(Envelope::matches(e.serialize()));
 }
 
-TEST(Protocol, EnvelopeNeverMatchesLegacyFrames) {
-  // A legacy instance request starts with the u32 length of its session
+TEST(Protocol, EnvelopeNeverMatchesRawMessages) {
+  // A raw instance request starts with the u32 length of its session
   // name; for the magic to collide the name would have to be ~3.2 GB.
   InstanceRequest req;
   req.session_name = "ordinary-session";
   EXPECT_FALSE(Envelope::matches(req.serialize()));
-  // Legacy secure-channel plaintext is a single command byte.
   EXPECT_FALSE(Envelope::matches(Bytes{1}));
   EXPECT_FALSE(Envelope::matches(Bytes{}));
 }
 
-TEST(Protocol, V0ResponseEncodingMatchesSeedLayout) {
-  // The v0 encoding is the seed-era wire format bit for bit: a legacy
-  // decoder reading `u8 ok | str error | token | verifier id | bytes sig`
-  // must keep working.
-  InstanceResponse r;
-  r.status = Status(StatusCode::kUnknownSession);
-  const Bytes wire = r.serialize_v0();
-  ByteReader reader(wire);
-  EXPECT_EQ(reader.u8(), 0u);                        // ok = false
-  EXPECT_EQ(reader.str(), "unknown session");        // canonical message
-  (void)reader.raw(32);                              // token
-  (void)reader.raw(32);                              // verifier id
-  EXPECT_TRUE(reader.bytes().empty());               // no sigstruct
-  reader.expect_done();
-
-  const InstanceResponse back = InstanceResponse::deserialize_v0(wire);
-  EXPECT_EQ(back.status.code, StatusCode::kUnknownSession);
-}
-
-TEST(Protocol, LegacyErrorStringsMapBackToCodes) {
-  for (const StatusCode code :
-       {StatusCode::kUnknownSession, StatusCode::kNotSingleton,
-        StatusCode::kNoSignerKey, StatusCode::kBadSignature,
-        StatusCode::kWrongSigner, StatusCode::kBaseHashMismatch}) {
-    EXPECT_EQ(status_code_from_legacy(status_message(code)), code)
-        << to_string(code);
-  }
-  // Unknown strings survive as kInternal with the text preserved.
-  EXPECT_EQ(status_code_from_legacy("weird bespoke failure"),
-            StatusCode::kInternal);
-  InstanceResponse r;
-  r.status = Status(StatusCode::kInternal, "weird bespoke failure");
-  const InstanceResponse back =
-      InstanceResponse::deserialize_v0(r.serialize_v0());
-  EXPECT_EQ(back.status.code, StatusCode::kInternal);
-  EXPECT_EQ(back.status.message(), "weird bespoke failure");
-}
-
-TEST(Protocol, ConfigResponseRoundTripsBothEncodings) {
+TEST(Protocol, ConfigResponseRoundTrip) {
   ConfigResponse ok;
   ok.status = Status();
   ok.config.program = "prog";
   ok.config.secrets["k"] = Bytes{9, 9};
   EXPECT_EQ(ConfigResponse::deserialize(ok.serialize()).config, ok.config);
-  EXPECT_EQ(ConfigResponse::deserialize_v0(ok.serialize_v0()).config,
-            ok.config);
 
   ConfigResponse denied;
   denied.status = Status(StatusCode::kSessionNotAttested);
   EXPECT_EQ(ConfigResponse::deserialize(denied.serialize()).status.code,
-            StatusCode::kSessionNotAttested);
-  EXPECT_EQ(ConfigResponse::deserialize_v0(denied.serialize_v0()).status.code,
             StatusCode::kSessionNotAttested);
 }
 
@@ -479,9 +461,9 @@ TEST(Protocol, AttestPayloadTokenOptional) {
       AttestPayload::deserialize(without.serialize()).token.has_value());
 }
 
-TEST(Protocol, LegacyConfigFrameToleratesTrailingBytesLikeTheSeed) {
-  // The seed decoder read only the command byte from the secure-channel
-  // plaintext; padding after it must still be served, not refused.
+TEST(Protocol, NonEnvelopeConfigFrameAnsweredMalformed) {
+  // A record without the envelope magic — the seed-era one-byte command
+  // included — is refused with a typed v1 answer, never served.
   bool served = false;
   const auto handler = [&]() {
     served = true;
@@ -489,24 +471,16 @@ TEST(Protocol, LegacyConfigFrameToleratesTrailingBytesLikeTheSeed) {
     resp.status = Status();
     return resp;
   };
-  FrameInfo info;
-  const Bytes padded{1, 0xaa, 0xbb};
-  const auto resp =
-      ConfigResponse::deserialize_v0(serve_config_frame(padded, handler,
-                                                        &info));
-  EXPECT_TRUE(served);
-  EXPECT_TRUE(resp.ok());
-  EXPECT_TRUE(info.legacy);
-
-  // Unknown legacy command byte and empty plaintext stay typed refusals.
-  EXPECT_EQ(ConfigResponse::deserialize_v0(
-                serve_config_frame(Bytes{9}, handler))
-                .status.code,
-            StatusCode::kUnknownCommand);
-  EXPECT_EQ(ConfigResponse::deserialize_v0(
-                serve_config_frame(Bytes{}, handler))
-                .status.code,
-            StatusCode::kMalformedRequest);
+  for (const Bytes& raw : {Bytes{1, 0xaa, 0xbb}, Bytes{1}, Bytes{}}) {
+    FrameInfo info;
+    const Envelope reply =
+        Envelope::deserialize(serve_config_frame(raw, handler, &info));
+    EXPECT_EQ(reply.command, Command::kGetConfig);
+    EXPECT_EQ(ConfigResponse::deserialize(reply.payload).status.code,
+              StatusCode::kMalformedRequest);
+    EXPECT_EQ(info.status, StatusCode::kMalformedRequest);
+  }
+  EXPECT_FALSE(served);
 }
 
 TEST(Protocol, MalformedBytesThrowParseError) {
@@ -564,14 +538,10 @@ TEST(Protocol, TruncationAndBitFlipFuzzStaysInsideErrorHierarchy) {
        [](ByteView b) { (void)InstanceRequest::deserialize(b); }},
       {"instance-response", ok_resp.serialize(),
        [](ByteView b) { (void)InstanceResponse::deserialize(b); }},
-      {"instance-response-v0", ok_resp.serialize_v0(),
-       [](ByteView b) { (void)InstanceResponse::deserialize_v0(b); }},
       {"attest-payload", attest.serialize(),
        [](ByteView b) { (void)AttestPayload::deserialize(b); }},
       {"config-response", cfg.serialize(),
        [](ByteView b) { (void)ConfigResponse::deserialize(b); }},
-      {"config-response-v0", cfg.serialize_v0(),
-       [](ByteView b) { (void)ConfigResponse::deserialize_v0(b); }},
       {"app-config", cfg.config.serialize(),
        [](ByteView b) { (void)AppConfig::deserialize(b); }},
   };

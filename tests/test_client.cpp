@@ -2,10 +2,11 @@
 //  * sync + async retrieval through the typed client,
 //  * retry-with-backoff on retryable statuses; typed refusals returned
 //    immediately,
-//  * version negotiation: legacy v0 peers still served, future-version
-//    frames answered with kUnsupportedVersion, unknown commands and
-//    malformed payloads answered typed (never dropped),
-//  * the frontends never leak deserializer exceptions for hostile frames
+//  * version negotiation: future-version frames answered with
+//    kUnsupportedVersion; frames without the envelope magic, unknown
+//    commands and malformed payloads answered typed (never dropped) on
+//    every endpoint,
+//  * the frontend never leaks deserializer exceptions for hostile frames
 //    (network-level truncation/bit-flip fuzz),
 //  * the attested channel's typed statuses.
 #include <gtest/gtest.h>
@@ -23,6 +24,8 @@
 #include "cas/client.h"
 #include "core/signer.h"
 #include "crypto/sha256.h"
+#include "net/secure_channel.h"
+#include "runtime/starter.h"
 #include "server/cas_server.h"
 #include "workload/testbed.h"
 
@@ -97,7 +100,7 @@ TEST_F(CasClientTest, RetryableServerStatusIsRetriedUntilItClears) {
     if (calls.load() <= 2) {
       resp.status = Status(StatusCode::kUnavailable);
     } else {
-      resp = bed_.cas().handle_instance(
+      resp = bed_.server().handle_instance(
           InstanceRequest::deserialize(env.payload));
     }
     return env.reply(resp.serialize()).serialize();
@@ -155,30 +158,67 @@ TEST_F(CasClientTest, AsyncDispatchFailureDeliversTypedUnavailable) {
 // --- version negotiation ----------------------------------------------------
 
 /// Raw-frame helper: send `frame` to the instance endpoint and decode the
-/// (always well-formed) reply in whichever flavor came back.
+/// (always well-formed, always enveloped) reply.
 InstanceResponse raw_instance_exchange(net::SimNetwork& net,
                                        const std::string& address,
                                        const Bytes& frame,
                                        Envelope* reply_env = nullptr) {
   auto conn = net.connect(address + ".instance");
-  const Bytes raw = conn.call(frame);
-  if (Envelope::matches(raw)) {
-    const Envelope env = Envelope::deserialize(raw);
-    if (reply_env != nullptr) *reply_env = env;
-    return InstanceResponse::deserialize(env.payload);
-  }
-  return InstanceResponse::deserialize_v0(raw);
+  const Envelope env = Envelope::deserialize(conn.call(frame));
+  if (reply_env != nullptr) *reply_env = env;
+  return InstanceResponse::deserialize(env.payload);
 }
 
-TEST_F(CasClientTest, LegacyV0PeerStillServedByServiceFrontend) {
+// A frame without the envelope magic — a raw seed-era message included —
+// gets a typed v1 kMalformedRequest on every endpoint: the plain instance
+// endpoint, the attested handshake, and an in-session record.
+TEST_F(CasClientTest, NonEnvelopeFramesAnsweredMalformedOnEveryEndpoint) {
   InstanceRequest req;
   req.session_name = "s";
   req.common_sigstruct = signed_.sigstruct;
-  // v0 wire = the raw request, answered in the v0 layout.
-  const InstanceResponse resp = raw_instance_exchange(
-      bed_.network(), bed_.cas_address(), req.serialize());
-  ASSERT_TRUE(resp.ok()) << resp.status.message();
-  EXPECT_TRUE(resp.singleton_sigstruct.signature_valid());
+  Envelope reply;
+  const InstanceResponse instance = raw_instance_exchange(
+      bed_.network(), bed_.cas_address(), req.serialize(), &reply);
+  EXPECT_EQ(instance.status.code, StatusCode::kMalformedRequest);
+  EXPECT_EQ(reply.version, kProtocolVersion);
+  EXPECT_EQ(reply.command, Command::kGetInstance);
+
+  // Handshake: the raw AttestPayload is refused with the typed status.
+  const auto start = runtime::start_singleton_enclave(
+      bed_.cpu(), bed_.network(), bed_.cas_address(), image_,
+      signed_.sigstruct, "s");
+  ASSERT_TRUE(start.ok()) << start.error;
+  const auto quoted = [&](const net::SecureClient& client) {
+    AttestPayload payload;
+    payload.session_name = "s";
+    payload.quote = *bed_.qe().generate_quote(
+        bed_.cpu().ereport(start.enclave.id, bed_.qe().target_info(),
+                           net::channel_binding(client.dh_public())));
+    payload.token = start.token;
+    return payload;
+  };
+  net::SecureClient raw_attest(crypto::Drbg::from_seed(11, "raw-attest"));
+  StatusCode rejected = StatusCode::kOk;
+  EXPECT_FALSE(raw_attest
+                   .connect(bed_.network().connect(bed_.cas_address()),
+                            bed_.cas().identity(),
+                            quoted(raw_attest).serialize(), &rejected)
+                   .has_value());
+  EXPECT_EQ(rejected, StatusCode::kMalformedRequest);
+  EXPECT_EQ(bed_.cas().tokens_used(), 0u);  // nothing was spent
+
+  // In-session record: attest properly, then send the seed-era one-byte
+  // get-config command inside the attested channel.
+  net::SecureClient client(crypto::Drbg::from_seed(12, "raw-config"));
+  ASSERT_TRUE(client
+                  .connect(bed_.network().connect(bed_.cas_address()),
+                           bed_.cas().identity(),
+                           encode_attest_payload(quoted(client)))
+                  .has_value());
+  const Envelope config = Envelope::deserialize(client.call(Bytes{1}));
+  EXPECT_EQ(config.command, Command::kGetConfig);
+  EXPECT_EQ(ConfigResponse::deserialize(config.payload).status.code,
+            StatusCode::kMalformedRequest);
 }
 
 TEST_F(CasClientTest, FutureVersionFrameAnsweredUnsupportedVersion) {
@@ -232,39 +272,31 @@ TEST_F(CasClientTest, ClientSurfacesUnsupportedVersionAsNonRetryable) {
   bed_.network().shutdown("fromthefuture.instance");
 }
 
-// --- malformed frames at the frontends --------------------------------------
+// --- malformed frames at the frontend ---------------------------------------
 
-TEST_F(CasClientTest, MalformedFramesAnsweredTypedByBothFrontends) {
-  server::CasServer server(&bed_.cas(), server::CasServerConfig{.workers = 2});
-  server.bind(bed_.network(), "pooled");
+TEST_F(CasClientTest, MalformedFramesAnsweredTypedAndCounted) {
+  // Garbage that is not an envelope, and an envelope whose payload is
+  // garbage: both typed v1 answers.
+  const InstanceResponse raw = raw_instance_exchange(
+      bed_.network(), bed_.cas_address(), Bytes(16, 0xee));
+  EXPECT_EQ(raw.status.code, StatusCode::kMalformedRequest);
+  Envelope env;
+  env.command = Command::kGetInstance;
+  env.payload = Bytes(16, 0xee);
+  const InstanceResponse enveloped = raw_instance_exchange(
+      bed_.network(), bed_.cas_address(), env.serialize());
+  EXPECT_EQ(enveloped.status.code, StatusCode::kMalformedRequest);
 
-  for (const std::string& address :
-       {std::string(bed_.cas_address()), std::string("pooled")}) {
-    // Garbage that is not an envelope: legacy decode fails -> v0 answer.
-    const InstanceResponse legacy = raw_instance_exchange(
-        bed_.network(), address, Bytes(16, 0xee));
-    EXPECT_EQ(legacy.status.code, StatusCode::kMalformedRequest) << address;
-
-    // An envelope whose payload is garbage: typed v1 answer.
-    Envelope env;
-    env.command = Command::kGetInstance;
-    env.payload = Bytes(16, 0xee);
-    const InstanceResponse enveloped = raw_instance_exchange(
-        bed_.network(), address, env.serialize());
-    EXPECT_EQ(enveloped.status.code, StatusCode::kMalformedRequest)
-        << address;
-  }
-  EXPECT_EQ(server.metrics().malformed_frames.load(), 2u);
-  EXPECT_EQ(server.metrics().get_instance.errors.load(), 2u);
-  server.unbind();
+  const server::ServerMetrics& m = bed_.server().metrics();
+  EXPECT_EQ(m.malformed_frames.load(), 2u);
+  EXPECT_EQ(m.get_instance.errors.load(), 2u);
 }
 
 TEST_F(CasClientTest, NetworkLevelFuzzNeverStrandsACaller) {
   // The worker-thread escape regression: every hostile frame — truncated
-  // or bit-flipped, enveloped or not — must come back as a well-formed
-  // response (either flavor), never strand the round trip or tear down
-  // the server. Exercised against the pooled frontend, whose workers used
-  // to re-throw deserializer exceptions into Completion::fail.
+  // or bit-flipped — must come back as a well-formed envelope, never
+  // strand the round trip or tear down the server. The frontend's workers
+  // used to re-throw deserializer exceptions into Completion::fail.
   server::CasServer server(&bed_.cas(), server::CasServerConfig{.workers = 2});
   server.bind(bed_.network(), "fuzzed");
 
@@ -281,10 +313,7 @@ TEST_F(CasClientTest, NetworkLevelFuzzNeverStrandsACaller) {
   auto rng = crypto::Drbg::from_seed(99, "wire-fuzz");
   const auto exchange = [&](const Bytes& frame) {
     const Bytes raw = conn.call(frame);  // must not throw
-    if (Envelope::matches(raw))
-      (void)InstanceResponse::deserialize(Envelope::deserialize(raw).payload);
-    else
-      (void)InstanceResponse::deserialize_v0(raw);
+    (void)InstanceResponse::deserialize(Envelope::deserialize(raw).payload);
   };
 
   for (std::size_t len = 0; len < wire.size(); len += 13)
@@ -425,7 +454,7 @@ TEST_F(CasClientTest, RetryAfterHintPacesTheNextAttempt) {
       resp.status = Status(StatusCode::kUnavailable,
                            retry_after_detail(std::chrono::milliseconds(25)));
     } else {
-      resp = bed_.cas().handle_instance(
+      resp = bed_.server().handle_instance(
           InstanceRequest::deserialize(env.payload));
     }
     return env.reply(resp.serialize()).serialize();
@@ -479,7 +508,7 @@ TEST_F(CasClientTest, BreakerOpensFailsFastAndClosesOnAHealthyProbe) {
   bed_.network().listen("late.instance", [&](ByteView raw) {
     const Envelope env = Envelope::deserialize(raw);
     return env
-        .reply(bed_.cas()
+        .reply(bed_.server()
                    .handle_instance(InstanceRequest::deserialize(env.payload))
                    .serialize())
         .serialize();

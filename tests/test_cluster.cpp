@@ -33,6 +33,25 @@ ClusterBedConfig fast_config(std::uint64_t seed) {
   return config;
 }
 
+/// Polls until every running replica holds `expected` armed, unspent
+/// tokens — the arming of each issued credential reached the whole
+/// cluster through the log, not only the serving node.
+bool outstanding_everywhere(ClusterBed& bed, std::size_t expected,
+                            std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  do {
+    bool all = true;
+    for (std::size_t n = 0; n < bed.size(); ++n) {
+      if (bed.node(n).running() &&
+          bed.node(n).cas().tokens_outstanding() != expected)
+        all = false;
+    }
+    if (all) return true;
+    std::this_thread::sleep_for(5ms);
+  } while (std::chrono::steady_clock::now() < deadline);
+  return false;
+}
+
 TEST(Cluster, ElectsLeaderReplicatesAndConverges) {
   ClusterBed bed(fast_config(11));
   const std::size_t leader = bed.bootstrap();
@@ -96,9 +115,23 @@ TEST(Cluster, ClientPointedAtFollowerFollowsLeaderHint) {
   // leader hint and the SDK re-routes immediately — no backoff sleep, so
   // a generous attempt budget is not needed.
   cas::CasClient client = bed.make_client(follower);
-  const ClusterBed::SpendOutcome got = bed.attested_spend(client, 99);
-  ASSERT_TRUE(got.prepared.ok()) << got.prepared.instance.status.message();
-  EXPECT_TRUE(got.spend.attested) << to_string(got.spend.reject);
+  const ClusterBed::PreparedToken prepared = bed.prepare_token(client);
+  ASSERT_TRUE(prepared.ok()) << prepared.instance.status.message();
+
+  // The follower's server refused before signing anything: it issued no
+  // token and never reached its pool or the signer.
+  const server::ServerMetrics& refused = bed.node(follower).server().metrics();
+  EXPECT_GE(refused.get_instance.requests.load(), 1u);
+  EXPECT_EQ(refused.tokens_issued.load(), 0u);
+  EXPECT_EQ(refused.sigstruct_cache_misses.load(), 0u);
+  // The leader's arming went through the log: every running replica
+  // converges on the leader's count of armed, unspent tokens.
+  EXPECT_EQ(bed.node(leader).cas().tokens_outstanding(), 1u);
+  EXPECT_TRUE(outstanding_everywhere(bed, 1, 2000ms));
+
+  const ClusterBed::AttestedSpend spend =
+      bed.spend_with_retry(prepared, 99, client.current_address());
+  EXPECT_TRUE(spend.attested) << to_string(spend.reject);
 
   const cas::CasClient::Stats stats = client.stats();
   EXPECT_GE(stats.leader_redirects, 1u);
@@ -106,6 +139,32 @@ TEST(Cluster, ClientPointedAtFollowerFollowsLeaderHint) {
 
   const ClusterBed::SpendAudit audit = bed.audit_spends(1, 2000ms);
   EXPECT_TRUE(audit.converged) << audit.detail;
+}
+
+// A credential popped from a replica's pre-minted pool is armed through
+// the log exactly like a freshly minted one: every replica — not only the
+// serving leader — holds it armed, and it spends exactly once.
+TEST(Cluster, PremintedCredentialIsArmedThroughTheLog) {
+  ClusterBed bed(fast_config(21));
+  const std::size_t leader = bed.bootstrap();
+  server::CasServer& server = bed.node(leader).server();
+  ASSERT_EQ(server.premint(bed.config().session_name,
+                           bed.signed_image().sigstruct, 1),
+            1u);
+
+  cas::CasClient client = bed.make_client(leader);
+  const ClusterBed::PreparedToken prepared = bed.prepare_token(client);
+  ASSERT_TRUE(prepared.ok()) << prepared.instance.status.message();
+  EXPECT_EQ(server.metrics().sigstruct_cache_hits.load(), 1u);
+  EXPECT_EQ(server.metrics().sigstruct_cache_misses.load(), 0u);
+  EXPECT_TRUE(outstanding_everywhere(bed, 1, 2000ms));
+
+  const ClusterBed::AttestedSpend spend =
+      bed.spend_with_retry(prepared, 7, bed.address(leader));
+  EXPECT_TRUE(spend.attested) << to_string(spend.reject) << " " << spend.error;
+  const ClusterBed::SpendAudit audit = bed.audit_spends(1, 2000ms);
+  EXPECT_TRUE(audit.converged) << audit.detail;
+  EXPECT_TRUE(outstanding_everywhere(bed, 0, 2000ms));
 }
 
 TEST(Cluster, ReplayStormAcrossLeaderKillSpendsExactlyOnce) {

@@ -7,10 +7,11 @@
 //  * the Tracer — span-tree assembly with late-bound correlators, ring
 //    overwrite-oldest, the slow-request log, reset isolation, per-phase
 //    summaries, and collect-while-recording (TSAN),
-//  * the introspection endpoint end to end: metrics formats over
-//    CasService::bind, version gating, and the acceptance flow — a full
-//    attest + get_config through the server::CasServer frontend whose span
-//    tree is then retrieved via CasClient::introspect().
+//  * the introspection endpoint end to end: metrics formats, version
+//    gating, the channel_* series as the secure endpoint's one metrics
+//    source, and the acceptance flow — a full attest + get_config through
+//    the test bed's server::CasServer whose span tree is then retrieved
+//    via CasClient::introspect().
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -470,8 +471,6 @@ namespace {
 
 class ObsIntrospectionTest : public ::testing::Test {
  protected:
-  static constexpr const char* kServerAddress = "cas.fleet";
-
   ObsIntrospectionTest()
       : bed_(workload::TestbedConfig{.seed = 91}),
         image_(core::EnclaveImage::synthetic("obs", sgx::kPageSize,
@@ -494,7 +493,7 @@ class ObsIntrospectionTest : public ::testing::Test {
   core::SinclaveSignedImage signed_;
 };
 
-TEST_F(ObsIntrospectionTest, MetricsFormatsOverServiceBind) {
+TEST_F(ObsIntrospectionTest, MetricsFormatsOverTheBedServer) {
   CasClient client = bed_.make_cas_client();
 
   IntrospectRequest req;
@@ -524,7 +523,7 @@ TEST_F(ObsIntrospectionTest, MetricsFormatsOverServiceBind) {
   EXPECT_EQ(resp.status.code, StatusCode::kMalformedRequest);
 }
 
-TEST_F(ObsIntrospectionTest, FutureVersionAndMissingHandlerAreTyped) {
+TEST_F(ObsIntrospectionTest, FutureVersionIntrospectIsTyped) {
   // A future-version kIntrospect envelope: typed refusal decodable by the
   // future client (the Status prefix layout is frozen).
   Envelope fut;
@@ -539,35 +538,21 @@ TEST_F(ObsIntrospectionTest, FutureVersionAndMissingHandlerAreTyped) {
   const IntrospectResponse refused =
       IntrospectResponse::deserialize(reply.payload);
   EXPECT_EQ(refused.status.code, StatusCode::kUnsupportedVersion);
-
-  // A frontend with no introspect handler answers kUnknownCommand —
-  // indistinguishable from a pre-introspection server.
-  Envelope cur = fut;
-  cur.version = kProtocolVersion;
-  FrameInfo info;
-  const Bytes raw = serve_instance_frame(
-      cur.serialize(), [](const InstanceRequest&) { return InstanceResponse{}; },
-      &info);
-  EXPECT_EQ(info.status, StatusCode::kUnknownCommand);
-  const InstanceResponse unknown = InstanceResponse::deserialize(
-      Envelope::deserialize(raw).payload);
-  EXPECT_EQ(unknown.status.code, StatusCode::kUnknownCommand);
 }
 
-// The acceptance flow: a full attested session through the server::CasServer
-// frontend, whose span tree — root plus at least five named phases — is then
-// retrieved through the introspection endpoint of the same frontend.
+// The acceptance flow: a full attested session through the bed's
+// server::CasServer, whose span tree — root plus at least five named
+// phases — is then retrieved through the introspection endpoint of the
+// same server.
 TEST_F(ObsIntrospectionTest, AttestGetConfigTraceRetrievableViaIntrospection) {
-  server::CasServer server(&bed_.cas(), server::CasServerConfig{.workers = 2});
-  server.bind(bed_.network(), kServerAddress);
   obs::Tracer::instance().reset_traces();
 
   const auto start = runtime::start_singleton_enclave(
-      bed_.cpu(), bed_.network(), kServerAddress, image_, signed_.sigstruct,
-      "s");
+      bed_.cpu(), bed_.network(), bed_.cas_address(), image_,
+      signed_.sigstruct, "s");
   ASSERT_TRUE(start.ok()) << start.error;
 
-  AttestedChannel channel(&bed_.network(), kServerAddress,
+  AttestedChannel channel(&bed_.network(), bed_.cas_address(),
                           crypto::Drbg::from_seed(17, "obs-chan"));
   const sgx::Report report =
       bed_.cpu().ereport(start.enclave.id, bed_.qe().target_info(),
@@ -581,8 +566,7 @@ TEST_F(ObsIntrospectionTest, AttestGetConfigTraceRetrievableViaIntrospection) {
   ASSERT_TRUE(channel.attest(bed_.cas().identity(), payload).ok());
   ASSERT_TRUE(channel.get_config().ok());
 
-  CasClient client(&bed_.network(),
-                   CasClientConfig{.address = kServerAddress, .retry = {}});
+  CasClient client = bed_.make_cas_client();
   IntrospectRequest req;
   req.max_traces = 32;
   const IntrospectResponse resp = client.introspect(req);
@@ -631,19 +615,15 @@ TEST_F(ObsIntrospectionTest, AttestGetConfigTraceRetrievableViaIntrospection) {
   EXPECT_NE(find_trace("request_get_instance"), nullptr);
 }
 
-// Satellite: the ServerMetrics mirror of SecureServer::Stats used to go
-// stale until refresh_secure_metrics() was called by hand; a registry
-// snapshot must now refresh it implicitly.
-TEST_F(ObsIntrospectionTest, SecureMetricsMirrorAutoRefreshesAtSnapshot) {
-  server::CasServer server(&bed_.cas(), server::CasServerConfig{.workers = 1});
-  server.bind(bed_.network(), kServerAddress);
-
+// The secure endpoint's counters have one source: CasService's channel_*
+// series, read straight from the SecureServer at every snapshot.
+TEST_F(ObsIntrospectionTest, SecureChannelSeriesComeFromTheService) {
   const auto start = runtime::start_singleton_enclave(
-      bed_.cpu(), bed_.network(), kServerAddress, image_, signed_.sigstruct,
-      "s");
+      bed_.cpu(), bed_.network(), bed_.cas_address(), image_,
+      signed_.sigstruct, "s");
   ASSERT_TRUE(start.ok()) << start.error;
-  AttestedChannel channel(&bed_.network(), kServerAddress,
-                          crypto::Drbg::from_seed(18, "obs-mirror"));
+  AttestedChannel channel(&bed_.network(), bed_.cas_address(),
+                          crypto::Drbg::from_seed(18, "obs-channel"));
   const sgx::Report report =
       bed_.cpu().ereport(start.enclave.id, bed_.qe().target_info(),
                          net::channel_binding(channel.dh_public()));
@@ -655,75 +635,22 @@ TEST_F(ObsIntrospectionTest, SecureMetricsMirrorAutoRefreshesAtSnapshot) {
   payload.token = start.token;
   ASSERT_TRUE(channel.attest(bed_.cas().identity(), payload).ok());
 
-  // No refresh_secure_metrics() call anywhere on this path.
   const obs::MetricsSnapshot snap = bed_.cas().metrics_registry().snapshot();
-  const auto* opened = snap.find("secure_sessions_opened");
+  const net::SecureServer::Stats stats = bed_.cas().secure_channel_stats();
+  const auto* opened = snap.find("channel_sessions_opened");
   ASSERT_NE(opened, nullptr);
-  EXPECT_GE(opened->value, 1u);
-  EXPECT_EQ(server.metrics().secure_sessions_opened.load(), opened->value);
-  // The policy store surfaces through the same collector.
+  EXPECT_EQ(opened->value, 1u);
+  EXPECT_EQ(opened->value, stats.sessions_opened);
+  const auto* high_water = snap.find("channel_sessions_high_water");
+  ASSERT_NE(high_water, nullptr);
+  EXPECT_EQ(high_water->value, stats.sessions_high_water);
+  ASSERT_NE(snap.find("channel_stripe_collisions"), nullptr);
+  // The serving layer exports no copies.
+  EXPECT_EQ(snap.find("secure_sessions_opened"), nullptr);
+  EXPECT_EQ(snap.find("secure_sessions_high_water"), nullptr);
+  EXPECT_EQ(snap.find("handshake_stripe_collisions"), nullptr);
+  // The policy store surfaces through the server's collector.
   EXPECT_NE(snap.find("policy_cache_hits"), nullptr);
-}
-
-// Satellite: the legacy-vs-envelope split of the SECURE endpoint, counted
-// past the encryption boundary (the serving layer only sees ciphertext).
-TEST_F(ObsIntrospectionTest, SecureEndpointCountsLegacyVersusEnvelope) {
-  server::CasServer server(&bed_.cas(), server::CasServerConfig{.workers = 1});
-  server.bind(bed_.network(), kServerAddress);
-  const CasService::SecureFrameStats before = bed_.cas().secure_frame_stats();
-
-  // Session 1: the v1 SDK path — enveloped attest, enveloped config.
-  const auto start1 = runtime::start_singleton_enclave(
-      bed_.cpu(), bed_.network(), kServerAddress, image_, signed_.sigstruct,
-      "s");
-  ASSERT_TRUE(start1.ok()) << start1.error;
-  AttestedChannel channel(&bed_.network(), kServerAddress,
-                          crypto::Drbg::from_seed(19, "obs-envelope"));
-  const sgx::Report report1 =
-      bed_.cpu().ereport(start1.enclave.id, bed_.qe().target_info(),
-                         net::channel_binding(channel.dh_public()));
-  const auto quote1 = bed_.qe().generate_quote(report1);
-  ASSERT_TRUE(quote1.has_value());
-  AttestPayload p1;
-  p1.session_name = "s";
-  p1.quote = *quote1;
-  p1.token = start1.token;
-  ASSERT_TRUE(channel.attest(bed_.cas().identity(), p1).ok());
-  ASSERT_TRUE(channel.get_config().ok());
-
-  // Session 2: a seed-era peer — the raw AttestPayload, no envelope.
-  const auto start2 = runtime::start_singleton_enclave(
-      bed_.cpu(), bed_.network(), kServerAddress, image_, signed_.sigstruct,
-      "s");
-  ASSERT_TRUE(start2.ok()) << start2.error;
-  net::SecureClient legacy(crypto::Drbg::from_seed(20, "obs-legacy"));
-  const sgx::Report report2 =
-      bed_.cpu().ereport(start2.enclave.id, bed_.qe().target_info(),
-                         net::channel_binding(legacy.dh_public()));
-  const auto quote2 = bed_.qe().generate_quote(report2);
-  ASSERT_TRUE(quote2.has_value());
-  AttestPayload p2;
-  p2.session_name = "s";
-  p2.quote = *quote2;
-  p2.token = start2.token;
-  ASSERT_TRUE(legacy
-                  .connect(bed_.network().connect(kServerAddress),
-                           bed_.cas().identity(), p2.serialize())
-                  .has_value());
-
-  const CasService::SecureFrameStats after = bed_.cas().secure_frame_stats();
-  EXPECT_EQ(after.attest_envelope, before.attest_envelope + 1);
-  EXPECT_EQ(after.attest_legacy, before.attest_legacy + 1);
-  EXPECT_EQ(after.config_envelope, before.config_envelope + 1);
-  EXPECT_EQ(after.config_legacy, before.config_legacy);
-
-  // The classification reaches the serving layer's per-command metrics —
-  // the documented legacy_frames gap — via the registry snapshot.
-  const obs::MetricsSnapshot snap = bed_.cas().metrics_registry().snapshot();
-  const auto* legacy_attests = snap.find("attest_legacy_frames");
-  ASSERT_NE(legacy_attests, nullptr);
-  EXPECT_GE(legacy_attests->value, 1u);
-  EXPECT_GE(server.metrics().attest.legacy_frames.load(), 1u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 //  * concurrent instance retrievals across sessions (token uniqueness),
 //  * cached (pre-minted) credentials remain fully usable end to end,
 //  * one-time-token / singleton guarantees under racing replays,
+//  * the server's idle-session sweep reaping an abandoned session,
 //  * metrics sanity after serving real traffic.
 #include <gtest/gtest.h>
 
@@ -30,6 +31,8 @@
 
 namespace sinclave::server {
 namespace {
+
+using namespace std::chrono_literals;
 
 // --- primitives ------------------------------------------------------------
 
@@ -430,28 +433,11 @@ TEST_F(CasServerTest, ServesInstanceRequestsOverTheNetwork) {
 
   EXPECT_EQ(server.metrics().get_instance.requests.load(), 1u);
   EXPECT_EQ(server.metrics().get_instance.errors.load(), 0u);
-  EXPECT_EQ(server.metrics().get_instance.legacy_frames.load(), 0u);
   EXPECT_EQ(server.metrics().tokens_issued.load(), 1u);
   EXPECT_EQ(server.metrics().get_instance.latency.snapshot().count, 1u);
 }
 
-TEST_F(CasServerTest, LegacyV0FramesStillServedAndCounted) {
-  // A seed-era peer sends the raw InstanceRequest (no envelope) and
-  // expects the seed-era response layout back — answered in kind.
-  bed_.cas().install_policy(singleton_policy("s"));
-  CasServer server(&bed_.cas(), CasServerConfig{.workers = 1});
-  server.bind(bed_.network(), kServerAddress);
-
-  auto conn =
-      bed_.network().connect(std::string(kServerAddress) + ".instance");
-  const auto resp = cas::InstanceResponse::deserialize_v0(
-      conn.call(request("s").serialize()));
-  ASSERT_TRUE(resp.ok()) << resp.status.message();
-  EXPECT_TRUE(resp.singleton_sigstruct.signature_valid());
-  EXPECT_EQ(server.metrics().get_instance.legacy_frames.load(), 1u);
-}
-
-TEST_F(CasServerTest, ErrorPathsMatchDirectService) {
+TEST_F(CasServerTest, ErrorPathsMatchTheBedServer) {
   bed_.cas().install_policy(singleton_policy("s"));
   CasServer server(&bed_.cas(), CasServerConfig{.workers = 1});
 
@@ -462,8 +448,8 @@ TEST_F(CasServerTest, ErrorPathsMatchDirectService) {
   tampered.common_sigstruct.signature[3] ^= 1;
   EXPECT_EQ(server.handle_instance(tampered).status.code,
             StatusCode::kBadSignature);
-  // Same typed outcome as the direct CasService path.
-  EXPECT_EQ(bed_.cas().handle_instance(tampered).status.code,
+  // Same typed outcome from the bed's own (default-config) server.
+  EXPECT_EQ(bed_.server().handle_instance(tampered).status.code,
             StatusCode::kBadSignature);
   EXPECT_EQ(server.metrics().get_instance.errors.load(), 2u);
 }
@@ -546,8 +532,8 @@ TEST_F(CasServerTest, SignerRotationInvalidatesVerifyMemo) {
   ASSERT_TRUE(server.handle_instance(request("s")).ok());  // memoized
 
   // Rotate the session's signer pin (same base hash). The old signer's
-  // memoized SigStruct must be re-checked and rejected, exactly as the
-  // direct CasService path rejects it.
+  // memoized SigStruct must be re-checked and rejected, exactly as a
+  // server that never memoized it (the bed's) rejects it.
   auto rng = crypto::Drbg::from_seed(77, "rotate");
   const auto new_key = crypto::RsaKeyPair::generate(rng, 1024);
   bed_.cas().add_signer_key(new_key);
@@ -560,7 +546,7 @@ TEST_F(CasServerTest, SignerRotationInvalidatesVerifyMemo) {
   EXPECT_FALSE(resp.ok());
   EXPECT_EQ(resp.status.code, StatusCode::kWrongSigner);
   EXPECT_EQ(resp.status.code,
-            bed_.cas().handle_instance(request("s")).status.code);
+            bed_.server().handle_instance(request("s")).status.code);
 }
 
 TEST_F(CasServerTest, ResignedCommonSigstructFlushesStalePool) {
@@ -713,7 +699,8 @@ TEST_F(CasServerTest, RacingReplaysOfOneTokenAttestExactlyOnce) {
 
       const auto outcome =
           client.connect(bed_.network().connect(kServerAddress),
-                         bed_.cas().identity(), payload.serialize());
+                         bed_.cas().identity(),
+                         cas::encode_attest_payload(payload));
       if (outcome.has_value())
         ++accepted;
       else
@@ -728,6 +715,49 @@ TEST_F(CasServerTest, RacingReplaysOfOneTokenAttestExactlyOnce) {
   EXPECT_EQ(bed_.cas().tokens_outstanding(), 0u);
   EXPECT_EQ(server.metrics().attest.requests.load(),
             static_cast<std::uint64_t>(kRacers));
+}
+
+// CasServer's timer is the only idle-session sweep: an attested session
+// left idle past session_idle_ttl is reaped without anyone calling
+// sweep_idle_sessions(), and its next record is refused typed.
+TEST_F(CasServerTest, IdleTtlSweepReapsAnAbandonedAttestedSession) {
+  bed_.cas().install_policy(singleton_policy("s"));
+  CasServerConfig cfg;
+  cfg.workers = 1;
+  cfg.session_idle_ttl = std::chrono::milliseconds(200);
+  cfg.idle_sweep_interval = std::chrono::milliseconds(2);
+  CasServer server(&bed_.cas(), cfg);
+  server.bind(bed_.network(), kServerAddress);
+
+  const auto start = runtime::start_singleton_enclave(
+      bed_.cpu(), bed_.network(), kServerAddress, image_, signed_.sigstruct,
+      "s");
+  ASSERT_TRUE(start.ok()) << start.error;
+  cas::AttestedChannel channel(&bed_.network(), kServerAddress,
+                               crypto::Drbg::from_seed(31, "idle-channel"));
+  const auto quote = bed_.qe().generate_quote(
+      bed_.cpu().ereport(start.enclave.id, bed_.qe().target_info(),
+                         net::channel_binding(channel.dh_public())));
+  ASSERT_TRUE(quote.has_value());
+  cas::AttestPayload payload;
+  payload.session_name = "s";
+  payload.quote = *quote;
+  payload.token = start.token;
+  ASSERT_TRUE(channel.attest(bed_.cas().identity(), payload).ok());
+  ASSERT_TRUE(channel.get_config().ok());  // live before it goes idle
+
+  const auto expired = [&]() -> std::uint64_t {
+    const obs::MetricsSnapshot snap = bed_.cas().metrics_registry().snapshot();
+    const auto* e = snap.find("channel_sessions_expired");
+    return e != nullptr ? e->value : 0;
+  };
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (expired() == 0 && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(5ms);
+  EXPECT_GE(expired(), 1u);
+  EXPECT_EQ(bed_.cas().secure_channel_stats().open_sessions, 0u);
+  EXPECT_EQ(channel.get_config().status().code,
+            StatusCode::kSessionNotAttested);
 }
 
 // --- overload protection: admission shedding + request deadlines ------------

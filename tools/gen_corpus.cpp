@@ -101,8 +101,8 @@ int main(int argc, char** argv) {
     resp.status = Status(StatusCode::kOk);
     resp.token = token;
     resp.singleton_sigstruct = signed_image.sigstruct;
-    write_seed(dir, "instance_response_v1", mode(3, resp.serialize()));
-    write_seed(dir, "instance_response_v0", mode(4, resp.serialize_v0()));
+    write_seed(dir, "instance_response", mode(3, resp.serialize()));
+    write_seed(dir, "raw_instance_frame", mode(4, req.serialize()));
 
     cas::AttestPayload attest;
     attest.session_name = "alpha";
@@ -114,8 +114,8 @@ int main(int argc, char** argv) {
     config.config.program = "prog";
     config.config.args = {"-v", "--mode=strict"};
     config.config.env["K"] = "V";
-    write_seed(dir, "config_response_v1", mode(6, config.serialize()));
-    write_seed(dir, "config_response_v0", mode(7, config.serialize_v0()));
+    write_seed(dir, "config_response", mode(6, config.serialize()));
+    write_seed(dir, "raw_config_frame", mode(7, Bytes{1}));
     write_seed(dir, "app_config", mode(1, config.config.serialize()));
 
     cas::IntrospectRequest intro_req;
@@ -127,9 +127,7 @@ int main(int argc, char** argv) {
     intro_resp.status = Status(StatusCode::kOk);
     intro_resp.metrics = "{\"requests\":1}";
     write_seed(dir, "introspect_response", mode(9, intro_resp.serialize()));
-
-    write_seed(dir, "legacy_status_text",
-               mode(12, text("error: token already used")));
+    write_seed(dir, "raw_attest_payload", mode(12, attest.serialize()));
   }
 
   // --- fuzz_status_details ------------------------------------------------
@@ -139,7 +137,7 @@ int main(int argc, char** argv) {
     write_seed(dir, "compose_parse",
                mode(1, Bytes{0x10, 0x27, 0x00, 0x00, 'a', 't', 't'}));
     write_seed(dir, "wire_bytes", mode(2, Bytes{0x07, 'd', 'e', 't'}));
-    write_seed(dir, "legacy_text", mode(3, text("\x05 deadline exceeded")));
+    write_seed(dir, "status_prefix", mode(3, text("\x05 deadline exceeded")));
     write_seed(dir, "leader_hint",
                mode(4, chunk(text("not the leader (leader=cas-node2)"))));
   }

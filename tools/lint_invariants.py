@@ -6,11 +6,10 @@ compiler — they are confinement rules about which tokens may appear in
 which files. This linter codifies the four documented ones:
 
   wire-confinement    Wire-protocol serialization (InstanceRequest &
-                      friends ::serialize/::deserialize, the *_v0 legacy
-                      encoders) stays inside src/cas/protocol.* and
-                      src/cas/client.*. Everything else goes through the
-                      shared frontend glue so the two serving frontends
-                      answer identically.
+                      friends ::serialize/::deserialize) stays inside
+                      src/cas/protocol.* and src/cas/client.*. Everything
+                      else goes through the shared frontend glue
+                      (serve_instance_frame & friends).
   raw-mutex           No std::mutex / std::shared_mutex / std::lock_guard
                       / std::condition_variable (etc.) outside
                       src/common/mutex.h. All locking goes through
@@ -22,7 +21,7 @@ which files. This linter codifies the four documented ones:
                       status_message() in src/common/status.cpp. No other
                       src/ file may repeat one as a string literal; compose
                       with status_message(StatusCode::...) instead, so the
-                      frontends can never drift.
+                      texts can never drift.
   status-details      Structured status-detail fragments that clients parse
                       back out ("retry-after-ms=", "circuit breaker open")
                       are a wire contract: composed and parsed ONLY by the
@@ -86,8 +85,7 @@ WIRE_TYPES = (
     "IntrospectRequest|IntrospectResponse"
 )
 RE_WIRE = re.compile(
-    r"\b(?:%s)\s*::\s*(?:serialize|deserialize)\b"
-    r"|\b(?:serialize_v0|deserialize_v0)\s*\(" % WIRE_TYPES
+    r"\b(?:%s)\s*::\s*(?:serialize|deserialize)\b" % WIRE_TYPES
 )
 
 RE_RAW_MUTEX = re.compile(
@@ -124,7 +122,7 @@ FUZZ_DECODER_HEADERS = (
 # `static T deserialize(...)` declarations: the return type names the wire
 # type, which is exactly the token a harness uses (stable<cas::T>, ...).
 RE_FUZZ_STRUCT_DECODER = re.compile(
-    r"static\s+(\w+)\s+deserialize(?:_v0)?\s*\(")
+    r"static\s+(\w+)\s+deserialize\s*\(")
 
 # Free-function decoders/parsers of attacker-controlled bytes.
 RE_FUZZ_FREE_DECODER = re.compile(
