@@ -118,14 +118,14 @@ int main() {
     total_ms += FpMillis(t4 - t0).count();
   }
   const double cas_sign_ms = phase_total_ms("sign");
-  const double cas_db_ms = phase_total_ms("policy_load");
+  const double cas_policy_ms = phase_total_ms("policy_load");
   const double cas_verify_ms = phase_total_ms("verify_common");
   const double cas_predict_ms = phase_total_ms("predict");
 
   const double n = kIterations;
   const double misc =
       request_ms / n - cas_sign_ms / n - cas_verify_ms / n -
-      cas_predict_ms / n - cas_db_ms / n;
+      cas_predict_ms / n - cas_policy_ms / n;
   std::printf("\nmean over %d retrievals (ms):\n", kIterations);
   std::printf("  %-36s %8.3f   (paper: 3.74)\n",
               "open connection (O/C)", connect_ms / n);
@@ -136,7 +136,7 @@ int main() {
   std::printf("  %-36s %8.3f   (paper: 4.93)\n",
               "sign on-demand sigstruct (CAS)", cas_sign_ms / n);
   std::printf("  %-36s %8.3f   (paper: n/a, part of misc)\n",
-              "CAS policy DB decrypt+parse", cas_db_ms / n);
+              "CAS policy lookup", cas_policy_ms / n);
   std::printf("  %-36s %8.3f   (paper: ~17, dominated by CAS engine)\n",
               "misc (network RTT + CAS residue)", misc);
   std::printf("  %-36s %8.3f   (paper: 26.3)\n", "TOTAL", total_ms / n);

@@ -185,15 +185,14 @@ int main(int argc, char** argv) {
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
     server::CasServerConfig scfg;
     scfg.workers = workers;
-    scfg.policy_shards = 16;
     scfg.sigstruct_cache_capacity = 2 * total_requests;
     scfg.backend_io = kBackendIo;
     server::CasServer server(&bed.cas(), scfg);
     server.bind(bed.network(), kAddress);
 
-    // Warm the cached path: policies decrypted, commons verified, and pre-
-    // minted credentials per upcoming request (sessions are drawn from the
-    // seeded client RNGs, so pad for the draw's variance).
+    // Warm the cached path: commons verified, and pre-minted credentials
+    // per upcoming request (sessions are drawn from the seeded client
+    // RNGs, so pad for the draw's variance).
     const std::size_t per_session = total_requests / kSessions + 64;
     for (const auto& session : sessions)
       server.premint(session, signed_image.sigstruct, per_session);
@@ -274,7 +273,6 @@ int main(int argc, char** argv) {
 
   server::CasServerConfig scfg;
   scfg.workers = kOpenWorkers;
-  scfg.policy_shards = 16;
   scfg.sigstruct_cache_capacity = 4096;
   scfg.backend_io = kOpenBackendIo;
   server::CasServer server(&bed.cas(), scfg);

@@ -4,14 +4,17 @@
 // CasService served by a server::CasServer (one worker, so the per-input
 // cost stays bounded) on a simulated network — valid singleton retrievals,
 // honest attestations, token-replay attempts, config fetches,
-// introspection, and raw garbage frames on both endpoints, interleaved
-// across two policy sessions. After EVERY operation the global invariants
-// must hold:
+// introspection, raw garbage frames on both endpoints, and idle sweeps
+// that reap every open session, interleaved across two policy sessions.
+// After EVERY operation the global invariants must hold:
 //
 //   * exactly-once token spend: used tokens == accepted attestations,
 //     outstanding == minted - used, and a replayed token is rejected;
 //   * no session leak: the secure channel's open-session count equals the
-//     number of accepted handshakes (CAS never closes implicitly);
+//     number of accepted handshakes minus the reaped ones (CAS never
+//     closes implicitly);
+//   * a reaped session stays dead: its client's next config fetch is
+//     refused with a typed kSessionNotAttested;
 //   * total accounting: every request produced a decodable answer — an
 //     envelope, even for garbage — so issued == ok + errors, nothing
 //     dropped, nothing thrown.
@@ -23,6 +26,7 @@
 // properties checked.
 #include "harnesses.h"
 
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -106,7 +110,7 @@ class SessionMachine {
   void run() {
     int ops = 0;
     while (!in_.empty() && ops++ < 12) {
-      switch (in_.u8() % 7) {
+      switch (in_.u8() % 8) {
         case 0: mint(); break;
         case 1: attest_honest(); break;
         case 2: attest_replay(); break;
@@ -114,6 +118,7 @@ class SessionMachine {
         case 4: introspect(); break;
         case 5: garbage_instance(); break;
         case 6: garbage_secure(); break;
+        case 7: reap(); break;
       }
       check_invariants();
     }
@@ -228,20 +233,46 @@ class SessionMachine {
     ++errors_;
   }
 
-  void get_config() {
-    if (clients_.empty()) return;
-    net::SecureClient& client =
-        *clients_[in_.below(static_cast<std::uint32_t>(clients_.size()))];
+  /// One config fetch over `client`'s session: kOk with the policy's
+  /// config, or the typed status its record was refused with.
+  StatusCode fetch_config(net::SecureClient& client) {
     cas::Envelope env;
     env.command = cas::Command::kGetConfig;
     env.request_id = ++next_request_id_;
     ++issued_;
-    const Bytes answer = client.call(env.serialize());
-    const cas::Envelope reply = cas::Envelope::deserialize(answer);
-    const auto resp = cas::ConfigResponse::deserialize(reply.payload);
-    require(resp.ok() && resp.config.program == "prog",
-            "attested session could not fetch its config");
-    ++ok_;
+    try {
+      const Bytes answer = client.call(env.serialize());
+      const cas::Envelope reply = cas::Envelope::deserialize(answer);
+      const auto resp = cas::ConfigResponse::deserialize(reply.payload);
+      require(resp.ok() && resp.config.program == "prog",
+              "attested session could not fetch its config");
+      ++ok_;
+      return StatusCode::kOk;
+    } catch (const net::RecordRejectedError& e) {
+      ++errors_;
+      return e.code();
+    }
+  }
+
+  void get_config() {
+    if (clients_.empty()) return;
+    const std::size_t i =
+        in_.below(static_cast<std::uint32_t>(clients_.size()));
+    const StatusCode want =
+        i < reaped_ ? StatusCode::kSessionNotAttested : StatusCode::kOk;
+    require(fetch_config(*clients_[i]) == want,
+            "config fetch disagrees with its session's state");
+  }
+
+  void reap() {
+    // Every open session is idle past a 1 ns TTL, so one sweep of every
+    // stripe reaps them all.
+    std::size_t reaped = 0;
+    for (std::size_t i = 0; i < net::SecureServer::kStripes; ++i)
+      reaped += cas_->sweep_idle_sessions(std::chrono::nanoseconds(1));
+    require(reaped_ + reaped == accepted_sessions_,
+            "a full sweep with a tiny TTL left a session open");
+    reaped_ = accepted_sessions_;
   }
 
   void introspect() {
@@ -296,8 +327,12 @@ class SessionMachine {
     require(cas_->tokens_outstanding() ==
                 minted_.size() - spent_ + garbage_minted_,
             "outstanding tokens diverged from mint/spend bookkeeping");
-    require(cas_->secure_channel_stats().open_sessions == accepted_sessions_,
-            "open sessions diverged from accepted handshakes");
+    require(cas_->secure_channel_stats().open_sessions ==
+                accepted_sessions_ - reaped_,
+            "open sessions diverged from accepted minus reaped handshakes");
+    for (std::size_t i = 0; i < reaped_; ++i)
+      require(fetch_config(*clients_[i]) == StatusCode::kSessionNotAttested,
+              "a reaped session was not refused typed");
     require(issued_ == ok_ + errors_,
             "a request vanished: issued != ok + errors");
   }
@@ -313,6 +348,7 @@ class SessionMachine {
   std::size_t spent_ = 0;
   std::size_t garbage_minted_ = 0;
   std::size_t accepted_sessions_ = 0;
+  std::size_t reaped_ = 0;  // clients_[0, reaped_) had their sessions reaped
   int attests_ = 0;
   std::uint64_t issued_ = 0, ok_ = 0, errors_ = 0;
 };

@@ -37,9 +37,10 @@ const crypto::RsaKeyPair& server_identity() {
 std::unique_ptr<net::SecureServer> make_server(std::uint64_t seed) {
   return std::make_unique<net::SecureServer>(
       &server_identity(), crypto::Drbg::from_seed(seed, "fuzz-secure-rng"),
-      [](ByteView, ByteView, std::uint64_t, StatusCode*)
-          -> std::optional<Bytes> { return Bytes{}; },
-      [](std::uint64_t, ByteView plaintext) {
+      [](ByteView, ByteView, StatusCode*) {
+        return net::SecureServer::Accepted{};
+      },
+      [](std::uint64_t, const std::string&, ByteView plaintext) {
         return Bytes(plaintext.begin(), plaintext.end());
       });
 }

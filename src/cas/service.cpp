@@ -12,10 +12,6 @@ namespace sinclave::cas {
 
 namespace {
 
-std::string policy_path(const std::string& session_name) {
-  return "policies/" + session_name;
-}
-
 /// Token -> stripe: tokens are uniform DRBG output, so their leading
 /// bytes are already a perfect hash.
 std::size_t token_stripe_index(const core::AttestationToken& token,
@@ -62,8 +58,15 @@ CasService::CasService(quote::AttestationService* attestation,
       rng_(std::move(rng)),
       token_rng_(crypto::Drbg(rng_.generate(32), "cas-token-root"),
                  "cas-tokens", kTokenStripes),
-      policy_db_(rng_.generate(32),
-                 crypto::Drbg(rng_.generate(16), "cas-db-nonces")) {
+      secure_server_(
+          &identity_, crypto::Drbg(rng_.generate(16), "cas-channel"),
+          [this](ByteView payload, ByteView dh, StatusCode* reject_status) {
+            return on_handshake(payload, dh, reject_status);
+          },
+          [this](std::uint64_t, const std::string& session_name,
+                 ByteView plaintext) {
+            return on_request(session_name, plaintext);
+          }) {
   if (attestation_ == nullptr)
     throw Error("cas: attestation service required");
 
@@ -75,9 +78,6 @@ CasService::CasService(quote::AttestationService* attestation,
     snap.gauge("tokens_outstanding", tokens_outstanding());
     snap.counter("tokens_spent", tokens_used());
     snap.counter("token_rng_stripe_collisions", token_rng_.collisions());
-    // ensure_secure_server(): call_once is the synchronization that makes
-    // secure_server_ safely readable here (a bare null check would race
-    // a first handshake on another thread).
     const net::SecureServer::Stats s = secure_channel_stats();
     snap.counter("channel_sessions_opened", s.sessions_opened);
     snap.counter("channel_handshakes_rejected", s.handshakes_rejected);
@@ -115,71 +115,22 @@ bool CasService::has_signer_key(const Hash256& signer_id) const {
 
 void CasService::install_policy(const Policy& policy) {
   WriterLock lock(db_mutex_);
-  policy_db_.write_file(policy_path(policy.session_name),
-                        policy.serialize());
-  // Write-through *under the exclusive lock*: cache updates happen in
-  // DB-write order, so a concurrent miss-path fill (which holds at least
-  // the shared half of db_mutex_) can never overwrite this install with
-  // an older policy.
-  if (PolicyCache* cache = policy_cache_.load())
-    cache->put(policy.session_name, policy);
-}
-
-void CasService::set_policy_cache(PolicyCache* cache) {
-  policy_cache_.store(cache);
+  policies_.insert_or_assign(policy.session_name, policy);
 }
 
 std::optional<Policy> CasService::get_policy(
     const std::string& session_name) const {
-  // "policy_load" covers the whole lookup — cache hit or decrypt+parse —
-  // so the phase histogram shows the cache doing its job (bimodal split).
   static obs::Phase& p_policy = obs::Tracer::instance().phase("policy_load");
   obs::Span span(p_policy);
-  if (PolicyCache* cache = policy_cache_.load()) {
-    auto cached = cache->get(session_name);
-    if (cached.has_value()) return cached;
-  }
-  // Read-mostly path: concurrent misses decrypt+parse in parallel under
-  // the shared lock (EncryptedVolume reads are const); installs take the
-  // exclusive half.
   ReaderLock lock(db_mutex_);
-  const auto blob = policy_db_.read_file(policy_path(session_name));
-  if (!blob.has_value()) return std::nullopt;
-  Policy loaded = Policy::deserialize(*blob);
-  // Fill the cache while still holding the shared lock: an install
-  // (exclusive) cannot interleave, so every fill writes a value read
-  // after the latest completed install (see install_policy).
-  if (PolicyCache* cache = policy_cache_.load())
-    cache->put(session_name, loaded);
-  return loaded;
+  const auto it = policies_.find(session_name);
+  if (it == policies_.end()) return std::nullopt;
+  return it->second;
 }
 
-void CasService::ensure_secure_server() {
-  std::call_once(secure_server_once_, [this] {
-    crypto::Drbg channel_rng = [this] {
-      MutexLock lock(rng_mutex_);
-      return crypto::Drbg(rng_.generate(16), "cas-channel");
-    }();
-    secure_server_ = std::make_unique<net::SecureServer>(
-        &identity_, std::move(channel_rng),
-        [this](ByteView payload, ByteView dh, std::uint64_t sid,
-               StatusCode* reject_status) {
-          return on_handshake(payload, dh, sid, reject_status);
-        },
-        [this](std::uint64_t sid, ByteView plaintext) {
-          return on_request(sid, plaintext);
-        },
-        secure_options_);
-  });
-}
-
-void CasService::set_secure_server_options(net::SecureServerOptions options) {
-  secure_options_ = options;
-}
-
-std::size_t CasService::sweep_idle_sessions() {
-  ensure_secure_server();
-  return secure_server_->sweep_idle();
+std::size_t CasService::sweep_idle_sessions(
+    std::chrono::nanoseconds idle_ttl) {
+  return secure_server_.sweep_idle(idle_ttl);
 }
 
 void CasService::set_replication_gate(ReplicationGate* gate) {
@@ -187,13 +138,11 @@ void CasService::set_replication_gate(ReplicationGate* gate) {
 }
 
 Bytes CasService::handle_secure(ByteView raw) {
-  ensure_secure_server();
-  return secure_server_->handle(raw);
+  return secure_server_.handle(raw);
 }
 
-net::SecureServer::Stats CasService::secure_channel_stats() {
-  ensure_secure_server();
-  return secure_server_->stats();
+net::SecureServer::Stats CasService::secure_channel_stats() const {
+  return secure_server_.stats();
 }
 
 MintedCredential CasService::mint_credential(
@@ -284,32 +233,40 @@ void CasService::register_token(const core::AttestationToken& token,
                         PendingToken{session_name, expected_mr, false});
 }
 
+Status CasService::check_spend(const PendingToken* pending,
+                               const std::string& session_name,
+                               const sgx::Measurement& mr_enclave) {
+  if (pending == nullptr || pending->session_name != session_name)
+    return Status(StatusCode::kTokenUnknown);
+  if (pending->used) return Status(StatusCode::kTokenReused);
+  if (mr_enclave != pending->expected_mr)
+    return Status(StatusCode::kAttestationRejected);
+  return Status();
+}
+
 Status CasService::peek_spend(const core::AttestationToken& token,
                               const std::string& session_name,
                               const sgx::Measurement& mr_enclave) const {
   const TokenStripe& stripe = token_stripe(token);
   MutexLock lock(stripe.m);
   const auto it = stripe.tokens.find(token);
-  if (it == stripe.tokens.end() || it->second.session_name != session_name)
-    return Status(StatusCode::kTokenUnknown);
-  if (it->second.used) return Status(StatusCode::kTokenReused);
-  if (mr_enclave != it->second.expected_mr)
-    return Status(StatusCode::kAttestationRejected);
-  return Status();
+  return check_spend(it == stripe.tokens.end() ? nullptr : &it->second,
+                     session_name, mr_enclave);
 }
 
-Status CasService::apply_replicated_spend(const core::AttestationToken& token,
-                                          const std::string& session_name,
-                                          const sgx::Measurement& mr_enclave) {
+Status CasService::apply_spend(const core::AttestationToken& token,
+                               const std::string& session_name,
+                               const sgx::Measurement& mr_enclave) {
+  // Lookup, checks and flip are one critical section inside the token's
+  // stripe: two spends racing the same token serialize here, so exactly
+  // one can ever flip `used`.
   TokenStripe& stripe = token_stripe(token);
   MutexLock lock(stripe.m);
   const auto it = stripe.tokens.find(token);
-  if (it == stripe.tokens.end() || it->second.session_name != session_name)
-    return Status(StatusCode::kTokenUnknown);
-  if (it->second.used) return Status(StatusCode::kTokenReused);
-  if (mr_enclave != it->second.expected_mr)
-    return Status(StatusCode::kAttestationRejected);
-  it->second.used = true;  // singleton: this token never attests again
+  PendingToken* pending = it == stripe.tokens.end() ? nullptr : &it->second;
+  Status checked = check_spend(pending, session_name, mr_enclave);
+  if (!checked.ok()) return checked;
+  pending->used = true;  // singleton: this token never attests again
   ++stripe.used;
   return Status();
 }
@@ -323,10 +280,8 @@ std::optional<StatusCode> CasService::check_retrieval_preconditions(
   return std::nullopt;
 }
 
-std::optional<Bytes> CasService::on_handshake(ByteView client_payload,
-                                              ByteView client_dh,
-                                              std::uint64_t session_id,
-                                              StatusCode* reject_status) {
+std::optional<net::SecureServer::Accepted> CasService::on_handshake(
+    ByteView client_payload, ByteView client_dh, StatusCode* reject_status) {
   const auto verdict = [this](Verdict v) {
     MutexLock lock(observe_mutex_);
     last_attest_verdict_ = v;
@@ -388,18 +343,20 @@ std::optional<Bytes> CasService::on_handshake(ByteView client_payload,
       verdict(Verdict::kTokenUnknown);
       return std::nullopt;
     }
+    static obs::Phase& p_spend = obs::Tracer::instance().phase("token_spend");
+    Status spent;
     if (ReplicationGate* gate =
             replication_gate_.load(std::memory_order_acquire);
         gate != nullptr) {
       // Cluster mode. A cheap local precheck first (rejects that need no
       // log traffic), then the spend commits through the replicated log
-      // with no lock held; apply_replicated_spend — run on every node in
-      // log order — is the authoritative mark-used. Two handshakes racing
-      // the same token may both pass the precheck and both propose; the
-      // log serializes them, the first applied spend wins everywhere, and
-      // the loser's own proposal answers kTokenReused.
-      Status spent = peek_spend(*payload.token, payload.session_name,
-                                qv.identity->mr_enclave);
+      // with no lock held; apply_spend — run on every node in log order —
+      // is the authoritative mark-used. Two handshakes racing the same
+      // token may both pass the precheck and both propose; the log
+      // serializes them, the first applied spend wins everywhere, and the
+      // loser's own proposal answers kTokenReused.
+      spent = peek_spend(*payload.token, payload.session_name,
+                         qv.identity->mr_enclave);
       // A local "token unknown" is only authoritative on a caught-up
       // leader: a lagging replica (follower, or a fresh leader before
       // its no-op applies) may simply not have applied the registration
@@ -409,53 +366,27 @@ std::optional<Bytes> CasService::on_handshake(ByteView client_payload,
       const bool local_miss_untrusted =
           spent.code == StatusCode::kTokenUnknown && !gate->ready();
       if (spent.ok() || local_miss_untrusted) {
-        static obs::Phase& p_spend =
-            obs::Tracer::instance().phase("token_spend");
         obs::Span spend_span(p_spend);  // covers the replicated commit
         spent = gate->spend_token(*payload.token, payload.session_name,
                                   qv.identity->mr_enclave);
       }
-      if (!spent.ok()) {
-        // kNotLeader is protocol-level, so the client learns to re-route;
-        // verification outcomes stay the generic rejection as ever.
-        if (reject_status != nullptr && is_protocol_level(spent.code))
-          *reject_status = spent.code;
-        verdict(spent.code == StatusCode::kTokenReused
-                    ? Verdict::kTokenReused
-                : spent.code == StatusCode::kTokenUnknown
-                    ? Verdict::kTokenUnknown
-                : spent.code == StatusCode::kAttestationRejected
-                    ? Verdict::kMeasurementMismatch
-                    : Verdict::kStale);  // routing/liveness refusals
-        return std::nullopt;
-      }
     } else {
-      // Lookup, one-time check, measurement check and spend are one
-      // critical section *inside the token's stripe*: two attestations
-      // racing on the same token hash to the same stripe and serialize
-      // there, so exactly one can ever flip `used`; attestations of
-      // different tokens proceed on different stripes in parallel.
-      static obs::Phase& p_spend =
-          obs::Tracer::instance().phase("token_spend");
       obs::Span spend_span(p_spend);  // covers stripe-lock wait + spend
-      TokenStripe& stripe = token_stripe(*payload.token);
-      MutexLock lock(stripe.m);
-      const auto it = stripe.tokens.find(*payload.token);
-      if (it == stripe.tokens.end() ||
-          it->second.session_name != payload.session_name) {
-        verdict(Verdict::kTokenUnknown);
-        return std::nullopt;
-      }
-      if (it->second.used) {
-        verdict(Verdict::kTokenReused);
-        return std::nullopt;
-      }
-      if (qv.identity->mr_enclave != it->second.expected_mr) {
-        verdict(Verdict::kMeasurementMismatch);
-        return std::nullopt;
-      }
-      it->second.used = true;  // singleton: this token never attests again
-      ++stripe.used;
+      spent = apply_spend(*payload.token, payload.session_name,
+                          qv.identity->mr_enclave);
+    }
+    if (!spent.ok()) {
+      // kNotLeader is protocol-level, so the client learns to re-route;
+      // verification outcomes stay the generic rejection as ever.
+      if (reject_status != nullptr && is_protocol_level(spent.code))
+        *reject_status = spent.code;
+      verdict(spent.code == StatusCode::kTokenReused ? Verdict::kTokenReused
+              : spent.code == StatusCode::kTokenUnknown
+                  ? Verdict::kTokenUnknown
+              : spent.code == StatusCode::kAttestationRejected
+                  ? Verdict::kMeasurementMismatch
+                  : Verdict::kStale);  // routing/liveness refusals
+      return std::nullopt;
     }
   } else {
     if (!policy->expected_mr_enclave.has_value() ||
@@ -464,37 +395,21 @@ std::optional<Bytes> CasService::on_handshake(ByteView client_payload,
       return std::nullopt;
     }
   }
-  {
-    SessionStripe& stripe = session_stripes_[session_id % kSessionStripes];
-    MutexLock lock(stripe.m);
-    stripe.attested[session_id] = payload.session_name;
-  }
-
   verdict(Verdict::kOk);
   Envelope accept;
   accept.command = Command::kAttest;
   accept.request_id = frame.request_id;
   accept.payload = to_bytes("attested");
-  return accept.serialize();
+  // The channel session carries the attested binding from here on.
+  return net::SecureServer::Accepted{accept.serialize(), payload.session_name};
 }
 
-Bytes CasService::on_request(std::uint64_t session_id, ByteView plaintext) {
+Bytes CasService::on_request(const std::string& session_name,
+                             ByteView plaintext) {
   static obs::Phase& p_serve = obs::Tracer::instance().phase("config_serve");
   obs::Span span(p_serve);
-  return serve_config_frame(plaintext, [this, session_id]() {
+  return serve_config_frame(plaintext, [this, &session_name]() {
     ConfigResponse resp;
-    std::string session_name;
-    {
-      const SessionStripe& stripe =
-          session_stripes_[session_id % kSessionStripes];
-      MutexLock lock(stripe.m);
-      const auto it = stripe.attested.find(session_id);
-      if (it == stripe.attested.end()) {
-        resp.status = Status(StatusCode::kSessionNotAttested);
-        return resp;
-      }
-      session_name = it->second;
-    }
     const auto policy = get_policy(session_name);
     if (!policy.has_value()) {
       resp.status = Status(StatusCode::kUnknownSession, "policy disappeared");
@@ -591,14 +506,13 @@ std::size_t CasService::tokens_used() const {
 Bytes CasService::export_state() const {
   ByteWriter w;
   {
+    // "policies/<name>" -> Policy::serialize(), in name order: state that
+    // earlier builds sealed must still unseal (test_persistence pins it).
     ReaderLock lock(db_mutex_);
-    const auto names = policy_db_.list_files();
-    w.u32(static_cast<std::uint32_t>(names.size()));
-    for (const auto& name : names) {
-      const auto blob = policy_db_.read_file(name);
-      if (!blob.has_value()) throw Error("cas: policy db corrupted");
-      w.str(name);
-      w.bytes(*blob);
+    w.u32(static_cast<std::uint32_t>(policies_.size()));
+    for (const auto& [name, policy] : policies_) {
+      w.str("policies/" + name);
+      w.bytes(policy.serialize());
     }
   }
   {

@@ -3,9 +3,8 @@
 // Mirrors SCONE CAS as the paper uses it, extended with the SinClave
 // mechanisms (§4.4):
 //
-//  * policy database, encrypted at rest (policies are decrypted and parsed
-//    on every request — that work is the "miscellaneous CAS activities"
-//    dominating Fig. 7c),
+//  * a session-policy table, held decrypted and parsed (at rest, CAS state
+//    only ever exists as seal_state(export_state()); see cas/persistence.h),
 //  * quote verification through the TEE provider's attestation service,
 //  * channel binding (quote REPORTDATA must commit to the client's DH key),
 //  * SinClave: one-time token minting, verifier-side expected-MRENCLAVE
@@ -14,26 +13,23 @@
 //    and singleton enforcement (every token attests at most once).
 //
 // A state machine with no frontend of its own: server::CasServer is the
-// one serving frontend, with or without a ReplicationGate. Thread-safe and
-// contention-striped: all entry points may be called concurrently (the
-// frontend dispatches them from a worker pool). Token and singleton
-// accounting is sharded into striped buckets (token id -> stripe), each
-// bucket its own critical section, so racing attestations on *different*
-// tokens never contend while two attestations racing the *same* token
-// still serialize inside its bucket — the exactly-once-spend invariant is
-// per bucket. Token minting draws
-// from a striped DRBG pool (no global RNG lock on the hot path), and the
-// encrypted policy DB sits behind a shared_mutex (concurrent decrypting
-// readers, exclusive installs). An optional PolicyCache lets the serving
-// layer interpose a decrypted-policy store in front of the encrypted DB;
-// install_policy writes through to both.
+// one serving frontend, with or without a ReplicationGate. Thread-safe:
+// all entry points may be called concurrently (the frontend dispatches
+// them from a worker pool). Each piece of state has one home: policies in
+// one table behind a shared_mutex (concurrent readers, exclusive
+// installs); an attested channel's policy session on its SecureServer
+// session, dying with it; one-time tokens in striped buckets (token id ->
+// stripe), spent only through apply_spend — what the replicated log
+// applies — so attestations of *different* tokens never contend while two
+// racing the *same* token serialize in its bucket (the exactly-once-spend
+// invariant is per bucket). Token minting draws from a striped DRBG pool
+// (no global RNG lock on the hot path).
 #pragma once
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <map>
-#include <memory>
-#include <mutex>  // std::once_flag only; locking goes through common/mutex.h
 #include <optional>
 #include <string>
 #include <vector>
@@ -43,14 +39,13 @@
 #include "core/base_hash.h"
 #include "crypto/drbg.h"
 #include "crypto/rsa.h"
-#include "fs/encrypted_volume.h"
 #include "net/secure_channel.h"
 #include "obs/registry.h"
 #include "quote/attestation_service.h"
 
 namespace sinclave::cas {
 
-/// Per-session verification policy, stored encrypted in the CAS database.
+/// Per-session verification policy.
 struct Policy {
   std::string session_name;
   /// MRSIGNER pin: which signer's enclaves may attest for this session.
@@ -70,17 +65,6 @@ struct Policy {
   static Policy deserialize(ByteView data);
 };
 
-/// Cache of decrypted, parsed policies consulted before the encrypted DB.
-/// Implementations must be safe for concurrent use (the serving layer's
-/// sharded store is; see server/policy_store.h).
-class PolicyCache {
- public:
-  virtual ~PolicyCache() = default;
-  virtual std::optional<Policy> get(const std::string& session_name) = 0;
-  virtual void put(const std::string& session_name, const Policy& policy) = 0;
-  virtual void erase(const std::string& session_name) = 0;
-};
-
 /// A freshly predicted-and-signed singleton credential: the token, the
 /// MRENCLAVE an enclave carrying that token will measure to, and the
 /// on-demand SigStruct for it. Inert until its token is armed with
@@ -97,9 +81,9 @@ struct MintedCredential {
 /// attestation — are committed through the replicated log instead of
 /// mutating only this node's stripes: the gate proposes the transition,
 /// blocks until a cluster majority has committed it, and every node
-/// (including this one) then applies it via register_token /
-/// apply_replicated_spend in identical log order. All gate calls are made
-/// with NO CasService lock held.
+/// (including this one) then applies it via register_token / apply_spend
+/// in identical log order. All gate calls are made with NO CasService
+/// lock held.
 class ReplicationGate {
  public:
   virtual ~ReplicationGate() = default;
@@ -148,16 +132,10 @@ class CasService {
   void add_signer_key(crypto::RsaKeyPair signer);
   bool has_signer_key(const Hash256& signer_id) const;
 
-  /// Install (or replace) a session policy; persisted encrypted and written
-  /// through to the policy cache when one is attached.
+  /// Install (or replace) a session policy.
   void install_policy(const Policy& policy);
 
-  /// Attach a decrypted-policy cache (not owned; must outlive serving).
-  void set_policy_cache(PolicyCache* cache);
-
-  /// Cache-aware policy lookup: cache hit skips the per-request
-  /// EncryptedVolume decrypt+parse; a miss loads from the DB and fills the
-  /// cache.
+  /// The installed policy for `session_name`, if any.
   std::optional<Policy> get_policy(const std::string& session_name) const;
 
   /// Shared precondition checks for singleton retrieval: returns the
@@ -215,24 +193,24 @@ class CasService {
   void set_replication_gate(ReplicationGate* gate);
 
   /// Read-only spend precheck for the gated handshake path: the typed
-  /// refusal a spend of `token` would earn right now (kTokenUnknown,
-  /// kTokenReused, kAttestationRejected on measurement mismatch), or ok
-  /// when it looks spendable. Purely advisory — the authoritative spend
-  /// is the replicated apply — but it keeps doomed proposals out of the
-  /// log.
+  /// refusal apply_spend would answer right now, or ok when the token
+  /// looks spendable. Purely advisory — the authoritative spend is the
+  /// replicated apply — but it keeps doomed proposals out of the log.
   Status peek_spend(const core::AttestationToken& token,
                     const std::string& session_name,
                     const sgx::Measurement& mr_enclave) const;
 
-  /// Apply a committed spend from the replicated log. Deterministic and
-  /// idempotent: the FIRST application spends the token (ok); any later
-  /// one answers kTokenReused; a token this node never armed answers
-  /// kTokenUnknown; a measurement mismatch answers kAttestationRejected
-  /// without spending. Every node applies the same entries in the same
-  /// order, so all outcomes agree cluster-wide.
-  Status apply_replicated_spend(const core::AttestationToken& token,
-                                const std::string& session_name,
-                                const sgx::Measurement& mr_enclave);
+  /// Spend a one-time token — the one spend path: the replicated log
+  /// applies committed spends through it on every node, and a gateless
+  /// service spends through it directly. Deterministic and idempotent: the
+  /// FIRST application spends the token (ok); any later one answers
+  /// kTokenReused; a token this node never armed answers kTokenUnknown;
+  /// a measurement mismatch answers kAttestationRejected without
+  /// spending. Every node applies the same entries in the same order, so
+  /// all outcomes agree cluster-wide.
+  Status apply_spend(const core::AttestationToken& token,
+                     const std::string& session_name,
+                     const sgx::Measurement& mr_enclave);
 
   /// Verdict of the most recent attestation attempt (test observability).
   Verdict last_attest_verdict() const;
@@ -249,19 +227,13 @@ class CasService {
   void import_state(ByteView state);
 
   /// Contention observability of the attestation endpoint's striped
-  /// session table (stripe collisions, sessions high-water); instantiates
-  /// the secure server if it has not served yet.
-  net::SecureServer::Stats secure_channel_stats();
-
-  /// Options for the lazily created secure server (idle TTL, stripe
-  /// counts). Must be called before the first secure-endpoint traffic —
-  /// once the server exists the options are fixed.
-  void set_secure_server_options(net::SecureServerOptions options);
+  /// session table (stripe collisions, sessions high-water).
+  net::SecureServer::Stats secure_channel_stats() const;
 
   /// Run one idle-TTL sweep increment (one stripe; see
   /// SecureServer::sweep_idle). The serving layer calls this from a
   /// periodic TimerWheel task. Returns sessions reaped.
-  std::size_t sweep_idle_sessions();
+  std::size_t sweep_idle_sessions(std::chrono::nanoseconds idle_ttl);
 
   /// The unified metrics registry every layer's collectors plug into:
   /// CasService registers its own collector (tokens, the channel_*
@@ -276,18 +248,21 @@ class CasService {
   IntrospectResponse handle_introspect(const IntrospectRequest& request);
 
  private:
-  std::optional<Bytes> on_handshake(ByteView client_payload,
-                                    ByteView client_dh,
-                                    std::uint64_t session_id,
-                                    StatusCode* reject_status);
-  Bytes on_request(std::uint64_t session_id, ByteView plaintext);
-  void ensure_secure_server();
+  std::optional<net::SecureServer::Accepted> on_handshake(
+      ByteView client_payload, ByteView client_dh, StatusCode* reject_status);
+  Bytes on_request(const std::string& session_name, ByteView plaintext);
 
   struct PendingToken {
     std::string session_name;
     sgx::Measurement expected_mr;
     bool used = false;
   };
+  /// The one spend check, shared by peek_spend and apply_spend: the typed
+  /// refusal a spend of `pending` (nullptr: the token is unknown) earns,
+  /// or ok.
+  static Status check_spend(const PendingToken* pending,
+                            const std::string& session_name,
+                            const sgx::Measurement& mr_enclave);
 
   /// One shard of the token-spend store. Lookup, one-time check,
   /// measurement check, and spend of a token all happen inside its
@@ -302,14 +277,6 @@ class CasService {
   TokenStripe& token_stripe(const core::AttestationToken& token);
   const TokenStripe& token_stripe(const core::AttestationToken& token) const;
 
-  /// Attested channel-session -> session-name bindings, sharded by the
-  /// (atomically allocated, hence uniform) secure-channel session id.
-  struct SessionStripe {
-    mutable Mutex m{LockRank::kCasSessionStripe, "cas.session_stripe"};
-    std::map<std::uint64_t, std::string> attested GUARDED_BY(m);
-  };
-  static constexpr std::size_t kSessionStripes = 16;
-
   quote::AttestationService* attestation_;
   crypto::RsaKeyPair identity_;
 
@@ -320,15 +287,10 @@ class CasService {
   // global lock.
   mutable crypto::DrbgPool token_rng_;
 
-  // Read-mostly policy path: concurrent get_policy readers decrypt in
-  // parallel under the shared lock; install_policy is exclusive.
+  // Read-mostly policy table: concurrent get_policy readers share the
+  // lock; install_policy is exclusive.
   mutable SharedMutex db_mutex_{LockRank::kCasPolicyDb, "cas.policy_db"};
-  mutable fs::EncryptedVolume policy_db_ GUARDED_BY(db_mutex_);
-  // Attach/detach races with readers, hence atomic. Cache fills happen
-  // under (at least the shared half of) db_mutex_ so a fill can never
-  // overwrite a newer install: installs are exclusive, so any fill wrote
-  // a value read after the previous install completed.
-  std::atomic<PolicyCache*> policy_cache_{nullptr};
+  std::map<std::string, Policy> policies_ GUARDED_BY(db_mutex_);
 
   // Map nodes are pointer-stable, so signing borrows a key reference
   // after releasing the lock (kCasSigner outranks kCryptoRsaCtx: inserts
@@ -338,14 +300,10 @@ class CasService {
       GUARDED_BY(signer_mutex_);
 
   std::array<TokenStripe, kTokenStripes> token_stripes_;
-  std::array<SessionStripe, kSessionStripes> session_stripes_;
 
-  std::once_flag secure_server_once_;
-  std::unique_ptr<net::SecureServer> secure_server_;
-  net::SecureServerOptions secure_options_{};
+  net::SecureServer secure_server_;
 
-  /// Attach/detach races with serving threads, hence atomic (same
-  /// discipline as policy_cache_).
+  /// Attach/detach races with serving threads, hence atomic.
   std::atomic<ReplicationGate*> replication_gate_{nullptr};
 
   mutable Mutex observe_mutex_{LockRank::kCasObserve, "cas.observe"};

@@ -53,8 +53,7 @@ namespace sinclave {
 ///     `close_session` (stripe) is callable from inside a request handler
 ///     (session held);
 ///   - cas/ service locks: signer map above the RSA context lock (moving a
-///     keypair into the map locks the source key's context), policy DB
-///     above the policy-store shards (write-through fill), token stripes
+///     keypair into the map locks the source key's context), token stripes
 ///     above the observe hook;
 ///   - leaves (trace registration, DRBG stripes, sim-network core) are
 ///     acquired with callbacks and crypto already outside all locks.
@@ -78,15 +77,13 @@ enum class LockRank : std::uint16_t {
   kSecureStripe = 68,       // net::SecureServer session-table stripe
   kClusterRaft = 64,        // cas::RaftCore consensus state (above the CAS
                             // ranks: the leader applies committed entries
-                            // into the policy db / token stripes while
+                            // into the policy table / token stripes while
                             // holding it; below the secure-channel ranks,
                             // which are never held across a proposal)
   kCasSigner = 60,          // cas::CasService signer key map
-  kCasRng = 58,             // cas::CasService root RNG / lazy secure server
-  kCasPolicyDb = 56,        // cas::CasService policy database (shared)
+  kCasRng = 58,             // cas::CasService root RNG
+  kCasPolicyDb = 56,        // cas::CasService policy table (shared)
   kCasTokenStripe = 54,     // cas::CasService token-spend stripe
-  kCasSessionStripe = 52,   // cas::CasService attested-session stripe
-  kPolicyShard = 50,        // server::ShardedPolicyStore shard
   kCasObserve = 48,         // cas::CasService attestation observer hook
   kCryptoRsaCtx = 40,       // crypto::RsaPublicKey verify-context build
   kCryptoDrbg = 38,         // crypto::DrbgPool stripe

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <chrono>
+#include <vector>
 
 #include "common/error.h"
 #include "common/serial.h"
@@ -18,6 +19,9 @@ constexpr std::uint8_t kMsgData = 1;
 
 constexpr std::uint8_t kStatusRejected = 0;
 constexpr std::uint8_t kStatusOk = 1;
+
+/// DRBG stripes for handshake randomness (crypto::DrbgPool).
+constexpr std::size_t kRngStripes = 8;
 
 struct TrafficKeys {
   Bytes c2s;
@@ -110,15 +114,11 @@ std::optional<std::uint64_t> peek_session_id(ByteView raw) {
 
 SecureServer::SecureServer(const crypto::RsaKeyPair* identity,
                            crypto::Drbg rng, HandshakeHook on_handshake,
-                           RequestHandler on_request,
-                           SecureServerOptions options)
+                           RequestHandler on_request)
     : identity_(identity),
-      rng_(std::move(rng), "secure-server",
-           options.rng_stripes == 0 ? 1 : options.rng_stripes),
+      rng_(std::move(rng), "secure-server", kRngStripes),
       on_handshake_(std::move(on_handshake)),
-      on_request_(std::move(on_request)),
-      stripes_(options.session_stripes == 0 ? 1 : options.session_stripes),
-      idle_ttl_(options.idle_ttl) {
+      on_request_(std::move(on_request)) {
   if (identity_ == nullptr) throw Error("secure server: identity required");
   if (!on_handshake_ || !on_request_)
     throw Error("secure server: hooks required");
@@ -155,15 +155,14 @@ Bytes SecureServer::handle_handshake(ByteReader& r) {
   // quotes on N cores.
   lockrank::assert_none_held("handshake quote verification");
   StatusCode reject_status = StatusCode::kAttestationRejected;
-  std::optional<Bytes> server_payload;
+  std::optional<Accepted> accepted;
   {
     static obs::Phase& p_verify =
         obs::Tracer::instance().phase("quote_verify");
     obs::Span span(p_verify);
-    server_payload =
-        on_handshake_(client_payload, client_dh, session_id, &reject_status);
+    accepted = on_handshake_(client_payload, client_dh, &reject_status);
   }
-  if (!server_payload.has_value()) {
+  if (!accepted.has_value()) {
     handshakes_rejected_.fetch_add(1, std::memory_order_relaxed);
     // Rejection record: status byte appended after the rejected marker.
     // Pre-status clients stop at the marker (they never read past the
@@ -209,7 +208,8 @@ Bytes SecureServer::handle_handshake(ByteReader& r) {
   // handshake path is this hash-map insert.
   auto session = std::make_shared<Session>(
       crypto::Aead(keys.c2s), crypto::Aead(keys.s2c),
-      session_ad("c2s", session_id), session_ad("s2c", session_id));
+      session_ad("c2s", session_id), session_ad("s2c", session_id),
+      std::move(accepted->peer));
   session->last_activity_ns.store(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
@@ -236,7 +236,7 @@ Bytes SecureServer::handle_handshake(ByteReader& r) {
   w.u64(session_id);
   w.bytes(server_pub);
   w.bytes(signature);
-  w.bytes(*server_payload);
+  w.bytes(accepted->payload);
   return std::move(w).take();
 }
 
@@ -289,7 +289,7 @@ Bytes SecureServer::handle_data(ByteReader& r) {
   if (!plaintext.has_value()) return rejection_record();
   s.recv_counter = counter + 1;
 
-  const Bytes response = on_request_(session_id, *plaintext);
+  const Bytes response = on_request_(session_id, s.peer, *plaintext);
   const std::uint64_t send_counter = s.send_counter++;
   ByteWriter w;
   w.u8(kStatusOk);
@@ -321,16 +321,16 @@ void SecureServer::close_session(std::uint64_t session_id) {
   open_count_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-std::size_t SecureServer::sweep_idle() {
-  if (idle_ttl_.count() <= 0) return 0;
+std::size_t SecureServer::sweep_idle(std::chrono::nanoseconds idle_ttl) {
+  if (idle_ttl.count() <= 0) return 0;
   const std::int64_t cutoff =
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count() -
-      idle_ttl_.count();
+      idle_ttl.count();
   Stripe& stripe =
       stripes_[sweep_cursor_.fetch_add(1, std::memory_order_relaxed) %
-               stripes_.size()];
+               kStripes];
   // Reaped sessions leave the stripe under its lock but are destroyed —
   // AEAD contexts and all — outside it.
   std::vector<std::shared_ptr<Session>> reaped;

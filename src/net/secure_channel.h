@@ -17,14 +17,15 @@
 // is the crux of §3.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "common/bytes.h"
 #include "common/mutex.h"
@@ -85,27 +86,13 @@ class RecordRejectedError : public Error {
   StatusCode code_;
 };
 
-/// Tuning knobs for the striped session table.
-struct SecureServerOptions {
-  /// Session-table stripes: independent sessions hash to different
-  /// stripes, so their table lookups never contend on one mutex.
-  std::size_t session_stripes = 16;
-  /// DRBG stripes for handshake randomness (crypto::DrbgPool).
-  std::size_t rng_stripes = 8;
-  /// Reap sessions idle for at least this long when sweep_idle() runs
-  /// (0 = sessions live until close_session, the pre-TTL behavior). A
-  /// long-running CAS needs this: abandoned sessions — clients that
-  /// attested and vanished — otherwise accumulate keys forever.
-  std::chrono::nanoseconds idle_ttl{0};
-};
-
 /// Server half. Owns per-session traffic keys; plug `handle` into
 /// SimNetwork::listen.
 ///
 /// Thread-safe and contention-striped: handle() may be called from many
 /// dispatcher threads at once. Sessions live in a striped hash table
-/// (SecureServerOptions::session_stripes shards, each with its own mutex)
-/// behind shared_ptr, with a per-session lock serializing only records of
+/// (kStripes shards, each with its own mutex) behind shared_ptr, with a
+/// per-session lock serializing only records of
 /// that one session. ALL handshake crypto — the HandshakeHook (quote
 /// verification, the expensive part), DH derivation, transcript hashing,
 /// HKDF, and the RSA identity signature — runs with no SecureServer lock
@@ -121,23 +108,34 @@ struct SecureServerOptions {
 /// behind lockrank::assert_none_held) covers every record type.
 class SecureServer {
  public:
+  /// Session-table stripes: independent sessions hash to different
+  /// stripes, so their table lookups never contend on one mutex.
+  static constexpr std::size_t kStripes = 16;
+
+  /// A handshake acceptance: the payload sent back to the client, and what
+  /// the hook established about the peer (for the CAS, the policy session
+  /// the quote attested for) — kept by the session, and dying with it.
+  struct Accepted {
+    Bytes payload;
+    std::string peer;
+  };
   /// Decides whether to accept a handshake. Receives the client's payload
-  /// and DH public key; returns the server payload to accept, or nullopt
+  /// and DH public key; returns the acceptance to send, or nullopt
   /// to reject the session. On rejection the hook may set `reject_status`
   /// to a protocol-level code (kUnsupportedVersion, kMalformedRequest) —
   /// it rides the rejection record so well-behaved clients learn how to
   /// remediate; verification failures should leave the generic default
   /// (no oracle for unauthenticated peers).
-  using HandshakeHook = std::function<std::optional<Bytes>(
+  using HandshakeHook = std::function<std::optional<Accepted>(
       ByteView client_payload, ByteView client_dh_public,
-      std::uint64_t session_id, StatusCode* reject_status)>;
-  /// Handles one decrypted request; the return value is encrypted back.
-  using RequestHandler =
-      std::function<Bytes(std::uint64_t session_id, ByteView plaintext)>;
+      StatusCode* reject_status)>;
+  /// Handles one decrypted request, with the `peer` its session's
+  /// handshake established; the return value is encrypted back.
+  using RequestHandler = std::function<Bytes(
+      std::uint64_t session_id, const std::string& peer, ByteView plaintext)>;
 
   SecureServer(const crypto::RsaKeyPair* identity, crypto::Drbg rng,
-               HandshakeHook on_handshake, RequestHandler on_request,
-               SecureServerOptions options = {});
+               HandshakeHook on_handshake, RequestHandler on_request);
 
   /// Raw transport entry point.
   Bytes handle(ByteView raw);
@@ -154,13 +152,13 @@ class SecureServer {
   }
 
   /// Sweep ONE stripe (round-robin cursor) for sessions whose last
-  /// activity is older than options.idle_ttl, reaping each like
+  /// activity is at least `idle_ttl` old, reaping each like
   /// close_session would (typed kSessionNotAttested for any later
   /// record). One stripe per call keeps each sweep's stripe-lock hold
   /// bounded, so a periodic TimerWheel caller never stalls the serving
   /// path behind a full-table scan. Returns the number reaped; no-op
-  /// (returns 0) when idle_ttl is 0.
-  std::size_t sweep_idle();
+  /// (returns 0) when idle_ttl is not positive.
+  std::size_t sweep_idle(std::chrono::nanoseconds idle_ttl);
 
   /// Contention observability for the serving layer's metrics.
   struct Stats {
@@ -190,6 +188,7 @@ class SecureServer {
     crypto::Aead s2c;
     Bytes ad_c2s;  // per-session associated data, built once per session
     Bytes ad_s2c;
+    const std::string peer;  // the handshake hook's Accepted::peer
     std::uint64_t recv_counter GUARDED_BY(m) = 0;
     std::uint64_t send_counter GUARDED_BY(m) = 0;
     /// Set by close_session without taking `m` (close must not block on —
@@ -202,11 +201,12 @@ class SecureServer {
     std::atomic<std::int64_t> last_activity_ns{0};
 
     Session(crypto::Aead c2s_in, crypto::Aead s2c_in, Bytes ad_c2s_in,
-            Bytes ad_s2c_in)
+            Bytes ad_s2c_in, std::string peer_in)
         : c2s(std::move(c2s_in)),
           s2c(std::move(s2c_in)),
           ad_c2s(std::move(ad_c2s_in)),
-          ad_s2c(std::move(ad_s2c_in)) {}
+          ad_s2c(std::move(ad_s2c_in)),
+          peer(std::move(peer_in)) {}
   };
 
   struct Stripe {
@@ -216,7 +216,7 @@ class SecureServer {
   };
 
   Stripe& stripe_for(std::uint64_t session_id) {
-    return stripes_[session_id % stripes_.size()];
+    return stripes_[session_id % kStripes];
   }
   // Stripe locking uses ContendedMutexLock(stripe.m, stripe_collisions_)
   // inline: it counts contended acquisitions for stats() while keeping
@@ -229,8 +229,7 @@ class SecureServer {
   crypto::DrbgPool rng_;
   HandshakeHook on_handshake_;
   RequestHandler on_request_;
-  std::vector<Stripe> stripes_;
-  std::chrono::nanoseconds idle_ttl_;
+  std::array<Stripe, kStripes> stripes_;
   std::atomic<std::uint64_t> next_session_{1};
 
   std::atomic<std::uint64_t> open_count_{0};

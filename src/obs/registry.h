@@ -3,10 +3,10 @@
 // The registry does not own any counter — that would force every layer to
 // route its hot path through a central object. Instead it follows the
 // collector model: each subsystem keeps its wait-free atomics exactly where
-// they live today (ServerMetrics, SecureServer::Stats, DrbgPool,
-// ShardedPolicyStore, ...) and registers a *collector* callback that copies
-// them into a MetricsSnapshot on demand. Snapshots are cold-path only; the
-// record path never touches the registry.
+// they live today (ServerMetrics, SecureServer::Stats, DrbgPool, ...) and
+// registers a *collector* callback that copies them into a MetricsSnapshot
+// on demand. Snapshots are cold-path only; the record path never touches
+// the registry.
 //
 // A snapshot renders three ways:
 //   to_prometheus() — Prometheus text exposition format (TYPE lines,

@@ -38,45 +38,36 @@ Bytes refusal_frame(const Bytes& raw, const Status& status,
 CasServer::CasServer(cas::CasService* cas, CasServerConfig config)
     : cas_(cas),
       config_(config),
-      policy_store_(config.policy_shards),
       sigstruct_cache_(config.sigstruct_cache_capacity),
       pool_(config.workers) {
   if (cas_ == nullptr) throw Error("server: cas service required");
-  cas_->set_policy_cache(&policy_store_);
   // Every registry snapshot pulls this frontend's counters (the secure
   // channel's own come from CasService's collector).
   collector_id_ = cas_->metrics_registry().add_collector(
-      [this](obs::MetricsSnapshot& snap) {
-        metrics_.collect(snap);
-        snap.counter("policy_cache_hits", policy_store_.hits());
-        snap.counter("policy_cache_misses", policy_store_.misses());
-      });
-  if (config_.premint_depth > 0 || config_.refill_watermark > 0) {
+      [this](obs::MetricsSnapshot& snap) { metrics_.collect(snap); });
+  if (config_.premint_depth > 0) {
     // Refills are driven by pool pressure: the cache tells us when a
-    // session dropped below the watermark; nobody probes depth per
+    // session dropped below the premint depth; nobody probes depth per
     // request anymore.
-    const std::size_t watermark = config_.refill_watermark != 0
-                                      ? config_.refill_watermark
-                                      : config_.premint_depth;
     sigstruct_cache_.set_low_watermark(
-        watermark, [this](const std::string& session) {
+        config_.premint_depth, [this](const std::string& session) {
           schedule_refill(session);
         });
   }
-  if (config_.session_idle_ttl.count() > 0) {
-    net::SecureServerOptions options;
-    options.idle_ttl = config_.session_idle_ttl;
-    cas_->set_secure_server_options(options);
-    arm_idle_sweep();
-  }
+  if (config_.session_idle_ttl.count() > 0) arm_idle_sweep();
 }
 
 void CasServer::arm_idle_sweep() {
+  // One stripe per tick, kStripes ticks per TTL: a full pass over the
+  // session table takes one TTL.
+  const auto interval = std::max<std::chrono::microseconds>(
+      config_.session_idle_ttl / net::SecureServer::kStripes,
+      std::chrono::microseconds(1));
   try {
-    timer_.schedule_after(config_.idle_sweep_interval, [this] {
+    timer_.schedule_after(interval, [this] {
       // cas_ is borrowed and outlives this server, so the tick fired by
       // the wheel destructor is still safe.
-      cas_->sweep_idle_sessions();
+      cas_->sweep_idle_sessions(config_.session_idle_ttl);
       arm_idle_sweep();
     });
   } catch (const Error&) {
@@ -89,10 +80,6 @@ CasServer::~CasServer() {
   // once no in-flight snapshot is inside our callback.
   cas_->metrics_registry().remove_collector(collector_id_);
   unbind();
-  // Detach the store: it dies with this server, and CasService must not
-  // keep a pointer into it. Still-draining refill jobs fall back to the
-  // encrypted DB, which stays correct.
-  cas_->set_policy_cache(nullptr);
   // ThreadPool's destructor drains in-flight and queued jobs (which may
   // park stalls on timer_; the wheel outlives the pool) before the caches
   // above go away.
@@ -547,8 +534,7 @@ cas::InstanceResponse CasServer::serve_instance(
 }
 
 void CasServer::schedule_refill(const std::string& session) {
-  const std::size_t target = refill_target();
-  if (target == 0) return;
+  const std::size_t target = config_.premint_depth;
   if (!sigstruct_cache_.begin_refill(session)) return;  // refill in flight
   ++metrics_.refills_scheduled;
 
@@ -580,8 +566,6 @@ void CasServer::schedule_refill(const std::string& session) {
         // the ~20us cached-context verify inside mint_batch — noise next
         // to the chunk's signatures) so a refill never overshoots a cache
         // that filled up meanwhile.
-        const std::size_t batch_cap =
-            std::max<std::size_t>(1, config_.mint_batch);
         const std::size_t have = sigstruct_cache_.pooled(session);
         std::size_t deficit = have < target ? target - have : 0;
         while (deficit > 0) {
@@ -589,7 +573,7 @@ void CasServer::schedule_refill(const std::string& session) {
           const std::size_t capacity = sigstruct_cache_.capacity();
           if (size_now >= capacity) break;
           const std::size_t want =
-              std::min({deficit, batch_cap, capacity - size_now});
+              std::min({deficit, kMintBatch, capacity - size_now});
           auto batch = cas_->mint_batch(*policy, common->sigstruct, want);
           ++metrics_.mint_batches;
           metrics_.preminted_credentials += batch.size();
@@ -626,9 +610,8 @@ std::size_t CasServer::premint(const std::string& session,
 
   // Warm-up minting is batched too, chunked so one premint call cannot
   // monopolize the RNG lock for an unbounded stretch.
-  const std::size_t batch_cap = std::max<std::size_t>(1, config_.mint_batch);
   for (std::size_t minted = 0; minted < n;) {
-    const std::size_t want = std::min(batch_cap, n - minted);
+    const std::size_t want = std::min(kMintBatch, n - minted);
     auto batch = cas_->mint_batch(*policy, common_sigstruct, want);
     ++metrics_.mint_batches;
     metrics_.preminted_credentials += batch.size();

@@ -3,13 +3,9 @@
 // (server::ClusterNode) is the same server over a service whose
 // ReplicationGate commits token transitions through the Raft log.
 //
-// The seed's CasService serves one request at a time and re-does three
-// expensive steps on every singleton retrieval (Fig. 7c): decrypt+parse the
-// session policy ("CAS misc"), RSA-verify the received common SigStruct,
-// and RSA-CRT-sign the on-demand SigStruct (~5 ms at 3072 bit). PR 1's
-// CasServer pooled the CPU work but still parked one thread per request on
-// a future — concurrency was capped by thread count even when every worker
-// was stalled on backend I/O. This version makes a request a small state
+// A singleton retrieval (Fig. 7c) costs an RSA verification of the
+// received common SigStruct and an RSA-CRT signature of the on-demand one
+// (~5 ms at 3072 bit), plus backend I/O. A request is a small state
 // machine that never pins a worker while waiting:
 //
 //     accept (client thread)      — count it, raise the in-flight gauge,
@@ -25,9 +21,6 @@
 // so 8 workers sustain hundreds of concurrent in-flight requests in the
 // latency-bound regime instead of 8. Supporting cast:
 //
-//   * a sharded policy store (server/policy_store.h) keeps hot policies
-//     decrypted — attached to CasService as its PolicyCache, write-through
-//     on install_policy,
 //   * a verify-once memo per session skips the repeat RSA verification of
 //     an already-seen common SigStruct (invalidated when the session's
 //     base hash changes),
@@ -58,7 +51,6 @@
 #include "net/timer_wheel.h"
 #include "obs/trace.h"
 #include "server/metrics.h"
-#include "server/policy_store.h"
 #include "server/sigstruct_cache.h"
 #include "server/thread_pool.h"
 
@@ -67,21 +59,12 @@ namespace sinclave::server {
 struct CasServerConfig {
   /// Worker threads draining the request queue.
   std::size_t workers = 4;
-  /// Shards of the decrypted-policy store.
-  std::size_t policy_shards = 16;
   /// Total pre-minted credentials held across sessions (LRU-evicted).
   std::size_t sigstruct_cache_capacity = 4096;
-  /// Keep this many credentials pre-minted per hot session (0 = no
+  /// Keep this many credentials pre-minted per hot session: a refill is
+  /// scheduled whenever a session's pool drops below it (0 = no
   /// background pre-minting; pools can still be warmed via premint()).
   std::size_t premint_depth = 0;
-  /// Schedule a refill when a session's pool drops below this depth
-  /// (0 = premint_depth, i.e. top up whenever the pool is not full).
-  std::size_t refill_watermark = 0;
-  /// Credentials signed per refill batch: one worker wakeup coalesces up
-  /// to this much pool deficit into a single CasService::mint_batch call
-  /// (one common-SigStruct verification, one RNG critical section, one
-  /// scratch arena) and deposits the result under one cache lock.
-  std::size_t mint_batch = 8;
   /// Simulated per-request backend I/O stall (the storage / attestation-
   /// provider round trips a production CAS pays per request). On the
   /// network path the stall parks on the timer wheel — it costs latency,
@@ -105,18 +88,16 @@ struct CasServerConfig {
   std::chrono::microseconds request_deadline{0};
   /// Reap secure-channel sessions idle at least this long (0 = never; the
   /// pre-TTL behavior). Abandoned sessions — clients that attested and
-  /// vanished — otherwise hold keys forever; see SecureServerOptions.
+  /// vanished — otherwise hold keys forever. The sweep fires every
+  /// TTL / SecureServer::kStripes and scans ONE session-table stripe per
+  /// firing, so one full table pass takes one TTL and no single sweep
+  /// stalls serving.
   std::chrono::microseconds session_idle_ttl{0};
-  /// How often the idle sweep fires on the timer wheel. Each firing scans
-  /// ONE session-table stripe (round-robin), so a full table pass takes
-  /// session_stripes firings and no single sweep stalls serving.
-  std::chrono::microseconds idle_sweep_interval{10'000};
 };
 
 class CasServer {
  public:
-  /// `cas` is borrowed and must outlive the server. The constructor
-  /// attaches the sharded policy store to it as its PolicyCache.
+  /// `cas` is borrowed and must outlive the server.
   CasServer(cas::CasService* cas, CasServerConfig config = {});
   ~CasServer();
 
@@ -143,7 +124,6 @@ class CasServer {
 
   const CasServerConfig& config() const { return config_; }
   ServerMetrics& metrics() { return metrics_; }
-  ShardedPolicyStore& policy_store() { return policy_store_; }
   SigStructCache& sigstruct_cache() { return sigstruct_cache_; }
   ThreadPool& pool() { return pool_; }
   net::TimerWheel& timers() { return timer_; }
@@ -185,12 +165,12 @@ class CasServer {
   void schedule_refill(const std::string& session);
   /// Self-rescheduling idle-session sweep tick (session_idle_ttl > 0).
   void arm_idle_sweep();
-  std::size_t refill_target() const {
-    return config_.refill_watermark != 0 &&
-                   config_.refill_watermark > config_.premint_depth
-               ? config_.refill_watermark
-               : config_.premint_depth;
-  }
+
+  /// Credentials signed per mint batch: a refill or premint coalesces up
+  /// to this many into one CasService::mint_batch call (one
+  /// common-SigStruct verification, one RNG critical section, one scratch
+  /// arena) and deposits the result under one cache lock.
+  static constexpr std::size_t kMintBatch = 8;
 
   cas::CasService* cas_;
   CasServerConfig config_;
@@ -199,7 +179,6 @@ class CasServer {
   /// no snapshot is still inside the callback touching our members).
   std::uint64_t collector_id_ = 0;
   ServerMetrics metrics_;
-  ShardedPolicyStore policy_store_;
   SigStructCache sigstruct_cache_;
 
   Mutex verified_mutex_{LockRank::kServerVerified, "server.verified_common"};

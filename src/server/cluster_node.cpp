@@ -108,8 +108,8 @@ ClusterNode::Incarnation ClusterNode::make_incarnation(
           case cas::LogCommand::kSpendToken: {
             const cas::TokenCommand c =
                 cas::TokenCommand::deserialize(entry.payload);
-            return cas_raw->apply_replicated_spend(c.token, c.session_name,
-                                                   c.mr_enclave);
+            return cas_raw->apply_spend(c.token, c.session_name,
+                                        c.mr_enclave);
           }
         }
         return Status(StatusCode::kInternal, "raft: unknown log command");

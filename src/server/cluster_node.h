@@ -10,7 +10,7 @@
 //     in log order) once majority-committed; accepts_writes() makes a
 //     follower's server answer singleton retrieval with kNotLeader
 //     carrying the leader hint, while introspection — and, via get_policy
-//     on the server's policy store, reads generally — is served by every
+//     on the service's policy table, reads generally — is served by every
 //     replica;
 //   * own the node lifecycle for failover drills: stop() kills the
 //     incarnation (proposals failed, endpoints down), restart() boots a
@@ -113,8 +113,8 @@ class ClusterNode : public cas::ReplicationGate {
 
  private:
   /// One boot of the node. Member order is destruction order reversed:
-  /// the server dies first (its collector and policy store point into the
-  /// service), then the raft core (its apply callback writes the service).
+  /// the server dies first (its collector points into the service), then
+  /// the raft core (its apply callback writes the service).
   struct Incarnation {
     std::unique_ptr<cas::CasService> cas;
     std::unique_ptr<cas::RaftCore> raft;

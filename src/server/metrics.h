@@ -34,8 +34,8 @@ struct CommandMetrics {
 /// increment directly; export happens through the obs::MetricsRegistry
 /// (collect()) or the legacy text dump (render(), now a thin wrapper
 /// over the registry's text renderer).
-/// (Policy-store hit/miss counters live on ShardedPolicyStore itself, and
-/// the secure channel's counters on CasService as the channel_* series.)
+/// (The secure channel's counters live on CasService as the channel_*
+/// series.)
 struct ServerMetrics {
   /// Instance endpoint: singleton retrieval (Command::kGetInstance).
   CommandMetrics get_instance;
@@ -60,7 +60,7 @@ struct ServerMetrics {
   std::atomic<std::uint64_t> refills_scheduled{0};
   /// Batch mint calls issued by the pooling paths — refill jobs and
   /// premint() warm-up alike (each batch signs up to
-  /// CasServerConfig::mint_batch credentials in one go).
+  /// CasServer::kMintBatch credentials in one go).
   std::atomic<std::uint64_t> mint_batches{0};
 
   /// Requests accepted but not yet responded to (the event-driven

@@ -6,32 +6,49 @@
 // one warm-up call (which grows the scratch arena and the output's limb
 // storage), steady-state exponentiation performs ZERO heap allocations.
 // The old implementation allocated two vectors per modular multiplication,
-// ~4,600 allocations per RSA-3072 signature.
+// ~4,600 allocations per RSA-3072 signature. The wrapper also tracks live
+// blocks (allocations minus deallocations), which is how the CAS is held to
+// bounded memory: a reaped attested session must leave nothing behind.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <new>
+#include <thread>
 
+#include "cas/client.h"
+#include "core/signer.h"
 #include "crypto/bignum.h"
 #include "crypto/drbg.h"
 #include "crypto/rsa.h"
+#include "crypto/sha256.h"
 #include "obs/trace.h"
+#include "runtime/starter.h"
+#include "server/cas_server.h"
+#include "workload/testbed.h"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::int64_t> g_live{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
+  if (void* p = std::malloc(size != 0 ? size : 1)) {
+    g_live.fetch_add(1, std::memory_order_relaxed);
+    return p;
+  }
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept {
+  if (p != nullptr) g_live.fetch_sub(1, std::memory_order_relaxed);
+  std::free(p);
+}
+void operator delete[](void* p) noexcept { operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { operator delete(p); }
 
 namespace sinclave::crypto {
 namespace {
@@ -150,3 +167,72 @@ TEST(Allocation, SpanWithoutScopeIsAllocationFree) {
 
 }  // namespace
 }  // namespace sinclave::obs
+
+namespace sinclave::server {
+namespace {
+
+using namespace std::chrono_literals;
+
+// Regression: an attested channel's binding must leave with its session.
+// The service used to keep its own binding table beside the secure
+// server's, and nothing erased it: one heap node per attested session for
+// the life of the process, even after the idle sweep reaped the session.
+TEST(Allocation, ReapedAttestedSessionsLeaveNoAllocationBehind) {
+  workload::Testbed bed(workload::TestbedConfig{.seed = 81});
+  const auto image = core::EnclaveImage::synthetic("alloc", sgx::kPageSize,
+                                                   sgx::kPageSize);
+  const sgx::SigStruct sigstruct =
+      core::Signer(&bed.user_signer()).sign_baseline(image).sigstruct;
+  cas::Policy policy;
+  policy.session_name = "baseline";
+  policy.expected_signer =
+      crypto::sha256(bed.user_signer().public_key().modulus_be());
+  policy.expected_mr_enclave = sigstruct.enclave_hash;
+  bed.cas().install_policy(policy);
+  const auto enclave = runtime::start_enclave(bed.cpu(), image, sigstruct);
+  ASSERT_TRUE(enclave.ok());
+  CasServerConfig config;
+  config.workers = 1;
+  config.session_idle_ttl = 50ms;
+  CasServer server(&bed.cas(), config);
+  server.bind(bed.network(), "cas.ttl");
+
+  const auto wait_for = [](const auto& done) {
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
+    while (!done() && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(5ms);
+  };
+  std::uint64_t seed = 0;
+  const auto attest_and_reap = [&] {
+    for (int i = 0; i < 64; ++i) {
+      cas::AttestedChannel channel(
+          &bed.network(), "cas.ttl",
+          crypto::Drbg::from_seed(++seed, "alloc-channel"));
+      cas::AttestPayload payload;
+      payload.session_name = "baseline";
+      payload.quote = bed.qe()
+                          .generate_quote(bed.cpu().ereport(
+                              enclave.id, bed.qe().target_info(),
+                              net::channel_binding(channel.dh_public())))
+                          .value();
+      ASSERT_TRUE(channel.attest(bed.cas().identity(), payload).ok());
+    }
+    wait_for([&] {
+      return bed.cas().metrics_registry().snapshot().find(
+                 "channel_open_sessions")->value == 0;
+    });
+  };
+
+  // The warm-up grows what is allocated once and kept: every session-table
+  // stripe's buckets, thread rings, interned phases.
+  attest_and_reap();
+  const std::int64_t baseline = g_live.load();
+  attest_and_reap();
+  // Worker and timer threads may still be freeing finished jobs; what
+  // stays behind for good is the leak.
+  wait_for([&] { return g_live.load() == baseline; });
+  EXPECT_EQ(g_live.load() - baseline, 0);
+}
+
+}  // namespace
+}  // namespace sinclave::server

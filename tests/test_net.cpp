@@ -137,12 +137,12 @@ struct ChannelFixture : ::testing::Test {
   void serve(const std::string& address) {
     server_ = std::make_unique<SecureServer>(
         &identity_, rng(2),
-        [this](ByteView payload, ByteView, std::uint64_t, StatusCode*) {
+        [this](ByteView payload, ByteView, StatusCode*) {
           std::lock_guard lock(capture_mutex_);
           last_payload_ = Bytes{payload.begin(), payload.end()};
-          return std::optional<Bytes>{to_bytes("welcome")};
+          return SecureServer::Accepted{to_bytes("welcome")};
         },
-        [](std::uint64_t, ByteView plaintext) {
+        [](std::uint64_t, const std::string&, ByteView plaintext) {
           Bytes out{plaintext.begin(), plaintext.end()};
           for (auto& b : out)
             b = static_cast<std::uint8_t>(std::toupper(b));
@@ -191,10 +191,10 @@ TEST_F(ChannelFixture, ServerIdentityPinningDetectsImpostor) {
 TEST_F(ChannelFixture, RejectedHandshakeYieldsNullopt) {
   server_ = std::make_unique<SecureServer>(
       &identity_, rng(5),
-      [](ByteView, ByteView, std::uint64_t, StatusCode*) {
-        return std::optional<Bytes>{};  // reject all
+      [](ByteView, ByteView, StatusCode*) {
+        return std::optional<SecureServer::Accepted>{};  // reject all
       },
-      [](std::uint64_t, ByteView) { return Bytes{}; });
+      [](std::uint64_t, const std::string&, ByteView) { return Bytes{}; });
   net_.listen("svc", [this](ByteView raw) { return server_->handle(raw); });
 
   SecureClient client(rng(6));
@@ -209,11 +209,11 @@ TEST_F(ChannelFixture, RejectionRecordCarriesTypedProtocolStatus) {
   // record; verification refusals use the generic default.
   server_ = std::make_unique<SecureServer>(
       &identity_, rng(11),
-      [](ByteView, ByteView, std::uint64_t, StatusCode* reject) {
+      [](ByteView, ByteView, StatusCode* reject) {
         *reject = StatusCode::kUnsupportedVersion;
-        return std::optional<Bytes>{};
+        return std::optional<SecureServer::Accepted>{};
       },
-      [](std::uint64_t, ByteView) { return Bytes{}; });
+      [](std::uint64_t, const std::string&, ByteView) { return Bytes{}; });
   net_.listen("svc", [this](ByteView raw) { return server_->handle(raw); });
 
   SecureClient client(rng(12));
@@ -247,10 +247,10 @@ TEST_F(ChannelFixture, EavesdropperSeesNoPlaintext) {
   std::vector<Bytes> wire;
   server_ = std::make_unique<SecureServer>(
       &identity_, rng(7),
-      [](ByteView, ByteView, std::uint64_t, StatusCode*) {
-        return std::optional<Bytes>{Bytes{}};
-      },
-      [](std::uint64_t, ByteView) { return to_bytes("topsecret-response"); });
+      [](ByteView, ByteView, StatusCode*) { return SecureServer::Accepted{}; },
+      [](std::uint64_t, const std::string&, ByteView) {
+        return to_bytes("topsecret-response");
+      });
   net_.listen("svc", [&](ByteView raw) {
     wire.emplace_back(raw.begin(), raw.end());
     Bytes resp = server_->handle(raw);
@@ -387,17 +387,13 @@ TEST_F(ChannelFixture, IdleSessionsAreSweptActiveOnesSurvive) {
   // quiet. Driving the round-robin sweep across every stripe must reap
   // exactly the idle one — typed kSessionNotAttested for its next record,
   // the sessions_expired stat up by one, and the warm session untouched.
-  SecureServerOptions options;
-  options.idle_ttl = std::chrono::milliseconds(20);
+  constexpr auto kIdleTtl = std::chrono::milliseconds(20);
   server_ = std::make_unique<SecureServer>(
       &identity_, rng(30),
-      [](ByteView, ByteView, std::uint64_t, StatusCode*) {
-        return std::optional<Bytes>{Bytes{}};
-      },
-      [](std::uint64_t, ByteView plaintext) {
+      [](ByteView, ByteView, StatusCode*) { return SecureServer::Accepted{}; },
+      [](std::uint64_t, const std::string&, ByteView plaintext) {
         return Bytes{plaintext.begin(), plaintext.end()};
-      },
-      options);
+      });
   net_.listen("svc", [this](ByteView raw) { return server_->handle(raw); });
 
   SecureClient active(rng(31));
@@ -415,8 +411,8 @@ TEST_F(ChannelFixture, IdleSessionsAreSweptActiveOnesSurvive) {
     EXPECT_EQ(active.call(to_bytes("ping")), to_bytes("ping"));
   }
   std::size_t reaped = 0;
-  for (std::size_t i = 0; i < options.session_stripes; ++i)
-    reaped += server_->sweep_idle();
+  for (std::size_t i = 0; i < SecureServer::kStripes; ++i)
+    reaped += server_->sweep_idle(kIdleTtl);
   EXPECT_EQ(reaped, 1u);
   EXPECT_EQ(server_->open_sessions(), 1u);
   EXPECT_EQ(server_->stats().sessions_expired, 1u);
@@ -439,10 +435,8 @@ TEST_F(ChannelFixture, CloseSessionRacingInFlightRecordsNeverTears) {
   Bytes captured;
   server_ = std::make_unique<SecureServer>(
       &identity_, rng(21),
-      [](ByteView, ByteView, std::uint64_t, StatusCode*) {
-        return std::optional<Bytes>{Bytes{}};
-      },
-      [](std::uint64_t, ByteView plaintext) {
+      [](ByteView, ByteView, StatusCode*) { return SecureServer::Accepted{}; },
+      [](std::uint64_t, const std::string&, ByteView plaintext) {
         return Bytes{plaintext.begin(), plaintext.end()};
       });
   net_.listen("svc", [&](ByteView raw) {
@@ -498,13 +492,13 @@ TEST_F(ChannelFixture, HooksMayCallBackIntoTheServer) {
   // hang up") — both would have self-deadlocked before.
   server_ = std::make_unique<SecureServer>(
       &identity_, rng(23),
-      [this](ByteView, ByteView, std::uint64_t, StatusCode*) {
+      [this](ByteView, ByteView, StatusCode*) {
         // Callback into the server from inside the handshake hook.
         (void)server_->open_sessions();
         (void)server_->stats();
-        return std::optional<Bytes>{to_bytes("hi")};
+        return SecureServer::Accepted{to_bytes("hi")};
       },
-      [this](std::uint64_t session_id, ByteView) {
+      [this](std::uint64_t session_id, const std::string&, ByteView) {
         server_->close_session(session_id);  // hang up after answering
         return to_bytes("bye");
       });
@@ -518,6 +512,33 @@ TEST_F(ChannelFixture, HooksMayCallBackIntoTheServer) {
   EXPECT_EQ(server_->open_sessions(), 0u);
   // Every later record gets the typed closed-session rejection.
   EXPECT_THROW(client.call(to_bytes("second")), RecordRejectedError);
+}
+
+TEST_F(ChannelFixture, HandshakePeerRidesEveryRecordOfItsSession) {
+  // What the hook established about a peer at handshake time reaches the
+  // request handler with each of that session's records, and only its.
+  server_ = std::make_unique<SecureServer>(
+      &identity_, rng(25),
+      [](ByteView payload, ByteView, StatusCode*) {
+        return SecureServer::Accepted{{}, std::string(payload.begin(),
+                                                      payload.end())};
+      },
+      [](std::uint64_t, const std::string& peer, ByteView) {
+        return to_bytes(peer);
+      });
+  net_.listen("svc", [this](ByteView raw) { return server_->handle(raw); });
+
+  SecureClient alice(rng(26));
+  SecureClient bob(rng(27));
+  ASSERT_TRUE(alice.connect(net_.connect("svc"), identity_.public_key(),
+                            to_bytes("alice"))
+                  .has_value());
+  ASSERT_TRUE(bob.connect(net_.connect("svc"), identity_.public_key(),
+                          to_bytes("bob"))
+                  .has_value());
+  EXPECT_EQ(bob.call(to_bytes("who")), to_bytes("bob"));
+  EXPECT_EQ(alice.call(to_bytes("who")), to_bytes("alice"));
+  EXPECT_EQ(alice.call(to_bytes("who")), to_bytes("alice"));
 }
 
 // --- deterministic fault injection ------------------------------------------

@@ -649,8 +649,6 @@ TEST_F(ObsIntrospectionTest, SecureChannelSeriesComeFromTheService) {
   EXPECT_EQ(snap.find("secure_sessions_opened"), nullptr);
   EXPECT_EQ(snap.find("secure_sessions_high_water"), nullptr);
   EXPECT_EQ(snap.find("handshake_stripe_collisions"), nullptr);
-  // The policy store surfaces through the server's collector.
-  EXPECT_NE(snap.find("policy_cache_hits"), nullptr);
 }
 
 }  // namespace

@@ -198,5 +198,52 @@ TEST_F(CasRestartTest, ImportRejectsGarbage) {
   EXPECT_THROW(bed_.cas().import_state(Bytes{1, 2, 3}), ParseError);
 }
 
+// --- sealed-state format ---
+
+// A restarted node must unseal what its previous build sealed, so the
+// export_state layout — "policies/<name>" -> Policy::serialize() entries in
+// name order, then the token table — is pinned to the bytes the
+// encrypted-policy-DB implementation exported for this state: three
+// out-of-order installs, one of them replaced.
+TEST(StateFormat, PolicyOnlyExportMatchesGolden) {
+  quote::AttestationService attestation;
+  crypto::Drbg key_rng = crypto::Drbg::from_seed(64, "golden-identity");
+  CasService cas(&attestation, crypto::RsaKeyPair::generate(key_rng, 1024),
+                 crypto::Drbg::from_seed(65, "golden-cas"));
+  const auto policy = [](const std::string& name, const std::string& program) {
+    Policy p;
+    p.session_name = name;
+    p.expected_signer = crypto::sha256(to_bytes("golden-signer"));
+    p.config.program = program;
+    return p;
+  };
+  crypto::Sha256 base;
+  base.update(Bytes(64, 0xb5));
+  Policy singleton = policy("gamma", "app");
+  singleton.require_singleton = true;
+  singleton.base_hash = core::BaseHash{base.export_state(),
+                                       8 * sgx::kPageSize, sgx::kPageSize, 1};
+  singleton.config.args = {"--serve"};
+  singleton.config.env = {{"MODE", "prod"}};
+  singleton.config.secrets = {{"db", to_bytes("hunter2")}};
+  singleton.config.fs_key = Bytes(32, 0x42);
+  singleton.config.fs_manifest_root = crypto::sha256(to_bytes("manifest"));
+  Policy baseline = policy("alpha", "old");
+  baseline.expected_mr_enclave = crypto::sha256(to_bytes("common-mr"));
+  Policy debug = policy("beta", "dbg");
+  debug.allow_debug = true;
+
+  cas.install_policy(singleton);
+  cas.install_policy(baseline);
+  cas.install_policy(debug);
+  baseline.config.program = "new";
+  cas.install_policy(baseline);
+
+  const Bytes state = cas.export_state();
+  EXPECT_EQ(state.size(), 568u);
+  EXPECT_EQ(crypto::sha256(state).hex(),
+            "dea4f113888bc980f7993c0e081fa232841fd520d35c07cb96b5621a864d843a");
+}
+
 }  // namespace
 }  // namespace sinclave::cas

@@ -50,10 +50,10 @@ TEST_P(ChannelSizes, EncryptedEchoRoundTrip) {
   net::SimNetwork net;
   net::SecureServer server(
       &identity, crypto::Drbg::from_seed(8, "srv"),
-      [](ByteView, ByteView, std::uint64_t, StatusCode*) {
-        return std::optional<Bytes>{Bytes{}};
+      [](ByteView, ByteView, StatusCode*) {
+        return net::SecureServer::Accepted{};
       },
-      [](std::uint64_t, ByteView plaintext) {
+      [](std::uint64_t, const std::string&, ByteView plaintext) {
         return Bytes{plaintext.begin(), plaintext.end()};
       });
   net.listen("svc", [&](ByteView raw) { return server.handle(raw); });

@@ -1,6 +1,6 @@
 // Tests for the concurrent CAS serving layer (src/server/):
 //  * thread pool and metrics primitives,
-//  * sharded policy store and LRU SigStruct cache semantics,
+//  * the policy table under racing installs, LRU SigStruct cache semantics,
 //  * concurrent instance retrievals across sessions (token uniqueness),
 //  * cached (pre-minted) credentials remain fully usable end to end,
 //  * one-time-token / singleton guarantees under racing replays,
@@ -23,7 +23,6 @@
 #include "runtime/starter.h"
 #include "server/cas_server.h"
 #include "server/metrics.h"
-#include "server/policy_store.h"
 #include "server/sigstruct_cache.h"
 #include "server/thread_pool.h"
 #include "workload/load_gen.h"
@@ -161,41 +160,27 @@ TEST(Metrics, InFlightGaugeTracksHighWaterMark) {
   EXPECT_EQ(m.max_in_flight.load(), 3u);  // watermark survives
 }
 
-TEST(PolicyStore, ShardedGetPutEraseAndCounters) {
-  ShardedPolicyStore store(8);
-  EXPECT_FALSE(store.get("a").has_value());
-  EXPECT_EQ(store.misses(), 1u);
-
-  cas::Policy p;
-  p.session_name = "a";
-  p.config.program = "prog";
-  store.put("a", p);
-  const auto got = store.get("a");
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->config.program, "prog");
-  EXPECT_EQ(store.hits(), 1u);
-  EXPECT_EQ(store.size(), 1u);
-
-  store.erase("a");
-  EXPECT_FALSE(store.get("a").has_value());
-  EXPECT_EQ(store.size(), 0u);
-}
-
-TEST(PolicyStore, ConcurrentMixedAccess) {
-  ShardedPolicyStore store(4);
+TEST(PolicyTable, ConcurrentMixedAccess) {
+  quote::AttestationService attestation;
+  crypto::Drbg key_rng = crypto::Drbg::from_seed(5, "policy-table-identity");
+  cas::CasService cas(&attestation, crypto::RsaKeyPair::generate(key_rng, 1024),
+                      crypto::Drbg::from_seed(6, "policy-table"));
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t)
-    threads.emplace_back([&store, t] {
+    threads.emplace_back([&cas, t] {
       for (int i = 0; i < 200; ++i) {
-        const std::string name = "s" + std::to_string((t * 7 + i) % 20);
         cas::Policy p;
-        p.session_name = name;
-        store.put(name, p);
-        store.get(name);
+        p.session_name = "s" + std::to_string((t * 7 + i) % 20);
+        p.config.program = "prog";
+        cas.install_policy(p);
+        const auto got = cas.get_policy(p.session_name);
+        EXPECT_TRUE(got.has_value() && got->config.program == "prog");
       }
     });
   for (auto& t : threads) t.join();
-  EXPECT_EQ(store.size(), 20u);
+  for (int i = 0; i < 20; ++i)
+    EXPECT_TRUE(cas.get_policy("s" + std::to_string(i)).has_value());
+  EXPECT_FALSE(cas.get_policy("s20").has_value());
 }
 
 TEST(SigStructCacheTest, TakeFromEmptyIsMiss) {
@@ -407,6 +392,25 @@ class CasServerTest : public ::testing::Test {
     return r;
   }
 
+  /// Start a singleton of session `name` through kServerAddress and
+  /// attest `channel` with its token.
+  Status attest_singleton(cas::AttestedChannel& channel,
+                          const std::string& name) {
+    const auto start = runtime::start_singleton_enclave(
+        bed_.cpu(), bed_.network(), kServerAddress, image_, signed_.sigstruct,
+        name);
+    if (!start.ok()) return Status(StatusCode::kInternal, start.error);
+    const auto quote = bed_.qe().generate_quote(
+        bed_.cpu().ereport(start.enclave.id, bed_.qe().target_info(),
+                           net::channel_binding(channel.dh_public())));
+    if (!quote.has_value()) return Status(StatusCode::kInternal, "no quote");
+    cas::AttestPayload payload;
+    payload.session_name = name;
+    payload.quote = *quote;
+    payload.token = start.token;
+    return channel.attest(bed_.cas().identity(), payload);
+  }
+
   workload::Testbed bed_;
   core::EnclaveImage image_;
   core::Signer signer_;
@@ -454,24 +458,22 @@ TEST_F(CasServerTest, ErrorPathsMatchTheBedServer) {
   EXPECT_EQ(server.metrics().get_instance.errors.load(), 2u);
 }
 
-TEST_F(CasServerTest, PolicyCacheSkipsRepeatDbLoads) {
+TEST_F(CasServerTest, ServesPoliciesInstalledBeforeAndAfterItWasBuilt) {
+  bed_.cas().install_policy(singleton_policy("early"));
   CasServer server(&bed_.cas(), CasServerConfig{.workers = 1});
-  // Installed after the store is attached: written through, so even the
-  // first request hits the decrypted-policy cache.
-  bed_.cas().install_policy(singleton_policy("s"));
+  bed_.cas().install_policy(singleton_policy("late"));
+  EXPECT_TRUE(server.handle_instance(request("early")).ok());
+  EXPECT_TRUE(server.handle_instance(request("late")).ok());
 
-  ASSERT_TRUE(server.handle_instance(request("s")).ok());
-  ASSERT_TRUE(server.handle_instance(request("s")).ok());
-  EXPECT_EQ(server.policy_store().hits(), 2u);
-  EXPECT_EQ(server.policy_store().misses(), 0u);
-
-  // A policy installed before the server existed is pulled from the
-  // encrypted DB once (miss), then served from the store.
-  ASSERT_FALSE(server.handle_instance(request("cold")).ok());
-  EXPECT_EQ(server.policy_store().misses(), 1u);
+  // A second server over the same service, come and gone, changes nothing
+  // for the one still serving.
+  { CasServer second(&bed_.cas(), CasServerConfig{.workers = 1}); }
+  EXPECT_TRUE(server.handle_instance(request("early")).ok());
+  EXPECT_EQ(server.handle_instance(request("never")).status.code,
+            StatusCode::kUnknownSession);
 }
 
-TEST_F(CasServerTest, PolicyReplaceTakesEffectThroughCache) {
+TEST_F(CasServerTest, PolicyReplaceTakesEffectImmediately) {
   bed_.cas().install_policy(singleton_policy("s"));
   CasServer server(&bed_.cas(), CasServerConfig{.workers = 1});
   ASSERT_TRUE(server.handle_instance(request("s")).ok());
@@ -592,22 +594,22 @@ TEST_F(CasServerTest, RefillCoalescesDeficitIntoMintBatches) {
   bed_.cas().install_policy(singleton_policy("s"));
   CasServerConfig cfg;
   cfg.workers = 2;
-  cfg.premint_depth = 9;
-  cfg.mint_batch = 4;
+  cfg.premint_depth = 17;
   CasServer server(&bed_.cas(), cfg);
 
   // First request misses, mints inline, and fires the low-watermark
-  // refill; the refill tops the 9-deep pool up in ceil(9/4) = 3 batches.
+  // refill; the refill tops the 17-deep pool up in batches of at most 8:
+  // ceil(17/8) = 3 batches.
   ASSERT_TRUE(server.handle_instance(request("s")).ok());
   server.pool().drain();
-  EXPECT_EQ(server.sigstruct_cache().pooled("s"), 9u);
-  EXPECT_EQ(server.metrics().preminted_credentials.load(), 9u);
+  EXPECT_EQ(server.sigstruct_cache().pooled("s"), 17u);
+  EXPECT_EQ(server.metrics().preminted_credentials.load(), 17u);
   EXPECT_EQ(server.metrics().mint_batches.load(), 3u);
 
   // Every pooled credential issues as a first-class hit.
-  for (int i = 0; i < 9; ++i)
+  for (int i = 0; i < 17; ++i)
     ASSERT_TRUE(server.handle_instance(request("s")).ok());
-  EXPECT_EQ(server.metrics().sigstruct_cache_hits.load(), 9u);
+  EXPECT_EQ(server.metrics().sigstruct_cache_hits.load(), 17u);
 }
 
 TEST_F(CasServerTest, ConcurrentRequestsAcrossSessionsIssueUniqueTokens) {
@@ -725,25 +727,12 @@ TEST_F(CasServerTest, IdleTtlSweepReapsAnAbandonedAttestedSession) {
   CasServerConfig cfg;
   cfg.workers = 1;
   cfg.session_idle_ttl = std::chrono::milliseconds(200);
-  cfg.idle_sweep_interval = std::chrono::milliseconds(2);
   CasServer server(&bed_.cas(), cfg);
   server.bind(bed_.network(), kServerAddress);
 
-  const auto start = runtime::start_singleton_enclave(
-      bed_.cpu(), bed_.network(), kServerAddress, image_, signed_.sigstruct,
-      "s");
-  ASSERT_TRUE(start.ok()) << start.error;
   cas::AttestedChannel channel(&bed_.network(), kServerAddress,
                                crypto::Drbg::from_seed(31, "idle-channel"));
-  const auto quote = bed_.qe().generate_quote(
-      bed_.cpu().ereport(start.enclave.id, bed_.qe().target_info(),
-                         net::channel_binding(channel.dh_public())));
-  ASSERT_TRUE(quote.has_value());
-  cas::AttestPayload payload;
-  payload.session_name = "s";
-  payload.quote = *quote;
-  payload.token = start.token;
-  ASSERT_TRUE(channel.attest(bed_.cas().identity(), payload).ok());
+  ASSERT_TRUE(attest_singleton(channel, "s").ok());
   ASSERT_TRUE(channel.get_config().ok());  // live before it goes idle
 
   const auto expired = [&]() -> std::uint64_t {
@@ -755,6 +744,31 @@ TEST_F(CasServerTest, IdleTtlSweepReapsAnAbandonedAttestedSession) {
   while (expired() == 0 && std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(5ms);
   EXPECT_GE(expired(), 1u);
+  EXPECT_EQ(bed_.cas().secure_channel_stats().open_sessions, 0u);
+  EXPECT_EQ(channel.get_config().status().code,
+            StatusCode::kSessionNotAttested);
+}
+
+// Regression: a metrics snapshot taken before the server existed used to
+// build the secure server without the TTL (its collector reads the
+// channel stats), after which the server's TTL was a silent no-op — the
+// session stayed open and kept serving its config indefinitely.
+TEST_F(CasServerTest, IdleTtlHoldsWhenMetricsWereReadBeforeTheServer) {
+  bed_.cas().install_policy(singleton_policy("s"));
+  (void)bed_.cas().metrics_registry().snapshot();
+  CasServerConfig cfg;
+  cfg.workers = 1;
+  cfg.session_idle_ttl = std::chrono::milliseconds(20);
+  CasServer server(&bed_.cas(), cfg);
+  server.bind(bed_.network(), kServerAddress);
+
+  cas::AttestedChannel channel(&bed_.network(), kServerAddress,
+                               crypto::Drbg::from_seed(32, "ttl-channel"));
+  ASSERT_TRUE(attest_singleton(channel, "s").ok());
+  const auto deadline = std::chrono::steady_clock::now() + 1s;
+  while (bed_.cas().secure_channel_stats().open_sessions != 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(5ms);
   EXPECT_EQ(bed_.cas().secure_channel_stats().open_sessions, 0u);
   EXPECT_EQ(channel.get_config().status().code,
             StatusCode::kSessionNotAttested);

@@ -306,7 +306,7 @@ int main(int argc, char** argv) {
   // --- fuzz_protocol_session ----------------------------------------------
   {
     const stdfs::path dir = out / "fuzz_protocol_session";
-    // Op streams: op byte % 7, then that op's operands (see the harness).
+    // Op streams: op byte % 8, then that op's operands (see the harness).
     write_seed(dir, "mint_attest_config",
                Bytes{0, 1,      // mint alpha
                      1,         // attest honest
@@ -319,6 +319,10 @@ int main(int argc, char** argv) {
                      0, 0,                          // mint beta
                      1});                           // attest it
     write_seed(dir, "double_mint", Bytes{0, 1, 0, 0, 1, 1, 2, 2});
+    write_seed(dir, "attest_reap_attest",
+               Bytes{0, 1, 0, 0,  // mint alpha, mint beta
+                     1, 7,        // attest, reap every session
+                     1, 3, 1});   // attest again, config from client 1
   }
 
   std::printf("gen_corpus: seeds written under %s\n", out.string().c_str());
