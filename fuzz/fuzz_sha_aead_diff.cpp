@@ -6,10 +6,16 @@
 // of them. On top of that: streaming must equal one-shot regardless of
 // update boundaries, export/resume at a block boundary must be lossless,
 // and the AEAD must round-trip honest records while rejecting every
-// tampered byte and swapped associated-data string.
+// tampered byte and swapped associated-data string. aes_ctr_xor (AES-NI
+// where the CPU has it) is checked against counter mode spelled out over
+// the portable encrypt_block, and hmac_sha256 (which shares sha256_fast's
+// SHA-NI kernel) against an HMAC composed here from the interruptible
+// Sha256.
 #include "harnesses.h"
 
+#include <algorithm>
 #include <cstddef>
+#include <cstring>
 
 #include "common/error.h"
 #include "crypto/aead.h"
@@ -26,7 +32,7 @@ int run_sha_aead_diff(const std::uint8_t* data, std::size_t size) {
   FuzzInput in(data, size);
   const std::uint8_t mode = in.u8();
 
-  switch (mode % 4) {
+  switch (mode % 6) {
     case 0: {
       const Bytes msg = in.rest();
       require(crypto::sha256(msg) == crypto::sha256_fast(msg),
@@ -97,6 +103,77 @@ int run_sha_aead_diff(const std::uint8_t* data, std::size_t size) {
       // hmac/hkdf determinism (the AEAD's subkey schedule rests on it).
       require(crypto::hmac_sha256(key, pt) == crypto::hmac_sha256(key, pt),
               "hmac_sha256 is not deterministic");
+      break;
+    }
+    case 4: {
+      // Key size, counter (the 32-bit wrap included), length and buffer
+      // misalignment all fuzz-chosen.
+      const std::size_t key_size = in.boolean() ? 32 : 16;
+      Bytes key = in.take(key_size);
+      key.resize(key_size, 0);
+      Bytes nonce = in.take(12);
+      nonce.resize(12, 0);
+      const std::uint32_t counter0 = in.u32();
+      const std::size_t offset = in.below(16);
+      const Bytes msg = in.rest();
+      const crypto::Aes aes(key);
+
+      Bytes src(offset + msg.size());
+      std::copy(msg.begin(), msg.end(), src.begin() + offset);
+      Bytes dst(src.size());
+      crypto::aes_ctr_xor(aes, nonce, counter0, ByteView(src).subspan(offset),
+                          dst.data() + offset);
+
+      std::uint8_t block[16];
+      std::uint8_t keystream[16];
+      std::memcpy(block, nonce.data(), 12);
+      std::uint32_t counter = counter0;
+      for (std::size_t pos = 0; pos < msg.size(); pos += 16, ++counter) {
+        for (int i = 0; i < 4; ++i)
+          block[12 + i] = static_cast<std::uint8_t>(counter >> (24 - 8 * i));
+        aes.encrypt_block(block, keystream);
+        for (std::size_t i = 0; i < 16 && pos + i < msg.size(); ++i) {
+          require(dst[offset + pos + i] == (msg[pos + i] ^ keystream[i]),
+                  "aes_ctr_xor diverges from the encrypt_block reference");
+        }
+      }
+      break;
+    }
+    case 5: {
+      // RFC 2104 over the interruptible Sha256: an oracle that shares no
+      // code with sha256_fast.
+      const Bytes key = in.chunk();
+      const std::size_t cut = in.below(4096);
+      const Bytes msg = in.rest();
+      std::uint8_t key_block[64] = {};
+      if (key.size() > 64) {
+        const Hash256 kh = crypto::sha256(key);
+        std::memcpy(key_block, kh.data.data(), 32);
+      } else if (!key.empty()) {
+        std::memcpy(key_block, key.data(), key.size());
+      }
+      std::uint8_t ipad[64];
+      std::uint8_t opad[64];
+      for (int i = 0; i < 64; ++i) {
+        ipad[i] = key_block[i] ^ 0x36;
+        opad[i] = key_block[i] ^ 0x5c;
+      }
+      crypto::Sha256 inner;
+      inner.update(ByteView{ipad, 64});
+      inner.update(msg);
+      crypto::Sha256 outer;
+      outer.update(ByteView{opad, 64});
+      outer.update(inner.finalize().view());
+      const Hash256 expect = outer.finalize();
+      require(crypto::hmac_sha256(key, msg) == expect,
+              "hmac_sha256 diverges from the Sha256-composed HMAC");
+
+      const std::size_t a = cut < msg.size() ? cut : msg.size();
+      crypto::HmacSha256 streamed(key);
+      streamed.update(ByteView(msg).subspan(0, a));
+      streamed.update(ByteView(msg).subspan(a));
+      require(streamed.finalize() == expect,
+              "streaming HmacSha256 diverges from one-shot");
       break;
     }
   }

@@ -1,8 +1,14 @@
 // AES-128/AES-256 block cipher (FIPS 197) and CTR mode.
 //
-// Used by the encrypted filesystem (src/fs) and the secure channel AEAD.
-// The implementation is a compact, portable S-box version; throughput is
-// not on any measured path of the paper's figures.
+// Every AEAD user runs on this: the encrypted filesystem (src/fs), whose
+// mount sits on every singleton start, the secure channel's records, and
+// sealed CAS and replica state. `encrypt_block` is a compact, portable
+// S-box implementation. `aes_ctr_xor` checks CPUID once (leaf 1, ECX bit
+// 25) and, where the CPU has AES-NI, runs the whole 16-byte blocks through
+// an AES-NI kernel that keeps eight counter blocks in flight and reads its
+// round keys from the same schedule. The S-box path encrypts the final
+// partial block, and every block on hosts without AES-NI. Both paths
+// produce the same bytes.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +32,11 @@ class Aes {
   void encrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const;
 
  private:
+  // The AES-NI CTR kernel reads round_keys_ rather than keeping a schedule.
+  friend void aes_ctr_xor(const Aes& cipher, ByteView nonce,
+                          std::uint32_t counter0, ByteView in,
+                          std::uint8_t* out);
+
   std::uint32_t round_keys_[60];
   int rounds_;
 };

@@ -7,7 +7,7 @@ namespace sinclave::crypto {
 HmacSha256::HmacSha256(ByteView key) {
   std::uint8_t key_block[64] = {};
   if (key.size() > 64) {
-    const Hash256 kh = sha256(key);
+    const Hash256 kh = sha256_fast(key);
     std::memcpy(key_block, kh.data.data(), 32);
   } else if (!key.empty()) {  // empty views may carry a null data()
     std::memcpy(key_block, key.data(), key.size());
@@ -29,7 +29,7 @@ void HmacSha256::update(ByteView data) {
 
 Hash256 HmacSha256::finalize() {
   const Hash256 inner_digest = inner_.finalize();
-  Sha256 outer;
+  Sha256Fast outer;
   outer.update(ByteView{opad_key_, 64});
   outer.update(inner_digest.view());
   secure_zero(opad_key_, sizeof(opad_key_));

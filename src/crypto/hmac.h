@@ -1,11 +1,13 @@
 // HMAC-SHA256 (RFC 2104).
 //
-// Used for: report MACs in the SGX simulator (as the stand-in for AES-CMAC,
-// see DESIGN.md), the encrypt-then-MAC AEAD, HKDF, and HMAC-DRBG.
+// Used for: report MACs in the SGX simulator (the stand-in for the AES-CMAC
+// real SGX uses), the encrypt-then-MAC AEAD, HKDF, and HMAC-DRBG. It hashes
+// with `Sha256Fast` (sha256_fast.h), which runs on SHA-NI where the CPU has
+// it; nothing here needs the interruptible `Sha256`'s state export.
 #pragma once
 
 #include "common/bytes.h"
-#include "crypto/sha256.h"
+#include "crypto/sha256_fast.h"
 
 namespace sinclave::crypto {
 
@@ -17,7 +19,7 @@ class HmacSha256 {
   Hash256 finalize();
 
  private:
-  Sha256 inner_;
+  Sha256Fast inner_;
   std::uint8_t opad_key_[64];
 };
 

@@ -13,6 +13,14 @@
 // auditable round function over aggressive optimization; `Sha256Fast`
 // (sha256_fast.h) plays the role of the optimized baseline (Ring/OpenSSL)
 // in the Fig. 6 comparison.
+//
+// Consumers: everything on the measurement path — the simulated CPU's
+// EADD/EEXTEND, the base enclave hash and the verifier's MRENCLAVE
+// predictor — plus short one-shot digests (RSA message digests, handshake
+// transcripts, key fingerprints). Fig. 6 measures this code, and
+// fuzz_sha_aead_diff compares it with `sha256_fast` as an independent
+// implementation. The bulk symmetric consumers (HMAC, and so HKDF,
+// HMAC-DRBG and the AEAD, and the volume's manifest root) use `Sha256Fast`.
 #pragma once
 
 #include <cstdint>

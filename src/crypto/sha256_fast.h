@@ -1,12 +1,16 @@
 // Optimized one-shot/streaming SHA-256.
 //
 // Stands in for the highly optimized baseline implementations the paper
-// compares against (Ring / OpenSSL with assembly and SHA extensions). The
-// round function is fully unrolled and the message schedule is computed on
-// a rolling 16-word window; the compiler keeps the working variables in
-// registers. This implementation is NOT interruptible: its internal state
-// is private and cannot be exported mid-stream, which is exactly why the
-// paper had to build the interruptible variant in `Sha256`.
+// compares against (Ring / OpenSSL with assembly and SHA extensions). Where
+// CPUID reports SHA extensions, blocks run on SHA-NI; elsewhere the round
+// function is fully unrolled and the message schedule is computed on a
+// rolling 16-word window. This implementation is NOT interruptible: its
+// internal state is private and cannot be exported mid-stream, which is
+// exactly why the paper had to build the interruptible variant in `Sha256`.
+//
+// Consumers: HMAC (hmac.h), and through it HKDF, HMAC-DRBG, the AEAD and
+// the simulated report MACs; the encrypted volume's manifest root; and the
+// Fig. 6 baseline. The measurement path stays on `Sha256`.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 #include "fs/encrypted_volume.h"
 
 #include "common/error.h"
-#include "crypto/sha256.h"
+#include "crypto/sha256_fast.h"
 
 namespace sinclave::fs {
 
@@ -48,13 +48,13 @@ std::vector<std::string> EncryptedVolume::list_files() const {
 }
 
 Hash256 EncryptedVolume::manifest_root() const {
-  crypto::Sha256 h;
+  crypto::Sha256Fast h;
   h.update(to_bytes("sinclave-fs-manifest-v1"));
   for (const auto& [name, blob] : blobs_) {
     const auto content = read_file(name);
     if (!content.has_value())
       throw Error("manifest: file failed verification: " + name);
-    const Hash256 file_hash = crypto::sha256(*content);
+    const Hash256 file_hash = crypto::sha256_fast(*content);
     h.update(to_bytes(name));
     const std::uint8_t sep = 0;
     h.update(ByteView{&sep, 1});

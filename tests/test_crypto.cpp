@@ -3,6 +3,7 @@
 // paper's base enclave hash), HMAC, HKDF, DRBG, AES, AEAD.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 #include <thread>
 #include <vector>
@@ -322,6 +323,71 @@ TEST(AesCtr, CounterOffsetIsStreamSeek) {
   aes_ctr_xor(aes, nonce, 0, Bytes(48, 0), s0.data());
   aes_ctr_xor(aes, nonce, 2, Bytes(16, 0), s2.data());
   EXPECT_EQ(Bytes(s0.begin() + 32, s0.end()), s2);
+}
+
+TEST(AesCtr, Sp80038aCtrAes256) {
+  // NIST SP 800-38A F.5.5 (CTR-AES256.Encrypt): the initial counter block
+  // f0f1..fcfdfeff is our 12-byte nonce followed by counter0 big-endian.
+  const Aes aes(from_hex(
+      "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4"));
+  const Bytes nonce = from_hex("f0f1f2f3f4f5f6f7f8f9fafb");
+  const Bytes pt = from_hex(
+      "6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51"
+      "30c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710");
+  Bytes ct(pt.size());
+  aes_ctr_xor(aes, nonce, 0xfcfdfeff, pt, ct.data());
+  EXPECT_EQ(to_hex(ct),
+            "601ec313775789a5b7a7f504bbf3d228f443e3ca4d62b59aca84e990cacaf5c5"
+            "2b0930daa23de94ce87017ba2d84988ddfc9c58db67aada613c2dd08457941a6");
+}
+
+// Counter mode spelled out over the portable block cipher: one
+// encrypt_block per 16-byte counter block, nonce || counter big-endian.
+Bytes reference_ctr(const Aes& aes, ByteView nonce, std::uint32_t counter,
+                    ByteView in) {
+  Bytes out(in.size());
+  std::uint8_t block[16];
+  std::uint8_t keystream[16];
+  std::memcpy(block, nonce.data(), 12);
+  for (std::size_t pos = 0; pos < in.size(); pos += 16, ++counter) {
+    for (int i = 0; i < 4; ++i)
+      block[12 + i] = static_cast<std::uint8_t>(counter >> (24 - 8 * i));
+    aes.encrypt_block(block, keystream);
+    for (std::size_t i = 0; i < 16 && pos + i < in.size(); ++i)
+      out[pos + i] = in[pos + i] ^ keystream[i];
+  }
+  return out;
+}
+
+TEST(AesCtr, MatchesEncryptBlockReferenceAtEveryLength) {
+  // Every length 0..300 covers the eight-block batches, single whole
+  // blocks and every partial tail; counter0 = 0xfffffffe crosses the
+  // 32-bit wrap; both buffers sit one byte off their allocation's
+  // alignment.
+  Drbg rng = Drbg::from_seed(12, "aes-ctr-diff");
+  for (const std::size_t key_size : {16u, 32u}) {
+    const Aes aes(rng.generate(key_size));
+    const Bytes nonce = rng.generate(12);
+    const Bytes msg = rng.generate(301);
+    for (const std::uint32_t counter0 : {0u, 0xfffffffeu}) {
+      for (std::size_t len = 0; len <= 300; ++len) {
+        const ByteView in{msg.data() + 1, len};
+        Bytes out(len + 1);
+        aes_ctr_xor(aes, nonce, counter0, in, out.data() + 1);
+        ASSERT_EQ(Bytes(out.begin() + 1, out.end()),
+                  reference_ctr(aes, nonce, counter0, in))
+            << "key " << key_size << " counter0 " << counter0 << " len "
+            << len;
+      }
+    }
+  }
+}
+
+TEST(AesCtr, EmptyInputNeverTouchesOutput) {
+  // Aead::open of an empty ciphertext hands over an empty vector's data(),
+  // which may be null.
+  const Aes aes(Bytes(16, 1));
+  aes_ctr_xor(aes, Bytes(12, 2), 0, ByteView{}, nullptr);
 }
 
 // --- AEAD ---

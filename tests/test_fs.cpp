@@ -157,6 +157,29 @@ TEST(Manifest, EmptyVolumeHasStableRoot) {
   EXPECT_EQ(make_volume(25).manifest_root(), make_volume(26).manifest_root());
 }
 
+// Bytes that outlive a process: policies pin fs_manifest_root and hosts
+// keep sealed volumes across rebuilds, so a round trip is not enough. The
+// root and one sealed blob of a fixed-seed volume are pinned to hex. The
+// 150-byte file is nine whole AES blocks and a 6-byte tail.
+TEST(Manifest, FixedSeedVolumeMatchesGolden) {
+  auto v = make_volume(40);
+  v.write_file("app/main.py", to_bytes("print('hello')"));
+  Bytes table(150);
+  for (std::size_t i = 0; i < table.size(); ++i)
+    table[i] = static_cast<std::uint8_t>(7 * i + 3);
+  v.write_file("data/table.bin", table);
+
+  EXPECT_EQ(v.manifest_root().hex(),
+            "140430b44f1b56589c6f274e194ba19f54c6fcc5bac75aae6a6f929f09849aa6");
+  EXPECT_EQ(to_hex(v.host_blob("data/table.bin")),
+            "809b62ef56ce551e7c1f4f0b1c211dcb55c398ad807f998e182074521447c67c"
+            "65d81eac8be0869a8363699abdb731d29f195aa3fd73d23bfc48b1088ea0d1d0"
+            "fe11a331d7d1a317660cdfff3fe8bdc9a761038b11f39cb8543256d445947d25"
+            "d43cf7cb0f117d0c1bd38f5cf069f60dde21e2324947fe3ee8752d696d5d28d7"
+            "2fae445fe4e6c67e6bbf80b81b3d2c993b22d07a9d2cbcba0b7e8ad5ab432c44"
+            "59d13df3270b82c85ac9f4895d04e7041263");
+}
+
 TEST(EncryptedVolume, TotalBytesCountsPlaintext) {
   auto v = make_volume(27);
   v.write_file("a", Bytes(100, 1));

@@ -245,5 +245,25 @@ TEST(StateFormat, PolicyOnlyExportMatchesGolden) {
             "dea4f113888bc980f7993c0e081fa232841fd520d35c07cb96b5621a864d843a");
 }
 
+// A replica unseals what the previous build sealed, so the sealed blob —
+// counter, nonce, AEAD record — is pinned to hex, not only round-tripped.
+// The 140-byte state is eight whole AES blocks and a 12-byte tail.
+TEST(StateFormat, SealedBlobMatchesGolden) {
+  crypto::Drbg rng = crypto::Drbg::from_seed(66, "golden-seal");
+  const Bytes key = rng.generate(32);
+  MonotonicCounter counter;
+  Bytes state(140);
+  for (std::size_t i = 0; i < state.size(); ++i)
+    state[i] = static_cast<std::uint8_t>(11 * i + 5);
+
+  EXPECT_EQ(to_hex(seal_state(key, counter, state, rng)),
+            "0100000000000000043c03ea479dd1941920a9fb9c00000063da3de7954988b9"
+            "6395bb0e54f8cff0c6dfe7f3e0bdb7ee04d1b198da18219941cb75dce14f8796"
+            "5df0a759d652c7ac3a38856bdcc523c9dba7647081c02dca95cb2e3d69066e6a"
+            "b684cc57b58a6a46899398ecc4e049579a3fa350bd0e91a21e6bbe96911c02f4"
+            "c428a3f360b2dae368336ee3c5ff5b345c18a87de567b4f3fed60c9bcae6ce40"
+            "870751de60c39fc617f0403722cc05cc163336f1");
+}
+
 }  // namespace
 }  // namespace sinclave::cas

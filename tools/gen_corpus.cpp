@@ -191,6 +191,27 @@ int main(int argc, char** argv) {
     const Bytes pt = text("attested plaintext");
     aead.insert(aead.end(), pt.begin(), pt.end());
     write_seed(dir, "aead_roundtrip", aead);
+    // Mode 4: AES-256, counter0 = 0xfffffffe (little-endian u32), one
+    // byte of misalignment, nine whole blocks and a 6-byte tail.
+    Bytes ctr = mode(4);
+    ctr.push_back(1);  // 32-byte key
+    const Bytes aes_key(32, 0x33), ctr_nonce(12, 0x44);
+    ctr.insert(ctr.end(), aes_key.begin(), aes_key.end());
+    ctr.insert(ctr.end(), ctr_nonce.begin(), ctr_nonce.end());
+    const Bytes counter0{0xfe, 0xff, 0xff, 0xff};
+    ctr.insert(ctr.end(), counter0.begin(), counter0.end());
+    ctr.push_back(1);  // offset
+    const Bytes ctr_msg(150, 0x55);
+    ctr.insert(ctr.end(), ctr_msg.begin(), ctr_msg.end());
+    write_seed(dir, "aes_ctr_wrap", ctr);
+    // Mode 5: a key longer than the block (hashed first), split mid-block.
+    Bytes hmac = mode(5);
+    const Bytes long_key = chunk(Bytes(80, 0x66));
+    hmac.insert(hmac.end(), long_key.begin(), long_key.end());
+    const Bytes cut{37, 0, 0, 0};  // little-endian u32
+    hmac.insert(hmac.end(), cut.begin(), cut.end());
+    hmac.insert(hmac.end(), long_msg.begin(), long_msg.end());
+    write_seed(dir, "hmac_long_key", hmac);
   }
 
   // --- fuzz_persistence ---------------------------------------------------

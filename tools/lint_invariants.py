@@ -28,8 +28,8 @@ which files. This linter codifies the four documented ones:
                       helpers in src/common/status.cpp (retry_after_detail,
                       parse_retry_after, breaker_open_detail). No other
                       src/ file may embed the format as a literal.
-  alloc-free          Files on the allocation-free signing hot path
-                      (asserted by tests/test_alloc.cpp's counting
+  alloc-free          Files on the allocation-free signing and volume
+                      hot paths (asserted by tests/test_alloc.cpp's counting
                       operator new) must not contain allocation tokens
                       (new / malloc / make_unique / ...) at all.
   fuzz-coverage       Every attacker-facing decoder — wire types with a
@@ -70,9 +70,11 @@ MUTEX_ALLOWED = {
 
 STATUS_TABLE = "src/common/status.cpp"
 
-# The signing hot path: tests/test_alloc.cpp proves these allocation-free
-# at runtime; the lint proves nobody reintroduces an allocation token.
+# The signing and volume-mount hot paths: tests/test_alloc.cpp proves these
+# allocation-free at runtime; the lint proves nobody reintroduces an
+# allocation token.
 ALLOC_FREE_FILES = (
+    "src/crypto/aes.cpp",
     "src/crypto/bignum.h",
     "src/crypto/bignum.cpp",
     "src/crypto/sha256.cpp",
