@@ -73,10 +73,8 @@ Prepared prepare_session(workload::Testbed& bed,
                          const core::EnclaveImage& image,
                          const sgx::SigStruct& common,
                          const std::string& session, std::uint64_t seed) {
-  cas::InstanceRequest request;
-  request.session_name = session;
-  request.common_sigstruct = common;
-  const cas::InstanceResponse resp = bed.server().handle_instance(request);
+  const cas::InstanceResult resp =
+      bed.make_cas_client().get_instance(session, common);
   if (!resp.ok())
     throw Error("bench: instance retrieval failed: " + resp.status.message());
 

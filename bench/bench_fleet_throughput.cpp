@@ -7,15 +7,16 @@
 // thread, so the old thread-per-request ceiling (workers / backend_io
 // req/s) is gone. Four measurements pin the serving-layer properties down:
 //
-//  1. Cache effect on a single retrieval: a pre-minted cache hit skips
-//     the RSA-CRT signature (~2 ms at the SGX key size; smaller at this
-//     benchmark's 1024-bit keys), the dominant CPU cost of Fig. 7c.
+//  1. Cache effect on a single retrieval through the instance endpoint:
+//     a pre-minted cache hit skips the RSA-CRT signature (~2 ms at the
+//     SGX key size; smaller at this benchmark's 1024-bit keys), the
+//     dominant CPU cost of Fig. 7c.
 //
-//  2. Batched vs serial minting: refills coalesce pool deficit into
-//     CasService::mint_batch calls, paying the per-batch costs (common-
-//     SigStruct verification, RNG lock, verifier id, signature scratch
-//     arena) once per k credentials. Gate: batched per-credential cost
-//     <= serial per-credential cost.
+//  2. Batched vs serial minting: premint() coalesces its credentials
+//     into CasService::mint_batch calls, paying the per-batch costs
+//     (common-SigStruct verification, RNG lock, verifier id, signature
+//     scratch arena) once per k credentials. Gate: batched
+//     per-credential cost <= serial per-credential cost.
 //
 //  3. Closed-loop sync sweep, workers 1 -> 8, on the cached path with a
 //     2 ms simulated backend stall. The event-driven frontend is
@@ -42,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "cas/client.h"
 #include "core/signer.h"
 #include "crypto/sha256.h"
 #include "server/cas_server.h"
@@ -119,21 +121,26 @@ int main(int argc, char** argv) {
     server::CasServerConfig scfg;
     scfg.workers = 1;
     server::CasServer server(&bed.cas(), scfg);
-    cas::InstanceRequest request;
-    request.session_name = sessions[0];
-    request.common_sigstruct = signed_image.sigstruct;
+    server.bind(bed.network(), kAddress);
+    cas::CasClientConfig ccfg;
+    ccfg.address = kAddress;
+    cas::CasClient client(&bed.network(), ccfg);
+    (void)client.connect();  // keep the connect out of the timed calls
+    const auto retrieve = [&] {
+      (void)client.get_instance(sessions[0], signed_image.sigstruct);
+    };
 
     auto t0 = Clock::now();
-    server.handle_instance(request);  // cold: verify + predict + sign
+    retrieve();  // cold: verify + predict + sign
     cold_ms = FpMillis(Clock::now() - t0).count();
 
     t0 = Clock::now();
-    server.handle_instance(request);  // warm memo, still signs
+    retrieve();  // warm memo, still signs
     warm_miss_ms = FpMillis(Clock::now() - t0).count();
 
     server.premint(sessions[0], signed_image.sigstruct, 1);
     t0 = Clock::now();
-    server.handle_instance(request);  // pre-minted: no RSA on the path
+    retrieve();  // pre-minted: no RSA on the path
     hit_ms = FpMillis(Clock::now() - t0).count();
 
     std::printf("single retrieval (rsa-1024):\n");
@@ -142,7 +149,7 @@ int main(int argc, char** argv) {
     std::printf("  pre-minted cache hit      %8.3f ms\n\n", hit_ms);
   }
 
-  // --- 2. batched vs serial minting (the refill path's unit economics) ----
+  // --- 2. batched vs serial minting (premint's unit economics) -----------
   // Interleaved best-of-3 chunks: per-credential cost is a few hundred
   // microseconds, so a transient scheduler stall in one chunk must not
   // decide the comparison.

@@ -160,9 +160,9 @@ class CasService {
   /// Batch mint: `count` credentials with the per-batch costs paid once —
   /// one signer lookup, one common-SigStruct RSA verification, one
   /// verifier-id hash, one RNG critical section, and one Montgomery
-  /// scratch arena shared across all `count` signatures. This is the
-  /// refill path of the serving layer (server::CasServer coalesces pool
-  /// top-ups into batch jobs). Same preconditions as mint_credential.
+  /// scratch arena shared across all `count` signatures. This is how the
+  /// serving layer fills its pool (server::CasServer::premint coalesces
+  /// credentials into batches). Same preconditions as mint_credential.
   std::vector<MintedCredential> mint_batch(
       const Policy& policy, const sgx::SigStruct& common_sigstruct,
       std::size_t count);

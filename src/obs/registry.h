@@ -12,8 +12,7 @@
 //   to_prometheus() — Prometheus text exposition format (TYPE lines,
 //     cumulative _bucket{le=...} series in seconds, _sum/_count),
 //   to_json()       — one JSON object for tooling and the benches,
-//   to_text()       — the human "name value" dump ServerMetrics::render()
-//     used to hand-roll; render() now delegates here.
+//   to_text()       — the human "name value" dump, one pair per line.
 //
 // Collectors run under the registry mutex, which makes teardown exact:
 // remove_collector() returning guarantees no snapshot is still inside the

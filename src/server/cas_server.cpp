@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <thread>
 #include <utility>
 
 #include "core/predictor.h"
@@ -45,15 +44,6 @@ CasServer::CasServer(cas::CasService* cas, CasServerConfig config)
   // channel's own come from CasService's collector).
   collector_id_ = cas_->metrics_registry().add_collector(
       [this](obs::MetricsSnapshot& snap) { metrics_.collect(snap); });
-  if (config_.premint_depth > 0) {
-    // Refills are driven by pool pressure: the cache tells us when a
-    // session dropped below the premint depth; nobody probes depth per
-    // request anymore.
-    sigstruct_cache_.set_low_watermark(
-        config_.premint_depth, [this](const std::string& session) {
-          schedule_refill(session);
-        });
-  }
   if (config_.session_idle_ttl.count() > 0) arm_idle_sweep();
 }
 
@@ -368,37 +358,6 @@ void CasServer::accept_attest(Bytes raw, net::SimNetwork::Completion done) {
   }
 }
 
-cas::InstanceResponse CasServer::handle_instance(
-    const cas::InstanceRequest& request) {
-  static obs::Phase& p_root =
-      obs::Tracer::instance().phase("request_get_instance");
-  static obs::Phase& p_stall =
-      obs::Tracer::instance().phase("backend_stall");
-  const auto start = Clock::now();
-  obs::TraceContext ctx;
-  ctx.trace_id = obs::Tracer::instance().new_trace_id();
-  const std::int64_t start_ns = obs::Tracer::now_ns();
-  obs::TraceScope scope(ctx);
-  ++metrics_.get_instance.requests;
-
-  // Direct synchronous callers pay the stall inline; only the network
-  // path gets the event-driven deferral.
-  if (config_.backend_io.count() > 0) {
-    obs::Span span(p_stall);
-    std::this_thread::sleep_for(config_.backend_io);
-  }
-
-  cas::InstanceResponse resp = serve_instance(request);
-
-  if (!resp.ok()) ++metrics_.get_instance.errors;
-  metrics_.get_instance.latency.record(Clock::now() - start);
-  if (ctx.active()) {
-    obs::Tracer::instance().record_phase_root(p_root, ctx, start_ns,
-                                              obs::Tracer::now_ns());
-  }
-  return resp;
-}
-
 bool CasServer::check_common(const cas::Policy& policy,
                              const cas::InstanceRequest& request,
                              Status* status) {
@@ -482,13 +441,14 @@ cas::InstanceResponse CasServer::serve_instance(
   }
   obs::Span cred_span(p_cred);
 
-  // Pooled credentials self-validate at pop time: a refill racing a
-  // policy update could deposit stale entries after the stale-pool flush.
-  // A credential is served only if (a) its MRENCLAVE re-predicts under
-  // the *current* base hash (~the 32 us predict cost; the ~5 ms signature
-  // stays skipped) and (b) its SigStruct carries exactly the metadata of
-  // the just-verified common one — which catches even a re-signed image
-  // with unchanged base hash and signer.
+  // Pooled credentials self-validate at pop time: a premint() racing
+  // install_policy() can deposit credentials minted under the old policy
+  // after the stale-pool flush. A credential is served only if (a) its
+  // MRENCLAVE re-predicts under the *current* base hash (~the 32 us
+  // predict cost; the ~5 ms signature stays skipped) and (b) its
+  // SigStruct carries exactly the metadata of the just-verified common
+  // one — which catches even a re-signed image with unchanged base hash
+  // and signer.
   const auto valid = [&](const cas::MintedCredential& c) {
     core::InstancePage page;
     page.token = c.token;
@@ -533,68 +493,6 @@ cas::InstanceResponse CasServer::serve_instance(
   return resp;
 }
 
-void CasServer::schedule_refill(const std::string& session) {
-  const std::size_t target = config_.premint_depth;
-  if (!sigstruct_cache_.begin_refill(session)) return;  // refill in flight
-  ++metrics_.refills_scheduled;
-
-  const auto refill = [this, session, target] {
-    try {
-      const auto policy = cas_->get_policy(session);
-      std::optional<VerifiedCommon> common;
-      if (policy.has_value() && policy->base_hash.has_value()) {
-        MutexLock lock(verified_mutex_);
-        const auto it = verified_common_.find(session);
-        if (it != verified_common_.end() &&
-            it->second.base_hash == *policy->base_hash &&
-            it->second.expected_signer == policy->expected_signer)
-          common = it->second;
-      }
-      if (common.has_value()) {
-        // Bounded top-up in batches: each round coalesces the current
-        // deficit (capped by the batch size and by cache capacity — a
-        // refill whose puts only evict someone else's pool, firing their
-        // low-watermark callback and minting forever round-robin, is pure
-        // churn) into one mint_batch call, so the per-batch costs — the
-        // common-SigStruct verification, the RNG lock, the signature
-        // scratch arena — are paid once per k credentials, not per one.
-        // The deficit is measured once at job entry, like the old
-        // per-credential loop: a hot session draining the pool as fast as
-        // we fill it must not pin this worker (and the refill guard) in
-        // here forever — it gets a fresh job from the next low-watermark
-        // event instead. Each chunk re-checks cache capacity (and re-runs
-        // the ~20us cached-context verify inside mint_batch — noise next
-        // to the chunk's signatures) so a refill never overshoots a cache
-        // that filled up meanwhile.
-        const std::size_t have = sigstruct_cache_.pooled(session);
-        std::size_t deficit = have < target ? target - have : 0;
-        while (deficit > 0) {
-          const std::size_t size_now = sigstruct_cache_.size();
-          const std::size_t capacity = sigstruct_cache_.capacity();
-          if (size_now >= capacity) break;
-          const std::size_t want =
-              std::min({deficit, kMintBatch, capacity - size_now});
-          auto batch = cas_->mint_batch(*policy, common->sigstruct, want);
-          ++metrics_.mint_batches;
-          metrics_.preminted_credentials += batch.size();
-          deficit -= batch.size();
-          sigstruct_cache_.put_all(session, std::move(batch));
-        }
-      }
-    } catch (...) {
-      // Refill is best-effort; the serving path mints inline on a miss.
-      // Catch-all, not catch(Error): any escape past end_refill would
-      // leak the guard and starve this session's refills forever.
-    }
-    sigstruct_cache_.end_refill(session);
-  };
-  try {
-    pool_.submit(refill);
-  } catch (const Error&) {
-    sigstruct_cache_.end_refill(session);  // pool shutting down
-  }
-}
-
 std::size_t CasServer::premint(const std::string& session,
                                const sgx::SigStruct& common_sigstruct,
                                std::size_t n) {
@@ -608,8 +506,8 @@ std::size_t CasServer::premint(const std::string& session,
   Status status;
   if (!check_common(*policy, probe, &status)) return 0;
 
-  // Warm-up minting is batched too, chunked so one premint call cannot
-  // monopolize the RNG lock for an unbounded stretch.
+  // Minting is batched, chunked so one premint call cannot monopolize
+  // the RNG lock for an unbounded stretch.
   for (std::size_t minted = 0; minted < n;) {
     const std::size_t want = std::min(kMintBatch, n - minted);
     auto batch = cas_->mint_batch(*policy, common_sigstruct, want);

@@ -24,11 +24,9 @@
 //   * a verify-once memo per session skips the repeat RSA verification of
 //     an already-seen common SigStruct (invalidated when the session's
 //     base hash changes),
-//   * an LRU SigStruct cache (server/sigstruct_cache.h) serves pre-minted
-//     credentials so the hot path skips the RSA-CRT signature; refills are
-//     scheduled by pool pressure — the cache's low-watermark callback
-//     wakes a refiller when a pool runs dry, replacing the per-request
-//     depth probe,
+//   * an LRU SigStruct cache (server/sigstruct_cache.h) serves the
+//     credentials premint() signed ahead of time, so a pooled retrieval
+//     skips the RSA-CRT signature,
 //   * metrics (server/metrics.h): atomic counters, the in-flight gauge +
 //     high-water mark, and latency histograms with p50/p99.
 //
@@ -61,14 +59,9 @@ struct CasServerConfig {
   std::size_t workers = 4;
   /// Total pre-minted credentials held across sessions (LRU-evicted).
   std::size_t sigstruct_cache_capacity = 4096;
-  /// Keep this many credentials pre-minted per hot session: a refill is
-  /// scheduled whenever a session's pool drops below it (0 = no
-  /// background pre-minting; pools can still be warmed via premint()).
-  std::size_t premint_depth = 0;
   /// Simulated per-request backend I/O stall (the storage / attestation-
-  /// provider round trips a production CAS pays per request). On the
-  /// network path the stall parks on the timer wheel — it costs latency,
-  /// never a worker; the direct handle_instance() path sleeps inline.
+  /// provider round trips a production CAS pays per request). The stall
+  /// parks on the timer wheel — it costs latency, never a worker.
   std::chrono::microseconds backend_io{0};
   /// Admission cap on accepted-but-unanswered requests (queued + serving
   /// + stalled), 0 = unbounded. Arrivals beyond it are *shed*: answered
@@ -112,26 +105,20 @@ class CasServer {
   /// (idempotent; also runs on destruction).
   void unbind();
 
-  /// Synchronous fast path for direct callers (benchmarks, tests); the
-  /// backend-I/O stall, if configured, is slept inline here.
-  cas::InstanceResponse handle_instance(const cas::InstanceRequest& request);
-
   /// Warm the SigStruct pool: verify `common_sigstruct` for `session`
   /// once, then mint `n` credentials into the cache. Returns the number
   /// actually minted (0 when the session/sigstruct does not check out).
   std::size_t premint(const std::string& session,
                       const sgx::SigStruct& common_sigstruct, std::size_t n);
 
-  const CasServerConfig& config() const { return config_; }
   ServerMetrics& metrics() { return metrics_; }
   SigStructCache& sigstruct_cache() { return sigstruct_cache_; }
-  ThreadPool& pool() { return pool_; }
   net::TimerWheel& timers() { return timer_; }
 
  private:
   /// A session's verified common SigStruct + the policy facts it was
-  /// checked against (skips repeat RSA verification; feeds background
-  /// refills). Structural comparisons only — no per-request serialization.
+  /// checked against (skips repeat RSA verification). Structural
+  /// comparisons only — no per-request serialization.
   struct VerifiedCommon {
     core::BaseHash base_hash;
     Hash256 expected_signer;
@@ -146,7 +133,7 @@ class CasServer {
   /// Fold one decoded frame's facts into the per-command counters.
   void note_frame(CommandMetrics& command, const cas::FrameInfo& frame);
 
-  // --- the request state machine (network path) ---
+  // --- the request state machine ---
   void accept_instance(Bytes raw, net::SimNetwork::Completion done);
   void accept_attest(Bytes raw, net::SimNetwork::Completion done);
   /// Final stage: record latency, drop the gauge, close the trace (the
@@ -160,16 +147,13 @@ class CasServer {
                const obs::TraceContext& ctx, obs::Phase* root,
                std::int64_t accepted_ns);
 
-  /// Pool-pressure refill scheduler (the SigStructCache low-watermark
-  /// callback lands here).
-  void schedule_refill(const std::string& session);
   /// Self-rescheduling idle-session sweep tick (session_idle_ttl > 0).
   void arm_idle_sweep();
 
-  /// Credentials signed per mint batch: a refill or premint coalesces up
-  /// to this many into one CasService::mint_batch call (one
-  /// common-SigStruct verification, one RNG critical section, one scratch
-  /// arena) and deposits the result under one cache lock.
+  /// Credentials signed per mint batch: premint coalesces up to this
+  /// many into one CasService::mint_batch call (one common-SigStruct
+  /// verification, one RNG critical section, one scratch arena) and
+  /// deposits the result under one cache lock.
   static constexpr std::size_t kMintBatch = 8;
 
   cas::CasService* cas_;

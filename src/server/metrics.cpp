@@ -29,18 +29,11 @@ void ServerMetrics::collect(obs::MetricsSnapshot& snap) const {
   snap.counter("sigstruct_cache_misses", sigstruct_cache_misses.load());
   snap.counter("preminted_credentials", preminted_credentials.load());
   snap.counter("tokens_issued", tokens_issued.load());
-  snap.counter("refills_scheduled", refills_scheduled.load());
   snap.counter("mint_batches", mint_batches.load());
   snap.gauge("requests_in_flight", requests_in_flight.load());
   snap.gauge("max_in_flight", max_in_flight.load());
   snap.counter("requests_shed", requests_shed.load());
   snap.counter("deadline_exceeded", deadline_exceeded.load());
-}
-
-std::string ServerMetrics::render() const {
-  obs::MetricsSnapshot snap;
-  collect(snap);
-  return snap.to_text();
 }
 
 }  // namespace sinclave::server

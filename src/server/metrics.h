@@ -9,7 +9,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 
 #include "obs/histogram.h"
 #include "obs/registry.h"
@@ -32,10 +31,8 @@ struct CommandMetrics {
 
 /// All counters the CAS serving layer exports. Plain atomics — callers
 /// increment directly; export happens through the obs::MetricsRegistry
-/// (collect()) or the legacy text dump (render(), now a thin wrapper
-/// over the registry's text renderer).
-/// (The secure channel's counters live on CasService as the channel_*
-/// series.)
+/// (collect()). (The secure channel's counters live on CasService as the
+/// channel_* series.)
 struct ServerMetrics {
   /// Instance endpoint: singleton retrieval (Command::kGetInstance).
   CommandMetrics get_instance;
@@ -56,10 +53,7 @@ struct ServerMetrics {
   std::atomic<std::uint64_t> sigstruct_cache_misses{0};
   std::atomic<std::uint64_t> preminted_credentials{0};
   std::atomic<std::uint64_t> tokens_issued{0};
-  /// Refill jobs scheduled by pool-pressure (low-watermark) events.
-  std::atomic<std::uint64_t> refills_scheduled{0};
-  /// Batch mint calls issued by the pooling paths — refill jobs and
-  /// premint() warm-up alike (each batch signs up to
+  /// Batch mint calls issued by premint() (each batch signs up to
   /// CasServer::kMintBatch credentials in one go).
   std::atomic<std::uint64_t> mint_batches{0};
 
@@ -89,10 +83,6 @@ struct ServerMetrics {
   /// Copies every counter/gauge/histogram into a registry snapshot; the
   /// collector CasServer registers forwards here.
   void collect(obs::MetricsSnapshot& snap) const;
-
-  /// Human-readable dump (one "name value" pair per line) — the registry
-  /// text renderer over collect().
-  std::string render() const;
 };
 
 }  // namespace sinclave::server

@@ -5,13 +5,6 @@ namespace sinclave::server {
 SigStructCache::SigStructCache(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
-void SigStructCache::set_low_watermark(std::size_t watermark,
-                                       LowWatermarkCallback callback) {
-  MutexLock lock(mutex_);
-  watermark_ = watermark;
-  low_watermark_ = std::move(callback);
-}
-
 SigStructCache::SessionPool& SigStructCache::touch(
     const std::string& session) {
   auto it = pools_.find(session);
@@ -25,7 +18,7 @@ SigStructCache::SessionPool& SigStructCache::touch(
   return *it->second;
 }
 
-void SigStructCache::evict_over_capacity(std::vector<std::string>* starved) {
+void SigStructCache::evict_over_capacity() {
   // Walk sessions from least recently used, discarding their oldest
   // pre-minted credentials. Unissued tokens were never registered, so a
   // discarded credential is dead weight, not a dangling capability. Pools
@@ -37,19 +30,14 @@ void SigStructCache::evict_over_capacity(std::vector<std::string>* starved) {
     const std::string victim = *it;
     const std::shared_ptr<SessionPool> pool = pools_.at(victim);
     bool empty;
-    std::size_t remaining;
     {
       MutexLock pool_lock(pool->mutex);
       while (total_.load() > capacity_ && !pool->credentials.empty()) {
         pool->credentials.pop_front();
         --total_;
-        ++evictions_;
       }
-      remaining = pool->credentials.size();
-      empty = remaining == 0;
+      empty = pool->credentials.empty();
     }
-    if (watermark_ > 0 && remaining < watermark_ && low_watermark_)
-      starved->push_back(victim);
     if (empty) {
       pools_.erase(victim);
       it = lru_.erase(it);
@@ -75,34 +63,16 @@ void SigStructCache::erase_if_drained(const std::string& session) {
   }
 }
 
-void SigStructCache::notify_starved(const std::vector<std::string>& starved) {
-  // Copy of the callback not needed: set_low_watermark is a setup-time
-  // call (documented), so reading low_watermark_ unlocked here would still
-  // be safe — but take the cheap lock to keep TSAN and future callers
-  // honest. The callback itself runs outside every cache lock.
-  LowWatermarkCallback callback;
-  {
-    MutexLock lock(mutex_);
-    callback = low_watermark_;
-  }
-  if (!callback) return;
-  for (const auto& session : starved) callback(session);
-}
-
 void SigStructCache::put(const std::string& session,
                          cas::MintedCredential credential) {
-  std::vector<std::string> starved;
+  MutexLock lock(mutex_);
+  SessionPool& pool = touch(session);
   {
-    MutexLock lock(mutex_);
-    SessionPool& pool = touch(session);
-    {
-      MutexLock pool_lock(pool.mutex);
-      pool.credentials.push_back(std::move(credential));
-      ++total_;
-    }
-    if (total_.load() > capacity_) evict_over_capacity(&starved);
+    MutexLock pool_lock(pool.mutex);
+    pool.credentials.push_back(std::move(credential));
+    ++total_;
   }
-  notify_starved(starved);
+  if (total_.load() > capacity_) evict_over_capacity();
 }
 
 std::size_t SigStructCache::put_all(
@@ -110,19 +80,15 @@ std::size_t SigStructCache::put_all(
     std::vector<cas::MintedCredential> credentials) {
   if (credentials.empty()) return 0;
   const std::size_t n = credentials.size();
-  std::vector<std::string> starved;
+  MutexLock lock(mutex_);
+  SessionPool& pool = touch(session);
   {
-    MutexLock lock(mutex_);
-    SessionPool& pool = touch(session);
-    {
-      MutexLock pool_lock(pool.mutex);
-      for (cas::MintedCredential& credential : credentials)
-        pool.credentials.push_back(std::move(credential));
-      total_ += n;
-    }
-    if (total_.load() > capacity_) evict_over_capacity(&starved);
+    MutexLock pool_lock(pool.mutex);
+    for (cas::MintedCredential& credential : credentials)
+      pool.credentials.push_back(std::move(credential));
+    total_ += n;
   }
-  notify_starved(starved);
+  if (total_.load() > capacity_) evict_over_capacity();
   return n;
 }
 
@@ -135,82 +101,51 @@ std::optional<cas::MintedCredential> SigStructCache::take_if(
     const std::string& session,
     const std::function<bool(const cas::MintedCredential&)>& valid) {
   std::shared_ptr<SessionPool> pool;
-  std::size_t watermark = 0;
   {
     MutexLock lock(mutex_);
-    watermark = watermark_;
     const auto it = pools_.find(session);
-    if (it != pools_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second->lru_position);
-      pool = it->second;
-    }
+    if (it == pools_.end()) return std::nullopt;
+    lru_.splice(lru_.begin(), lru_, it->second->lru_position);
+    pool = it->second;
   }
   std::optional<cas::MintedCredential> result;
-  std::size_t remaining = 0;
-  if (pool != nullptr) {
+  bool drained;
+  {
     MutexLock pool_lock(pool->mutex);
+    // Credentials `valid` rejects are stale: discarded, not served.
     while (!pool->credentials.empty()) {
       cas::MintedCredential cred = std::move(pool->credentials.front());
       pool->credentials.pop_front();
       --total_;
       if (!valid || valid(cred)) {
-        ++hits_;
         result = std::move(cred);
         break;
       }
-      ++evictions_;  // stale: discarded, not served
     }
-    remaining = pool->credentials.size();
+    drained = pool->credentials.empty();
   }
-  if (!result.has_value()) ++misses_;
-  if (pool != nullptr && remaining == 0) erase_if_drained(session);
-  // Pool pressure is signalled on the way *down* — a take (hit or miss)
-  // that leaves the session under the watermark wakes the refiller, so no
-  // request path ever has to probe pool depth.
-  if (watermark > 0 && remaining < watermark)
-    notify_starved({session});
+  if (drained) erase_if_drained(session);
   return result;
 }
 
-bool SigStructCache::contains(const std::string& session,
-                              const sgx::Measurement& mr_enclave) const {
-  std::shared_ptr<SessionPool> pool;
-  {
-    MutexLock lock(mutex_);
-    const auto it = pools_.find(session);
-    if (it == pools_.end()) return false;
-    pool = it->second;
-  }
-  MutexLock pool_lock(pool->mutex);
-  for (const auto& cred : pool->credentials)
-    if (cred.mr_enclave == mr_enclave) return true;
-  return false;
-}
-
 std::size_t SigStructCache::flush(const std::string& session) {
-  std::size_t n = 0;
-  std::size_t watermark = 0;
+  MutexLock lock(mutex_);
+  const auto it = pools_.find(session);
+  if (it == pools_.end()) return 0;
+  // Local shared_ptr keeps the pool (and its locked mutex) alive past the
+  // map erase below.
+  const std::shared_ptr<SessionPool> pool = it->second;
+  std::size_t n;
   {
-    MutexLock lock(mutex_);
-    watermark = watermark_;
-    const auto it = pools_.find(session);
-    if (it == pools_.end()) return 0;
-    // Local shared_ptr keeps the pool (and its locked mutex) alive past
-    // the map erase below.
-    const std::shared_ptr<SessionPool> pool = it->second;
-    {
-      MutexLock pool_lock(pool->mutex);
-      n = pool->credentials.size();
-      pool->credentials.clear();
-      total_ -= n;
-      evictions_ += n;
-    }
-    // Drained by definition — erase inline rather than re-acquiring the
-    // locks through erase_if_drained.
-    lru_.erase(pool->lru_position);
-    pools_.erase(it);
+    MutexLock pool_lock(pool->mutex);
+    n = pool->credentials.size();
+    pool->credentials.clear();
+    total_ -= n;
   }
-  if (watermark > 0) notify_starved({session});
+  // Drained by definition — erase inline rather than re-acquiring the
+  // locks through erase_if_drained.
+  lru_.erase(pool->lru_position);
+  pools_.erase(it);
   return n;
 }
 
@@ -229,16 +164,6 @@ std::size_t SigStructCache::pooled(const std::string& session) const {
 std::size_t SigStructCache::sessions() const {
   MutexLock lock(mutex_);
   return pools_.size();
-}
-
-bool SigStructCache::begin_refill(const std::string& session) {
-  MutexLock lock(mutex_);
-  return refilling_.insert(session).second;
-}
-
-void SigStructCache::end_refill(const std::string& session) {
-  MutexLock lock(mutex_);
-  refilling_.erase(session);
 }
 
 }  // namespace sinclave::server

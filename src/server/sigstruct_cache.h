@@ -2,13 +2,13 @@
 //
 // Every singleton enclave needs a unique MRENCLAVE, so an on-demand
 // SigStruct can never be *reused* — a "cache hit" here means the ~5 ms
-// RSA-CRT signature was already paid ahead of time: workers pre-mint
-// credentials (token + predicted MRENCLAVE + signed SigStruct) into
-// per-session pools during idle cycles, and a retrieval pops one instead
-// of signing inline. One-time-token and singleton accounting are untouched:
-// a pooled credential's token is registered with CasService only at the
-// moment it is issued, and registered exactly once because the pop under
-// the per-session lock hands each credential to exactly one request.
+// RSA-CRT signature was already paid ahead of time: CasServer::premint
+// signs credentials (token + predicted MRENCLAVE + signed SigStruct) into
+// per-session pools, and a retrieval pops one instead of signing inline.
+// One-time-token and singleton accounting are untouched: a pooled
+// credential's token is registered with CasService only at the moment it
+// is issued, and registered exactly once because the pop under the
+// per-session lock hands each credential to exactly one request.
 //
 // Entries are keyed by (session, predicted MRENCLAVE); capacity is bounded
 // across sessions, and the pool of the least-recently-served session is
@@ -16,18 +16,9 @@
 // were never registered, so nothing can spend them). A session pool drained
 // to zero — by eviction, take, or flush — is erased outright, so the
 // session map is bounded by live credentials, not by sessions ever served.
-//
-// Refill coordination is event-driven: the serving layer registers a
-// low-watermark callback and is notified — outside every cache lock —
-// whenever a pool's depth falls below the watermark (take, flush, or
-// eviction), instead of probing pool depth on each request. The
-// begin/end_refill guard that serializes refillers per session lives
-// *outside* the evictable pool state on purpose: evicting and recreating a
-// session's pool must not reset the guard of a refill still in flight.
 #pragma once
 
 #include <atomic>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <list>
@@ -35,7 +26,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cas/service.h"
@@ -47,23 +37,14 @@ class SigStructCache {
  public:
   explicit SigStructCache(std::size_t capacity = 4096);
 
-  /// Pool-pressure notification: invoked with the session name whenever a
-  /// pool's depth drops below `watermark` (after a take, flush, or
-  /// eviction — including a take that misses outright). Runs outside all
-  /// cache locks; it may re-enter the cache freely. One callback at a
-  /// time; set before concurrent use begins.
-  using LowWatermarkCallback = std::function<void(const std::string& session)>;
-  void set_low_watermark(std::size_t watermark, LowWatermarkCallback callback)
-      EXCLUDES(mutex_);
-
   /// Deposit a pre-minted, not-yet-issued credential for `session`.
   /// May evict from the least-recently-used session if over capacity.
   void put(const std::string& session, cas::MintedCredential credential)
       EXCLUDES(mutex_);
 
-  /// Deposit a whole refill batch under one lock acquisition (the batched
-  /// mint path). Eviction and low-watermark notification behave exactly
-  /// like a sequence of put()s. Returns the number deposited.
+  /// Deposit a whole mint batch under one lock acquisition. Eviction
+  /// behaves exactly like a sequence of put()s. Returns the number
+  /// deposited.
   std::size_t put_all(const std::string& session,
                       std::vector<cas::MintedCredential> credentials)
       EXCLUDES(mutex_);
@@ -74,17 +55,13 @@ class SigStructCache {
       EXCLUDES(mutex_);
 
   /// Like take(), but pops until `valid` accepts a credential. Rejected
-  /// credentials are discarded and counted as evictions, not hits — this
-  /// is how the serving layer drops entries a racing policy update made
-  /// stale. `valid` runs under the per-session lock; keep it cheap.
+  /// credentials are discarded — this is how the serving layer drops
+  /// entries a racing policy update made stale. `valid` runs under the
+  /// per-session lock; keep it cheap.
   std::optional<cas::MintedCredential> take_if(
       const std::string& session,
       const std::function<bool(const cas::MintedCredential&)>& valid)
       EXCLUDES(mutex_);
-
-  /// Whether a credential with this predicted MRENCLAVE is pooled.
-  bool contains(const std::string& session,
-                const sgx::Measurement& mr_enclave) const EXCLUDES(mutex_);
 
   /// Discard every pooled credential of one session (policy update made
   /// them stale). Returns the number discarded.
@@ -96,16 +73,6 @@ class SigStructCache {
   std::size_t capacity() const { return capacity_; }
   /// Distinct sessions currently holding a pool (bounded by eviction).
   std::size_t sessions() const EXCLUDES(mutex_);
-
-  std::uint64_t hits() const { return hits_.load(); }
-  std::uint64_t misses() const { return misses_.load(); }
-  std::uint64_t evictions() const { return evictions_.load(); }
-
-  /// Begin-refill guard: true at most once per session until end_refill.
-  /// Lets exactly one worker top up a session's pool at a time. The guard
-  /// survives eviction of the session's pool (see header comment).
-  bool begin_refill(const std::string& session) EXCLUDES(mutex_);
-  void end_refill(const std::string& session) EXCLUDES(mutex_);
 
  private:
   struct SessionPool {
@@ -119,35 +86,20 @@ class SigStructCache {
 
   /// Find-or-create the session pool and mark it most recently used.
   SessionPool& touch(const std::string& session) REQUIRES(mutex_);
-  /// Sessions whose pools dropped below the watermark are appended to
-  /// `starved` for the caller to notify after releasing the locks.
-  void evict_over_capacity(std::vector<std::string>* starved)
-      REQUIRES(mutex_);
-  /// Fire the low-watermark callback for each starved session, outside
-  /// all cache locks.
-  void notify_starved(const std::vector<std::string>& starved)
-      REQUIRES_NOT(mutex_);
+  void evict_over_capacity() REQUIRES(mutex_);
   /// Erase `session`'s pool if it holds no credentials (keeps the session
-  /// map bounded; the refill guard is elsewhere and unaffected).
+  /// map bounded).
   void erase_if_drained(const std::string& session) REQUIRES_NOT(mutex_);
 
   const std::size_t capacity_;
-  // Guards pools_ map + lru_ list + refilling_ + the watermark pair.
+  // Guards pools_ map + lru_ list.
   mutable Mutex mutex_{LockRank::kSigstructCache, "server.sigstruct_cache"};
   // shared_ptr (not unique_ptr): take_if works on the pool outside mutex_,
   // and eviction may erase the map entry meanwhile.
   std::unordered_map<std::string, std::shared_ptr<SessionPool>> pools_
       GUARDED_BY(mutex_);
   std::list<std::string> lru_ GUARDED_BY(mutex_);
-  /// Sessions with a refill in flight — deliberately not part of the
-  /// evictable SessionPool (end_refill must find it after eviction).
-  std::unordered_set<std::string> refilling_ GUARDED_BY(mutex_);
-  std::size_t watermark_ GUARDED_BY(mutex_) = 0;
-  LowWatermarkCallback low_watermark_ GUARDED_BY(mutex_);
   std::atomic<std::size_t> total_{0};
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> evictions_{0};
 };
 
 }  // namespace sinclave::server

@@ -188,11 +188,10 @@ ChaosScenarioResult scenario_mid_handshake(const ChaosConfig& cfg) {
   // Honest preparation (no faults yet): one token + booted enclave each.
   std::vector<core::AttestationToken> tokens;
   std::vector<sgx::SgxCpu::EnclaveId> enclaves;
+  cas::CasClient preparer = fx.bed.make_cas_client();
   for (std::size_t t = 0; t < n; ++t) {
-    cas::InstanceRequest req;
-    req.session_name = kSession;
-    req.common_sigstruct = fx.signed_image.sigstruct;
-    const cas::InstanceResponse resp = fx.bed.server().handle_instance(req);
+    const cas::InstanceResult resp =
+        preparer.get_instance(kSession, fx.signed_image.sigstruct);
     if (!resp.ok()) {
       r.failures.push_back("honest token preparation failed");
       return r;
@@ -295,11 +294,10 @@ ChaosScenarioResult scenario_replay_storm(const ChaosConfig& cfg) {
     std::size_t token_index = 0;
   };
   std::vector<Attempt> attempts;
+  cas::CasClient preparer = fx.bed.make_cas_client();
   for (std::size_t t = 0; t < n; ++t) {
-    cas::InstanceRequest req;
-    req.session_name = kSession;
-    req.common_sigstruct = fx.signed_image.sigstruct;
-    const cas::InstanceResponse resp = fx.bed.server().handle_instance(req);
+    const cas::InstanceResult resp =
+        preparer.get_instance(kSession, fx.signed_image.sigstruct);
     if (!resp.ok()) {
       r.failures.push_back("honest token preparation failed");
       return r;
@@ -398,10 +396,8 @@ ChaosScenarioResult scenario_byzantine(const ChaosConfig& cfg) {
   attack::register_report_server(fx.bed.programs());
 
   // A token the adversary observed honestly — replay fodder.
-  cas::InstanceRequest req;
-  req.session_name = kSession;
-  req.common_sigstruct = fx.signed_image.sigstruct;
-  const cas::InstanceResponse observed = fx.bed.server().handle_instance(req);
+  const cas::InstanceResult observed = fx.bed.make_cas_client().get_instance(
+      kSession, fx.signed_image.sigstruct);
   if (!observed.ok()) {
     r.failures.push_back("honest token preparation failed");
     return r;

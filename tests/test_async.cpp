@@ -410,23 +410,5 @@ TEST_F(AsyncServingTest, UnbindCompletesParkedRequests) {
   EXPECT_TRUE(was_ok);
 }
 
-// Pool pressure drives refills: no request probes depth, yet the pool
-// stays warm after traffic draws it below the watermark.
-TEST_F(AsyncServingTest, LowWatermarkRefillKeepsPoolWarmOverTheNetwork) {
-  install("s");
-  server::CasServerConfig cfg;
-  cfg.workers = 2;
-  cfg.premint_depth = 4;
-  server::CasServer server(&bed_.cas(), cfg);
-  server.bind(bed_.network(), kAddress);
-
-  cas::CasClient client(&bed_.network(),
-                        cas::CasClientConfig{.address = kAddress, .retry = {}});
-  ASSERT_TRUE(client.get_instance("s", signed_.sigstruct).ok());
-  server.pool().drain();
-  EXPECT_EQ(server.sigstruct_cache().pooled("s"), 4u);
-  EXPECT_GE(server.metrics().refills_scheduled.load(), 1u);
-}
-
 }  // namespace
 }  // namespace sinclave

@@ -1,7 +1,7 @@
 // Unit tests for the CAS verifier service: policy persistence, the
-// instance (token issuance) endpoint served by server::CasServer's direct
-// path, attestation verdicts, and token accounting — without the full
-// runtime stack.
+// instance (token issuance) endpoint served by a bound server::CasServer
+// and reached through cas::CasClient, attestation verdicts, and token
+// accounting — without the full runtime stack.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "cas/client.h"
 #include "cas/service.h"
 #include "common/serial.h"
 #include "core/predictor.h"
@@ -45,7 +46,10 @@ class CasTest : public ::testing::Test {
         signed_(signer_.sign_sinclave(image_)),
         server_(&cas_, server::CasServerConfig{.workers = 1}) {
     cas_.add_signer_key(signer_key_);
+    server_.bind(net_, kAddress);
   }
+
+  static constexpr const char* kAddress = "cas.test";
 
   Policy singleton_policy(const std::string& name) {
     Policy p;
@@ -57,11 +61,16 @@ class CasTest : public ::testing::Test {
     return p;
   }
 
-  InstanceRequest request(const std::string& name) {
-    InstanceRequest r;
-    r.session_name = name;
-    r.common_sigstruct = signed_.sigstruct;
-    return r;
+  /// One retrieval from the server bound at `address`.
+  InstanceResult retrieve(const std::string& name,
+                          const sgx::SigStruct& common,
+                          const std::string& address = kAddress) {
+    CasClientConfig config;
+    config.address = address;
+    return CasClient(&net_, config).get_instance(name, common);
+  }
+  InstanceResult retrieve(const std::string& name) {
+    return retrieve(name, signed_.sigstruct);
   }
 
   crypto::Drbg rng_;
@@ -71,6 +80,7 @@ class CasTest : public ::testing::Test {
   core::EnclaveImage image_;
   core::Signer signer_;
   core::SinclaveSignedImage signed_;
+  net::SimNetwork net_;  // outlives server_, which unbinds from it
   server::CasServer server_;
 };
 
@@ -81,7 +91,7 @@ TEST_F(CasTest, VerifierIdIsIdentityHash) {
 
 TEST_F(CasTest, InstanceRequestHappyPath) {
   cas_.install_policy(singleton_policy("s"));
-  const InstanceResponse resp = server_.handle_instance(request("s"));
+  const InstanceResult resp = retrieve("s");
   ASSERT_TRUE(resp.ok()) << resp.status.message();
   EXPECT_EQ(resp.status.code, StatusCode::kOk);
   EXPECT_FALSE(resp.token.is_zero());
@@ -96,7 +106,7 @@ TEST_F(CasTest, InstanceRequestHappyPath) {
 }
 
 TEST_F(CasTest, InstanceRequestUnknownSession) {
-  const InstanceResponse resp = server_.handle_instance(request("nope"));
+  const InstanceResult resp = retrieve("nope");
   EXPECT_FALSE(resp.ok());
   EXPECT_EQ(resp.status.code, StatusCode::kUnknownSession);
   // The human-readable message comes from the shared code->message table.
@@ -111,7 +121,7 @@ TEST_F(CasTest, InstanceRequestBaselineSessionRefused) {
   p.base_hash.reset();
   p.expected_mr_enclave = signed_.sigstruct.enclave_hash;
   cas_.install_policy(p);
-  const InstanceResponse resp = server_.handle_instance(request("base"));
+  const InstanceResult resp = retrieve("base");
   EXPECT_FALSE(resp.ok());
   EXPECT_EQ(resp.status.code, StatusCode::kNotSingleton);
 }
@@ -122,7 +132,8 @@ TEST_F(CasTest, InstanceRequestNeedsSignerKey) {
                   crypto::Drbg::from_seed(7, "bare"));
   bare.install_policy(singleton_policy("s"));
   server::CasServer bare_server(&bare, server::CasServerConfig{.workers = 1});
-  const InstanceResponse resp = bare_server.handle_instance(request("s"));
+  bare_server.bind(net_, "cas.bare");
+  const InstanceResult resp = retrieve("s", signed_.sigstruct, "cas.bare");
   EXPECT_FALSE(resp.ok());
   EXPECT_EQ(resp.status.code, StatusCode::kNoSignerKey);
   EXPECT_EQ(resp.status.message(), "no signer key uploaded for this session");
@@ -130,9 +141,9 @@ TEST_F(CasTest, InstanceRequestNeedsSignerKey) {
 
 TEST_F(CasTest, InstanceRequestRejectsTamperedSigstruct) {
   cas_.install_policy(singleton_policy("s"));
-  InstanceRequest req = request("s");
-  req.common_sigstruct.signature[3] ^= 1;
-  const InstanceResponse resp = server_.handle_instance(req);
+  sgx::SigStruct tampered = signed_.sigstruct;
+  tampered.signature[3] ^= 1;
+  const InstanceResult resp = retrieve("s", tampered);
   EXPECT_FALSE(resp.ok());
   EXPECT_EQ(resp.status.code, StatusCode::kBadSignature);
 }
@@ -142,9 +153,8 @@ TEST_F(CasTest, InstanceRequestRejectsForeignSigner) {
   auto other_key = crypto::RsaKeyPair::generate(rng_, 1024);
   cas_.add_signer_key(other_key);
   core::Signer other_signer(&other_key);
-  InstanceRequest req = request("s");
-  req.common_sigstruct = other_signer.sign_sinclave(image_).sigstruct;
-  const InstanceResponse resp = server_.handle_instance(req);
+  const InstanceResult resp =
+      retrieve("s", other_signer.sign_sinclave(image_).sigstruct);
   EXPECT_FALSE(resp.ok());
   EXPECT_EQ(resp.status.code, StatusCode::kWrongSigner);
 }
@@ -153,9 +163,8 @@ TEST_F(CasTest, InstanceRequestRejectsWrongBaseImage) {
   cas_.install_policy(singleton_policy("s"));
   core::EnclaveImage other = image_;
   other.code[0] ^= 1;
-  InstanceRequest req = request("s");
-  req.common_sigstruct = signer_.sign_sinclave(other).sigstruct;
-  const InstanceResponse resp = server_.handle_instance(req);
+  const InstanceResult resp =
+      retrieve("s", signer_.sign_sinclave(other).sigstruct);
   EXPECT_FALSE(resp.ok());
   EXPECT_EQ(resp.status.code, StatusCode::kBaseHashMismatch);
   EXPECT_NE(resp.status.message().find("base hash"), std::string::npos);
@@ -203,8 +212,8 @@ TEST_F(CasTest, MintBatchEdgeCases) {
 
 TEST_F(CasTest, TokensAreUniqueAndTracked) {
   cas_.install_policy(singleton_policy("s"));
-  const auto a = server_.handle_instance(request("s"));
-  const auto b = server_.handle_instance(request("s"));
+  const auto a = retrieve("s");
+  const auto b = retrieve("s");
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_NE(a.token, b.token);
   EXPECT_EQ(cas_.tokens_outstanding(), 2u);
@@ -214,7 +223,7 @@ TEST_F(CasTest, TokensAreUniqueAndTracked) {
 TEST_F(CasTest, PhasesRecordedForInstanceRequest) {
   cas_.install_policy(singleton_policy("s"));
   obs::Tracer::instance().reset_phases();
-  ASSERT_TRUE(server_.handle_instance(request("s")).ok());
+  ASSERT_TRUE(retrieve("s").ok());
   const auto total = phase_stats("request_get_instance");
   const auto mint = phase_stats("mint");
   const auto sign = phase_stats("sign");
@@ -244,11 +253,8 @@ TEST_F(CasTest, PolicyReplaceTakesEffect) {
   cas_.install_policy(p2);
 
   // Old binary refused, new binary accepted.
-  EXPECT_FALSE(server_.handle_instance(request("s")).ok());
-  InstanceRequest req;
-  req.session_name = "s";
-  req.common_sigstruct = signed_v2.sigstruct;
-  EXPECT_TRUE(server_.handle_instance(req).ok());
+  EXPECT_FALSE(retrieve("s").ok());
+  EXPECT_TRUE(retrieve("s", signed_v2.sigstruct).ok());
 }
 
 // --- striped token-spend store ---
@@ -288,6 +294,9 @@ TEST(CasTokenStripes, ExactlyOnceSpendUnderCrossStripeRaces) {
   net::SimNetwork net;
   server::CasServer server(&cas, server::CasServerConfig{.workers = 2});
   server.bind(net, "cas");
+  CasClientConfig retriever_config;
+  retriever_config.address = "cas";
+  CasClient retriever(&net, retriever_config);
 
   constexpr int kTokens = 8;
   constexpr int kRacersPerToken = 2;
@@ -298,10 +307,8 @@ TEST(CasTokenStripes, ExactlyOnceSpendUnderCrossStripeRaces) {
   };
   std::vector<Attempt> attempts;
   for (int t = 0; t < kTokens; ++t) {
-    InstanceRequest req;
-    req.session_name = "race";
-    req.common_sigstruct = signed_image.sigstruct;
-    const InstanceResponse resp = server.handle_instance(req);
+    const InstanceResult resp =
+        retriever.get_instance("race", signed_image.sigstruct);
     ASSERT_TRUE(resp.ok());
     core::InstancePage page;
     page.token = resp.token;

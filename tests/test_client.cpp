@@ -52,6 +52,12 @@ class CasClientTest : public ::testing::Test {
     bed_.cas().install_policy(p);
   }
 
+  /// What a fake listener answers once it serves for real: the raw frame,
+  /// relayed to the bed's own server.
+  Bytes forward_to_bed(ByteView raw) {
+    return bed_.network().connect(bed_.cas_address() + ".instance").call(raw);
+  }
+
   workload::Testbed bed_;
   core::EnclaveImage image_;
   core::Signer signer_;
@@ -94,16 +100,10 @@ TEST_F(CasClientTest, RetryableServerStatusIsRetriedUntilItClears) {
   // the brownout a replicated CAS will produce during failover.
   std::atomic<int> calls{0};
   bed_.network().listen("flaky.instance", [&](ByteView raw) {
-    const Envelope env = Envelope::deserialize(raw);
-    ++calls;
+    if (++calls > 2) return forward_to_bed(raw);
     InstanceResponse resp;
-    if (calls.load() <= 2) {
-      resp.status = Status(StatusCode::kUnavailable);
-    } else {
-      resp = bed_.server().handle_instance(
-          InstanceRequest::deserialize(env.payload));
-    }
-    return env.reply(resp.serialize()).serialize();
+    resp.status = Status(StatusCode::kUnavailable);
+    return Envelope::deserialize(raw).reply(resp.serialize()).serialize();
   });
 
   CasClient client(&bed_.network(),
@@ -447,17 +447,11 @@ TEST_F(CasClientTest, RetryAfterHintPacesTheNextAttempt) {
   // near-zero) jitter window.
   std::atomic<int> calls{0};
   bed_.network().listen("shedding.instance", [&](ByteView raw) {
-    const Envelope env = Envelope::deserialize(raw);
-    ++calls;
+    if (++calls > 2) return forward_to_bed(raw);
     InstanceResponse resp;
-    if (calls.load() <= 2) {
-      resp.status = Status(StatusCode::kUnavailable,
-                           retry_after_detail(std::chrono::milliseconds(25)));
-    } else {
-      resp = bed_.server().handle_instance(
-          InstanceRequest::deserialize(env.payload));
-    }
-    return env.reply(resp.serialize()).serialize();
+    resp.status = Status(StatusCode::kUnavailable,
+                         retry_after_detail(std::chrono::milliseconds(25)));
+    return Envelope::deserialize(raw).reply(resp.serialize()).serialize();
   });
 
   // Sanity: the hint round-trips through the canonical composer/parser.
@@ -505,14 +499,8 @@ TEST_F(CasClientTest, BreakerOpensFailsFastAndClosesOnAHealthyProbe) {
 
   // The service comes back; after the cooldown the next operation probes
   // the wire, succeeds, and the breaker closes (no further trips).
-  bed_.network().listen("late.instance", [&](ByteView raw) {
-    const Envelope env = Envelope::deserialize(raw);
-    return env
-        .reply(bed_.server()
-                   .handle_instance(InstanceRequest::deserialize(env.payload))
-                   .serialize())
-        .serialize();
-  });
+  bed_.network().listen("late.instance",
+                        [&](ByteView raw) { return forward_to_bed(raw); });
   std::this_thread::sleep_for(40ms);
   const InstanceResult probe = client.get_instance("s", signed_.sigstruct);
   ASSERT_TRUE(probe.ok()) << probe.status.message();
