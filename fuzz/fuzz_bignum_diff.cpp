@@ -1,14 +1,20 @@
 // Differential oracle for the Montgomery fast paths.
 //
-// The Montgomery context (fixed-window exponentiation, CIOS multiply,
-// fold-based reduction) is the optimized engine under every RSA and DH
-// operation in the repository; its reference is a naive square-and-
-// multiply over BigInt's schoolbook multiply and long division — two
-// independent code paths that must agree on every input. Operand sizes
-// are clamped (modulus <= 24 bytes, exponent <= 8) so one iteration stays
-// microseconds, letting the fuzzer explore limb-boundary shapes instead
-// of burning time on huge numbers.
+// The Montgomery context (fixed-window exponentiation, product-then-REDC
+// multiply and squaring, fold-based reduction) is the optimized engine
+// under every RSA and DH operation in the repository; its reference is a
+// naive square-and-multiply over BigInt's schoolbook multiply and long
+// division — two independent code paths that must agree on every input.
+// Operand sizes are clamped (modulus <= 24 bytes for the exponentiations,
+// <= 80 bytes for mul_mod and reduce, exponent <= 8) so one iteration
+// stays well under a millisecond, letting the fuzzer explore
+// limb-boundary shapes instead of burning time on huge numbers. Mode 5
+// checks the dispatched multiply-accumulate row (MULX/ADCX/ADOX where the
+// CPU has it) against the portable row directly, over lengths up to 64
+// limbs, so its 8-limb loop and every tail length are reachable.
 #include "harnesses.h"
+
+#include <algorithm>
 
 #include "common/error.h"
 #include "crypto/bignum.h"
@@ -45,7 +51,7 @@ int run_bignum_diff(const std::uint8_t* data, std::size_t size) {
   FuzzInput in(data, size);
   const std::uint8_t mode = in.u8();
 
-  switch (mode % 5) {
+  switch (mode % 6) {
     case 0: {
       const BigInt m = odd_modulus(in, 24);
       const BigInt base = BigInt::from_bytes_be(in.take(1 + in.below(48)));
@@ -65,17 +71,17 @@ int run_bignum_diff(const std::uint8_t* data, std::size_t size) {
       break;
     }
     case 2: {
-      const BigInt m = odd_modulus(in, 24);
-      const BigInt a = BigInt::from_bytes_be(in.take(1 + in.below(48)));
-      const BigInt b = BigInt::from_bytes_be(in.take(1 + in.below(48)));
+      const BigInt m = odd_modulus(in, 80);
+      const BigInt a = BigInt::from_bytes_be(in.take(1 + in.below(96)));
+      const BigInt b = BigInt::from_bytes_be(in.take(1 + in.below(96)));
       const Montgomery mont(m);
       require(mont.mul_mod(a, b) == (a * b).mod(m),
               "Montgomery mul_mod disagrees with schoolbook multiply");
       break;
     }
     case 3: {
-      const BigInt m = odd_modulus(in, 24);
-      const BigInt v = BigInt::from_bytes_be(in.take(1 + in.below(96)));
+      const BigInt m = odd_modulus(in, 80);
+      const BigInt v = BigInt::from_bytes_be(in.take(1 + in.below(240)));
       const Montgomery mont(m);
       require(mont.reduce(v) == v.mod(m),
               "Montgomery fold-reduction disagrees with long division");
@@ -98,6 +104,27 @@ int run_bignum_diff(const std::uint8_t* data, std::size_t size) {
       } catch (const Error&) {
         // gcd(base, m) != 1 — a typed refusal is the documented outcome.
       }
+      break;
+    }
+    case 5: {
+      // t += x * y over fuzz-chosen limbs: every limb of t and the carry
+      // must match the portable row. A leading flag byte turns short
+      // inputs into all-ones limbs, the row's largest carries.
+      const std::size_t len = in.below(65);
+      const bool ones = in.boolean();
+      std::uint64_t t[64] = {}, y[64] = {};
+      for (std::size_t j = 0; j < len; ++j) {
+        t[j] = ones ? ~std::uint64_t{0} : in.u64();
+        y[j] = ones ? ~std::uint64_t{0} : in.u64();
+      }
+      const std::uint64_t x = ones ? ~std::uint64_t{0} : in.u64();
+      std::uint64_t t_ref[64] = {};
+      std::copy_n(t, len, t_ref);
+      const std::uint64_t carry = crypto::detail::mul_add_row(t, y, x, len);
+      const std::uint64_t carry_ref =
+          crypto::detail::mul_add_row_portable(t_ref, y, x, len);
+      require(carry == carry_ref && std::equal(t, t + len, t_ref),
+              "dispatched multiply-accumulate row disagrees with portable");
       break;
     }
   }

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 
+#if defined(__x86_64__)
+#include <cpuid.h>
+#endif
+
 #include "common/error.h"
 
 namespace sinclave::crypto {
@@ -248,6 +252,127 @@ BigInt BigInt::gcd(BigInt a, BigInt b) {
 }
 
 // ---------------------------------------------------------------------------
+// The multiply-accumulate row
+// ---------------------------------------------------------------------------
+
+namespace detail {
+
+std::uint64_t mul_add_row_portable(std::uint64_t* t, const std::uint64_t* y,
+                                   std::uint64_t x, std::size_t len) {
+  std::uint64_t carry = 0;
+  for (std::size_t j = 0; j < len; ++j) {
+    const u128 cur = u128{x} * y[j] + t[j] + carry;
+    t[j] = static_cast<std::uint64_t>(cur);
+    carry = static_cast<std::uint64_t>(cur >> 64);
+  }
+  return carry;
+}
+
+#if defined(__x86_64__)
+
+bool cpu_has_bmi2_adx() {
+  static const bool has = [] {
+    unsigned a = 0, b = 0, c = 0, d = 0;
+    if (!__get_cpuid_count(7, 0, &a, &b, &c, &d)) return false;
+    // EBX bit 8: BMI2 (MULX); EBX bit 19: ADX (ADCX/ADOX).
+    return (b & (1u << 8)) != 0 && (b & (1u << 19)) != 0;
+  }();
+  return has;
+}
+
+// Two independent carry chains: ADCX adds each product's low half (and
+// t[j]) through CF, ADOX adds the previous product's high half through
+// OF, so consecutive limbs never wait on one flag. Eight limbs per trip,
+// then single limbs. Nothing between the first ADCX and the final fold
+// may write a flag: loop control is LEA and JRCXZ (which reaches only
+// +-127 bytes, hence the short hop over a long JMP back), pointers move
+// by LEA, and the carry limb is the last high half plus both flags.
+// Trip counts depend on len alone.
+#define SINCLAVE_ROW_LIMB(off, hi_prev, hi_next)       \
+  "mulx " #off "(%[y]), %[lo], %" #hi_next "\n\t"    \
+  "adcx " #off "(%[t]), %[lo]\n\t"                   \
+  "adox %" #hi_prev ", %[lo]\n\t"                    \
+  "mov %[lo], " #off "(%[t])\n\t"
+
+__attribute__((target("bmi2,adx")))
+std::uint64_t mul_add_row_adx(std::uint64_t* t, const std::uint64_t* y,
+                              std::uint64_t x, std::size_t len) {
+  std::uint64_t blocks = len / 8;
+  const std::uint64_t tail = len % 8;
+  std::uint64_t lo = 0, hi_a = 0, hi_b = 0;
+  __asm__ volatile(
+      "xor %k[hi_a], %k[hi_a]\n\t"  // hi_a = 0; clears CF and OF
+      "jmp 2f\n\t"
+      "1:\n\t"
+      SINCLAVE_ROW_LIMB(0, [hi_a], [hi_b])
+      SINCLAVE_ROW_LIMB(8, [hi_b], [hi_a])
+      SINCLAVE_ROW_LIMB(16, [hi_a], [hi_b])
+      SINCLAVE_ROW_LIMB(24, [hi_b], [hi_a])
+      SINCLAVE_ROW_LIMB(32, [hi_a], [hi_b])
+      SINCLAVE_ROW_LIMB(40, [hi_b], [hi_a])
+      SINCLAVE_ROW_LIMB(48, [hi_a], [hi_b])
+      SINCLAVE_ROW_LIMB(56, [hi_b], [hi_a])
+      "lea 64(%[y]), %[y]\n\t"
+      "lea 64(%[t]), %[t]\n\t"
+      "lea -1(%%rcx), %%rcx\n\t"
+      "2:\n\t"
+      "jrcxz 3f\n\t"
+      "jmp 1b\n\t"
+      "3:\n\t"
+      "mov %[tail], %%rcx\n\t"
+      "jmp 5f\n\t"
+      "4:\n\t"
+      SINCLAVE_ROW_LIMB(0, [hi_a], [hi_b])
+      "mov %[hi_b], %[hi_a]\n\t"
+      "lea 8(%[y]), %[y]\n\t"
+      "lea 8(%[t]), %[t]\n\t"
+      "lea -1(%%rcx), %%rcx\n\t"
+      "5:\n\t"
+      "jrcxz 6f\n\t"
+      "jmp 4b\n\t"
+      "6:\n\t"
+      "mov $0, %[lo]\n\t"
+      "adcx %[lo], %[hi_a]\n\t"
+      "adox %[lo], %[hi_a]\n\t"
+      : [t] "+r"(t), [y] "+r"(y), "+c"(blocks), [lo] "=&r"(lo),
+        [hi_a] "=&r"(hi_a), [hi_b] "=&r"(hi_b)
+      : [tail] "r"(tail), "d"(x)
+      : "cc", "memory");
+  return hi_a;
+}
+
+#undef SINCLAVE_ROW_LIMB
+
+#endif  // __x86_64__
+
+}  // namespace detail
+
+namespace {
+
+using RowFn = std::uint64_t (*)(std::uint64_t*, const std::uint64_t*,
+                                std::uint64_t, std::size_t);
+
+/// The row body for this CPU, resolved on first use (a function-local
+/// static, so a context built during static initialisation still works).
+RowFn row_body() {
+#if defined(__x86_64__)
+  static const RowFn row = detail::cpu_has_bmi2_adx()
+                               ? detail::mul_add_row_adx
+                               : detail::mul_add_row_portable;
+  return row;
+#else
+  return detail::mul_add_row_portable;
+#endif
+}
+
+}  // namespace
+
+std::uint64_t detail::mul_add_row(std::uint64_t* t, const std::uint64_t* y,
+                                  std::uint64_t x, std::size_t len) {
+  return row_body()(t, y, x, len);
+}
+
+// ---------------------------------------------------------------------------
 // Montgomery context
 // ---------------------------------------------------------------------------
 
@@ -290,122 +415,108 @@ thread_local Montgomery::Scratch tls_scratch;
 Montgomery::Montgomery(const BigInt& modulus) : n_(modulus) {
   if (!modulus.is_odd()) throw Error("montgomery: modulus must be odd");
   k_ = n_.limbs_.size();
+  const std::uint64_t* n = n_.limbs_.data();
 
   // n0_inv = -n^{-1} mod 2^64 via Newton iteration.
-  const std::uint64_t n0 = n_.limbs_[0];
+  const std::uint64_t n0 = n[0];
   std::uint64_t x = 1;
   for (int i = 0; i < 6; ++i) x *= 2 - n0 * x;
   n0_inv_ = ~x + 1;  // negate mod 2^64
 
-  // R^2 mod n with R = 2^(64k): square-by-shifting.
-  BigInt r{1};
-  r = (r << (64 * k_)).mod(n_);
-  rr_ = (r * r).mod(n_);
-  rr_padded_ = rr_.limbs_;
-  rr_padded_.resize(k_, 0);
+  // R^2 mod n with R = 2^(64k), without long division. Write 64k = t * 2^s
+  // with t odd. Doubling 2^(bits-1) (< n) modulo n up to 2^(64k + t) gives
+  // 2^t * R mod n, the Montgomery form of 2^t; each Montgomery squaring
+  // doubles the exponent inside the form, so s of them land on the form
+  // of 2^(64k) = R, which is R^2 mod n. RSA-3072 (k = 48, t = 3): 4
+  // doublings and 10 squarings. Every step stays below n.
+  std::size_t t = k_;
+  std::size_t s = 6;
+  while (t % 2 == 0) {
+    t /= 2;
+    ++s;
+  }
+  rr_.assign(k_, 0);
+  const std::size_t bits = n_.bit_length();
+  rr_[(bits - 1) / 64] = std::uint64_t{1} << ((bits - 1) % 64);
+  for (std::size_t e = bits - 1; e < 64 * k_ + t; ++e) {
+    const std::uint64_t top = rr_[k_ - 1] >> 63;
+    for (std::size_t i = k_; i-- > 1;)
+      rr_[i] = (rr_[i] << 1) | (rr_[i - 1] >> 63);
+    rr_[0] <<= 1;
+    if (top != 0 || cmp_limbs(rr_.data(), n, k_) >= 0)
+      sub_limbs(rr_.data(), n, k_);
+  }
+  std::vector<std::uint64_t> wide(2 * k_);
+  for (std::size_t i = 0; i < s; ++i)
+    mont_sqr(rr_.data(), rr_.data(), wide.data());
 }
 
 void Montgomery::mont_mul(const std::uint64_t* a, const std::uint64_t* b,
-                          std::uint64_t* out, std::uint64_t* t) const {
-  // CIOS Montgomery multiplication; a and b are k_-limb (zero padded),
-  // every intermediate lives in the caller's (k_+2)-limb workspace `t`, so
-  // `out` may alias either input.
-  const std::uint64_t* n = n_.limbs_.data();
-  std::fill_n(t, k_ + 2, 0);
-  for (std::size_t i = 0; i < k_; ++i) {
-    // t += a[i] * b
-    std::uint64_t carry = 0;
-    for (std::size_t j = 0; j < k_; ++j) {
-      const u128 cur = u128{a[i]} * b[j] + t[j] + carry;
-      t[j] = static_cast<std::uint64_t>(cur);
-      carry = static_cast<std::uint64_t>(cur >> 64);
-    }
-    u128 cur = u128{t[k_]} + carry;
-    t[k_] = static_cast<std::uint64_t>(cur);
-    t[k_ + 1] += static_cast<std::uint64_t>(cur >> 64);
-
-    // m = t[0] * n0_inv mod 2^64; t += m * n; t >>= 64
-    const std::uint64_t m = t[0] * n0_inv_;
-    // t[0] becomes zero by construction; only the carry matters.
-    carry = static_cast<std::uint64_t>((u128{m} * n[0] + t[0]) >> 64);
-    for (std::size_t j = 1; j < k_; ++j) {
-      const u128 c2 = u128{m} * n[j] + t[j] + carry;
-      t[j - 1] = static_cast<std::uint64_t>(c2);
-      carry = static_cast<std::uint64_t>(c2 >> 64);
-    }
-    cur = u128{t[k_]} + carry;
-    t[k_ - 1] = static_cast<std::uint64_t>(cur);
-    t[k_] = t[k_ + 1] + static_cast<std::uint64_t>(cur >> 64);
-    t[k_ + 1] = 0;
-  }
-
-  // Conditional subtraction: the result may be >= n (it is < 2n).
-  if (t[k_] != 0 || cmp_limbs(t, n, k_) >= 0) sub_limbs(t, n, k_);
-  std::copy_n(t, k_, out);
+                          std::uint64_t* out, std::uint64_t* wide) const {
+  // Product first, k rows of a[i] * b, each row's carry landing on the
+  // limb just above it; then one Montgomery reduction. Montgomery's
+  // quotient is the unique M < R with a*b + M*n = 0 (mod R), so the result
+  // (a*b + M*n) / R does not depend on how the rows are scheduled. `out`
+  // is written only by the reduction, so it may alias either input.
+  const RowFn row = row_body();
+  std::fill_n(wide, k_, 0);
+  for (std::size_t i = 0; i < k_; ++i)
+    wide[i + k_] = row(wide + i, b, a[i], k_);
+  redc_wide(wide, out);
 }
 
 void Montgomery::mont_sqr(const std::uint64_t* a, std::uint64_t* out,
                           std::uint64_t* wide) const {
-  // Schoolbook squaring into the wide buffer — off-diagonal products once,
-  // doubled by a one-bit shift, diagonal added — then one Montgomery
-  // reduction. ~3/4 the multiplications of mont_mul, and the windowed
-  // exponentiation ladder is overwhelmingly squarings.
-  std::fill_n(wide, 2 * k_ + 1, 0);
-  for (std::size_t i = 0; i < k_; ++i) {
-    std::uint64_t carry = 0;
-    for (std::size_t j = i + 1; j < k_; ++j) {
-      const u128 cur = u128{a[i]} * a[j] + wide[i + j] + carry;
-      wide[i + j] = static_cast<std::uint64_t>(cur);
-      carry = static_cast<std::uint64_t>(cur >> 64);
-    }
-    wide[i + k_] = carry;  // first write to this limb in the triangle
-  }
-  std::uint64_t shifted_out = 0;
-  for (std::size_t i = 0; i < 2 * k_; ++i) {
-    const std::uint64_t next = wide[i] >> 63;
-    wide[i] = (wide[i] << 1) | shifted_out;
-    shifted_out = next;
-  }
+  // Schoolbook squaring into the wide buffer — off-diagonal products once
+  // (row i is a[i] * a[i+1..k)), then one pass that doubles them and adds
+  // the diagonal — then one Montgomery reduction. ~3/4 the
+  // multiplications of mont_mul, and the windowed exponentiation ladder
+  // is overwhelmingly squarings.
+  const RowFn row = row_body();
+  std::fill_n(wide, k_, 0);
+  for (std::size_t i = 0; i < k_; ++i)
+    wide[i + k_] = row(wide + 2 * i + 1, a + i + 1, a[i], k_ - i - 1);
+  std::uint64_t shifted_out = 0;  // top bit of the limb below
   std::uint64_t carry = 0;
   for (std::size_t i = 0; i < k_; ++i) {
     const u128 d = u128{a[i]} * a[i];
-    u128 cur = u128{wide[2 * i]} + static_cast<std::uint64_t>(d) + carry;
+    const std::uint64_t lo = wide[2 * i];
+    const std::uint64_t hi = wide[2 * i + 1];
+    u128 cur = u128{(lo << 1) | shifted_out} + static_cast<std::uint64_t>(d) +
+               carry;
     wide[2 * i] = static_cast<std::uint64_t>(cur);
-    cur = u128{wide[2 * i + 1]} + static_cast<std::uint64_t>(d >> 64) +
+    cur = u128{(hi << 1) | (lo >> 63)} + static_cast<std::uint64_t>(d >> 64) +
           static_cast<std::uint64_t>(cur >> 64);
     wide[2 * i + 1] = static_cast<std::uint64_t>(cur);
     carry = static_cast<std::uint64_t>(cur >> 64);
+    shifted_out = hi >> 63;
   }
-  wide[2 * k_] = shifted_out + carry;  // a^2 < R^2, so this ends up zero
+  // a^2 < R^2: the doubled triangle plus the diagonal fits in 2k limbs.
   redc_wide(wide, out);
 }
 
 void Montgomery::redc_wide(std::uint64_t* wide, std::uint64_t* out) const {
-  // One Montgomery reduction of T < n * R held in wide[0..2k] (the spare
-  // top limb catches the final carry): out = T * R^-1 mod n < n.
+  // One Montgomery reduction of T < n * R held in wide[0..2k): out =
+  // T * R^-1 mod n < n. Row i adds m * n at limb i, zeroing wide[i]; its
+  // carry plus the pending carry lands in wide[i+k], and the overflow of
+  // that add (0 or 1) is owed to the next row's landing limb.
   const std::uint64_t* n = n_.limbs_.data();
+  const RowFn row = row_body();
+  std::uint64_t pending = 0;
   for (std::size_t i = 0; i < k_; ++i) {
-    const std::uint64_t m = wide[i] * n0_inv_;
-    std::uint64_t carry = 0;
-    for (std::size_t j = 0; j < k_; ++j) {
-      const u128 cur = u128{m} * n[j] + wide[i + j] + carry;
-      wide[i + j] = static_cast<std::uint64_t>(cur);
-      carry = static_cast<std::uint64_t>(cur >> 64);
-    }
-    for (std::size_t idx = i + k_; carry != 0; ++idx) {
-      const u128 cur = u128{wide[idx]} + carry;
-      wide[idx] = static_cast<std::uint64_t>(cur);
-      carry = static_cast<std::uint64_t>(cur >> 64);
-    }
+    const std::uint64_t carry = row(wide + i, n, wide[i] * n0_inv_, k_);
+    const u128 cur = u128{wide[i + k_]} + carry + pending;
+    wide[i + k_] = static_cast<std::uint64_t>(cur);
+    pending = static_cast<std::uint64_t>(cur >> 64);
   }
-  // Result is wide[k..2k] (top limb is 0 or 1), < 2n.
-  if (wide[2 * k_] != 0 || cmp_limbs(wide + k_, n, k_) >= 0)
+  // Result is pending:wide[k..2k) < 2n.
+  if (pending != 0 || cmp_limbs(wide + k_, n, k_) >= 0)
     sub_limbs(wide + k_, n, k_);
   std::copy_n(wide + k_, k_, out);
 }
 
 void Montgomery::load_standard(const BigInt& v, std::uint64_t* out,
-                               std::uint64_t* t) const {
+                               std::uint64_t* wide) const {
   const std::size_t s = v.limbs_.size();
   if (s <= k_) {
     // Any k-limb value works directly: a Montgomery multiply only needs
@@ -430,7 +541,7 @@ void Montgomery::load_standard(const BigInt& v, std::uint64_t* out,
   while (pos > 0) {
     pos -= k_;
     // out < R, rr < n  =>  product < n: a valid left operand forever.
-    mont_mul(out, rr_padded_.data(), out, t);
+    mont_mul(out, rr_.data(), out, wide);
     std::uint64_t carry = 0;
     for (std::size_t i = 0; i < k_; ++i) {
       const u128 cur = u128{out[i]} + v.limbs_[pos + i] + carry;
@@ -460,22 +571,20 @@ void Montgomery::exp(const BigInt& base, const BigInt& exponent,
   const int w = window_bits(bits);
   const std::size_t table_entries = std::size_t{1} << (w - 1);
 
-  // Carve the arena: acc | b2 | t | wide | odd-powers table.
-  std::uint64_t* arena =
-      scratch.require(3 * k_ + 3 + (2 + table_entries) * k_);
+  // Carve the arena: acc | b2 | wide | odd-powers table.
+  std::uint64_t* arena = scratch.require((4 + table_entries) * k_);
   std::uint64_t* acc = arena;
   std::uint64_t* b2 = arena + k_;
-  std::uint64_t* t = arena + 2 * k_;            // k_ + 2
-  std::uint64_t* wide = arena + 3 * k_ + 2;     // 2k_ + 1
-  std::uint64_t* table = arena + 5 * k_ + 3;    // table_entries * k_
+  std::uint64_t* wide = arena + 2 * k_;   // 2k_
+  std::uint64_t* table = arena + 4 * k_;  // table_entries * k_
 
   // table[j] holds base^(2j+1) in Montgomery form.
-  load_standard(base, table, t);
-  mont_mul(table, rr_padded_.data(), table, t);
+  load_standard(base, table, wide);
+  mont_mul(table, rr_.data(), table, wide);
   if (w > 1) {
     mont_sqr(table, b2, wide);
     for (std::size_t j = 1; j < table_entries; ++j)
-      mont_mul(table + (j - 1) * k_, b2, table + j * k_, t);
+      mont_mul(table + (j - 1) * k_, b2, table + j * k_, wide);
   }
 
   // Fixed-window scan, MSB first. The leading window seeds `acc` directly
@@ -503,13 +612,13 @@ void Montgomery::exp(const BigInt& base, const BigInt& exponent,
     }
     const auto [wlo, wdigit] = window(i);
     for (std::size_t s = 0; s < i - wlo + 1; ++s) mont_sqr(acc, acc, wide);
-    mont_mul(acc, table + (wdigit >> 1) * k_, acc, t);
+    mont_mul(acc, table + (wdigit >> 1) * k_, acc, wide);
     i = wlo;
   }
 
   // Leave Montgomery form: one reduction of the k-limb accumulator.
   std::copy_n(acc, k_, wide);
-  std::fill_n(wide + k_, k_ + 1, 0);
+  std::fill_n(wide + k_, k_, 0);
   redc_wide(wide, acc);
   store(acc, out);
 }
@@ -535,22 +644,21 @@ void Montgomery::exp_u64(const BigInt& base, std::uint64_t exponent,
     out->trim();
     return;
   }
-  std::uint64_t* arena = scratch.require(5 * k_ + 3);
+  std::uint64_t* arena = scratch.require(4 * k_);
   std::uint64_t* acc = arena;
   std::uint64_t* b = arena + k_;
-  std::uint64_t* t = arena + 2 * k_;         // k_ + 2
-  std::uint64_t* wide = arena + 3 * k_ + 2;  // 2k_ + 1
+  std::uint64_t* wide = arena + 2 * k_;  // 2k_
 
-  load_standard(base, b, t);
-  mont_mul(b, rr_padded_.data(), b, t);
+  load_standard(base, b, wide);
+  mont_mul(b, rr_.data(), b, wide);
   std::copy_n(b, k_, acc);
   int i = 62 - __builtin_clzll(exponent);
   for (; i >= 0; --i) {
     mont_sqr(acc, acc, wide);
-    if ((exponent >> i) & 1) mont_mul(acc, b, acc, t);
+    if ((exponent >> i) & 1) mont_mul(acc, b, acc, wide);
   }
   std::copy_n(acc, k_, wide);
-  std::fill_n(wide + k_, k_ + 1, 0);
+  std::fill_n(wide + k_, k_, 0);
   redc_wide(wide, acc);
   store(acc, out);
 }
@@ -563,17 +671,17 @@ BigInt Montgomery::exp_u64(const BigInt& base, std::uint64_t exponent) const {
 
 void Montgomery::mul_mod(const BigInt& a, const BigInt& b, Scratch& scratch,
                          BigInt* out) const {
-  std::uint64_t* arena = scratch.require(3 * k_ + 2);
+  std::uint64_t* arena = scratch.require(4 * k_);
   std::uint64_t* am = arena;
   std::uint64_t* bs = arena + k_;
-  std::uint64_t* t = arena + 2 * k_;  // k_ + 2
+  std::uint64_t* wide = arena + 2 * k_;  // 2k_
 
-  load_standard(a, am, t);
-  load_standard(b, bs, t);
+  load_standard(a, am, wide);
+  load_standard(b, bs, wide);
   // (a*R) * b * R^-1 = a*b mod n. After the first multiply am < n, which
   // keeps the product bound valid even though bs may exceed n (it is < R).
-  mont_mul(am, rr_padded_.data(), am, t);
-  mont_mul(am, bs, am, t);
+  mont_mul(am, rr_.data(), am, wide);
+  mont_mul(am, bs, am, wide);
   store(am, out);
 }
 
@@ -584,17 +692,16 @@ BigInt Montgomery::mul_mod(const BigInt& a, const BigInt& b) const {
 }
 
 void Montgomery::reduce(const BigInt& v, Scratch& scratch, BigInt* out) const {
-  std::uint64_t* arena = scratch.require(4 * k_ + 3);
+  std::uint64_t* arena = scratch.require(3 * k_);
   std::uint64_t* x = arena;
-  std::uint64_t* t = arena + k_;             // k_ + 2
-  std::uint64_t* wide = arena + 2 * k_ + 2;  // 2k_ + 1
+  std::uint64_t* wide = arena + k_;  // 2k_
 
   // Fold to a congruent value < R, then an exact round trip through
   // Montgomery form (x -> x*R mod n -> x mod n) lands strictly below n.
-  load_standard(v, x, t);
-  mont_mul(x, rr_padded_.data(), x, t);
+  load_standard(v, x, wide);
+  mont_mul(x, rr_.data(), x, wide);
   std::copy_n(x, k_, wide);
-  std::fill_n(wide + k_, k_ + 1, 0);
+  std::fill_n(wide + k_, k_, 0);
   redc_wide(wide, x);
   store(x, out);
 }

@@ -115,8 +115,15 @@ inline BigInt BigInt::mod(const BigInt& m) const {
 
 /// Montgomery multiplication context for a fixed odd modulus. Exposed so
 /// RSA can reuse one context across CRT exponentiations (and cache it per
-/// key — the constructor computes n' and R^2 mod n, which costs far more
-/// than a single multiplication).
+/// key — the constructor computes n' and R^2 mod n, about a dozen
+/// multiplications' worth: doublings, then Montgomery squarings, no long
+/// division).
+///
+/// Every kernel (multiply, square, reduce) is built from one primitive,
+/// the multiply-accumulate row detail::mul_add_row: t[0..len) += x * y.
+/// The row has two bodies, chosen once by CPUID: a MULX/ADCX/ADOX loop
+/// on x86-64 CPUs with BMI2 and ADX, and the portable 128-bit loop on
+/// every other host (and as the tests' reference). Nothing else forks.
 ///
 /// Exponentiation is fixed-window (4-5 bit for RSA/DH-sized exponents)
 /// over a precomputed odd-powers table, and every intermediate lives in a
@@ -144,8 +151,9 @@ class Montgomery {
 
    private:
     friend class Montgomery;
-    /// The arena is carved into acc/base/square/tmp/wide/table slices per
-    /// call; resize within capacity is allocation-free after warm-up.
+    /// The arena is carved into acc/base/square/wide/table slices per
+    /// call (at most (4 + 16) * k limbs, for a 5-bit window); resize
+    /// within capacity is allocation-free after warm-up.
     std::uint64_t* require(std::size_t limbs) {
       if (arena_.size() < limbs) arena_.resize(limbs);
       return arena_.data();
@@ -183,31 +191,56 @@ class Montgomery {
   void reduce(const BigInt& v, Scratch& scratch, BigInt* out) const;
 
  private:
-  /// CIOS Montgomery multiplication over raw k-limb operands. `t` is a
-  /// (k+2)-limb workspace; `out` may alias `a` or `b`.
+  /// Montgomery multiplication over raw k-limb operands (each < R, with
+  /// a * b < n * R): the full product is built row by row in the 2k-limb
+  /// workspace `wide`, then reduced by redc_wide. `out` may alias `a` or
+  /// `b`.
   void mont_mul(const std::uint64_t* a, const std::uint64_t* b,
-                std::uint64_t* out, std::uint64_t* t) const;
-  /// Montgomery squaring: the off-diagonal triangle is computed once and
-  /// doubled, so a squaring costs ~3/4 of a multiplication — and the
-  /// square-heavy exponentiation ladder is mostly squarings. `wide` is a
-  /// (2k+1)-limb workspace; `out` may alias `a`.
+                std::uint64_t* out, std::uint64_t* wide) const;
+  /// Montgomery squaring: the off-diagonal triangle is computed once (rows
+  /// of length k-i-1) and doubled, so a squaring costs ~3/4 of a
+  /// multiplication — and the square-heavy exponentiation ladder is mostly
+  /// squarings. `wide` is a 2k-limb workspace; `out` may alias `a`.
   void mont_sqr(const std::uint64_t* a, std::uint64_t* out,
                 std::uint64_t* wide) const;
-  /// Montgomery reduction of a wide value T < n*R (2k+1 limbs, clobbered):
+  /// Montgomery reduction of a wide value T < n*R (2k limbs, clobbered):
   /// out = T * R^-1 mod n.
   void redc_wide(std::uint64_t* wide, std::uint64_t* out) const;
   /// Load `v` into `out` (k limbs), folding wider values down to v mod n
   /// chunk by chunk (each fold is one Montgomery multiplication — no
-  /// division). `t` is a (k+2)-limb workspace.
+  /// division). `wide` is a 2k-limb workspace.
   void load_standard(const BigInt& v, std::uint64_t* out,
-                     std::uint64_t* t) const;
+                     std::uint64_t* wide) const;
   void store(const std::uint64_t* v, BigInt* out) const;
 
   BigInt n_;
-  BigInt rr_;  // R^2 mod n
-  std::vector<std::uint64_t> rr_padded_;  // R^2 zero-padded to k limbs
+  std::vector<std::uint64_t> rr_;  // R^2 mod n, zero-padded to k limbs
   std::uint64_t n0_inv_;
   std::size_t k_;  // limb count of n
 };
+
+namespace detail {
+
+/// The multiply-accumulate row under every Montgomery kernel:
+/// t[0..len) += x * y[0..len), returning the carry limb (the sum's bits
+/// from position 64 * len up). Dispatches once, by CPUID, to one of the
+/// bodies below. Exposed for the differential tests and the fuzzer.
+std::uint64_t mul_add_row(std::uint64_t* t, const std::uint64_t* y,
+                          std::uint64_t x, std::size_t len);
+
+/// The portable body: one 64x64->128-bit product per limb.
+std::uint64_t mul_add_row_portable(std::uint64_t* t, const std::uint64_t* y,
+                                   std::uint64_t x, std::size_t len);
+
+#if defined(__x86_64__)
+/// True when the CPU has BMI2 (MULX) and ADX (ADCX/ADOX).
+bool cpu_has_bmi2_adx();
+
+/// The MULX/ADCX/ADOX body; call only when cpu_has_bmi2_adx().
+std::uint64_t mul_add_row_adx(std::uint64_t* t, const std::uint64_t* y,
+                              std::uint64_t x, std::size_t len);
+#endif
+
+}  // namespace detail
 
 }  // namespace sinclave::crypto

@@ -1,6 +1,8 @@
 // Unit + property tests for the big-integer substrate.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/error.h"
 #include "crypto/bignum.h"
 #include "crypto/drbg.h"
@@ -352,6 +354,34 @@ TEST(Montgomery, ScratchReusedAcrossModulusSizes) {
   }
 }
 
+TEST(Montgomery, ContextAtEveryLimbCount) {
+  // The constructor builds R^2 mod n by doubling and Montgomery squaring;
+  // every limb count up to RSA-3072 verify plus one (k = 1..49), at both
+  // ends of its bit-length range, must still agree with long division.
+  // (A 1-bit modulus would be 1; k = 1 takes 2 bits at its low end.)
+  Drbg rng = Drbg::from_seed(47, "limb-counts");
+  for (std::size_t k = 1; k <= 49; ++k) {
+    for (const std::size_t bits :
+         {64 * k, std::max<std::size_t>(64 * (k - 1) + 1, 2)}) {
+      Bytes buf = rng.generate(8 * k);
+      const std::size_t clear = 64 * k - bits;  // leading zero bits
+      for (std::size_t i = 0; i < clear; ++i)
+        buf[i / 8] &= static_cast<std::uint8_t>(~(0x80u >> (i % 8)));
+      buf[clear / 8] |= static_cast<std::uint8_t>(0x80u >> (clear % 8));
+      buf.back() |= 0x01;
+      const BigInt m = BigInt::from_bytes_be(buf);
+      ASSERT_EQ(m.bit_length(), bits) << "k=" << k;
+      ASSERT_EQ(m.limb_count(), k);
+      const Montgomery ctx(m);
+      const BigInt a = rand_bigint(rng, 16 * k);
+      const BigInt b = rand_bigint(rng, 8 * k);
+      EXPECT_EQ(ctx.reduce(a), a.mod(m)) << "k=" << k << " bits=" << bits;
+      EXPECT_EQ(ctx.mul_mod(a, b), (a * b).mod(m))
+          << "k=" << k << " bits=" << bits;
+    }
+  }
+}
+
 TEST(Montgomery, LargeExponentiationMatchesFermat) {
   // 2^(p-1) ≡ 1 mod p for the MODP-2048 prime (it is prime).
   const BigInt p = BigInt::from_hex(
@@ -368,6 +398,78 @@ TEST(Montgomery, LargeExponentiationMatchesFermat) {
       "15728E5A8AACAA68FFFFFFFFFFFFFFFF");
   const Montgomery ctx(p);
   EXPECT_EQ(ctx.exp(BigInt{2}, p - BigInt{1}), BigInt{1});
+}
+
+// --- the multiply-accumulate row ---
+
+namespace {
+
+std::vector<std::uint64_t> rand_limbs(Drbg& rng, std::size_t len) {
+  const Bytes bytes = rng.generate(8 * len);
+  std::vector<std::uint64_t> v(len);
+  if (len != 0) std::memcpy(v.data(), bytes.data(), bytes.size());
+  return v;
+}
+
+using Row = std::uint64_t (*)(std::uint64_t*, const std::uint64_t*,
+                              std::uint64_t, std::size_t);
+
+/// Runs one row body on a copy of t and returns t's limbs with the carry
+/// appended.
+std::vector<std::uint64_t> run_row(Row row, std::vector<std::uint64_t> t,
+                                   const std::vector<std::uint64_t>& y,
+                                   std::uint64_t x) {
+  const std::uint64_t carry = row(t.data(), y.data(), x, y.size());
+  t.push_back(carry);
+  return t;
+}
+
+}  // namespace
+
+TEST(MulAddRow, PortableMatchesSchoolbook) {
+  // The reference body against BigInt arithmetic: t + x*y, carry on top.
+  Drbg rng = Drbg::from_seed(49, "row-ref");
+  auto to_big = [](const std::vector<std::uint64_t>& limbs) {
+    BigInt v;
+    for (std::size_t j = limbs.size(); j-- > 0;)
+      v = (v << 64) + BigInt{limbs[j]};
+    return v;
+  };
+  for (const std::size_t len : {0ul, 1ul, 7ul, 8ul, 9ul, 48ul}) {
+    const std::vector<std::uint64_t> t = rand_limbs(rng, len);
+    const std::vector<std::uint64_t> y = rand_limbs(rng, len);
+    const std::uint64_t x = rand_limbs(rng, 1)[0];
+    EXPECT_EQ(to_big(run_row(detail::mul_add_row_portable, t, y, x)),
+              to_big(t) + to_big(y) * BigInt{x})
+        << "len=" << len;
+  }
+}
+
+TEST(MulAddRow, AdxMatchesPortable) {
+  // Every row length from empty through eight full 8-limb trips (each
+  // single-limb tail length recurs), on random limbs and on all-ones
+  // limbs (the largest carries both chains can hold).
+#if defined(__x86_64__)
+  if (!detail::cpu_has_bmi2_adx()) GTEST_SKIP() << "no BMI2+ADX on this CPU";
+  Drbg rng = Drbg::from_seed(48, "row");
+  for (std::size_t len = 0; len <= 64; ++len) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const std::vector<std::uint64_t> t = rand_limbs(rng, len);
+      const std::vector<std::uint64_t> y = rand_limbs(rng, len);
+      const std::uint64_t x = rand_limbs(rng, 1)[0];
+      EXPECT_EQ(run_row(detail::mul_add_row_adx, t, y, x),
+                run_row(detail::mul_add_row_portable, t, y, x))
+          << "len=" << len << " trial=" << trial;
+    }
+    const std::vector<std::uint64_t> ones(len, ~std::uint64_t{0});
+    EXPECT_EQ(run_row(detail::mul_add_row_adx, ones, ones, ~std::uint64_t{0}),
+              run_row(detail::mul_add_row_portable, ones, ones,
+                      ~std::uint64_t{0}))
+        << "all-ones len=" << len;
+  }
+#else
+  GTEST_SKIP() << "the ADX row exists on x86-64 only";
+#endif
 }
 
 }  // namespace

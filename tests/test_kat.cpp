@@ -1,10 +1,15 @@
 // Differential known-answer tests: every generated vector (produced by an
-// independent reference implementation — CPython's hashlib/hmac; see
-// generated_kat.inc) must match all of this repository's implementations:
-// the interruptible SHA-256, the optimized SHA-256 (including its SHA-NI
-// path when the CPU has it), and HMAC.
+// independent reference implementation — CPython's hashlib/hmac and pow();
+// see generated_kat.inc) must match all of this repository's
+// implementations: the interruptible SHA-256, the optimized SHA-256
+// (including its SHA-NI path when the CPU has it), HMAC, and the
+// Montgomery context's exp, exp_u64, reduce and mul_mod (on whichever
+// multiply-accumulate row this CPU dispatches to).
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "crypto/bignum.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
 #include "crypto/sha256_fast.h"
@@ -51,6 +56,31 @@ TEST_P(GeneratedHmac, MatchesReference) {
 
 INSTANTIATE_TEST_SUITE_P(Corpus, GeneratedHmac,
                          ::testing::ValuesIn(kGeneratedHmacVectors));
+
+class GeneratedModExp : public ::testing::TestWithParam<GeneratedModExpVector> {
+};
+
+TEST_P(GeneratedModExp, MontgomeryMatchesPow) {
+  const auto& v = GetParam();
+  const BigInt n = BigInt::from_hex(v.modulus);
+  const BigInt base = BigInt::from_hex(v.base);
+  const BigInt e = BigInt::from_hex(v.exponent);
+  const BigInt result = BigInt::from_hex(v.result);
+  const Montgomery ctx(n);
+  EXPECT_EQ(ctx.exp(base, e), result);
+  if (e.bit_length() <= 64) {
+    EXPECT_EQ(ctx.exp_u64(base, std::stoull(v.exponent, nullptr, 16)), result);
+  }
+  if (e == BigInt{1}) {
+    EXPECT_EQ(ctx.reduce(base), result);
+  }
+  if (e == BigInt{2}) {
+    EXPECT_EQ(ctx.mul_mod(base, base), result);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Corpus, GeneratedModExp,
+                         ::testing::ValuesIn(kGeneratedModExpVectors));
 
 }  // namespace
 }  // namespace sinclave::crypto

@@ -8,6 +8,7 @@
 #include "crypto/dh.h"
 #include "crypto/drbg.h"
 #include "crypto/rsa.h"
+#include "crypto/sha256.h"
 
 namespace sinclave::crypto {
 namespace {
@@ -237,6 +238,19 @@ TEST(Rsa, SignaturesAreDeterministic) {
             kp.sign_pkcs1_sha256(to_bytes("m")));
 }
 
+TEST(Rsa, Rsa3072SignatureGolden) {
+  // Pins the bytes of a full-size signature: key generation (Miller-Rabin
+  // on Montgomery contexts), the three 1024-bit CRT legs, the recombining
+  // mul_mod and the verify-side exp_u64 all feed into it.
+  Drbg rng = test_rng(23);
+  const RsaKeyPair kp = RsaKeyPair::generate(rng, kRsaBits);
+  const Bytes msg = to_bytes("sinclave rsa-3072 golden");
+  const Bytes sig = kp.sign_pkcs1_sha256(msg);
+  EXPECT_EQ(sha256(sig).hex(),
+            "488c4edf7a973ce4b8d03d3a9fa98ceda4047a9b96c21e37facc9ea382cc6f19");
+  EXPECT_TRUE(kp.public_key().verify_pkcs1_sha256(msg, sig));
+}
+
 // --- DH ---
 
 TEST(Dh, SharedSecretAgreement) {
@@ -276,6 +290,18 @@ TEST(Dh, FromExponentMatchesGenerate) {
   EXPECT_EQ(generated.shared_secret(peer.public_value()),
             rebuilt.shared_secret(peer.public_value()));
   EXPECT_THROW(DhKeyPair::from_exponent(Bytes(47, 1)), Error);
+}
+
+TEST(Dh, Modp2048SharedSecretGolden) {
+  // Pins the bytes of a MODP-2048 agreement from two fixed exponents.
+  const std::size_t width = DhKeyPair::kExponentBytes;
+  const DhKeyPair alice =
+      DhKeyPair::from_exponent(test_rng(38).generate(width));
+  const DhKeyPair bob = DhKeyPair::from_exponent(test_rng(39).generate(width));
+  const Bytes secret = alice.shared_secret(bob.public_value());
+  EXPECT_EQ(secret, bob.shared_secret(alice.public_value()));
+  EXPECT_EQ(sha256(secret).hex(),
+            "acd7554ce611a03688e89daea471251350d169fc35046adbca185bb906699fca");
 }
 
 TEST(Dh, RejectsDegeneratePeerValues) {

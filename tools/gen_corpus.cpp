@@ -164,6 +164,12 @@ int main(int argc, char** argv) {
       write_seed(dir, "mode" + std::to_string(m),
                  mode(m, nums.generate(48)));
     }
+    // Mode 5, the multiply-accumulate row: length 64, random limbs, so the
+    // seed alone runs eight trips of the 8-limb loop.
+    Bytes row{64, 0};
+    const Bytes limbs = nums.generate(8 * 129);
+    row.insert(row.end(), limbs.begin(), limbs.end());
+    write_seed(dir, "mode5", mode(5, row));
   }
 
   // --- fuzz_sha_aead_diff -------------------------------------------------
