@@ -56,6 +56,37 @@ struct RootScope {
   }
 };
 
+/// Decode + validate one reply frame against the request it answers. A
+/// frame that does not echo `command` and `id`, or does not decode, is a
+/// typed kInternal — the server answered, so it is never retried as a
+/// transport failure.
+template <typename Response>
+Response decode_reply(ByteView raw, Command command, std::uint64_t id) {
+  Response reply;
+  try {
+    const Envelope env = Envelope::deserialize(raw);
+    if (env.command == command && env.request_id == id)
+      return Response::deserialize(env.payload);
+    reply.status =
+        Status(StatusCode::kInternal, "response does not match request");
+  } catch (const Error& e) {
+    reply.status =
+        Status(StatusCode::kInternal,
+               std::string("undecodable response: ") + e.what());
+  }
+  return reply;
+}
+
+InstanceResult to_result(InstanceResponse reply, std::size_t attempts) {
+  InstanceResult result;
+  result.status = std::move(reply.status);
+  result.token = reply.token;
+  result.verifier_id = reply.verifier_id;
+  result.singleton_sigstruct = std::move(reply.singleton_sigstruct);
+  result.attempts = attempts;
+  return result;
+}
+
 }  // namespace
 
 /// Everything an in-flight request needs to outlive the CasClient object:
@@ -98,8 +129,17 @@ struct CasClient::Core {
     connection_cache.reset();
   }
 
+  /// A transport failure: the listener may have moved, so reconnect on
+  /// the next attempt (and, in a cluster, probe the next peer). The
+  /// failure becomes a retryable kUnavailable.
+  Status transport_failure(const std::exception& e)
+      REQUIRES_NOT(connection_mutex) {
+    drop_connection();
+    rotate_peer();
+    return transport_status(e);
+  }
+
   /// Follow a kNotLeader leader hint: retarget and count the redirect.
-  /// The redirected attempt is issued immediately — no backoff sleep.
   void redirect_to(const std::string& address)
       REQUIRES_NOT(connection_mutex) {
     {
@@ -112,9 +152,8 @@ struct CasClient::Core {
     leader_redirects.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// After a transport failure (or hintless kNotLeader) with a cluster
-  /// configured: advance to the next peer so the paced retry probes a
-  /// different node. No-op without a cluster list.
+  /// With a cluster configured: advance to the next peer so the next
+  /// attempt probes a different node. No-op without a cluster list.
   void rotate_peer() REQUIRES_NOT(connection_mutex) {
     if (config.cluster.empty()) return;
     MutexLock lock(connection_mutex);
@@ -129,8 +168,8 @@ struct CasClient::Core {
     }
   }
 
-  /// False = the breaker is open: the caller must fail fast with
-  /// breaker_open_detail() and not touch the wire. Counts the refusal.
+  /// False = the breaker is open: the attempt must not touch the wire.
+  /// Counts the refusal.
   bool breaker_allows() REQUIRES_NOT(breaker_mutex) {
     if (config.retry.breaker_threshold == 0) return true;
     MutexLock lock(breaker_mutex);
@@ -161,83 +200,17 @@ struct CasClient::Core {
       breaker_trips.fetch_add(1, std::memory_order_relaxed);
     }
   }
+
+  bool retry(const Status& answer, std::size_t attempt,
+             SteadyClock::time_point start, bool sleeps);
+
+  template <typename Response, typename Request>
+  Response sync_call(Command command, const Request& request,
+                     obs::Phase& root, std::size_t& attempts);
+
+  struct AsyncInstance;
+  static void send_async(std::shared_ptr<AsyncInstance> op);
 };
-
-namespace {
-
-/// Shared retry pacing for the sync loops: tracks the operation's start,
-/// and after each retryable failure decides whether another attempt fits
-/// the budgets — sleeping the jittered (or server-hinted) backoff when it
-/// does.
-struct RetryPacer {
-  const RetryPolicy& policy;
-  std::uint64_t seed;
-  SteadyClock::time_point start = SteadyClock::now();
-
-  /// After a retryable failure on attempt #`attempt`: true = backoff
-  /// slept, go again; false = out of attempts or deadline budget, return
-  /// the last typed result as-is.
-  bool pace(std::size_t attempt, const Status& last, obs::Phase* backoff) {
-    if (attempt >= policy.max_attempts) return false;
-    auto sleep = policy.backoff_before(attempt, seed);
-    // A server that told us when to come back knows better than our dice.
-    if (const auto hint = parse_retry_after(last.detail))
-      sleep = std::chrono::duration_cast<std::chrono::microseconds>(*hint);
-    if (policy.deadline.count() > 0) {
-      const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
-          SteadyClock::now() - start);
-      if (elapsed + sleep >= policy.deadline) return false;
-    }
-    if (sleep.count() > 0) {
-      if (backoff != nullptr) {
-        obs::Span span(*backoff);
-        std::this_thread::sleep_for(sleep);
-      } else {
-        std::this_thread::sleep_for(sleep);
-      }
-    }
-    return true;
-  }
-};
-
-}  // namespace
-
-namespace {
-
-Bytes encode_request(const InstanceRequest& request,
-                     std::uint64_t request_id) {
-  Envelope env;
-  env.command = Command::kGetInstance;
-  env.request_id = request_id;
-  env.payload = request.serialize();
-  return env.serialize();
-}
-
-/// Decode + validate one response frame against the request it answers.
-InstanceResult decode_response(ByteView raw, std::uint64_t request_id) {
-  InstanceResult result;
-  try {
-    const Envelope env = Envelope::deserialize(raw);
-    if (env.command != Command::kGetInstance ||
-        env.request_id != request_id) {
-      result.status = Status(StatusCode::kInternal,
-                             "response does not match request");
-      return result;
-    }
-    const InstanceResponse resp = InstanceResponse::deserialize(env.payload);
-    result.status = resp.status;
-    result.token = resp.token;
-    result.verifier_id = resp.verifier_id;
-    result.singleton_sigstruct = resp.singleton_sigstruct;
-  } catch (const Error& e) {
-    result.status =
-        Status(StatusCode::kInternal,
-               std::string("undecodable response: ") + e.what());
-  }
-  return result;
-}
-
-}  // namespace
 
 std::chrono::microseconds RetryPolicy::backoff_before(
     std::size_t retry, std::uint64_t seed) const {
@@ -250,8 +223,9 @@ std::chrono::microseconds RetryPolicy::backoff_before(
       max_backoff.count() > 0 ? static_cast<std::uint64_t>(max_backoff.count())
                               : base;
   if (base == 0 || cap == 0) return std::chrono::microseconds{0};
-  // Saturating exponential window: base << (retry-1), clamped to cap
-  // (shift capped at 63 so large retry counts cannot overflow).
+  // Saturating exponential window: base << (retry-1), clamped to cap. The
+  // doubling stops once the window reaches cap (itself below 2^63), so no
+  // retry count can overflow it.
   std::uint64_t window = base;
   const std::size_t doublings = retry - 1;
   for (std::size_t i = 0; i < doublings && window < cap; ++i) window <<= 1;
@@ -260,6 +234,102 @@ std::chrono::microseconds RetryPolicy::backoff_before(
   const std::uint64_t draw =
       splitmix(seed ^ splitmix(retry * 0x9e3779b97f4a7c15ull));
   return std::chrono::microseconds{draw % (window + 1)};
+}
+
+/// The retry rule: the one place CasClient decides what follows an
+/// answer. The sync loop (sync_call) asks it after every attempt of
+/// get_instance and introspect, the async completion (send_async) after
+/// every attempt of get_instance_async. True = make the next attempt now
+/// (its wait slept, its re-route made); false = deliver `answer`.
+///
+///   * Before every attempt, ask the breaker. Refused before the first
+///     (the operation asks): deliver kUnavailable with
+///     breaker_open_detail() and attempts == 0. Refused before a retry
+///     (asked last, here): deliver the last answer.
+///   * After every answer, breaker_record(answer.retryable()). Out of
+///     attempts: deliver.
+///   * kNotLeader with a leader hint: redirect_to(hint) and retry at once,
+///     with no wait and no deadline check — the answer is a forwarding
+///     address, not a failure.
+///   * kNotLeader without a hint: with a cluster configured, rotate to the
+///     next peer after the paced wait; without one, deliver.
+///   * A retryable status (kUnavailable, or a transport failure — see
+///     transport_failure): paced retry.
+///   * Anything else: deliver.
+///   * The paced wait is backoff_before(attempt, jitter_seed), or the
+///     server's retry-after hint when there is one. Deliver when elapsed
+///     time plus the wait reaches the deadline. On the async path
+///     (`sleeps == false`: a completion thread must not sleep) the wait
+///     is 0.
+bool CasClient::Core::retry(const Status& answer, std::size_t attempt,
+                            SteadyClock::time_point start, bool sleeps) {
+  static obs::Phase& p_backoff =
+      obs::Tracer::instance().phase("client_backoff");
+  breaker_record(answer.retryable());
+  if (attempt >= config.retry.max_attempts) return false;
+  const bool not_leader = answer.code == StatusCode::kNotLeader;
+  if (not_leader) {
+    if (const auto leader = parse_leader_hint(answer.detail)) {
+      redirect_to(*leader);
+      return breaker_allows();
+    }
+    if (config.cluster.empty()) return false;
+  } else if (!answer.retryable()) {
+    return false;
+  }
+  std::chrono::microseconds wait{0};
+  if (sleeps) {
+    wait = config.retry.backoff_before(attempt, jitter_seed);
+    // A server that told us when to come back knows better than our dice.
+    if (const auto hint = parse_retry_after(answer.detail))
+      wait = std::chrono::duration_cast<std::chrono::microseconds>(*hint);
+  }
+  if (config.retry.deadline.count() > 0 &&
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          SteadyClock::now() - start) + wait >= config.retry.deadline)
+    return false;
+  if (wait.count() > 0) {
+    obs::Span span(p_backoff);
+    std::this_thread::sleep_for(wait);
+  }
+  if (not_leader) rotate_peer();
+  return breaker_allows();
+}
+
+/// The synchronous attempt loop behind get_instance and introspect: one
+/// fresh request id per attempt, then the retry rule. `attempts` reports
+/// the wire attempts made (0 = the breaker refused the first).
+template <typename Response, typename Request>
+Response CasClient::Core::sync_call(Command command,
+                                    const Request& request, obs::Phase& root,
+                                    std::size_t& attempts) {
+  static obs::Phase& p_attempt =
+      obs::Tracer::instance().phase("client_attempt");
+  RootScope rs(root, 0);
+  const SteadyClock::time_point start = SteadyClock::now();
+  Response answer;
+  attempts = 0;
+  if (!breaker_allows()) {
+    answer.status = Status(StatusCode::kUnavailable, breaker_open_detail());
+    return answer;
+  }
+  Envelope env;
+  env.command = command;
+  env.payload = request.serialize();
+  do {
+    ++attempts;
+    env.request_id = next_request_id.fetch_add(1, std::memory_order_relaxed);
+    rs.ctx.request_id = env.request_id;  // the root carries the last id
+    try {
+      obs::Span span(p_attempt);
+      answer = decode_reply<Response>(connection().call(env.serialize()),
+                                      command, env.request_id);
+    } catch (const Error& e) {
+      answer = Response{};
+      answer.status = transport_failure(e);
+    }
+  } while (retry(answer.status, attempts, start, /*sleeps=*/true));
+  return answer;
 }
 
 CasClient::CasClient(net::SimNetwork* net, CasClientConfig config)
@@ -305,202 +375,96 @@ Status CasClient::connect() {
 
 InstanceResult CasClient::get_instance(
     const std::string& session_name, const sgx::SigStruct& common_sigstruct) {
+  static obs::Phase& p_root =
+      obs::Tracer::instance().phase("client_get_instance");
   InstanceRequest request;
   request.session_name = session_name;
   request.common_sigstruct = common_sigstruct;
-
-  static obs::Phase& p_root =
-      obs::Tracer::instance().phase("client_get_instance");
-  static obs::Phase& p_attempt =
-      obs::Tracer::instance().phase("client_attempt");
-  static obs::Phase& p_backoff =
-      obs::Tracer::instance().phase("client_backoff");
-  RootScope rs(p_root, 0);
-
-  InstanceResult result;
-  if (!core_->breaker_allows()) {
-    result.status = Status(StatusCode::kUnavailable, breaker_open_detail());
-    result.attempts = 0;
-    return result;
-  }
-  RetryPacer pacer{core_->config.retry, core_->jitter_seed};
-  for (std::size_t attempt = 1;; ++attempt) {
-    const std::uint64_t id =
-        core_->next_request_id.fetch_add(1, std::memory_order_relaxed);
-    rs.ctx.request_id = id;  // the root carries the last attempt's id
-    try {
-      obs::Span span(p_attempt);
-      result = decode_response(
-          core_->connection().call(encode_request(request, id)), id);
-    } catch (const Error& e) {
-      // Transport failure: the listener may have moved; reconnect (and,
-      // in a cluster, probe the next peer) on the next attempt.
-      result = InstanceResult{};
-      result.status = transport_status(e);
-      core_->drop_connection();
-      core_->rotate_peer();
-    }
-    result.attempts = attempt;
-    if (result.status.code == StatusCode::kNotLeader) {
-      // The follower told us who leads: re-route the next attempt there
-      // IMMEDIATELY — no backoff sleep, the answer was not a failure but
-      // a forwarding address. A hintless kNotLeader (election still in
-      // flight) falls through to paced peer rotation below.
-      if (const auto hint = parse_leader_hint(result.status.detail);
-          hint.has_value() && attempt < core_->config.retry.max_attempts) {
-        core_->redirect_to(*hint);
-        core_->breaker_record(false);
-        continue;
-      }
-      if (!core_->config.cluster.empty() &&
-          pacer.pace(attempt, result.status, &p_backoff)) {
-        core_->rotate_peer();
-        core_->breaker_record(false);
-        continue;
-      }
-      core_->breaker_record(false);
-      return result;
-    }
-    const bool retryable = result.status.retryable();
-    core_->breaker_record(retryable);
-    if (!retryable || !pacer.pace(attempt, result.status, &p_backoff))
-      return result;
-    if (!core_->breaker_allows()) return result;  // tripped mid-operation
-  }
+  std::size_t attempts = 0;
+  InstanceResponse reply = core_->sync_call<InstanceResponse>(
+      Command::kGetInstance, request, p_root, attempts);
+  return to_result(std::move(reply), attempts);
 }
 
 IntrospectResponse CasClient::introspect(const IntrospectRequest& request) {
   static obs::Phase& p_root =
       obs::Tracer::instance().phase("client_introspect");
-  static obs::Phase& p_attempt =
-      obs::Tracer::instance().phase("client_attempt");
-  RootScope rs(p_root, 0);
+  std::size_t attempts = 0;
+  return core_->sync_call<IntrospectResponse>(Command::kIntrospect, request,
+                                              p_root, attempts);
+}
 
-  IntrospectResponse result;
-  if (!core_->breaker_allows()) {
-    result.status = Status(StatusCode::kUnavailable, breaker_open_detail());
-    return result;
-  }
-  RetryPacer pacer{core_->config.retry, core_->jitter_seed};
-  for (std::size_t attempt = 1;; ++attempt) {
-    const std::uint64_t id =
-        core_->next_request_id.fetch_add(1, std::memory_order_relaxed);
-    rs.ctx.request_id = id;
-    Envelope env;
-    env.command = Command::kIntrospect;
-    env.request_id = id;
-    env.payload = request.serialize();
-    try {
-      obs::Span span(p_attempt);
-      const Bytes raw = core_->connection().call(env.serialize());
-      const Envelope reply = Envelope::deserialize(raw);
-      if (reply.command != Command::kIntrospect || reply.request_id != id) {
-        result = IntrospectResponse{};
-        result.status = Status(StatusCode::kInternal,
-                               "response does not match request");
-      } else {
-        result = IntrospectResponse::deserialize(reply.payload);
+/// One get_instance_async operation: what its completions carry from one
+/// attempt to the next. Exactly one attempt is in flight at a time.
+struct CasClient::Core::AsyncInstance {
+  std::shared_ptr<Core> core;
+  Envelope request;
+  InstanceCallback callback;
+  SteadyClock::time_point start = SteadyClock::now();
+  std::size_t attempts = 0;
+};
+
+/// One async attempt under a fresh request id. Its completion asks the
+/// retry rule without sleeping (the completion thread may be the server's
+/// timer thread) and either sends the next attempt or delivers.
+void CasClient::Core::send_async(std::shared_ptr<AsyncInstance> op) {
+  Core& core = *op->core;
+  const std::uint64_t id =
+      core.next_request_id.fetch_add(1, std::memory_order_relaxed);
+  op->request.request_id = id;
+  ++op->attempts;
+  auto on_complete = [op, id](Bytes raw, std::exception_ptr error) {
+    InstanceResponse answer;
+    if (error == nullptr) {
+      answer = decode_reply<InstanceResponse>(raw, Command::kGetInstance, id);
+    } else {
+      try {
+        std::rethrow_exception(error);
+      } catch (const std::exception& e) {
+        answer.status = op->core->transport_failure(e);
+      } catch (...) {
+        answer.status =
+            op->core->transport_failure(Error("transport failure"));
       }
-    } catch (const Error& e) {
-      result = IntrospectResponse{};
-      result.status = transport_status(e);
-      core_->drop_connection();
-      // Introspection is a read: ANY replica answers it, so rotation is
-      // the whole failover story here (no kNotLeader to parse).
-      core_->rotate_peer();
     }
-    const bool retryable = result.status.retryable();
-    core_->breaker_record(retryable);
-    if (!retryable || !pacer.pace(attempt, result.status, nullptr))
-      return result;
-    if (!core_->breaker_allows()) return result;  // tripped mid-operation
+    if (op->core->retry(answer.status, op->attempts, op->start,
+                        /*sleeps=*/false)) {
+      send_async(op);
+      return;
+    }
+    op->callback(to_result(std::move(answer), op->attempts));
+  };
+  try {
+    // Pass a copy: async_call throws only when it cannot dispatch at all,
+    // in which case the callback inside was never (and will never be)
+    // invoked — the intact original below turns the throw into the same
+    // completion path.
+    core.connection().async_call(op->request.serialize(), on_complete);
+  } catch (const Error& e) {
+    on_complete(Bytes{}, std::make_exception_ptr(e));
   }
 }
 
 void CasClient::get_instance_async(const std::string& session_name,
                                    const sgx::SigStruct& common_sigstruct,
                                    InstanceCallback callback) {
+  if (!core_->breaker_allows()) {
+    // Refused before anything is dispatched, so the callback runs on the
+    // caller's thread here.
+    InstanceResult result;
+    result.status = Status(StatusCode::kUnavailable, breaker_open_detail());
+    callback(std::move(result));
+    return;
+  }
   InstanceRequest request;
   request.session_name = session_name;
   request.common_sigstruct = common_sigstruct;
-  const std::uint64_t id =
-      core_->next_request_id.fetch_add(1, std::memory_order_relaxed);
-  if (!core_->breaker_allows()) {
-    // Fail fast inline — the breaker refuses before anything is dispatched,
-    // so the callback runs on the caller's thread here.
-    InstanceResult result;
-    result.status = Status(StatusCode::kUnavailable, breaker_open_detail());
-    result.attempts = 0;
-    callback(result);
-    return;
-  }
-  const auto deadline_at =
-      core_->config.retry.deadline.count() > 0
-          ? SteadyClock::now() + core_->config.retry.deadline
-          : SteadyClock::time_point::max();
-  issue_async(core_, encode_request(request, id), id,
-              core_->config.retry.max_attempts, 0, deadline_at,
-              std::move(callback));
-}
-
-void CasClient::issue_async(std::shared_ptr<Core> core, Bytes wire,
-                            std::uint64_t request_id,
-                            std::size_t attempts_left,
-                            std::size_t attempts_used,
-                            SteadyClock::time_point deadline_at,
-                            InstanceCallback callback) {
-  auto on_complete = [core, wire, request_id, attempts_left, attempts_used,
-                      deadline_at, callback = std::move(callback)](
-                         Bytes raw, std::exception_ptr error) mutable {
-    InstanceResult result;
-    if (error != nullptr) {
-      try {
-        std::rethrow_exception(error);
-      } catch (const std::exception& e) {
-        result.status = transport_status(e);
-      } catch (...) {
-        result.status = Status(StatusCode::kUnavailable, "transport failure");
-      }
-      core->drop_connection();
-      core->rotate_peer();
-    } else {
-      result = decode_response(raw, request_id);
-    }
-    result.attempts = attempts_used + 1;
-    if (result.status.code == StatusCode::kNotLeader && attempts_left > 1) {
-      // Same immediate re-route as the sync path; the async path never
-      // sleeps anyway, so hinted and hintless differ only in target.
-      if (const auto hint = parse_leader_hint(result.status.detail))
-        core->redirect_to(*hint);
-      else
-        core->rotate_peer();
-      core->breaker_record(false);
-      issue_async(core, std::move(wire), request_id, attempts_left - 1,
-                  attempts_used + 1, deadline_at, std::move(callback));
-      return;
-    }
-    const bool retryable = result.status.retryable();
-    core->breaker_record(retryable);
-    if (retryable && attempts_left > 1 && SteadyClock::now() < deadline_at &&
-        core->breaker_allows()) {
-      // Re-issue inline: no sleeping on the completion thread (it may be
-      // the server's timer thread). Open-loop issuers model pacing.
-      issue_async(core, std::move(wire), request_id, attempts_left - 1,
-                  attempts_used + 1, deadline_at, std::move(callback));
-      return;
-    }
-    callback(result);
-  };
-  try {
-    // Pass a copy: async_call throws only when it cannot dispatch at all,
-    // in which case the callback inside was never (and will never be)
-    // invoked — the intact original below turns the throw into the same
-    // completion path, so retry/delivery logic lives in one place.
-    core->connection().async_call(wire, on_complete);
-  } catch (const Error& e) {
-    core->drop_connection();
-    on_complete(Bytes{}, std::make_exception_ptr(e));
-  }
+  auto op = std::make_shared<Core::AsyncInstance>();
+  op->core = core_;
+  op->request.command = Command::kGetInstance;
+  op->request.payload = request.serialize();
+  op->callback = std::move(callback);
+  Core::send_async(std::move(op));
 }
 
 // --- AttestedChannel --------------------------------------------------------

@@ -7,9 +7,12 @@
 //   * envelope framing (protocol version, command, request ids) and
 //     response validation (version/command/id echo),
 //   * typed results: every operation yields a Status — no string matching,
-//   * retry with exponential backoff on *retryable* statuses (kUnavailable
-//     and transport-level failures); typed refusals like
-//     kUnsupportedVersion or kBadSignature are surfaced immediately,
+//   * one retry rule (CasClient::Core::retry in client.cpp), asked after
+//     every attempt of every operation: full-jitter backoff on retryable
+//     statuses (kUnavailable, transport failures); kNotLeader routed to
+//     its leader hint at once, else to the next cluster peer after the
+//     backoff (delivered when no cluster is configured); typed refusals
+//     like kUnsupportedVersion or kBadSignature surfaced immediately,
 //   * a sync call path and a completion-token async path
 //     (SimNetwork::async_call) for open-loop issuers,
 //   * the attested secure-channel flow (AttestedChannel): handshake with a
@@ -45,10 +48,9 @@ struct RetryPolicy {
   /// doubles per further retry (saturating at max_backoff) and the actual
   /// sleep is drawn *full-jitter* — uniform in [0, window] — so a fleet
   /// of clients knocked back by the same brownout does not return as a
-  /// synchronized retry storm. Only the sync path sleeps — the async path
-  /// re-issues immediately (an async issuer models pacing itself; see
-  /// get_instance_async). A server retry-after hint, when present in a
-  /// kUnavailable detail, overrides the drawn sleep.
+  /// synchronized retry storm. A server retry-after hint, when present in
+  /// a kUnavailable detail, overrides the drawn sleep. Only the sync
+  /// operations sleep; the async path waits 0 (see the retry rule).
   std::chrono::microseconds initial_backoff{200};
   /// Saturation cap for one backoff window.
   std::chrono::microseconds max_backoff{100'000};
@@ -58,13 +60,14 @@ struct RetryPolicy {
   std::uint64_t jitter_seed = 0;
   /// Overall per-operation time budget across attempts AND backoff
   /// sleeps (0 = unlimited). When the remaining budget cannot fit the
-  /// next backoff, the operation returns its last typed failure instead
-  /// of burning the rest of max_attempts.
+  /// next paced wait, the operation returns its last typed failure
+  /// instead of burning the rest of max_attempts.
   std::chrono::microseconds deadline{0};
   /// Circuit breaker: this many *consecutive* retryable failures open it
   /// (0 = disabled). While open, operations fail fast — typed
   /// kUnavailable with breaker_open_detail(), zero wire attempts — until
-  /// breaker_cooldown elapses and the next operation probes.
+  /// breaker_cooldown elapses and the next operation probes. A retry the
+  /// open breaker refuses delivers the operation's last answer.
   std::size_t breaker_threshold = 0;
   std::chrono::microseconds breaker_cooldown{50'000};
 
@@ -82,14 +85,12 @@ struct CasClientConfig {
   /// `address + ".instance"`, the attestation endpoint at `address`.
   std::string address;
   /// Replicated-cluster membership (base addresses; may include
-  /// `address`). When non-empty, two routing behaviors turn on:
-  ///   * a kNotLeader answer whose detail parses to a leader hint
-  ///     re-routes the NEXT attempt to that address immediately — no
-  ///     backoff sleep (the cluster told us exactly where to go);
-  ///   * transport failures and hintless kNotLeader answers rotate to the
-  ///     next cluster peer before the normal paced retry, so a killed
-  ///     leader is survived by discovering its successor.
-  /// Empty (the default) keeps the single-server behavior bit-for-bit.
+  /// `address`). When non-empty, transport failures and hintless
+  /// kNotLeader answers rotate to the next cluster peer before the paced
+  /// retry (sync and async alike; the async wait is 0), so a killed
+  /// leader is survived by discovering its successor. Without a cluster a
+  /// hintless kNotLeader is delivered. A leader hint is followed either
+  /// way. See the retry rule.
   std::vector<std::string> cluster;
   RetryPolicy retry;
 };
@@ -120,32 +121,32 @@ class CasClient {
   /// nothing listens there.
   Status connect();
 
-  /// Synchronous singleton retrieval. Retries per the RetryPolicy on
-  /// retryable statuses and transport failures, reconnecting in between;
-  /// typed refusals return immediately.
+  /// Synchronous singleton retrieval, retried per the retry rule
+  /// (reconnecting after transport failures, sleeping its paced waits).
   InstanceResult get_instance(const std::string& session_name,
                               const sgx::SigStruct& common_sigstruct);
 
   /// Fetch the server's observability snapshot — metrics in the requested
   /// format plus recent and slow traces — over the instance endpoint
-  /// (Command::kIntrospect). Same retry/reconnect behavior as
+  /// (Command::kIntrospect). Same attempt loop and retry rule as
   /// get_instance; a pre-introspection server answers kUnknownCommand.
   IntrospectResponse introspect(const IntrospectRequest& request = {});
 
   /// Completion-token retrieval over SimNetwork::async_call: returns after
   /// dispatch; `callback` runs exactly once, on whatever thread completes
   /// the request — even if this CasClient has been destroyed by then (the
-  /// completion keeps the client's shared Core alive). Retryable failures
-  /// are re-issued inline (no backoff sleeps on the completion thread) up
-  /// to the retry budget.
+  /// completion keeps the client's shared Core alive). One attempt is in
+  /// flight at a time; its completion asks the retry rule with a zero
+  /// wait (no sleeping on a completion thread) and sends the next one.
   using InstanceCallback = std::function<void(InstanceResult)>;
   void get_instance_async(const std::string& session_name,
                           const sgx::SigStruct& common_sigstruct,
                           InstanceCallback callback);
 
   /// Client-side resilience counters. trips = times the breaker opened;
-  /// fast_fails = operations (or async re-issues) refused while open;
-  /// leader_redirects = attempts re-routed by a kNotLeader leader hint.
+  /// fast_fails = attempts refused while the breaker is open (an
+  /// operation's first attempt, or a retry); leader_redirects = attempts
+  /// re-routed by a kNotLeader leader hint.
   struct Stats {
     std::uint64_t breaker_trips = 0;
     std::uint64_t breaker_fast_fails = 0;
@@ -160,13 +161,6 @@ class CasClient {
 
  private:
   struct Core;
-  static void issue_async(std::shared_ptr<Core> core, Bytes wire,
-                          std::uint64_t request_id,
-                          std::size_t attempts_left,
-                          std::size_t attempts_used,
-                          std::chrono::steady_clock::time_point deadline_at,
-                          InstanceCallback callback);
-
   std::shared_ptr<Core> core_;
 };
 

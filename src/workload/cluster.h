@@ -12,11 +12,14 @@
 // SinClave flow (credential retrieval through the cluster-aware CasClient,
 // enclave construction, a quote bound to a fresh channel key, then the
 // secure handshake that spends the one-time token) with leader re-routing
-// between phases — the handshake chases the leader the same way the SDK
-// does for retrieval, so a leader killed mid-flow surfaces as a typed
-// retry, never a hang. Callers count per-token acceptances; the bed's
-// audit_spends() then closes the ledger cluster-wide: every *running*
-// replica must converge to the same spent count.
+// between phases, so a leader killed mid-flow surfaces as a typed retry,
+// never a hang. Retrieval follows the SDK's retry rule. The handshake
+// cannot: a handshake rejection record carries one status byte and no
+// detail, so no leader hint ever reaches a spending client. The bed
+// re-resolves the leader from the nodes' Raft state instead — fixture
+// knowledge the SDK does not have. Callers count per-token acceptances;
+// the bed's audit_spends() then closes the ledger cluster-wide: every
+// *running* replica must converge to the same spent count.
 #pragma once
 
 #include <chrono>
@@ -141,14 +144,16 @@ class ClusterBed {
                            const std::string& target);
 
   /// The failover-chasing spend: transport failures and kNotLeader /
-  /// kUnavailable rejections re-resolve the leader and retry with a fresh
-  /// channel (bounded attempts). The token is constant across attempts —
-  /// that is the exactly-once property under test. A token ghost-spent by
-  /// a killed leader surfaces as a rejection on retry: the server
-  /// deliberately answers reuse with the *generic* kAttestationRejected
-  /// (no token-state oracle for probing clients), so the bed's racers are
-  /// always well-formed and any non-routing rejection means "already
-  /// spent" — the ledger audit below is the authority either way.
+  /// kUnavailable rejections re-resolve the leader from the nodes' Raft
+  /// state (wait_for_leader, not an SDK hint: the rejection carries none)
+  /// and retry with a fresh channel (bounded attempts). The token is
+  /// constant across attempts — that is the exactly-once property under
+  /// test. A token ghost-spent by a killed leader surfaces as a rejection
+  /// on retry: the server deliberately answers reuse with the *generic*
+  /// kAttestationRejected (no token-state oracle for probing clients), so
+  /// the bed's racers are always well-formed and any non-routing
+  /// rejection means "already spent" — the ledger audit below is the
+  /// authority either way.
   AttestedSpend spend_with_retry(const PreparedToken& prepared,
                                  std::uint64_t nonce,
                                  const std::string& initial_target);

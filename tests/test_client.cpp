@@ -1,7 +1,8 @@
 // Tests for the CasClient SDK and the versioned wire envelope:
 //  * sync + async retrieval through the typed client,
 //  * retry-with-backoff on retryable statuses; typed refusals returned
-//    immediately,
+//    immediately; one retry rule that get_instance, get_instance_async and
+//    introspect all follow,
 //  * version negotiation: future-version frames answered with
 //    kUnsupportedVersion; frames without the envelope magic, unknown
 //    commands and malformed payloads answered typed (never dropped) on
@@ -15,7 +16,10 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
+#include <future>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -509,6 +513,167 @@ TEST_F(CasClientTest, BreakerOpensFailsFastAndClosesOnAHealthyProbe) {
   EXPECT_TRUE(after.ok());
   EXPECT_EQ(client.stats().breaker_trips, 1u);  // closed cleanly, stayed shut
   bed_.network().shutdown("late.instance");
+}
+
+TEST_F(CasClientTest, UndecodableIntrospectReplyIsTypedInternal) {
+  // A reply that does not decode is the server's answer, not a transport
+  // failure: a typed kInternal after one wire call, never retried.
+  std::atomic<int> hits{0};
+  bed_.network().listen("garbled.instance", [&](ByteView) {
+    ++hits;
+    return Bytes(16, 0xee);
+  });
+  CasClient client(&bed_.network(),
+                   CasClientConfig{.address = "garbled",
+                                   .cluster = {},
+                                   .retry = {.max_attempts = 3,
+                                             .initial_backoff = 1us}});
+  const IntrospectResponse got = client.introspect();
+  EXPECT_EQ(got.status.code, StatusCode::kInternal) << got.status.message();
+  EXPECT_EQ(hits.load(), 1);
+  bed_.network().shutdown("garbled.instance");
+}
+
+// --- one retry rule across every operation ----------------------------------
+
+enum class Op { kGetInstance, kGetInstanceAsync, kIntrospect };
+
+const char* op_name(Op op) {
+  switch (op) {
+    case Op::kGetInstance:
+      return "get_instance";
+    case Op::kGetInstanceAsync:
+      return "get_instance_async";
+    case Op::kIntrospect:
+      return "introspect";
+  }
+  return "?";
+}
+
+/// One row of scripted answers: `script(n)` is what the fake endpoint
+/// answers its n-th call (1-based) — a refusal, or nullopt to forward the
+/// frame to the bed. The expectations hold for every operation alike.
+struct RuleRow {
+  const char* name;
+  std::function<std::optional<Status>(int)> script;
+  StatusCode code;
+  std::size_t attempts;  // checked where the result type carries it
+  std::size_t hits;      // calls the scripted endpoint saw
+  std::uint64_t leader_redirects;
+  /// The retry-after hint the script sends, if any: the sync operations
+  /// wait it out between the first two calls, the async one does not.
+  std::chrono::milliseconds hinted{0};
+};
+
+TEST_F(CasClientTest, EveryOperationFollowsTheOneRetryRule) {
+  constexpr std::chrono::milliseconds kHint{100};
+  const std::string bed = bed_.cas_address();
+  const std::vector<RuleRow> rows = {
+      {"kUnavailable twice, then served",
+       [](int n) -> std::optional<Status> {
+         if (n <= 2) return Status(StatusCode::kUnavailable);
+         return std::nullopt;
+       },
+       StatusCode::kOk, 3, 3, 0},
+      {"kNotLeader naming the bed",
+       [&](int) -> std::optional<Status> {
+         return Status(StatusCode::kNotLeader, not_leader_detail(bed));
+       },
+       StatusCode::kOk, 2, 1, 1},
+      {"hintless kNotLeader, no cluster",
+       [](int) -> std::optional<Status> {
+         return Status(StatusCode::kNotLeader, not_leader_detail(""));
+       },
+       StatusCode::kNotLeader, 1, 1, 0},
+      {"typed refusal",
+       [](int) -> std::optional<Status> {
+         return Status(StatusCode::kUnsupportedVersion);
+       },
+       StatusCode::kUnsupportedVersion, 1, 1, 0},
+      {"kUnavailable with a retry-after hint",
+       [&](int n) -> std::optional<Status> {
+         if (n == 1)
+           return Status(StatusCode::kUnavailable, retry_after_detail(kHint));
+         return std::nullopt;
+       },
+       StatusCode::kOk, 2, 2, 0, kHint},
+  };
+
+  for (const RuleRow& row : rows) {
+    for (const Op op :
+         {Op::kGetInstance, Op::kGetInstanceAsync, Op::kIntrospect}) {
+      SCOPED_TRACE(std::string(row.name) + " via " + op_name(op));
+      std::mutex mutex;
+      std::vector<std::chrono::steady_clock::time_point> hits;
+      bed_.network().listen("scripted.instance", [&](ByteView raw) {
+        int n = 0;
+        {
+          std::lock_guard lock(mutex);
+          hits.push_back(std::chrono::steady_clock::now());
+          n = static_cast<int>(hits.size());
+        }
+        const std::optional<Status> refusal = row.script(n);
+        if (!refusal.has_value()) return forward_to_bed(raw);
+        const Envelope env = Envelope::deserialize(raw);
+        if (env.command == Command::kIntrospect) {
+          IntrospectResponse resp;
+          resp.status = *refusal;
+          return env.reply(resp.serialize()).serialize();
+        }
+        InstanceResponse resp;
+        resp.status = *refusal;
+        return env.reply(resp.serialize()).serialize();
+      });
+      CasClient client(&bed_.network(),
+                       CasClientConfig{.address = "scripted",
+                                       .cluster = {},
+                                       .retry = {.max_attempts = 3,
+                                                 .initial_backoff = 1us,
+                                                 .max_backoff = 1us}});
+
+      StatusCode code = StatusCode::kOk;
+      std::optional<std::size_t> attempts;
+      switch (op) {
+        case Op::kGetInstance: {
+          const InstanceResult got =
+              client.get_instance("s", signed_.sigstruct);
+          code = got.status.code;
+          attempts = got.attempts;
+          break;
+        }
+        case Op::kGetInstanceAsync: {
+          std::promise<InstanceResult> delivered;
+          client.get_instance_async(
+              "s", signed_.sigstruct,
+              [&](InstanceResult r) { delivered.set_value(std::move(r)); });
+          auto future = delivered.get_future();
+          ASSERT_EQ(future.wait_for(5s), std::future_status::ready);
+          const InstanceResult got = future.get();
+          code = got.status.code;
+          attempts = got.attempts;
+          break;
+        }
+        case Op::kIntrospect:
+          code = client.introspect().status.code;
+          break;
+      }
+      bed_.network().shutdown("scripted.instance");
+
+      EXPECT_EQ(code, row.code) << to_string(code);
+      if (attempts.has_value()) {
+        EXPECT_EQ(*attempts, row.attempts);
+      }
+      EXPECT_EQ(hits.size(), row.hits);
+      EXPECT_EQ(client.stats().leader_redirects, row.leader_redirects);
+      if (row.hinted.count() > 0 && hits.size() >= 2) {
+        const auto gap = hits[1] - hits[0];
+        if (op == Op::kGetInstanceAsync)
+          EXPECT_LT(gap, row.hinted);  // a completion thread never sleeps
+        else
+          EXPECT_GE(gap, row.hinted);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 
 The repository's layering and concurrency rules are enforceable without a
 compiler — they are confinement rules about which tokens may appear in
-which files. This linter codifies the four documented ones:
+which files. This linter codifies seven documented ones:
 
   wire-confinement    Wire-protocol serialization (InstanceRequest &
                       friends ::serialize/::deserialize) stays inside
@@ -23,11 +23,20 @@ which files. This linter codifies the four documented ones:
                       with status_message(StatusCode::...) instead, so the
                       texts can never drift.
   status-details      Structured status-detail fragments that clients parse
-                      back out ("retry-after-ms=", "circuit breaker open")
-                      are a wire contract: composed and parsed ONLY by the
-                      helpers in src/common/status.cpp (retry_after_detail,
-                      parse_retry_after, breaker_open_detail). No other
-                      src/ file may embed the format as a literal.
+                      back out ("retry-after-ms=", "circuit breaker open",
+                      "leader=") are a wire contract: composed and parsed
+                      ONLY by the helpers in src/common/status.cpp
+                      (retry_after_detail, parse_retry_after,
+                      breaker_open_detail, not_leader_detail,
+                      parse_leader_hint). No other src/ file may embed the
+                      format as a literal.
+  retry-confinement   The client's one retry rule (CasClient::Core::retry)
+                      is the only caller of its inputs: in src/, calls to
+                      parse_leader_hint(, parse_retry_after( and
+                      backoff_before( appear only in src/cas/client.cpp
+                      (status.h/.cpp declare and define the parsers,
+                      cas/client.h declares backoff_before). A second retry
+                      loop anywhere else fails the lint.
   alloc-free          Files on the allocation-free signing and volume
                       hot paths (asserted by tests/test_alloc.cpp's counting
                       operator new) must not contain allocation tokens
@@ -110,6 +119,17 @@ STATUS_MIN_LEN = 10
 # contract, composed/parsed only by the src/common/status.cpp helpers.
 DETAIL_FRAGMENTS = ("retry-after-ms=", "circuit breaker open",
                     "leader=")
+
+# The retry rule's inputs: called only from the rule in RETRY_RULE_FILE;
+# each symbol's declaring/defining files are exempt.
+RETRY_RULE_FILE = "src/cas/client.cpp"
+RETRY_SYMBOL_HOMES = {
+    "parse_leader_hint": {"src/common/status.h", "src/common/status.cpp"},
+    "parse_retry_after": {"src/common/status.h", "src/common/status.cpp"},
+    "backoff_before": {"src/cas/client.h"},
+}
+RE_RETRY_CALL = re.compile(
+    r"\b(%s)\s*\(" % "|".join(RETRY_SYMBOL_HOMES))
 
 # Headers whose byte-facing decoders the fuzz layer must cover. A header
 # that does not exist is skipped (the rule is about decoders that DO
@@ -284,7 +304,24 @@ def check_status_details(root, findings):
                      "status-detail format fragment '%s' outside "
                      "src/common/status.cpp — compose/parse with "
                      "retry_after_detail / parse_retry_after / "
-                     "breaker_open_detail" % frag))
+                     "breaker_open_detail / not_leader_detail / "
+                     "parse_leader_hint" % frag))
+
+
+def check_retry_confinement(root, findings):
+    for path in iter_sources(root):
+        relpath = rel(root, path)
+        if relpath == RETRY_RULE_FILE:
+            continue
+        text = strip_code(path.read_text(encoding="utf-8"), blank_strings=True)
+        for m in RE_RETRY_CALL.finditer(text):
+            if relpath in RETRY_SYMBOL_HOMES[m.group(1)]:
+                continue
+            findings.append(
+                (relpath, line_of(text, m.start()), "retry-confinement",
+                 "'%s(' outside %s — retry decisions belong to the one "
+                 "retry rule, CasClient::Core::retry"
+                 % (m.group(1), RETRY_RULE_FILE)))
 
 
 def check_alloc_free(root, findings):
@@ -330,7 +367,8 @@ def check_fuzz_coverage(root, findings):
 
 
 CHECKS = (check_wire, check_raw_mutex, check_status_strings,
-          check_status_details, check_alloc_free, check_fuzz_coverage)
+          check_status_details, check_retry_confinement, check_alloc_free,
+          check_fuzz_coverage)
 
 
 def run_all(root):
@@ -374,6 +412,11 @@ SELFTEST_VIOLATIONS = {
         "// prose saying retry-after-ms= in a comment stays legal\n"
         'resp.status.detail = "try later (retry-after-ms=5)";\n',
         "status-details",
+    ),
+    "src/workload/bad_retry.cpp": (
+        "// prose about parse_leader_hint(detail) stays legal\n"
+        "const auto hint = parse_leader_hint(got.status.detail);\n",
+        "retry-confinement",
     ),
     "src/crypto/bignum.cpp": (
         "// never reallocates (comment token must not fire)\n"
