@@ -1,9 +1,9 @@
-// Differential oracle for the Montgomery fast paths.
+// Differential oracle for the Montgomery fast paths and X25519.
 //
 // The Montgomery context (fixed-window exponentiation, product-then-REDC
 // multiply and squaring, fold-based reduction) is the optimized engine
-// under every RSA and DH operation in the repository; its reference is a
-// naive square-and-multiply over BigInt's schoolbook multiply and long
+// under every RSA operation in the repository; its reference is a naive
+// square-and-multiply over BigInt's schoolbook multiply and long
 // division — two independent code paths that must agree on every input.
 // Operand sizes are clamped (modulus <= 24 bytes for the exponentiations,
 // <= 80 bytes for mul_mod and reduce, exponent <= 8) so one iteration
@@ -11,13 +11,18 @@
 // limb-boundary shapes instead of burning time on huge numbers. Mode 5
 // checks the dispatched multiply-accumulate row (MULX/ADCX/ADOX where the
 // CPU has it) against the portable row directly, over lengths up to 64
-// limbs, so its 8-limb loop and every tail length are reachable.
+// limbs, so its 8-limb loop and every tail length are reachable. Mode 6
+// checks the 51-bit-limb X25519 ladder against RFC 7748 §5's ladder
+// transcribed onto BigInt's * and .mod, its inversion by mod_exp(p - 2),
+// on fuzz-chosen 32-byte scalars and u (u's top bit and values in
+// [p, 2^255) included).
 #include "harnesses.h"
 
 #include <algorithm>
 
 #include "common/error.h"
 #include "crypto/bignum.h"
+#include "crypto/x25519.h"
 #include "fuzz_util.h"
 
 namespace sinclave::fuzz {
@@ -37,6 +42,60 @@ BigInt naive_mod_exp(const BigInt& base, const BigInt& exp, const BigInt& m) {
   return result;
 }
 
+/// RFC 7748 §5 on BigInt, line by line: clamp, mask u's top bit, ladder
+/// with a branching swap, then x_2 * z_2^(p - 2). Returns the u-coordinate
+/// as a number (0 for a small-order u).
+BigInt x25519_reference(const crypto::X25519Bytes& scalar,
+                        const crypto::X25519Bytes& u_bytes) {
+  static const BigInt p = (BigInt(1) << 255) - BigInt(19);
+  const auto little_endian = [](crypto::X25519Bytes b) {
+    std::reverse(b.begin(), b.end());
+    return BigInt::from_bytes_be(ByteView{b.data(), b.size()});
+  };
+  crypto::X25519Bytes clamped = scalar;
+  clamped[0] &= 248;
+  clamped[31] &= 127;
+  clamped[31] |= 64;
+  const BigInt k = little_endian(clamped);
+  crypto::X25519Bytes masked = u_bytes;
+  masked[31] &= 127;
+  const BigInt x1 = little_endian(masked).mod(p);
+  const auto sub = [](const BigInt& a, const BigInt& b) {
+    return (a + p - b).mod(p);
+  };
+  BigInt x2 = 1, z2 = 0, x3 = x1, z3 = 1;
+  bool swap = false;
+  for (std::size_t t = 255; t-- > 0;) {
+    const bool k_t = k.bit(t);
+    if (swap != k_t) {
+      std::swap(x2, x3);
+      std::swap(z2, z3);
+    }
+    swap = k_t;
+    const BigInt a = (x2 + z2).mod(p);
+    const BigInt aa = (a * a).mod(p);
+    const BigInt b = sub(x2, z2);
+    const BigInt bb = (b * b).mod(p);
+    const BigInt e = sub(aa, bb);
+    const BigInt c = (x3 + z3).mod(p);
+    const BigInt d = sub(x3, z3);
+    const BigInt da = (d * a).mod(p);
+    const BigInt cb = (c * b).mod(p);
+    const BigInt sum = (da + cb).mod(p);
+    const BigInt diff = sub(da, cb);
+    x3 = (sum * sum).mod(p);
+    z3 = (x1 * (diff * diff).mod(p)).mod(p);
+    x2 = (aa * bb).mod(p);
+    z2 = (e * (aa + BigInt(121665) * e).mod(p)).mod(p);
+  }
+  if (swap) {
+    std::swap(x2, x3);
+    std::swap(z2, z3);
+  }
+  if (z2.is_zero()) return BigInt{};
+  return (x2 * BigInt::mod_exp(z2, p - BigInt(2), p)).mod(p);
+}
+
 BigInt odd_modulus(FuzzInput& in, std::size_t max_bytes) {
   BigInt m = BigInt::from_bytes_be(in.take(1 + in.below(
       static_cast<std::uint32_t>(max_bytes))));
@@ -51,7 +110,7 @@ int run_bignum_diff(const std::uint8_t* data, std::size_t size) {
   FuzzInput in(data, size);
   const std::uint8_t mode = in.u8();
 
-  switch (mode % 6) {
+  switch (mode % 7) {
     case 0: {
       const BigInt m = odd_modulus(in, 24);
       const BigInt base = BigInt::from_bytes_be(in.take(1 + in.below(48)));
@@ -125,6 +184,35 @@ int run_bignum_diff(const std::uint8_t* data, std::size_t size) {
           crypto::detail::mul_add_row_portable(t_ref, y, x, len);
       require(carry == carry_ref && std::equal(t, t + len, t_ref),
               "dispatched multiply-accumulate row disagrees with portable");
+      break;
+    }
+    case 6: {
+      // A flag byte turns u into p + r, r = u[0] mod 19 (bit 255 kept as
+      // drawn): non-canonical encodings the fuzzer would rarely draw.
+      crypto::X25519Bytes scalar{}, u{};
+      const Bytes k_bytes = in.take(32);
+      std::copy(k_bytes.begin(), k_bytes.end(), scalar.begin());
+      const bool noncanonical = in.boolean();
+      const Bytes u_bytes = in.take(32);
+      std::copy(u_bytes.begin(), u_bytes.end(), u.begin());
+      if (noncanonical) {
+        const std::uint8_t r = static_cast<std::uint8_t>(u[0] % 19);
+        u[0] = static_cast<std::uint8_t>(0xed + r);
+        std::fill(u.begin() + 1, u.end() - 1, std::uint8_t{0xff});
+        u[31] = static_cast<std::uint8_t>(0x7f | (u[31] & 0x80));
+      }
+      const BigInt expected = x25519_reference(scalar, u);
+      try {
+        crypto::X25519Bytes out = crypto::x25519(scalar, u);
+        std::reverse(out.begin(), out.end());
+        require(!expected.is_zero() &&
+                    BigInt::from_bytes_be(ByteView{out.data(), out.size()}) ==
+                        expected,
+                "x25519 disagrees with the RFC 7748 reference ladder");
+      } catch (const Error&) {
+        require(expected.is_zero(),
+                "x25519 refused a u whose reference result is nonzero");
+      }
       break;
     }
   }

@@ -35,7 +35,8 @@ int run_sigstruct_quote(const std::uint8_t* data, std::size_t size);
 int run_status_details(const std::uint8_t* data, std::size_t size);
 
 /// Differential oracle: Montgomery exp/exp_u64/mul_mod/reduce vs a naive
-/// square-and-multiply / long-division reference.
+/// square-and-multiply / long-division reference, and X25519 vs RFC 7748's
+/// ladder on BigInt.
 int run_bignum_diff(const std::uint8_t* data, std::size_t size);
 
 /// Differential oracle: sha256 (interruptible) vs sha256_fast, streaming

@@ -179,7 +179,8 @@ class AttestedChannel {
   AttestedChannel(net::SimNetwork* net, std::string cas_address,
                   crypto::Drbg rng);
 
-  /// The DH public key to commit into REPORTDATA before attesting.
+  /// The channel's 32-byte X25519 share, to commit into REPORTDATA before
+  /// attesting.
   const Bytes& dh_public() const { return client_.dh_public(); }
 
   /// Run the handshake: kAttest envelope carrying `payload`, server

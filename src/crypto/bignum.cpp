@@ -200,7 +200,7 @@ BigInt BigInt::mod_exp(const BigInt& base, const BigInt& exp, const BigInt& m) {
     const Montgomery ctx(m);
     return ctx.exp(base, exp);
   }
-  // Even modulus fallback (unused by RSA/DH but kept for completeness).
+  // Even modulus fallback (unused by RSA but kept for completeness).
   BigInt result{1};
   BigInt b = base.mod(m);
   for (std::size_t i = exp.bit_length(); i-- > 0;) {

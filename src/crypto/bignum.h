@@ -1,7 +1,7 @@
 // Arbitrary-precision unsigned integers and modular arithmetic.
 //
-// Backs RSA-3072 (SigStruct signing/verification, quote signatures) and
-// finite-field Diffie-Hellman (secure channel). Only non-negative values
+// Backs RSA-3072: SigStruct signing/verification, quote signatures and the
+// secure channel's identity signature. Only non-negative values
 // are representable; all protocol math is modular. Limbs are 64-bit,
 // little-endian, normalized (no high zero limbs).
 #pragma once
@@ -25,7 +25,7 @@ class BigInt {
   BigInt() = default;
   BigInt(std::uint64_t v);  // NOLINT(google-explicit-constructor): numeric literal convenience
 
-  /// Big-endian byte import/export (the wire format of RSA/DH values).
+  /// Big-endian byte import/export (the wire format of RSA values).
   static BigInt from_bytes_be(ByteView bytes);
   /// Export big-endian, left-padded with zeros to at least `min_len` bytes.
   Bytes to_bytes_be(std::size_t min_len = 0) const;
@@ -125,7 +125,7 @@ inline BigInt BigInt::mod(const BigInt& m) const {
 /// on x86-64 CPUs with BMI2 and ADX, and the portable 128-bit loop on
 /// every other host (and as the tests' reference). Nothing else forks.
 ///
-/// Exponentiation is fixed-window (4-5 bit for RSA/DH-sized exponents)
+/// Exponentiation is fixed-window (4-5 bit for RSA-sized exponents)
 /// over a precomputed odd-powers table, and every intermediate lives in a
 /// caller-supplied Scratch arena: the steady-state exp() path performs
 /// zero heap allocations (tests/test_alloc.cpp counts them). Wide inputs

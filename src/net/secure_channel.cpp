@@ -1,5 +1,6 @@
 #include "net/secure_channel.h"
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <vector>
@@ -17,6 +18,11 @@ namespace {
 constexpr std::uint8_t kMsgHandshake = 0;
 constexpr std::uint8_t kMsgData = 1;
 
+/// Handshake record version, the byte after the marker. The first-format
+/// record had no version byte: its share's u32 length (256) put 0x00
+/// there, so it reads as version 0 and is refused typed.
+constexpr std::uint8_t kHandshakeVersion = 2;
+
 constexpr std::uint8_t kStatusRejected = 0;
 constexpr std::uint8_t kStatusOk = 1;
 
@@ -28,15 +34,39 @@ struct TrafficKeys {
   Bytes s2c;
 };
 
-TrafficKeys derive_keys(ByteView shared_secret, ByteView client_dh,
-                        ByteView server_dh) {
-  const Hash256 transcript = crypto::sha256(concat({client_dh, server_dh}));
+/// SHA-256 of the whole handshake, every field length-prefixed. The server
+/// signs it and both traffic keys derive from it, so a relay that rewrites
+/// the session id, a share or a payload fails the client's identity check.
+Hash256 transcript_hash(std::uint64_t session_id, ByteView client_share,
+                        ByteView server_share, ByteView client_payload,
+                        ByteView server_payload) {
+  ByteWriter w;
+  w.u8(kHandshakeVersion);
+  w.u64(session_id);
+  w.bytes(client_share);
+  w.bytes(server_share);
+  w.bytes(client_payload);
+  w.bytes(server_payload);
+  return crypto::sha256(w.data());
+}
+
+TrafficKeys derive_keys(const crypto::X25519Bytes& shared_secret,
+                        const Hash256& transcript) {
+  const ByteView secret{shared_secret.data(), shared_secret.size()};
   TrafficKeys keys;
-  keys.c2s = crypto::hkdf(to_bytes("sinclave-channel"), shared_secret,
+  keys.c2s = crypto::hkdf(to_bytes("sinclave-channel"), secret,
                           concat({to_bytes("c2s"), transcript.view()}), 32);
-  keys.s2c = crypto::hkdf(to_bytes("sinclave-channel"), shared_secret,
+  keys.s2c = crypto::hkdf(to_bytes("sinclave-channel"), secret,
                           concat({to_bytes("s2c"), transcript.view()}), 32);
   return keys;
+}
+
+crypto::X25519Bytes to_share(ByteView bytes) {
+  if (bytes.size() != crypto::kX25519Bytes)
+    throw Error("secure channel: an X25519 share is 32 bytes");
+  crypto::X25519Bytes share;
+  std::copy(bytes.begin(), bytes.end(), share.begin());
+  return share;
 }
 
 /// Record nonce on the stack: u32(0) || u64(counter), little-endian —
@@ -132,15 +162,26 @@ Bytes SecureServer::handle(ByteView raw) {
     if (type == kMsgData) return handle_data(r);
     return rejection_record();
   } catch (const Error&) {
-    // Not just ParseError: malformed DH points or hook-level deserializer
-    // failures must answer a clean rejection, never escape into (and kill
-    // futures on) a frontend worker thread.
+    // Not just ParseError: small-order X25519 shares or hook-level
+    // deserializer failures must answer a clean rejection, never escape
+    // into (and kill futures on) a frontend worker thread.
     return rejection_record();
   }
 }
 
 Bytes SecureServer::handle_handshake(ByteReader& r) {
+  const auto refuse = [this](StatusCode status) {
+    handshakes_rejected_.fetch_add(1, std::memory_order_relaxed);
+    return rejection_record(status);
+  };
+  // The record's shape is checked before the hook runs: a peer speaking
+  // another version, or sending a share of another length, never reaches
+  // quote verification or a token spend.
+  if (r.u8() != kHandshakeVersion)
+    return refuse(StatusCode::kUnsupportedVersion);
   const Bytes client_dh = r.bytes();
+  if (client_dh.size() != crypto::kX25519Bytes)
+    return refuse(StatusCode::kMalformedRequest);
   const Bytes client_payload = r.bytes();
   r.expect_done();
 
@@ -163,45 +204,46 @@ Bytes SecureServer::handle_handshake(ByteReader& r) {
     accepted = on_handshake_(client_payload, client_dh, &reject_status);
   }
   if (!accepted.has_value()) {
-    handshakes_rejected_.fetch_add(1, std::memory_order_relaxed);
     // Rejection record: status byte appended after the rejected marker.
     // Pre-status clients stop at the marker (they never read past the
     // first byte), so the extension is wire-compatible both ways.
-    return rejection_record(reject_status);
+    return refuse(reject_status);
   }
 
   // All key-establishment crypto stays outside every lock too. The DRBG
-  // lease is held only for the 48-byte exponent draw; the modexps, the
+  // lease is held only for the 32-byte scalar draw; both ladders, the
   // transcript hash, the HKDF expansion, and the RSA identity signature
   // run lock-free.
-  Bytes server_pub;
-  Bytes secret;
+  crypto::X25519Bytes server_share;
+  crypto::X25519Bytes secret;
   {
     static obs::Phase& p_dh = obs::Tracer::instance().phase("dh_derive");
     obs::Span span(p_dh);
-    Bytes exponent;
+    crypto::X25519Bytes scalar;
     {
       auto lease = rng_.lease();
-      exponent = lease.rng().generate(crypto::DhKeyPair::kExponentBytes);
+      lease.rng().generate(scalar.data(), scalar.size());
     }
     lockrank::assert_none_held("handshake key derivation");
-    const crypto::DhKeyPair server_dh =
-        crypto::DhKeyPair::from_exponent(exponent);
-    server_pub = server_dh.public_value();
-    secret = server_dh.shared_secret(client_dh);
+    server_share = crypto::x25519_public(scalar);
+    secret = crypto::x25519(scalar, to_share(client_dh));
   }
+  const ByteView server_pub{server_share.data(), server_share.size()};
+  Hash256 transcript;
   TrafficKeys keys;
   {
     static obs::Phase& p_hkdf = obs::Tracer::instance().phase("hkdf");
     obs::Span span(p_hkdf);
-    keys = derive_keys(secret, client_dh, server_pub);
+    transcript = transcript_hash(session_id, client_dh, server_pub,
+                                 client_payload, accepted->payload);
+    keys = derive_keys(secret, transcript);
   }
   Bytes signature;
   {
     static obs::Phase& p_sign =
         obs::Tracer::instance().phase("identity_sign");
     obs::Span span(p_sign);
-    signature = identity_->sign_pkcs1_sha256(concat({client_dh, server_pub}));
+    signature = identity_->sign_pkcs1_sha256(transcript.view());
   }
 
   // Publish the fully-derived session: the only stripe-lock work on the
@@ -375,9 +417,10 @@ SecureServer::Stats SecureServer::stats() const {
 // Client
 // ---------------------------------------------------------------------------
 
-SecureClient::SecureClient(crypto::Drbg rng)
-    : rng_(std::move(rng)), dh_(crypto::DhKeyPair::generate(rng_)) {
-  dh_public_ = dh_.public_value();
+SecureClient::SecureClient(crypto::Drbg rng) {
+  rng.generate(scalar_.data(), scalar_.size());
+  const crypto::X25519Bytes share = crypto::x25519_public(scalar_);
+  dh_public_.assign(share.begin(), share.end());
 }
 
 std::optional<Bytes> SecureClient::connect(
@@ -386,6 +429,7 @@ std::optional<Bytes> SecureClient::connect(
     StatusCode* reject_status) {
   ByteWriter req;
   req.u8(kMsgHandshake);
+  req.u8(kHandshakeVersion);
   req.bytes(dh_public_);
   req.bytes(client_payload);
   const Bytes raw = connection.call(req.data());
@@ -416,12 +460,14 @@ std::optional<Bytes> SecureClient::connect(
   // Server authentication: the expected verifier must have signed the
   // handshake transcript. A mismatch is an active attack, not a routine
   // rejection -> throw.
-  if (!expected_server.verify_pkcs1_sha256(concat({dh_public_, server_pub}),
-                                           signature))
+  const Hash256 transcript = transcript_hash(
+      session_id, dh_public_, server_pub, client_payload, server_payload);
+  if (!expected_server.verify_pkcs1_sha256(transcript.view(), signature))
     throw IdentityMismatchError();
 
-  const Bytes secret = dh_.shared_secret(server_pub);
-  TrafficKeys keys = derive_keys(secret, dh_public_, server_pub);
+  const crypto::X25519Bytes secret =
+      crypto::x25519(scalar_, to_share(server_pub));
+  TrafficKeys keys = derive_keys(secret, transcript);
   session_.emplace(Session{connection, session_id, crypto::Aead(keys.c2s),
                            crypto::Aead(keys.s2c),
                            session_ad("c2s", session_id),

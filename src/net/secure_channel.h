@@ -1,18 +1,26 @@
 // Attestation-bindable secure channel (the RA-TLS / wireguard stand-in).
 //
-// Handshake (client = enclave runtime, starter tool, or the attacker's
-// impersonator; server = the verifier/CAS):
+// Handshake, record version 2 (client = enclave runtime, starter tool, or
+// the attacker's impersonator; server = the verifier/CAS):
 //
-//   client -> server : client DH public || opaque client payload
-//   server -> client : server DH public || RSA signature over
-//                      (client DH || server DH) || opaque server payload
+//   client -> server : marker | u8 version (2) | client X25519 share
+//                      (32 bytes) | opaque client payload
+//   server -> client : ok | u64 session id | server X25519 share (32
+//                      bytes) | RSA signature over T | opaque server payload
 //
-// Both sides derive AES-256 AEAD traffic keys from the DH secret via HKDF.
-// The *server* is authenticated by its RSA identity key (clients check it
-// against the expected verifier identity — for SinClave singletons, against
-// the identity baked into the measured instance page). The *client* is
+//   T = SHA-256(version || session id || client share || server share ||
+//               client payload || server payload)
+//
+// The server refuses another version (kUnsupportedVersion) or a share of
+// another length (kMalformedRequest) before its handshake hook runs, so
+// such a peer never reaches quote verification. Both sides derive AES-256
+// AEAD traffic keys from the X25519 secret and T via HKDF. The *server* is
+// authenticated by its RSA identity key's signature over T (clients check
+// it against the expected verifier identity — for SinClave singletons,
+// against the identity baked into the measured instance page), which also
+// covers the session id and the server payload. The *client* is
 // authenticated at a higher layer: its payload typically carries an SGX
-// quote whose REPORTDATA must commit to the client's DH public key. That
+// quote whose REPORTDATA must commit to the client's X25519 share. That
 // commitment — and how the paper's attack forges it via a report server —
 // is the crux of §3.
 #pragma once
@@ -31,9 +39,9 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "crypto/aead.h"
-#include "crypto/dh.h"
 #include "crypto/drbg.h"
 #include "crypto/rsa.h"
+#include "crypto/x25519.h"
 #include "net/sim_network.h"
 
 namespace sinclave {
@@ -43,7 +51,7 @@ class ByteReader;  // common/serial.h
 namespace sinclave::net {
 
 /// The value an attested client must place in its report's REPORTDATA:
-/// SHA-256 of the client DH public key, zero padded to 64 bytes.
+/// SHA-256 of the client's X25519 share, zero padded to 64 bytes.
 FixedBytes<64> channel_binding(ByteView client_dh_public);
 
 /// Transport record kinds on the secure endpoint. Frontends split their
@@ -94,7 +102,7 @@ class RecordRejectedError : public Error {
 /// (kStripes shards, each with its own mutex) behind shared_ptr, with a
 /// per-session lock serializing only records of
 /// that one session. ALL handshake crypto — the HandshakeHook (quote
-/// verification, the expensive part), DH derivation, transcript hashing,
+/// verification, the expensive part), the X25519 ladders, transcript hashing,
 /// HKDF, and the RSA identity signature — runs with no SecureServer lock
 /// held; a session is published to its stripe only after its keys are
 /// fully derived. Consequently (and unlike the earlier coarse-mutex
@@ -120,7 +128,7 @@ class SecureServer {
     std::string peer;
   };
   /// Decides whether to accept a handshake. Receives the client's payload
-  /// and DH public key; returns the acceptance to send, or nullopt
+  /// and X25519 share; returns the acceptance to send, or nullopt
   /// to reject the session. On rejection the hook may set `reject_status`
   /// to a protocol-level code (kUnsupportedVersion, kMalformedRequest) —
   /// it rides the rejection record so well-behaved clients learn how to
@@ -246,13 +254,14 @@ class SecureClient {
  public:
   explicit SecureClient(crypto::Drbg rng);
 
-  /// The DH public key, available before connecting so callers can bind it
-  /// into a report (channel_binding()).
+  /// The 32-byte X25519 share, available before connecting so callers can
+  /// bind it into a report (channel_binding()).
   const Bytes& dh_public() const { return dh_public_; }
 
-  /// Run the handshake. `expected_server` pins the server identity —
-  /// mismatch throws IdentityMismatchError (this is the check SinClave
-  /// roots in the instance page). Returns the server's handshake payload;
+  /// Run the handshake. `expected_server` pins the server identity: a
+  /// signature over the transcript that does not verify under it throws
+  /// IdentityMismatchError (this is the check SinClave roots in the
+  /// instance page). Returns the server's handshake payload;
   /// nullopt when the server rejected the session — `reject_status`, when
   /// given, then carries the typed rejection (kAttestationRejected unless
   /// the rejection record said otherwise; pre-status servers send none).
@@ -281,8 +290,7 @@ class SecureClient {
     std::uint64_t recv_counter = 0;
   };
 
-  crypto::Drbg rng_;
-  crypto::DhKeyPair dh_;
+  crypto::X25519Bytes scalar_;
   Bytes dh_public_;
   std::optional<Session> session_;
 };

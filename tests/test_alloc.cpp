@@ -25,6 +25,7 @@
 #include "crypto/hmac.h"
 #include "crypto/rsa.h"
 #include "crypto/sha256.h"
+#include "crypto/x25519.h"
 #include "obs/trace.h"
 #include "runtime/starter.h"
 #include "server/cas_server.h"
@@ -143,6 +144,25 @@ TEST(Allocation, SteadyStateCtrAndHmacAreAllocationFree) {
   const Hash256 tag = hmac_sha256(mac_key, msg);
   EXPECT_EQ(g_allocations.load() - before, 0u);
   EXPECT_EQ(tag, expected);
+}
+
+TEST(Allocation, WarmX25519LadderIsAllocationFree) {
+  // The channel's key agreement: both ladders run on fixed 32-byte arrays
+  // and stack limbs. The warm-up pays any one-time cost of the first call.
+  Drbg rng = Drbg::from_seed(11, "alloc-x25519");
+  X25519Bytes a;
+  X25519Bytes b;
+  rng.generate(a.data(), a.size());
+  rng.generate(b.data(), b.size());
+  const X25519Bytes b_public = x25519_public(b);
+  const X25519Bytes expected = x25519(a, b_public);
+
+  const std::uint64_t before = g_allocations.load();
+  const X25519Bytes a_public = x25519_public(a);
+  const X25519Bytes secret = x25519(a, b_public);
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(secret, expected);
+  EXPECT_EQ(x25519(b, a_public), expected);
 }
 
 }  // namespace

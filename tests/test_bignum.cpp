@@ -383,7 +383,7 @@ TEST(Montgomery, ContextAtEveryLimbCount) {
 }
 
 TEST(Montgomery, LargeExponentiationMatchesFermat) {
-  // 2^(p-1) ≡ 1 mod p for the MODP-2048 prime (it is prime).
+  // 2^(p-1) ≡ 1 mod p for RFC 3526's 2048-bit group prime (it is prime).
   const BigInt p = BigInt::from_hex(
       "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1"
       "29024E088A67CC74020BBEA63B139B22514A08798E3404DD"

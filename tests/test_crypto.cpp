@@ -3,8 +3,10 @@
 // paper's base enclave hash), HMAC, HKDF, DRBG, AES, AEAD.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
 #include "crypto/sha256_fast.h"
+#include "crypto/x25519.h"
 
 namespace sinclave::crypto {
 namespace {
@@ -459,6 +462,149 @@ TEST(Aead, DistinctKeysCannotOpen) {
   const Bytes nonce(12, 0);
   const Bytes sealed = a.seal(nonce, to_bytes("m"), {});
   EXPECT_FALSE(b.open(nonce, sealed, {}).has_value());
+}
+
+// --- X25519 (RFC 7748) ---
+
+X25519Bytes x25519_hex(std::string_view hex) {
+  const Bytes b = from_hex(hex);
+  X25519Bytes out{};
+  std::copy(b.begin(), b.end(), out.begin());
+  return out;
+}
+
+std::string hex_of(const X25519Bytes& v) {
+  return to_hex(ByteView{v.data(), v.size()});
+}
+
+X25519Bytes draw_scalar(Drbg& rng) {
+  X25519Bytes k;
+  rng.generate(k.data(), k.size());
+  return k;
+}
+
+TEST(X25519, Rfc7748Section52Vectors) {
+  EXPECT_EQ(hex_of(x25519(
+                x25519_hex("a546e36bf0527c9d3b16154b82465edd"
+                           "62144c0ac1fc5a18506a2244ba449ac4"),
+                x25519_hex("e6db6867583030db3594c1a424b15f7c"
+                           "726624ec26b3353b10a903a6d0ab1c4c"))),
+            "c3da55379de9c6908e94ea4df28d084f"
+            "32eccf03491c71f754b4075577a28552");
+  // This u has bit 255 set: the ladder must mask it.
+  EXPECT_EQ(hex_of(x25519(
+                x25519_hex("4b66e9d4d1b4673c5ad22691957d6af5"
+                           "c11b6421e0ea01d42ca4169e7918ba0d"),
+                x25519_hex("e5210f12786811d3f4b7959d0538ae2c"
+                           "31dbe7106fc03c3efc4cd549c715a493"))),
+            "95cbde9476e8907d7aade45cb4b873f8"
+            "8b595a68799fa152e6f8f7647aac7957");
+}
+
+TEST(X25519, Rfc7748Section52IteratedVector) {
+  // k, u = X25519(k, u), k from k = u = 9. RFC 7748 also gives the value
+  // after 1,000,000 iterations; at about 80 us a ladder that is some 80 s,
+  // so only the 1 and 1,000 checkpoints run here.
+  X25519Bytes k = x25519_hex(
+      "0900000000000000000000000000000000000000000000000000000000000000");
+  X25519Bytes u = k;
+  for (int i = 1; i <= 1000; ++i) {
+    const X25519Bytes next = x25519(k, u);
+    u = k;
+    k = next;
+    if (i == 1) {
+      EXPECT_EQ(hex_of(k),
+                "422c8e7a6227d7bca1350b3e2bb7279f"
+                "7897b87bb6854b783c60e80311ae3079");
+    }
+  }
+  EXPECT_EQ(hex_of(k),
+            "684cf59ba83309552800ef566f2f4d3c"
+            "1c3887c49360e3875f2eb94d99532c51");
+}
+
+TEST(X25519, Rfc7748Section61DiffieHellman) {
+  const X25519Bytes alice = x25519_hex(
+      "77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a");
+  const X25519Bytes bob = x25519_hex(
+      "5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb");
+  const X25519Bytes alice_public = x25519_public(alice);
+  const X25519Bytes bob_public = x25519_public(bob);
+  EXPECT_EQ(hex_of(alice_public),
+            "8520f0098930a754748b7ddcb43ef75a"
+            "0dbf3a0d26381af4eba4a98eaa9b4e6a");
+  EXPECT_EQ(hex_of(bob_public),
+            "de9edb7d7b7dc1b4d35b61c2ece43537"
+            "3f8343c85b78674dadfc7e146f882b4f");
+  const std::string shared =
+      "4a5d9d5ba4ce2de1728e3bf480350f25e07e21c947d19e3376f09b3c1e161742";
+  EXPECT_EQ(hex_of(x25519(alice, bob_public)), shared);
+  EXPECT_EQ(hex_of(x25519(bob, alice_public)), shared);
+}
+
+TEST(X25519, TopBitOfUIsMasked) {
+  Drbg rng = Drbg::from_seed(40, "x25519");
+  for (int i = 0; i < 4; ++i) {
+    const X25519Bytes k = draw_scalar(rng);
+    X25519Bytes u = draw_scalar(rng);
+    u[31] &= 0x7f;
+    X25519Bytes u_top = u;
+    u_top[31] |= 0x80;
+    EXPECT_EQ(x25519(k, u_top), x25519(k, u));
+  }
+}
+
+TEST(X25519, NonCanonicalUIsReduced) {
+  // u + p for u = 2..18 still fits in 255 bits; it must act as u, with or
+  // without bit 255 set on top.
+  Drbg rng = Drbg::from_seed(41, "x25519");
+  const X25519Bytes k = draw_scalar(rng);
+  for (std::uint8_t u0 = 2; u0 < 19; ++u0) {
+    X25519Bytes u{};
+    u[0] = u0;
+    X25519Bytes u_plus_p;
+    u_plus_p.fill(0xff);
+    u_plus_p[0] = static_cast<std::uint8_t>(0xed + u0);  // p = 2^255 - 19
+    u_plus_p[31] = 0x7f;
+    EXPECT_EQ(x25519(k, u_plus_p), x25519(k, u)) << int{u0};
+    u_plus_p[31] |= 0x80;
+    EXPECT_EQ(x25519(k, u_plus_p), x25519(k, u)) << int{u0};
+  }
+}
+
+TEST(X25519, SmallOrderPeerSharesThrow) {
+  // u = 0, u = 1, the two points of order 8, and p - 1, p and p + 1 (the
+  // last two are u = 0 and u = 1 unreduced): a clamped scalar is a
+  // multiple of 8, so each yields the all-zero secret.
+  const char* const kSmallOrder[] = {
+      "0000000000000000000000000000000000000000000000000000000000000000",
+      "0100000000000000000000000000000000000000000000000000000000000000",
+      "e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800",
+      "5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157",
+      "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+      "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+      "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+  };
+  Drbg rng = Drbg::from_seed(42, "x25519");
+  const X25519Bytes k = draw_scalar(rng);
+  for (const char* u : kSmallOrder)
+    EXPECT_THROW(x25519(k, x25519_hex(u)), Error) << u;
+}
+
+TEST(X25519, SharedSecretAgreement) {
+  Drbg rng = Drbg::from_seed(43, "x25519");
+  const X25519Bytes alice = draw_scalar(rng);
+  const X25519Bytes bob = draw_scalar(rng);
+  EXPECT_EQ(x25519(alice, x25519_public(bob)),
+            x25519(bob, x25519_public(alice)));
+}
+
+TEST(X25519, DistinctScalarsDistinctSecrets) {
+  Drbg rng = Drbg::from_seed(44, "x25519");
+  const X25519Bytes a = draw_scalar(rng);
+  const X25519Bytes b = draw_scalar(rng);
+  const X25519Bytes c_public = x25519_public(draw_scalar(rng));
+  EXPECT_NE(x25519(a, c_public), x25519(b, c_public));
 }
 
 // --- DrbgPool ---

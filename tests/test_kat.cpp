@@ -1,18 +1,20 @@
 // Differential known-answer tests: every generated vector (produced by an
-// independent reference implementation — CPython's hashlib/hmac and pow();
-// see generated_kat.inc) must match all of this repository's
-// implementations: the interruptible SHA-256, the optimized SHA-256
-// (including its SHA-NI path when the CPU has it), HMAC, and the
-// Montgomery context's exp, exp_u64, reduce and mul_mod (on whichever
-// multiply-accumulate row this CPU dispatches to).
+// independent reference implementation — CPython's hashlib/hmac and pow(),
+// and an RFC 7748 ladder on Python ints; see generated_kat.inc) must match
+// all of this repository's implementations: the interruptible SHA-256, the
+// optimized SHA-256 (including its SHA-NI path when the CPU has it), HMAC,
+// the Montgomery context's exp, exp_u64, reduce and mul_mod (on whichever
+// multiply-accumulate row this CPU dispatches to), and X25519.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "crypto/bignum.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
 #include "crypto/sha256_fast.h"
+#include "crypto/x25519.h"
 
 #include "generated_kat.inc"
 
@@ -81,6 +83,25 @@ TEST_P(GeneratedModExp, MontgomeryMatchesPow) {
 
 INSTANTIATE_TEST_SUITE_P(Corpus, GeneratedModExp,
                          ::testing::ValuesIn(kGeneratedModExpVectors));
+
+class GeneratedX25519 : public ::testing::TestWithParam<GeneratedX25519Vector> {
+};
+
+X25519Bytes x25519_bytes(const char* hex) {
+  const Bytes b = from_hex(hex);
+  X25519Bytes out{};
+  std::copy(b.begin(), b.end(), out.begin());
+  return out;
+}
+
+TEST_P(GeneratedX25519, LadderMatchesReference) {
+  const auto& v = GetParam();
+  const X25519Bytes out = x25519(x25519_bytes(v.scalar), x25519_bytes(v.u));
+  EXPECT_EQ(to_hex(ByteView{out.data(), out.size()}), v.result);
+}
+
+INSTANTIATE_TEST_SUITE_P(Corpus, GeneratedX25519,
+                         ::testing::ValuesIn(kGeneratedX25519Vectors));
 
 }  // namespace
 }  // namespace sinclave::crypto

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/serial.h"
 #include "crypto/sha256.h"
 #include "net/secure_channel.h"
 #include "net/sim_network.h"
@@ -223,6 +224,66 @@ TEST_F(ChannelFixture, RejectionRecordCarriesTypedProtocolStatus) {
                             &status)
                    .has_value());
   EXPECT_EQ(status, StatusCode::kUnsupportedVersion);
+}
+
+TEST_F(ChannelFixture, RelayRewritingTheHandshakeAnswerIsCaught) {
+  // The server signs a hash of the whole transcript, so an on-path relay
+  // that flips one byte of the session id (answer byte 1) or of the server
+  // payload (the answer's last byte) fails the identity check at connect.
+  serve("svc");
+  for (const bool payload : {false, true}) {
+    const std::string relay = payload ? "relay-payload" : "relay-session";
+    net_.listen(relay, [this, payload](ByteView raw) {
+      Bytes answer = server_->handle(raw);
+      if (classify_record(raw) == RecordType::kHandshake)
+        answer[payload ? answer.size() - 1 : 1] ^= 0x01;
+      return answer;
+    });
+    SecureClient client(rng(14));
+    EXPECT_THROW(client.connect(net_.connect(relay), identity_.public_key(),
+                                to_bytes("hello")),
+                 IdentityMismatchError)
+        << relay;
+  }
+}
+
+TEST_F(ChannelFixture, HandshakeShapeIsRefusedBeforeTheHook) {
+  // A record of another version, or with a share of another length, is
+  // refused typed before the hook runs: it never reaches quote
+  // verification or a token spend.
+  std::atomic<int> hook_calls{0};
+  server_ = std::make_unique<SecureServer>(
+      &identity_, rng(15),
+      [&hook_calls](ByteView, ByteView, StatusCode*) {
+        ++hook_calls;
+        return SecureServer::Accepted{};
+      },
+      [](std::uint64_t, const std::string&, ByteView) { return Bytes{}; });
+  const auto handshake = [](std::optional<std::uint8_t> version,
+                            std::size_t share_bytes) {
+    ByteWriter w;
+    w.u8(0);  // handshake marker
+    if (version.has_value()) w.u8(*version);
+    w.bytes(Bytes(share_bytes, 0x42));
+    w.bytes(to_bytes("payload"));
+    return std::move(w).take();
+  };
+  const auto refusal = [](StatusCode code) {
+    return Bytes{0x00, static_cast<std::uint8_t>(code)};
+  };
+  // The first record format had no version byte: the low byte of its
+  // 256-byte share's u32 length sits in the version's place and reads 0.
+  EXPECT_EQ(server_->handle(handshake(std::nullopt, 256)),
+            refusal(StatusCode::kUnsupportedVersion));
+  EXPECT_EQ(server_->handle(handshake(1, 32)),
+            refusal(StatusCode::kUnsupportedVersion));
+  EXPECT_EQ(server_->handle(handshake(2, 31)),
+            refusal(StatusCode::kMalformedRequest));
+  EXPECT_EQ(server_->handle(handshake(2, 256)),
+            refusal(StatusCode::kMalformedRequest));
+  EXPECT_EQ(hook_calls.load(), 0);
+  EXPECT_EQ(server_->stats().handshakes_rejected, 4u);
+  EXPECT_EQ(server_->open_sessions(), 0u);
 }
 
 TEST_F(ChannelFixture, HostileRejectionStatusCannotReadAsSuccess) {
@@ -696,7 +757,7 @@ TEST(FaultInjection, WindowsKeyOffTheLogicalClockNotWallTime) {
 }
 
 TEST(ChannelBinding, CommitsToDhKey) {
-  const Bytes key1(256, 1), key2(256, 2);
+  const Bytes key1(32, 1), key2(32, 2);
   const auto b1 = channel_binding(key1);
   const auto b2 = channel_binding(key2);
   EXPECT_NE(b1, b2);

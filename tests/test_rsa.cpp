@@ -1,11 +1,10 @@
-// Unit + property tests for primality testing, RSA keygen, PKCS#1 v1.5
-// signatures, and finite-field DH. Most tests use reduced key sizes so the
-// suite stays fast; the full 3072-bit path is exercised once and measured
-// properly in bench_fig7b_sigstruct.
+// Unit + property tests for primality testing, RSA keygen and PKCS#1 v1.5
+// signatures. Most tests use reduced key sizes so the suite stays fast;
+// the full 3072-bit path is exercised once and measured properly in
+// bench_fig7b_sigstruct.
 #include <gtest/gtest.h>
 
 #include "common/error.h"
-#include "crypto/dh.h"
 #include "crypto/drbg.h"
 #include "crypto/rsa.h"
 #include "crypto/sha256.h"
@@ -249,69 +248,6 @@ TEST(Rsa, Rsa3072SignatureGolden) {
   EXPECT_EQ(sha256(sig).hex(),
             "488c4edf7a973ce4b8d03d3a9fa98ceda4047a9b96c21e37facc9ea382cc6f19");
   EXPECT_TRUE(kp.public_key().verify_pkcs1_sha256(msg, sig));
-}
-
-// --- DH ---
-
-TEST(Dh, SharedSecretAgreement) {
-  Drbg rng = test_rng(30);
-  const DhKeyPair alice = DhKeyPair::generate(rng);
-  const DhKeyPair bob = DhKeyPair::generate(rng);
-  EXPECT_EQ(alice.shared_secret(bob.public_value()),
-            bob.shared_secret(alice.public_value()));
-}
-
-TEST(Dh, DistinctEphemeralsDistinctSecrets) {
-  Drbg rng = test_rng(31);
-  const DhKeyPair a = DhKeyPair::generate(rng);
-  const DhKeyPair b = DhKeyPair::generate(rng);
-  const DhKeyPair c = DhKeyPair::generate(rng);
-  EXPECT_NE(a.shared_secret(c.public_value()), b.shared_secret(c.public_value()));
-}
-
-TEST(Dh, PublicValueFixedWidth) {
-  Drbg rng = test_rng(32);
-  EXPECT_EQ(DhKeyPair::generate(rng).public_value().size(), 256u);
-}
-
-TEST(Dh, FromExponentMatchesGenerate) {
-  // The secure server draws exponent bytes under its DRBG lease and runs
-  // the modexp lock-free through from_exponent — the two constructions
-  // must be the same key pair for the same bytes.
-  Drbg draw = test_rng(36);
-  const Bytes exponent = draw.generate(DhKeyPair::kExponentBytes);
-  Drbg replay = test_rng(36);
-  const DhKeyPair generated = DhKeyPair::generate(replay);
-  const DhKeyPair rebuilt = DhKeyPair::from_exponent(exponent);
-  EXPECT_EQ(generated.public_value(), rebuilt.public_value());
-
-  Drbg other_rng = test_rng(37);
-  const DhKeyPair peer = DhKeyPair::generate(other_rng);
-  EXPECT_EQ(generated.shared_secret(peer.public_value()),
-            rebuilt.shared_secret(peer.public_value()));
-  EXPECT_THROW(DhKeyPair::from_exponent(Bytes(47, 1)), Error);
-}
-
-TEST(Dh, Modp2048SharedSecretGolden) {
-  // Pins the bytes of a MODP-2048 agreement from two fixed exponents.
-  const std::size_t width = DhKeyPair::kExponentBytes;
-  const DhKeyPair alice =
-      DhKeyPair::from_exponent(test_rng(38).generate(width));
-  const DhKeyPair bob = DhKeyPair::from_exponent(test_rng(39).generate(width));
-  const Bytes secret = alice.shared_secret(bob.public_value());
-  EXPECT_EQ(secret, bob.shared_secret(alice.public_value()));
-  EXPECT_EQ(sha256(secret).hex(),
-            "acd7554ce611a03688e89daea471251350d169fc35046adbca185bb906699fca");
-}
-
-TEST(Dh, RejectsDegeneratePeerValues) {
-  Drbg rng = test_rng(33);
-  const DhKeyPair kp = DhKeyPair::generate(rng);
-  EXPECT_THROW(kp.shared_secret(BigInt{0}.to_bytes_be(256)), Error);
-  EXPECT_THROW(kp.shared_secret(BigInt{1}.to_bytes_be(256)), Error);
-  const BigInt p = DhGroup::modp2048().p;
-  EXPECT_THROW(kp.shared_secret((p - BigInt{1}).to_bytes_be(256)), Error);
-  EXPECT_THROW(kp.shared_secret(p.to_bytes_be(256)), Error);
 }
 
 }  // namespace

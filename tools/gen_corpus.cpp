@@ -23,6 +23,7 @@
 #include "crypto/drbg.h"
 #include "crypto/rsa.h"
 #include "crypto/sha256.h"
+#include "crypto/x25519.h"
 #include "quote/attestation_service.h"
 #include "sgx/sigstruct.h"
 
@@ -170,6 +171,16 @@ int main(int argc, char** argv) {
     const Bytes limbs = nums.generate(8 * 129);
     row.insert(row.end(), limbs.begin(), limbs.end());
     write_seed(dir, "mode5", mode(5, row));
+    // Mode 6, X25519 against the BigInt ladder: scalar, the non-canonical
+    // flag, u. One seed per flag value.
+    for (std::uint8_t noncanonical = 0; noncanonical < 2; ++noncanonical) {
+      Bytes ladder = nums.generate(32);
+      ladder.push_back(noncanonical);
+      const Bytes u = nums.generate(32);
+      ladder.insert(ladder.end(), u.begin(), u.end());
+      write_seed(dir, noncanonical ? "mode6_noncanonical" : "mode6",
+                 mode(6, ladder));
+    }
   }
 
   // --- fuzz_sha_aead_diff -------------------------------------------------
@@ -270,6 +281,18 @@ int main(int argc, char** argv) {
     write_seed(dir, "forged_established", established);
     write_seed(dir, "evil_handshake", mode(2, data_record));
     write_seed(dir, "evil_data_response", mode(3, data_record));
+    // A well-formed version-2 handshake with a real X25519 share, so
+    // mutations start from a record the accept-all server completes.
+    crypto::X25519Bytes scalar;
+    crypto::Drbg::from_seed(43, "gen-corpus-handshake")
+        .generate(scalar.data(), scalar.size());
+    const crypto::X25519Bytes share = crypto::x25519_public(scalar);
+    ByteWriter hello;
+    hello.u8(0);  // handshake marker
+    hello.u8(2);  // record version
+    hello.bytes(ByteView{share.data(), share.size()});
+    hello.bytes(text("hello"));
+    write_seed(dir, "handshake_v2", mode(0, chunk(std::move(hello).take())));
   }
 
   // --- fuzz_replication ---------------------------------------------------

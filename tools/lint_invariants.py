@@ -37,10 +37,10 @@ which files. This linter codifies seven documented ones:
                       (status.h/.cpp declare and define the parsers,
                       cas/client.h declares backoff_before). A second retry
                       loop anywhere else fails the lint.
-  alloc-free          Files on the allocation-free signing and volume
-                      hot paths (asserted by tests/test_alloc.cpp's counting
-                      operator new) must not contain allocation tokens
-                      (new / malloc / make_unique / ...) at all.
+  alloc-free          Files on the allocation-free signing, key-agreement
+                      and volume hot paths (asserted by tests/test_alloc.cpp's
+                      counting operator new) must not contain allocation
+                      tokens (new / malloc / make_unique / ...) at all.
   fuzz-coverage       Every attacker-facing decoder — wire types with a
                       static deserialize in src/cas/protocol.h, the
                       decode/parse/serve free functions there, unseal_state
@@ -79,9 +79,9 @@ MUTEX_ALLOWED = {
 
 STATUS_TABLE = "src/common/status.cpp"
 
-# The signing and volume-mount hot paths: tests/test_alloc.cpp proves these
-# allocation-free at runtime; the lint proves nobody reintroduces an
-# allocation token.
+# The signing, key-agreement and volume-mount hot paths: tests/test_alloc.cpp
+# proves these allocation-free at runtime; the lint proves nobody
+# reintroduces an allocation token.
 ALLOC_FREE_FILES = (
     "src/crypto/aes.cpp",
     "src/crypto/bignum.h",
@@ -89,6 +89,7 @@ ALLOC_FREE_FILES = (
     "src/crypto/sha256.cpp",
     "src/crypto/sha256_fast.cpp",
     "src/crypto/hmac.cpp",
+    "src/crypto/x25519.cpp",
 )
 
 WIRE_TYPES = (
