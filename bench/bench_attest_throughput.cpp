@@ -87,7 +87,7 @@ Prepared prepare_session(workload::Testbed& bed,
 
   Prepared p;
   p.channel = std::make_unique<cas::AttestedChannel>(
-      &bed.network(), kAddress,
+      &bed.network(), cas::CasClientConfig{.address = kAddress},
       crypto::Drbg::from_seed(seed, "attest-bench-channel"));
   const sgx::ReportData binding =
       net::channel_binding(p.channel->dh_public());

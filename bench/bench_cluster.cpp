@@ -90,7 +90,11 @@ int main(int argc, char** argv) {
   clients.reserve(fleet);
   for (std::size_t i = 0; i < fleet; ++i) {
     cas::RetryPolicy retry;
-    retry.max_attempts = 4;
+    // A spend whose reply died with the leader learns its outcome only
+    // from the successor (as a reuse rejection), so a retry lasts one
+    // election: the deadline, not the attempt count, ends it.
+    retry.max_attempts = 64;
+    retry.deadline = 500ms;
     // Pace the no-leader interval: hint-driven redirects stay immediate,
     // but blind retries while the successor campaigns back off in ms, not
     // the 200us default — the fleet probes, it does not storm.

@@ -5,8 +5,11 @@
 // with a record (rejection at worst) and NEVER throws — a thrown record
 // would kill a frontend worker thread. The client half faces a malicious
 // server: connect/call on arbitrary response bytes may fail only with the
-// typed channel errors. And garbage must not corrupt server state: an
-// honest client's handshake and round trip must still succeed afterwards.
+// typed channel errors, and a hostile rejection record reads as a typed
+// rejection — the generic one unless its code is whitelisted, with a
+// detail only for a well-formed kNotLeader. And garbage must not corrupt
+// server state: an honest client's handshake and round trip must still
+// succeed afterwards.
 #include "harnesses.h"
 
 #include <memory>
@@ -37,7 +40,7 @@ const crypto::RsaKeyPair& server_identity() {
 std::unique_ptr<net::SecureServer> make_server(std::uint64_t seed) {
   return std::make_unique<net::SecureServer>(
       &server_identity(), crypto::Drbg::from_seed(seed, "fuzz-secure-rng"),
-      [](ByteView, ByteView, StatusCode*) {
+      [](ByteView, ByteView, Status*) {
         return net::SecureServer::Accepted{};
       },
       [](std::uint64_t, const std::string&, ByteView plaintext) {
@@ -62,7 +65,7 @@ int run_secure_record(const std::uint8_t* data, std::size_t size) {
   FuzzInput in(data, size);
   const std::uint8_t mode = in.u8();
 
-  switch (mode % 4) {
+  switch (mode % 5) {
     case 0: {
       // Garbage records straight into handle(); nothing may escape, every
       // answer is a record, and the server survives for an honest client.
@@ -120,7 +123,7 @@ int run_secure_record(const std::uint8_t* data, std::size_t size) {
       net::SecureClient client(
           crypto::Drbg::from_seed(26, "fuzz-secure-victim"));
       try {
-        StatusCode reject = StatusCode::kAttestationRejected;
+        Status reject;
         const auto outcome =
             client.connect(net.connect("evil"),
                            server_identity().public_key(), Bytes{}, &reject);
@@ -153,6 +156,50 @@ int run_secure_record(const std::uint8_t* data, std::size_t size) {
       } catch (const net::RecordRejectedError&) {
       } catch (const Error&) {
       }
+      break;
+    }
+    case 4: {
+      // Hostile rejection records: the "rejected" marker, then fuzz bytes
+      // for the code and whatever follows it.
+      const Bytes tail = in.rest();
+      Bytes record{0};
+      record.insert(record.end(), tail.begin(), tail.end());
+      net::SimNetwork net;
+      net.listen("refuser", [&record](ByteView) { return record; });
+      net::SecureClient client(
+          crypto::Drbg::from_seed(29, "fuzz-secure-refused"));
+      Status rejected;
+      bool accepted = true;
+      try {
+        accepted = client
+                       .connect(net.connect("refuser"),
+                                server_identity().public_key(), Bytes{},
+                                &rejected)
+                       .has_value();
+      } catch (const Error&) {
+        require(false, "connect threw on a rejection record");
+      }
+      require(!accepted, "client accepted a rejection record");
+      const StatusCode sent = tail.empty()
+                                  ? StatusCode::kAttestationRejected
+                                  : static_cast<StatusCode>(tail[0]);
+      require(rejected.code == (is_protocol_level(sent)
+                                    ? sent
+                                    : StatusCode::kAttestationRejected),
+              "rejection code escaped the whitelist");
+      // The detail the record carries when it is exactly one in-bounds
+      // string after a kNotLeader code; anything else keeps none.
+      std::string whole;
+      if (rejected.code == StatusCode::kNotLeader && tail.size() > 1) {
+        try {
+          ByteReader r(ByteView(tail).subspan(1));
+          whole = r.str();
+          if (!r.done() || whole.size() > net::kMaxRejectDetail) whole.clear();
+        } catch (const ParseError&) {
+        }
+      }
+      require(rejected.detail == whole,
+              "rejection detail kept when malformed, or dropped when whole");
       break;
     }
   }

@@ -18,7 +18,8 @@ int run_envelope(const std::uint8_t* data, std::size_t size);
 
 /// SecureServer/SecureClient record and handshake decoding against live
 /// sessions: garbage never throws out of handle(), never corrupts the
-/// server for a subsequent honest client.
+/// server for a subsequent honest client; hostile rejection records reach
+/// connect as whitelisted codes, with a detail only for kNotLeader.
 int run_secure_record(const std::uint8_t* data, std::size_t size);
 
 /// Sealed-state import: corrupt/truncated/rolled-back blobs are refused

@@ -25,9 +25,9 @@ ImpersonationAttempt TeeImpersonator::steal_config(
   // 1. Own channel key; the binding the verifier will check. The attack
   // rides the legitimate client SDK — exactly the paper's point: a CAS
   // client is ~75 lines of adaptation, nothing enclave-specific.
-  cas::AttestedChannel channel(net_, cas_address,
-                               crypto::Drbg(rng_.generate(16),
-                                            "impersonator"));
+  cas::AttestedChannel channel(
+      net_, cas::CasClientConfig{.address = cas_address},
+      crypto::Drbg(rng_.generate(16), "impersonator"));
   const sgx::ReportData binding = net::channel_binding(channel.dh_public());
 
   // 2. Have the victim enclave vouch for *our* channel key.

@@ -204,6 +204,30 @@ struct CasClient::Core {
   bool retry(const Status& answer, std::size_t attempt,
              SteadyClock::time_point start, bool sleeps);
 
+  /// The synchronous attempt loop behind get_instance, introspect and
+  /// AttestedChannel::attest: `attempt()` makes one wire attempt (throwing
+  /// Error on a transport failure), then the retry rule decides. `attempts`
+  /// reports the wire attempts made (0 = the breaker refused the first).
+  template <typename Attempt>
+  Status sync_attempts(Attempt&& attempt, std::size_t& attempts) {
+    const SteadyClock::time_point start = SteadyClock::now();
+    attempts = 0;
+    if (!breaker_allows())
+      return Status(StatusCode::kUnavailable, breaker_open_detail());
+    Status answer;
+    do {
+      ++attempts;
+      try {
+        answer = attempt();
+      } catch (const net::IdentityMismatchError&) {
+        throw;  // an active attack must stay loud, never become a Status
+      } catch (const Error& e) {
+        answer = transport_failure(e);
+      }
+    } while (retry(answer, attempts, start, /*sleeps=*/true));
+    return answer;
+  }
+
   template <typename Response, typename Request>
   Response sync_call(Command command, const Request& request,
                      obs::Phase& root, std::size_t& attempts);
@@ -237,10 +261,11 @@ std::chrono::microseconds RetryPolicy::backoff_before(
 }
 
 /// The retry rule: the one place CasClient decides what follows an
-/// answer. The sync loop (sync_call) asks it after every attempt of
-/// get_instance and introspect, the async completion (send_async) after
-/// every attempt of get_instance_async. True = make the next attempt now
-/// (its wait slept, its re-route made); false = deliver `answer`.
+/// answer. The sync loop (sync_attempts) asks it after every attempt of
+/// get_instance, introspect and AttestedChannel::attest, the async
+/// completion (send_async) after every attempt of get_instance_async.
+/// True = make the next attempt now (its wait slept, its re-route made);
+/// false = deliver `answer`.
 ///
 ///   * Before every attempt, ask the breaker. Refused before the first
 ///     (the operation asks): deliver kUnavailable with
@@ -296,9 +321,7 @@ bool CasClient::Core::retry(const Status& answer, std::size_t attempt,
   return breaker_allows();
 }
 
-/// The synchronous attempt loop behind get_instance and introspect: one
-/// fresh request id per attempt, then the retry rule. `attempts` reports
-/// the wire attempts made (0 = the breaker refused the first).
+/// get_instance and introspect: a fresh request id per attempt.
 template <typename Response, typename Request>
 Response CasClient::Core::sync_call(Command command,
                                     const Request& request, obs::Phase& root,
@@ -306,29 +329,22 @@ Response CasClient::Core::sync_call(Command command,
   static obs::Phase& p_attempt =
       obs::Tracer::instance().phase("client_attempt");
   RootScope rs(root, 0);
-  const SteadyClock::time_point start = SteadyClock::now();
-  Response answer;
-  attempts = 0;
-  if (!breaker_allows()) {
-    answer.status = Status(StatusCode::kUnavailable, breaker_open_detail());
-    return answer;
-  }
   Envelope env;
   env.command = command;
   env.payload = request.serialize();
-  do {
-    ++attempts;
-    env.request_id = next_request_id.fetch_add(1, std::memory_order_relaxed);
-    rs.ctx.request_id = env.request_id;  // the root carries the last id
-    try {
-      obs::Span span(p_attempt);
-      answer = decode_reply<Response>(connection().call(env.serialize()),
-                                      command, env.request_id);
-    } catch (const Error& e) {
-      answer = Response{};
-      answer.status = transport_failure(e);
-    }
-  } while (retry(answer.status, attempts, start, /*sleeps=*/true));
+  Response answer;
+  answer.status = sync_attempts(
+      [&] {
+        answer = Response{};
+        env.request_id =
+            next_request_id.fetch_add(1, std::memory_order_relaxed);
+        rs.ctx.request_id = env.request_id;  // the root carries the last id
+        obs::Span span(p_attempt);
+        answer = decode_reply<Response>(connection().call(env.serialize()),
+                                        command, env.request_id);
+        return answer.status;
+      },
+      attempts);
   return answer;
 }
 
@@ -469,13 +485,9 @@ void CasClient::get_instance_async(const std::string& session_name,
 
 // --- AttestedChannel --------------------------------------------------------
 
-AttestedChannel::AttestedChannel(net::SimNetwork* net,
-                                 std::string cas_address, crypto::Drbg rng)
-    : net_(net),
-      cas_address_(std::move(cas_address)),
-      client_(std::move(rng)) {
-  if (net_ == nullptr) throw Error("attested channel: network required");
-}
+AttestedChannel::AttestedChannel(net::SimNetwork* net, CasClientConfig config,
+                                 crypto::Drbg rng)
+    : router_(net, std::move(config)), client_(std::move(rng)) {}
 
 Status AttestedChannel::attest(const crypto::RsaPublicKey& cas_identity,
                                const AttestPayload& payload) {
@@ -485,24 +497,21 @@ Status AttestedChannel::attest(const crypto::RsaPublicKey& cas_identity,
       obs::Tracer::instance().phase("client_handshake");
   const std::uint64_t request_id = next_request_id_++;
   RootScope rs(p_root, request_id);
-
-  std::optional<Bytes> accepted;
-  StatusCode rejected = StatusCode::kAttestationRejected;
-  try {
-    obs::Span span(p_handshake);
-    accepted = client_.connect(net_->connect(cas_address_), cas_identity,
-                               encode_attest_payload(payload, request_id),
-                               &rejected);
-  } catch (const net::IdentityMismatchError&) {
-    throw;  // an active attack must stay loud, never become a Status
-  } catch (const Error& e) {
-    return transport_status(e);
-  }
-  // A rejection may carry a typed protocol-level status (e.g.
-  // kUnsupportedVersion from a server that cannot speak our version);
-  // verification refusals arrive as the generic kAttestationRejected.
-  if (!accepted.has_value()) return Status(rejected);
-  return Status();
+  CasClient::Core& core = *router_.core_;
+  const Bytes record = encode_attest_payload(payload, request_id);
+  std::size_t attempts = 0;
+  // A refusal is typed when protocol-level (kUnsupportedVersion, kNotLeader
+  // with its hint), else the generic kAttestationRejected.
+  return core.sync_attempts(
+      [&] {
+        obs::Span span(p_handshake);
+        Status rejected;
+        const auto accepted =
+            client_.connect(core.net->connect(router_.current_address()),
+                            cas_identity, record, &rejected);
+        return accepted.has_value() ? Status() : rejected;
+      },
+      attempts);
 }
 
 Result<AppConfig> AttestedChannel::get_config() {

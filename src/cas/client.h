@@ -8,11 +8,12 @@
 //     response validation (version/command/id echo),
 //   * typed results: every operation yields a Status — no string matching,
 //   * one retry rule (CasClient::Core::retry in client.cpp), asked after
-//     every attempt of every operation: full-jitter backoff on retryable
-//     statuses (kUnavailable, transport failures); kNotLeader routed to
-//     its leader hint at once, else to the next cluster peer after the
-//     backoff (delivered when no cluster is configured); typed refusals
-//     like kUnsupportedVersion or kBadSignature surfaced immediately,
+//     every attempt of all four operations (the handshake included):
+//     full-jitter backoff on retryable statuses (kUnavailable, transport
+//     failures); kNotLeader routed to its leader hint at once, else to the
+//     next cluster peer after the backoff (delivered when no cluster is
+//     configured); typed refusals like kUnsupportedVersion or
+//     kBadSignature surfaced immediately,
 //   * a sync call path and a completion-token async path
 //     (SimNetwork::async_call) for open-loop issuers,
 //   * the attested secure-channel flow (AttestedChannel): handshake with a
@@ -89,10 +90,10 @@ struct CasClientConfig {
   /// kNotLeader answers rotate to the next cluster peer before the paced
   /// retry (sync and async alike; the async wait is 0), so a killed
   /// leader is survived by discovering its successor. Without a cluster a
-  /// hintless kNotLeader is delivered. A leader hint is followed either
-  /// way. See the retry rule.
-  std::vector<std::string> cluster;
-  RetryPolicy retry;
+  /// hintless kNotLeader is delivered. A leader hint (in an answer or a
+  /// handshake rejection) is followed either way. See the retry rule.
+  std::vector<std::string> cluster{};
+  RetryPolicy retry{};
 };
 
 /// Outcome of a singleton retrieval. Credential fields are meaningful only
@@ -160,23 +161,25 @@ class CasClient {
   std::string current_address() const;
 
  private:
+  friend class AttestedChannel;  // attests under the same retry rule
   struct Core;
   std::shared_ptr<Core> core_;
 };
 
 /// The attested (secure-channel) flow, typed end to end:
 ///
-///   AttestedChannel ch(&net, cas_address, std::move(rng));
+///   AttestedChannel ch(&net, CasClientConfig{.address = cas}, rng);
 ///   // bind ch.dh_public() into the quote's REPORTDATA...
 ///   Status s = ch.attest(cas_identity, payload);
 ///   Result<AppConfig> cfg = ch.get_config();
 ///
 /// The channel key exists before the handshake so the caller can commit to
-/// it in a report (net::channel_binding). Not thread-safe (one channel =
-/// one logical client).
+/// it in a report (net::channel_binding). The config routes the handshake
+/// as a CasClient's requests. Not thread-safe (one channel = one logical
+/// client).
 class AttestedChannel {
  public:
-  AttestedChannel(net::SimNetwork* net, std::string cas_address,
+  AttestedChannel(net::SimNetwork* net, CasClientConfig config,
                   crypto::Drbg rng);
 
   /// The channel's 32-byte X25519 share, to commit into REPORTDATA before
@@ -184,7 +187,9 @@ class AttestedChannel {
   const Bytes& dh_public() const { return client_.dh_public(); }
 
   /// Run the handshake: kAttest envelope carrying `payload`, server
-  /// identity pinned to `cas_identity`. kOk on acceptance;
+  /// identity pinned to `cas_identity`, attempts decided by the retry
+  /// rule — each sends the same record (a refusal derives no keys on
+  /// either side, so the quote stays bound). kOk on acceptance;
   /// kAttestationRejected when the verifier refused (or a typed
   /// protocol-level code like kUnsupportedVersion when the rejection
   /// record carried one); kUnavailable on transport failure; throws
@@ -198,9 +203,10 @@ class AttestedChannel {
 
   bool attested() const { return client_.connected(); }
 
+  CasClient::Stats stats() const { return router_.stats(); }
+
  private:
-  net::SimNetwork* net_;
-  std::string cas_address_;
+  CasClient router_;  // the retry rule and where it points
   net::SecureClient client_;
   std::uint64_t next_request_id_ = 1;
 };

@@ -375,6 +375,11 @@ std::string RaftCore::leader_hint() const {
 
 std::string RaftCore::leader_hint_locked() const {
   if (leader_id_ == 0) return "";
+  constexpr int kHintHeartbeats = 3;
+  if (role_ != Role::kLeader &&
+      std::chrono::steady_clock::now() - leader_contact_ >
+          kHintHeartbeats * config_.heartbeat_interval)
+    return "";
   for (const RaftPeer& p : config_.peers) {
     if (p.id == leader_id_) return p.address;
   }
@@ -919,6 +924,7 @@ Status RaftCore::handle_append(const AppendRequestMsg& msg,
   // Current-term append: the sender is the one legitimate leader.
   if (role_ != Role::kFollower) role_ = Role::kFollower;
   leader_id_ = msg.leader_id;
+  leader_contact_ = std::chrono::steady_clock::now();
   arm_election_timer_locked();
 
   // Entries at or below our snapshot base are known committed and
@@ -986,6 +992,7 @@ Status RaftCore::handle_snapshot(const SnapshotRequestMsg& msg,
   }
   if (role_ != Role::kFollower) role_ = Role::kFollower;
   leader_id_ = msg.leader_id;
+  leader_contact_ = std::chrono::steady_clock::now();
   arm_election_timer_locked();
   if (msg.last_included_index <= last_index_locked()) {
     // We already hold (or applied past) this prefix: ack so the leader

@@ -344,6 +344,8 @@ class RaftCore {
   /// no-op applying; a follower never is (its applied prefix may lag).
   bool ready() const;
   /// Best-known leader address ("" when unknown) — the kNotLeader detail.
+  /// It expires after three heartbeat intervals without word from the
+  /// leader, well before an election timeout: no hint into a dead leader.
   std::string leader_hint() const;
   RaftStats stats() const;
 
@@ -420,6 +422,8 @@ class RaftCore {
   std::uint64_t current_term_ GUARDED_BY(mutex_) = 0;
   std::uint64_t voted_for_ GUARDED_BY(mutex_) = 0;
   std::uint64_t leader_id_ GUARDED_BY(mutex_) = 0;
+  /// Last current-term AppendEntries/InstallSnapshot from leader_id_.
+  std::chrono::steady_clock::time_point leader_contact_ GUARDED_BY(mutex_){};
   std::uint64_t base_index_ GUARDED_BY(mutex_) = 0;
   std::uint64_t base_term_ GUARDED_BY(mutex_) = 0;
   Bytes snapshot_ GUARDED_BY(mutex_);

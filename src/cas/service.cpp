@@ -60,7 +60,7 @@ CasService::CasService(quote::AttestationService* attestation,
                  "cas-tokens", kTokenStripes),
       secure_server_(
           &identity_, crypto::Drbg(rng_.generate(16), "cas-channel"),
-          [this](ByteView payload, ByteView dh, StatusCode* reject_status) {
+          [this](ByteView payload, ByteView dh, Status* reject_status) {
             return on_handshake(payload, dh, reject_status);
           },
           [this](std::uint64_t, const std::string& session_name,
@@ -281,7 +281,7 @@ std::optional<StatusCode> CasService::check_retrieval_preconditions(
 }
 
 std::optional<net::SecureServer::Accepted> CasService::on_handshake(
-    ByteView client_payload, ByteView client_dh, StatusCode* reject_status) {
+    ByteView client_payload, ByteView client_dh, Status* reject_status) {
   const auto verdict = [this](Verdict v) {
     MutexLock lock(observe_mutex_);
     last_attest_verdict_ = v;
@@ -296,7 +296,7 @@ std::optional<net::SecureServer::Accepted> CasService::on_handshake(
   const auto decoded = decode_attest_payload(client_payload, &frame);
   if (!decoded.has_value()) {
     if (reject_status != nullptr && is_protocol_level(frame.status))
-      *reject_status = frame.status;
+      *reject_status = Status(frame.status);
     verdict(Verdict::kMalformed);
     return std::nullopt;
   }
@@ -376,10 +376,11 @@ std::optional<net::SecureServer::Accepted> CasService::on_handshake(
                           qv.identity->mr_enclave);
     }
     if (!spent.ok()) {
-      // kNotLeader is protocol-level, so the client learns to re-route;
-      // verification outcomes stay the generic rejection as ever.
+      // kNotLeader is protocol-level, so the client re-routes by its
+      // detail, the gate's leader hint; verification outcomes stay the
+      // generic rejection as ever.
       if (reject_status != nullptr && is_protocol_level(spent.code))
-        *reject_status = spent.code;
+        *reject_status = spent;
       verdict(spent.code == StatusCode::kTokenReused ? Verdict::kTokenReused
               : spent.code == StatusCode::kTokenUnknown
                   ? Verdict::kTokenUnknown

@@ -249,7 +249,7 @@ class CasService {
 
  private:
   std::optional<net::SecureServer::Accepted> on_handshake(
-      ByteView client_payload, ByteView client_dh, StatusCode* reject_status);
+      ByteView client_payload, ByteView client_dh, Status* reject_status);
   Bytes on_request(const std::string& session_name, ByteView plaintext);
 
   struct PendingToken {

@@ -115,16 +115,13 @@ constexpr bool is_retryable(StatusCode code) {
 /// record may carry to an unauthenticated peer (SecureServer sends them,
 /// SecureClient whitelists them — one predicate so the two cannot drift);
 /// everything else stays the generic rejection, keeping the handshake
-/// oracle-free. kNotLeader qualifies: "wrong replica, go to the leader"
-/// is routing topology (public), not a verification outcome — and a
-/// follower must be able to bounce an attested handshake before spending
-/// the one-time token it carries. kUnavailable qualifies for the same
-/// reason: "could not commit your spend, retry" (a deposed/stopping
-/// leader, a cluster without quorum) says nothing about the token —
-/// and WITHOUT it a liveness refusal would ride the generic rejection,
-/// which a client must treat as terminal, turning every failover blip
-/// into a lost credential. It reveals no token state: a reused token
-/// still answers the same generic rejection as any verification failure.
+/// oracle-free. kNotLeader qualifies, with its leader hint: "go to the
+/// leader" is public routing topology, and a follower must bounce an
+/// attested handshake before spending its one-time token. kUnavailable
+/// ("could not commit your spend, retry") says nothing about the token
+/// either, and as the generic rejection, which is terminal, every
+/// failover blip would lose a credential. A reused token still answers
+/// the generic rejection.
 constexpr bool is_protocol_level(StatusCode code) {
   return code == StatusCode::kMalformedRequest ||
          code == StatusCode::kUnsupportedVersion ||

@@ -103,17 +103,36 @@ Bytes rejection_record() {
   return std::move(w).take();
 }
 
-Bytes rejection_record(StatusCode status) {
+/// marker | u8 code [| str detail]; only kNotLeader sends its detail.
+Bytes rejection_record(const Status& status) {
   ByteWriter w;
   w.u8(kStatusRejected);
-  w.u8(static_cast<std::uint8_t>(status));
+  w.u8(static_cast<std::uint8_t>(status.code));
+  if (status.code == StatusCode::kNotLeader &&
+      status.detail.size() <= kMaxRejectDetail)
+    w.str(status.detail);
   return std::move(w).take();
 }
 
-// The old hand-rolled tls_secure_server_locks_held counter is gone: the
-// "no crypto under a lock" contract is now enforced by the common debug
-// lock-rank detector (lockrank::assert_none_held below), which covers
-// *every* sinclave::Mutex this thread holds — not just this server's.
+/// A handshake rejection after its marker, whitelisted through
+/// is_protocol_level: anything else — a hostile 0 = "ok", bytes outside
+/// the enum, no code at all — is the generic rejection, so a rejected
+/// handshake never reads as success. Only kNotLeader keeps a detail, and
+/// only a whole one: a truncated, oversized or trailed one is dropped.
+Status read_rejection(ByteReader& r) {
+  const auto code = r.done() ? StatusCode::kAttestationRejected
+                             : static_cast<StatusCode>(r.u8());
+  if (!is_protocol_level(code)) return Status(StatusCode::kAttestationRejected);
+  Status status(code);
+  if (code != StatusCode::kNotLeader) return status;
+  try {
+    std::string detail = r.str();
+    if (r.done() && detail.size() <= kMaxRejectDetail)
+      status.detail = std::move(detail);
+  } catch (const ParseError&) {
+  }
+  return status;
+}
 
 }  // namespace
 
@@ -170,7 +189,7 @@ Bytes SecureServer::handle(ByteView raw) {
 }
 
 Bytes SecureServer::handle_handshake(ByteReader& r) {
-  const auto refuse = [this](StatusCode status) {
+  const auto refuse = [this](const Status& status) {
     handshakes_rejected_.fetch_add(1, std::memory_order_relaxed);
     return rejection_record(status);
   };
@@ -178,10 +197,10 @@ Bytes SecureServer::handle_handshake(ByteReader& r) {
   // another version, or sending a share of another length, never reaches
   // quote verification or a token spend.
   if (r.u8() != kHandshakeVersion)
-    return refuse(StatusCode::kUnsupportedVersion);
+    return refuse(Status(StatusCode::kUnsupportedVersion));
   const Bytes client_dh = r.bytes();
   if (client_dh.size() != crypto::kX25519Bytes)
-    return refuse(StatusCode::kMalformedRequest);
+    return refuse(Status(StatusCode::kMalformedRequest));
   const Bytes client_payload = r.bytes();
   r.expect_done();
 
@@ -195,7 +214,7 @@ Bytes SecureServer::handle_handshake(ByteReader& r) {
   // handshake — runs with no lock held: N racing handshakes verify N
   // quotes on N cores.
   lockrank::assert_none_held("handshake quote verification");
-  StatusCode reject_status = StatusCode::kAttestationRejected;
+  Status reject_status(StatusCode::kAttestationRejected);
   std::optional<Accepted> accepted;
   {
     static obs::Phase& p_verify =
@@ -203,12 +222,7 @@ Bytes SecureServer::handle_handshake(ByteReader& r) {
     obs::Span span(p_verify);
     accepted = on_handshake_(client_payload, client_dh, &reject_status);
   }
-  if (!accepted.has_value()) {
-    // Rejection record: status byte appended after the rejected marker.
-    // Pre-status clients stop at the marker (they never read past the
-    // first byte), so the extension is wire-compatible both ways.
-    return refuse(reject_status);
-  }
+  if (!accepted.has_value()) return refuse(reject_status);
 
   // All key-establishment crypto stays outside every lock too. The DRBG
   // lease is held only for the 32-byte scalar draw; both ladders, the
@@ -300,7 +314,7 @@ Bytes SecureServer::handle_data(ByteReader& r) {
     if (it != stripe.sessions.end()) session = it->second;
   }
   if (session == nullptr)
-    return rejection_record(StatusCode::kSessionNotAttested);
+    return rejection_record(Status(StatusCode::kSessionNotAttested));
   // Stamp before serving: a session being actively driven never looks
   // idle to the sweep, however long the request handler runs.
   session->last_activity_ns.store(
@@ -317,7 +331,7 @@ Bytes SecureServer::handle_data(ByteReader& r) {
   MutexLock session_lock(s.m);
   if (s.closed.load(std::memory_order_acquire)) {
     // close_session won the race: deterministic typed rejection.
-    return rejection_record(StatusCode::kSessionNotAttested);
+    return rejection_record(Status(StatusCode::kSessionNotAttested));
   }
   // Strictly increasing counters prevent replay within a session.
   if (counter < s.recv_counter) return rejection_record();
@@ -426,7 +440,7 @@ SecureClient::SecureClient(crypto::Drbg rng) {
 std::optional<Bytes> SecureClient::connect(
     SimNetwork::Connection connection,
     const crypto::RsaPublicKey& expected_server, ByteView client_payload,
-    StatusCode* reject_status) {
+    Status* reject_status) {
   ByteWriter req;
   req.u8(kMsgHandshake);
   req.u8(kHandshakeVersion);
@@ -436,19 +450,7 @@ std::optional<Bytes> SecureClient::connect(
 
   ByteReader r(raw);
   if (r.u8() != kStatusOk) {
-    if (reject_status != nullptr) {
-      // Typed rejection when the server sent one; generic otherwise
-      // (pre-status servers end the record at the marker). Whitelisted
-      // through is_protocol_level: anything else — including a hostile
-      // 0 = "ok" on a rejected handshake, or bytes outside the enum —
-      // stays the generic rejection, so a rejected handshake can never
-      // read as success.
-      *reject_status = StatusCode::kAttestationRejected;
-      if (!r.done()) {
-        const auto code = static_cast<StatusCode>(r.u8());
-        if (is_protocol_level(code)) *reject_status = code;
-      }
-    }
+    if (reject_status != nullptr) *reject_status = read_rejection(r);
     return std::nullopt;
   }
   const std::uint64_t session_id = r.u64();

@@ -7,6 +7,13 @@
 //                      (32 bytes) | opaque client payload
 //   server -> client : ok | u64 session id | server X25519 share (32
 //                      bytes) | RSA signature over T | opaque server payload
+//                 or : rejected | u8 code [| str detail]
+//
+// A rejection's code is protocol-level (is_protocol_level) or the generic
+// kAttestationRejected. Only kNotLeader appends a detail, its leader hint
+// (at most kMaxRejectDetail bytes): every other record ends at the code,
+// so the generic rejection reveals no token state, and a client that
+// stops reading after the code still parses every record.
 //
 //   T = SHA-256(version || session id || client share || server share ||
 //               client payload || server payload)
@@ -49,6 +56,9 @@ class ByteReader;  // common/serial.h
 }
 
 namespace sinclave::net {
+
+/// Longest detail a handshake rejection carries (or a client keeps).
+inline constexpr std::size_t kMaxRejectDetail = 256;
 
 /// The value an attested client must place in its report's REPORTDATA:
 /// SHA-256 of the client's X25519 share, zero padded to 64 bytes.
@@ -100,20 +110,16 @@ class RecordRejectedError : public Error {
 /// Thread-safe and contention-striped: handle() may be called from many
 /// dispatcher threads at once. Sessions live in a striped hash table
 /// (kStripes shards, each with its own mutex) behind shared_ptr, with a
-/// per-session lock serializing only records of
-/// that one session. ALL handshake crypto — the HandshakeHook (quote
-/// verification, the expensive part), the X25519 ladders, transcript hashing,
-/// HKDF, and the RSA identity signature — runs with no SecureServer lock
-/// held; a session is published to its stripe only after its keys are
-/// fully derived. Consequently (and unlike the earlier coarse-mutex
-/// design) hooks and request handlers MAY call back into this
-/// SecureServer: close_session, open_sessions, and stats are all safe
-/// from either hook, and a HandshakeHook (which runs with no lock held)
-/// may even re-enter handle(). The one restriction left is that a
-/// RequestHandler must not re-enter handle() — it runs under its
-/// session's lock, and the no-crypto-under-a-lock discipline (enforced
-/// by the debug lock-rank detector: every handshake crypto stage runs
-/// behind lockrank::assert_none_held) covers every record type.
+/// per-session lock serializing only records of that one session. ALL
+/// handshake crypto — the HandshakeHook (quote verification, the
+/// expensive part), the X25519 ladders, transcript hashing, HKDF, and the
+/// RSA identity signature — runs with no SecureServer lock held (the
+/// debug lock-rank detector asserts it); a session is published to its
+/// stripe only after its keys are fully derived. So hooks and request
+/// handlers MAY call back into this SecureServer (close_session,
+/// open_sessions, stats), and a HandshakeHook may even re-enter handle().
+/// Only a RequestHandler must not re-enter handle(): it runs under its
+/// session's lock.
 class SecureServer {
  public:
   /// Session-table stripes: independent sessions hash to different
@@ -125,18 +131,19 @@ class SecureServer {
   /// the quote attested for) — kept by the session, and dying with it.
   struct Accepted {
     Bytes payload;
-    std::string peer;
+    std::string peer{};
   };
   /// Decides whether to accept a handshake. Receives the client's payload
   /// and X25519 share; returns the acceptance to send, or nullopt
   /// to reject the session. On rejection the hook may set `reject_status`
-  /// to a protocol-level code (kUnsupportedVersion, kMalformedRequest) —
-  /// it rides the rejection record so well-behaved clients learn how to
-  /// remediate; verification failures should leave the generic default
-  /// (no oracle for unauthenticated peers).
+  /// to a protocol-level status (kUnsupportedVersion, kMalformedRequest,
+  /// kNotLeader with its leader hint) — it rides the rejection record so
+  /// well-behaved clients learn how to remediate or where to go;
+  /// verification failures should leave the generic default (no oracle
+  /// for unauthenticated peers).
   using HandshakeHook = std::function<std::optional<Accepted>(
       ByteView client_payload, ByteView client_dh_public,
-      StatusCode* reject_status)>;
+      Status* reject_status)>;
   /// Handles one decrypted request, with the `peer` its session's
   /// handshake established; the return value is encrypted back.
   using RequestHandler = std::function<Bytes(
@@ -264,11 +271,12 @@ class SecureClient {
   /// instance page). Returns the server's handshake payload;
   /// nullopt when the server rejected the session — `reject_status`, when
   /// given, then carries the typed rejection (kAttestationRejected unless
-  /// the rejection record said otherwise; pre-status servers send none).
+  /// the record named a protocol-level code; a detail only for
+  /// kNotLeader). A rejection derives no keys: the client may retry.
   std::optional<Bytes> connect(SimNetwork::Connection connection,
                                const crypto::RsaPublicKey& expected_server,
                                ByteView client_payload,
-                               StatusCode* reject_status = nullptr);
+                               Status* reject_status = nullptr);
 
   /// Encrypted round trip; only valid after a successful connect. Throws
   /// RecordRejectedError when the server rejected the record with a typed

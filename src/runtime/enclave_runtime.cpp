@@ -55,9 +55,14 @@ RunResult EnclaveRuntime::run(const StartedEnclave& enclave,
     token = page->token;
   }
 
-  // 2. Channel-bound attestation through the client SDK.
+  // 2. Channel-bound attestation through the client SDK (whose retry rule
+  // follows a follower's leader hint).
+  if (options.cas_address.empty()) {
+    result.error = "attest: no verifier address";
+    return result;
+  }
   cas::AttestedChannel channel(
-      net_, options.cas_address,
+      net_, cas::CasClientConfig{.address = options.cas_address},
       crypto::Drbg(rng_.generate(16), "runtime-channel"));
   const sgx::ReportData binding =
       net::channel_binding(channel.dh_public());

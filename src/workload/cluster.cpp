@@ -144,6 +144,7 @@ cas::CasClient ClusterBed::make_client(std::size_t primary_index,
 
 ClusterBed::PreparedToken ClusterBed::prepare_token(cas::CasClient& client) {
   PreparedToken out;
+  out.retry = client.config().retry;
   out.instance =
       client.get_instance(config_.session_name, signed_image_.sigstruct);
   if (!out.instance.ok()) return out;
@@ -160,12 +161,16 @@ ClusterBed::PreparedToken ClusterBed::prepare_token(cas::CasClient& client) {
   return out;
 }
 
-ClusterBed::AttestedSpend ClusterBed::spend_once(const PreparedToken& prepared,
-                                                 std::uint64_t nonce,
-                                                 const std::string& target) {
-  AttestedSpend out;
-  net::SecureClient channel(crypto::Drbg::from_seed(
-      config_.seed * 1000003 + nonce, "cluster-spend"));
+ClusterBed::AttestedSpend ClusterBed::spend_with_retry(
+    const PreparedToken& prepared, std::uint64_t nonce,
+    const std::string& initial_target) {
+  cas::AttestedChannel channel(
+      &net_,
+      cas::CasClientConfig{.address = initial_target,
+                           .cluster = addresses(),
+                           .retry = prepared.retry},
+      crypto::Drbg::from_seed(config_.seed * 1000003 + nonce,
+                              "cluster-spend"));
   std::optional<quote::Quote> quote;
   {
     // EREPORT and quote signing mutate unsynchronized platform state —
@@ -176,52 +181,14 @@ ClusterBed::AttestedSpend ClusterBed::spend_once(const PreparedToken& prepared,
                      net::channel_binding(channel.dh_public()));
     quote = qe_->generate_quote(report);
   }
-  if (!quote.has_value()) {
-    out.error = "quote generation failed";
-    return out;
-  }
+  if (!quote.has_value())
+    return AttestedSpend{false, StatusCode::kOk, "quote generation failed"};
   cas::AttestPayload payload;
   payload.session_name = config_.session_name;
   payload.quote = *quote;
   payload.token = prepared.instance.token;
-
-  StatusCode reject = StatusCode::kOk;
-  try {
-    const std::optional<Bytes> accepted =
-        channel.connect(net_.connect(target), identity_.public_key(),
-                        cas::encode_attest_payload(payload), &reject);
-    if (accepted.has_value()) {
-      out.attested = true;
-      return out;
-    }
-  } catch (const Error& e) {
-    out.error = e.what();
-    return out;
-  }
-  out.reject = reject;
-  return out;
-}
-
-ClusterBed::AttestedSpend ClusterBed::spend_with_retry(
-    const PreparedToken& prepared, std::uint64_t nonce,
-    const std::string& initial_target) {
-  std::string target = initial_target;
-  AttestedSpend out;
-  for (std::size_t attempt = 0; attempt < 5; ++attempt) {
-    out = spend_once(prepared, nonce * 31 + attempt, target);
-    if (out.attested) return out;
-    const bool routing_failure =
-        !out.error.empty() || out.reject == StatusCode::kNotLeader ||
-        out.reject == StatusCode::kUnavailable;
-    if (!routing_failure) return out;  // typed verdict (e.g. kTokenReused)
-    // Dead or deposed target: find the successor and try again with a
-    // fresh channel (the quote binds the channel key, so each attempt
-    // re-quotes; the token is constant — that is the property under test).
-    const std::optional<std::size_t> leader = wait_for_leader(500ms);
-    if (!leader.has_value()) return out;
-    target = address(*leader);
-  }
-  return out;
+  const Status spent = channel.attest(identity_.public_key(), payload);
+  return AttestedSpend{spent.ok(), spent.code, spent.detail};
 }
 
 ClusterBed::SpendOutcome ClusterBed::attested_spend(cas::CasClient& client,

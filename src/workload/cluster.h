@@ -11,15 +11,13 @@
 // The interesting helper is attested_spend(): the full client-side
 // SinClave flow (credential retrieval through the cluster-aware CasClient,
 // enclave construction, a quote bound to a fresh channel key, then the
-// secure handshake that spends the one-time token) with leader re-routing
-// between phases, so a leader killed mid-flow surfaces as a typed retry,
-// never a hang. Retrieval follows the SDK's retry rule. The handshake
-// cannot: a handshake rejection record carries one status byte and no
-// detail, so no leader hint ever reaches a spending client. The bed
-// re-resolves the leader from the nodes' Raft state instead — fixture
-// knowledge the SDK does not have. Callers count per-token acceptances;
-// the bed's audit_spends() then closes the ledger cluster-wide: every
-// *running* replica must converge to the same spent count.
+// secure handshake that spends the one-time token), so a leader killed
+// mid-flow surfaces as a typed outcome, never a hang. Both phases route by
+// the SDK's one retry rule (a kNotLeader handshake rejection carries the
+// leader hint); the spend reads no node's Raft state. Callers count
+// per-token acceptances; the bed's audit_spends() then closes the ledger
+// cluster-wide: every *running* replica must converge to the same spent
+// count.
 #pragma once
 
 #include <chrono>
@@ -118,42 +116,36 @@ class ClusterBed {
   struct PreparedToken {
     cas::InstanceResult instance;
     runtime::StartedEnclave enclave;
+    /// The preparing client's retry policy; the spend runs under it.
+    cas::RetryPolicy retry;
     std::string error;  // non-retrieval preparation failure
 
     bool ok() const { return instance.ok() && enclave.ok() && error.empty(); }
   };
   PreparedToken prepare_token(cas::CasClient& client);
 
-  /// Outcome of a spend attempt (phase 2).
+  /// Outcome of a spend (phase 2).
   struct AttestedSpend {
     /// The secure handshake accepted — the token was spent *here*.
     bool attested = false;
-    /// Typed handshake rejection when !attested (kOk when the failure was
-    /// transport-level).
+    /// The typed outcome when !attested (kOk: no handshake was sent).
     StatusCode reject = StatusCode::kOk;
-    /// Human-readable transport failure, empty otherwise.
+    /// Its detail (or why no handshake was sent); may be empty.
     std::string error;
   };
 
-  /// One handshake against `target`, no retries — the raw primitive storm
-  /// tests race. `nonce` seeds the channel key stream; every call quotes a
-  /// fresh channel. Thread-safe: the simulated CPU and quoting enclave are
-  /// not internally synchronized, so the quoting phase serializes on the
-  /// bed's platform mutex; the handshake itself runs concurrently.
-  AttestedSpend spend_once(const PreparedToken& prepared, std::uint64_t nonce,
-                           const std::string& target);
-
-  /// The failover-chasing spend: transport failures and kNotLeader /
-  /// kUnavailable rejections re-resolve the leader from the nodes' Raft
-  /// state (wait_for_leader, not an SDK hint: the rejection carries none)
-  /// and retry with a fresh channel (bounded attempts). The token is
-  /// constant across attempts — that is the exactly-once property under
-  /// test. A token ghost-spent by a killed leader surfaces as a rejection
-  /// on retry: the server deliberately answers reuse with the *generic*
-  /// kAttestationRejected (no token-state oracle for probing clients), so
-  /// the bed's racers are always well-formed and any non-routing
-  /// rejection means "already spent" — the ledger audit below is the
-  /// authority either way.
+  /// Phase 2: one quote bound to a fresh channel (`nonce` seeds its key),
+  /// then cas::AttestedChannel::attest from `initial_target`, configured
+  /// like the preparing client (cluster = addresses(), its RetryPolicy).
+  /// The token is constant across attempts — that is the exactly-once
+  /// property under test. A token ghost-spent by a killed leader surfaces
+  /// as a rejection on retry: the server deliberately answers reuse with
+  /// the *generic* kAttestationRejected (no token-state oracle for probing
+  /// clients), so the bed's racers are always well-formed and any
+  /// non-routing rejection means "already spent" — the ledger audit below
+  /// is the authority either way. Thread-safe: the quote serializes on the
+  /// bed's platform mutex (the simulated CPU and quoting enclave are not
+  /// synchronized); the handshake runs concurrently.
   AttestedSpend spend_with_retry(const PreparedToken& prepared,
                                  std::uint64_t nonce,
                                  const std::string& initial_target);

@@ -247,7 +247,7 @@ TEST(Allocation, ReapedAttestedSessionsLeaveNoAllocationBehind) {
   const auto attest_and_reap = [&] {
     for (int i = 0; i < 64; ++i) {
       cas::AttestedChannel channel(
-          &bed.network(), "cas.ttl",
+          &bed.network(), cas::CasClientConfig{.address = "cas.ttl"},
           crypto::Drbg::from_seed(++seed, "alloc-channel"));
       cas::AttestPayload payload;
       payload.session_name = "baseline";

@@ -1,8 +1,8 @@
 // Tests for the CasClient SDK and the versioned wire envelope:
 //  * sync + async retrieval through the typed client,
 //  * retry-with-backoff on retryable statuses; typed refusals returned
-//    immediately; one retry rule that get_instance, get_instance_async and
-//    introspect all follow,
+//    immediately; one retry rule that get_instance, get_instance_async,
+//    introspect and the attested handshake all follow,
 //  * version negotiation: future-version frames answered with
 //    kUnsupportedVersion; frames without the envelope magic, unknown
 //    commands and malformed payloads answered typed (never dropped) on
@@ -202,13 +202,13 @@ TEST_F(CasClientTest, NonEnvelopeFramesAnsweredMalformedOnEveryEndpoint) {
     return payload;
   };
   net::SecureClient raw_attest(crypto::Drbg::from_seed(11, "raw-attest"));
-  StatusCode rejected = StatusCode::kOk;
+  Status rejected;
   EXPECT_FALSE(raw_attest
                    .connect(bed_.network().connect(bed_.cas_address()),
                             bed_.cas().identity(),
                             quoted(raw_attest).serialize(), &rejected)
                    .has_value());
-  EXPECT_EQ(rejected, StatusCode::kMalformedRequest);
+  EXPECT_EQ(rejected.code, StatusCode::kMalformedRequest);
   EXPECT_EQ(bed_.cas().tokens_used(), 0u);  // nothing was spent
 
   // In-session record: attest properly, then send the seed-era one-byte
@@ -341,7 +341,8 @@ TEST_F(CasClientTest, NetworkLevelFuzzNeverStrandsACaller) {
 // --- attested channel -------------------------------------------------------
 
 TEST_F(CasClientTest, AttestedChannelReportsTypedStatuses) {
-  AttestedChannel channel(&bed_.network(), bed_.cas_address(),
+  AttestedChannel channel(&bed_.network(),
+                          CasClientConfig{.address = bed_.cas_address()},
                           crypto::Drbg::from_seed(5, "chan"));
 
   // Config before attestation is a typed local refusal.
@@ -359,7 +360,7 @@ TEST_F(CasClientTest, AttestedChannelReportsTypedStatuses) {
   EXPECT_FALSE(channel.attested());
 
   // An unreachable verifier is transient.
-  AttestedChannel lost(&bed_.network(), "cas.gone",
+  AttestedChannel lost(&bed_.network(), CasClientConfig{.address = "cas.gone"},
                        crypto::Drbg::from_seed(6, "chan2"));
   EXPECT_EQ(lost.attest(bed_.cas().identity(), bogus).code,
             StatusCode::kUnavailable);
@@ -378,25 +379,25 @@ TEST_F(CasClientTest, FutureVersionAttestHandshakeRejectedAsUnsupported) {
   future.payload = payload.serialize();
 
   net::SecureClient client(crypto::Drbg::from_seed(9, "future-chan"));
-  StatusCode rejected = StatusCode::kOk;
+  Status rejected;
   const auto accepted =
       client.connect(bed_.network().connect(bed_.cas_address()),
                      bed_.cas().identity(), future.serialize(), &rejected);
   EXPECT_FALSE(accepted.has_value());
-  EXPECT_EQ(rejected, StatusCode::kUnsupportedVersion);
+  EXPECT_EQ(rejected.code, StatusCode::kUnsupportedVersion);
 
   // Verification failures stay the generic rejection — the handshake is
   // not an oracle for why the verifier said no.
   net::SecureClient client2(crypto::Drbg::from_seed(10, "bogus-chan"));
   Envelope current = future;
   current.version = kProtocolVersion;
-  StatusCode generic = StatusCode::kOk;
+  Status generic;
   EXPECT_FALSE(client2
                    .connect(bed_.network().connect(bed_.cas_address()),
                             bed_.cas().identity(), current.serialize(),
                             &generic)
                    .has_value());
-  EXPECT_EQ(generic, StatusCode::kAttestationRejected);
+  EXPECT_EQ(generic.code, StatusCode::kAttestationRejected);
 }
 
 // --- client resilience: jittered backoff, deadline budget, breaker ----------
@@ -536,7 +537,7 @@ TEST_F(CasClientTest, UndecodableIntrospectReplyIsTypedInternal) {
 
 // --- one retry rule across every operation ----------------------------------
 
-enum class Op { kGetInstance, kGetInstanceAsync, kIntrospect };
+enum class Op { kGetInstance, kGetInstanceAsync, kIntrospect, kAttest };
 
 const char* op_name(Op op) {
   switch (op) {
@@ -546,13 +547,18 @@ const char* op_name(Op op) {
       return "get_instance_async";
     case Op::kIntrospect:
       return "introspect";
+    case Op::kAttest:
+      return "attest";
   }
   return "?";
 }
 
 /// One row of scripted answers: `script(n)` is what the fake endpoint
 /// answers its n-th call (1-based) — a refusal, or nullopt to forward the
-/// frame to the bed. The expectations hold for every operation alike.
+/// frame to the bed. The expectations hold for every operation alike; the
+/// handshake (AttestedChannel::attest) answers the rows whose refusal a
+/// handshake rejection can carry — every row but the retry-after one,
+/// since only a kNotLeader rejection keeps its detail.
 struct RuleRow {
   const char* name;
   std::function<std::optional<Status>(int)> script;
@@ -600,12 +606,15 @@ TEST_F(CasClientTest, EveryOperationFollowsTheOneRetryRule) {
   };
 
   for (const RuleRow& row : rows) {
-    for (const Op op :
-         {Op::kGetInstance, Op::kGetInstanceAsync, Op::kIntrospect}) {
+    for (const Op op : {Op::kGetInstance, Op::kGetInstanceAsync,
+                        Op::kIntrospect, Op::kAttest}) {
+      if (op == Op::kAttest && row.hinted.count() > 0) continue;
       SCOPED_TRACE(std::string(row.name) + " via " + op_name(op));
       std::mutex mutex;
       std::vector<std::chrono::steady_clock::time_point> hits;
-      bed_.network().listen("scripted.instance", [&](ByteView raw) {
+      const std::string endpoint =
+          op == Op::kAttest ? "scripted" : "scripted.instance";
+      bed_.network().listen(endpoint, [&](ByteView raw) {
         int n = 0;
         {
           std::lock_guard lock(mutex);
@@ -613,6 +622,20 @@ TEST_F(CasClientTest, EveryOperationFollowsTheOneRetryRule) {
           n = static_cast<int>(hits.size());
         }
         const std::optional<Status> refusal = row.script(n);
+        if (op == Op::kAttest) {
+          if (!refusal.has_value())
+            return bed_.network().connect(bed_.cas_address()).call(raw);
+          net::SecureServer refuser(
+              &bed_.user_signer(), crypto::Drbg::from_seed(n, "refuser"),
+              [&](ByteView, ByteView, Status* reject) {
+                *reject = *refusal;
+                return std::optional<net::SecureServer::Accepted>{};
+              },
+              [](std::uint64_t, const std::string&, ByteView) {
+                return Bytes{};
+              });
+          return refuser.handle(raw);
+        }
         if (!refusal.has_value()) return forward_to_bed(raw);
         const Envelope env = Envelope::deserialize(raw);
         if (env.command == Command::kIntrospect) {
@@ -624,15 +647,15 @@ TEST_F(CasClientTest, EveryOperationFollowsTheOneRetryRule) {
         resp.status = *refusal;
         return env.reply(resp.serialize()).serialize();
       });
-      CasClient client(&bed_.network(),
-                       CasClientConfig{.address = "scripted",
-                                       .cluster = {},
-                                       .retry = {.max_attempts = 3,
-                                                 .initial_backoff = 1us,
-                                                 .max_backoff = 1us}});
+      const CasClientConfig config{.address = "scripted",
+                                   .retry = {.max_attempts = 3,
+                                             .initial_backoff = 1us,
+                                             .max_backoff = 1us}};
+      CasClient client(&bed_.network(), config);
 
       StatusCode code = StatusCode::kOk;
       std::optional<std::size_t> attempts;
+      std::uint64_t redirects = 0;
       switch (op) {
         case Op::kGetInstance: {
           const InstanceResult got =
@@ -656,15 +679,33 @@ TEST_F(CasClientTest, EveryOperationFollowsTheOneRetryRule) {
         case Op::kIntrospect:
           code = client.introspect().status.code;
           break;
+        case Op::kAttest: {
+          const auto start = runtime::start_singleton_enclave(
+              bed_.cpu(), bed_.network(), bed_.cas_address(), image_,
+              signed_.sigstruct, "s");
+          ASSERT_TRUE(start.ok()) << start.error;
+          AttestedChannel channel(&bed_.network(), config,
+                                  crypto::Drbg::from_seed(13, "rule-chan"));
+          AttestPayload payload;
+          payload.session_name = "s";
+          payload.quote = *bed_.qe().generate_quote(bed_.cpu().ereport(
+              start.enclave.id, bed_.qe().target_info(),
+              net::channel_binding(channel.dh_public())));
+          payload.token = start.token;
+          code = channel.attest(bed_.cas().identity(), payload).code;
+          redirects = channel.stats().leader_redirects;
+          break;
+        }
       }
-      bed_.network().shutdown("scripted.instance");
+      bed_.network().shutdown(endpoint);
+      if (op != Op::kAttest) redirects = client.stats().leader_redirects;
 
       EXPECT_EQ(code, row.code) << to_string(code);
       if (attempts.has_value()) {
         EXPECT_EQ(*attempts, row.attempts);
       }
       EXPECT_EQ(hits.size(), row.hits);
-      EXPECT_EQ(client.stats().leader_redirects, row.leader_redirects);
+      EXPECT_EQ(redirects, row.leader_redirects);
       if (row.hinted.count() > 0 && hits.size() >= 2) {
         const auto gap = hits[1] - hits[0];
         if (op == Op::kGetInstanceAsync)

@@ -16,6 +16,8 @@
 #include "common/error.h"
 #include "common/status.h"
 #include "net/fault_plan.h"
+#include "runtime/enclave_runtime.h"
+#include "runtime/program.h"
 #include "workload/cluster.h"
 
 namespace sinclave::workload {
@@ -51,6 +53,27 @@ bool outstanding_everywhere(ClusterBed& bed, std::size_t expected,
   } while (std::chrono::steady_clock::now() < deadline);
   return false;
 }
+
+/// A SinClave runtime on the bed's platform, running "noop".
+struct BedRuntime {
+  explicit BedRuntime(ClusterBed& bed)
+      : runtime(&bed.cpu(), &bed.qe(), &bed.network(), &programs,
+                runtime::RuntimeMode::kSinclave,
+                crypto::Drbg::from_seed(bed.config().seed, "bed-runtime")) {
+    options.cas_identity = bed.identity().public_key();
+    options.session_name = bed.config().session_name;
+  }
+  BedRuntime(const BedRuntime&) = delete;  // runtime points at programs
+  BedRuntime& operator=(const BedRuntime&) = delete;
+
+  runtime::ProgramRegistry programs = [] {
+    runtime::ProgramRegistry registry;
+    registry.register_program("noop", [](runtime::AppContext&) { return 0; });
+    return registry;
+  }();
+  runtime::EnclaveRuntime runtime;
+  runtime::RunOptions options;
+};
 
 TEST(Cluster, ElectsLeaderReplicatesAndConverges) {
   ClusterBed bed(fast_config(11));
@@ -89,7 +112,7 @@ TEST(Cluster, ReusedTokenIsRejectedEverywhere) {
   const ClusterBed::PreparedToken prepared = bed.prepare_token(client);
   ASSERT_TRUE(prepared.ok());
   const ClusterBed::AttestedSpend first =
-      bed.spend_once(prepared, 1, bed.address(leader));
+      bed.spend_with_retry(prepared, 1, bed.address(leader));
   ASSERT_TRUE(first.attested) << to_string(first.reject) << " " << first.error;
 
   // The same one-time token replayed over a fresh channel must be
@@ -98,7 +121,7 @@ TEST(Cluster, ReusedTokenIsRejectedEverywhere) {
   // deliberately generic kAttestationRejected: verification outcomes give
   // probing clients no token-state oracle.
   const ClusterBed::AttestedSpend replay =
-      bed.spend_once(prepared, 2, bed.address(leader));
+      bed.spend_with_retry(prepared, 2, bed.address(leader));
   EXPECT_FALSE(replay.attested);
   EXPECT_EQ(replay.reject, StatusCode::kAttestationRejected) << replay.error;
 
@@ -139,6 +162,90 @@ TEST(Cluster, ClientPointedAtFollowerFollowsLeaderHint) {
 
   const ClusterBed::SpendAudit audit = bed.audit_spends(1, 2000ms);
   EXPECT_TRUE(audit.converged) << audit.detail;
+}
+
+// The runtime finds the leader the way every SDK operation does: the
+// follower refuses the handshake with kNotLeader and the leader hint, and
+// the channel's retry rule follows it — with no cluster list and no look
+// at any node's Raft state.
+TEST(Cluster, RuntimePointedAtFollowerStartsTheSingleton) {
+  ClusterBed bed(fast_config(18));
+  const std::size_t leader = bed.bootstrap();
+  const std::size_t follower = (leader + 1) % bed.size();
+  cas::CasClient client = bed.make_client(leader);
+  const ClusterBed::PreparedToken prepared = bed.prepare_token(client);
+  ASSERT_TRUE(prepared.ok()) << prepared.instance.status.message();
+
+  const auto rejected = [&] {
+    return bed.node(follower).cas().secure_channel_stats().handshakes_rejected;
+  };
+  const auto opened = [&] {
+    return bed.node(leader).cas().secure_channel_stats().sessions_opened;
+  };
+  const std::uint64_t rejected_before = rejected();
+  const std::uint64_t opened_before = opened();
+  BedRuntime rt(bed);
+  rt.options.cas_address = bed.address(follower);
+  const runtime::RunResult run = rt.runtime.run(prepared.enclave, rt.options);
+  ASSERT_TRUE(run.ok) << run.error;
+  EXPECT_EQ(run.config.program, "noop");
+  EXPECT_EQ(rejected(), rejected_before + 1);
+  EXPECT_EQ(opened(), opened_before + 1);
+
+  const ClusterBed::SpendAudit audit = bed.audit_spends(1, 2000ms);
+  EXPECT_TRUE(audit.converged) << audit.detail;
+}
+
+// A leader killed while a singleton starts: the start completes or ends in
+// a typed refusal, and the ledger holds at most one acceptance — exactly
+// one when the enclave started.
+TEST(Cluster, LeaderKilledMidStartStartsOrRefusesTyped) {
+  ClusterBed bed(fast_config(19));
+  const std::size_t leader = bed.bootstrap();
+  cas::CasClient client = bed.make_client(leader);
+  const ClusterBed::PreparedToken prepared = bed.prepare_token(client);
+  ASSERT_TRUE(prepared.ok()) << prepared.instance.status.message();
+
+  BedRuntime rt(bed);
+  rt.options.cas_address = bed.address(leader);
+  runtime::RunResult run;
+  std::thread starter(
+      [&] { run = rt.runtime.run(prepared.enclave, rt.options); });
+  std::this_thread::sleep_for(1ms);
+  bed.node(leader).stop();
+  starter.join();
+  if (run.ok) {
+    EXPECT_EQ(run.config.program, "noop");
+  } else {
+    EXPECT_TRUE(run.error.starts_with("attest: ") ||
+                run.error.starts_with("config: "))
+        << run.error;
+  }
+
+  ASSERT_TRUE(bed.wait_for_leader(2000ms).has_value()) << "no successor";
+  const ClusterBed::SpendAudit once = bed.audit_spends(1, 2000ms);
+  if (run.ok) {
+    EXPECT_TRUE(once.converged) << once.detail;
+  } else {
+    // Refused: the spend either died with the leader or landed with its
+    // reply lost — never twice.
+    EXPECT_TRUE(once.converged || bed.audit_spends(0, 100ms).converged)
+        << once.detail;
+  }
+}
+
+// A follower stops naming a leader it no longer hears from well before its
+// election timeout, so the retry rule rotates instead of chasing the dead.
+TEST(Cluster, StaleLeaderHintExpires) {
+  ClusterBed bed(fast_config(20));
+  const std::size_t leader = bed.bootstrap();
+  bed.node(leader).stop();
+  std::this_thread::sleep_for(4 * bed.config().raft.heartbeat_interval);
+  for (std::size_t n = 0; n < bed.size(); ++n) {
+    if (!bed.node(n).running()) continue;
+    EXPECT_NE(bed.node(n).raft().leader_hint(), bed.address(leader))
+        << "node " << n + 1;
+  }
 }
 
 // A credential popped from a replica's pre-minted pool is armed through
@@ -191,7 +298,7 @@ TEST(Cluster, ReplayStormAcrossLeaderKillSpendsExactlyOnce) {
     for (std::size_t r = 0; r < racers; ++r) {
       threads.emplace_back([&, t, r] {
         const ClusterBed::AttestedSpend got =
-            bed.spend_once(prepared[t], t * 100 + r, target);
+            bed.spend_with_retry(prepared[t], t * 100 + r, target);
         if (got.attested) accepted[t].fetch_add(1);
         // A non-routing rejection of a well-formed racer means the token
         // was already spent (the server keeps reuse rejections generic).

@@ -138,7 +138,7 @@ struct ChannelFixture : ::testing::Test {
   void serve(const std::string& address) {
     server_ = std::make_unique<SecureServer>(
         &identity_, rng(2),
-        [this](ByteView payload, ByteView, StatusCode*) {
+        [this](ByteView payload, ByteView, Status*) {
           std::lock_guard lock(capture_mutex_);
           last_payload_ = Bytes{payload.begin(), payload.end()};
           return SecureServer::Accepted{to_bytes("welcome")};
@@ -192,7 +192,7 @@ TEST_F(ChannelFixture, ServerIdentityPinningDetectsImpostor) {
 TEST_F(ChannelFixture, RejectedHandshakeYieldsNullopt) {
   server_ = std::make_unique<SecureServer>(
       &identity_, rng(5),
-      [](ByteView, ByteView, StatusCode*) {
+      [](ByteView, ByteView, Status*) {
         return std::optional<SecureServer::Accepted>{};  // reject all
       },
       [](std::uint64_t, const std::string&, ByteView) { return Bytes{}; });
@@ -210,20 +210,56 @@ TEST_F(ChannelFixture, RejectionRecordCarriesTypedProtocolStatus) {
   // record; verification refusals use the generic default.
   server_ = std::make_unique<SecureServer>(
       &identity_, rng(11),
-      [](ByteView, ByteView, StatusCode* reject) {
-        *reject = StatusCode::kUnsupportedVersion;
+      [](ByteView, ByteView, Status* reject) {
+        *reject = Status(StatusCode::kUnsupportedVersion);
         return std::optional<SecureServer::Accepted>{};
       },
       [](std::uint64_t, const std::string&, ByteView) { return Bytes{}; });
   net_.listen("svc", [this](ByteView raw) { return server_->handle(raw); });
 
   SecureClient client(rng(12));
-  StatusCode status = StatusCode::kOk;
+  Status status;
   EXPECT_FALSE(client
                    .connect(net_.connect("svc"), identity_.public_key(), {},
                             &status)
                    .has_value());
-  EXPECT_EQ(status, StatusCode::kUnsupportedVersion);
+  EXPECT_EQ(status.code, StatusCode::kUnsupportedVersion);
+}
+
+TEST_F(ChannelFixture, OnlyANotLeaderRejectionCarriesItsDetail) {
+  // The leader hint rides a kNotLeader rejection to connect. A detail a
+  // hook sets on any other code never leaves the server: the record ends
+  // at the code byte, so the generic rejection stays oracle-free.
+  for (const Status& refusal :
+       {Status(StatusCode::kNotLeader, not_leader_detail("x")),
+        Status(StatusCode::kAttestationRejected, "token already spent"),
+        Status(StatusCode::kUnavailable, "raft: node stopping")}) {
+    SCOPED_TRACE(to_string(refusal.code));
+    SecureServer server(
+        &identity_, rng(16),
+        [refusal](ByteView, ByteView, Status* reject) {
+          *reject = refusal;
+          return std::optional<SecureServer::Accepted>{};
+        },
+        [](std::uint64_t, const std::string&, ByteView) { return Bytes{}; });
+    SimNetwork net;
+    Bytes answer;
+    net.listen("svc",
+               [&](ByteView raw) { return answer = server.handle(raw); });
+    SecureClient client(rng(17));
+    Status status;
+    EXPECT_FALSE(client
+                     .connect(net.connect("svc"), identity_.public_key(), {},
+                              &status)
+                     .has_value());
+    EXPECT_EQ(status.code, refusal.code);
+    if (refusal.code == StatusCode::kNotLeader) {
+      EXPECT_EQ(status.detail, not_leader_detail("x"));
+    } else {
+      EXPECT_EQ(status.detail, "");
+      EXPECT_EQ(answer, (Bytes{0x00, static_cast<std::uint8_t>(refusal.code)}));
+    }
+  }
 }
 
 TEST_F(ChannelFixture, RelayRewritingTheHandshakeAnswerIsCaught) {
@@ -254,7 +290,7 @@ TEST_F(ChannelFixture, HandshakeShapeIsRefusedBeforeTheHook) {
   std::atomic<int> hook_calls{0};
   server_ = std::make_unique<SecureServer>(
       &identity_, rng(15),
-      [&hook_calls](ByteView, ByteView, StatusCode*) {
+      [&hook_calls](ByteView, ByteView, Status*) {
         ++hook_calls;
         return SecureServer::Accepted{};
       },
@@ -294,12 +330,12 @@ TEST_F(ChannelFixture, HostileRejectionStatusCannotReadAsSuccess) {
     SimNetwork net;
     net.listen("svc", [wire](ByteView) { return wire; });
     SecureClient client(rng(13));
-    StatusCode status = StatusCode::kOk;
+    Status status;
     EXPECT_FALSE(client
                      .connect(net.connect("svc"), identity_.public_key(), {},
                               &status)
                      .has_value());
-    EXPECT_EQ(status, StatusCode::kAttestationRejected);
+    EXPECT_EQ(status.code, StatusCode::kAttestationRejected);
   }
 }
 
@@ -308,7 +344,7 @@ TEST_F(ChannelFixture, EavesdropperSeesNoPlaintext) {
   std::vector<Bytes> wire;
   server_ = std::make_unique<SecureServer>(
       &identity_, rng(7),
-      [](ByteView, ByteView, StatusCode*) { return SecureServer::Accepted{}; },
+      [](ByteView, ByteView, Status*) { return SecureServer::Accepted{}; },
       [](std::uint64_t, const std::string&, ByteView) {
         return to_bytes("topsecret-response");
       });
@@ -451,7 +487,7 @@ TEST_F(ChannelFixture, IdleSessionsAreSweptActiveOnesSurvive) {
   constexpr auto kIdleTtl = std::chrono::milliseconds(20);
   server_ = std::make_unique<SecureServer>(
       &identity_, rng(30),
-      [](ByteView, ByteView, StatusCode*) { return SecureServer::Accepted{}; },
+      [](ByteView, ByteView, Status*) { return SecureServer::Accepted{}; },
       [](std::uint64_t, const std::string&, ByteView plaintext) {
         return Bytes{plaintext.begin(), plaintext.end()};
       });
@@ -496,7 +532,7 @@ TEST_F(ChannelFixture, CloseSessionRacingInFlightRecordsNeverTears) {
   Bytes captured;
   server_ = std::make_unique<SecureServer>(
       &identity_, rng(21),
-      [](ByteView, ByteView, StatusCode*) { return SecureServer::Accepted{}; },
+      [](ByteView, ByteView, Status*) { return SecureServer::Accepted{}; },
       [](std::uint64_t, const std::string&, ByteView plaintext) {
         return Bytes{plaintext.begin(), plaintext.end()};
       });
@@ -553,7 +589,7 @@ TEST_F(ChannelFixture, HooksMayCallBackIntoTheServer) {
   // hang up") — both would have self-deadlocked before.
   server_ = std::make_unique<SecureServer>(
       &identity_, rng(23),
-      [this](ByteView, ByteView, StatusCode*) {
+      [this](ByteView, ByteView, Status*) {
         // Callback into the server from inside the handshake hook.
         (void)server_->open_sessions();
         (void)server_->stats();
@@ -580,7 +616,7 @@ TEST_F(ChannelFixture, HandshakePeerRidesEveryRecordOfItsSession) {
   // request handler with each of that session's records, and only its.
   server_ = std::make_unique<SecureServer>(
       &identity_, rng(25),
-      [](ByteView payload, ByteView, StatusCode*) {
+      [](ByteView payload, ByteView, Status*) {
         return SecureServer::Accepted{{}, std::string(payload.begin(),
                                                       payload.end())};
       },

@@ -552,7 +552,8 @@ TEST_F(ObsIntrospectionTest, AttestGetConfigTraceRetrievableViaIntrospection) {
       signed_.sigstruct, "s");
   ASSERT_TRUE(start.ok()) << start.error;
 
-  AttestedChannel channel(&bed_.network(), bed_.cas_address(),
+  AttestedChannel channel(&bed_.network(),
+                          CasClientConfig{.address = bed_.cas_address()},
                           crypto::Drbg::from_seed(17, "obs-chan"));
   const sgx::Report report =
       bed_.cpu().ereport(start.enclave.id, bed_.qe().target_info(),
@@ -622,7 +623,8 @@ TEST_F(ObsIntrospectionTest, SecureChannelSeriesComeFromTheService) {
       bed_.cpu(), bed_.network(), bed_.cas_address(), image_,
       signed_.sigstruct, "s");
   ASSERT_TRUE(start.ok()) << start.error;
-  AttestedChannel channel(&bed_.network(), bed_.cas_address(),
+  AttestedChannel channel(&bed_.network(),
+                          CasClientConfig{.address = bed_.cas_address()},
                           crypto::Drbg::from_seed(18, "obs-channel"));
   const sgx::Report report =
       bed_.cpu().ereport(start.enclave.id, bed_.qe().target_info(),

@@ -50,7 +50,7 @@ TEST_P(ChannelSizes, EncryptedEchoRoundTrip) {
   net::SimNetwork net;
   net::SecureServer server(
       &identity, crypto::Drbg::from_seed(8, "srv"),
-      [](ByteView, ByteView, StatusCode*) {
+      [](ByteView, ByteView, Status*) {
         return net::SecureServer::Accepted{};
       },
       [](std::uint64_t, const std::string&, ByteView plaintext) {

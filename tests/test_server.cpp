@@ -753,7 +753,8 @@ TEST_F(CasServerTest, IdleTtlSweepReapsAnAbandonedAttestedSession) {
   CasServer server(&bed_.cas(), cfg);
   server.bind(bed_.network(), kServerAddress);
 
-  cas::AttestedChannel channel(&bed_.network(), kServerAddress,
+  cas::AttestedChannel channel(&bed_.network(),
+                               cas::CasClientConfig{.address = kServerAddress},
                                crypto::Drbg::from_seed(31, "idle-channel"));
   ASSERT_TRUE(attest_singleton(channel, "s").ok());
   ASSERT_TRUE(channel.get_config().ok());  // live before it goes idle
@@ -785,7 +786,8 @@ TEST_F(CasServerTest, IdleTtlHoldsWhenMetricsWereReadBeforeTheServer) {
   CasServer server(&bed_.cas(), cfg);
   server.bind(bed_.network(), kServerAddress);
 
-  cas::AttestedChannel channel(&bed_.network(), kServerAddress,
+  cas::AttestedChannel channel(&bed_.network(),
+                               cas::CasClientConfig{.address = kServerAddress},
                                crypto::Drbg::from_seed(32, "ttl-channel"));
   ASSERT_TRUE(attest_singleton(channel, "s").ok());
   const auto deadline = std::chrono::steady_clock::now() + 1s;

@@ -293,6 +293,11 @@ int main(int argc, char** argv) {
     hello.bytes(ByteView{share.data(), share.size()});
     hello.bytes(text("hello"));
     write_seed(dir, "handshake_v2", mode(0, chunk(std::move(hello).take())));
+    // A kNotLeader rejection carrying its leader hint.
+    ByteWriter reject;
+    reject.u8(static_cast<std::uint8_t>(StatusCode::kNotLeader));
+    reject.str(not_leader_detail("cas-node2"));
+    write_seed(dir, "reject_not_leader", mode(4, std::move(reject).take()));
   }
 
   // --- fuzz_replication ---------------------------------------------------

@@ -3,7 +3,7 @@
 
 The repository's layering and concurrency rules are enforceable without a
 compiler — they are confinement rules about which tokens may appear in
-which files. This linter codifies seven documented ones:
+which files. This linter codifies eight documented ones:
 
   wire-confinement    Wire-protocol serialization (InstanceRequest &
                       friends ::serialize/::deserialize) stays inside
@@ -37,6 +37,13 @@ which files. This linter codifies seven documented ones:
                       (status.h/.cpp declare and define the parsers,
                       cas/client.h declares backoff_before). A second retry
                       loop anywhere else fails the lint.
+  handshake-confinement
+                      The attested handshake has one path in: in src/,
+                      SecureClient is named only by the channel itself
+                      (src/net/secure_channel.*), the client SDK
+                      (src/cas/client.*, whose AttestedChannel routes it by
+                      the retry rule) and src/workload/chaos.cpp, whose raw
+                      racers count untyped escapes on purpose.
   alloc-free          Files on the allocation-free signing, key-agreement
                       and volume hot paths (asserted by tests/test_alloc.cpp's
                       counting operator new) must not contain allocation
@@ -131,6 +138,16 @@ RETRY_SYMBOL_HOMES = {
 }
 RE_RETRY_CALL = re.compile(
     r"\b(%s)\s*\(" % "|".join(RETRY_SYMBOL_HOMES))
+
+# The one path to the attested handshake (plus chaos's deliberate racers).
+HANDSHAKE_ALLOWED = {
+    "src/net/secure_channel.h",
+    "src/net/secure_channel.cpp",
+    "src/cas/client.h",
+    "src/cas/client.cpp",
+    "src/workload/chaos.cpp",
+}
+RE_SECURE_CLIENT = re.compile(r"\bSecureClient\b")
 
 # Headers whose byte-facing decoders the fuzz layer must cover. A header
 # that does not exist is skipped (the rule is about decoders that DO
@@ -325,6 +342,21 @@ def check_retry_confinement(root, findings):
                  % (m.group(1), RETRY_RULE_FILE)))
 
 
+def check_handshake_confinement(root, findings):
+    for path in iter_sources(root):
+        relpath = rel(root, path)
+        if relpath in HANDSHAKE_ALLOWED:
+            continue
+        text = strip_code(path.read_text(encoding="utf-8"), blank_strings=True)
+        for m in RE_SECURE_CLIENT.finditer(text):
+            findings.append(
+                (relpath, line_of(text, m.start()), "handshake-confinement",
+                 "'SecureClient' outside net/secure_channel.*, "
+                 "cas/client.* and workload/chaos.cpp — attest through "
+                 "cas::AttestedChannel so the handshake follows the one "
+                 "retry rule"))
+
+
 def check_alloc_free(root, findings):
     for relpath in ALLOC_FREE_FILES:
         path = root / relpath
@@ -368,8 +400,8 @@ def check_fuzz_coverage(root, findings):
 
 
 CHECKS = (check_wire, check_raw_mutex, check_status_strings,
-          check_status_details, check_retry_confinement, check_alloc_free,
-          check_fuzz_coverage)
+          check_status_details, check_retry_confinement,
+          check_handshake_confinement, check_alloc_free, check_fuzz_coverage)
 
 
 def run_all(root):
@@ -418,6 +450,11 @@ SELFTEST_VIOLATIONS = {
         "// prose about parse_leader_hint(detail) stays legal\n"
         "const auto hint = parse_leader_hint(got.status.detail);\n",
         "retry-confinement",
+    ),
+    "src/workload/cluster.cpp": (
+        "// a comment naming net::SecureClient stays legal\n"
+        "  net::SecureClient channel(crypto::Drbg::from_seed(\n",
+        "handshake-confinement",
     ),
     "src/crypto/bignum.cpp": (
         "// never reallocates (comment token must not fire)\n"
