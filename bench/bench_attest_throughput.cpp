@@ -143,7 +143,7 @@ SweepResult run_sweep(workload::Testbed& bed,
                                        seed_base + i));
 
   server.bind(bed.network(), kAddress);
-  const crypto::RsaPublicKey& identity = bed.cas().identity();
+  const crypto::Ed25519PublicKey& identity = bed.cas().identity();
   // The SecureServer (and its stats) lives on the CasService across
   // sweeps; report this sweep's collisions as a delta.
   const auto secure_before = bed.cas().secure_channel_stats();

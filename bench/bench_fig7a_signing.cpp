@@ -15,6 +15,7 @@
 #include "core/image.h"
 #include "core/signer.h"
 #include "crypto/drbg.h"
+#include "crypto/ed25519.h"
 
 namespace {
 
@@ -93,11 +94,42 @@ void BM_RsaVerify3072(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
+// Ed25519 sign and verify over a 32-byte transcript hash — the CAS
+// channel's per-handshake identity signature, which used to be a second
+// RSA-3072 signature like the one above.
+const crypto::Ed25519KeyPair& identity_key() {
+  static const crypto::Ed25519KeyPair key = [] {
+    crypto::Drbg rng = crypto::Drbg::from_seed(7, "fig7a-identity");
+    return crypto::Ed25519KeyPair::generate(rng);
+  }();
+  return key;
+}
+
+void BM_Ed25519Sign(benchmark::State& state) {
+  const Bytes transcript(32, 0x5a);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(identity_key().sign(transcript));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
+void BM_Ed25519Verify(benchmark::State& state) {
+  const Bytes transcript(32, 0x5a);
+  const crypto::Ed25519Signature sig = identity_key().sign(transcript);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        identity_key().public_key().verify(transcript, sig));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
 BENCHMARK(BM_NativeCompile)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_BaselineSign)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SinClaveSign)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RsaSign3072)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RsaVerify3072)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Ed25519Sign)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Ed25519Verify)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

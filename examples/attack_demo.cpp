@@ -79,7 +79,7 @@ int main() {
     // into a report server. Nothing of this shows in the measurement.
     auto attacker_rng = bed.child_rng("attacker");
     cas::CasService attacker_cas(
-        &bed.attestation(), crypto::RsaKeyPair::generate(attacker_rng, 1024),
+        &bed.attestation(), crypto::Ed25519KeyPair::generate(attacker_rng),
         bed.child_rng("attacker-cas"));
     attacker_cas.add_signer_key(bed.user_signer());
     server::CasServer attacker_server(&attacker_cas);
@@ -137,7 +137,7 @@ int main() {
 
     auto attacker_rng = bed.child_rng("attacker");
     cas::CasService attacker_cas(
-        &bed.attestation(), crypto::RsaKeyPair::generate(attacker_rng, 1024),
+        &bed.attestation(), crypto::Ed25519KeyPair::generate(attacker_rng),
         bed.child_rng("attacker-cas"));
     attacker_cas.add_signer_key(bed.user_signer());
     server::CasServer attacker_server(&attacker_cas);

@@ -15,13 +15,18 @@
 // checks the 51-bit-limb X25519 ladder against RFC 7748 §5's ladder
 // transcribed onto BigInt's * and .mod, its inversion by mod_exp(p - 2),
 // on fuzz-chosen 32-byte scalars and u (u's top bit and values in
-// [p, 2^255) included).
+// [p, 2^255) included). Mode 7 checks Ed25519's scalar arithmetic mod L
+// (Barrett reduction on fixed limbs) against BigInt's .mod: a 64-byte
+// digest reduced mod L, and r + k a mod L for fuzz-chosen 32-byte r, k
+// and a.
 #include "harnesses.h"
 
 #include <algorithm>
+#include <array>
 
 #include "common/error.h"
 #include "crypto/bignum.h"
+#include "crypto/ed25519.h"
 #include "crypto/x25519.h"
 #include "fuzz_util.h"
 
@@ -96,6 +101,22 @@ BigInt x25519_reference(const crypto::X25519Bytes& scalar,
   return (x2 * BigInt::mod_exp(z2, p - BigInt(2), p)).mod(p);
 }
 
+/// A little-endian byte string as a BigInt.
+template <std::size_t N>
+BigInt from_le(const std::array<std::uint8_t, N>& le) {
+  std::array<std::uint8_t, N> be = le;
+  std::reverse(be.begin(), be.end());
+  return BigInt::from_bytes_be(ByteView{be.data(), be.size()});
+}
+
+template <std::size_t N>
+std::array<std::uint8_t, N> take_array(FuzzInput& in) {
+  std::array<std::uint8_t, N> out{};
+  const Bytes bytes = in.take(N);
+  std::copy(bytes.begin(), bytes.end(), out.begin());
+  return out;
+}
+
 BigInt odd_modulus(FuzzInput& in, std::size_t max_bytes) {
   BigInt m = BigInt::from_bytes_be(in.take(1 + in.below(
       static_cast<std::uint32_t>(max_bytes))));
@@ -110,7 +131,7 @@ int run_bignum_diff(const std::uint8_t* data, std::size_t size) {
   FuzzInput in(data, size);
   const std::uint8_t mode = in.u8();
 
-  switch (mode % 7) {
+  switch (mode % 8) {
     case 0: {
       const BigInt m = odd_modulus(in, 24);
       const BigInt base = BigInt::from_bytes_be(in.take(1 + in.below(48)));
@@ -213,6 +234,22 @@ int run_bignum_diff(const std::uint8_t* data, std::size_t size) {
         require(expected.is_zero(),
                 "x25519 refused a u whose reference result is nonzero");
       }
+      break;
+    }
+    case 7: {
+      static const BigInt l =
+          (BigInt(1) << 252) +
+          BigInt::from_hex("14def9dea2f79cd65812631a5cf5d3ed");
+      const auto wide = take_array<64>(in);
+      require(from_le(crypto::detail::ed25519_reduce(wide)) ==
+                  from_le(wide).mod(l),
+              "Ed25519 digest reduction disagrees with BigInt mod L");
+      const auto r = take_array<32>(in);
+      const auto k = take_array<32>(in);
+      const auto a = take_array<32>(in);
+      require(from_le(crypto::detail::ed25519_muladd(k, a, r)) ==
+                  (from_le(r) + from_le(k) * from_le(a)).mod(l),
+              "Ed25519 r + k a mod L disagrees with BigInt");
       break;
     }
   }

@@ -20,25 +20,24 @@
 #include "cas/service.h"
 #include "common/error.h"
 #include "crypto/drbg.h"
-#include "crypto/rsa.h"
+#include "crypto/ed25519.h"
 #include "fuzz_util.h"
 #include "quote/attestation_service.h"
 
 namespace sinclave::fuzz {
 namespace {
 
-/// Immutable cross-iteration fixture. The RSA identity is generated once
-/// (keygen dominates everything else); each iteration copies it into a
-/// fresh CasService so no state leaks between inputs.
+/// Immutable cross-iteration fixture, built once; each iteration copies
+/// the identity into a fresh CasService so no state leaks between inputs.
 struct Golden {
-  crypto::RsaKeyPair identity;
+  crypto::Ed25519KeyPair identity;
   Bytes seal_key;
   Bytes exported;  // state of a service with two policies + two tokens
   Bytes sealed;    // `exported` sealed at counter value 1
 
-  static crypto::RsaKeyPair make_identity() {
+  static crypto::Ed25519KeyPair make_identity() {
     crypto::Drbg rng = crypto::Drbg::from_seed(11, "fuzz-persist");
-    return crypto::RsaKeyPair::generate(rng, 1024);
+    return crypto::Ed25519KeyPair::generate(rng);
   }
 
   Golden() : identity(make_identity()) {
@@ -50,7 +49,7 @@ struct Golden {
     for (const char* name : {"p0", "p1"}) {
       cas::Policy p;
       p.session_name = name;
-      p.expected_signer = crypto::sha256(identity.public_key().modulus_be());
+      p.expected_signer = crypto::sha256(identity.public_key().view());
       p.require_singleton = true;
       p.config.program = "prog";
       p.config.env["K"] = "V";

@@ -36,6 +36,7 @@
 #include "common/serial.h"
 #include "core/signer.h"
 #include "crypto/drbg.h"
+#include "crypto/ed25519.h"
 #include "crypto/rsa.h"
 #include "crypto/sha256.h"
 #include "fuzz_util.h"
@@ -51,7 +52,7 @@ namespace {
 
 struct Platform {
   crypto::RsaKeyPair signer_key;
-  crypto::RsaKeyPair identity;
+  crypto::Ed25519KeyPair identity;
   sgx::SgxCpu cpu;
   crypto::Drbg qe_rng;
   quote::QuotingEnclave qe;
@@ -64,9 +65,14 @@ struct Platform {
     return crypto::RsaKeyPair::generate(rng, 1024);
   }
 
+  static crypto::Ed25519KeyPair make_identity() {
+    crypto::Drbg rng = crypto::Drbg::from_seed(32, "fuzz-session-identity");
+    return crypto::Ed25519KeyPair::generate(rng);
+  }
+
   Platform()
       : signer_key(make_key(31, "fuzz-session-signer")),
-        identity(make_key(32, "fuzz-session-identity")),
+        identity(make_identity()),
         cpu(sgx::SgxCpu::Config{}),
         qe_rng(crypto::Drbg::from_seed(33, "fuzz-session-qe")),
         qe(cpu, qe_rng),

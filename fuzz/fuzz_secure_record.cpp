@@ -9,16 +9,19 @@
 // rejection — the generic one unless its code is whitelisted, with a
 // detail only for a well-formed kNotLeader. And garbage must not corrupt
 // server state: an honest client's handshake and round trip must still
-// succeed afterwards.
+// succeed afterwards. A relay that rewrites only the honest acceptance's
+// Ed25519 signature (a flipped bit, S + L, another R, a cut or extended
+// field) must make connect throw IdentityMismatchError and open nothing.
 #include "harnesses.h"
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 
 #include "common/error.h"
 #include "common/serial.h"
 #include "crypto/drbg.h"
-#include "crypto/rsa.h"
+#include "crypto/ed25519.h"
 #include "fuzz_util.h"
 #include "net/secure_channel.h"
 #include "net/sim_network.h"
@@ -26,10 +29,10 @@
 namespace sinclave::fuzz {
 namespace {
 
-const crypto::RsaKeyPair& server_identity() {
-  static const crypto::RsaKeyPair key = [] {
+const crypto::Ed25519KeyPair& server_identity() {
+  static const crypto::Ed25519KeyPair key = [] {
     crypto::Drbg rng = crypto::Drbg::from_seed(21, "fuzz-secure-identity");
-    return crypto::RsaKeyPair::generate(rng, 1024);
+    return crypto::Ed25519KeyPair::generate(rng);
   }();
   return key;
 }
@@ -46,6 +49,65 @@ std::unique_ptr<net::SecureServer> make_server(std::uint64_t seed) {
       [](std::uint64_t, const std::string&, ByteView plaintext) {
         return Bytes(plaintext.begin(), plaintext.end());
       });
+}
+
+/// The acceptance `ok | u64 session | share | signature | payload` with its
+/// signature field rewritten: kind 0 flips one bit, 1 adds L to S, 2
+/// replaces R, 3 cuts or extends the field by 1..64 bytes.
+Bytes rewrite_signature(ByteView acceptance, std::uint8_t kind,
+                        std::uint32_t position, const Bytes& filler) {
+  ByteReader r(acceptance);
+  const std::uint8_t status = r.u8();
+  const std::uint64_t session_id = r.u64();
+  const Bytes share = r.bytes();
+  Bytes signature = r.bytes();
+  const Bytes payload = r.bytes();
+  r.expect_done();
+  require(signature.size() == crypto::kEd25519SignatureBytes,
+          "honest acceptance carries a signature that is not 64 bytes");
+  switch (kind % 4) {
+    case 0:
+      signature[(position / 8) % 64] ^=
+          static_cast<std::uint8_t>(1u << (position % 8));
+      break;
+    case 1: {
+      // L, little-endian: S + L < 2^254 fits the 32 bytes.
+      static constexpr std::uint8_t kL[32] = {
+          0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58, 0xd6, 0x9c, 0xf7,
+          0xa2, 0xde, 0xf9, 0xde, 0x14, 0,    0,    0,    0,    0,    0,
+          0,    0,    0,    0,    0,    0,    0,    0,    0,    0x10};
+      unsigned carry = 0;
+      for (std::size_t i = 0; i < 32; ++i) {
+        const unsigned sum = signature[32 + i] + kL[i] + carry;
+        signature[32 + i] = static_cast<std::uint8_t>(sum);
+        carry = sum >> 8;
+      }
+      break;
+    }
+    case 2:
+      std::fill_n(signature.begin(), 32, std::uint8_t{0});
+      std::copy_n(filler.begin(), std::min<std::size_t>(filler.size(), 32),
+                  signature.begin());
+      break;
+    default: {
+      const std::size_t n = 1 + position % 64;
+      if ((position & 0x100) != 0) {
+        signature.resize(signature.size() - n);
+      } else {
+        signature.insert(signature.end(), filler.begin(),
+                         filler.begin() + std::min(n, filler.size()));
+        signature.resize(crypto::kEd25519SignatureBytes + n);
+      }
+      break;
+    }
+  }
+  ByteWriter w;
+  w.u8(status);
+  w.u64(session_id);
+  w.bytes(share);
+  w.bytes(signature);
+  w.bytes(payload);
+  return std::move(w).take();
 }
 
 void honest_round_trip(net::SimNetwork& net, const char* address) {
@@ -65,7 +127,7 @@ int run_secure_record(const std::uint8_t* data, std::size_t size) {
   FuzzInput in(data, size);
   const std::uint8_t mode = in.u8();
 
-  switch (mode % 5) {
+  switch (mode % 6) {
     case 0: {
       // Garbage records straight into handle(); nothing may escape, every
       // answer is a record, and the server survives for an honest client.
@@ -200,6 +262,38 @@ int run_secure_record(const std::uint8_t* data, std::size_t size) {
       }
       require(rejected.detail == whole,
               "rejection detail kept when malformed, or dropped when whole");
+      break;
+    }
+    case 5: {
+      // A relay passes the honest server's acceptance through with only
+      // its signature rewritten. If the rewrite happens to leave the
+      // bytes as they were, the handshake must still succeed.
+      const std::uint8_t kind = in.u8();
+      const std::uint32_t position = in.u32();
+      const Bytes filler = in.take(64);
+      const auto server = make_server(30);
+      net::SimNetwork net;
+      bool changed = false;
+      net.listen("relay", [&](ByteView raw) {
+        const Bytes honest = server->handle(raw);
+        const Bytes relayed =
+            rewrite_signature(honest, kind, position, filler);
+        changed = relayed != honest;
+        return relayed;
+      });
+      net::SecureClient client(
+          crypto::Drbg::from_seed(31, "fuzz-secure-relayed"));
+      bool mismatch = false;
+      try {
+        (void)client.connect(net.connect("relay"),
+                             server_identity().public_key(), Bytes{});
+      } catch (const net::IdentityMismatchError&) {
+        mismatch = true;
+      }
+      require(mismatch == changed,
+              "a rewritten signature passed, or an intact one failed");
+      require(client.connected() == !changed,
+              "client opened a session on a rewritten signature");
       break;
     }
   }

@@ -10,7 +10,8 @@
 // where the CPU has it) is checked against counter mode spelled out over
 // the portable encrypt_block, and hmac_sha256 (which shares sha256_fast's
 // SHA-NI kernel) against an HMAC composed here from the interruptible
-// Sha256.
+// Sha256. Streaming SHA-512 (Ed25519's hash) fed in fuzz-chosen pieces
+// must equal the one-shot digest.
 #include "harnesses.h"
 
 #include <algorithm>
@@ -24,6 +25,7 @@
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
 #include "crypto/sha256_fast.h"
+#include "crypto/sha512.h"
 #include "fuzz_util.h"
 
 namespace sinclave::fuzz {
@@ -32,7 +34,7 @@ int run_sha_aead_diff(const std::uint8_t* data, std::size_t size) {
   FuzzInput in(data, size);
   const std::uint8_t mode = in.u8();
 
-  switch (mode % 6) {
+  switch (mode % 7) {
     case 0: {
       const Bytes msg = in.rest();
       require(crypto::sha256(msg) == crypto::sha256_fast(msg),
@@ -174,6 +176,25 @@ int run_sha_aead_diff(const std::uint8_t* data, std::size_t size) {
       streamed.update(ByteView(msg).subspan(a));
       require(streamed.finalize() == expect,
               "streaming HmacSha256 diverges from one-shot");
+      break;
+    }
+    case 6: {
+      // SHA-512 fed in nine pieces, eight of fuzz-chosen length (empty
+      // ones included) and the rest, against one call; pieces straddle
+      // the 128-byte block.
+      std::size_t cuts[8];
+      for (std::size_t& cut : cuts) cut = in.below(300);
+      const Bytes msg = in.rest();
+      crypto::Sha512 h;
+      std::size_t pos = 0;
+      for (const std::size_t cut : cuts) {
+        const std::size_t n = std::min(cut, msg.size() - pos);
+        h.update(ByteView(msg).subspan(pos, n));
+        pos += n;
+      }
+      h.update(ByteView(msg).subspan(pos));
+      require(h.finalize() == crypto::sha512(msg),
+              "streaming sha512 diverges from one-shot");
       break;
     }
   }

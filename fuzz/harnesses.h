@@ -19,7 +19,8 @@ int run_envelope(const std::uint8_t* data, std::size_t size);
 /// SecureServer/SecureClient record and handshake decoding against live
 /// sessions: garbage never throws out of handle(), never corrupts the
 /// server for a subsequent honest client; hostile rejection records reach
-/// connect as whitelisted codes, with a detail only for kNotLeader.
+/// connect as whitelisted codes, with a detail only for kNotLeader; a
+/// relayed acceptance with a rewritten signature fails the identity check.
 int run_secure_record(const std::uint8_t* data, std::size_t size);
 
 /// Sealed-state import: corrupt/truncated/rolled-back blobs are refused
@@ -36,12 +37,13 @@ int run_sigstruct_quote(const std::uint8_t* data, std::size_t size);
 int run_status_details(const std::uint8_t* data, std::size_t size);
 
 /// Differential oracle: Montgomery exp/exp_u64/mul_mod/reduce vs a naive
-/// square-and-multiply / long-division reference, and X25519 vs RFC 7748's
-/// ladder on BigInt.
+/// square-and-multiply / long-division reference, X25519 vs RFC 7748's
+/// ladder on BigInt, and Ed25519's scalar reduction mod L vs BigInt.
 int run_bignum_diff(const std::uint8_t* data, std::size_t size);
 
 /// Differential oracle: sha256 (interruptible) vs sha256_fast, streaming
-/// vs one-shot, export/resume, and AEAD seal/open tamper rejection.
+/// vs one-shot (SHA-256 and SHA-512), export/resume, and AEAD seal/open
+/// tamper rejection.
 int run_sha_aead_diff(const std::uint8_t* data, std::size_t size);
 
 /// Structured stateful fuzzing: decode the input into a sequence of

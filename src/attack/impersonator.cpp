@@ -17,7 +17,8 @@ TeeImpersonator::TeeImpersonator(net::SimNetwork* net,
 }
 
 ImpersonationAttempt TeeImpersonator::steal_config(
-    const std::string& cas_address, const crypto::RsaPublicKey& cas_identity,
+    const std::string& cas_address,
+    const crypto::Ed25519PublicKey& cas_identity,
     const std::string& session_name,
     const std::optional<core::AttestationToken>& token) {
   ImpersonationAttempt attempt;

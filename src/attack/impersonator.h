@@ -15,6 +15,7 @@
 
 #include "cas/protocol.h"
 #include "crypto/drbg.h"
+#include "crypto/ed25519.h"
 #include "net/sim_network.h"
 #include "quote/quoting_enclave.h"
 
@@ -43,7 +44,7 @@ class TeeImpersonator {
   /// observed or requested themselves.
   ImpersonationAttempt steal_config(
       const std::string& cas_address,
-      const crypto::RsaPublicKey& cas_identity,
+      const crypto::Ed25519PublicKey& cas_identity,
       const std::string& session_name,
       const std::optional<core::AttestationToken>& token = std::nullopt);
 

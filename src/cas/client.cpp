@@ -489,7 +489,7 @@ AttestedChannel::AttestedChannel(net::SimNetwork* net, CasClientConfig config,
                                  crypto::Drbg rng)
     : router_(net, std::move(config)), client_(std::move(rng)) {}
 
-Status AttestedChannel::attest(const crypto::RsaPublicKey& cas_identity,
+Status AttestedChannel::attest(const crypto::Ed25519PublicKey& cas_identity,
                                const AttestPayload& payload) {
   static obs::Phase& p_root =
       obs::Tracer::instance().phase("client_attest");

@@ -195,7 +195,7 @@ class AttestedChannel {
   /// record carried one); kUnavailable on transport failure; throws
   /// net::IdentityMismatchError only on server-identity mismatch (an
   /// active attack — never mapped to a Status).
-  Status attest(const crypto::RsaPublicKey& cas_identity,
+  Status attest(const crypto::Ed25519PublicKey& cas_identity,
                 const AttestPayload& payload);
 
   /// Typed config fetch over the attested channel.

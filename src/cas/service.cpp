@@ -52,7 +52,7 @@ Policy Policy::deserialize(ByteView data) {
 }
 
 CasService::CasService(quote::AttestationService* attestation,
-                       crypto::RsaKeyPair identity, crypto::Drbg rng)
+                       crypto::Ed25519KeyPair identity, crypto::Drbg rng)
     : attestation_(attestation),
       identity_(std::move(identity)),
       rng_(std::move(rng)),
@@ -99,7 +99,7 @@ const CasService::TokenStripe& CasService::token_stripe(
 }
 
 Hash256 CasService::verifier_id() const {
-  return crypto::sha256(identity_.public_key().modulus_be());
+  return crypto::sha256(identity_.public_key().view());
 }
 
 void CasService::add_signer_key(crypto::RsaKeyPair signer) {

@@ -38,6 +38,7 @@
 #include "common/mutex.h"
 #include "core/base_hash.h"
 #include "crypto/drbg.h"
+#include "crypto/ed25519.h"
 #include "crypto/rsa.h"
 #include "net/secure_channel.h"
 #include "obs/registry.h"
@@ -119,12 +120,14 @@ class ReplicationGate {
 class CasService {
  public:
   CasService(quote::AttestationService* attestation,
-             crypto::RsaKeyPair identity, crypto::Drbg rng);
+             crypto::Ed25519KeyPair identity, crypto::Drbg rng);
 
-  const crypto::RsaPublicKey& identity() const {
+  /// The attested channel's Ed25519 server identity.
+  const crypto::Ed25519PublicKey& identity() const {
     return identity_.public_key();
   }
-  /// SHA-256 of the identity modulus — what instance pages embed.
+  /// SHA-256 of the identity's 32-byte public key — what instance pages
+  /// embed.
   Hash256 verifier_id() const;
 
   /// Upload an enclave signer's key pair (required for on-demand SigStruct
@@ -278,7 +281,7 @@ class CasService {
   const TokenStripe& token_stripe(const core::AttestationToken& token) const;
 
   quote::AttestationService* attestation_;
-  crypto::RsaKeyPair identity_;
+  crypto::Ed25519KeyPair identity_;
 
   // Cold paths only (setup forks); token minting uses token_rng_ below.
   mutable Mutex rng_mutex_{LockRank::kCasRng, "cas.rng"};

@@ -1,6 +1,7 @@
 #include "crypto/bignum.h"
 
 #include <algorithm>
+#include <bit>
 
 #if defined(__x86_64__)
 #include <cpuid.h>
@@ -167,22 +168,88 @@ BigIntDivMod BigInt::div_mod(const BigInt& dividend, const BigInt& divisor) {
   if (divisor.is_zero()) throw Error("bignum: division by zero");
   if (dividend < divisor) return {BigInt{}, dividend};
 
-  // Limb-oriented schoolbook division with a 64-bit quotient estimate per
-  // step (Knuth D without full normalization subtleties: estimates are
-  // corrected by the at-most-two adjustment loop).
-  const std::size_t shift = dividend.bit_length() - divisor.bit_length();
-  BigInt rem = dividend;
-  BigInt quot;
-  quot.limbs_.assign(shift / 64 + 1, 0);
-  for (std::size_t s = shift + 1; s-- > 0;) {
-    const BigInt shifted = divisor << s;
-    if (shifted <= rem) {
-      rem = rem - shifted;
-      quot.limbs_[s / 64] |= std::uint64_t{1} << (s % 64);
+  const std::vector<std::uint64_t>& u = dividend.limbs_;
+  const std::vector<std::uint64_t>& v = divisor.limbs_;
+  const std::size_t n = v.size();
+  const std::size_t m = u.size() - n;
+  BigIntDivMod out;
+  out.quotient.limbs_.assign(m + 1, 0);
+  std::vector<std::uint64_t>& q = out.quotient.limbs_;
+
+  if (n == 1) {
+    // Short division: one 128-by-64-bit step per limb.
+    u128 r = 0;
+    for (std::size_t i = u.size(); i-- > 0;) {
+      const u128 num = (r << 64) | u[i];
+      q[i] = static_cast<std::uint64_t>(num / v[0]);
+      r = num % v[0];
     }
+    out.quotient.trim();
+    out.remainder = BigInt(static_cast<std::uint64_t>(r));
+    return out;
   }
-  quot.trim();
-  return {quot, rem};
+
+  // Knuth, TAOCP vol. 2, §4.3.1, Algorithm D on 64-bit limbs.
+  // D1: normalize so the divisor's top limb has its top bit set; the
+  // dividend gains one limb.
+  const int s = std::countl_zero(v[n - 1]);
+  const auto shl = [s](std::uint64_t hi, std::uint64_t lo) {
+    return s == 0 ? hi : (hi << s) | (lo >> (64 - s));
+  };
+  std::vector<std::uint64_t> vn(n), un(u.size() + 1);
+  for (std::size_t i = n; i-- > 1;) vn[i] = shl(v[i], v[i - 1]);
+  vn[0] = v[0] << s;
+  un[u.size()] = shl(0, u.back());
+  for (std::size_t i = u.size(); i-- > 1;) un[i] = shl(u[i], u[i - 1]);
+  un[0] = u[0] << s;
+
+  for (std::size_t j = m + 1; j-- > 0;) {
+    // D3: estimate q from the top two limbs, then correct it with the
+    // divisor's second limb; the estimate is then at most one too large.
+    const u128 num = (u128{un[j + n]} << 64) | un[j + n - 1];
+    u128 qhat = num / vn[n - 1];
+    u128 rhat = num % vn[n - 1];
+    while ((qhat >> 64) != 0 ||
+           qhat * vn[n - 2] > ((rhat << 64) | un[j + n - 2])) {
+      --qhat;
+      rhat += vn[n - 1];
+      if ((rhat >> 64) != 0) break;
+    }
+    // D4: multiply and subtract qhat * vn from un[j .. j + n].
+    std::uint64_t carry = 0;
+    std::uint64_t borrow = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const u128 p = qhat * vn[i] + carry;
+      carry = static_cast<std::uint64_t>(p >> 64);
+      const u128 t = u128{un[i + j]} - static_cast<std::uint64_t>(p) - borrow;
+      un[i + j] = static_cast<std::uint64_t>(t);
+      borrow = (t >> 64) != 0 ? 1 : 0;
+    }
+    const u128 top = u128{un[j + n]} - carry - borrow;
+    un[j + n] = static_cast<std::uint64_t>(top);
+    // D5/D6: a negative difference means qhat was one too large: add the
+    // divisor back.
+    if ((top >> 64) != 0) {
+      --qhat;
+      std::uint64_t c = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const u128 t = u128{un[i + j]} + vn[i] + c;
+        un[i + j] = static_cast<std::uint64_t>(t);
+        c = static_cast<std::uint64_t>(t >> 64);
+      }
+      un[j + n] += c;
+    }
+    q[j] = static_cast<std::uint64_t>(qhat);
+  }
+  out.quotient.trim();
+
+  // D8: the remainder is un[0 .. n) shifted back.
+  std::vector<std::uint64_t>& r = out.remainder.limbs_;
+  r.resize(n);
+  for (std::size_t i = 0; i < n; ++i)
+    r[i] = s == 0 ? un[i] : (un[i] >> s) | (un[i + 1] << (64 - s));
+  out.remainder.trim();
+  return out;
 }
 
 std::uint64_t BigInt::mod_u64(std::uint64_t d) const {

@@ -1,9 +1,9 @@
 // Arbitrary-precision unsigned integers and modular arithmetic.
 //
-// Backs RSA-3072: SigStruct signing/verification, quote signatures and the
-// secure channel's identity signature. Only non-negative values
-// are representable; all protocol math is modular. Limbs are 64-bit,
-// little-endian, normalized (no high zero limbs).
+// Backs RSA-3072: SigStruct signing/verification and quote signatures.
+// Only non-negative values are representable; all protocol math is
+// modular. Limbs are 64-bit, little-endian, normalized (no high zero
+// limbs).
 #pragma once
 
 #include <cstdint>
@@ -65,7 +65,8 @@ class BigInt {
   BigInt operator<<(std::size_t bits) const;
   BigInt operator>>(std::size_t bits) const;
 
-  /// Long division; divisor must be non-zero.
+  /// Long division (Knuth's Algorithm D on 64-bit limbs); divisor must be
+  /// non-zero.
   static BigIntDivMod div_mod(const BigInt& dividend, const BigInt& divisor);
   BigInt mod(const BigInt& m) const;
   /// Fast remainder by a single 64-bit divisor (trial division in keygen).
@@ -131,7 +132,7 @@ inline BigInt BigInt::mod(const BigInt& m) const {
 /// zero heap allocations (tests/test_alloc.cpp counts them). Wide inputs
 /// (up to 2k limbs, e.g. the full RSA message fed to a CRT half) are
 /// folded in with a Montgomery reduction instead of long division, so no
-/// bit-serial div_mod runs on the sign path at all.
+/// div_mod runs on the sign path at all.
 ///
 /// Thread-safety: a context is immutable after construction; concurrent
 /// exp() calls are safe as long as each thread uses its own Scratch (the

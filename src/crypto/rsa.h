@@ -3,7 +3,9 @@
 // SGX SigStructs are signed with 3072-bit RSA; SinClave's verifier creates
 // an *on-demand* SigStruct per singleton enclave, so signing latency is a
 // first-class measured quantity (Fig. 7b/7c). Signing uses the CRT;
-// verification uses the public exponent 65537.
+// verification uses the public exponent 65537. RSA serves only the
+// SigStruct and the quoting enclave's quotes (the formats SGX defines);
+// the CAS channel's server identity is Ed25519 (crypto/ed25519.h).
 #pragma once
 
 #include <atomic>
@@ -99,7 +101,7 @@ struct RsaPublicKey {
   /// Lazily built on first verify, revalidated against `n` (the field is
   /// public and assignable), shared across copies. Concurrent verifiers —
   /// CAS workers checking quotes against one platform key, racing
-  /// attested handshakes verifying the server identity — hit the atomic
+  /// starts checking one common SigStruct — hit the atomic
   /// raw pointer on the fast path with no lock; the slow path (first
   /// build / modulus rotation) serializes on ctx_mutex_ and retires the
   /// old context into owned_ rather than freeing it, so a reference

@@ -4,10 +4,11 @@
 // The key exchange of the attested secure channel (net/secure_channel.h),
 // the stand-in for the TLS channel SCONE CAS binds to attestation reports:
 // X25519 is TLS 1.3's default group (RFC 8446). Written by hand over
-// 2^255 - 19 in five 51-bit limbs; the Montgomery ladder runs all 255 bits
-// with a masked conditional swap, so no branch or table index depends on
-// the scalar. Inputs and outputs are fixed 32-byte arrays and nothing
-// touches the heap (tests/test_alloc.cpp counts it).
+// 2^255 - 19 in five 51-bit limbs (crypto/fe25519.h, which Ed25519
+// shares); the Montgomery ladder runs all 255 bits with a masked
+// conditional swap, so no branch or table index depends on the scalar.
+// Inputs and outputs are fixed 32-byte arrays and nothing touches the
+// heap (tests/test_alloc.cpp counts it).
 #pragma once
 
 #include <array>

@@ -18,10 +18,11 @@ namespace {
 constexpr std::uint8_t kMsgHandshake = 0;
 constexpr std::uint8_t kMsgData = 1;
 
-/// Handshake record version, the byte after the marker. The first-format
+/// Handshake record version, the byte after the marker: 3 since the
+/// identity signature is Ed25519 (2 carried an RSA one). The first-format
 /// record had no version byte: its share's u32 length (256) put 0x00
 /// there, so it reads as version 0 and is refused typed.
-constexpr std::uint8_t kHandshakeVersion = 2;
+constexpr std::uint8_t kHandshakeVersion = 3;
 
 constexpr std::uint8_t kStatusRejected = 0;
 constexpr std::uint8_t kStatusOk = 1;
@@ -161,7 +162,7 @@ std::optional<std::uint64_t> peek_session_id(ByteView raw) {
 // Server
 // ---------------------------------------------------------------------------
 
-SecureServer::SecureServer(const crypto::RsaKeyPair* identity,
+SecureServer::SecureServer(const crypto::Ed25519KeyPair* identity,
                            crypto::Drbg rng, HandshakeHook on_handshake,
                            RequestHandler on_request)
     : identity_(identity),
@@ -226,8 +227,8 @@ Bytes SecureServer::handle_handshake(ByteReader& r) {
 
   // All key-establishment crypto stays outside every lock too. The DRBG
   // lease is held only for the 32-byte scalar draw; both ladders, the
-  // transcript hash, the HKDF expansion, and the RSA identity signature
-  // run lock-free.
+  // transcript hash, the HKDF expansion, and the Ed25519 identity
+  // signature run lock-free.
   crypto::X25519Bytes server_share;
   crypto::X25519Bytes secret;
   {
@@ -252,12 +253,12 @@ Bytes SecureServer::handle_handshake(ByteReader& r) {
                                  client_payload, accepted->payload);
     keys = derive_keys(secret, transcript);
   }
-  Bytes signature;
+  crypto::Ed25519Signature signature;
   {
     static obs::Phase& p_sign =
         obs::Tracer::instance().phase("identity_sign");
     obs::Span span(p_sign);
-    signature = identity_->sign_pkcs1_sha256(transcript.view());
+    signature = identity_->sign(transcript.view());
   }
 
   // Publish the fully-derived session: the only stripe-lock work on the
@@ -291,7 +292,7 @@ Bytes SecureServer::handle_handshake(ByteReader& r) {
   w.u8(kStatusOk);
   w.u64(session_id);
   w.bytes(server_pub);
-  w.bytes(signature);
+  w.bytes(ByteView{signature.data(), signature.size()});
   w.bytes(accepted->payload);
   return std::move(w).take();
 }
@@ -439,7 +440,7 @@ SecureClient::SecureClient(crypto::Drbg rng) {
 
 std::optional<Bytes> SecureClient::connect(
     SimNetwork::Connection connection,
-    const crypto::RsaPublicKey& expected_server, ByteView client_payload,
+    const crypto::Ed25519PublicKey& expected_server, ByteView client_payload,
     Status* reject_status) {
   ByteWriter req;
   req.u8(kMsgHandshake);
@@ -460,11 +461,11 @@ std::optional<Bytes> SecureClient::connect(
   r.expect_done();
 
   // Server authentication: the expected verifier must have signed the
-  // handshake transcript. A mismatch is an active attack, not a routine
-  // rejection -> throw.
+  // handshake transcript. A mismatch — including a signature that is not
+  // 64 bytes — is an active attack, not a routine rejection -> throw.
   const Hash256 transcript = transcript_hash(
       session_id, dh_public_, server_pub, client_payload, server_payload);
-  if (!expected_server.verify_pkcs1_sha256(transcript.view(), signature))
+  if (!expected_server.verify(transcript.view(), signature))
     throw IdentityMismatchError();
 
   const crypto::X25519Bytes secret =

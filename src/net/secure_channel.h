@@ -1,13 +1,17 @@
 // Attestation-bindable secure channel (the RA-TLS / wireguard stand-in).
 //
-// Handshake, record version 2 (client = enclave runtime, starter tool, or
+// Handshake, record version 3 (client = enclave runtime, starter tool, or
 // the attacker's impersonator; server = the verifier/CAS):
 //
-//   client -> server : marker | u8 version (2) | client X25519 share
+//   client -> server : marker | u8 version (3) | client X25519 share
 //                      (32 bytes) | opaque client payload
 //   server -> client : ok | u64 session id | server X25519 share (32
-//                      bytes) | RSA signature over T | opaque server payload
+//                      bytes) | Ed25519 signature over T (64 bytes) |
+//                      opaque server payload
 //                 or : rejected | u8 code [| str detail]
+//
+// Every variable-length field is length-prefixed (common/serial.h). A
+// signature of any length but 64 bytes fails the identity check.
 //
 // A rejection's code is protocol-level (is_protocol_level) or the generic
 // kAttestationRejected. Only kNotLeader appends a detail, its leader hint
@@ -18,18 +22,19 @@
 //   T = SHA-256(version || session id || client share || server share ||
 //               client payload || server payload)
 //
-// The server refuses another version (kUnsupportedVersion) or a share of
-// another length (kMalformedRequest) before its handshake hook runs, so
-// such a peer never reaches quote verification. Both sides derive AES-256
-// AEAD traffic keys from the X25519 secret and T via HKDF. The *server* is
-// authenticated by its RSA identity key's signature over T (clients check
-// it against the expected verifier identity — for SinClave singletons,
-// against the identity baked into the measured instance page), which also
-// covers the session id and the server payload. The *client* is
-// authenticated at a higher layer: its payload typically carries an SGX
-// quote whose REPORTDATA must commit to the client's X25519 share. That
-// commitment — and how the paper's attack forges it via a report server —
-// is the crux of §3.
+// The server refuses another version (kUnsupportedVersion; version 2 was
+// the same record signed with RSA) or a share of another length
+// (kMalformedRequest) before its handshake hook runs, so such a peer never
+// reaches quote verification. Both sides derive AES-256 AEAD traffic keys
+// from the X25519 secret and T via HKDF. The *server* is authenticated by
+// its Ed25519 identity key's signature over T (clients check it against
+// the expected verifier identity — for SinClave singletons, against the
+// identity baked into the measured instance page), which also covers the
+// session id and the server payload. The *client* is authenticated at a
+// higher layer: its payload typically carries an SGX quote whose
+// REPORTDATA must commit to the client's X25519 share. That commitment —
+// and how the paper's attack forges it via a report server — is the crux
+// of §3.
 #pragma once
 
 #include <array>
@@ -47,7 +52,7 @@
 #include "common/status.h"
 #include "crypto/aead.h"
 #include "crypto/drbg.h"
-#include "crypto/rsa.h"
+#include "crypto/ed25519.h"
 #include "crypto/x25519.h"
 #include "net/sim_network.h"
 
@@ -78,9 +83,9 @@ RecordType classify_record(ByteView raw);
 std::optional<std::uint64_t> peek_session_id(ByteView raw);
 
 /// Thrown by SecureClient::connect when the server's handshake signature
-/// does not verify under the pinned identity — an active attack, never a
-/// routine rejection. A distinct type so callers (the client SDK) can
-/// keep it loud without matching message strings.
+/// does not verify under the pinned identity (or is not 64 bytes) — an
+/// active attack, never a routine rejection. A distinct type so callers
+/// (the client SDK) can keep it loud without matching message strings.
 class IdentityMismatchError : public Error {
  public:
   IdentityMismatchError()
@@ -113,7 +118,7 @@ class RecordRejectedError : public Error {
 /// per-session lock serializing only records of that one session. ALL
 /// handshake crypto — the HandshakeHook (quote verification, the
 /// expensive part), the X25519 ladders, transcript hashing, HKDF, and the
-/// RSA identity signature — runs with no SecureServer lock held (the
+/// Ed25519 identity signature — runs with no SecureServer lock held (the
 /// debug lock-rank detector asserts it); a session is published to its
 /// stripe only after its keys are fully derived. So hooks and request
 /// handlers MAY call back into this SecureServer (close_session,
@@ -149,7 +154,7 @@ class SecureServer {
   using RequestHandler = std::function<Bytes(
       std::uint64_t session_id, const std::string& peer, ByteView plaintext)>;
 
-  SecureServer(const crypto::RsaKeyPair* identity, crypto::Drbg rng,
+  SecureServer(const crypto::Ed25519KeyPair* identity, crypto::Drbg rng,
                HandshakeHook on_handshake, RequestHandler on_request);
 
   /// Raw transport entry point.
@@ -240,7 +245,7 @@ class SecureServer {
   Bytes handle_handshake(ByteReader& r);
   Bytes handle_data(ByteReader& r);
 
-  const crypto::RsaKeyPair* identity_;
+  const crypto::Ed25519KeyPair* identity_;
   crypto::DrbgPool rng_;
   HandshakeHook on_handshake_;
   RequestHandler on_request_;
@@ -274,7 +279,7 @@ class SecureClient {
   /// the record named a protocol-level code; a detail only for
   /// kNotLeader). A rejection derives no keys: the client may retry.
   std::optional<Bytes> connect(SimNetwork::Connection connection,
-                               const crypto::RsaPublicKey& expected_server,
+                               const crypto::Ed25519PublicKey& expected_server,
                                ByteView client_payload,
                                Status* reject_status = nullptr);
 

@@ -46,8 +46,7 @@ RunResult EnclaveRuntime::run(const StartedEnclave& enclave,
       return result;
     }
     // Only the verifier measured into this very enclave is acceptable.
-    const Hash256 claimed_id =
-        crypto::sha256(options.cas_identity.modulus_be());
+    const Hash256 claimed_id = crypto::sha256(options.cas_identity.view());
     if (claimed_id != page->verifier_id) {
       result.error = "singleton: refusing to talk to unexpected verifier";
       return result;

@@ -38,9 +38,10 @@ enum class RuntimeMode { kBaseline, kSinclave };
 struct RunOptions {
   /// Where the host says the verifier lives (attacker controlled).
   std::string cas_address;
-  /// Who the host says the verifier is (attacker controlled; in SinClave
-  /// mode the runtime cross-checks it against the instance page).
-  crypto::RsaPublicKey cas_identity;
+  /// Who the host says the verifier is: its Ed25519 channel identity
+  /// (attacker controlled; in SinClave mode the runtime cross-checks it
+  /// against the instance page).
+  crypto::Ed25519PublicKey cas_identity;
   std::string session_name;
   /// Host-provided encrypted volume (ciphertext blobs; attacker can swap
   /// or tamper — the manifest check must catch it).

@@ -15,7 +15,7 @@ Status stopped() {
 
 ClusterNode::ClusterNode(net::SimNetwork* net,
                          quote::AttestationService* attestation,
-                         crypto::RsaKeyPair identity, std::uint64_t seed,
+                         crypto::Ed25519KeyPair identity, std::uint64_t seed,
                          ClusterNodeConfig config)
     : net_(net),
       attestation_(attestation),

@@ -18,8 +18,9 @@
 //     the restart an adversarial host controls, which is why a rolled-back
 //     blob makes restart throw instead of serve.
 //
-// All nodes of a cluster share one verifier identity keypair (copied into
-// each), so clients pin a single identity across failover.
+// All nodes of a cluster share one verifier identity, an Ed25519 keypair
+// copied into each, so clients pin a single identity across failover.
+// Enclave signer keys stay RSA (SGX's SIGSTRUCT format).
 #pragma once
 
 #include <cstdint>
@@ -32,6 +33,7 @@
 #include "cas/service.h"
 #include "common/mutex.h"
 #include "common/status.h"
+#include "crypto/ed25519.h"
 #include "crypto/rsa.h"
 #include "net/sim_network.h"
 #include "quote/quote.h"
@@ -48,11 +50,11 @@ struct ClusterNodeConfig {
 
 class ClusterNode : public cas::ReplicationGate {
  public:
-  /// `identity` is the cluster-wide verifier keypair (pass the same one
-  /// to every node); `seed` derives this node's seal key, DRBGs, and
-  /// election jitter.
+  /// `identity` is the cluster-wide Ed25519 verifier keypair (pass the
+  /// same one to every node); `seed` derives this node's seal key, DRBGs,
+  /// and election jitter.
   ClusterNode(net::SimNetwork* net, quote::AttestationService* attestation,
-              crypto::RsaKeyPair identity, std::uint64_t seed,
+              crypto::Ed25519KeyPair identity, std::uint64_t seed,
               ClusterNodeConfig config);
   ~ClusterNode() override;
 
@@ -126,7 +128,7 @@ class ClusterNode : public cas::ReplicationGate {
 
   net::SimNetwork* net_;
   quote::AttestationService* attestation_;
-  crypto::RsaKeyPair identity_;
+  crypto::Ed25519KeyPair identity_;
   const std::uint64_t seed_;
   const ClusterNodeConfig config_;
   std::string address_;

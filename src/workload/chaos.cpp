@@ -408,8 +408,7 @@ ChaosScenarioResult scenario_byzantine(const ChaosConfig& cfg) {
   const core::SignedImage baseline = fx.signer.sign_baseline(fx.image);
   crypto::Drbg attacker_rng = fx.bed.child_rng("chaos-attacker");
   cas::CasService attacker_cas(
-      &fx.bed.attestation(),
-      crypto::RsaKeyPair::generate(attacker_rng, 1024),
+      &fx.bed.attestation(), crypto::Ed25519KeyPair::generate(attacker_rng),
       fx.bed.child_rng("chaos-attacker-cas"));
   attacker_cas.add_signer_key(fx.bed.user_signer());
   server::CasServer attacker_server(&attacker_cas);

@@ -23,7 +23,7 @@ ClusterBed::ClusterBed(ClusterBedConfig config)
       rng_(crypto::Drbg::from_seed(config_.seed, "cluster-bed")),
       cpu_(sgx::SgxCpu::Config{config_.seed, {}, true}),
       user_signer_(crypto::RsaKeyPair::generate(rng_, config_.rsa_bits)),
-      identity_(crypto::RsaKeyPair::generate(rng_, config_.rsa_bits)),
+      identity_(crypto::Ed25519KeyPair::generate(rng_)),
       image_(core::EnclaveImage::synthetic("cluster", 4 * sgx::kPageSize,
                                            8 * sgx::kPageSize)),
       signer_(&user_signer_),

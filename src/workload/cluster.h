@@ -3,8 +3,8 @@
 //
 // One simulated platform (CPU, quoting enclave, attestation service,
 // network, user signer) hosting N server::ClusterNode replicas that share
-// a single CAS identity key — to clients the cluster *is* one verifier
-// behind several addresses. The bed owns the fixture session: a signed
+// a single Ed25519 CAS identity key — to clients the cluster *is* one
+// verifier behind several addresses. The bed owns the fixture session: a signed
 // synthetic image plus the singleton policy for it, installed through
 // whichever node wins the first election.
 //
@@ -35,6 +35,7 @@
 #include "core/image.h"
 #include "core/signer.h"
 #include "crypto/drbg.h"
+#include "crypto/ed25519.h"
 #include "crypto/rsa.h"
 #include "net/sim_network.h"
 #include "quote/attestation_service.h"
@@ -49,7 +50,8 @@ struct ClusterBedConfig {
   std::uint64_t seed = 1;
   /// Replica count (node ids 1..nodes, addresses address_prefix + id).
   std::size_t nodes = 3;
-  /// RSA size for signer/identity/attestation keys (1024 keeps tests fast).
+  /// RSA size for the signer and attestation keys (1024 keeps tests fast).
+  /// The shared CAS identity is Ed25519 whatever this says.
   std::size_t rsa_bits = 1024;
   std::string address_prefix = "cas-node";
   /// The fixture session default_policy() pins.
@@ -73,7 +75,7 @@ class ClusterBed {
   net::SimNetwork& network() { return net_; }
   sgx::SgxCpu& cpu() { return cpu_; }
   quote::QuotingEnclave& qe() { return *qe_; }
-  const crypto::RsaKeyPair& identity() const { return identity_; }
+  const crypto::Ed25519KeyPair& identity() const { return identity_; }
   const core::EnclaveImage& image() const { return image_; }
   const core::SinclaveSignedImage& signed_image() const {
     return signed_image_;
@@ -189,7 +191,7 @@ class ClusterBed {
   quote::AttestationService attestation_;
   std::unique_ptr<quote::QuotingEnclave> qe_;
   crypto::RsaKeyPair user_signer_;
-  crypto::RsaKeyPair identity_;
+  crypto::Ed25519KeyPair identity_;
   core::EnclaveImage image_;
   core::Signer signer_;
   core::SinclaveSignedImage signed_image_;

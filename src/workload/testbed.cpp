@@ -15,8 +15,7 @@ Testbed::Testbed(const TestbedConfig& config)
 
   crypto::Drbg cas_rng = child_rng("cas");
   cas_ = std::make_unique<cas::CasService>(
-      &attestation_,
-      crypto::RsaKeyPair::generate(cas_rng, config.rsa_bits),
+      &attestation_, crypto::Ed25519KeyPair::generate(cas_rng),
       child_rng("cas-service"));
   cas_->add_signer_key(user_signer_);
   server_ = std::make_unique<server::CasServer>(cas_.get());

@@ -25,8 +25,9 @@ namespace sinclave::workload {
 struct TestbedConfig {
   std::uint64_t seed = 1;
   net::LatencyModel latency{};
-  /// RSA size for signer/verifier/attestation keys. 1024 keeps test setup
+  /// RSA size for the signer and attestation keys. 1024 keeps test setup
   /// fast; benchmarks touching signature latency use 3072 (the SGX size).
+  /// The CAS channel identity is Ed25519 whatever this says.
   std::size_t rsa_bits = 1024;
   /// Address the user's CAS serves on.
   std::string cas_address = "cas.user";

@@ -22,6 +22,7 @@
 #include "crypto/aes.h"
 #include "crypto/bignum.h"
 #include "crypto/drbg.h"
+#include "crypto/ed25519.h"
 #include "crypto/hmac.h"
 #include "crypto/rsa.h"
 #include "crypto/sha256.h"
@@ -163,6 +164,24 @@ TEST(Allocation, WarmX25519LadderIsAllocationFree) {
   EXPECT_EQ(g_allocations.load() - before, 0u);
   EXPECT_EQ(secret, expected);
   EXPECT_EQ(x25519(b, a_public), expected);
+}
+
+TEST(Allocation, WarmEd25519SignAndVerifyAreAllocationFree) {
+  // The channel's identity signature: SHA-512, the scalar reduction and
+  // the windowed multiplication all run on fixed arrays and stack limbs,
+  // on both the signing and the verifying side.
+  Drbg rng = Drbg::from_seed(12, "alloc-ed25519");
+  const Ed25519KeyPair key = Ed25519KeyPair::generate(rng);
+  const Bytes transcript(32, 0x5a);
+  const Ed25519Signature warm = key.sign(transcript);
+  ASSERT_TRUE(key.public_key().verify(transcript, warm));
+
+  const std::uint64_t before = g_allocations.load();
+  const Ed25519Signature signature = key.sign(transcript);
+  const bool verified = key.public_key().verify(transcript, signature);
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_TRUE(verified);
+  EXPECT_EQ(signature, warm);  // deterministic (RFC 8032 §5.1.6)
 }
 
 }  // namespace

@@ -45,8 +45,7 @@ class AttackTest : public ::testing::Test {
     // The attacker operates their own verifier (trivially possible: CAS is
     // just software; only the *user's* CAS holds the user's secrets).
     attacker_cas_ = std::make_unique<cas::CasService>(
-        &bed_.attestation(),
-        crypto::RsaKeyPair::generate(attacker_rng_, 1024),
+        &bed_.attestation(), crypto::Ed25519KeyPair::generate(attacker_rng_),
         bed_.child_rng("attacker-cas"));
     attacker_cas_->add_signer_key(bed_.user_signer());
     attacker_server_ =

@@ -38,7 +38,7 @@ class CasTest : public ::testing::Test {
   CasTest()
       : rng_(crypto::Drbg::from_seed(5, "cas-tests")),
         signer_key_(crypto::RsaKeyPair::generate(rng_, 1024)),
-        cas_(&attestation_, crypto::RsaKeyPair::generate(rng_, 1024),
+        cas_(&attestation_, crypto::Ed25519KeyPair::generate(rng_),
              crypto::Drbg::from_seed(6, "cas-service")),
         image_(core::EnclaveImage::synthetic("cas-test", sgx::kPageSize,
                                              2 * sgx::kPageSize)),
@@ -85,8 +85,8 @@ class CasTest : public ::testing::Test {
 };
 
 TEST_F(CasTest, VerifierIdIsIdentityHash) {
-  EXPECT_EQ(cas_.verifier_id(),
-            crypto::sha256(cas_.identity().modulus_be()));
+  // SHA-256 of the 32-byte Ed25519 public key.
+  EXPECT_EQ(cas_.verifier_id(), crypto::sha256(cas_.identity().view()));
 }
 
 TEST_F(CasTest, InstanceRequestHappyPath) {
@@ -127,8 +127,7 @@ TEST_F(CasTest, InstanceRequestBaselineSessionRefused) {
 }
 
 TEST_F(CasTest, InstanceRequestNeedsSignerKey) {
-  CasService bare(&attestation_,
-                  crypto::RsaKeyPair::generate(rng_, 1024),
+  CasService bare(&attestation_, crypto::Ed25519KeyPair::generate(rng_),
                   crypto::Drbg::from_seed(7, "bare"));
   bare.install_policy(singleton_policy("s"));
   server::CasServer bare_server(&bare, server::CasServerConfig{.workers = 1});
@@ -268,7 +267,7 @@ TEST(CasTokenStripes, ExactlyOnceSpendUnderCrossStripeRaces) {
   crypto::Drbg rng = crypto::Drbg::from_seed(77, "token-race");
   crypto::RsaKeyPair signer_key = crypto::RsaKeyPair::generate(rng, 1024);
   quote::AttestationService attestation;
-  CasService cas(&attestation, crypto::RsaKeyPair::generate(rng, 1024),
+  CasService cas(&attestation, crypto::Ed25519KeyPair::generate(rng),
                  crypto::Drbg::from_seed(78, "token-race-cas"));
   cas.add_signer_key(signer_key);
 

@@ -605,6 +605,9 @@ TEST_F(CasClientTest, EveryOperationFollowsTheOneRetryRule) {
        StatusCode::kOk, 2, 2, 0, kHint},
   };
 
+  // The refusing server below never signs; any identity will do.
+  const crypto::Ed25519KeyPair refuser_identity =
+      crypto::Ed25519KeyPair::from_seed(crypto::Ed25519Seed{});
   for (const RuleRow& row : rows) {
     for (const Op op : {Op::kGetInstance, Op::kGetInstanceAsync,
                         Op::kIntrospect, Op::kAttest}) {
@@ -626,7 +629,7 @@ TEST_F(CasClientTest, EveryOperationFollowsTheOneRetryRule) {
           if (!refusal.has_value())
             return bed_.network().connect(bed_.cas_address()).call(raw);
           net::SecureServer refuser(
-              &bed_.user_signer(), crypto::Drbg::from_seed(n, "refuser"),
+              &refuser_identity, crypto::Drbg::from_seed(n, "refuser"),
               [&](ByteView, ByteView, Status* reject) {
                 *reject = *refusal;
                 return std::optional<net::SecureServer::Accepted>{};

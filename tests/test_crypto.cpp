@@ -13,11 +13,14 @@
 #include "common/error.h"
 #include "crypto/aead.h"
 #include "crypto/aes.h"
+#include "crypto/bignum.h"
 #include "crypto/drbg.h"
+#include "crypto/ed25519.h"
 #include "crypto/hkdf.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
 #include "crypto/sha256_fast.h"
+#include "crypto/sha512.h"
 #include "crypto/x25519.h"
 
 namespace sinclave::crypto {
@@ -656,6 +659,253 @@ TEST(DrbgPool, ConcurrentLeasesYieldDistinctBytes) {
       EXPECT_TRUE(seen.insert(draw).second) << "duplicate DRBG output";
   EXPECT_EQ(seen.size(),
             static_cast<std::size_t>(kThreads * kDrawsPerThread));
+}
+
+
+// --- SHA-512 (FIPS 180-4) ---
+
+std::string sha512_hex(ByteView data) {
+  const Sha512Digest d = sha512(data);
+  return to_hex(ByteView{d.data(), d.size()});
+}
+
+TEST(Sha512, Fips180OneBlock) {
+  EXPECT_EQ(sha512_hex(to_bytes("abc")),
+            "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a"
+            "2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f");
+}
+
+TEST(Sha512, Fips180TwoBlock) {
+  // The 896-bit example: 112 bytes, so the padding spills into a second
+  // block.
+  EXPECT_EQ(sha512_hex(to_bytes(
+                "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
+                "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu")),
+            "8e959b75dae313da8cf4f72814fc143f8f7779c6eb9f7fa17299aeadb6889018"
+            "501d289e4900f7e4331b99dec4b5433ac7d329eeb6dd26545e96e55b874be909");
+}
+
+TEST(Sha512, MillionA) {
+  // Streamed in 1000-byte pieces, which straddle the 128-byte blocks.
+  const Bytes chunk(1000, 'a');
+  Sha512 h;
+  for (int i = 0; i < 1000; ++i) h.update(chunk);
+  const Sha512Digest d = h.finalize();
+  EXPECT_EQ(to_hex(ByteView{d.data(), d.size()}),
+            "e718483d0ce769644e2e42c7bc15b4638e1f98b13b2044285632a803afa973eb"
+            "de0ff244877ea60a4cb0432ce577c31beb009c5c2c49aa2e4eadb217ad8cc09b");
+}
+
+// --- Ed25519 (RFC 8032) ---
+
+struct Ed25519Vector {
+  const char* seed;
+  const char* public_key;
+  const char* message;
+  const char* signature;
+};
+
+// RFC 8032 §7.1: TEST 1, 2, 3 and TEST SHA(abc), whose message is
+// SHA-512("abc").
+const Ed25519Vector kEd25519Vectors[] = {
+    {"9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60",
+     "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a", "",
+     "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e06522490155"
+     "5fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b"},
+    {"4ccd089b28ff96da9db6c346ec114e0f5b8a319f35aba624da8cf6ed4fb8a6fb",
+     "3d4017c3e843895a92b70aa74d1b7ebc9c982ccf2ec4968cc0cd55f12af4660c", "72",
+     "92a009a9f0d4cab8720e820b5f642540a2b27b5416503f8fb3762223ebdb69da"
+     "085ac1e43e15996e458f3613d0f11d8c387b2eaeb4302aeeb00d291612bb0c00"},
+    {"c5aa8df43f9f837bedb7442f31dcb7b166d38535076f094b85ce3a2e0b4458f7",
+     "fc51cd8e6218a1a38da47ed00230f0580816ed13ba3303ac5deb911548908025",
+     "af82",
+     "6291d657deec24024827e69c3abe01a30ce548a284743a445e3680d7db5ac3ac"
+     "18ff9b538d16f290ae67f760984dc6594a7c15e9716ed28dc027beceea1ec40a"},
+    {"833fe62409237b9d62ec77587520911e9a759cec1d19755b7da901b96dca3d42",
+     "ec172b93ad5e563bf4932c70e1245034c35467ef2efd4d64ebf819683467e2bf",
+     "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a"
+     "2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f",
+     "dc2a4459e7369633a52b1bf277839a00201009a3efbf3ecb69bea2186c26b589"
+     "09351fc9ac90b3ecfdfbc7c66431e0303dca179c138ac17ad9bef1177331a704"},
+};
+
+template <std::size_t N>
+std::array<std::uint8_t, N> array_hex(std::string_view hex) {
+  const Bytes b = from_hex(hex);
+  std::array<std::uint8_t, N> out{};
+  std::copy(b.begin(), b.end(), out.begin());
+  return out;
+}
+
+Ed25519PublicKey ed25519_key_hex(std::string_view hex) {
+  return Ed25519PublicKey(array_hex<32>(hex));
+}
+
+class Ed25519Vectors : public ::testing::TestWithParam<Ed25519Vector> {};
+
+TEST_P(Ed25519Vectors, Rfc8032Section71) {
+  const Ed25519Vector& v = GetParam();
+  const Ed25519KeyPair key = Ed25519KeyPair::from_seed(array_hex<32>(v.seed));
+  EXPECT_EQ(to_hex(key.public_key().view()), v.public_key);
+  const Bytes message = from_hex(v.message);
+  const Ed25519Signature signature = key.sign(message);
+  EXPECT_EQ(to_hex(ByteView{signature.data(), signature.size()}),
+            v.signature);
+  EXPECT_TRUE(ed25519_key_hex(v.public_key)
+                  .verify(message, from_hex(v.signature)));
+}
+
+INSTANTIATE_TEST_SUITE_P(Rfc8032, Ed25519Vectors,
+                         ::testing::ValuesIn(kEd25519Vectors));
+
+// TEST 3 of RFC 8032 §7.1, the base of the refusal cases below.
+const Ed25519Vector& ed25519_test3() { return kEd25519Vectors[2]; }
+
+// L = 2^252 + 27742317777372353535851937790883648493, little-endian.
+constexpr const char* kEd25519L =
+    "edd3f55c1a631258d69cf7a2def9de1400000000000000000000000000000010";
+
+/// TEST 3's signature with S replaced.
+Bytes with_s(std::string_view s_hex) {
+  Bytes sig = from_hex(ed25519_test3().signature);
+  const Bytes s = from_hex(s_hex);
+  std::copy(s.begin(), s.end(), sig.begin() + 32);
+  return sig;
+}
+
+TEST(Ed25519, RefusesSOfLOrMore) {
+  const Ed25519PublicKey key = ed25519_key_hex(ed25519_test3().public_key);
+  const Bytes message = from_hex(ed25519_test3().message);
+  // S = L, and S + L: the same residue as the valid S, but not canonical.
+  EXPECT_FALSE(key.verify(message, with_s(kEd25519L)));
+  Bytes sig = from_hex(ed25519_test3().signature);
+  const Bytes l = from_hex(kEd25519L);
+  unsigned carry = 0;
+  for (std::size_t i = 0; i < 32; ++i) {
+    const unsigned sum = sig[32 + i] + l[i] + carry;
+    sig[32 + i] = static_cast<std::uint8_t>(sum);
+    carry = sum >> 8;
+  }
+  ASSERT_EQ(carry, 0u);
+  EXPECT_FALSE(key.verify(message, sig));
+  EXPECT_TRUE(key.verify(message, from_hex(ed25519_test3().signature)));
+}
+
+TEST(Ed25519, RefusesKeysThatDoNotDecode) {
+  // With A the identity (y = 1, x = 0), [S]B - [k]A = [S]B whatever k is,
+  // so R = B, S = 1 verifies for any message under the canonical encoding.
+  // Each bad encoding of that same point must be refused by decoding.
+  const Bytes message = to_bytes("any message");
+  const Bytes sig = from_hex(
+      "5866666666666666666666666666666666666666666666666666666666666666"
+      "0100000000000000000000000000000000000000000000000000000000000000");
+  EXPECT_TRUE(ed25519_key_hex("01000000000000000000000000000000"
+                              "00000000000000000000000000000000")
+                  .verify(message, sig));
+  const char* const kBadIdentities[] = {
+      // y = p + 1: not canonical.
+      "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+      // x = 0 with the sign bit set, asking for x = -0.
+      "0100000000000000000000000000000000000000000000000000000000000080",
+  };
+  for (const char* bad : kBadIdentities)
+    EXPECT_FALSE(ed25519_key_hex(bad).verify(message, sig)) << bad;
+
+  const Bytes test3_message = from_hex(ed25519_test3().message);
+  const Bytes test3_sig = from_hex(ed25519_test3().signature);
+  const char* const kBadKeys[] = {
+      // y = p + 3: y = 3 is on the curve, but the encoding is not
+      // canonical.
+      "f0ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+      // y = 2: (y^2 - 1) / (d y^2 + 1) is not a square.
+      "0200000000000000000000000000000000000000000000000000000000000000",
+      // y = p - 1 has x = 0 too; the sign bit asks for x = -0.
+      "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
+  };
+  for (const char* bad : kBadKeys)
+    EXPECT_FALSE(ed25519_key_hex(bad).verify(test3_message, test3_sig))
+        << bad;
+  // A default key is the all-ones encoding, y = 2^255 - 1 >= p.
+  EXPECT_FALSE(Ed25519PublicKey().verify(test3_message, test3_sig));
+}
+
+TEST(Ed25519, RefusesEverySingleBitFlip) {
+  const Ed25519KeyPair key =
+      Ed25519KeyPair::from_seed(array_hex<32>(ed25519_test3().seed));
+  const Bytes message = to_bytes("handshake transcript");
+  const Ed25519Signature good = key.sign(message);
+  const Bytes sig(good.begin(), good.end());
+  ASSERT_TRUE(key.public_key().verify(message, sig));
+  for (std::size_t bit = 0; bit < 8 * sig.size(); ++bit) {
+    Bytes flipped = sig;
+    flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    EXPECT_FALSE(key.public_key().verify(message, flipped)) << bit;
+  }
+  for (std::size_t bit = 0; bit < 8 * message.size(); ++bit) {
+    Bytes flipped = message;
+    flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    EXPECT_FALSE(key.public_key().verify(flipped, sig)) << bit;
+  }
+  for (std::size_t bit = 0; bit < 8 * kEd25519PublicKeyBytes; ++bit) {
+    Ed25519PublicKey::Encoding flipped = key.public_key().bytes();
+    flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    EXPECT_FALSE(Ed25519PublicKey(flipped).verify(message, sig)) << bit;
+  }
+}
+
+TEST(Ed25519, RefusesSignaturesOfAnotherLength) {
+  const Ed25519PublicKey key = ed25519_key_hex(ed25519_test3().public_key);
+  const Bytes message = from_hex(ed25519_test3().message);
+  const Bytes sig = from_hex(ed25519_test3().signature);
+  EXPECT_FALSE(key.verify(message, ByteView(sig).first(63)));
+  Bytes longer = sig;
+  longer.push_back(0);
+  EXPECT_FALSE(key.verify(message, longer));
+  EXPECT_FALSE(key.verify(message, Bytes{}));
+}
+
+BigInt from_le(ByteView le) {
+  Bytes be(le.begin(), le.end());
+  std::reverse(be.begin(), be.end());
+  return BigInt::from_bytes_be(be);
+}
+
+TEST(Ed25519, ScalarArithmeticMatchesBigInt) {
+  // Signing rarely shows a missed final subtraction (a nonce or challenge
+  // off by L names the same point), so the reductions are checked on
+  // their own: random digests, about a tenth of which need the
+  // subtraction, and the extremes.
+  const BigInt l = BigInt::from_hex(
+      "1000000000000000000000000000000014def9dea2f79cd65812631a5cf5d3ed");
+  Drbg rng = Drbg::from_seed(45, "ed25519-scalars");
+  for (int i = 0; i < 300; ++i) {
+    std::array<std::uint8_t, 64> wide;
+    rng.generate(wide.data(), wide.size());
+    if (i == 0) wide.fill(0xff);  // 2^512 - 1
+    if (i == 1) wide.fill(0);
+    const detail::Ed25519Scalar reduced = detail::ed25519_reduce(wide);
+    EXPECT_EQ(from_le(reduced), from_le(wide).mod(l)) << i;
+
+    detail::Ed25519Scalar r, k, a;
+    rng.generate(r.data(), r.size());
+    rng.generate(k.data(), k.size());
+    rng.generate(a.data(), a.size());
+    if (i == 0) r.fill(0xff), k.fill(0xff), a.fill(0xff);
+    EXPECT_EQ(from_le(detail::ed25519_muladd(k, a, r)),
+              (from_le(r) + from_le(k) * from_le(a)).mod(l))
+        << i;
+  }
+}
+
+TEST(Ed25519, GeneratedKeysSignAndVerify) {
+  Drbg rng = Drbg::from_seed(44, "ed25519");
+  const Ed25519KeyPair a = Ed25519KeyPair::generate(rng);
+  const Ed25519KeyPair b = Ed25519KeyPair::generate(rng);
+  EXPECT_NE(a.public_key(), b.public_key());
+  const Bytes message = to_bytes("m");
+  const Ed25519Signature sig = a.sign(message);
+  EXPECT_TRUE(a.public_key().verify(message, sig));
+  EXPECT_FALSE(b.public_key().verify(message, sig));
 }
 
 }  // namespace

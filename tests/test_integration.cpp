@@ -209,7 +209,7 @@ TEST_F(IntegrationTest, RuntimeRefusesUnexpectedVerifier) {
 
   // Host claims a different verifier identity.
   auto rng = bed_.child_rng("evil-cas");
-  const auto evil_identity = crypto::RsaKeyPair::generate(rng, 1024);
+  const auto evil_identity = crypto::Ed25519KeyPair::generate(rng);
   runtime::RunOptions o = options("t4");
   o.cas_identity = evil_identity.public_key();
 

@@ -129,8 +129,8 @@ TEST(SimNetwork, VirtualTimeAccounting) {
 
 struct ChannelFixture : ::testing::Test {
   ChannelFixture()
-      : identity_(crypto::RsaKeyPair::generate(setup_rng_, 1024)),
-        other_identity_(crypto::RsaKeyPair::generate(setup_rng_, 1024)) {}
+      : identity_(crypto::Ed25519KeyPair::generate(setup_rng_)),
+        other_identity_(crypto::Ed25519KeyPair::generate(setup_rng_)) {}
 
   /// Server that accepts every handshake and echoes requests uppercased.
   /// Hooks run concurrently (no server lock wraps them anymore), so the
@@ -158,8 +158,8 @@ struct ChannelFixture : ::testing::Test {
   }
 
   crypto::Drbg setup_rng_ = rng(1);
-  crypto::RsaKeyPair identity_;
-  crypto::RsaKeyPair other_identity_;
+  crypto::Ed25519KeyPair identity_;
+  crypto::Ed25519KeyPair other_identity_;
   SimNetwork net_;
   std::unique_ptr<SecureServer> server_;
   mutable std::mutex capture_mutex_;
@@ -264,15 +264,24 @@ TEST_F(ChannelFixture, OnlyANotLeaderRejectionCarriesItsDetail) {
 
 TEST_F(ChannelFixture, RelayRewritingTheHandshakeAnswerIsCaught) {
   // The server signs a hash of the whole transcript, so an on-path relay
-  // that flips one byte of the session id (answer byte 1) or of the server
-  // payload (the answer's last byte) fails the identity check at connect.
+  // that flips one byte of the session id (answer byte 1), of the
+  // signature itself, or of the server payload (the answer's last byte)
+  // fails the identity check at connect. The answer is ok | u64 session |
+  // u32 32 | share | u32 64 | signature | ..., so the signature's S half
+  // starts at byte 1 + 8 + 4 + 32 + 4 + 32 = 81.
   serve("svc");
-  for (const bool payload : {false, true}) {
-    const std::string relay = payload ? "relay-payload" : "relay-session";
-    net_.listen(relay, [this, payload](ByteView raw) {
+  enum class Flip { kSession, kSignature, kPayload };
+  for (const Flip flip : {Flip::kSession, Flip::kSignature, Flip::kPayload}) {
+    const std::string relay =
+        "relay-" + std::to_string(static_cast<int>(flip));
+    net_.listen(relay, [this, flip](ByteView raw) {
       Bytes answer = server_->handle(raw);
-      if (classify_record(raw) == RecordType::kHandshake)
-        answer[payload ? answer.size() - 1 : 1] ^= 0x01;
+      if (classify_record(raw) == RecordType::kHandshake) {
+        const std::size_t at = flip == Flip::kSession     ? 1
+                               : flip == Flip::kSignature ? 81
+                                                          : answer.size() - 1;
+        answer[at] ^= 0x01;
+      }
       return answer;
     });
     SecureClient client(rng(14));
@@ -313,12 +322,15 @@ TEST_F(ChannelFixture, HandshakeShapeIsRefusedBeforeTheHook) {
             refusal(StatusCode::kUnsupportedVersion));
   EXPECT_EQ(server_->handle(handshake(1, 32)),
             refusal(StatusCode::kUnsupportedVersion));
-  EXPECT_EQ(server_->handle(handshake(2, 31)),
+  // Version 2 had this very shape but an RSA identity signature.
+  EXPECT_EQ(server_->handle(handshake(2, 32)),
+            refusal(StatusCode::kUnsupportedVersion));
+  EXPECT_EQ(server_->handle(handshake(3, 31)),
             refusal(StatusCode::kMalformedRequest));
-  EXPECT_EQ(server_->handle(handshake(2, 256)),
+  EXPECT_EQ(server_->handle(handshake(3, 256)),
             refusal(StatusCode::kMalformedRequest));
   EXPECT_EQ(hook_calls.load(), 0);
-  EXPECT_EQ(server_->stats().handshakes_rejected, 4u);
+  EXPECT_EQ(server_->stats().handshakes_rejected, 5u);
   EXPECT_EQ(server_->open_sessions(), 0u);
 }
 

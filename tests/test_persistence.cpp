@@ -208,7 +208,7 @@ TEST_F(CasRestartTest, ImportRejectsGarbage) {
 TEST(StateFormat, PolicyOnlyExportMatchesGolden) {
   quote::AttestationService attestation;
   crypto::Drbg key_rng = crypto::Drbg::from_seed(64, "golden-identity");
-  CasService cas(&attestation, crypto::RsaKeyPair::generate(key_rng, 1024),
+  CasService cas(&attestation, crypto::Ed25519KeyPair::generate(key_rng),
                  crypto::Drbg::from_seed(65, "golden-cas"));
   const auto policy = [](const std::string& name, const std::string& program) {
     Policy p;

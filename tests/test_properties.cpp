@@ -46,7 +46,7 @@ class ChannelSizes : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(ChannelSizes, EncryptedEchoRoundTrip) {
   crypto::Drbg setup = crypto::Drbg::from_seed(7, "channel-sizes");
-  const auto identity = crypto::RsaKeyPair::generate(setup, 1024);
+  const auto identity = crypto::Ed25519KeyPair::generate(setup);
   net::SimNetwork net;
   net::SecureServer server(
       &identity, crypto::Drbg::from_seed(8, "srv"),

@@ -167,7 +167,7 @@ TEST(Metrics, InFlightGaugeTracksHighWaterMark) {
 TEST(PolicyTable, ConcurrentMixedAccess) {
   quote::AttestationService attestation;
   crypto::Drbg key_rng = crypto::Drbg::from_seed(5, "policy-table-identity");
-  cas::CasService cas(&attestation, crypto::RsaKeyPair::generate(key_rng, 1024),
+  cas::CasService cas(&attestation, crypto::Ed25519KeyPair::generate(key_rng),
                       crypto::Drbg::from_seed(6, "policy-table"));
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t)

@@ -21,6 +21,7 @@
 #include "common/serial.h"
 #include "core/signer.h"
 #include "crypto/drbg.h"
+#include "crypto/ed25519.h"
 #include "crypto/rsa.h"
 #include "crypto/sha256.h"
 #include "crypto/x25519.h"
@@ -181,6 +182,8 @@ int main(int argc, char** argv) {
       write_seed(dir, noncanonical ? "mode6_noncanonical" : "mode6",
                  mode(6, ladder));
     }
+    // Mode 7, Ed25519's scalars mod L: a 64-byte digest, then r, k, a.
+    write_seed(dir, "mode7", mode(7, nums.generate(64 + 3 * 32)));
   }
 
   // --- fuzz_sha_aead_diff -------------------------------------------------
@@ -229,6 +232,13 @@ int main(int argc, char** argv) {
     hmac.insert(hmac.end(), cut.begin(), cut.end());
     hmac.insert(hmac.end(), long_msg.begin(), long_msg.end());
     write_seed(dir, "hmac_long_key", hmac);
+    // Mode 6: SHA-512 in nine pieces: eight cuts of 0..299 bytes (one
+    // byte each), the third crossing the 128-byte block, then the rest.
+    Bytes sha512_split = mode(6, Bytes{5, 100, 60, 0, 128, 1, 7, 2});
+    const Bytes sha512_msg(300, 0x77);
+    sha512_split.insert(sha512_split.end(), sha512_msg.begin(),
+                        sha512_msg.end());
+    write_seed(dir, "sha512_streaming", sha512_split);
   }
 
   // --- fuzz_persistence ---------------------------------------------------
@@ -246,7 +256,10 @@ int main(int argc, char** argv) {
                                                     9, 0, 0, 0}));
     // A genuine exported state for the import modes.
     quote::AttestationService attestation;
-    cas::CasService cas(&attestation, key,
+    crypto::Drbg identity_rng =
+        crypto::Drbg::from_seed(44, "gen-corpus-identity");
+    cas::CasService cas(&attestation,
+                        crypto::Ed25519KeyPair::generate(identity_rng),
                         crypto::Drbg::from_seed(43, "gen-corpus-cas"));
     cas::Policy policy;
     policy.session_name = "p0";
@@ -281,23 +294,30 @@ int main(int argc, char** argv) {
     write_seed(dir, "forged_established", established);
     write_seed(dir, "evil_handshake", mode(2, data_record));
     write_seed(dir, "evil_data_response", mode(3, data_record));
-    // A well-formed version-2 handshake with a real X25519 share, so
-    // mutations start from a record the accept-all server completes.
+    // Well-formed handshakes with a real X25519 share: version 3, which
+    // the accept-all server completes, and version 2, which it refuses
+    // typed before its hook.
     crypto::X25519Bytes scalar;
     crypto::Drbg::from_seed(43, "gen-corpus-handshake")
         .generate(scalar.data(), scalar.size());
     const crypto::X25519Bytes share = crypto::x25519_public(scalar);
-    ByteWriter hello;
-    hello.u8(0);  // handshake marker
-    hello.u8(2);  // record version
-    hello.bytes(ByteView{share.data(), share.size()});
-    hello.bytes(text("hello"));
-    write_seed(dir, "handshake_v2", mode(0, chunk(std::move(hello).take())));
+    for (const std::uint8_t version : {2, 3}) {
+      ByteWriter hello;
+      hello.u8(0);  // handshake marker
+      hello.u8(version);
+      hello.bytes(ByteView{share.data(), share.size()});
+      hello.bytes(text("hello"));
+      write_seed(dir, "handshake_v" + std::to_string(version),
+                 mode(0, chunk(std::move(hello).take())));
+    }
     // A kNotLeader rejection carrying its leader hint.
     ByteWriter reject;
     reject.u8(static_cast<std::uint8_t>(StatusCode::kNotLeader));
     reject.str(not_leader_detail("cas-node2"));
     write_seed(dir, "reject_not_leader", mode(4, std::move(reject).take()));
+    // Mode 5, a relay rewriting the acceptance's signature: kind 1 (S + L),
+    // then the position (unused by that kind) and no filler.
+    write_seed(dir, "relay_s_plus_l", mode(5, Bytes{1, 0, 0, 0, 0}));
   }
 
   // --- fuzz_replication ---------------------------------------------------

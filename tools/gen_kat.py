@@ -2,10 +2,12 @@
 """Generate tests/generated_kat.inc — differential known-answer vectors.
 
 The reference implementations are CPython's hashlib/hmac (OpenSSL-backed),
-its built-in pow(), and the RFC 7748 ladder below on Python ints,
-independent of every SHA-256, HMAC, bignum and X25519 implementation in
-this repository. Deterministic: message bytes, bignum operands, scalars
-and u-coordinates come from a fixed LCG, not os.urandom.
+its built-in pow() and divmod(), the RFC 7748 ladder below on Python ints,
+and RFC 8032 §6's Ed25519 reference code (transcribed below, over
+hashlib's SHA-512), independent of every SHA-256, SHA-512, HMAC, bignum,
+X25519 and Ed25519 implementation in this repository. Deterministic:
+message bytes, bignum operands, scalars, seeds and u-coordinates come from
+a fixed LCG, not os.urandom.
 """
 import hashlib
 import hmac
@@ -49,6 +51,35 @@ P25519 = 2**255 - 19
 X25519_RANDOM = 12
 X25519_TOP_BIT = 4
 X25519_NONCANONICAL_OFFSETS = (2, 9, 18)
+
+
+# Long division (BigInt::div_mod, Knuth's Algorithm D on 64-bit limbs):
+# divisors of 1..8 limbs against dividends from as wide as the divisor to
+# twice as wide plus one limb, random and with all-ones top limbs; a
+# divisor whose top bit is set (normalization shift 0); and inputs that
+# take Algorithm D's add-back step (D6), which random limbs reach with
+# probability about 2^-63. DIVMOD_ADD_BACK came from a search over limb
+# patterns (0, 1, 2, 2^32, 2^63 +- 1, 2^64 - 1, ...) with Algorithm D run
+# on Python ints; shifting both operands left by whole limbs keeps the
+# step, so each is also sent at 4..8 limbs.
+DIVMOD_LIMBS = range(1, 9)
+DIVMOD_ADD_BACK = [
+    (0x800000000000000080000000000000017fffffffffffffff7fffffffffffffff,
+     0x80000000000000010000000000000002ffffffffffffffff),
+    (0xfffffffffffffffefffffffffffffffe0000000000000002ffffffffffffffff,
+     0x200000000000000020000000000000001),
+    (0xfffffffffffffffe000000000000000100000000000000000000000000000001,
+     0xfffffffffffffffe00000000000000018000000000000000),
+]
+
+# SHA-512 and Ed25519 message lengths: 0..300 bytes, with SHA-512's
+# padding edges (111/112 and 127/128 bytes leave room for the length field
+# or not) and, for Ed25519, the same edges of its two hashed inputs,
+# prefix || M (32 + |M|) and R || A || M (64 + |M|).
+SHA512_LENGTHS = [0, 1, 3, 55, 56, 63, 64, 65, 100, 111, 112, 113, 127, 128,
+                  129, 200, 239, 240, 255, 256, 257, 300]
+ED25519_LENGTHS = [0, 1, 2, 31, 32, 33, 47, 48, 63, 64, 79, 80, 95, 96, 111,
+                   112, 127, 128, 129, 200, 256, 300]
 
 
 def lcg_bytes(seed: int, n: int) -> bytes:
@@ -182,12 +213,131 @@ def x25519_lines():
     return lines
 
 
+def divmod_lines():
+    cases = []
+    for k in DIVMOD_LIMBS:
+        # Top limb of 1..63 bits: normalization shifts 1..63.
+        top_bits = 1 + (7 * k) % 63
+        v = lcg_int(0xD1F00000 + k, 64 * (k - 1) + top_bits)
+        for w in sorted({k, k + 1, 2 * k, 2 * k + 1}):
+            cases.append((lcg_int(0xD1F10000 + 16 * k + w, 64 * w), v))
+        v_top = lcg_int(0xD1F20000 + k, 64 * k)  # top bit set: shift 0
+        cases.append((lcg_int(0xD1F30000 + k, 64 * (2 * k + 1)), v_top))
+        ones = ((1 << 64) - 1) << (64 * (k - 1))
+        v_ones = ones | v_top % (1 << (64 * (k - 1)))
+        u_ones = ((1 << 64) - 1) << (64 * 2 * k) | lcg_int(
+            0xD1F40000 + k, 64 * 2 * k)
+        cases.append((u_ones, v_ones))
+        cases.append((u_ones, v))
+    cases.append((lcg_int(0xD1F50000, 100), lcg_int(0xD1F50001, 200)))
+    add_back = [(u << (64 * e), v << (64 * e))
+                for u, v in DIVMOD_ADD_BACK for e in range(6)]
+    lines = ["static const GeneratedDivModVector kGeneratedDivModVectors[] = {"]
+    for u, v in cases + add_back:
+        q, r = divmod(u, v)
+        lines.append('    {"%x",' % u)
+        lines.append('     "%x",' % v)
+        lines.append('     "%x",' % q)
+        lines.append('     "%x"},' % r)
+    lines.append("};")
+    lines.append("")
+    return lines
+
+
+def sha512_lines():
+    lines = ["static const GeneratedShaVector kGeneratedSha512Vectors[] = {"]
+    for i, n in enumerate(SHA512_LENGTHS):
+        msg = lcg_bytes(0x51200000 + i, n)
+        lines.append('    {"%s",' % msg.hex())
+        lines.append('     "%s"},' % hashlib.sha512(msg).hexdigest())
+    lines.append("};")
+    lines.append("")
+    return lines
+
+
+# RFC 8032 §6's reference code, signing half, as the RFC gives it.
+ED_Q = 2**252 + 27742317777372353535851937790883648493
+ED_D = -121665 * pow(121666, P25519 - 2, P25519) % P25519
+
+
+def ed_sha512_modq(s: bytes) -> int:
+    return int.from_bytes(hashlib.sha512(s).digest(), "little") % ED_Q
+
+
+def ed_point_add(P, Q):
+    p = P25519
+    A, B = (P[1] - P[0]) * (Q[1] - Q[0]) % p, (P[1] + P[0]) * (Q[1] + Q[0]) % p
+    C, D = 2 * P[3] * Q[3] * ED_D % p, 2 * P[2] * Q[2] % p
+    E, F, G, H = B - A, D - C, D + C, B + A
+    return (E * F, G * H, F * G, E * H)
+
+
+def ed_point_mul(s: int, P):
+    Q = (0, 1, 1, 0)
+    while s > 0:
+        if s & 1:
+            Q = ed_point_add(Q, P)
+        P = ed_point_add(P, P)
+        s >>= 1
+    return Q
+
+
+def ed_recover_x(y: int, sign: int) -> int:
+    p = P25519
+    x2 = (y * y - 1) * pow(ED_D * y * y + 1, p - 2, p)
+    x = pow(x2, (p + 3) // 8, p)
+    if (x * x - x2) % p != 0:
+        x = x * pow(2, (p - 1) // 4, p) % p
+    if (x & 1) != sign:
+        x = p - x
+    return x
+
+
+ED_GY = 4 * pow(5, P25519 - 2, P25519) % P25519
+ED_G = (ed_recover_x(ED_GY, 0), ED_GY, 1,
+        ed_recover_x(ED_GY, 0) * ED_GY % P25519)
+
+
+def ed_point_compress(P) -> bytes:
+    zinv = pow(P[2], P25519 - 2, P25519)
+    x, y = P[0] * zinv % P25519, P[1] * zinv % P25519
+    return int.to_bytes(y | ((x & 1) << 255), 32, "little")
+
+
+def ed_sign(secret: bytes, msg: bytes):
+    h = hashlib.sha512(secret).digest()
+    a = int.from_bytes(h[:32], "little")
+    a &= (1 << 254) - 8
+    a |= 1 << 254
+    A = ed_point_compress(ed_point_mul(a, ED_G))
+    r = ed_sha512_modq(h[32:] + msg)
+    Rs = ed_point_compress(ed_point_mul(r, ED_G))
+    k = ed_sha512_modq(Rs + A + msg)
+    return A, Rs + int.to_bytes((r + k * a) % ED_Q, 32, "little")
+
+
+def ed25519_lines():
+    lines = ["static const GeneratedEd25519Vector kGeneratedEd25519Vectors[] = {"]
+    for i, n in enumerate(ED25519_LENGTHS):
+        seed = lcg_bytes(0xED250000 + i, 32)
+        msg = lcg_bytes(0xED251000 + i, n)
+        public, signature = ed_sign(seed, msg)
+        lines.append('    {"%s",' % seed.hex())
+        lines.append('     "%s",' % public.hex())
+        lines.append('     "%s",' % msg.hex())
+        lines.append('     "%s"},' % signature.hex())
+    lines.append("};")
+    lines.append("")
+    return lines
+
+
 def main() -> None:
     lines = []
     lines.append("// Generated by tools/gen_kat.py — do not edit by hand.")
-    lines.append("// Reference: CPython hashlib/hmac, pow() and an RFC 7748 ladder on")
-    lines.append("// Python ints (independent of this repository's SHA-256 / HMAC /")
-    lines.append("// bignum / X25519 implementations).")
+    lines.append("// Reference: CPython hashlib/hmac, pow(), divmod(), an RFC 7748")
+    lines.append("// ladder on Python ints and RFC 8032 §6's Ed25519 code")
+    lines.append("// (independent of this repository's SHA-256 / SHA-512 / HMAC /")
+    lines.append("// bignum / X25519 / Ed25519 implementations).")
     lines.append("")
     lines.append("struct GeneratedShaVector {")
     lines.append("  const char* msg_hex;")
@@ -216,6 +366,22 @@ def main() -> None:
     lines.append("  const char* result;")
     lines.append("};")
     lines.append("")
+    lines.append("// Hex, most significant digit first: divmod(dividend, divisor).")
+    lines.append("struct GeneratedDivModVector {")
+    lines.append("  const char* dividend;")
+    lines.append("  const char* divisor;")
+    lines.append("  const char* quotient;")
+    lines.append("  const char* remainder;")
+    lines.append("};")
+    lines.append("")
+    lines.append("// Hex, as RFC 8032 writes them: signature = Sign(seed, message).")
+    lines.append("struct GeneratedEd25519Vector {")
+    lines.append("  const char* seed;")
+    lines.append("  const char* public_key;")
+    lines.append("  const char* message;")
+    lines.append("  const char* signature;")
+    lines.append("};")
+    lines.append("")
 
     lines.append("static const GeneratedShaVector kGeneratedShaVectors[] = {")
     for i, n in enumerate(SHA_LENGTHS):
@@ -239,6 +405,9 @@ def main() -> None:
 
     lines.extend(modexp_lines())
     lines.extend(x25519_lines())
+    lines.extend(divmod_lines())
+    lines.extend(sha512_lines())
+    lines.extend(ed25519_lines())
 
     with open(OUT, "w") as f:
         f.write("\n".join(lines))

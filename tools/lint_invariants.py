@@ -97,6 +97,9 @@ ALLOC_FREE_FILES = (
     "src/crypto/sha256_fast.cpp",
     "src/crypto/hmac.cpp",
     "src/crypto/x25519.cpp",
+    "src/crypto/fe25519.h",
+    "src/crypto/sha512.cpp",
+    "src/crypto/ed25519.cpp",
 )
 
 WIRE_TYPES = (
