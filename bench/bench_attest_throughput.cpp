@@ -1,26 +1,26 @@
-// Attested-session throughput: the striped SecureServer fast path under
+// Attested-session throughput: the one-exchange SecureServer under
 // concurrent load.
 //
 // Every SinClave client must complete a quote-verified handshake before it
-// can retrieve a config, so the attestation endpoint is the serving
-// layer's front door. The seed-era SecureServer serialized ALL handshakes
-// — quote verification, DH, HKDF, and the RSA identity signature included
-// — behind one coarse mutex, so attested throughput was flat no matter
-// how many workers the frontend ran. This bench drives concurrent FULL
-// sessions (attest handshake with a real quote + one-time token, then an
-// encrypted get_config) through server::CasServer and measures how
+// gets its config, so the attestation endpoint is the serving layer's
+// front door. The seed-era SecureServer serialized ALL handshakes — quote
+// verification, DH, HKDF, and the identity signature included — behind one
+// coarse mutex, so attested throughput was flat no matter how many
+// workers the frontend ran. This bench drives concurrent FULL sessions
+// (one attested exchange with a real quote + one-time token, whose sealed
+// answer is the config) through server::CasServer and measures how
 // session throughput scales with the worker count now that:
 //
-//   * sessions live in a striped table (per-stripe mutexes, per-session
-//     locks) and are published only after their keys are derived,
-//   * all handshake crypto and the quote-verification hook run with no
-//     SecureServer lock held,
+//   * the server keeps no per-client state: the exchange is one round
+//     trip, and nothing is left to look up, lock or reap afterwards,
+//   * all exchange crypto and the quote-verification hook run with no
+//     lock held,
 //   * token spends land in striped buckets and token minting draws from a
 //     striped DRBG pool.
 //
 // Each planned session is prepared up front (instance retrieval, enclave
 // construction, EREPORT, quote) so the timed region contains exactly the
-// protocol work the server scales on: handshake + config fetch.
+// protocol work the server scales on: one exchange per session.
 //
 // Gate (like bench_fleet_throughput, enforced via exit status): >= 3x
 // session throughput at 8 workers vs 1 worker with quote verification
@@ -28,7 +28,7 @@
 // the requirement degrades honestly (2x at >= 4, 1.2x at >= 2) and on a
 // single-core host the scaling gate is waived (printed loudly) — the
 // correctness invariants (zero failed sessions, every token spent exactly
-// once) are always enforced.
+// once, no exchange left open after a sweep) are always enforced.
 //
 // Flags: --smoke shrinks session counts for CI bit-rot checks; --json F
 // writes the machine-readable trajectory record (tools/run_benches.sh
@@ -63,7 +63,7 @@ constexpr std::size_t kSessions = 4;  // distinct session policies
 
 /// One fully prepared client: channel keys drawn, quote bound to them,
 /// one-time token minted and registered. The timed region spends it with
-/// attest + get_config.
+/// one attested exchange.
 struct Prepared {
   std::unique_ptr<cas::AttestedChannel> channel;
   cas::AttestPayload payload;
@@ -106,12 +106,11 @@ struct SweepResult {
   double rps = 0.0;
   double p50_ms = 0.0;
   double p99_ms = 0.0;
-  /// This sweep's contended lock acquisitions (delta — the SecureServer
+  /// This sweep's contended DRBG-stripe leases (delta — the SecureServer
   /// and its monotone stats outlive each sweep's CasServer).
   std::uint64_t stripe_collisions = 0;
-  /// Sessions open at sweep end, cumulative across sweeps: nothing
-  /// closes sessions here, so this tracks total attested sessions — a
-  /// monotone sanity column, not per-sweep concurrency.
+  /// Exchanges still open once the sweep's clients are done: must be 0,
+  /// the server keeps nothing per client after answering.
   std::uint64_t open_sessions = 0;
   std::uint64_t failed = 0;
 };
@@ -161,9 +160,7 @@ SweepResult run_sweep(workload::Testbed& bed,
         Prepared& p = prepared[i];
         const auto s0 = Clock::now();
         try {
-          const Status attested = p.channel->attest(identity, p.payload);
-          const auto cfg = p.channel->get_config();
-          if (!attested.ok() || !cfg.ok()) {
+          if (!p.channel->attest(identity, p.payload).ok()) {
             ++failed;
             continue;
           }
@@ -216,7 +213,7 @@ int main(int argc, char** argv) {
             : std::vector<std::size_t>{1, 2, 4, 8};
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  std::printf("== Attested-session throughput: striped SecureServer ==\n");
+  std::printf("== Attested-session throughput: one-exchange SecureServer ==\n");
   std::printf(
       "sessions/sweep=%zu clients=%zu hw-threads=%u (rsa-1024, quote "
       "verification ON)%s\n\n",
@@ -255,17 +252,16 @@ int main(int argc, char** argv) {
                                  sessions[0], 999);
     server.bind(bed.network(), kAddress);
     const auto t0 = Clock::now();
-    const Status attested =
+    const Result<cas::AppConfig> config =
         p.channel->attest(bed.cas().identity(), p.payload);
-    const auto config = p.channel->get_config();
     single_ms = FpMillis(Clock::now() - t0).count();
     server.unbind();
-    if (!attested.ok() || !config.ok()) {
+    if (!config.ok()) {
       std::printf("FAILED: warm-up session refused (%s)\n",
-                  attested.message().c_str());
+                  config.status().message().c_str());
       return 1;
     }
-    std::printf("single attest+get_config session: %8.3f ms\n\n", single_ms);
+    std::printf("single attested exchange: %8.3f ms\n\n", single_ms);
   }
 
   // --- worker sweep: full sessions, quote verification on every one ----
@@ -287,7 +283,7 @@ int main(int argc, char** argv) {
   std::printf("worker sweep, %zu full sessions each, %zu client threads:\n",
               sessions_per_sweep, client_threads);
   std::printf("  %-8s %14s %10s %10s %12s %10s\n", "workers", "sessions/s",
-              "p50", "p99", "collisions", "open-sess");
+              "p50", "p99", "collisions", "left-open");
   for (const auto& r : results)
     std::printf("  %-8zu %14.1f %8.2fms %8.2fms %12llu %10llu\n", r.workers,
                 r.rps, r.p50_ms, r.p99_ms,
@@ -306,22 +302,27 @@ int main(int argc, char** argv) {
                 static_cast<double>(ph.stats.p50.count()) / 1e3,
                 static_cast<double>(ph.stats.p99.count()) / 1e3);
 
-  // Correctness invariants: nothing failed, and every prepared token was
+  // Correctness invariants: nothing failed, every prepared token was
   // spent exactly once (the striped spend store never double-spends or
-  // loses a spend under contention).
+  // loses a spend under contention), and no sweep left an exchange open.
   const std::size_t tokens_spent = bed.cas().tokens_used() - tokens_before;
   const std::size_t total_sessions =
       sessions_per_sweep * worker_sweep.size();
   const bool tokens_ok = tokens_spent == total_sessions;
+  const bool closed_ok =
+      std::all_of(results.begin(), results.end(),
+                  [](const SweepResult& r) { return r.open_sessions == 0; });
   std::printf("\nfailed sessions: %llu %s\n",
               static_cast<unsigned long long>(total_failed),
               total_failed == 0 ? "(PASS)" : "(FAIL)");
   std::printf("tokens spent exactly once: %zu/%zu %s\n", tokens_spent,
               total_sessions, tokens_ok ? "(PASS)" : "(FAIL)");
+  std::printf("exchanges left open after every sweep: 0 %s\n",
+              closed_ok ? "(PASS)" : "(FAIL)");
 
   // Scaling gate, degraded honestly by available hardware parallelism:
-  // the handshake path is pure CPU (quote verify + DH + RSA), so a host
-  // with H threads can at best approach min(workers, H)x.
+  // the handshake path is pure CPU (quote verify + X25519 + Ed25519), so a
+  // host with H threads can at best approach min(workers, H)x.
   const double scaling = results.front().rps > 0
                              ? results.back().rps / results.front().rps
                              : 0.0;
@@ -355,7 +356,7 @@ int main(int argc, char** argv) {
             f,
             "    {\"workers\": %zu, \"sessions_per_sec\": %.1f, "
             "\"p50_ms\": %.3f, \"p99_ms\": %.3f, "
-            "\"stripe_collisions\": %llu, \"open_sessions_total\": %llu}%s\n",
+            "\"stripe_collisions\": %llu, \"open_sessions\": %llu}%s\n",
             r.workers, r.rps, r.p50_ms, r.p99_ms,
             static_cast<unsigned long long>(r.stripe_collisions),
             static_cast<unsigned long long>(r.open_sessions),
@@ -388,5 +389,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  return (total_failed == 0 && tokens_ok && scaling_pass) ? 0 : 1;
+  return (total_failed == 0 && tokens_ok && closed_ok && scaling_pass) ? 0
+                                                                     : 1;
 }

@@ -85,7 +85,7 @@ int main() {
   std::printf("          (differs from the common MRENCLAVE above: the\n"
               "           instance page individualizes the measurement)\n");
 
-  // 4+5. Runtime: attest, fetch config, run.
+  // 4+5. Runtime: attest (the answer is the config), run.
   runtime::EnclaveRuntime rt = bed.make_runtime(runtime::RuntimeMode::kSinclave);
   runtime::RunOptions options;
   options.cas_address = bed.cas_address();

@@ -7,12 +7,17 @@
 //  2. Re-serialization stability: when a decode succeeds, serializing the
 //     result and decoding it again yields the same bytes — the decoder
 //     produced a value the encoder agrees on (one canonical form).
-//  3. The frame servers (serve_instance_frame, serve_config_frame,
-//     decode_attest_payload) never throw AT ALL: malformed input must
-//     become a typed wire answer, not an exception.
+//  3. The frame servers (serve_instance_frame, decode_attest_payload)
+//     never throw AT ALL: malformed input must become a typed wire
+//     answer, not an exception.
 //  4. A frame without the envelope magic gets a typed kMalformedRequest:
-//     a v1 envelope on the instance and config endpoints, the refusal
-//     status from the handshake decoder.
+//     a v1 envelope on the instance endpoint, the refusal status from the
+//     handshake decoder.
+//
+// Modes 7 and 11 served the attested endpoint's config-fetch record,
+// which the handshake answer replaced; they are retired in place, so the
+// other modes keep their numbers and checked-in reproducers keep their
+// meaning.
 #include "harnesses.h"
 
 #include <string>
@@ -84,13 +89,6 @@ cas::IntrospectResponse ok_introspect(const cas::IntrospectRequest&) {
   return resp;
 }
 
-cas::ConfigResponse ok_config() {
-  cas::ConfigResponse resp;
-  resp.status = Status(StatusCode::kOk);
-  resp.config.program = "p";
-  return resp;
-}
-
 }  // namespace
 
 int run_envelope(const std::uint8_t* data, std::size_t size) {
@@ -137,11 +135,7 @@ int run_envelope(const std::uint8_t* data, std::size_t size) {
     case 6:
       stable<cas::ConfigResponse>(input);
       break;
-    case 7:
-      typed_refusal<cas::ConfigResponse>(
-          input, cas::Command::kGetConfig, [](const Bytes& raw) {
-            return cas::serve_config_frame(raw, ok_config);
-          });
+    case 7:  // retired
       break;
     case 8:
       stable<cas::IntrospectRequest>(input);
@@ -158,12 +152,8 @@ int run_envelope(const std::uint8_t* data, std::size_t size) {
       require(!answer.empty(), "frame server produced an empty answer");
       break;
     }
-    case 11: {
-      cas::FrameInfo info;
-      const Bytes answer = cas::serve_config_frame(input, ok_config, &info);
-      require(!answer.empty(), "config frame server went silent");
+    case 11:  // retired
       break;
-    }
     case 12: {
       // decode_attest_payload returns nullopt on garbage — never throws —
       // and refuses a non-envelope handshake payload as malformed.

@@ -3,18 +3,17 @@
 // The input bytes decode into a SEQUENCE OF OPERATIONS against a live
 // CasService served by a server::CasServer (one worker, so the per-input
 // cost stays bounded) on a simulated network — valid singleton retrievals,
-// honest attestations, token-replay attempts, config fetches,
-// introspection, raw garbage frames on both endpoints, and idle sweeps
-// that reap every open session, interleaved across two policy sessions.
-// After EVERY operation the global invariants must hold:
+// honest attestations, token-replay attempts, introspection, and raw
+// garbage frames on both endpoints, interleaved across two policy
+// sessions with distinct configurations. After EVERY operation the global
+// invariants must hold:
 //
 //   * exactly-once token spend: used tokens == accepted attestations,
 //     outstanding == minted - used, and a replayed token is rejected;
-//   * no session leak: the secure channel's open-session count equals the
-//     number of accepted handshakes minus the reaped ones (CAS never
-//     closes implicitly);
-//   * a reaped session stays dead: its client's next config fetch is
-//     refused with a typed kSessionNotAttested;
+//   * every accepted attestation returned exactly its own policy's
+//     configuration, in the answer to its own request id;
+//   * nothing is kept per client: the secure channel has no exchange in
+//     flight once its answer is out;
 //   * total accounting: every request produced a decodable answer — an
 //     envelope, even for garbage — so issued == ok + errors, nothing
 //     dropped, nothing thrown.
@@ -26,9 +25,11 @@
 // properties checked.
 #include "harnesses.h"
 
-#include <chrono>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cas/service.h"
@@ -105,8 +106,10 @@ class SessionMachine {
           crypto::sha256(p.signer_key.public_key().modulus_be());
       policy.require_singleton = true;
       policy.base_hash = p.signed_image.base_hash;
-      policy.config.program = "prog";
+      policy.config.program = std::string("prog-") + name;
+      policy.config.secrets["key"] = to_bytes(name);
       cas_->install_policy(policy);
+      configs_[name] = policy.config;
     }
     server_ = std::make_unique<server::CasServer>(
         cas_.get(), server::CasServerConfig{.workers = 1});
@@ -116,15 +119,13 @@ class SessionMachine {
   void run() {
     int ops = 0;
     while (!in_.empty() && ops++ < 12) {
-      switch (in_.u8() % 8) {
+      switch (in_.u8() % 6) {
         case 0: mint(); break;
         case 1: attest_honest(); break;
         case 2: attest_replay(); break;
-        case 3: get_config(); break;
-        case 4: introspect(); break;
-        case 5: garbage_instance(); break;
-        case 6: garbage_secure(); break;
-        case 7: reap(); break;
+        case 3: introspect(); break;
+        case 4: garbage_instance(); break;
+        case 5: garbage_secure(); break;
       }
       check_invariants();
     }
@@ -181,9 +182,10 @@ class SessionMachine {
   }
 
   /// Start the enclave for a minted credential and attest over the secure
-  /// channel with a fresh client. Returns whether CAS accepted.
-  bool attest_with(Minted& m, std::uint64_t client_seed,
-                   std::unique_ptr<net::SecureClient>* keep) {
+  /// channel with a fresh client. Returns the configuration CAS answered
+  /// with, or nullopt when it refused.
+  std::optional<cas::AppConfig> attest_with(const Minted& m,
+                                            std::uint64_t client_seed) {
     Platform& p = platform();
     core::InstancePage page;
     page.token = m.token;
@@ -191,11 +193,11 @@ class SessionMachine {
     const auto enclave =
         runtime::start_enclave(p.cpu, p.image, m.sigstruct, page);
     require(enclave.ok(), "predicted singleton enclave failed EINIT");
-    auto client = std::make_unique<net::SecureClient>(
+    net::SecureClient client(
         crypto::Drbg::from_seed(client_seed, "fuzz-session-client"));
     const sgx::Report report =
         p.cpu.ereport(enclave.id, p.qe.target_info(),
-                      net::channel_binding(client->dh_public()));
+                      net::channel_binding(client.dh_public()));
     const auto quote = p.qe.generate_quote(report);
     require(quote.has_value(), "quoting enclave refused a genuine report");
     cas::AttestPayload payload;
@@ -203,11 +205,18 @@ class SessionMachine {
     payload.quote = *quote;
     payload.token = m.token;
     ++issued_;
-    const auto outcome = client->connect(
-        net_.connect("cas"), cas_->identity(),
-        cas::encode_attest_payload(payload));
-    if (outcome.has_value() && keep != nullptr) *keep = std::move(client);
-    return outcome.has_value();
+    const std::uint64_t request_id = ++next_request_id_;
+    const auto answer =
+        client.connect(net_.connect("cas"), cas_->identity(),
+                       cas::encode_attest_payload(payload, request_id));
+    if (!answer.has_value()) return std::nullopt;
+    const cas::Envelope reply = cas::Envelope::deserialize(*answer);
+    require(reply.command == cas::Command::kAttest &&
+                reply.request_id == request_id,
+            "handshake answer does not echo its request");
+    const auto resp = cas::ConfigResponse::deserialize(reply.payload);
+    require(resp.ok(), "an accepted handshake answered a refusal");
+    return resp.config;
   }
 
   void attest_honest() {
@@ -217,14 +226,13 @@ class SessionMachine {
       if (!m.spent) fresh = &m;
     if (fresh == nullptr) return;
     ++attests_;
-    std::unique_ptr<net::SecureClient> client;
-    require(attest_with(*fresh, 100 + attests_, &client),
+    auto config = attest_with(*fresh, 100 + attests_);
+    require(config.has_value(),
             "honest attestation with an unspent token rejected");
     ++ok_;
     fresh->spent = true;
     ++spent_;
-    ++accepted_sessions_;
-    clients_.push_back(std::move(client));
+    answers_.emplace_back(fresh->session, std::move(*config));
   }
 
   void attest_replay() {
@@ -234,51 +242,9 @@ class SessionMachine {
       if (m.spent) used = &m;
     if (used == nullptr) return;
     ++attests_;
-    require(!attest_with(*used, 200 + attests_, nullptr),
+    require(!attest_with(*used, 200 + attests_).has_value(),
             "token replay accepted: singleton guarantee broken");
     ++errors_;
-  }
-
-  /// One config fetch over `client`'s session: kOk with the policy's
-  /// config, or the typed status its record was refused with.
-  StatusCode fetch_config(net::SecureClient& client) {
-    cas::Envelope env;
-    env.command = cas::Command::kGetConfig;
-    env.request_id = ++next_request_id_;
-    ++issued_;
-    try {
-      const Bytes answer = client.call(env.serialize());
-      const cas::Envelope reply = cas::Envelope::deserialize(answer);
-      const auto resp = cas::ConfigResponse::deserialize(reply.payload);
-      require(resp.ok() && resp.config.program == "prog",
-              "attested session could not fetch its config");
-      ++ok_;
-      return StatusCode::kOk;
-    } catch (const net::RecordRejectedError& e) {
-      ++errors_;
-      return e.code();
-    }
-  }
-
-  void get_config() {
-    if (clients_.empty()) return;
-    const std::size_t i =
-        in_.below(static_cast<std::uint32_t>(clients_.size()));
-    const StatusCode want =
-        i < reaped_ ? StatusCode::kSessionNotAttested : StatusCode::kOk;
-    require(fetch_config(*clients_[i]) == want,
-            "config fetch disagrees with its session's state");
-  }
-
-  void reap() {
-    // Every open session is idle past a 1 ns TTL, so one sweep of every
-    // stripe reaps them all.
-    std::size_t reaped = 0;
-    for (std::size_t i = 0; i < net::SecureServer::kStripes; ++i)
-      reaped += cas_->sweep_idle_sessions(std::chrono::nanoseconds(1));
-    require(reaped_ + reaped == accepted_sessions_,
-            "a full sweep with a tiny TTL left a session open");
-    reaped_ = accepted_sessions_;
   }
 
   void introspect() {
@@ -333,12 +299,11 @@ class SessionMachine {
     require(cas_->tokens_outstanding() ==
                 minted_.size() - spent_ + garbage_minted_,
             "outstanding tokens diverged from mint/spend bookkeeping");
-    require(cas_->secure_channel_stats().open_sessions ==
-                accepted_sessions_ - reaped_,
-            "open sessions diverged from accepted minus reaped handshakes");
-    for (std::size_t i = 0; i < reaped_; ++i)
-      require(fetch_config(*clients_[i]) == StatusCode::kSessionNotAttested,
-              "a reaped session was not refused typed");
+    for (const auto& [session, config] : answers_)
+      require(config == configs_.at(session),
+              "an attestation was answered with another policy's config");
+    require(cas_->secure_channel_stats().open_sessions == 0,
+            "an exchange stayed open after its answer");
     require(issued_ == ok_ + errors_,
             "a request vanished: issued != ok + errors");
   }
@@ -348,13 +313,14 @@ class SessionMachine {
   std::unique_ptr<cas::CasService> cas_;
   net::SimNetwork net_;
   std::unique_ptr<server::CasServer> server_;  // unbinds before net_ dies
+  std::map<std::string, cas::AppConfig> configs_;  // per policy session
   std::vector<Minted> minted_;
-  std::vector<std::unique_ptr<net::SecureClient>> clients_;
+  /// Every accepted attestation: its policy session and the config CAS
+  /// answered with.
+  std::vector<std::pair<std::string, cas::AppConfig>> answers_;
   std::uint64_t next_request_id_ = 0;
   std::size_t spent_ = 0;
   std::size_t garbage_minted_ = 0;
-  std::size_t accepted_sessions_ = 0;
-  std::size_t reaped_ = 0;  // clients_[0, reaped_) had their sessions reaped
   int attests_ = 0;
   std::uint64_t issued_ = 0, ok_ = 0, errors_ = 0;
 };

@@ -1,17 +1,18 @@
-// Secure-channel record handling against LIVE sessions.
+// Secure-channel exchanges against a LIVE server.
 //
 // SecureServer::handle is the outermost attacker-facing byte boundary of
 // the attested endpoint; its contract is total: any byte string answers
 // with a record (rejection at worst) and NEVER throws — a thrown record
 // would kill a frontend worker thread. The client half faces a malicious
-// server: connect/call on arbitrary response bytes may fail only with the
-// typed channel errors, and a hostile rejection record reads as a typed
+// server: connect on arbitrary answer bytes may fail only with the typed
+// channel errors, and a hostile rejection record reads as a typed
 // rejection — the generic one unless its code is whitelisted, with a
 // detail only for a well-formed kNotLeader. And garbage must not corrupt
-// server state: an honest client's handshake and round trip must still
-// succeed afterwards. A relay that rewrites only the honest acceptance's
-// Ed25519 signature (a flipped bit, S + L, another R, a cut or extended
-// field) must make connect throw IdentityMismatchError and open nothing.
+// server state: an honest client's exchange must still succeed afterwards.
+// A relay that rewrites one field of the honest acceptance — the server's
+// share, its Ed25519 signature (a flipped bit, S + L, another R, a cut or
+// extended field) or the sealed answer — must make connect throw
+// IdentityMismatchError and open nothing.
 #include "harnesses.h"
 
 #include <algorithm>
@@ -38,37 +39,73 @@ const crypto::Ed25519KeyPair& server_identity() {
 }
 
 /// Accept-all server: the handshake hook admits every client (quote
-/// verification is the protocol_session harness's business), the request
-/// handler echoes. Fresh per input so sessions never leak across runs.
+/// verification is the protocol_session harness's business) and answers
+/// with the client's payload. Fresh per input.
 std::unique_ptr<net::SecureServer> make_server(std::uint64_t seed) {
   return std::make_unique<net::SecureServer>(
       &server_identity(), crypto::Drbg::from_seed(seed, "fuzz-secure-rng"),
-      [](ByteView, ByteView, Status*) {
-        return net::SecureServer::Accepted{};
-      },
-      [](std::uint64_t, const std::string&, ByteView plaintext) {
-        return Bytes(plaintext.begin(), plaintext.end());
+      [](ByteView payload, ByteView, Status*) {
+        return std::optional<Bytes>(Bytes(payload.begin(), payload.end()));
       });
 }
 
-/// The acceptance `ok | u64 session | share | signature | payload` with its
-/// signature field rewritten: kind 0 flips one bit, 1 adds L to S, 2
+/// The acceptance `ok | share | signature | sealed answer`, field by field.
+struct Acceptance {
+  std::uint8_t status = 0;
+  Bytes share;
+  Bytes signature;
+  Bytes sealed;
+
+  static Acceptance parse(ByteView raw) {
+    ByteReader r(raw);
+    Acceptance a;
+    a.status = r.u8();
+    a.share = r.bytes();
+    a.signature = r.bytes();
+    a.sealed = r.bytes();
+    r.expect_done();
+    require(a.signature.size() == crypto::kEd25519SignatureBytes,
+            "honest acceptance carries a signature that is not 64 bytes");
+    return a;
+  }
+
+  Bytes serialize() const {
+    ByteWriter w;
+    w.u8(status);
+    w.bytes(share);
+    w.bytes(signature);
+    w.bytes(sealed);
+    return std::move(w).take();
+  }
+};
+
+/// An even `kind` flips one bit of `field`; an odd one cuts it, or extends
+/// it with `filler`, by 1..64 bytes.
+void mangle(Bytes& field, std::uint8_t kind, std::uint32_t position,
+            const Bytes& filler) {
+  if (kind % 2 == 0) {
+    field[(position / 8) % field.size()] ^=
+        static_cast<std::uint8_t>(1u << (position % 8));
+    return;
+  }
+  const std::size_t n = 1 + position % 64;
+  if ((position & 0x100) != 0) {
+    field.resize(field.size() - std::min(n, field.size()));
+  } else {
+    const std::size_t size = field.size();
+    field.insert(field.end(), filler.begin(),
+                 filler.begin() + std::min(n, filler.size()));
+    field.resize(size + n);
+  }
+}
+
+/// The signature rewrites: kind 0 flips one bit, 1 adds L to S, 2
 /// replaces R, 3 cuts or extends the field by 1..64 bytes.
-Bytes rewrite_signature(ByteView acceptance, std::uint8_t kind,
-                        std::uint32_t position, const Bytes& filler) {
-  ByteReader r(acceptance);
-  const std::uint8_t status = r.u8();
-  const std::uint64_t session_id = r.u64();
-  const Bytes share = r.bytes();
-  Bytes signature = r.bytes();
-  const Bytes payload = r.bytes();
-  r.expect_done();
-  require(signature.size() == crypto::kEd25519SignatureBytes,
-          "honest acceptance carries a signature that is not 64 bytes");
+void rewrite_signature(Bytes& signature, std::uint8_t kind,
+                       std::uint32_t position, const Bytes& filler) {
   switch (kind % 4) {
     case 0:
-      signature[(position / 8) % 64] ^=
-          static_cast<std::uint8_t>(1u << (position % 8));
+      mangle(signature, 0, position, filler);
       break;
     case 1: {
       // L, little-endian: S + L < 2^254 fits the 32 bytes.
@@ -89,36 +126,68 @@ Bytes rewrite_signature(ByteView acceptance, std::uint8_t kind,
       std::copy_n(filler.begin(), std::min<std::size_t>(filler.size(), 32),
                   signature.begin());
       break;
-    default: {
-      const std::size_t n = 1 + position % 64;
-      if ((position & 0x100) != 0) {
-        signature.resize(signature.size() - n);
-      } else {
-        signature.insert(signature.end(), filler.begin(),
-                         filler.begin() + std::min(n, filler.size()));
-        signature.resize(crypto::kEd25519SignatureBytes + n);
-      }
+    default:
+      mangle(signature, 1, position, filler);
       break;
-    }
   }
-  ByteWriter w;
-  w.u8(status);
-  w.u64(session_id);
-  w.bytes(share);
-  w.bytes(signature);
-  w.bytes(payload);
-  return std::move(w).take();
 }
 
-void honest_round_trip(net::SimNetwork& net, const char* address) {
+/// Which field of the acceptance a relay mode rewrites.
+enum class Field { kShare, kSignature, kSealed };
+
+/// A relay passes the honest server's acceptance through with one field
+/// rewritten. A rewrite must make connect throw IdentityMismatchError and
+/// open nothing; one that happens to leave the bytes as they were must
+/// still open the honest answer.
+void relay_rewriting(FuzzInput& in, Field field, std::uint64_t seed) {
+  const std::uint8_t kind = in.u8();
+  const std::uint32_t position = in.u32();
+  const Bytes filler = in.take(64);
+  const auto server = make_server(seed);
+  net::SimNetwork net;
+  bool changed = false;
+  net.listen("relay", [&](ByteView raw) {
+    const Bytes honest = server->handle(raw);
+    Acceptance a = Acceptance::parse(honest);
+    switch (field) {
+      case Field::kShare:
+        mangle(a.share, kind, position, filler);
+        break;
+      case Field::kSignature:
+        rewrite_signature(a.signature, kind, position, filler);
+        break;
+      case Field::kSealed:
+        mangle(a.sealed, kind, position, filler);
+        break;
+    }
+    const Bytes relayed = a.serialize();
+    changed = relayed != honest;
+    return relayed;
+  });
+  net::SecureClient client(
+      crypto::Drbg::from_seed(seed + 1, "fuzz-secure-relayed"));
+  const Bytes payload{'c', 'f', 'g'};
+  std::optional<Bytes> opened;
+  bool mismatch = false;
+  try {
+    opened = client.connect(net.connect("relay"),
+                            server_identity().public_key(), payload);
+  } catch (const net::IdentityMismatchError&) {
+    mismatch = true;
+  }
+  require(mismatch == changed,
+          "a rewritten acceptance passed, or an intact one failed");
+  require(changed ? !opened.has_value() : opened == payload,
+          "client opened an answer from a rewritten acceptance");
+}
+
+void honest_exchange(net::SimNetwork& net, const char* address) {
   net::SecureClient client(crypto::Drbg::from_seed(22, "fuzz-secure-client"));
-  const auto accepted = client.connect(
-      net.connect(address), server_identity().public_key(), Bytes{});
-  require(accepted.has_value(),
-          "honest handshake rejected after garbage records");
   const Bytes ping{'p', 'i', 'n', 'g'};
-  require(client.call(ping) == ping,
-          "honest round trip corrupted after garbage records");
+  const auto answer = client.connect(
+      net.connect(address), server_identity().public_key(), ping);
+  require(answer.has_value(), "honest handshake rejected after garbage");
+  require(*answer == ping, "honest answer corrupted after garbage");
 }
 
 }  // namespace
@@ -130,55 +199,28 @@ int run_secure_record(const std::uint8_t* data, std::size_t size) {
   switch (mode % 6) {
     case 0: {
       // Garbage records straight into handle(); nothing may escape, every
-      // answer is a record, and the server survives for an honest client.
+      // answer is a record, nothing stays in flight, and the server
+      // survives for an honest client.
       const auto server = make_server(23);
       net::SimNetwork net;
       net.listen("srv", [&server](ByteView raw) { return server->handle(raw); });
       int rounds = 0;
       while (!in.empty() && rounds++ < 8) {
-        const Bytes record = in.chunk();
-        const Bytes answer = server->handle(record);
+        const Bytes answer = server->handle(in.chunk());
         require(!answer.empty(), "server answered a record with silence");
-        (void)net::classify_record(record);
-        (void)net::peek_session_id(record);
       }
       const auto stats = server->stats();
-      require(stats.open_sessions == server->open_sessions() &&
-                  stats.open_sessions <= stats.sessions_opened,
-              "session accounting inconsistent after garbage");
-      honest_round_trip(net, "srv");
+      require(stats.open_sessions == 0 && stats.sessions_high_water <= 1,
+              "a handshake stayed in flight after its answer");
+      honest_exchange(net, "srv");
       break;
     }
-    case 1: {
-      // Garbage aimed at an ESTABLISHED session: same session id, fuzzed
-      // counter/ciphertext. The session must survive (bad records are
-      // rejected, not torn) and the honest client must keep working.
-      const auto server = make_server(24);
-      net::SimNetwork net;
-      net.listen("srv", [&server](ByteView raw) { return server->handle(raw); });
-      net::SecureClient client(
-          crypto::Drbg::from_seed(25, "fuzz-secure-established"));
-      const auto accepted = client.connect(
-          net.connect("srv"), server_identity().public_key(), Bytes{});
-      require(accepted.has_value(), "clean handshake rejected");
-      const std::uint64_t session_id = 1;  // first session of a fresh server
-      int rounds = 0;
-      while (!in.empty() && rounds++ < 8) {
-        ByteWriter w;
-        w.u8(1);  // kMsgData
-        w.u64(session_id);
-        w.u64(in.u64());  // fuzzed counter
-        w.bytes(in.chunk());
-        (void)server->handle(std::move(w).take());
-      }
-      const Bytes ping{'o', 'k'};
-      require(client.call(ping) == ping,
-              "forged records broke an established session");
+    case 1:
+      relay_rewriting(in, Field::kShare, 24);
       break;
-    }
     case 2: {
-      // Malicious server vs connecting client: arbitrary handshake
-      // response bytes. Typed outcomes only.
+      // Malicious server vs connecting client: arbitrary answer bytes.
+      // Typed outcomes only.
       const Bytes response = in.rest();
       net::SimNetwork net;
       net.listen("evil", [&response](ByteView) { return response; });
@@ -196,30 +238,9 @@ int run_secure_record(const std::uint8_t* data, std::size_t size) {
       }
       break;
     }
-    case 3: {
-      // Malicious server vs an established client: handshake honestly,
-      // then answer the data record with fuzz bytes.
-      const Bytes response = in.rest();
-      const auto server = make_server(27);
-      net::SimNetwork net;
-      net.listen("mitm", [&server, &response](ByteView raw) {
-        if (net::classify_record(raw) == net::RecordType::kHandshake)
-          return server->handle(raw);
-        return response;
-      });
-      net::SecureClient client(
-          crypto::Drbg::from_seed(28, "fuzz-secure-mitm"));
-      const auto accepted = client.connect(
-          net.connect("mitm"), server_identity().public_key(), Bytes{});
-      require(accepted.has_value(), "clean handshake rejected");
-      try {
-        (void)client.call(Bytes{'x'});
-        require(false, "client accepted a forged data response");
-      } catch (const net::RecordRejectedError&) {
-      } catch (const Error&) {
-      }
+    case 3:
+      relay_rewriting(in, Field::kSealed, 27);
       break;
-    }
     case 4: {
       // Hostile rejection records: the "rejected" marker, then fuzz bytes
       // for the code and whatever follows it.
@@ -264,38 +285,9 @@ int run_secure_record(const std::uint8_t* data, std::size_t size) {
               "rejection detail kept when malformed, or dropped when whole");
       break;
     }
-    case 5: {
-      // A relay passes the honest server's acceptance through with only
-      // its signature rewritten. If the rewrite happens to leave the
-      // bytes as they were, the handshake must still succeed.
-      const std::uint8_t kind = in.u8();
-      const std::uint32_t position = in.u32();
-      const Bytes filler = in.take(64);
-      const auto server = make_server(30);
-      net::SimNetwork net;
-      bool changed = false;
-      net.listen("relay", [&](ByteView raw) {
-        const Bytes honest = server->handle(raw);
-        const Bytes relayed =
-            rewrite_signature(honest, kind, position, filler);
-        changed = relayed != honest;
-        return relayed;
-      });
-      net::SecureClient client(
-          crypto::Drbg::from_seed(31, "fuzz-secure-relayed"));
-      bool mismatch = false;
-      try {
-        (void)client.connect(net.connect("relay"),
-                             server_identity().public_key(), Bytes{});
-      } catch (const net::IdentityMismatchError&) {
-        mismatch = true;
-      }
-      require(mismatch == changed,
-              "a rewritten signature passed, or an intact one failed");
-      require(client.connected() == !changed,
-              "client opened a session on a rewritten signature");
+    case 5:
+      relay_rewriting(in, Field::kSignature, 30);
       break;
-    }
   }
   return 0;
 }

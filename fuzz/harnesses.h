@@ -16,11 +16,12 @@ namespace sinclave::fuzz {
 /// all and answer non-envelope frames with a typed kMalformedRequest.
 int run_envelope(const std::uint8_t* data, std::size_t size);
 
-/// SecureServer/SecureClient record and handshake decoding against live
-/// sessions: garbage never throws out of handle(), never corrupts the
-/// server for a subsequent honest client; hostile rejection records reach
-/// connect as whitelisted codes, with a detail only for kNotLeader; a
-/// relayed acceptance with a rewritten signature fails the identity check.
+/// SecureServer/SecureClient exchange decoding against a live server:
+/// garbage never throws out of handle(), never corrupts the server for a
+/// subsequent honest client; hostile rejection records reach connect as
+/// whitelisted codes, with a detail only for kNotLeader; a relayed
+/// acceptance with a rewritten share, signature or sealed answer fails
+/// the identity check and opens nothing.
 int run_secure_record(const std::uint8_t* data, std::size_t size);
 
 /// Sealed-state import: corrupt/truncated/rolled-back blobs are refused
@@ -48,8 +49,8 @@ int run_sha_aead_diff(const std::uint8_t* data, std::size_t size);
 
 /// Structured stateful fuzzing: decode the input into a sequence of
 /// protocol operations against a live CasService (instance requests,
-/// attestations, config fetches, introspection, garbage frames) and check
-/// the global invariants after every step.
+/// attestations, introspection, garbage frames) and check the global
+/// invariants after every step.
 int run_protocol_session(const std::uint8_t* data, std::size_t size);
 
 /// Replication (v2) wire messages: every raft decoder rejects garbage

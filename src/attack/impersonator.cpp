@@ -54,29 +54,23 @@ ImpersonationAttempt TeeImpersonator::steal_config(
   payload.quote = *q;
   payload.token = token;
 
-  Status attest_status;
+  // 5. Collect the spoils: the verifier's answer is the configuration.
+  std::optional<Result<cas::AppConfig>> cfg;
   try {
-    attest_status = channel.attest(cas_identity, payload);
+    cfg.emplace(channel.attest(cas_identity, payload));
   } catch (const Error&) {
     attempt.failure = "connect-failed";
     return attempt;
   }
-  if (attest_status.code == StatusCode::kAttestationRejected) {
+  if (cfg->status().code == StatusCode::kAttestationRejected) {
     attempt.failure = "handshake-rejected";
     return attempt;
   }
-  if (!attest_status.ok()) {
+  if (!cfg->ok()) {
     attempt.failure = "connect-failed";
     return attempt;
   }
-
-  // 5. Collect the spoils.
-  const Result<cas::AppConfig> cfg = channel.get_config();
-  if (!cfg.ok()) {
-    attempt.failure = "config-denied";
-    return attempt;
-  }
-  attempt.stolen_config = cfg.value();
+  attempt.stolen_config = std::move(*cfg).value();
   return attempt;
 }
 

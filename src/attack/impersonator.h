@@ -24,7 +24,8 @@ namespace sinclave::attack {
 struct ImpersonationAttempt {
   /// Secrets obtained from the verifier; set iff the attack succeeded.
   std::optional<cas::AppConfig> stolen_config;
-  /// Failure stage, for tests ("handshake-rejected", "config-denied", ...).
+  /// Failure stage, for tests: "report-server-unreachable",
+  /// "quoting-failed", "handshake-rejected" or "connect-failed".
   std::string failure;
 
   bool succeeded() const { return stolen_config.has_value(); }

@@ -489,8 +489,9 @@ AttestedChannel::AttestedChannel(net::SimNetwork* net, CasClientConfig config,
                                  crypto::Drbg rng)
     : router_(net, std::move(config)), client_(std::move(rng)) {}
 
-Status AttestedChannel::attest(const crypto::Ed25519PublicKey& cas_identity,
-                               const AttestPayload& payload) {
+Result<AppConfig> AttestedChannel::attest(
+    const crypto::Ed25519PublicKey& cas_identity,
+    const AttestPayload& payload) {
   static obs::Phase& p_root =
       obs::Tracer::instance().phase("client_attest");
   static obs::Phase& p_handshake =
@@ -499,55 +500,25 @@ Status AttestedChannel::attest(const crypto::Ed25519PublicKey& cas_identity,
   RootScope rs(p_root, request_id);
   CasClient::Core& core = *router_.core_;
   const Bytes record = encode_attest_payload(payload, request_id);
+  std::optional<Bytes> answer;
   std::size_t attempts = 0;
   // A refusal is typed when protocol-level (kUnsupportedVersion, kNotLeader
   // with its hint), else the generic kAttestationRejected.
-  return core.sync_attempts(
+  const Status status = core.sync_attempts(
       [&] {
         obs::Span span(p_handshake);
         Status rejected;
-        const auto accepted =
+        answer =
             client_.connect(core.net->connect(router_.current_address()),
                             cas_identity, record, &rejected);
-        return accepted.has_value() ? Status() : rejected;
+        return answer.has_value() ? Status() : rejected;
       },
       attempts);
-}
-
-Result<AppConfig> AttestedChannel::get_config() {
-  static obs::Phase& p_root =
-      obs::Tracer::instance().phase("client_get_config");
-  static obs::Phase& p_call = obs::Tracer::instance().phase("client_call");
-  if (!client_.connected())
-    return Status(StatusCode::kSessionNotAttested, "channel not attested");
-
-  Envelope env;
-  env.command = Command::kGetConfig;
-  env.request_id = next_request_id_++;
-  RootScope rs(p_root, env.request_id);
-
-  Bytes plaintext;
-  try {
-    obs::Span span(p_call);
-    plaintext = client_.call(env.serialize());
-  } catch (const net::RecordRejectedError& e) {
-    return Status(e.code());  // e.g. the server reaped the idle session
-  } catch (const Error& e) {
-    return transport_status(e);
-  }
-  try {
-    const Envelope reply = Envelope::deserialize(plaintext);
-    if (reply.command != Command::kGetConfig ||
-        reply.request_id != env.request_id)
-      return Status(StatusCode::kInternal,
-                    "response does not match request");
-    ConfigResponse resp = ConfigResponse::deserialize(reply.payload);
-    if (!resp.ok()) return resp.status;
-    return std::move(resp.config);
-  } catch (const Error& e) {
-    return Status(StatusCode::kInternal,
-                  std::string("undecodable response: ") + e.what());
-  }
+  if (!status.ok()) return status;
+  ConfigResponse resp =
+      decode_reply<ConfigResponse>(*answer, Command::kAttest, request_id);
+  if (!resp.ok()) return resp.status;
+  return std::move(resp.config);
 }
 
 }  // namespace sinclave::cas

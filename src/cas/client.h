@@ -16,8 +16,8 @@
 //     kBadSignature surfaced immediately,
 //   * a sync call path and a completion-token async path
 //     (SimNetwork::async_call) for open-loop issuers,
-//   * the attested secure-channel flow (AttestedChannel): handshake with a
-//     quote bound to the channel key, then typed config fetch.
+//   * the attested secure-channel flow (AttestedChannel): one exchange, a
+//     quote bound to the channel key out and the typed config back.
 //
 // Thread-safe: one CasClient may be shared by many threads; the cached
 // connection is re-established under a lock after transport failures.
@@ -170,8 +170,7 @@ class CasClient {
 ///
 ///   AttestedChannel ch(&net, CasClientConfig{.address = cas}, rng);
 ///   // bind ch.dh_public() into the quote's REPORTDATA...
-///   Status s = ch.attest(cas_identity, payload);
-///   Result<AppConfig> cfg = ch.get_config();
+///   Result<AppConfig> cfg = ch.attest(cas_identity, payload);
 ///
 /// The channel key exists before the handshake so the caller can commit to
 /// it in a report (net::channel_binding). The config routes the handshake
@@ -186,22 +185,18 @@ class AttestedChannel {
   /// attesting.
   const Bytes& dh_public() const { return client_.dh_public(); }
 
-  /// Run the handshake: kAttest envelope carrying `payload`, server
+  /// Run the exchange: kAttest envelope carrying `payload`, server
   /// identity pinned to `cas_identity`, attempts decided by the retry
-  /// rule — each sends the same record (a refusal derives no keys on
-  /// either side, so the quote stays bound). kOk on acceptance;
-  /// kAttestationRejected when the verifier refused (or a typed
-  /// protocol-level code like kUnsupportedVersion when the rejection
-  /// record carried one); kUnavailable on transport failure; throws
-  /// net::IdentityMismatchError only on server-identity mismatch (an
-  /// active attack — never mapped to a Status).
-  Status attest(const crypto::Ed25519PublicKey& cas_identity,
-                const AttestPayload& payload);
-
-  /// Typed config fetch over the attested channel.
-  Result<AppConfig> get_config();
-
-  bool attested() const { return client_.connected(); }
+  /// rule — each sends the same record (a refusal changes nothing on
+  /// either side, so the quote stays bound). The configuration on
+  /// acceptance; kAttestationRejected when the verifier refused (or a
+  /// typed protocol-level code like kUnsupportedVersion when the rejection
+  /// record carried one); kUnavailable on transport failure; kInternal
+  /// when the opened answer does not decode or does not echo the request;
+  /// throws net::IdentityMismatchError only when the answer is not the
+  /// pinned verifier's (an active attack — never mapped to a Status).
+  Result<AppConfig> attest(const crypto::Ed25519PublicKey& cas_identity,
+                           const AttestPayload& payload);
 
   CasClient::Stats stats() const { return router_.stats(); }
 

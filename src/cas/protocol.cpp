@@ -428,33 +428,24 @@ Bytes serve_instance_frame(ByteView raw, const InstanceHandler& handler,
   return env->reply(resp.serialize()).serialize();
 }
 
-Bytes serve_config_frame(ByteView plaintext, const ConfigHandler& handler,
-                         FrameInfo* info) {
-  const std::optional<Envelope> env = decode_envelope(plaintext);
-  if (!env.has_value())
-    return malformed_frame<ConfigResponse>(Command::kGetConfig, info);
-  if (const StatusCode refused =
-          gate_envelope(*env, Command::kGetConfig, info);
-      refused != StatusCode::kOk)
-    return env->reply(error_payload<ConfigResponse>(refused)).serialize();
-
-  ConfigResponse resp;
-  try {
-    resp = handler();
-  } catch (const Error&) {
-    resp = ConfigResponse{};
-    resp.status = Status(StatusCode::kInternal);
-  }
-  if (info != nullptr) info->status = resp.status.code;
-  return env->reply(resp.serialize()).serialize();
-}
-
 Bytes encode_attest_payload(const AttestPayload& payload,
                             std::uint64_t request_id) {
   Envelope env;
   env.command = Command::kAttest;
   env.request_id = request_id;
   env.payload = payload.serialize();
+  return env.serialize();
+}
+
+Bytes encode_attest_answer(const AppConfig& config,
+                           std::uint64_t request_id) {
+  ConfigResponse resp;
+  resp.status = Status();
+  resp.config = config;
+  Envelope env;
+  env.command = Command::kAttest;
+  env.request_id = request_id;
+  env.payload = resp.serialize();
   return env.serialize();
 }
 

@@ -6,8 +6,8 @@
 //    for a session ("Singleton Page Retrieval", Fig. 7c),
 //  * the *attestation* endpoint (secure channel): the enclave runtime — or,
 //    in the attack, the TEE impersonator — presents a quote bound to the
-//    channel and (in SinClave mode) its attestation token, and receives the
-//    application configuration.
+//    channel and (in SinClave mode) its attestation token, and the
+//    handshake's sealed answer carries the application configuration.
 //
 // Framing (protocol v1): every message on either endpoint travels inside a
 // versioned Envelope
@@ -53,7 +53,8 @@ inline constexpr std::uint16_t kProtocolVersion = 1;
 enum class Command : std::uint8_t {
   /// Instance endpoint: singleton retrieval (token + on-demand SigStruct).
   kGetInstance = 1,
-  /// Attested endpoint: fetch the application configuration.
+  /// Reserved: the attested endpoint's retired config fetch (the
+  /// handshake answer carries the configuration now). Never reused.
   kGetConfig = 2,
   /// Attested endpoint: the handshake payload (quote + token).
   kAttest = 3,
@@ -153,8 +154,9 @@ struct AttestPayload {
   static AttestPayload deserialize(ByteView data);
 };
 
-/// Encrypted response to kGetConfig. Config meaningful only when
-/// status.ok(); defaults to kInternal (must be explicitly marked ok).
+/// The attested handshake's answer (envelope payload of kAttest, sealed
+/// by the secure channel). Config meaningful only when status.ok();
+/// defaults to kInternal (must be explicitly marked ok).
 struct ConfigResponse {
   Status status{StatusCode::kInternal};
   AppConfig config;
@@ -247,18 +249,15 @@ Bytes serve_instance_frame(ByteView raw, const InstanceHandler& handler,
                            const IntrospectHandler& introspect,
                            FrameInfo* info = nullptr);
 
-using ConfigHandler = std::function<ConfigResponse()>;
-
-/// Serve one decrypted attested-endpoint record: dispatch kGetConfig to
-/// `handler` with the same envelope/version/command handling as the
-/// instance endpoint.
-Bytes serve_config_frame(ByteView plaintext, const ConfigHandler& handler,
-                         FrameInfo* info = nullptr);
-
 /// The handshake payload a client opens the attested channel with: `payload`
 /// wrapped in a kAttest envelope.
 Bytes encode_attest_payload(const AttestPayload& payload,
                             std::uint64_t request_id = 0);
+
+/// The handshake answer the verifier seals to an attested client: `config`
+/// in an ok ConfigResponse, in the kAttest envelope answering `request_id`.
+Bytes encode_attest_answer(const AppConfig& config,
+                           std::uint64_t request_id);
 
 /// Decode an envelope-wrapped (kAttest) handshake payload. Returns nullopt
 /// — never throws — when the bytes are not one; `info->status` then names

@@ -62,10 +62,6 @@ CasService::CasService(quote::AttestationService* attestation,
           &identity_, crypto::Drbg(rng_.generate(16), "cas-channel"),
           [this](ByteView payload, ByteView dh, Status* reject_status) {
             return on_handshake(payload, dh, reject_status);
-          },
-          [this](std::uint64_t, const std::string& session_name,
-                 ByteView plaintext) {
-            return on_request(session_name, plaintext);
           }) {
   if (attestation_ == nullptr)
     throw Error("cas: attestation service required");
@@ -84,7 +80,6 @@ CasService::CasService(quote::AttestationService* attestation,
     snap.counter("channel_stripe_collisions", s.stripe_collisions);
     snap.gauge("channel_sessions_high_water", s.sessions_high_water);
     snap.gauge("channel_open_sessions", s.open_sessions);
-    snap.counter("channel_sessions_expired", s.sessions_expired);
   });
 }
 
@@ -126,11 +121,6 @@ std::optional<Policy> CasService::get_policy(
   const auto it = policies_.find(session_name);
   if (it == policies_.end()) return std::nullopt;
   return it->second;
-}
-
-std::size_t CasService::sweep_idle_sessions(
-    std::chrono::nanoseconds idle_ttl) {
-  return secure_server_.sweep_idle(idle_ttl);
 }
 
 void CasService::set_replication_gate(ReplicationGate* gate) {
@@ -280,7 +270,7 @@ std::optional<StatusCode> CasService::check_retrieval_preconditions(
   return std::nullopt;
 }
 
-std::optional<net::SecureServer::Accepted> CasService::on_handshake(
+std::optional<Bytes> CasService::on_handshake(
     ByteView client_payload, ByteView client_dh, Status* reject_status) {
   const auto verdict = [this](Verdict v) {
     MutexLock lock(observe_mutex_);
@@ -397,29 +387,9 @@ std::optional<net::SecureServer::Accepted> CasService::on_handshake(
     }
   }
   verdict(Verdict::kOk);
-  Envelope accept;
-  accept.command = Command::kAttest;
-  accept.request_id = frame.request_id;
-  accept.payload = to_bytes("attested");
-  // The channel session carries the attested binding from here on.
-  return net::SecureServer::Accepted{accept.serialize(), payload.session_name};
-}
-
-Bytes CasService::on_request(const std::string& session_name,
-                             ByteView plaintext) {
-  static obs::Phase& p_serve = obs::Tracer::instance().phase("config_serve");
-  obs::Span span(p_serve);
-  return serve_config_frame(plaintext, [this, &session_name]() {
-    ConfigResponse resp;
-    const auto policy = get_policy(session_name);
-    if (!policy.has_value()) {
-      resp.status = Status(StatusCode::kUnknownSession, "policy disappeared");
-      return resp;
-    }
-    resp.status = Status();
-    resp.config = policy->config;
-    return resp;
-  });
+  // The answer is the configuration of the very policy the quote was
+  // checked against; the channel seals it to this client's share.
+  return encode_attest_answer(policy->config, frame.request_id);
 }
 
 namespace {

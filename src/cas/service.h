@@ -17,18 +17,18 @@
 // all entry points may be called concurrently (the frontend dispatches
 // them from a worker pool). Each piece of state has one home: policies in
 // one table behind a shared_mutex (concurrent readers, exclusive
-// installs); an attested channel's policy session on its SecureServer
-// session, dying with it; one-time tokens in striped buckets (token id ->
-// stripe), spent only through apply_spend — what the replicated log
-// applies — so attestations of *different* tokens never contend while two
-// racing the *same* token serialize in its bucket (the exactly-once-spend
-// invariant is per bucket). Token minting draws from a striped DRBG pool
-// (no global RNG lock on the hot path).
+// installs); one-time tokens in striped buckets (token id -> stripe),
+// spent only through apply_spend — what the replicated log applies — so
+// attestations of *different* tokens never contend while two racing the
+// *same* token serialize in its bucket (the exactly-once-spend invariant
+// is per bucket). An attestation keeps nothing: its handshake answer
+// carries the configuration of the policy the quote was checked against,
+// so no attested binding outlives the exchange. Token minting draws from
+// a striped DRBG pool (no global RNG lock on the hot path).
 #pragma once
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <map>
 #include <optional>
 #include <string>
@@ -229,14 +229,10 @@ class CasService {
   /// Replace policies and token database from a previously exported state.
   void import_state(ByteView state);
 
-  /// Contention observability of the attestation endpoint's striped
-  /// session table (stripe collisions, sessions high-water).
+  /// The attestation endpoint's exchange counters (accepted and rejected
+  /// handshakes, handshakes in flight and their high water, DRBG-stripe
+  /// collisions).
   net::SecureServer::Stats secure_channel_stats() const;
-
-  /// Run one idle-TTL sweep increment (one stripe; see
-  /// SecureServer::sweep_idle). The serving layer calls this from a
-  /// periodic TimerWheel task. Returns sessions reaped.
-  std::size_t sweep_idle_sessions(std::chrono::nanoseconds idle_ttl);
 
   /// The unified metrics registry every layer's collectors plug into:
   /// CasService registers its own collector (tokens, the channel_*
@@ -251,9 +247,11 @@ class CasService {
   IntrospectResponse handle_introspect(const IntrospectRequest& request);
 
  private:
-  std::optional<net::SecureServer::Accepted> on_handshake(
-      ByteView client_payload, ByteView client_dh, Status* reject_status);
-  Bytes on_request(const std::string& session_name, ByteView plaintext);
+  /// The handshake hook: verify, spend, and answer with the policy's
+  /// configuration (nullopt: reject).
+  std::optional<Bytes> on_handshake(ByteView client_payload,
+                                    ByteView client_dh,
+                                    Status* reject_status);
 
   struct PendingToken {
     std::string session_name;

@@ -145,15 +145,6 @@ bool Mutex::try_lock() {
   return true;
 }
 
-void Mutex::lock_contended(std::atomic<std::uint64_t>& collisions) {
-  lockrank::internal::check_acquire(this, rank_, name_, "exclusive");
-  if (!m_.try_lock()) {
-    collisions.fetch_add(1, std::memory_order_relaxed);
-    m_.lock();
-  }
-  lockrank::internal::note_acquired(this, rank_, name_, "exclusive");
-}
-
 void SharedMutex::lock() {
   lockrank::internal::check_acquire(this, rank_, name_, "exclusive");
   m_.lock();

@@ -25,7 +25,6 @@
 // lockrank::set_enabled() (used by tests/test_lockrank.cpp to exercise the
 // detector in release builds).
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -46,12 +45,6 @@ namespace sinclave {
 ///   - the server frontend (verified-common memo, SigStruct cache -> pool)
 ///     sits above the metrics registry, whose collectors reach into
 ///     service shards;
-///   - a net secure-channel *session* lock is held while the service-level
-///     request handler runs (`SecureServer::handle_data` dispatches
-///     `on_request_` under it), so it ranks above every cas/ lock; the
-///     stripe lock ranks just below the session lock because
-///     `close_session` (stripe) is callable from inside a request handler
-///     (session held);
 ///   - cas/ service locks: signer map above the RSA context lock (moving a
 ///     keypair into the map locks the source key's context), token stripes
 ///     above the observe hook;
@@ -73,13 +66,10 @@ enum class LockRank : std::uint16_t {
   kClusterLifecycle = 76,   // server::ClusterNode incarnation swap (held
                             // across a restart's RaftCore start and
                             // endpoint bind, both lower)
-  kSecureSession = 70,      // net::SecureServer per-session record state
-  kSecureStripe = 68,       // net::SecureServer session-table stripe
   kClusterRaft = 64,        // cas::RaftCore consensus state (above the CAS
                             // ranks: the leader applies committed entries
                             // into the policy table / token stripes while
-                            // holding it; below the secure-channel ranks,
-                            // which are never held across a proposal)
+                            // holding it)
   kCasSigner = 60,          // cas::CasService signer key map
   kCasRng = 58,             // cas::CasService root RNG
   kCasPolicyDb = 56,        // cas::CasService policy table (shared)
@@ -133,11 +123,6 @@ class CAPABILITY("mutex") Mutex {
   void unlock() RELEASE();
   bool try_lock() TRY_ACQUIRE(true);
 
-  /// lock(), but counts a failed first try_lock into `collisions`
-  /// (relaxed). Replaces the old SecureServer::lock_stripe contention
-  /// accounting.
-  void lock_contended(std::atomic<std::uint64_t>& collisions) ACQUIRE();
-
   /// Dynamic "I know this is held" assertion for paths the static
   /// analysis cannot follow (no-op at runtime; informs TSA only).
   void assert_held() const ASSERT_CAPABILITY(this) {}
@@ -184,22 +169,6 @@ class SCOPED_CAPABILITY MutexLock {
   ~MutexLock() RELEASE() { mu_.unlock(); }
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
-
- private:
-  Mutex& mu_;
-};
-
-/// Scoped exclusive lock that counts contended acquisitions.
-class SCOPED_CAPABILITY ContendedMutexLock {
- public:
-  ContendedMutexLock(Mutex& mu, std::atomic<std::uint64_t>& collisions)
-      ACQUIRE(mu)
-      : mu_(mu) {
-    mu_.lock_contended(collisions);
-  }
-  ~ContendedMutexLock() RELEASE() { mu_.unlock(); }
-  ContendedMutexLock(const ContendedMutexLock&) = delete;
-  ContendedMutexLock& operator=(const ContendedMutexLock&) = delete;
 
  private:
   Mutex& mu_;

@@ -38,6 +38,8 @@ enum class StatusCode : std::uint8_t {
   // Attested-endpoint outcomes.
   kTokenUnknown = 7,
   kTokenReused = 8,
+  /// Reserved: nothing answers it since the attested exchange keeps no
+  /// session; the value stays so it is never reused.
   kSessionNotAttested = 9,
   kAttestationRejected = 10,
   // Protocol-level outcomes (any endpoint).

@@ -53,7 +53,7 @@ class Ring;
 struct TraceContext {
   std::uint64_t trace_id = 0;   // process-unique; 0 = "not traced"
   std::uint64_t request_id = 0; // envelope request id (0 if not peekable)
-  std::uint64_t session_id = 0; // secure-channel session (0 = none yet)
+  std::uint64_t session_id = 0; // secure-channel handshake (0 = none yet)
 
   bool active() const { return trace_id != 0; }
 };

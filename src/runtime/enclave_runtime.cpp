@@ -55,7 +55,8 @@ RunResult EnclaveRuntime::run(const StartedEnclave& enclave,
   }
 
   // 2. Channel-bound attestation through the client SDK (whose retry rule
-  // follows a follower's leader hint).
+  // follows a follower's leader hint); the verifier's answer is the
+  // configuration (program, args, env, secrets, FS key).
   if (options.cas_address.empty()) {
     result.error = "attest: no verifier address";
     return result;
@@ -78,31 +79,24 @@ RunResult EnclaveRuntime::run(const StartedEnclave& enclave,
   payload.quote = *q;
   payload.token = token;
 
-  Status attest_status;
+  std::optional<Result<cas::AppConfig>> cfg;
   try {
-    attest_status = channel.attest(options.cas_identity, payload);
+    cfg.emplace(channel.attest(options.cas_identity, payload));
   } catch (const Error& e) {
     result.error = std::string("attest: ") + e.what();
     return result;
   }
-  if (!attest_status.ok()) {
+  if (!cfg->ok()) {
     result.error =
-        attest_status.code == StatusCode::kAttestationRejected
+        cfg->status().code == StatusCode::kAttestationRejected
             ? "attest: verifier rejected attestation"
-            : "attest: " + attest_status.message();
-    return result;
-  }
-
-  // 3. Fetch configuration over the attested channel.
-  const Result<cas::AppConfig> cfg = channel.get_config();
-  if (!cfg.ok()) {
-    result.error = "config: " + cfg.status().message();
+            : "attest: " + cfg->status().message();
     return result;
   }
   configured_.insert(enclave.id);
-  result.config = cfg.value();
+  result.config = std::move(*cfg).value();
 
-  // 4. Mount + verify the encrypted volume (completeness of FS state).
+  // 3. Mount + verify the encrypted volume (completeness of FS state).
   std::optional<fs::EncryptedVolume> volume;
   if (!result.config.fs_key.empty()) {
     volume = fs::EncryptedVolume::adopt(
@@ -121,7 +115,7 @@ RunResult EnclaveRuntime::run(const StartedEnclave& enclave,
     }
   }
 
-  // 5. Load and run the configured program.
+  // 4. Load and run the configured program.
   const Program* program = programs_->find(result.config.program);
   if (program == nullptr) {
     result.error = "program: not found: " + result.config.program;

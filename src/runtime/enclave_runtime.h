@@ -2,11 +2,12 @@
 //
 // After EINIT the runtime takes control inside the enclave:
 //   1. reads the instance page,
-//   2. attests to the verifier over a channel bound to the quote,
-//   3. receives the configuration (program, args, env, secrets, FS key),
-//   4. mounts and verifies the encrypted volume against the configured
+//   2. attests to the verifier over a channel bound to the quote, in one
+//      exchange whose answer is the configuration (program, args, env,
+//      secrets, FS key),
+//   3. mounts and verifies the encrypted volume against the configured
 //      manifest root ("completeness"),
-//   5. loads and runs the configured program.
+//   4. loads and runs the configured program.
 //
 // Two builds exist:
 //   * kBaseline  — today's behaviour: the runtime trusts whatever verifier

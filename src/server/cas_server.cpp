@@ -44,25 +44,6 @@ CasServer::CasServer(cas::CasService* cas, CasServerConfig config)
   // channel's own come from CasService's collector).
   collector_id_ = cas_->metrics_registry().add_collector(
       [this](obs::MetricsSnapshot& snap) { metrics_.collect(snap); });
-  if (config_.session_idle_ttl.count() > 0) arm_idle_sweep();
-}
-
-void CasServer::arm_idle_sweep() {
-  // One stripe per tick, kStripes ticks per TTL: a full pass over the
-  // session table takes one TTL.
-  const auto interval = std::max<std::chrono::microseconds>(
-      config_.session_idle_ttl / net::SecureServer::kStripes,
-      std::chrono::microseconds(1));
-  try {
-    timer_.schedule_after(interval, [this] {
-      // cas_ is borrowed and outlives this server, so the tick fired by
-      // the wheel destructor is still safe.
-      cas_->sweep_idle_sessions(config_.session_idle_ttl);
-      arm_idle_sweep();
-    });
-  } catch (const Error&) {
-    // Timer wheel shutting down: the server is being destroyed.
-  }
 }
 
 CasServer::~CasServer() {
@@ -290,32 +271,24 @@ void CasServer::accept_instance(Bytes raw, net::SimNetwork::Completion done) {
 void CasServer::accept_attest(Bytes raw, net::SimNetwork::Completion done) {
   // Counted and clocked at accept, exactly like the instance endpoint, so
   // the histograms are comparable (all include queue wait) and a request
-  // rejected at submit is still a counted request. The secure endpoint's
-  // counters split per command on the cleartext record type: handshakes
-  // are kAttest, in-session records are kGetConfig.
+  // rejected at submit is still a counted request. Every record on the
+  // secure endpoint is one attested exchange (kAttest).
   static obs::Phase& p_queue = obs::Tracer::instance().phase("queue_wait");
-  static obs::Phase& p_root_attest =
-      obs::Tracer::instance().phase("request_attest");
-  static obs::Phase& p_root_config =
-      obs::Tracer::instance().phase("request_get_config");
+  static obs::Phase& p_root = obs::Tracer::instance().phase("request_attest");
   const auto accepted = Clock::now();
-  const bool is_data = net::classify_record(raw) == net::RecordType::kData;
-  CommandMetrics& command = is_data ? metrics_.get_config : metrics_.attest;
-  obs::Phase* root = is_data ? &p_root_config : &p_root_attest;
+  CommandMetrics& command = metrics_.attest;
   obs::TraceContext ctx;
   ctx.trace_id = obs::Tracer::instance().new_trace_id();
-  // Data records carry their session id as cleartext framing; handshakes
-  // get theirs late-bound (TraceScope::set_session) when the SecureServer
-  // allocates it. The envelope's request_id only decrypts in-session, so
-  // it stays 0 at this layer.
-  ctx.session_id = net::peek_session_id(raw).value_or(0);
+  // The session id is late-bound (TraceScope::set_session) when the
+  // SecureServer numbers the handshake; the request id rides inside the
+  // client payload, which this layer does not decode, so it stays 0.
   const std::int64_t accepted_ns = obs::Tracer::now_ns();
   ++command.requests;
   metrics_.enter_in_flight();
   // Admission control mirrors the instance endpoint. The secure wire has
-  // no cleartext response frame to put a Status in before a session
-  // exists, so the shed is a typed transport failure carrying the
-  // canonical retry-after detail — clients surface it as kUnavailable.
+  // no cleartext response frame to put a Status in, so the shed is a
+  // typed transport failure carrying the canonical retry-after detail —
+  // clients surface it as kUnavailable.
   if (config_.admission_limit != 0 &&
       metrics_.requests_in_flight.load(std::memory_order_relaxed) >
           config_.admission_limit) {
@@ -327,7 +300,7 @@ void CasServer::accept_attest(Bytes raw, net::SimNetwork::Completion done) {
     return;
   }
   auto job = [this, raw = std::move(raw), done, accepted, ctx, accepted_ns,
-              root, command = &command]() mutable {
+              command = &command]() mutable {
     if (ctx.active()) {
       obs::Tracer::instance().record_phase_span(p_queue, ctx, accepted_ns,
                                                 obs::Tracer::now_ns(), 1);
@@ -348,7 +321,7 @@ void CasServer::accept_attest(Bytes raw, net::SimNetwork::Completion done) {
     }
     // The handshake may have late-bound the session id into our scope.
     respond(accepted, &command->latency, std::move(out), done,
-            obs::TraceScope::current(), root, accepted_ns);
+            obs::TraceScope::current(), &p_root, accepted_ns);
   };
   try {
     pool_.submit(std::move(job));

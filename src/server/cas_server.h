@@ -19,7 +19,10 @@
 //                                   the network Completion
 //
 // so 8 workers sustain hundreds of concurrent in-flight requests in the
-// latency-bound regime instead of 8. Supporting cast:
+// latency-bound regime instead of 8. The secure endpoint runs the same
+// accept -> serve -> respond stages for its one exchange: the attested
+// handshake, whose sealed answer is the configuration, so the server holds
+// nothing per client once it has answered. Supporting cast:
 //
 //   * a verify-once memo per session skips the repeat RSA verification of
 //     an already-seen common SigStruct (invalidated when the session's
@@ -79,13 +82,6 @@ struct CasServerConfig {
   /// is minted for a doomed request, and no timer slot is occupied by
   /// one.
   std::chrono::microseconds request_deadline{0};
-  /// Reap secure-channel sessions idle at least this long (0 = never; the
-  /// pre-TTL behavior). Abandoned sessions — clients that attested and
-  /// vanished — otherwise hold keys forever. The sweep fires every
-  /// TTL / SecureServer::kStripes and scans ONE session-table stripe per
-  /// firing, so one full table pass takes one TTL and no single sweep
-  /// stalls serving.
-  std::chrono::microseconds session_idle_ttl{0};
 };
 
 class CasServer {
@@ -146,9 +142,6 @@ class CasServer {
                const net::SimNetwork::Completion& done,
                const obs::TraceContext& ctx, obs::Phase* root,
                std::int64_t accepted_ns);
-
-  /// Self-rescheduling idle-session sweep tick (session_idle_ttl > 0).
-  void arm_idle_sweep();
 
   /// Credentials signed per mint batch: premint coalesces up to this
   /// many into one CasService::mint_batch call (one common-SigStruct

@@ -22,9 +22,9 @@ using LatencyHistogram = obs::LatencyHistogram;
 /// failures, and tails are attributable to the command that caused them.
 struct CommandMetrics {
   std::atomic<std::uint64_t> requests{0};
-  /// Typed non-ok responses (instance endpoint; the encrypted commands
-  /// count only transport-visible failures — their payload statuses are
-  /// not observable at this layer).
+  /// Typed non-ok responses (instance endpoint; the attested endpoint
+  /// counts only transport-visible failures — its handshake outcomes are
+  /// CasService's channel_* series).
   std::atomic<std::uint64_t> errors{0};
   LatencyHistogram latency;
 };
@@ -36,10 +36,9 @@ struct CommandMetrics {
 struct ServerMetrics {
   /// Instance endpoint: singleton retrieval (Command::kGetInstance).
   CommandMetrics get_instance;
-  /// Attested endpoint, split by record: handshakes (kAttest)...
+  /// Attested endpoint: the one exchange (kAttest handshake, answered
+  /// with the sealed configuration).
   CommandMetrics attest;
-  /// ...and encrypted in-session commands (kGetConfig).
-  CommandMetrics get_config;
 
   /// Protocol-level rejections on the instance endpoint: frames answered
   /// with the matching typed status instead of being dropped. (The attest

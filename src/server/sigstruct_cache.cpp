@@ -63,18 +63,6 @@ void SigStructCache::erase_if_drained(const std::string& session) {
   }
 }
 
-void SigStructCache::put(const std::string& session,
-                         cas::MintedCredential credential) {
-  MutexLock lock(mutex_);
-  SessionPool& pool = touch(session);
-  {
-    MutexLock pool_lock(pool.mutex);
-    pool.credentials.push_back(std::move(credential));
-    ++total_;
-  }
-  if (total_.load() > capacity_) evict_over_capacity();
-}
-
 std::size_t SigStructCache::put_all(
     const std::string& session,
     std::vector<cas::MintedCredential> credentials) {
@@ -90,11 +78,6 @@ std::size_t SigStructCache::put_all(
   }
   if (total_.load() > capacity_) evict_over_capacity();
   return n;
-}
-
-std::optional<cas::MintedCredential> SigStructCache::take(
-    const std::string& session) {
-  return take_if(session, nullptr);
 }
 
 std::optional<cas::MintedCredential> SigStructCache::take_if(
@@ -117,7 +100,7 @@ std::optional<cas::MintedCredential> SigStructCache::take_if(
       cas::MintedCredential cred = std::move(pool->credentials.front());
       pool->credentials.pop_front();
       --total_;
-      if (!valid || valid(cred)) {
+      if (valid(cred)) {
         result = std::move(cred);
         break;
       }

@@ -14,7 +14,7 @@
 // across sessions, and the pool of the least-recently-served session is
 // evicted first (its unsold credentials are simply discarded — their tokens
 // were never registered, so nothing can spend them). A session pool drained
-// to zero — by eviction, take, or flush — is erased outright, so the
+// to zero — by eviction, take_if, or flush — is erased outright, so the
 // session map is bounded by live credentials, not by sessions ever served.
 #pragma once
 
@@ -37,27 +37,19 @@ class SigStructCache {
  public:
   explicit SigStructCache(std::size_t capacity = 4096);
 
-  /// Deposit a pre-minted, not-yet-issued credential for `session`.
-  /// May evict from the least-recently-used session if over capacity.
-  void put(const std::string& session, cas::MintedCredential credential)
-      EXCLUDES(mutex_);
-
-  /// Deposit a whole mint batch under one lock acquisition. Eviction
-  /// behaves exactly like a sequence of put()s. Returns the number
+  /// Deposit a batch of pre-minted, not-yet-issued credentials for
+  /// `session` under one lock acquisition, in order. May evict from the
+  /// least-recently-used sessions if over capacity. Returns the number
   /// deposited.
   std::size_t put_all(const std::string& session,
                       std::vector<cas::MintedCredential> credentials)
       EXCLUDES(mutex_);
 
-  /// Pop a pre-minted credential for `session`. Hit: the caller serves it
-  /// (and must register its token). Miss: nullopt, mint inline.
-  std::optional<cas::MintedCredential> take(const std::string& session)
-      EXCLUDES(mutex_);
-
-  /// Like take(), but pops until `valid` accepts a credential. Rejected
-  /// credentials are discarded — this is how the serving layer drops
-  /// entries a racing policy update made stale. `valid` runs under the
-  /// per-session lock; keep it cheap.
+  /// Pop the oldest pre-minted credential for `session` that `valid`
+  /// accepts. Hit: the caller serves it (and must register its token).
+  /// Miss: nullopt, mint inline. Rejected credentials are discarded —
+  /// this is how the serving layer drops entries a racing policy update
+  /// made stale. `valid` runs under the per-session lock; keep it cheap.
   std::optional<cas::MintedCredential> take_if(
       const std::string& session,
       const std::function<bool(const cas::MintedCredential&)>& valid)

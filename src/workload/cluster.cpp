@@ -187,8 +187,10 @@ ClusterBed::AttestedSpend ClusterBed::spend_with_retry(
   payload.session_name = config_.session_name;
   payload.quote = *quote;
   payload.token = prepared.instance.token;
-  const Status spent = channel.attest(identity_.public_key(), payload);
-  return AttestedSpend{spent.ok(), spent.code, spent.detail};
+  const Result<cas::AppConfig> spent =
+      channel.attest(identity_.public_key(), payload);
+  return AttestedSpend{spent.ok(), spent.status().code,
+                       spent.status().detail};
 }
 
 ClusterBed::SpendOutcome ClusterBed::attested_spend(cas::CasClient& client,

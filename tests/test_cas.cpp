@@ -467,28 +467,6 @@ TEST(Protocol, AttestPayloadTokenOptional) {
       AttestPayload::deserialize(without.serialize()).token.has_value());
 }
 
-TEST(Protocol, NonEnvelopeConfigFrameAnsweredMalformed) {
-  // A record without the envelope magic — the seed-era one-byte command
-  // included — is refused with a typed v1 answer, never served.
-  bool served = false;
-  const auto handler = [&]() {
-    served = true;
-    ConfigResponse resp;
-    resp.status = Status();
-    return resp;
-  };
-  for (const Bytes& raw : {Bytes{1, 0xaa, 0xbb}, Bytes{1}, Bytes{}}) {
-    FrameInfo info;
-    const Envelope reply =
-        Envelope::deserialize(serve_config_frame(raw, handler, &info));
-    EXPECT_EQ(reply.command, Command::kGetConfig);
-    EXPECT_EQ(ConfigResponse::deserialize(reply.payload).status.code,
-              StatusCode::kMalformedRequest);
-    EXPECT_EQ(info.status, StatusCode::kMalformedRequest);
-  }
-  EXPECT_FALSE(served);
-}
-
 TEST(Protocol, MalformedBytesThrowParseError) {
   EXPECT_THROW(AppConfig::deserialize(Bytes{1, 2, 3}), ParseError);
   EXPECT_THROW(InstanceRequest::deserialize(Bytes{}), ParseError);

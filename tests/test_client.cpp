@@ -175,7 +175,7 @@ InstanceResponse raw_instance_exchange(net::SimNetwork& net,
 
 // A frame without the envelope magic — a raw seed-era message included —
 // gets a typed v1 kMalformedRequest on every endpoint: the plain instance
-// endpoint, the attested handshake, and an in-session record.
+// endpoint and the attested handshake.
 TEST_F(CasClientTest, NonEnvelopeFramesAnsweredMalformedOnEveryEndpoint) {
   InstanceRequest req;
   req.session_name = "s";
@@ -210,19 +210,6 @@ TEST_F(CasClientTest, NonEnvelopeFramesAnsweredMalformedOnEveryEndpoint) {
                    .has_value());
   EXPECT_EQ(rejected.code, StatusCode::kMalformedRequest);
   EXPECT_EQ(bed_.cas().tokens_used(), 0u);  // nothing was spent
-
-  // In-session record: attest properly, then send the seed-era one-byte
-  // get-config command inside the attested channel.
-  net::SecureClient client(crypto::Drbg::from_seed(12, "raw-config"));
-  ASSERT_TRUE(client
-                  .connect(bed_.network().connect(bed_.cas_address()),
-                           bed_.cas().identity(),
-                           encode_attest_payload(quoted(client)))
-                  .has_value());
-  const Envelope config = Envelope::deserialize(client.call(Bytes{1}));
-  EXPECT_EQ(config.command, Command::kGetConfig);
-  EXPECT_EQ(ConfigResponse::deserialize(config.payload).status.code,
-            StatusCode::kMalformedRequest);
 }
 
 TEST_F(CasClientTest, FutureVersionFrameAnsweredUnsupportedVersion) {
@@ -345,24 +332,19 @@ TEST_F(CasClientTest, AttestedChannelReportsTypedStatuses) {
                           CasClientConfig{.address = bed_.cas_address()},
                           crypto::Drbg::from_seed(5, "chan"));
 
-  // Config before attestation is a typed local refusal.
-  EXPECT_EQ(channel.get_config().status().code,
-            StatusCode::kSessionNotAttested);
-
   // A payload with no valid quote: the verifier rejects the handshake —
-  // typed, non-retryable.
+  // typed, non-retryable, and no config.
   AttestPayload bogus;
   bogus.session_name = "s";
-  const Status attest =
+  const Result<AppConfig> attest =
       channel.attest(bed_.cas().identity(), bogus);
-  EXPECT_EQ(attest.code, StatusCode::kAttestationRejected);
-  EXPECT_FALSE(attest.retryable());
-  EXPECT_FALSE(channel.attested());
+  EXPECT_EQ(attest.status().code, StatusCode::kAttestationRejected);
+  EXPECT_FALSE(attest.status().retryable());
 
   // An unreachable verifier is transient.
   AttestedChannel lost(&bed_.network(), CasClientConfig{.address = "cas.gone"},
                        crypto::Drbg::from_seed(6, "chan2"));
-  EXPECT_EQ(lost.attest(bed_.cas().identity(), bogus).code,
+  EXPECT_EQ(lost.attest(bed_.cas().identity(), bogus).status().code,
             StatusCode::kUnavailable);
 }
 
@@ -632,10 +614,7 @@ TEST_F(CasClientTest, EveryOperationFollowsTheOneRetryRule) {
               &refuser_identity, crypto::Drbg::from_seed(n, "refuser"),
               [&](ByteView, ByteView, Status* reject) {
                 *reject = *refusal;
-                return std::optional<net::SecureServer::Accepted>{};
-              },
-              [](std::uint64_t, const std::string&, ByteView) {
-                return Bytes{};
+                return std::optional<Bytes>{};
               });
           return refuser.handle(raw);
         }
@@ -695,7 +674,7 @@ TEST_F(CasClientTest, EveryOperationFollowsTheOneRetryRule) {
               start.enclave.id, bed_.qe().target_info(),
               net::channel_binding(channel.dh_public())));
           payload.token = start.token;
-          code = channel.attest(bed_.cas().identity(), payload).code;
+          code = channel.attest(bed_.cas().identity(), payload).status().code;
           redirects = channel.stats().leader_redirects;
           break;
         }

@@ -217,9 +217,7 @@ TEST(Cluster, LeaderKilledMidStartStartsOrRefusesTyped) {
   if (run.ok) {
     EXPECT_EQ(run.config.program, "noop");
   } else {
-    EXPECT_TRUE(run.error.starts_with("attest: ") ||
-                run.error.starts_with("config: "))
-        << run.error;
+    EXPECT_TRUE(run.error.starts_with("attest: ")) << run.error;
   }
 
   ASSERT_TRUE(bed.wait_for_leader(2000ms).has_value()) << "no successor";

@@ -9,7 +9,7 @@
 //    summaries, and collect-while-recording (TSAN),
 //  * the introspection endpoint end to end: metrics formats, version
 //    gating, the channel_* series as the secure endpoint's one metrics
-//    source, and the acceptance flow — a full attest + get_config through
+//    source, and the acceptance flow — a full attested exchange through
 //    the test bed's server::CasServer whose span tree is then retrieved
 //    via CasClient::introspect().
 #include <gtest/gtest.h>
@@ -540,11 +540,11 @@ TEST_F(ObsIntrospectionTest, FutureVersionIntrospectIsTyped) {
   EXPECT_EQ(refused.status.code, StatusCode::kUnsupportedVersion);
 }
 
-// The acceptance flow: a full attested session through the bed's
+// The acceptance flow: a full attested exchange through the bed's
 // server::CasServer, whose span tree — root plus at least five named
 // phases — is then retrieved through the introspection endpoint of the
 // same server.
-TEST_F(ObsIntrospectionTest, AttestGetConfigTraceRetrievableViaIntrospection) {
+TEST_F(ObsIntrospectionTest, AttestTraceRetrievableViaIntrospection) {
   obs::Tracer::instance().reset_traces();
 
   const auto start = runtime::start_singleton_enclave(
@@ -565,7 +565,6 @@ TEST_F(ObsIntrospectionTest, AttestGetConfigTraceRetrievableViaIntrospection) {
   payload.quote = *quote;
   payload.token = start.token;
   ASSERT_TRUE(channel.attest(bed_.cas().identity(), payload).ok());
-  ASSERT_TRUE(channel.get_config().ok());
 
   CasClient client = bed_.make_cas_client();
   IntrospectRequest req;
@@ -588,7 +587,8 @@ TEST_F(ObsIntrospectionTest, AttestGetConfigTraceRetrievableViaIntrospection) {
     return false;
   };
 
-  // The attest trace: accept -> handshake crypto -> respond, >= 5 phases.
+  // The attest trace: accept -> handshake crypto -> sealing the answer
+  // -> respond, >= 5 phases.
   const TraceReport* attest = find_trace("request_attest");
   ASSERT_NE(attest, nullptr) << "no request_attest trace in introspection";
   EXPECT_GE(attest->phases.size(), 5u);
@@ -596,21 +596,12 @@ TEST_F(ObsIntrospectionTest, AttestGetConfigTraceRetrievableViaIntrospection) {
   EXPECT_GT(attest->duration_ns, 0);
   EXPECT_TRUE(has_phase(*attest, "queue_wait"));
   EXPECT_TRUE(has_phase(*attest, "quote_verify"));
+  EXPECT_TRUE(has_phase(*attest, "record_seal"));
   EXPECT_TRUE(has_phase(*attest, "respond"));
   for (const TraceReport::Phase& p : attest->phases) {
     EXPECT_GE(p.offset_ns, 0);
     EXPECT_LE(p.offset_ns + p.duration_ns, attest->duration_ns);
   }
-
-  // The config fetch rides the attested session: its own trace, with the
-  // record decrypt/encrypt and serve phases attributed.
-  const TraceReport* config = find_trace("request_get_config");
-  ASSERT_NE(config, nullptr);
-  EXPECT_GE(config->phases.size(), 4u);
-  EXPECT_TRUE(has_phase(*config, "record_open"));
-  EXPECT_TRUE(has_phase(*config, "config_serve"));
-  EXPECT_TRUE(has_phase(*config, "record_seal"));
-  EXPECT_EQ(config->session_id, attest->session_id);
 
   // The instance retrieval the starter performed is there too.
   EXPECT_NE(find_trace("request_get_instance"), nullptr);

@@ -1,6 +1,6 @@
 // Cross-module property sweeps (parameterized): AEAD over payload sizes,
-// secure channel over message sizes, big-integer division over operand
-// widths, and end-to-end singleton prediction over token patterns.
+// the secure channel's sealed answer over sizes, big-integer division over
+// operand widths, and end-to-end singleton prediction over token patterns.
 #include <gtest/gtest.h>
 
 #include "core/predictor.h"
@@ -40,30 +40,25 @@ INSTANTIATE_TEST_SUITE_P(Sizes, AeadSizes,
                          ::testing::Values(0, 1, 15, 16, 17, 31, 32, 33, 255,
                                            256, 1000, 4096, 65536));
 
-// --- secure channel message-size sweep ---
+// --- secure channel answer-size sweep ---
 
 class ChannelSizes : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(ChannelSizes, EncryptedEchoRoundTrip) {
+TEST_P(ChannelSizes, SealedAnswerRoundTrip) {
   crypto::Drbg setup = crypto::Drbg::from_seed(7, "channel-sizes");
   const auto identity = crypto::Ed25519KeyPair::generate(setup);
+  crypto::Drbg msg_rng = crypto::Drbg::from_seed(GetParam(), "msg");
+  const Bytes msg = msg_rng.generate(GetParam());
   net::SimNetwork net;
-  net::SecureServer server(
-      &identity, crypto::Drbg::from_seed(8, "srv"),
-      [](ByteView, ByteView, Status*) {
-        return net::SecureServer::Accepted{};
-      },
-      [](std::uint64_t, const std::string&, ByteView plaintext) {
-        return Bytes{plaintext.begin(), plaintext.end()};
-      });
+  net::SecureServer server(&identity, crypto::Drbg::from_seed(8, "srv"),
+                           [&msg](ByteView, ByteView, Status*) {
+                             return std::optional<Bytes>(msg);
+                           });
   net.listen("svc", [&](ByteView raw) { return server.handle(raw); });
 
   net::SecureClient client(crypto::Drbg::from_seed(9 + GetParam(), "cli"));
-  ASSERT_TRUE(client.connect(net.connect("svc"), identity.public_key(), {})
-                  .has_value());
-  crypto::Drbg msg_rng = crypto::Drbg::from_seed(GetParam(), "msg");
-  const Bytes msg = msg_rng.generate(GetParam());
-  EXPECT_EQ(client.call(msg), msg);
+  EXPECT_EQ(client.connect(net.connect("svc"), identity.public_key(), {}),
+            std::optional<Bytes>(msg));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, ChannelSizes,

@@ -187,9 +187,12 @@ TEST(PolicyTable, ConcurrentMixedAccess) {
   EXPECT_FALSE(cas.get_policy("s20").has_value());
 }
 
+/// take_if's predicate when no pooled credential has gone stale.
+bool always_valid(const cas::MintedCredential&) { return true; }
+
 TEST(SigStructCacheTest, TakeFromEmptyIsMiss) {
   SigStructCache cache(8);
-  EXPECT_FALSE(cache.take("s").has_value());
+  EXPECT_FALSE(cache.take_if("s", always_valid).has_value());
   EXPECT_EQ(cache.sessions(), 0u);  // a miss creates no pool
 }
 
@@ -198,27 +201,27 @@ TEST(SigStructCacheTest, PutTakeRoundTripIsHit) {
   cas::MintedCredential cred;
   cred.token.data[0] = 7;
   cred.mr_enclave.data[0] = 9;
-  cache.put("s", cred);
+  cache.put_all("s", {cred});
   EXPECT_EQ(cache.pooled("s"), 1u);
 
-  const auto taken = cache.take("s");
+  const auto taken = cache.take_if("s", always_valid);
   ASSERT_TRUE(taken.has_value());
   EXPECT_EQ(taken->token, cred.token);
   EXPECT_EQ(taken->mr_enclave, cred.mr_enclave);
   EXPECT_EQ(cache.pooled("s"), 0u);
   // Pool drained: next take is a miss.
-  EXPECT_FALSE(cache.take("s").has_value());
+  EXPECT_FALSE(cache.take_if("s", always_valid).has_value());
 }
 
 TEST(SigStructCacheTest, LruEvictsLeastRecentlyUsedSession) {
   SigStructCache cache(4);
   cas::MintedCredential cred;
-  for (int i = 0; i < 2; ++i) cache.put("old", cred);
-  for (int i = 0; i < 2; ++i) cache.put("hot", cred);
+  for (int i = 0; i < 2; ++i) cache.put_all("old", {cred});
+  for (int i = 0; i < 2; ++i) cache.put_all("hot", {cred});
   // Touch "old"→"hot" order: make "hot" most recent, then overflow.
-  (void)cache.take("hot");
-  cache.put("hot", cred);  // back to 2+2 with "hot" most recent
-  cache.put("hot", cred);  // 5 > capacity 4: evict from "old"
+  (void)cache.take_if("hot", always_valid);
+  cache.put_all("hot", {cred});  // back to 2+2 with "hot" most recent
+  cache.put_all("hot", {cred});  // 5 > capacity 4: evict from "old"
   EXPECT_EQ(cache.size(), 4u);
   EXPECT_LT(cache.pooled("old"), 2u);
   EXPECT_EQ(cache.pooled("hot"), 3u);
@@ -230,9 +233,9 @@ TEST(SigStructCacheTest, PutAllDepositsBatchInOrder) {
   for (int i = 0; i < 3; ++i) batch[i].token.data[0] = static_cast<std::uint8_t>(i + 1);
   EXPECT_EQ(cache.put_all("s", std::move(batch)), 3u);
   EXPECT_EQ(cache.pooled("s"), 3u);
-  // FIFO like repeated put()s.
+  // FIFO: the oldest deposit is taken first.
   for (int i = 0; i < 3; ++i) {
-    const auto taken = cache.take("s");
+    const auto taken = cache.take_if("s", always_valid);
     ASSERT_TRUE(taken.has_value());
     EXPECT_EQ(taken->token.data[0], i + 1);
   }
@@ -243,7 +246,7 @@ TEST(SigStructCacheTest, PutAllDepositsBatchInOrder) {
 TEST(SigStructCacheTest, PutAllEvictsOverCapacityLikePuts) {
   SigStructCache cache(4);
   cas::MintedCredential cred;
-  for (int i = 0; i < 3; ++i) cache.put("old", cred);
+  for (int i = 0; i < 3; ++i) cache.put_all("old", {cred});
   std::vector<cas::MintedCredential> batch(3);
   cache.put_all("hot", std::move(batch));  // 6 > 4: evict from "old" first
   EXPECT_EQ(cache.size(), 4u);
@@ -254,8 +257,8 @@ TEST(SigStructCacheTest, PutAllEvictsOverCapacityLikePuts) {
 TEST(SigStructCacheTest, FlushDiscardsSessionPool) {
   SigStructCache cache(8);
   cas::MintedCredential cred;
-  cache.put("s", cred);
-  cache.put("s", cred);
+  cache.put_all("s", {cred});
+  cache.put_all("s", {cred});
   EXPECT_EQ(cache.flush("s"), 2u);
   EXPECT_EQ(cache.pooled("s"), 0u);
   EXPECT_EQ(cache.size(), 0u);
@@ -264,10 +267,10 @@ TEST(SigStructCacheTest, FlushDiscardsSessionPool) {
 TEST(SigStructCacheTest, EvictionErasesDrainedSessionPools) {
   SigStructCache cache(2);
   cas::MintedCredential cred;
-  cache.put("old", cred);
-  cache.put("hot", cred);
+  cache.put_all("old", {cred});
+  cache.put_all("hot", {cred});
   EXPECT_EQ(cache.sessions(), 2u);
-  cache.put("hot", cred);  // 3 > capacity 2: "old" drained to zero
+  cache.put_all("hot", {cred});  // 3 > capacity 2: "old" drained to zero
   EXPECT_EQ(cache.pooled("old"), 0u);
   EXPECT_EQ(cache.sessions(), 1u);  // the empty pool is gone, not leaked
 }
@@ -286,8 +289,8 @@ TEST(SigStructCacheTest, PutAndTakeRacingEvictionStayCoherent) {
       return c.token.data[0] % 2 == 0;
     };
     do {
-      cache.put("s", odd);
-      cache.put("s", even);
+      cache.put_all("s", {odd});
+      cache.put_all("s", {even});
       (void)cache.take_if("s", only_even);
       ++cycles;
     } while (!stop);
@@ -295,7 +298,7 @@ TEST(SigStructCacheTest, PutAndTakeRacingEvictionStayCoherent) {
   std::thread evictor([&] {
     cas::MintedCredential cred;
     for (int i = 0; i < 2000; ++i)
-      cache.put("x" + std::to_string(i % 8), cred);
+      cache.put_all("x" + std::to_string(i % 8), {cred});
     stop = true;
   });
   owner.join();
@@ -351,25 +354,6 @@ class CasServerTest : public ::testing::Test {
   }
   cas::InstanceResult retrieve(const std::string& name) {
     return retrieve(name, signed_.sigstruct);
-  }
-
-  /// Start a singleton of session `name` through kServerAddress and
-  /// attest `channel` with its token.
-  Status attest_singleton(cas::AttestedChannel& channel,
-                          const std::string& name) {
-    const auto start = runtime::start_singleton_enclave(
-        bed_.cpu(), bed_.network(), kServerAddress, image_, signed_.sigstruct,
-        name);
-    if (!start.ok()) return Status(StatusCode::kInternal, start.error);
-    const auto quote = bed_.qe().generate_quote(
-        bed_.cpu().ereport(start.enclave.id, bed_.qe().target_info(),
-                           net::channel_binding(channel.dh_public())));
-    if (!quote.has_value()) return Status(StatusCode::kInternal, "no quote");
-    cas::AttestPayload payload;
-    payload.session_name = name;
-    payload.quote = *quote;
-    payload.token = start.token;
-    return channel.attest(bed_.cas().identity(), payload);
   }
 
   workload::Testbed bed_;
@@ -740,63 +724,6 @@ TEST_F(CasServerTest, RacingReplaysOfOneTokenAttestExactlyOnce) {
   EXPECT_EQ(bed_.cas().tokens_outstanding(), 0u);
   EXPECT_EQ(server.metrics().attest.requests.load(),
             static_cast<std::uint64_t>(kRacers));
-}
-
-// CasServer's timer is the only idle-session sweep: an attested session
-// left idle past session_idle_ttl is reaped without anyone calling
-// sweep_idle_sessions(), and its next record is refused typed.
-TEST_F(CasServerTest, IdleTtlSweepReapsAnAbandonedAttestedSession) {
-  bed_.cas().install_policy(singleton_policy("s"));
-  CasServerConfig cfg;
-  cfg.workers = 1;
-  cfg.session_idle_ttl = std::chrono::milliseconds(200);
-  CasServer server(&bed_.cas(), cfg);
-  server.bind(bed_.network(), kServerAddress);
-
-  cas::AttestedChannel channel(&bed_.network(),
-                               cas::CasClientConfig{.address = kServerAddress},
-                               crypto::Drbg::from_seed(31, "idle-channel"));
-  ASSERT_TRUE(attest_singleton(channel, "s").ok());
-  ASSERT_TRUE(channel.get_config().ok());  // live before it goes idle
-
-  const auto expired = [&]() -> std::uint64_t {
-    const obs::MetricsSnapshot snap = bed_.cas().metrics_registry().snapshot();
-    const auto* e = snap.find("channel_sessions_expired");
-    return e != nullptr ? e->value : 0;
-  };
-  const auto deadline = std::chrono::steady_clock::now() + 10s;
-  while (expired() == 0 && std::chrono::steady_clock::now() < deadline)
-    std::this_thread::sleep_for(5ms);
-  EXPECT_GE(expired(), 1u);
-  EXPECT_EQ(bed_.cas().secure_channel_stats().open_sessions, 0u);
-  EXPECT_EQ(channel.get_config().status().code,
-            StatusCode::kSessionNotAttested);
-}
-
-// Regression: a metrics snapshot taken before the server existed used to
-// build the secure server without the TTL (its collector reads the
-// channel stats), after which the server's TTL was a silent no-op — the
-// session stayed open and kept serving its config indefinitely.
-TEST_F(CasServerTest, IdleTtlHoldsWhenMetricsWereReadBeforeTheServer) {
-  bed_.cas().install_policy(singleton_policy("s"));
-  (void)bed_.cas().metrics_registry().snapshot();
-  CasServerConfig cfg;
-  cfg.workers = 1;
-  cfg.session_idle_ttl = std::chrono::milliseconds(20);
-  CasServer server(&bed_.cas(), cfg);
-  server.bind(bed_.network(), kServerAddress);
-
-  cas::AttestedChannel channel(&bed_.network(),
-                               cas::CasClientConfig{.address = kServerAddress},
-                               crypto::Drbg::from_seed(32, "ttl-channel"));
-  ASSERT_TRUE(attest_singleton(channel, "s").ok());
-  const auto deadline = std::chrono::steady_clock::now() + 1s;
-  while (bed_.cas().secure_channel_stats().open_sessions != 0 &&
-         std::chrono::steady_clock::now() < deadline)
-    std::this_thread::sleep_for(5ms);
-  EXPECT_EQ(bed_.cas().secure_channel_stats().open_sessions, 0u);
-  EXPECT_EQ(channel.get_config().status().code,
-            StatusCode::kSessionNotAttested);
 }
 
 // --- overload protection: admission shedding + request deadlines ------------

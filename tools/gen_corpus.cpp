@@ -117,7 +117,6 @@ int main(int argc, char** argv) {
     config.config.args = {"-v", "--mode=strict"};
     config.config.env["K"] = "V";
     write_seed(dir, "config_response", mode(6, config.serialize()));
-    write_seed(dir, "raw_config_frame", mode(7, Bytes{1}));
     write_seed(dir, "app_config", mode(1, config.config.serialize()));
 
     cas::IntrospectRequest intro_req;
@@ -278,30 +277,24 @@ int main(int argc, char** argv) {
   // --- fuzz_secure_record -------------------------------------------------
   {
     const stdfs::path dir = out / "fuzz_secure_record";
+    // A record of a retired type: the data record version 3 had after its
+    // handshake (u8 1 | u64 session | u64 counter | ciphertext).
     ByteWriter record;
-    record.u8(1);  // data record
+    record.u8(1);
     record.u64(1);
     record.u64(3);
     record.bytes(text("ciphertext?"));
     const Bytes data_record = std::move(record).take();
     write_seed(dir, "garbage_records", mode(0, chunk(data_record)));
-    Bytes established = mode(1);
-    const Bytes counter_bytes{9, 0, 0, 0, 0, 0, 0, 0};
-    established.insert(established.end(), counter_bytes.begin(),
-                       counter_bytes.end());
-    const Bytes ct = chunk(text("forged"));
-    established.insert(established.end(), ct.begin(), ct.end());
-    write_seed(dir, "forged_established", established);
     write_seed(dir, "evil_handshake", mode(2, data_record));
-    write_seed(dir, "evil_data_response", mode(3, data_record));
-    // Well-formed handshakes with a real X25519 share: version 3, which
-    // the accept-all server completes, and version 2, which it refuses
+    // Well-formed handshakes with a real X25519 share: version 4, which
+    // the accept-all server answers, and version 3, which it refuses
     // typed before its hook.
     crypto::X25519Bytes scalar;
     crypto::Drbg::from_seed(43, "gen-corpus-handshake")
         .generate(scalar.data(), scalar.size());
     const crypto::X25519Bytes share = crypto::x25519_public(scalar);
-    for (const std::uint8_t version : {2, 3}) {
+    for (const std::uint8_t version : {3, 4}) {
       ByteWriter hello;
       hello.u8(0);  // handshake marker
       hello.u8(version);
@@ -315,8 +308,12 @@ int main(int argc, char** argv) {
     reject.u8(static_cast<std::uint8_t>(StatusCode::kNotLeader));
     reject.str(not_leader_detail("cas-node2"));
     write_seed(dir, "reject_not_leader", mode(4, std::move(reject).take()));
-    // Mode 5, a relay rewriting the acceptance's signature: kind 1 (S + L),
-    // then the position (unused by that kind) and no filler.
+    // The relay modes: a kind, a u32 position, then the filler. Mode 1
+    // rewrites the server's share (kind 0 flips bit 9), mode 3 the sealed
+    // answer (kind 1 with bit 8 of the position set cuts 5 bytes), mode 5
+    // the signature (kind 1: S + L, no position or filler needed).
+    write_seed(dir, "relay_share_bit", mode(1, Bytes{0, 9, 0, 0, 0}));
+    write_seed(dir, "relay_sealed_cut", mode(3, Bytes{1, 4, 1, 0, 0}));
     write_seed(dir, "relay_s_plus_l", mode(5, Bytes{1, 0, 0, 0, 0}));
   }
 
@@ -381,23 +378,22 @@ int main(int argc, char** argv) {
   // --- fuzz_protocol_session ----------------------------------------------
   {
     const stdfs::path dir = out / "fuzz_protocol_session";
-    // Op streams: op byte % 8, then that op's operands (see the harness).
-    write_seed(dir, "mint_attest_config",
+    // Op streams: op byte % 6, then that op's operands (see the harness).
+    write_seed(dir, "mint_attest_replay",
                Bytes{0, 1,      // mint alpha
                      1,         // attest honest
-                     3, 0,      // get_config from client 0
                      2,         // replay the spent token
-                     4, 1, 1, 4, 0});  // introspect with a valid request
+                     3, 1, 1, 4, 0});  // introspect with a valid request
     write_seed(dir, "garbage_then_honest",
-               Bytes{5, 4, 0, 'j', 'u', 'n', 'k',  // garbage instance frame
-                     6, 2, 0, 'x', 'y',            // garbage secure record
+               Bytes{4, 4, 0, 'j', 'u', 'n', 'k',  // garbage instance frame
+                     5, 2, 0, 'x', 'y',            // garbage secure record
                      0, 0,                          // mint beta
                      1});                           // attest it
     write_seed(dir, "double_mint", Bytes{0, 1, 0, 0, 1, 1, 2, 2});
-    write_seed(dir, "attest_reap_attest",
+    write_seed(dir, "attest_both_sessions",
                Bytes{0, 1, 0, 0,  // mint alpha, mint beta
-                     1, 7,        // attest, reap every session
-                     1, 3, 1});   // attest again, config from client 1
+                     1, 1,        // attest beta, then alpha
+                     2});         // replay a spent token
   }
 
   std::printf("gen_corpus: seeds written under %s\n", out.string().c_str());
