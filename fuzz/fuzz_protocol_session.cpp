@@ -3,15 +3,16 @@
 // The input bytes decode into a SEQUENCE OF OPERATIONS against a live
 // CasService served by a server::CasServer (one worker, so the per-input
 // cost stays bounded) on a simulated network — valid singleton retrievals,
-// honest attestations, token-replay attempts, introspection, and raw
-// garbage frames on both endpoints, interleaved across two policy
+// honest attestations, token-replay attempts, introspection, garbage
+// frames and garbage handshake records, interleaved across two policy
 // sessions with distinct configurations. After EVERY operation the global
 // invariants must hold:
 //
 //   * exactly-once token spend: used tokens == accepted attestations,
 //     outstanding == minted - used, and a replayed token is rejected;
 //   * every accepted attestation returned exactly its own policy's
-//     configuration, in the answer to its own request id;
+//     configuration, in the answer to its own request id (the client
+//     SDK's reply check), and a garbage handshake record never attests;
 //   * nothing is kept per client: the secure channel has no exchange in
 //     flight once its answer is out;
 //   * total accounting: every request produced a decodable answer — an
@@ -32,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "cas/client.h"
 #include "cas/service.h"
 #include "common/error.h"
 #include "common/serial.h"
@@ -142,10 +144,10 @@ class SessionMachine {
 
   const char* pick_session() { return in_.boolean() ? "alpha" : "beta"; }
 
-  Bytes call_instance(Bytes frame) {
+  Bytes call(Bytes frame) {
     ++issued_;
-    const Bytes answer = net_.connect("cas.instance").call(frame);
-    require(!answer.empty(), "instance endpoint went silent");
+    const Bytes answer = net_.connect("cas").call(frame);
+    require(!answer.empty(), "client endpoint went silent");
     return answer;
   }
 
@@ -156,7 +158,7 @@ class SessionMachine {
     env.command = command;
     env.request_id = ++next_request_id_;
     env.payload = payload;
-    const Bytes answer = call_instance(env.serialize());
+    const Bytes answer = call(env.serialize());
     const cas::Envelope reply = cas::Envelope::deserialize(answer);
     require(reply.request_id == env.request_id,
             "response request id does not echo the request");
@@ -182,8 +184,8 @@ class SessionMachine {
   }
 
   /// Start the enclave for a minted credential and attest over the secure
-  /// channel with a fresh client. Returns the configuration CAS answered
-  /// with, or nullopt when it refused.
+  /// channel with a fresh client, one attempt. Returns the configuration
+  /// CAS answered with, or nullopt when it refused.
   std::optional<cas::AppConfig> attest_with(const Minted& m,
                                             std::uint64_t client_seed) {
     Platform& p = platform();
@@ -193,11 +195,13 @@ class SessionMachine {
     const auto enclave =
         runtime::start_enclave(p.cpu, p.image, m.sigstruct, page);
     require(enclave.ok(), "predicted singleton enclave failed EINIT");
-    net::SecureClient client(
+    cas::AttestedChannel channel(
+        &net_, cas::CasClientConfig{.address = "cas",
+                                    .retry = {.max_attempts = 1}},
         crypto::Drbg::from_seed(client_seed, "fuzz-session-client"));
     const sgx::Report report =
         p.cpu.ereport(enclave.id, p.qe.target_info(),
-                      net::channel_binding(client.dh_public()));
+                      net::channel_binding(channel.dh_public()));
     const auto quote = p.qe.generate_quote(report);
     require(quote.has_value(), "quoting enclave refused a genuine report");
     cas::AttestPayload payload;
@@ -205,18 +209,9 @@ class SessionMachine {
     payload.quote = *quote;
     payload.token = m.token;
     ++issued_;
-    const std::uint64_t request_id = ++next_request_id_;
-    const auto answer =
-        client.connect(net_.connect("cas"), cas_->identity(),
-                       cas::encode_attest_payload(payload, request_id));
-    if (!answer.has_value()) return std::nullopt;
-    const cas::Envelope reply = cas::Envelope::deserialize(*answer);
-    require(reply.command == cas::Command::kAttest &&
-                reply.request_id == request_id,
-            "handshake answer does not echo its request");
-    const auto resp = cas::ConfigResponse::deserialize(reply.payload);
-    require(resp.ok(), "an accepted handshake answered a refusal");
-    return resp.config;
+    Result<cas::AppConfig> config = channel.attest(cas_->identity(), payload);
+    if (!config.ok()) return std::nullopt;
+    return std::move(config).value();
   }
 
   void attest_honest() {
@@ -275,21 +270,28 @@ class SessionMachine {
     // retrieval (it has the policy name in the corpus); account for any
     // token such a frame mints so the exactness of the invariant survives.
     const std::size_t before = cas_->tokens_outstanding();
-    const Bytes answer = call_instance(frame);
+    const Bytes answer = call(frame);
     garbage_minted_ += cas_->tokens_outstanding() - before;
     // Whatever came in, the answer must be an envelope.
     try {
       (void)cas::Envelope::deserialize(answer);
     } catch (const Error&) {
-      require(false, "instance endpoint answered garbage with garbage");
+      require(false, "client endpoint answered garbage with garbage");
     }
     ++errors_;
   }
 
   void garbage_secure() {
-    ++issued_;
-    const Bytes answer = net_.connect("cas").call(in_.chunk());
-    require(!answer.empty(), "secure endpoint went silent on garbage");
+    // A garbage handshake record in a well-formed kAttest envelope: typed
+    // refusal, never an attestation.
+    const Bytes payload =
+        enveloped_round_trip(cas::Command::kAttest, in_.chunk());
+    try {
+      require(!cas::AttestResponse::deserialize(payload).ok(),
+              "a garbage handshake record attested");
+    } catch (const Error&) {
+      require(false, "client endpoint answered a garbage record undecodably");
+    }
     ++errors_;
   }
 

@@ -1,18 +1,21 @@
 // Secure-channel exchanges against a LIVE server.
 //
 // SecureServer::handle is the outermost attacker-facing byte boundary of
-// the attested endpoint; its contract is total: any byte string answers
-// with a record (rejection at worst) and NEVER throws — a thrown record
-// would kill a frontend worker thread. The client half faces a malicious
-// server: connect on arbitrary answer bytes may fail only with the typed
-// channel errors, and a hostile rejection record reads as a typed
-// rejection — the generic one unless its code is whitelisted, with a
-// detail only for a well-formed kNotLeader. And garbage must not corrupt
-// server state: an honest client's exchange must still succeed afterwards.
-// A relay that rewrites one field of the honest acceptance — the server's
-// share, its Ed25519 signature (a flipped bit, S + L, another R, a cut or
-// extended field) or the sealed answer — must make connect throw
-// IdentityMismatchError and open nothing.
+// the attested exchange; its contract is total: any byte string answers
+// with an acceptance or a refusal and NEVER throws — a thrown record
+// would kill a frontend worker thread — and a refusal tells the peer only
+// a protocol-level code or the generic kAttestationRejected, with a detail
+// only for kNotLeader. The client half faces a malicious server: finish
+// on arbitrary acceptance bytes may fail only with IdentityMismatchError.
+// And garbage must not corrupt server state: an honest client's exchange
+// must still succeed afterwards. A relay that rewrites one field of the
+// honest acceptance — the server's share, its Ed25519 signature (a flipped
+// bit, S + L, another R, a cut or extended field) or the sealed answer —
+// must make finish throw IdentityMismatchError and open nothing.
+//
+// Mode 4 answered the client with hostile rejection records, which the
+// envelope's Status replaced (fuzz_envelope and fuzz_status_details cover
+// it); it is retired in place, so the other modes keep their numbers.
 #include "harnesses.h"
 
 #include <algorithm>
@@ -25,7 +28,6 @@
 #include "crypto/ed25519.h"
 #include "fuzz_util.h"
 #include "net/secure_channel.h"
-#include "net/sim_network.h"
 
 namespace sinclave::fuzz {
 namespace {
@@ -44,14 +46,13 @@ const crypto::Ed25519KeyPair& server_identity() {
 std::unique_ptr<net::SecureServer> make_server(std::uint64_t seed) {
   return std::make_unique<net::SecureServer>(
       &server_identity(), crypto::Drbg::from_seed(seed, "fuzz-secure-rng"),
-      [](ByteView payload, ByteView, Status*) {
-        return std::optional<Bytes>(Bytes(payload.begin(), payload.end()));
+      [](ByteView payload, ByteView) {
+        return Result<Bytes>(Bytes(payload.begin(), payload.end()));
       });
 }
 
-/// The acceptance `ok | share | signature | sealed answer`, field by field.
+/// The acceptance `share | signature | sealed answer`, field by field.
 struct Acceptance {
-  std::uint8_t status = 0;
   Bytes share;
   Bytes signature;
   Bytes sealed;
@@ -59,7 +60,6 @@ struct Acceptance {
   static Acceptance parse(ByteView raw) {
     ByteReader r(raw);
     Acceptance a;
-    a.status = r.u8();
     a.share = r.bytes();
     a.signature = r.bytes();
     a.sealed = r.bytes();
@@ -71,7 +71,6 @@ struct Acceptance {
 
   Bytes serialize() const {
     ByteWriter w;
-    w.u8(status);
     w.bytes(share);
     w.bytes(signature);
     w.bytes(sealed);
@@ -136,7 +135,7 @@ void rewrite_signature(Bytes& signature, std::uint8_t kind,
 enum class Field { kShare, kSignature, kSealed };
 
 /// A relay passes the honest server's acceptance through with one field
-/// rewritten. A rewrite must make connect throw IdentityMismatchError and
+/// rewritten. A rewrite must make finish throw IdentityMismatchError and
 /// open nothing; one that happens to leave the bytes as they were must
 /// still open the honest answer.
 void relay_rewriting(FuzzInput& in, Field field, std::uint64_t seed) {
@@ -144,34 +143,29 @@ void relay_rewriting(FuzzInput& in, Field field, std::uint64_t seed) {
   const std::uint32_t position = in.u32();
   const Bytes filler = in.take(64);
   const auto server = make_server(seed);
-  net::SimNetwork net;
-  bool changed = false;
-  net.listen("relay", [&](ByteView raw) {
-    const Bytes honest = server->handle(raw);
-    Acceptance a = Acceptance::parse(honest);
-    switch (field) {
-      case Field::kShare:
-        mangle(a.share, kind, position, filler);
-        break;
-      case Field::kSignature:
-        rewrite_signature(a.signature, kind, position, filler);
-        break;
-      case Field::kSealed:
-        mangle(a.sealed, kind, position, filler);
-        break;
-    }
-    const Bytes relayed = a.serialize();
-    changed = relayed != honest;
-    return relayed;
-  });
   net::SecureClient client(
       crypto::Drbg::from_seed(seed + 1, "fuzz-secure-relayed"));
   const Bytes payload{'c', 'f', 'g'};
+  const Result<Bytes> honest = server->handle(client.offer(payload));
+  require(honest.ok(), "accept-all server refused an honest record");
+  Acceptance a = Acceptance::parse(*honest);
+  switch (field) {
+    case Field::kShare:
+      mangle(a.share, kind, position, filler);
+      break;
+    case Field::kSignature:
+      rewrite_signature(a.signature, kind, position, filler);
+      break;
+    case Field::kSealed:
+      mangle(a.sealed, kind, position, filler);
+      break;
+  }
+  const Bytes relayed = a.serialize();
+  const bool changed = relayed != *honest;
   std::optional<Bytes> opened;
   bool mismatch = false;
   try {
-    opened = client.connect(net.connect("relay"),
-                            server_identity().public_key(), payload);
+    opened = client.finish(server_identity().public_key(), payload, relayed);
   } catch (const net::IdentityMismatchError&) {
     mismatch = true;
   }
@@ -181,13 +175,14 @@ void relay_rewriting(FuzzInput& in, Field field, std::uint64_t seed) {
           "client opened an answer from a rewritten acceptance");
 }
 
-void honest_exchange(net::SimNetwork& net, const char* address) {
+void honest_exchange(net::SecureServer& server) {
   net::SecureClient client(crypto::Drbg::from_seed(22, "fuzz-secure-client"));
   const Bytes ping{'p', 'i', 'n', 'g'};
-  const auto answer = client.connect(
-      net.connect(address), server_identity().public_key(), ping);
-  require(answer.has_value(), "honest handshake rejected after garbage");
-  require(*answer == ping, "honest answer corrupted after garbage");
+  const Result<Bytes> acceptance = server.handle(client.offer(ping));
+  require(acceptance.ok(), "honest handshake rejected after garbage");
+  require(client.finish(server_identity().public_key(), ping, *acceptance) ==
+              ping,
+          "honest answer corrupted after garbage");
 }
 
 }  // namespace
@@ -198,93 +193,50 @@ int run_secure_record(const std::uint8_t* data, std::size_t size) {
 
   switch (mode % 6) {
     case 0: {
-      // Garbage records straight into handle(); nothing may escape, every
-      // answer is a record, nothing stays in flight, and the server
-      // survives for an honest client.
+      // Garbage records straight into handle(): nothing may escape, every
+      // refusal keeps the peer rule, nothing stays in flight, and the
+      // server survives for an honest client.
       const auto server = make_server(23);
-      net::SimNetwork net;
-      net.listen("srv", [&server](ByteView raw) { return server->handle(raw); });
       int rounds = 0;
       while (!in.empty() && rounds++ < 8) {
-        const Bytes answer = server->handle(in.chunk());
-        require(!answer.empty(), "server answered a record with silence");
+        const Result<Bytes> answer = server->handle(in.chunk());
+        if (answer.ok()) continue;  // a well-formed record, accepted
+        const Status& refusal = answer.status();
+        require(is_protocol_level(refusal.code) ||
+                    refusal.code == StatusCode::kAttestationRejected,
+                "refusal code escaped the peer rule");
+        require(refusal.detail.empty(), "refusal carried a detail");
       }
       const auto stats = server->stats();
       require(stats.open_sessions == 0 && stats.sessions_high_water <= 1,
               "a handshake stayed in flight after its answer");
-      honest_exchange(net, "srv");
+      honest_exchange(*server);
       break;
     }
     case 1:
       relay_rewriting(in, Field::kShare, 24);
       break;
     case 2: {
-      // Malicious server vs connecting client: arbitrary answer bytes.
-      // Typed outcomes only.
-      const Bytes response = in.rest();
-      net::SimNetwork net;
-      net.listen("evil", [&response](ByteView) { return response; });
+      // Malicious server vs finishing client: arbitrary acceptance bytes.
+      // Only the identity check may fail, and nothing opens.
+      const Bytes acceptance = in.rest();
       net::SecureClient client(
           crypto::Drbg::from_seed(26, "fuzz-secure-victim"));
+      bool mismatch = false;
       try {
-        Status reject;
-        const auto outcome =
-            client.connect(net.connect("evil"),
-                           server_identity().public_key(), Bytes{}, &reject);
-        if (outcome.has_value())
-          require(false, "client accepted a forged handshake");
+        (void)client.finish(server_identity().public_key(), Bytes{},
+                            acceptance);
       } catch (const net::IdentityMismatchError&) {
-      } catch (const Error&) {
+        mismatch = true;
       }
+      require(mismatch, "client accepted a forged acceptance");
       break;
     }
     case 3:
       relay_rewriting(in, Field::kSealed, 27);
       break;
-    case 4: {
-      // Hostile rejection records: the "rejected" marker, then fuzz bytes
-      // for the code and whatever follows it.
-      const Bytes tail = in.rest();
-      Bytes record{0};
-      record.insert(record.end(), tail.begin(), tail.end());
-      net::SimNetwork net;
-      net.listen("refuser", [&record](ByteView) { return record; });
-      net::SecureClient client(
-          crypto::Drbg::from_seed(29, "fuzz-secure-refused"));
-      Status rejected;
-      bool accepted = true;
-      try {
-        accepted = client
-                       .connect(net.connect("refuser"),
-                                server_identity().public_key(), Bytes{},
-                                &rejected)
-                       .has_value();
-      } catch (const Error&) {
-        require(false, "connect threw on a rejection record");
-      }
-      require(!accepted, "client accepted a rejection record");
-      const StatusCode sent = tail.empty()
-                                  ? StatusCode::kAttestationRejected
-                                  : static_cast<StatusCode>(tail[0]);
-      require(rejected.code == (is_protocol_level(sent)
-                                    ? sent
-                                    : StatusCode::kAttestationRejected),
-              "rejection code escaped the whitelist");
-      // The detail the record carries when it is exactly one in-bounds
-      // string after a kNotLeader code; anything else keeps none.
-      std::string whole;
-      if (rejected.code == StatusCode::kNotLeader && tail.size() > 1) {
-        try {
-          ByteReader r(ByteView(tail).subspan(1));
-          whole = r.str();
-          if (!r.done() || whole.size() > net::kMaxRejectDetail) whole.clear();
-        } catch (const ParseError&) {
-        }
-      }
-      require(rejected.detail == whole,
-              "rejection detail kept when malformed, or dropped when whole");
+    case 4:  // retired
       break;
-    }
     case 5:
       relay_rewriting(in, Field::kSignature, 30);
       break;

@@ -70,12 +70,12 @@ int run_status_details(const std::uint8_t* data, std::size_t size) {
       // The Status prefix every v1 response leads with: any enum code and
       // any detail survive encode/decode (a refusal reaches the client
       // typed, its detail intact).
-      cas::ConfigResponse resp;
+      cas::AttestResponse resp;
       resp.status.code = status_code_from_wire(in.u8());
       const Bytes raw = in.rest();
       resp.status.detail.assign(raw.begin(), raw.end());
-      const cas::ConfigResponse back =
-          cas::ConfigResponse::deserialize(resp.serialize());
+      const cas::AttestResponse back =
+          cas::AttestResponse::deserialize(resp.serialize());
       require(back.status.code == resp.status.code &&
                   back.status.detail == resp.status.detail,
               "status prefix did not round-trip");

@@ -120,7 +120,7 @@ struct CasClient::Core {
   net::SimNetwork::Connection connection() REQUIRES_NOT(connection_mutex) {
     MutexLock lock(connection_mutex);
     if (!connection_cache.has_value())
-      connection_cache = net->connect(current + ".instance");
+      connection_cache = net->connect(current);
     return *connection_cache;  // cheap copy; the handle is shareable
   }
 
@@ -205,32 +205,14 @@ struct CasClient::Core {
              SteadyClock::time_point start, bool sleeps);
 
   /// The synchronous attempt loop behind get_instance, introspect and
-  /// AttestedChannel::attest: `attempt()` makes one wire attempt (throwing
-  /// Error on a transport failure), then the retry rule decides. `attempts`
-  /// reports the wire attempts made (0 = the breaker refused the first).
-  template <typename Attempt>
-  Status sync_attempts(Attempt&& attempt, std::size_t& attempts) {
-    const SteadyClock::time_point start = SteadyClock::now();
-    attempts = 0;
-    if (!breaker_allows())
-      return Status(StatusCode::kUnavailable, breaker_open_detail());
-    Status answer;
-    do {
-      ++attempts;
-      try {
-        answer = attempt();
-      } catch (const net::IdentityMismatchError&) {
-        throw;  // an active attack must stay loud, never become a Status
-      } catch (const Error& e) {
-        answer = transport_failure(e);
-      }
-    } while (retry(answer, attempts, start, /*sleeps=*/true));
-    return answer;
-  }
-
-  template <typename Response, typename Request>
-  Response sync_call(Command command, const Request& request,
-                     obs::Phase& root, std::size_t& attempts);
+  /// AttestedChannel::attest: each attempt sends `payload` as `command`
+  /// under a fresh request id (the trace root `rs` carries the last), a
+  /// transport failure becoming a retryable kUnavailable, then the retry
+  /// rule decides. `attempts` reports the wire attempts made (0 = the
+  /// breaker refused the first).
+  template <typename Response>
+  Response sync_call(Command command, Bytes payload, RootScope& rs,
+                     std::size_t& attempts);
 
   struct AsyncInstance;
   static void send_async(std::shared_ptr<AsyncInstance> op);
@@ -261,7 +243,7 @@ std::chrono::microseconds RetryPolicy::backoff_before(
 }
 
 /// The retry rule: the one place CasClient decides what follows an
-/// answer. The sync loop (sync_attempts) asks it after every attempt of
+/// answer. The sync loop (sync_call) asks it after every attempt of
 /// get_instance, introspect and AttestedChannel::attest, the async
 /// completion (send_async) after every attempt of get_instance_async.
 /// True = make the next attempt now (its wait slept, its re-route made);
@@ -321,30 +303,34 @@ bool CasClient::Core::retry(const Status& answer, std::size_t attempt,
   return breaker_allows();
 }
 
-/// get_instance and introspect: a fresh request id per attempt.
-template <typename Response, typename Request>
-Response CasClient::Core::sync_call(Command command,
-                                    const Request& request, obs::Phase& root,
-                                    std::size_t& attempts) {
+template <typename Response>
+Response CasClient::Core::sync_call(Command command, Bytes payload,
+                                    RootScope& rs, std::size_t& attempts) {
   static obs::Phase& p_attempt =
       obs::Tracer::instance().phase("client_attempt");
-  RootScope rs(root, 0);
+  const SteadyClock::time_point start = SteadyClock::now();
+  attempts = 0;
+  Response answer;
+  if (!breaker_allows()) {
+    answer.status = Status(StatusCode::kUnavailable, breaker_open_detail());
+    return answer;
+  }
   Envelope env;
   env.command = command;
-  env.payload = request.serialize();
-  Response answer;
-  answer.status = sync_attempts(
-      [&] {
-        answer = Response{};
-        env.request_id =
-            next_request_id.fetch_add(1, std::memory_order_relaxed);
-        rs.ctx.request_id = env.request_id;  // the root carries the last id
-        obs::Span span(p_attempt);
-        answer = decode_reply<Response>(connection().call(env.serialize()),
-                                        command, env.request_id);
-        return answer.status;
-      },
-      attempts);
+  env.payload = std::move(payload);
+  do {
+    ++attempts;
+    answer = Response{};
+    env.request_id = next_request_id.fetch_add(1, std::memory_order_relaxed);
+    rs.ctx.request_id = env.request_id;  // the root carries the last id
+    try {
+      obs::Span span(p_attempt);
+      answer = decode_reply<Response>(connection().call(env.serialize()),
+                                      command, env.request_id);
+    } catch (const Error& e) {
+      answer.status = transport_failure(e);
+    }
+  } while (retry(answer.status, attempts, start, /*sleeps=*/true));
   return answer;
 }
 
@@ -380,7 +366,7 @@ const CasClientConfig& CasClient::config() const { return core_->config; }
 
 Status CasClient::connect() {
   try {
-    auto conn = core_->net->connect(current_address() + ".instance");
+    auto conn = core_->net->connect(current_address());
     MutexLock lock(core_->connection_mutex);
     core_->connection_cache = std::move(conn);
     return Status();
@@ -396,18 +382,20 @@ InstanceResult CasClient::get_instance(
   InstanceRequest request;
   request.session_name = session_name;
   request.common_sigstruct = common_sigstruct;
+  RootScope rs(p_root, 0);
   std::size_t attempts = 0;
   InstanceResponse reply = core_->sync_call<InstanceResponse>(
-      Command::kGetInstance, request, p_root, attempts);
+      Command::kGetInstance, request.serialize(), rs, attempts);
   return to_result(std::move(reply), attempts);
 }
 
 IntrospectResponse CasClient::introspect(const IntrospectRequest& request) {
   static obs::Phase& p_root =
       obs::Tracer::instance().phase("client_introspect");
+  RootScope rs(p_root, 0);
   std::size_t attempts = 0;
-  return core_->sync_call<IntrospectResponse>(Command::kIntrospect, request,
-                                              p_root, attempts);
+  return core_->sync_call<IntrospectResponse>(
+      Command::kIntrospect, request.serialize(), rs, attempts);
 }
 
 /// One get_instance_async operation: what its completions carry from one
@@ -494,31 +482,23 @@ Result<AppConfig> AttestedChannel::attest(
     const AttestPayload& payload) {
   static obs::Phase& p_root =
       obs::Tracer::instance().phase("client_attest");
-  static obs::Phase& p_handshake =
-      obs::Tracer::instance().phase("client_handshake");
-  const std::uint64_t request_id = next_request_id_++;
-  RootScope rs(p_root, request_id);
-  CasClient::Core& core = *router_.core_;
-  const Bytes record = encode_attest_payload(payload, request_id);
-  std::optional<Bytes> answer;
+  const Bytes offered = payload.serialize();
+  RootScope rs(p_root, 0);
   std::size_t attempts = 0;
-  // A refusal is typed when protocol-level (kUnsupportedVersion, kNotLeader
-  // with its hint), else the generic kAttestationRejected.
-  const Status status = core.sync_attempts(
-      [&] {
-        obs::Span span(p_handshake);
-        Status rejected;
-        answer =
-            client_.connect(core.net->connect(router_.current_address()),
-                            cas_identity, record, &rejected);
-        return answer.has_value() ? Status() : rejected;
-      },
-      attempts);
-  if (!status.ok()) return status;
-  ConfigResponse resp =
-      decode_reply<ConfigResponse>(*answer, Command::kAttest, request_id);
-  if (!resp.ok()) return resp.status;
-  return std::move(resp.config);
+  // Every attempt sends the same record: a refusal changes nothing on
+  // either side, so the quote stays bound.
+  const AttestResponse reply = router_.core_->sync_call<AttestResponse>(
+      Command::kAttest, client_.offer(offered), rs, attempts);
+  if (!reply.ok()) return reply.status;
+  // Throws IdentityMismatchError unless the pinned verifier answered: an
+  // active attack stays loud, never a Status.
+  const Bytes answer = client_.finish(cas_identity, offered, reply.acceptance);
+  try {
+    return AppConfig::deserialize(answer);
+  } catch (const Error& e) {
+    return Status(StatusCode::kInternal,
+                  std::string("undecodable configuration: ") + e.what());
+  }
 }
 
 }  // namespace sinclave::cas

@@ -16,8 +16,10 @@
 //     kBadSignature surfaced immediately,
 //   * a sync call path and a completion-token async path
 //     (SimNetwork::async_call) for open-loop issuers,
-//   * the attested secure-channel flow (AttestedChannel): one exchange, a
-//     quote bound to the channel key out and the typed config back.
+//   * the attested secure-channel flow (AttestedChannel): one kAttest
+//     exchange on the same connection, request ids and reply decoding as
+//     every other command, a quote bound to the channel key out and the
+//     typed config back.
 //
 // Thread-safe: one CasClient may be shared by many threads; the cached
 // connection is re-established under a lock after transport failures.
@@ -82,16 +84,15 @@ struct RetryPolicy {
 };
 
 struct CasClientConfig {
-  /// Base CAS address; the instance endpoint listens at
-  /// `address + ".instance"`, the attestation endpoint at `address`.
+  /// The CAS node's client endpoint, which serves every command.
   std::string address;
-  /// Replicated-cluster membership (base addresses; may include
+  /// Replicated-cluster membership (client endpoints; may include
   /// `address`). When non-empty, transport failures and hintless
   /// kNotLeader answers rotate to the next cluster peer before the paced
   /// retry (sync and async alike; the async wait is 0), so a killed
   /// leader is survived by discovering its successor. Without a cluster a
-  /// hintless kNotLeader is delivered. A leader hint (in an answer or a
-  /// handshake rejection) is followed either way. See the retry rule.
+  /// hintless kNotLeader is delivered. A leader hint (in any command's
+  /// answer, kAttest included) is followed either way. See the retry rule.
   std::vector<std::string> cluster{};
   RetryPolicy retry{};
 };
@@ -117,9 +118,9 @@ class CasClient {
 
   const CasClientConfig& config() const;
 
-  /// Eagerly (re)open the instance-endpoint connection, paying the connect
-  /// latency now instead of on the first call. Returns kUnavailable when
-  /// nothing listens there.
+  /// Eagerly (re)open the connection, paying the connect latency now
+  /// instead of on the first call. Returns kUnavailable when nothing
+  /// listens there.
   Status connect();
 
   /// Synchronous singleton retrieval, retried per the retry rule
@@ -128,8 +129,8 @@ class CasClient {
                               const sgx::SigStruct& common_sigstruct);
 
   /// Fetch the server's observability snapshot — metrics in the requested
-  /// format plus recent and slow traces — over the instance endpoint
-  /// (Command::kIntrospect). Same attempt loop and retry rule as
+  /// format plus recent and slow traces (Command::kIntrospect). Same
+  /// attempt loop and retry rule as
   /// get_instance; a pre-introspection server answers kUnknownCommand.
   IntrospectResponse introspect(const IntrospectRequest& request = {});
 
@@ -185,25 +186,26 @@ class AttestedChannel {
   /// attesting.
   const Bytes& dh_public() const { return client_.dh_public(); }
 
-  /// Run the exchange: kAttest envelope carrying `payload`, server
-  /// identity pinned to `cas_identity`, attempts decided by the retry
-  /// rule — each sends the same record (a refusal changes nothing on
-  /// either side, so the quote stays bound). The configuration on
-  /// acceptance; kAttestationRejected when the verifier refused (or a
-  /// typed protocol-level code like kUnsupportedVersion when the rejection
-  /// record carried one); kUnavailable on transport failure; kInternal
-  /// when the opened answer does not decode or does not echo the request;
-  /// throws net::IdentityMismatchError only when the answer is not the
-  /// pinned verifier's (an active attack — never mapped to a Status).
+  /// Run the exchange: a kAttest envelope carrying the channel's record
+  /// around `payload`, server identity pinned to `cas_identity`, attempts
+  /// decided by the retry rule — each sends the same record (a refusal
+  /// changes nothing on either side, so the quote stays bound). The
+  /// configuration on acceptance; otherwise the reply's Status, decoded
+  /// like every command's: kAttestationRejected when the verifier
+  /// refused, a protocol-level code like kUnsupportedVersion or kNotLeader
+  /// as sent, kUnavailable on transport failure or shedding, kInternal
+  /// when the reply or the opened configuration does not decode or the
+  /// reply does not echo the request; throws net::IdentityMismatchError
+  /// only when an acceptance is not the pinned verifier's (an active
+  /// attack — never mapped to a Status).
   Result<AppConfig> attest(const crypto::Ed25519PublicKey& cas_identity,
                            const AttestPayload& payload);
 
   CasClient::Stats stats() const { return router_.stats(); }
 
  private:
-  CasClient router_;  // the retry rule and where it points
+  CasClient router_;  // the connection, the retry rule and where it points
   net::SecureClient client_;
-  std::uint64_t next_request_id_ = 1;
 };
 
 }  // namespace sinclave::cas

@@ -61,13 +61,14 @@ bool Envelope::matches(ByteView data) {
   return magic == kEnvelopeMagic;
 }
 
-std::optional<std::uint64_t> Envelope::peek_request_id(ByteView data) {
+std::optional<Envelope::Header> Envelope::peek(ByteView data) {
   // magic u32 | version u16 | command u8 | flags u8 | request_id u64
   if (!matches(data) || data.size() < 16) return std::nullopt;
-  std::uint64_t id = 0;
+  Header header;
+  header.command = static_cast<Command>(data[6]);
   for (std::size_t i = 0; i < 8; ++i)
-    id |= static_cast<std::uint64_t>(data[8 + i]) << (8 * i);
-  return id;
+    header.request_id |= static_cast<std::uint64_t>(data[8 + i]) << (8 * i);
+  return header;
 }
 
 Envelope Envelope::reply(Bytes response_payload) const {
@@ -209,19 +210,19 @@ AttestPayload AttestPayload::deserialize(ByteView data) {
   return p;
 }
 
-Bytes ConfigResponse::serialize() const {
+Bytes AttestResponse::serialize() const {
   ByteWriter w;
   write_status(w, status);
-  w.bytes(ok() ? config.serialize() : Bytes{});
+  w.bytes(ok() ? acceptance : Bytes{});
   return std::move(w).take();
 }
 
-ConfigResponse ConfigResponse::deserialize(ByteView data) {
+AttestResponse AttestResponse::deserialize(ByteView data) {
   ByteReader r(data);
-  ConfigResponse resp;
+  AttestResponse resp;
   resp.status = read_status(r);
-  const Bytes cfg = r.bytes();
-  if (resp.ok()) resp.config = AppConfig::deserialize(cfg);
+  resp.acceptance = r.bytes();
+  if (!resp.ok()) resp.acceptance.clear();
   r.expect_done();
   return resp;
 }
@@ -315,156 +316,117 @@ IntrospectResponse IntrospectResponse::deserialize(ByteView data) {
 
 namespace {
 
-void note(FrameInfo* info, const FrameInfo& value) {
-  if (info != nullptr) *info = value;
-}
-
-template <typename Response>
-Bytes error_payload(StatusCode code) {
-  Response resp;
-  resp.status = Status(code);
-  return resp.serialize();
-}
-
-/// The envelope in `raw`, or nullopt when there is none (no magic, or the
-/// magic but not the layout).
-std::optional<Envelope> decode_envelope(ByteView raw) {
-  try {
-    return Envelope::deserialize(raw);
-  } catch (const Error&) {
-    return std::nullopt;
+/// `code` in the shape of `command`'s response: every response leads with
+/// the Status prefix, so any client decodes the refusal.
+Bytes refusal_payload(Command command, StatusCode code) {
+  switch (command) {
+    case Command::kIntrospect: {
+      IntrospectResponse resp;
+      resp.status = Status(code);
+      return resp.serialize();
+    }
+    case Command::kAttest: {
+      AttestResponse resp;
+      resp.status = Status(code);
+      return resp.serialize();
+    }
+    default: {
+      InstanceResponse resp;
+      resp.status = Status(code);
+      return resp.serialize();
+    }
   }
 }
 
-/// The answer to a frame that is not an envelope: a malformed-request
-/// envelope with request_id 0 (we never learned the real one).
-template <typename Response>
-Bytes malformed_frame(Command command, FrameInfo* info) {
-  FrameInfo fi;
-  fi.command = command;
-  fi.status = StatusCode::kMalformedRequest;
-  note(info, fi);
-  Envelope out;
-  out.command = command;
-  out.payload = error_payload<Response>(StatusCode::kMalformedRequest);
-  return out.serialize();
-}
-
-/// The version/command gate common to every endpoint: records the frame's
-/// facts in `info` and returns the refusal code (kOk to dispatch).
-StatusCode gate_envelope(const Envelope& env, Command expected,
-                         FrameInfo* info) {
-  FrameInfo fi;
-  fi.command = env.command;
-  fi.request_id = env.request_id;
-  if (env.version > kProtocolVersion)
-    fi.status = StatusCode::kUnsupportedVersion;
-  else if (env.command != expected)
-    fi.status = StatusCode::kUnknownCommand;
-  note(info, fi);
-  return fi.status;
+/// Decode the request, run the handler, answer its response. Request
+/// decode and handler dispatch live in SEPARATE try blocks so blame lands
+/// correctly: a ParseError while decoding the frame is the client's fault
+/// (kMalformedRequest), but a ParseError escaping the handler is a
+/// server-side fault — e.g. a corrupt stored policy — and must answer
+/// kInternal, not accuse a well-formed request.
+template <typename Response, typename Decode, typename Handler>
+Bytes serve_command(const Envelope& env, const Decode& decode,
+                    const Handler& handler, StatusCode* status) {
+  Response resp;
+  try {
+    const auto request = decode(ByteView(env.payload));
+    try {
+      resp = handler(request);
+    } catch (const Error&) {
+      resp = Response{};
+      resp.status = Status(StatusCode::kInternal);
+    }
+  } catch (const Error&) {
+    resp = Response{};
+    resp.status = Status(StatusCode::kMalformedRequest);
+  }
+  if (status != nullptr) *status = resp.status.code;
+  return env.reply(resp.serialize()).serialize();
 }
 
 }  // namespace
 
-Bytes serve_instance_frame(ByteView raw, const InstanceHandler& handler,
-                           const IntrospectHandler& introspect,
-                           FrameInfo* info) {
-  const std::optional<Envelope> env = decode_envelope(raw);
-  if (!env.has_value())
-    return malformed_frame<InstanceResponse>(Command::kGetInstance, info);
+Bytes serve_client_frame(ByteView raw, const FrameHandlers& handlers,
+                         StatusCode* status) {
+  std::optional<Envelope> env;
+  try {
+    env = Envelope::deserialize(raw);
+  } catch (const Error&) {
+    // Not an envelope (no magic, or the magic but not the layout): a
+    // malformed-request envelope with request_id 0 (we never learned the
+    // real one).
+    if (status != nullptr) *status = StatusCode::kMalformedRequest;
+    Envelope out;
+    out.payload = refusal_payload(out.command, StatusCode::kMalformedRequest);
+    return out.serialize();
+  }
+  const auto refuse = [&](StatusCode code) {
+    if (status != nullptr) *status = code;
+    return env->reply(refusal_payload(env->command, code)).serialize();
+  };
+  if (env->version > kProtocolVersion)
+    return refuse(StatusCode::kUnsupportedVersion);
+  switch (env->command) {
+    case Command::kGetInstance:
+      return serve_command<InstanceResponse>(
+          *env, InstanceRequest::deserialize, handlers.get_instance, status);
+    case Command::kIntrospect:
+      return serve_command<IntrospectResponse>(
+          *env, IntrospectRequest::deserialize, handlers.introspect, status);
+    case Command::kAttest:
+      return serve_command<AttestResponse>(
+          *env, [](ByteView record) { return record; }, handlers.attest,
+          status);
+    default:
+      return refuse(StatusCode::kUnknownCommand);
+  }
+}
 
-  if (env->command == Command::kIntrospect) {
-    // The introspect branch answers with IntrospectResponse-shaped
-    // payloads (the Status prefix layout is shared, so even a client that
-    // guessed the wrong command can decode the refusal).
-    if (const StatusCode refused =
-            gate_envelope(*env, Command::kIntrospect, info);
-        refused != StatusCode::kOk)
-      return env->reply(error_payload<IntrospectResponse>(refused))
-          .serialize();
+Bytes refuse_client_frame(ByteView raw, const Status& status,
+                          StatusCode* answered) {
+  FrameHandlers refuse;
+  refuse.get_instance = [&](const InstanceRequest&) {
+    InstanceResponse resp;
+    resp.status = status;
+    return resp;
+  };
+  refuse.introspect = [&](const IntrospectRequest&) {
     IntrospectResponse resp;
-    try {
-      const IntrospectRequest req =
-          IntrospectRequest::deserialize(env->payload);
-      try {
-        resp = introspect(req);
-      } catch (const Error&) {
-        resp = IntrospectResponse{};
-        resp.status = Status(StatusCode::kInternal);
-      }
-    } catch (const Error&) {
-      resp = IntrospectResponse{};
-      resp.status = Status(StatusCode::kMalformedRequest);
-    }
-    if (info != nullptr) info->status = resp.status.code;
-    return env->reply(resp.serialize()).serialize();
-  }
+    resp.status = status;
+    return resp;
+  };
+  refuse.attest = [&](ByteView) {
+    AttestResponse resp;
+    resp.status = status;
+    return resp;
+  };
+  return serve_client_frame(raw, refuse, answered);
+}
 
-  if (const StatusCode refused =
-          gate_envelope(*env, Command::kGetInstance, info);
-      refused != StatusCode::kOk)
-    return env->reply(error_payload<InstanceResponse>(refused)).serialize();
-
-  // Request decode and handler dispatch live in SEPARATE try blocks so
-  // blame lands correctly: a ParseError while decoding the frame is the
-  // client's fault (kMalformedRequest), but a ParseError escaping the
-  // handler is a server-side fault — e.g. a corrupt stored policy — and
-  // must answer kInternal, not accuse a well-formed request.
-  InstanceResponse resp;
+std::optional<AttestPayload> parse_attest_payload(ByteView client_payload) {
   try {
-    const InstanceRequest req = InstanceRequest::deserialize(env->payload);
-    try {
-      resp = handler(req);
-    } catch (const Error&) {
-      resp = InstanceResponse{};
-      resp.status = Status(StatusCode::kInternal);
-    }
+    return AttestPayload::deserialize(client_payload);
   } catch (const Error&) {
-    resp = InstanceResponse{};
-    resp.status = Status(StatusCode::kMalformedRequest);
-  }
-  if (info != nullptr) info->status = resp.status.code;
-  return env->reply(resp.serialize()).serialize();
-}
-
-Bytes encode_attest_payload(const AttestPayload& payload,
-                            std::uint64_t request_id) {
-  Envelope env;
-  env.command = Command::kAttest;
-  env.request_id = request_id;
-  env.payload = payload.serialize();
-  return env.serialize();
-}
-
-Bytes encode_attest_answer(const AppConfig& config,
-                           std::uint64_t request_id) {
-  ConfigResponse resp;
-  resp.status = Status();
-  resp.config = config;
-  Envelope env;
-  env.command = Command::kAttest;
-  env.request_id = request_id;
-  env.payload = resp.serialize();
-  return env.serialize();
-}
-
-std::optional<AttestPayload> decode_attest_payload(ByteView raw,
-                                                   FrameInfo* info) {
-  const std::optional<Envelope> env = decode_envelope(raw);
-  if (!env.has_value()) {
-    FrameInfo fi;
-    fi.command = Command::kAttest;
-    fi.status = StatusCode::kMalformedRequest;
-    note(info, fi);
-    return std::nullopt;
-  }
-  if (gate_envelope(*env, Command::kAttest, info) != StatusCode::kOk)
-    return std::nullopt;
-  try {
-    return AttestPayload::deserialize(env->payload);
-  } catch (const Error&) {
-    if (info != nullptr) info->status = StatusCode::kMalformedRequest;
     return std::nullopt;
   }
 }

@@ -1,16 +1,19 @@
 // Wire protocol between enclaves/starters and the CAS verifier service.
 //
-// Two endpoints:
-//  * the *instance* endpoint (plain RPC — nothing secret flows here): the
-//    untrusted starter requests an attestation token + on-demand SigStruct
-//    for a session ("Singleton Page Retrieval", Fig. 7c),
-//  * the *attestation* endpoint (secure channel): the enclave runtime — or,
-//    in the attack, the TEE impersonator — presents a quote bound to the
-//    channel and (in SinClave mode) its attestation token, and the
-//    handshake's sealed answer carries the application configuration.
+// One client endpoint, the node's address, serves three commands:
+//  * kGetInstance (nothing secret flows here): the untrusted starter
+//    requests an attestation token + on-demand SigStruct for a session
+//    ("Singleton Page Retrieval", Fig. 7c),
+//  * kAttest: the enclave runtime — or, in the attack, the TEE
+//    impersonator — offers the secure channel's handshake record
+//    (net/secure_channel.h) around an AttestPayload: a quote bound to the
+//    channel and (in SinClave mode) its attestation token. The reply's
+//    acceptance carries the application configuration, sealed to the
+//    channel,
+//  * kIntrospect: metrics and recent traces.
 //
-// Framing (protocol v1): every message on either endpoint travels inside a
-// versioned Envelope
+// Framing (protocol v1): every message travels inside a versioned
+// Envelope
 //
 //     magic u32 | version u16 | command u8 | flags u8 | request_id u64
 //     | payload (u32-length-prefixed)
@@ -51,15 +54,15 @@ inline constexpr std::uint16_t kProtocolVersion = 1;
 
 /// Wire commands (u8; append only).
 enum class Command : std::uint8_t {
-  /// Instance endpoint: singleton retrieval (token + on-demand SigStruct).
+  /// Singleton retrieval (token + on-demand SigStruct).
   kGetInstance = 1,
-  /// Reserved: the attested endpoint's retired config fetch (the
+  /// Reserved: the retired config fetch of the attested exchange (the
   /// handshake answer carries the configuration now). Never reused.
   kGetConfig = 2,
-  /// Attested endpoint: the handshake payload (quote + token).
+  /// The attested exchange: the secure channel's handshake record.
   kAttest = 3,
-  /// Instance endpoint: observability introspection — metrics snapshot,
-  /// recent traces, slow-request log.
+  /// Observability introspection — metrics snapshot, recent traces,
+  /// slow-request log.
   kIntrospect = 4,
   // Inter-CAS replication traffic (cas/replication.h). These ride ONLY
   // v2 envelopes on the dedicated `<address>.raft` endpoint — a v1 client
@@ -91,11 +94,16 @@ struct Envelope {
   /// Response envelope echoing this request's command and id.
   Envelope reply(Bytes response_payload) const;
 
-  /// Cheap header peek: the request id of an enveloped frame without
-  /// decoding (or validating) the payload — what the event-driven
-  /// frontend stamps into a TraceContext at accept time, before any
-  /// worker touches the frame. Nullopt for non-envelope/truncated frames.
-  static std::optional<std::uint64_t> peek_request_id(ByteView data);
+  /// The cleartext header's command and request id.
+  struct Header {
+    Command command = Command::kGetInstance;
+    std::uint64_t request_id = 0;
+  };
+  /// Cheap header peek without decoding (or validating) the payload —
+  /// what the event-driven frontend counts a request under and stamps
+  /// into its TraceContext at accept time, before any worker touches the
+  /// frame. Nullopt for non-envelope/truncated frames.
+  static std::optional<Header> peek(ByteView data);
 };
 
 // --- messages ---------------------------------------------------------------
@@ -118,7 +126,7 @@ struct AppConfig {
   friend bool operator==(const AppConfig&, const AppConfig&) = default;
 };
 
-/// Starter -> CAS (instance endpoint, envelope payload of kGetInstance).
+/// Starter -> CAS (envelope payload of kGetInstance).
 struct InstanceRequest {
   std::string session_name;
   sgx::SigStruct common_sigstruct;
@@ -127,7 +135,7 @@ struct InstanceRequest {
   static InstanceRequest deserialize(ByteView data);
 };
 
-/// CAS -> starter (instance endpoint). Typed status; credential fields are
+/// CAS -> starter (kGetInstance). Typed status; credential fields are
 /// meaningful only when status.ok(). Defaults to kInternal — like the
 /// seed's `bool ok = false`, a response must be explicitly marked ok.
 struct InstanceResponse {
@@ -142,8 +150,8 @@ struct InstanceResponse {
   static InstanceResponse deserialize(ByteView data);
 };
 
-/// Client handshake payload on the attestation endpoint (envelope payload
-/// of kAttest).
+/// The client payload of a kAttest handshake record: what the enclave
+/// offers the verifier through the secure channel.
 struct AttestPayload {
   std::string session_name;
   quote::Quote quote;
@@ -154,17 +162,19 @@ struct AttestPayload {
   static AttestPayload deserialize(ByteView data);
 };
 
-/// The attested handshake's answer (envelope payload of kAttest, sealed
-/// by the secure channel). Config meaningful only when status.ok();
-/// defaults to kInternal (must be explicitly marked ok).
-struct ConfigResponse {
+/// CAS -> client (kAttest). The acceptance is the secure channel's
+/// `share | signature | sealed answer`, whose sealed plaintext is the
+/// policy's AppConfig; meaningful only when status.ok(). Every refusal —
+/// shed, deadline, wrong version, not leader, rejected quote — is the
+/// Status. Defaults to kInternal (must be explicitly marked ok).
+struct AttestResponse {
   Status status{StatusCode::kInternal};
-  AppConfig config;
+  Bytes acceptance;
 
   bool ok() const { return status.ok(); }
 
   Bytes serialize() const;  // Status-prefixed
-  static ConfigResponse deserialize(ByteView data);
+  static AttestResponse deserialize(ByteView data);
 };
 
 /// How an IntrospectResponse's metrics snapshot is rendered.
@@ -174,7 +184,7 @@ enum class MetricsFormat : std::uint8_t {
   kText = 2,
 };
 
-/// Client -> CAS (instance endpoint, envelope payload of kIntrospect).
+/// Client -> CAS (envelope payload of kIntrospect).
 /// An EMPTY payload is valid and means "all defaults" — a debugging
 /// client can poke the endpoint with a bare envelope.
 struct IntrospectRequest {
@@ -226,44 +236,36 @@ struct IntrospectResponse {
 
 // --- shared frontend glue ---------------------------------------------------
 
-/// What a decoded frame turned out to be — the serving frontend bumps its
-/// per-command metrics from this.
-struct FrameInfo {
-  Command command = Command::kGetInstance;
-  std::uint64_t request_id = 0;
-  StatusCode status = StatusCode::kOk;  // status of the answer
+/// The client endpoint's commands, one handler each.
+struct FrameHandlers {
+  std::function<InstanceResponse(const InstanceRequest&)> get_instance{};
+  std::function<IntrospectResponse(const IntrospectRequest&)> introspect{};
+  /// kAttest: the envelope payload is the secure channel's handshake
+  /// record, handed over undecoded.
+  std::function<AttestResponse(ByteView record)> attest{};
 };
 
-using InstanceHandler =
-    std::function<InstanceResponse(const InstanceRequest&)>;
+/// Serve one client-endpoint frame: decode the envelope, version-check,
+/// and dispatch its command to `handlers`, answering in the command's
+/// response shape; `status`, when given, receives the answer's code (the
+/// serving frontend's per-command metrics come from it). Never throws on
+/// malformed input — deserializer exceptions (and frames without the
+/// envelope magic) become kMalformedRequest answers, handler exceptions
+/// kInternal.
+Bytes serve_client_frame(ByteView raw, const FrameHandlers& handlers,
+                         StatusCode* status = nullptr);
 
-using IntrospectHandler =
-    std::function<IntrospectResponse(const IntrospectRequest&)>;
+/// Answer `raw` with a blanket refusal (a shed, an expired deadline): the
+/// frame served as by serve_client_frame, every command answering
+/// `status` in its own shape, so refusals are as typed and parseable as
+/// served answers, at frame-decode cost only — and a refused kAttest
+/// never reaches the handshake hook.
+Bytes refuse_client_frame(ByteView raw, const Status& status,
+                          StatusCode* answered = nullptr);
 
-/// Serve one instance-endpoint frame: decode the envelope, version-check,
-/// and dispatch kGetInstance to `handler` and kIntrospect to `introspect`.
-/// Never throws on malformed input — deserializer exceptions (and frames
-/// without the envelope magic) become kMalformedRequest answers, handler
-/// exceptions kInternal.
-Bytes serve_instance_frame(ByteView raw, const InstanceHandler& handler,
-                           const IntrospectHandler& introspect,
-                           FrameInfo* info = nullptr);
-
-/// The handshake payload a client opens the attested channel with: `payload`
-/// wrapped in a kAttest envelope.
-Bytes encode_attest_payload(const AttestPayload& payload,
-                            std::uint64_t request_id = 0);
-
-/// The handshake answer the verifier seals to an attested client: `config`
-/// in an ok ConfigResponse, in the kAttest envelope answering `request_id`.
-Bytes encode_attest_answer(const AppConfig& config,
-                           std::uint64_t request_id);
-
-/// Decode an envelope-wrapped (kAttest) handshake payload. Returns nullopt
-/// — never throws — when the bytes are not one; `info->status` then names
-/// the typed refusal (kMalformedRequest, kUnsupportedVersion,
-/// kUnknownCommand) and `info->request_id` the id to answer under.
-std::optional<AttestPayload> decode_attest_payload(ByteView raw,
-                                                   FrameInfo* info = nullptr);
+/// The AttestPayload a kAttest handshake record offers — the client
+/// payload the secure channel hands its hook — or nullopt, never an
+/// exception, when the bytes are not one.
+std::optional<AttestPayload> parse_attest_payload(ByteView client_payload);
 
 }  // namespace sinclave::cas

@@ -60,16 +60,16 @@ CasService::CasService(quote::AttestationService* attestation,
                  "cas-tokens", kTokenStripes),
       secure_server_(
           &identity_, crypto::Drbg(rng_.generate(16), "cas-channel"),
-          [this](ByteView payload, ByteView dh, Status* reject_status) {
-            return on_handshake(payload, dh, reject_status);
+          [this](ByteView payload, ByteView dh) {
+            return on_handshake(payload, dh);
           }) {
   if (attestation_ == nullptr)
     throw Error("cas: attestation service required");
 
   // The service's own collector: token accounting, the token-minting DRBG
   // pool, and the secure channel's stats as the channel_* series (the
-  // secure endpoint's only export). The registry dies with the service, so
-  // `this` cannot dangle.
+  // attested exchange's counters beyond the frontend's per-command ones).
+  // The registry dies with the service, so `this` cannot dangle.
   registry_.add_collector([this](obs::MetricsSnapshot& snap) {
     snap.gauge("tokens_outstanding", tokens_outstanding());
     snap.counter("tokens_spent", tokens_used());
@@ -127,8 +127,12 @@ void CasService::set_replication_gate(ReplicationGate* gate) {
   replication_gate_.store(gate, std::memory_order_release);
 }
 
-Bytes CasService::handle_secure(ByteView raw) {
-  return secure_server_.handle(raw);
+AttestResponse CasService::handle_attest(ByteView record) {
+  AttestResponse resp;
+  Result<Bytes> acceptance = secure_server_.handle(record);
+  resp.status = acceptance.status();
+  if (acceptance.ok()) resp.acceptance = std::move(acceptance).value();
+  return resp;
 }
 
 net::SecureServer::Stats CasService::secure_channel_stats() const {
@@ -169,8 +173,9 @@ std::vector<MintedCredential> CasService::mint_batch(
   // striped token_rng_ pool, so concurrent minters draw from different
   // generators instead of serializing on a global RNG lock.
   // The RSA-CRT signing loop below is the most expensive code in the
-  // process (~5 ms per signature); holding any lock across it would
-  // serialize the whole service behind one batch.
+  // process (about 2.1 ms per RSA-3072 signature: perfbench `start`'s
+  // traced `cas.mint_ms` on a shared 4-core x86-64 host); holding any lock
+  // across it would serialize the whole service behind one batch.
   lockrank::assert_none_held("mint_batch signing");
   core::OnDemandSigner minter(common_sigstruct, *signer);
   const Hash256 vid = verifier_id();
@@ -270,33 +275,32 @@ std::optional<StatusCode> CasService::check_retrieval_preconditions(
   return std::nullopt;
 }
 
-std::optional<Bytes> CasService::on_handshake(
-    ByteView client_payload, ByteView client_dh, Status* reject_status) {
+Result<Bytes> CasService::on_handshake(ByteView client_payload,
+                                      ByteView client_dh) {
   const auto verdict = [this](Verdict v) {
     MutexLock lock(observe_mutex_);
     last_attest_verdict_ = v;
   };
+  // Every refusal below but the malformed payload and a routing one is a
+  // verification outcome: the channel answers the peer the generic
+  // kAttestationRejected for it (no oracle), and the fine-grained Verdict
+  // is server-side observability.
+  const auto refuse = [&](Verdict v,
+                          Status status = Status(
+                              StatusCode::kAttestationRejected)) {
+    verdict(v);
+    return Result<Bytes>(std::move(status));
+  };
 
-  // The enveloped kAttest payload, decoded without letting deserializer
-  // exceptions escape. Only protocol-level refusals ride back to the
-  // (unauthenticated) peer as typed statuses — verification failures stay
-  // the generic rejection so the handshake is no oracle; the fine-grained
-  // Verdict is server-side observability.
-  FrameInfo frame;
-  const auto decoded = decode_attest_payload(client_payload, &frame);
-  if (!decoded.has_value()) {
-    if (reject_status != nullptr && is_protocol_level(frame.status))
-      *reject_status = Status(frame.status);
-    verdict(Verdict::kMalformed);
-    return std::nullopt;
-  }
+  const std::optional<AttestPayload> decoded =
+      parse_attest_payload(client_payload);
+  if (!decoded.has_value())
+    return refuse(Verdict::kMalformed, Status(StatusCode::kMalformedRequest));
   const AttestPayload& payload = *decoded;
 
   const auto policy = get_policy(payload.session_name);
-  if (!policy.has_value()) {
-    verdict(Verdict::kPolicyViolation);
-    return std::nullopt;
-  }
+  if (!policy.has_value())
+    return refuse(Verdict::kPolicyViolation);
 
   // 1. Quote genuineness (the TEE provider's attestation service).
   const quote::QuoteVerification qv = [&] {
@@ -304,35 +308,24 @@ std::optional<Bytes> CasService::on_handshake(
     obs::Span span(p_check);
     return attestation_->verify(payload.quote);
   }();
-  if (!qv.ok()) {
-    verdict(qv.verdict);
-    return std::nullopt;
-  }
+  if (!qv.ok()) return refuse(qv.verdict);
 
   // 2. Channel binding: REPORTDATA must commit to the client's DH key.
-  if (!(qv.report_data == net::channel_binding(client_dh))) {
-    verdict(Verdict::kPolicyViolation);
-    return std::nullopt;
-  }
+  if (!(qv.report_data == net::channel_binding(client_dh)))
+    return refuse(Verdict::kPolicyViolation);
 
   // 3. No debug enclaves unless the policy opts in.
-  if (qv.identity->attributes.debug() && !policy->allow_debug) {
-    verdict(Verdict::kAttributesMismatch);
-    return std::nullopt;
-  }
+  if (qv.identity->attributes.debug() && !policy->allow_debug)
+    return refuse(Verdict::kAttributesMismatch);
 
   // 4. Signer pin.
-  if (qv.identity->mr_signer != policy->expected_signer) {
-    verdict(Verdict::kSignerMismatch);
-    return std::nullopt;
-  }
+  if (qv.identity->mr_signer != policy->expected_signer)
+    return refuse(Verdict::kSignerMismatch);
 
   // 5. Measurement check: singleton (SinClave) or pinned common (baseline).
   if (policy->require_singleton) {
-    if (!payload.token.has_value()) {
-      verdict(Verdict::kTokenUnknown);
-      return std::nullopt;
-    }
+    if (!payload.token.has_value())
+      return refuse(Verdict::kTokenUnknown);
     static obs::Phase& p_spend = obs::Tracer::instance().phase("token_spend");
     Status spent;
     if (ReplicationGate* gate =
@@ -367,29 +360,26 @@ std::optional<Bytes> CasService::on_handshake(
     }
     if (!spent.ok()) {
       // kNotLeader is protocol-level, so the client re-routes by its
-      // detail, the gate's leader hint; verification outcomes stay the
-      // generic rejection as ever.
-      if (reject_status != nullptr && is_protocol_level(spent.code))
-        *reject_status = spent;
-      verdict(spent.code == StatusCode::kTokenReused ? Verdict::kTokenReused
-              : spent.code == StatusCode::kTokenUnknown
-                  ? Verdict::kTokenUnknown
-              : spent.code == StatusCode::kAttestationRejected
-                  ? Verdict::kMeasurementMismatch
-                  : Verdict::kStale);  // routing/liveness refusals
-      return std::nullopt;
+      // detail, the gate's leader hint; verification outcomes reach the
+      // peer as the generic rejection as ever.
+      return refuse(spent.code == StatusCode::kTokenReused
+                        ? Verdict::kTokenReused
+                    : spent.code == StatusCode::kTokenUnknown
+                        ? Verdict::kTokenUnknown
+                    : spent.code == StatusCode::kAttestationRejected
+                        ? Verdict::kMeasurementMismatch
+                        : Verdict::kStale,  // routing/liveness refusals
+                    spent);
     }
   } else {
     if (!policy->expected_mr_enclave.has_value() ||
-        qv.identity->mr_enclave != *policy->expected_mr_enclave) {
-      verdict(Verdict::kMeasurementMismatch);
-      return std::nullopt;
-    }
+        qv.identity->mr_enclave != *policy->expected_mr_enclave)
+      return refuse(Verdict::kMeasurementMismatch);
   }
   verdict(Verdict::kOk);
   // The answer is the configuration of the very policy the quote was
   // checked against; the channel seals it to this client's share.
-  return encode_attest_answer(policy->config, frame.request_id);
+  return policy->config.serialize();
 }
 
 namespace {

@@ -146,10 +146,11 @@ class CasService {
   std::optional<StatusCode> check_retrieval_preconditions(
       const Policy& policy) const;
 
-  /// Raw entry point of the secure attestation endpoint. The caller owns
-  /// the trace: it opens a TraceScope (and records the root) around the
-  /// call.
-  Bytes handle_secure(ByteView raw);
+  /// The attested exchange (Command::kAttest): the secure channel answers
+  /// the handshake `record` with its acceptance, or the refusal as the
+  /// Status. The caller owns the trace: it opens a TraceScope (and records
+  /// the root) around the call.
+  AttestResponse handle_attest(ByteView record);
 
   /// Predict + sign a fresh singleton credential for `policy` against the
   /// given verified common SigStruct. Pure minting: the token is NOT yet
@@ -229,9 +230,8 @@ class CasService {
   /// Replace policies and token database from a previously exported state.
   void import_state(ByteView state);
 
-  /// The attestation endpoint's exchange counters (accepted and rejected
-  /// handshakes, handshakes in flight and their high water, DRBG-stripe
-  /// collisions).
+  /// The attested exchange's counters (accepted and rejected handshakes,
+  /// handshakes in flight and their high water, DRBG-stripe collisions).
   net::SecureServer::Stats secure_channel_stats() const;
 
   /// The unified metrics registry every layer's collectors plug into:
@@ -241,17 +241,15 @@ class CasService {
   /// nothing on the record path touches this.
   obs::MetricsRegistry& metrics_registry() { return registry_; }
 
-  /// Observability introspection (Command::kIntrospect on the instance
-  /// endpoint): registry snapshot in the requested format plus
-  /// recent/slow traces from the process-wide tracer.
+  /// Observability introspection (Command::kIntrospect): registry
+  /// snapshot in the requested format plus recent/slow traces from the
+  /// process-wide tracer.
   IntrospectResponse handle_introspect(const IntrospectRequest& request);
 
  private:
   /// The handshake hook: verify, spend, and answer with the policy's
-  /// configuration (nullopt: reject).
-  std::optional<Bytes> on_handshake(ByteView client_payload,
-                                    ByteView client_dh,
-                                    Status* reject_status);
+  /// configuration, or the refusal.
+  Result<Bytes> on_handshake(ByteView client_payload, ByteView client_dh);
 
   struct PendingToken {
     std::string session_name;

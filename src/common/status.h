@@ -28,21 +28,21 @@ namespace sinclave {
 /// renumber; unknown codes decode as kInternal on old peers).
 enum class StatusCode : std::uint8_t {
   kOk = 0,
-  // Instance-endpoint (singleton retrieval) outcomes.
+  // Singleton-retrieval outcomes.
   kUnknownSession = 1,
   kNotSingleton = 2,
   kNoSignerKey = 3,
   kBadSignature = 4,
   kWrongSigner = 5,
   kBaseHashMismatch = 6,
-  // Attested-endpoint outcomes.
+  // Attested-exchange outcomes.
   kTokenUnknown = 7,
   kTokenReused = 8,
   /// Reserved: nothing answers it since the attested exchange keeps no
   /// session; the value stays so it is never reused.
   kSessionNotAttested = 9,
   kAttestationRejected = 10,
-  // Protocol-level outcomes (any endpoint).
+  // Protocol-level outcomes (any command).
   kMalformedRequest = 11,
   kUnsupportedVersion = 12,
   kUnknownCommand = 13,
@@ -113,11 +113,12 @@ constexpr bool is_retryable(StatusCode code) {
 }
 
 /// True for codes that describe the protocol exchange itself rather than
-/// a verification outcome. These are the only codes a handshake rejection
-/// record may carry to an unauthenticated peer (SecureServer sends them,
-/// SecureClient whitelists them — one predicate so the two cannot drift);
-/// everything else stays the generic rejection, keeping the handshake
-/// oracle-free. kNotLeader qualifies, with its leader hint: "go to the
+/// a verification outcome. These are the only codes a refused handshake
+/// may show an unauthenticated peer: SecureServer::handle turns every
+/// other hook refusal into the generic rejection (the one rule, on the
+/// server; the client reads the reply's Status like any command's),
+/// keeping the handshake oracle-free. kNotLeader qualifies, with its
+/// leader hint: "go to the
 /// leader" is public routing topology, and a follower must bounce an
 /// attested handshake before spending its one-time token. kUnavailable
 /// ("could not commit your spend, retry") says nothing about the token

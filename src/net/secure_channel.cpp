@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
 
 #include "common/error.h"
 #include "common/mutex.h"
@@ -16,17 +17,12 @@ namespace sinclave::net {
 
 namespace {
 
-constexpr std::uint8_t kMsgHandshake = 0;
-
-/// Handshake record version, the byte after the marker: 4 since the
-/// answer rides the handshake sealed (3 returned a session id for data
-/// records, 2 carried an RSA signature). The first-format record had no
-/// version byte: its share's u32 length (256) put 0x00 there, so it reads
-/// as version 0 and is refused typed.
-constexpr std::uint8_t kHandshakeVersion = 4;
-
-constexpr std::uint8_t kStatusRejected = 0;
-constexpr std::uint8_t kStatusOk = 1;
+/// Handshake record version, the record's first byte: 5 since the record
+/// rides the CAS envelope's kAttest command (4 framed it behind a marker
+/// byte, 3 returned a session id for data records, 2 carried an RSA
+/// signature). Every older record reads as another version and is refused
+/// typed.
+constexpr std::uint8_t kHandshakeVersion = 5;
 
 /// DRBG stripes for handshake randomness (crypto::DrbgPool).
 constexpr std::size_t kRngStripes = 8;
@@ -90,40 +86,12 @@ class InFlight {
   std::atomic<std::uint64_t>& count_;
 };
 
-Bytes rejection_record() {
-  ByteWriter w;
-  w.u8(kStatusRejected);
-  return std::move(w).take();
-}
-
-/// marker | u8 code [| str detail]; only kNotLeader sends its detail.
-Bytes rejection_record(const Status& status) {
-  ByteWriter w;
-  w.u8(kStatusRejected);
-  w.u8(static_cast<std::uint8_t>(status.code));
-  if (status.code == StatusCode::kNotLeader &&
-      status.detail.size() <= kMaxRejectDetail)
-    w.str(status.detail);
-  return std::move(w).take();
-}
-
-/// A handshake rejection after its marker, whitelisted through
-/// is_protocol_level: anything else — a hostile 0 = "ok", bytes outside
-/// the enum, no code at all — is the generic rejection, so a rejected
-/// handshake never reads as success. Only kNotLeader keeps a detail, and
-/// only a whole one: a truncated, oversized or trailed one is dropped.
-Status read_rejection(ByteReader& r) {
-  const auto code = r.done() ? StatusCode::kAttestationRejected
-                             : static_cast<StatusCode>(r.u8());
-  if (!is_protocol_level(code)) return Status(StatusCode::kAttestationRejected);
-  Status status(code);
-  if (code != StatusCode::kNotLeader) return status;
-  try {
-    std::string detail = r.str();
-    if (r.done() && detail.size() <= kMaxRejectDetail)
-      status.detail = std::move(detail);
-  } catch (const ParseError&) {
-  }
+/// What a refusal may tell an unauthenticated peer: a protocol-level code,
+/// else the generic kAttestationRejected; a detail only for kNotLeader.
+Status peer_refusal(const Status& status) {
+  if (!is_protocol_level(status.code))
+    return Status(StatusCode::kAttestationRejected);
+  if (status.code != StatusCode::kNotLeader) return Status(status.code);
   return status;
 }
 
@@ -147,35 +115,45 @@ SecureServer::SecureServer(const crypto::Ed25519KeyPair* identity,
   if (!on_handshake_) throw Error("secure server: handshake hook required");
 }
 
-Bytes SecureServer::handle(ByteView raw) {
-  try {
-    ByteReader r(raw);
-    if (r.u8() == kMsgHandshake) return handle_handshake(r);
-    return rejection_record();
-  } catch (const Error&) {
-    // Not just ParseError: small-order X25519 shares or hook-level
-    // deserializer failures must answer a clean rejection, never escape
-    // into (and kill futures on) a frontend worker thread.
-    return rejection_record();
+Result<Bytes> SecureServer::handle(ByteView record) {
+  Result<Bytes> answer = answer_record(record);
+  if (answer.ok()) {
+    sessions_opened_.fetch_add(1, std::memory_order_relaxed);
+    return answer;
   }
+  handshakes_rejected_.fetch_add(1, std::memory_order_relaxed);
+  return peer_refusal(answer.status());
 }
 
-Bytes SecureServer::handle_handshake(ByteReader& r) {
-  const auto refuse = [this](const Status& status) {
-    handshakes_rejected_.fetch_add(1, std::memory_order_relaxed);
-    return rejection_record(status);
-  };
+Result<Bytes> SecureServer::answer_record(ByteView record) {
   // The record's shape is checked before the hook runs: a peer speaking
   // another version, or sending a share of another length, never reaches
   // quote verification or a token spend.
-  if (r.u8() != kHandshakeVersion)
-    return refuse(Status(StatusCode::kUnsupportedVersion));
-  const Bytes client_dh = r.bytes();
+  Bytes client_dh;
+  Bytes client_payload;
+  try {
+    ByteReader r(record);
+    if (r.u8() != kHandshakeVersion) return StatusCode::kUnsupportedVersion;
+    client_dh = r.bytes();
+    client_payload = r.bytes();
+    r.expect_done();
+  } catch (const ParseError&) {
+    return StatusCode::kMalformedRequest;
+  }
   if (client_dh.size() != crypto::kX25519Bytes)
-    return refuse(Status(StatusCode::kMalformedRequest));
-  const Bytes client_payload = r.bytes();
-  r.expect_done();
+    return StatusCode::kMalformedRequest;
+  try {
+    return accept(client_dh, client_payload);
+  } catch (const Error&) {
+    // Small-order X25519 shares or hook-level deserializer failures are
+    // the generic refusal, never an exception escaping into (and killing
+    // futures on) a frontend worker thread.
+    return StatusCode::kAttestationRejected;
+  }
+}
 
+Result<Bytes> SecureServer::accept(ByteView client_dh,
+                                   ByteView client_payload) {
   const InFlight in_flight(in_flight_, sessions_high_water_);
   // Number the handshake for any active trace, so the phases below are
   // attributable to it.
@@ -186,15 +164,13 @@ Bytes SecureServer::handle_handshake(ByteReader& r) {
   // handshake — runs with no lock held: N racing handshakes verify N
   // quotes on N cores.
   lockrank::assert_none_held("handshake quote verification");
-  Status reject_status(StatusCode::kAttestationRejected);
-  std::optional<Bytes> answer;
-  {
+  Result<Bytes> answer = [&] {
     static obs::Phase& p_verify =
         obs::Tracer::instance().phase("quote_verify");
     obs::Span span(p_verify);
-    answer = on_handshake_(client_payload, client_dh, &reject_status);
-  }
-  if (!answer.has_value()) return refuse(reject_status);
+    return on_handshake_(client_payload, client_dh);
+  }();
+  if (!answer.ok()) return answer;
 
   // All key-establishment crypto stays outside every lock too. The DRBG
   // lease is held only for the 32-byte scalar draw; both ladders, the
@@ -235,10 +211,8 @@ Bytes SecureServer::handle_handshake(ByteReader& r) {
     obs::Span span(p_sign);
     signature = identity_->sign(transcript_hash(hello, sealed).view());
   }
-  sessions_opened_.fetch_add(1, std::memory_order_relaxed);
 
   ByteWriter w;
-  w.u8(kStatusOk);
   w.bytes(server_pub);
   w.bytes(ByteView{signature.data(), signature.size()});
   w.bytes(sealed);
@@ -267,41 +241,40 @@ SecureClient::SecureClient(crypto::Drbg rng) {
   dh_public_.assign(share.begin(), share.end());
 }
 
-std::optional<Bytes> SecureClient::connect(
-    SimNetwork::Connection connection,
-    const crypto::Ed25519PublicKey& expected_server, ByteView client_payload,
-    Status* reject_status) const {
-  ByteWriter req;
-  req.u8(kMsgHandshake);
-  req.u8(kHandshakeVersion);
-  req.bytes(dh_public_);
-  req.bytes(client_payload);
-  const Bytes raw = connection.call(req.data());
+Bytes SecureClient::offer(ByteView client_payload) const {
+  ByteWriter w;
+  w.u8(kHandshakeVersion);
+  w.bytes(dh_public_);
+  w.bytes(client_payload);
+  return std::move(w).take();
+}
 
-  ByteReader r(raw);
-  if (r.u8() != kStatusOk) {
-    if (reject_status != nullptr) *reject_status = read_rejection(r);
-    return std::nullopt;
+Bytes SecureClient::finish(const crypto::Ed25519PublicKey& expected_server,
+                           ByteView client_payload,
+                           ByteView acceptance) const {
+  try {
+    ByteReader r(acceptance);
+    const Bytes server_pub = r.bytes();
+    const Bytes signature = r.bytes();
+    const Bytes sealed = r.bytes();
+    r.expect_done();
+    // Server authentication: the expected verifier must have signed the
+    // whole exchange. A mismatch — including a signature that is not 64
+    // bytes — is an active attack, not a routine refusal -> throw.
+    const Hash256 hello = hello_hash(dh_public_, server_pub, client_payload);
+    if (expected_server.verify(transcript_hash(hello, sealed).view(),
+                               signature)) {
+      const crypto::X25519Bytes secret =
+          crypto::x25519(scalar_, to_share(server_pub));
+      if (std::optional<Bytes> answer =
+              answer_key(secret, hello).open(kAnswerNonce, sealed, {}))
+        return std::move(*answer);
+    }
+  } catch (const Error&) {
+    // An acceptance that does not parse, or whose share is no usable
+    // X25519 point, is no more the pinned verifier's than a bad signature.
   }
-  const Bytes server_pub = r.bytes();
-  const Bytes signature = r.bytes();
-  const Bytes sealed = r.bytes();
-  r.expect_done();
-
-  // Server authentication: the expected verifier must have signed the
-  // whole exchange. A mismatch — including a signature that is not 64
-  // bytes — is an active attack, not a routine rejection -> throw.
-  const Hash256 hello = hello_hash(dh_public_, server_pub, client_payload);
-  if (!expected_server.verify(transcript_hash(hello, sealed).view(),
-                              signature))
-    throw IdentityMismatchError();
-
-  const crypto::X25519Bytes secret =
-      crypto::x25519(scalar_, to_share(server_pub));
-  std::optional<Bytes> answer =
-      answer_key(secret, hello).open(kAnswerNonce, sealed, {});
-  if (!answer.has_value()) throw IdentityMismatchError();
-  return answer;
+  throw IdentityMismatchError();
 }
 
 }  // namespace sinclave::net

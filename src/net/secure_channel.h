@@ -1,22 +1,18 @@
 // Attestation-bindable secure channel (the RA-TLS / wireguard stand-in).
 //
-// One exchange, record version 4 (client = enclave runtime, starter tool,
-// or the attacker's impersonator; server = the verifier/CAS):
+// One exchange, record version 5 (client = enclave runtime, starter tool,
+// or the attacker's impersonator; server = the verifier/CAS). The channel
+// owns the two messages; the caller carries them — for the CAS, as the
+// payload of a kAttest envelope and of its reply (cas/protocol.h):
 //
-//   client -> server : marker | u8 version (4) | client X25519 share
-//                      (32 bytes) | opaque client payload
-//   server -> client : ok | server X25519 share (32 bytes) | Ed25519
-//                      signature over T (64 bytes) | sealed answer
-//                 or : rejected | u8 code [| str detail]
+//   record     (client -> server) : u8 version (5) | client X25519 share
+//                                   (32 bytes) | opaque client payload
+//   acceptance (server -> client) : server X25519 share (32 bytes) |
+//                                   Ed25519 signature over T (64 bytes) |
+//                                   sealed answer
 //
 // Every variable-length field is length-prefixed (common/serial.h). A
 // signature of any length but 64 bytes fails the identity check.
-//
-// A rejection's code is protocol-level (is_protocol_level) or the generic
-// kAttestationRejected. Only kNotLeader appends a detail, its leader hint
-// (at most kMaxRejectDetail bytes): every other record ends at the code,
-// so the generic rejection reveals no token state, and a client that
-// stops reading after the code still parses every record.
 //
 //   H = SHA-256(version || client share || server share || client payload)
 //   T = SHA-256(H || sealed answer)
@@ -29,8 +25,14 @@
 // (RFC 8446 §2), and no session outlives the exchange: the server keeps
 // no state per client.
 //
-// The server refuses another version (kUnsupportedVersion; version 3 was
-// a two-round-trip handshake with a session id and data records after it)
+// A refusal is no acceptance but a Status, which the carrier delivers in
+// its own framing (for the CAS, the reply envelope's Status prefix). It
+// is protocol-level (is_protocol_level) or the generic
+// kAttestationRejected, and only kNotLeader keeps a detail, its leader
+// hint: the generic refusal reveals no token state. The server refuses
+// another version (kUnsupportedVersion; version 4 framed the same fields
+// behind a marker byte with its own rejection records, version 3 was a
+// two-round-trip handshake with a session id and data records after it)
 // or a share of another length (kMalformedRequest) before its handshake
 // hook runs, so such a peer never reaches quote verification. The
 // *server* is authenticated by its Ed25519 identity key's signature over
@@ -47,40 +49,31 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <optional>
 
 #include "common/bytes.h"
 #include "common/status.h"
 #include "crypto/drbg.h"
 #include "crypto/ed25519.h"
 #include "crypto/x25519.h"
-#include "net/sim_network.h"
-
-namespace sinclave {
-class ByteReader;  // common/serial.h
-}
 
 namespace sinclave::net {
-
-/// Longest detail a handshake rejection carries (or a client keeps).
-inline constexpr std::size_t kMaxRejectDetail = 256;
 
 /// The value an attested client must place in its report's REPORTDATA:
 /// SHA-256 of the client's X25519 share, zero padded to 64 bytes.
 FixedBytes<64> channel_binding(ByteView client_dh_public);
 
-/// Thrown by SecureClient::connect when the server's answer is not
-/// authentic: its signature does not verify under the pinned identity (or
-/// is not 64 bytes), or its sealed answer does not open — an active
-/// attack, never a routine rejection. A distinct type so callers (the
-/// client SDK) can keep it loud without matching message strings.
+/// Thrown by SecureClient::finish when an acceptance is not authentic: it
+/// does not parse, its signature does not verify under the pinned
+/// identity (or is not 64 bytes), or its sealed answer does not open — an
+/// active attack, never a routine refusal. A distinct type so callers
+/// (the client SDK) can keep it loud without matching message strings.
 class IdentityMismatchError : public Error {
  public:
   IdentityMismatchError()
       : Error("secure channel: server identity mismatch") {}
 };
 
-/// Server half; plug `handle` into SimNetwork::listen.
+/// Server half: hand it each record, carry back what it returns.
 ///
 /// Stateless between exchanges and thread-safe: handle() may be called
 /// from many dispatcher threads at once. ALL exchange crypto — the
@@ -93,22 +86,21 @@ class IdentityMismatchError : public Error {
 class SecureServer {
  public:
   /// Decides whether to accept a handshake. Receives the client's payload
-  /// and X25519 share; returns the answer to seal back, or nullopt to
-  /// reject. On rejection the hook may set `reject_status` to a
-  /// protocol-level status (kUnsupportedVersion, kMalformedRequest,
-  /// kNotLeader with its leader hint) — it rides the rejection record so
-  /// well-behaved clients learn how to remediate or where to go;
-  /// verification failures should leave the generic default (no oracle
-  /// for unauthenticated peers).
-  using HandshakeHook = std::function<std::optional<Bytes>(
-      ByteView client_payload, ByteView client_dh_public,
-      Status* reject_status)>;
+  /// and X25519 share; returns the answer to seal back, or the refusal.
+  /// A protocol-level refusal (kMalformedRequest, kNotLeader with its
+  /// leader hint, ...) reaches the peer as is, so well-behaved clients
+  /// learn how to remediate or where to go; any other becomes the generic
+  /// kAttestationRejected (no oracle for unauthenticated peers).
+  using HandshakeHook =
+      std::function<Result<Bytes>(ByteView client_payload,
+                                  ByteView client_dh_public)>;
 
   SecureServer(const crypto::Ed25519KeyPair* identity, crypto::Drbg rng,
                HandshakeHook on_handshake);
 
-  /// Raw transport entry point.
-  Bytes handle(ByteView raw);
+  /// Answer one client record: the acceptance, or the refusal. Never
+  /// throws on hostile input.
+  Result<Bytes> handle(ByteView record);
 
   /// Exchange counters, exported as CasService's channel_* series.
   struct Stats {
@@ -126,7 +118,9 @@ class SecureServer {
   Stats stats() const;
 
  private:
-  Bytes handle_handshake(ByteReader& r);
+  /// The record's answer before counting and the peer_refusal rule.
+  Result<Bytes> answer_record(ByteView record);
+  Result<Bytes> accept(ByteView client_dh, ByteView client_payload);
 
   const crypto::Ed25519KeyPair* identity_;
   crypto::DrbgPool rng_;
@@ -146,24 +140,22 @@ class SecureClient {
  public:
   explicit SecureClient(crypto::Drbg rng);
 
-  /// The 32-byte X25519 share, available before connecting so callers can
-  /// bind it into a report (channel_binding()).
+  /// The 32-byte X25519 share, available before the exchange so callers
+  /// can bind it into a report (channel_binding()).
   const Bytes& dh_public() const { return dh_public_; }
 
-  /// Run the exchange. `expected_server` pins the server identity: a
-  /// signature over the transcript that does not verify under it, or a
-  /// sealed answer that does not open, throws IdentityMismatchError (the
-  /// signature check is what SinClave roots in the instance page). Returns
-  /// the server's opened answer; nullopt when the server rejected the
-  /// handshake — `reject_status`, when given, then carries the typed
-  /// rejection (kAttestationRejected unless the record named a
-  /// protocol-level code; a detail only for kNotLeader). A rejection
-  /// changes nothing on either side: the client may retry with the same
-  /// share.
-  std::optional<Bytes> connect(SimNetwork::Connection connection,
-                               const crypto::Ed25519PublicKey& expected_server,
-                               ByteView client_payload,
-                               Status* reject_status = nullptr) const;
+  /// The record that offers `client_payload` under this share. A refusal
+  /// changes nothing on either side: the same record may be sent again.
+  Bytes offer(ByteView client_payload) const;
+
+  /// Open the server's acceptance of the record offer(`client_payload`)
+  /// built. `expected_server` pins the server identity: an acceptance
+  /// that does not parse, whose signature over the transcript does not
+  /// verify under it, or whose sealed answer does not open throws
+  /// IdentityMismatchError (the signature check is what SinClave roots in
+  /// the instance page). Returns the opened answer.
+  Bytes finish(const crypto::Ed25519PublicKey& expected_server,
+               ByteView client_payload, ByteView acceptance) const;
 
  private:
   crypto::X25519Bytes scalar_;

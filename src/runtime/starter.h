@@ -36,8 +36,8 @@ StartedEnclave start_enclave(
     const std::optional<sgx::EinitToken>& launch_token = std::nullopt);
 
 /// Full SinClave starter flow ("Singleton Page Retrieval", Fig. 7c):
-/// request token + on-demand SigStruct from the verifier's instance
-/// endpoint, materialize the instance page, construct, EINIT.
+/// request token + on-demand SigStruct from the verifier (kGetInstance),
+/// materialize the instance page, construct, EINIT.
 struct SingletonStart {
   StartedEnclave enclave;
   core::AttestationToken token;

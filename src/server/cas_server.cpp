@@ -10,28 +10,6 @@ namespace sinclave::server {
 
 namespace {
 using Clock = std::chrono::steady_clock;
-
-/// Answer a frame with a blanket refusal (shed / deadline-exceeded):
-/// serve_instance_frame handles instance and introspect frames alike and
-/// never throws on malformed input — so overload answers are as typed and
-/// parseable as served ones, at frame-decode cost only.
-Bytes refusal_frame(const Bytes& raw, const Status& status,
-                    cas::FrameInfo* frame) {
-  return cas::serve_instance_frame(
-      raw,
-      [&](const cas::InstanceRequest&) {
-        cas::InstanceResponse resp;
-        resp.status = status;
-        return resp;
-      },
-      [&](const cas::IntrospectRequest&) {
-        cas::IntrospectResponse resp;
-        resp.status = status;
-        return resp;
-      },
-      frame);
-}
-
 }  // namespace
 
 CasServer::CasServer(cas::CasService* cas, CasServerConfig config)
@@ -40,6 +18,15 @@ CasServer::CasServer(cas::CasService* cas, CasServerConfig config)
       sigstruct_cache_(config.sigstruct_cache_capacity),
       pool_(config.workers) {
   if (cas_ == nullptr) throw Error("server: cas service required");
+  handlers_.get_instance = [this](const cas::InstanceRequest& req) {
+    return serve_instance(req);
+  };
+  handlers_.introspect = [this](const cas::IntrospectRequest& req) {
+    return cas_->handle_introspect(req);
+  };
+  handlers_.attest = [this](ByteView record) {
+    return cas_->handle_attest(record);
+  };
   // Every registry snapshot pulls this frontend's counters (the secure
   // channel's own come from CasService's collector).
   collector_id_ = cas_->metrics_registry().add_collector(
@@ -57,23 +44,10 @@ CasServer::~CasServer() {
 }
 
 void CasServer::bind(net::SimNetwork& net, const std::string& address) {
-  net.listen_async(address + ".instance",
+  net.listen_async(address,
                    [this](ByteView raw, net::SimNetwork::Completion done) {
-                     accept_instance(Bytes(raw.begin(), raw.end()),
-                                     std::move(done));
+                     accept(Bytes(raw.begin(), raw.end()), std::move(done));
                    });
-  try {
-    net.listen_async(address,
-                     [this](ByteView raw, net::SimNetwork::Completion done) {
-                       accept_attest(Bytes(raw.begin(), raw.end()),
-                                     std::move(done));
-                     });
-  } catch (...) {
-    // Half-bound server: tear down the instance listener (its handler
-    // captures `this`) before reporting the failure.
-    net.shutdown(address + ".instance");
-    throw;
-  }
   net_ = &net;
   address_ = address;
 }
@@ -82,8 +56,7 @@ void CasServer::unbind() {
   if (net_ == nullptr) return;
   // shutdown() waits for every accepted request to *complete* — including
   // ones parked on the timer wheel — so after this returns no state
-  // machine references the listeners.
-  net_->shutdown(address_ + ".instance");
+  // machine references the listener.
   net_->shutdown(address_);
   net_ = nullptr;
 }
@@ -100,7 +73,7 @@ void CasServer::respond(Clock::time_point accepted,
   const std::int64_t respond_start = obs::Tracer::now_ns();
   histogram->record(Clock::now() - accepted);
   metrics_.leave_in_flight();
-  if (root != nullptr && ctx.active()) {
+  if (ctx.active()) {
     obs::Tracer& tracer = obs::Tracer::instance();
     tracer.record_phase_span(p_respond, ctx, respond_start,
                              obs::Tracer::now_ns(), 1);
@@ -109,9 +82,8 @@ void CasServer::respond(Clock::time_point accepted,
   done(std::move(response));
 }
 
-void CasServer::note_frame(CommandMetrics& command,
-                           const cas::FrameInfo& frame) {
-  switch (frame.status) {
+void CasServer::note_frame(CommandMetrics& command, StatusCode answered) {
+  switch (answered) {
     case StatusCode::kMalformedRequest:
       ++metrics_.malformed_frames;
       break;
@@ -124,27 +96,42 @@ void CasServer::note_frame(CommandMetrics& command,
     default:
       break;
   }
-  if (frame.status != StatusCode::kOk) ++command.errors;
+  if (answered != StatusCode::kOk) ++command.errors;
 }
 
-void CasServer::accept_instance(Bytes raw, net::SimNetwork::Completion done) {
+void CasServer::accept(Bytes raw, net::SimNetwork::Completion done) {
   // Stage 1 — accept, on the client's thread: account, open the trace
-  // (the request_id is peekable from the cleartext envelope header), and
-  // enqueue. The client thread is never borrowed for serving work.
+  // (command and request id are peekable from the cleartext envelope
+  // header), and enqueue. The client thread is never borrowed for serving
+  // work.
   static obs::Phase& p_queue = obs::Tracer::instance().phase("queue_wait");
   static obs::Phase& p_serve = obs::Tracer::instance().phase("serve_frame");
   static obs::Phase& p_stall =
       obs::Tracer::instance().phase("backend_stall");
-  static obs::Phase& p_root =
+  static obs::Phase& p_root_instance =
       obs::Tracer::instance().phase("request_get_instance");
   static obs::Phase& p_root_introspect =
       obs::Tracer::instance().phase("request_introspect");
+  static obs::Phase& p_root_attest =
+      obs::Tracer::instance().phase("request_attest");
   const auto accepted = Clock::now();
+  const cas::Envelope::Header header =
+      cas::Envelope::peek(raw).value_or(cas::Envelope::Header{});
+  // The attested exchange counts as `attest`; everything else, undecodable
+  // frames included, on `get_instance`.
+  CommandMetrics* command = header.command == cas::Command::kAttest
+                                ? &metrics_.attest
+                                : &metrics_.get_instance;
+  obs::Phase* root = header.command == cas::Command::kAttest
+                         ? &p_root_attest
+                     : header.command == cas::Command::kIntrospect
+                         ? &p_root_introspect
+                         : &p_root_instance;
   obs::TraceContext ctx;
   ctx.trace_id = obs::Tracer::instance().new_trace_id();
-  ctx.request_id = cas::Envelope::peek_request_id(raw).value_or(0);
+  ctx.request_id = header.request_id;
   const std::int64_t accepted_ns = obs::Tracer::now_ns();
-  ++metrics_.get_instance.requests;
+  ++command->requests;
   metrics_.enter_in_flight();
   // Admission control, on the accept thread: past the limit the request
   // is shed — answered right now with a typed kUnavailable carrying a
@@ -157,20 +144,21 @@ void CasServer::accept_instance(Bytes raw, net::SimNetwork::Completion done) {
     ++metrics_.requests_shed;
     const Status shed(StatusCode::kUnavailable,
                       retry_after_detail(config_.shed_retry_after));
-    cas::FrameInfo frame;
-    Bytes out = refusal_frame(raw, shed, &frame);
-    note_frame(metrics_.get_instance, frame);
-    respond(accepted, &metrics_.get_instance.latency, std::move(out), done,
-            ctx, &p_root, accepted_ns);
+    StatusCode answered = StatusCode::kOk;
+    Bytes out = cas::refuse_client_frame(raw, shed, &answered);
+    note_frame(*command, answered);
+    respond(accepted, &command->latency, std::move(out), done, ctx, root,
+            accepted_ns);
     return;
   }
   const auto deadline = accepted + config_.request_deadline;
   auto job = [this, raw = std::move(raw), done, accepted, deadline, ctx,
-              accepted_ns]() mutable {
-    // Stage 2 — serve, on a worker: decode + policy + verify +
-    // credential. serve_instance_frame contains deserializer
-    // failures — a malformed or truncated frame answers a typed
-    // kMalformedRequest, it can never escape this worker as an exception.
+              accepted_ns, command, root]() mutable {
+    // Stage 2 — serve, on a worker: decode + dispatch (retrieval: policy
+    // -> verify-once memo -> pooled credential | inline sign; attest: the
+    // handshake). serve_client_frame contains deserializer failures — a
+    // malformed or truncated frame answers a typed kMalformedRequest, it
+    // can never escape this worker as an exception.
     if (ctx.active()) {
       obs::Tracer::instance().record_phase_span(p_queue, ctx, accepted_ns,
                                                 obs::Tracer::now_ns(), 1);
@@ -179,9 +167,9 @@ void CasServer::accept_instance(Bytes raw, net::SimNetwork::Completion done) {
     // Deadline check before any work: a request is doomed when queue wait
     // already ate its budget, or when what remains cannot cover the
     // backend stall. Answering kDeadlineExceeded *here* means no
-    // credential is ever minted for a doomed request (exactly-once
-    // accounting stays exact: tokens issued == ok responses delivered)
-    // and no timer slot is occupied by one.
+    // credential is ever minted — and no token spent — for a doomed
+    // request (exactly-once accounting stays exact: tokens issued == ok
+    // responses delivered) and no timer slot is occupied by one.
     if (config_.request_deadline.count() > 0) {
       const auto now = Clock::now();
       if (now + config_.backend_io > deadline) {
@@ -190,38 +178,29 @@ void CasServer::accept_instance(Bytes raw, net::SimNetwork::Completion done) {
             now > deadline ? "queue-wait" : "backend-stall";
         const Status expired(StatusCode::kDeadlineExceeded,
                              deadline_phase_detail(phase));
-        cas::FrameInfo frame;
-        Bytes out = refusal_frame(raw, expired, &frame);
-        note_frame(metrics_.get_instance, frame);
-        respond(accepted, &metrics_.get_instance.latency, std::move(out),
-                done, ctx, &p_root, accepted_ns);
+        StatusCode answered = StatusCode::kOk;
+        Bytes out = cas::refuse_client_frame(raw, expired, &answered);
+        note_frame(*command, answered);
+        respond(accepted, &command->latency, std::move(out), done, ctx, root,
+                accepted_ns);
         return;
       }
     }
     Bytes out;
-    obs::Phase* root = &p_root;
     try {
-      cas::FrameInfo frame;
+      StatusCode answered = StatusCode::kOk;
       {
         obs::Span span(p_serve);
-        out = cas::serve_instance_frame(
-            raw,
-            [this](const cas::InstanceRequest& req) {
-              return serve_instance(req);
-            },
-            [this](const cas::IntrospectRequest& req) {
-              return cas_->handle_introspect(req);
-            },
-            &frame);
+        out = cas::serve_client_frame(raw, handlers_, &answered);
       }
-      if (frame.command == cas::Command::kIntrospect)
-        root = &p_root_introspect;
-      note_frame(metrics_.get_instance, frame);
+      note_frame(*command, answered);
     } catch (...) {
       metrics_.leave_in_flight();
       done.fail(std::current_exception());
       return;
     }
+    // The handshake may have late-bound the session id into our scope.
+    ctx = obs::TraceScope::current();
     // Stage 3 — stall: the backend round trip parks on the timer wheel,
     // freeing this worker; stage 4 (respond) runs when it expires.
     // Respond is deliberately inline on the timer thread: it is
@@ -238,94 +217,31 @@ void CasServer::accept_instance(Bytes raw, net::SimNetwork::Completion done) {
       try {
         timer_.schedule_after(
             config_.backend_io,
-            [this, payload, done, accepted, ctx, root, accepted_ns,
+            [this, payload, done, accepted, ctx, command, root, accepted_ns,
              stall_start]() {
               if (ctx.active()) {
                 obs::Tracer::instance().record_phase_span(
                     p_stall, ctx, stall_start, obs::Tracer::now_ns(), 1);
               }
-              respond(accepted, &metrics_.get_instance.latency,
-                      std::move(*payload), done, ctx, root, accepted_ns);
+              respond(accepted, &command->latency, std::move(*payload), done,
+                      ctx, root, accepted_ns);
             });
         return;
       } catch (const Error&) {
         // Wheel shutting down: respond inline rather than dropping.
-        respond(accepted, &metrics_.get_instance.latency, std::move(*payload),
-                done, ctx, root, accepted_ns);
+        respond(accepted, &command->latency, std::move(*payload), done, ctx,
+                root, accepted_ns);
         return;
       }
     }
-    respond(accepted, &metrics_.get_instance.latency, std::move(out), done,
-            ctx, root, accepted_ns);
+    respond(accepted, &command->latency, std::move(out), done, ctx, root,
+            accepted_ns);
   };
   try {
     pool_.submit(std::move(job));
   } catch (const Error&) {
     // Pool shutting down; the dropped Completion would deliver an error
     // anyway, but do it crisply and keep the gauge honest.
-    metrics_.leave_in_flight();
-    done.fail(std::make_exception_ptr(Error("server: shutting down")));
-  }
-}
-
-void CasServer::accept_attest(Bytes raw, net::SimNetwork::Completion done) {
-  // Counted and clocked at accept, exactly like the instance endpoint, so
-  // the histograms are comparable (all include queue wait) and a request
-  // rejected at submit is still a counted request. Every record on the
-  // secure endpoint is one attested exchange (kAttest).
-  static obs::Phase& p_queue = obs::Tracer::instance().phase("queue_wait");
-  static obs::Phase& p_root = obs::Tracer::instance().phase("request_attest");
-  const auto accepted = Clock::now();
-  CommandMetrics& command = metrics_.attest;
-  obs::TraceContext ctx;
-  ctx.trace_id = obs::Tracer::instance().new_trace_id();
-  // The session id is late-bound (TraceScope::set_session) when the
-  // SecureServer numbers the handshake; the request id rides inside the
-  // client payload, which this layer does not decode, so it stays 0.
-  const std::int64_t accepted_ns = obs::Tracer::now_ns();
-  ++command.requests;
-  metrics_.enter_in_flight();
-  // Admission control mirrors the instance endpoint. The secure wire has
-  // no cleartext response frame to put a Status in, so the shed is a
-  // typed transport failure carrying the canonical retry-after detail —
-  // clients surface it as kUnavailable.
-  if (config_.admission_limit != 0 &&
-      metrics_.requests_in_flight.load(std::memory_order_relaxed) >
-          config_.admission_limit) {
-    ++metrics_.requests_shed;
-    ++command.errors;
-    metrics_.leave_in_flight();
-    done.fail(std::make_exception_ptr(
-        Error(retry_after_detail(config_.shed_retry_after))));
-    return;
-  }
-  auto job = [this, raw = std::move(raw), done, accepted, ctx, accepted_ns,
-              command = &command]() mutable {
-    if (ctx.active()) {
-      obs::Tracer::instance().record_phase_span(p_queue, ctx, accepted_ns,
-                                                obs::Tracer::now_ns(), 1);
-    }
-    // This frontend owns the trace: CasService::handle_secure records its
-    // phases into the active scope.
-    obs::TraceScope scope(ctx);
-    Bytes out;
-    try {
-      out = cas_->handle_secure(raw);
-    } catch (...) {
-      // SecureServer answers malformed records itself; anything escaping
-      // here is an internal fault, counted against the command.
-      ++command->errors;
-      metrics_.leave_in_flight();
-      done.fail(std::current_exception());
-      return;
-    }
-    // The handshake may have late-bound the session id into our scope.
-    respond(accepted, &command->latency, std::move(out), done,
-            obs::TraceScope::current(), &p_root, accepted_ns);
-  };
-  try {
-    pool_.submit(std::move(job));
-  } catch (const Error&) {
     metrics_.leave_in_flight();
     done.fail(std::make_exception_ptr(Error("server: shutting down")));
   }
@@ -418,7 +334,7 @@ cas::InstanceResponse CasServer::serve_instance(
   // install_policy() can deposit credentials minted under the old policy
   // after the stale-pool flush. A credential is served only if (a) its
   // MRENCLAVE re-predicts under the *current* base hash (~the 32 us
-  // predict cost; the ~5 ms signature stays skipped) and (b) its
+  // predict cost; the RSA signature stays skipped) and (b) its
   // SigStruct carries exactly the metadata of the just-verified common
   // one — which catches even a re-signed image with unchanged base hash
   // and signer.

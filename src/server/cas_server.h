@@ -4,14 +4,19 @@
 // ReplicationGate commits token transitions through the Raft log.
 //
 // A singleton retrieval (Fig. 7c) costs an RSA verification of the
-// received common SigStruct and an RSA-CRT signature of the on-demand one
-// (~5 ms at 3072 bit), plus backend I/O. A request is a small state
-// machine that never pins a worker while waiting:
+// received common SigStruct and an RSA-CRT signature of the on-demand one,
+// plus backend I/O. A request is a small state machine that never pins a
+// worker while waiting:
 //
-//     accept (client thread)      — count it, raise the in-flight gauge,
+//     accept (client thread)      — count it under the command its
+//                                   envelope header names, raise the
+//                                   in-flight gauge, admit or shed,
 //                                   enqueue to the worker pool
-//     serve  (worker thread)      — parse -> policy lookup -> verify-once
-//                                   memo -> pooled credential | inline sign
+//     serve  (worker thread)      — deadline check, then the command:
+//                                   retrieval (policy lookup -> verify-
+//                                   once memo -> pooled credential |
+//                                   inline sign), the attested handshake,
+//                                   or introspection
 //     stall  (timer wheel)        — the simulated backend-I/O round trip
 //                                   parks on net::TimerWheel, freeing the
 //                                   worker for the next request
@@ -19,10 +24,10 @@
 //                                   the network Completion
 //
 // so 8 workers sustain hundreds of concurrent in-flight requests in the
-// latency-bound regime instead of 8. The secure endpoint runs the same
-// accept -> serve -> respond stages for its one exchange: the attested
-// handshake, whose sealed answer is the configuration, so the server holds
-// nothing per client once it has answered. Supporting cast:
+// latency-bound regime instead of 8. Every command of the one client
+// endpoint runs these stages; the attested handshake's sealed answer is
+// the configuration, so the server holds nothing per client once it has
+// answered. Supporting cast:
 //
 //   * a verify-once memo per session skips the repeat RSA verification of
 //     an already-seen common SigStruct (invalidated when the session's
@@ -93,9 +98,9 @@ class CasServer {
   CasServer(const CasServer&) = delete;
   CasServer& operator=(const CasServer&) = delete;
 
-  /// Serve `address` (secure attestation) and `address + ".instance"`
-  /// (plain starter endpoint); every request runs through the
-  /// event-driven state machine above.
+  /// Serve the client endpoint at `address` (kGetInstance, kAttest and
+  /// kIntrospect); every request runs through the event-driven state
+  /// machine above.
   void bind(net::SimNetwork& net, const std::string& address);
   /// Stop accepting new requests and wait for in-flight ones to complete
   /// (idempotent; also runs on destruction).
@@ -126,12 +131,11 @@ class CasServer {
   /// fills `status` with the typed refusal on rejection.
   bool check_common(const cas::Policy& policy,
                     const cas::InstanceRequest& request, Status* status);
-  /// Fold one decoded frame's facts into the per-command counters.
-  void note_frame(CommandMetrics& command, const cas::FrameInfo& frame);
+  /// Fold one answered frame's status into the per-command counters.
+  void note_frame(CommandMetrics& command, StatusCode answered);
 
   // --- the request state machine ---
-  void accept_instance(Bytes raw, net::SimNetwork::Completion done);
-  void accept_attest(Bytes raw, net::SimNetwork::Completion done);
+  void accept(Bytes raw, net::SimNetwork::Completion done);
   /// Final stage: record latency, drop the gauge, close the trace (the
   /// respond phase plus the depth-0 root spanning accept→respond — this
   /// runs on whatever thread the timer or worker hands us, so both are
@@ -151,6 +155,8 @@ class CasServer {
 
   cas::CasService* cas_;
   CasServerConfig config_;
+  /// The serve stage's dispatch, one handler per command.
+  cas::FrameHandlers handlers_;
   /// This server's collector in cas_->metrics_registry() (unregistered
   /// first thing in the destructor — remove_collector returning guarantees
   /// no snapshot is still inside the callback touching our members).

@@ -22,8 +22,8 @@ using LatencyHistogram = obs::LatencyHistogram;
 /// failures, and tails are attributable to the command that caused them.
 struct CommandMetrics {
   std::atomic<std::uint64_t> requests{0};
-  /// Typed non-ok responses (instance endpoint; the attested endpoint
-  /// counts only transport-visible failures — its handshake outcomes are
+  /// Typed non-ok responses: sheds, expired deadlines, protocol-level
+  /// refusals and, for kAttest, rejected handshakes (whose finer split is
   /// CasService's channel_* series).
   std::atomic<std::uint64_t> errors{0};
   LatencyHistogram latency;
@@ -34,16 +34,17 @@ struct CommandMetrics {
 /// (collect()). (The secure channel's counters live on CasService as the
 /// channel_* series.)
 struct ServerMetrics {
-  /// Instance endpoint: singleton retrieval (Command::kGetInstance).
+  /// Every frame whose envelope header does not name kAttest: singleton
+  /// retrieval (Command::kGetInstance), introspection and undecodable
+  /// frames.
   CommandMetrics get_instance;
-  /// Attested endpoint: the one exchange (kAttest handshake, answered
-  /// with the sealed configuration).
+  /// The attested exchange (Command::kAttest), answered with the sealed
+  /// configuration.
   CommandMetrics attest;
 
-  /// Protocol-level rejections on the instance endpoint: frames answered
-  /// with the matching typed status instead of being dropped. (The attest
-  /// endpoint's equivalents happen inside CasService's secure-channel
-  /// hooks and are observable through its attest verdict, not here.)
+  /// Protocol-level refusals, any command: frames answered with the
+  /// matching typed status instead of being dropped (a kAttest record of
+  /// another version or shape included).
   std::atomic<std::uint64_t> malformed_frames{0};
   std::atomic<std::uint64_t> unsupported_version_frames{0};
   std::atomic<std::uint64_t> unknown_command_frames{0};

@@ -57,6 +57,13 @@ struct Fixture {
   }
 };
 
+/// A racer's channel config: one wire attempt, so every attempt the
+/// scenario counts is exactly one exchange.
+cas::CasClientConfig one_attempt(const std::string& address) {
+  return cas::CasClientConfig{.address = address,
+                              .retry = {.max_attempts = 1}};
+}
+
 /// Thread-shared outcome sink (rank kWorkloadResult, like load_gen's
 /// aggregation lock — held only for bookkeeping, never across calls).
 struct Outcomes {
@@ -139,7 +146,7 @@ ChaosScenarioResult scenario_connection_churn(const ChaosConfig& cfg) {
 
   net::FaultPlan plan;
   plan.seed = cfg.seed;
-  auto& faults = plan.per_endpoint[fx.bed.cas_address() + ".instance"];
+  auto& faults = plan.per_endpoint[fx.bed.cas_address()];
   faults.reset = 0.25;
   faults.drop_request = 0.10;
   fx.bed.network().set_fault_plan(plan);
@@ -213,11 +220,13 @@ ChaosScenarioResult scenario_mid_handshake(const ChaosConfig& cfg) {
   /// One handshake attempt for token `t` over a fresh channel; true iff
   /// the client observed acceptance.
   const auto try_attest = [&](std::size_t t, std::uint64_t salt) {
-    net::SecureClient client(crypto::Drbg::from_seed(
-        cfg.seed * 1000 + t * 16 + salt, "chaos-handshake"));
+    cas::AttestedChannel channel(
+        &fx.bed.network(), one_attempt(fx.bed.cas_address()),
+        crypto::Drbg::from_seed(cfg.seed * 1000 + t * 16 + salt,
+                                "chaos-handshake"));
     const sgx::Report report =
         fx.bed.cpu().ereport(enclaves[t], fx.bed.qe().target_info(),
-                             net::channel_binding(client.dh_public()));
+                             net::channel_binding(channel.dh_public()));
     const auto quote = fx.bed.qe().generate_quote(report);
     if (!quote.has_value()) {
       out.note_unexpected("quote generation failed");
@@ -229,11 +238,7 @@ ChaosScenarioResult scenario_mid_handshake(const ChaosConfig& cfg) {
     payload.token = tokens[t];
     out.attempts.fetch_add(1, std::memory_order_relaxed);
     try {
-      const auto accepted =
-          client.connect(fx.bed.network().connect(fx.bed.cas_address()),
-                         fx.bed.cas().identity(),
-                         cas::encode_attest_payload(payload));
-      if (accepted.has_value()) {
+      if (channel.attest(fx.bed.cas().identity(), payload).ok()) {
         out.ok.fetch_add(1, std::memory_order_relaxed);
         return true;
       }
@@ -289,7 +294,7 @@ ChaosScenarioResult scenario_replay_storm(const ChaosConfig& cfg) {
   const std::size_t used_before = fx.bed.cas().tokens_used();
 
   struct Attempt {
-    std::unique_ptr<net::SecureClient> client;
+    std::unique_ptr<cas::AttestedChannel> channel;
     cas::AttestPayload payload;
     std::size_t token_index = 0;
   };
@@ -313,11 +318,13 @@ ChaosScenarioResult scenario_replay_storm(const ChaosConfig& cfg) {
     }
     for (std::size_t racer = 0; racer < racers; ++racer) {
       Attempt a;
-      a.client = std::make_unique<net::SecureClient>(crypto::Drbg::from_seed(
-          cfg.seed * 500 + t * racers + racer, "chaos-replay"));
+      a.channel = std::make_unique<cas::AttestedChannel>(
+          &fx.bed.network(), one_attempt(fx.bed.cas_address()),
+          crypto::Drbg::from_seed(cfg.seed * 500 + t * racers + racer,
+                                  "chaos-replay"));
       const sgx::Report report = fx.bed.cpu().ereport(
           enclave.id, fx.bed.qe().target_info(),
-          net::channel_binding(a.client->dh_public()));
+          net::channel_binding(a.channel->dh_public()));
       const auto quote = fx.bed.qe().generate_quote(report);
       if (!quote.has_value()) {
         r.failures.push_back("quote generation failed");
@@ -346,11 +353,7 @@ ChaosScenarioResult scenario_replay_storm(const ChaosConfig& cfg) {
     threads.emplace_back([&fx, &out, &accepted, &a] {
       out.attempts.fetch_add(1, std::memory_order_relaxed);
       try {
-        const auto outcome =
-            a.client->connect(fx.bed.network().connect(fx.bed.cas_address()),
-                              fx.bed.cas().identity(),
-                              cas::encode_attest_payload(a.payload));
-        if (outcome.has_value()) {
+        if (a.channel->attest(fx.bed.cas().identity(), a.payload).ok()) {
           out.ok.fetch_add(1, std::memory_order_relaxed);
           accepted[a.token_index].fetch_add(1, std::memory_order_relaxed);
         } else {
@@ -445,7 +448,6 @@ ChaosScenarioResult scenario_byzantine(const ChaosConfig& cfg) {
   plan.per_endpoint[fx.bed.cas_address()].drop_request = 0.08;
   plan.per_endpoint[fx.bed.cas_address()].delay = 0.3;
   plan.per_endpoint[fx.bed.cas_address()].delay_amount = 100us;
-  plan.per_endpoint[fx.bed.cas_address() + ".instance"].drop_request = 0.08;
   fx.bed.network().set_fault_plan(plan);
 
   Outcomes out;
@@ -527,7 +529,7 @@ ChaosScenarioResult scenario_backend_brownout(const ChaosConfig& cfg) {
 
   net::FaultPlan plan;
   plan.seed = cfg.seed + 404;
-  plan.per_endpoint["cas.brownout.instance"].drop_request = 0.30;
+  plan.per_endpoint["cas.brownout"].drop_request = 0.30;
   fx.bed.network().set_fault_plan(plan);
 
   Outcomes out;
@@ -619,7 +621,7 @@ ChaosScenarioResult scenario_partition_heal(const ChaosConfig& cfg) {
   net::FaultWindow window;
   window.from_op = 0;
   window.until_op = 3;
-  window.address_prefix = fx.bed.cas_address() + ".instance";
+  window.address_prefix = fx.bed.cas_address();
   window.faults.drop_request = 1.0;
   plan.windows.push_back(window);
   fx.bed.network().set_fault_plan(plan);

@@ -71,7 +71,7 @@ struct LoadGenConfig {
   std::size_t clients = 8;
   /// Requests each logical client issues.
   std::size_t requests_per_client = 100;
-  /// Base service address; clients call `address + ".instance"`.
+  /// The CAS node's client endpoint, which clients call directly.
   std::string address;
   /// Session names; each request picks one from its client RNG according
   /// to `session_dist` (sessions[0] is the hottest under kZipfian).

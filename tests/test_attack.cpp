@@ -14,6 +14,7 @@
 
 #include "attack/impersonator.h"
 #include "attack/report_server.h"
+#include "cas/client.h"
 #include "core/signer.h"
 #include "crypto/sha256.h"
 #include "runtime/starter.h"
@@ -181,16 +182,18 @@ TEST_F(AttackTest, StolenQuoteWithoutChannelBindingRejected) {
   const auto quote = bed_.qe().generate_quote(report);
   ASSERT_TRUE(quote.has_value());
 
-  // Hand-drive the handshake with that mismatched quote.
-  net::SecureClient client(bed_.child_rng("replayer"));
+  // Drive the handshake with that mismatched quote.
+  cas::AttestedChannel channel(
+      &bed_.network(),
+      cas::CasClientConfig{.address = bed_.cas_address(),
+                           .retry = {.max_attempts = 1}},
+      bed_.child_rng("replayer"));
   cas::AttestPayload payload;
   payload.session_name = "victim-session";
   payload.quote = *quote;
-  const auto accepted =
-      client.connect(bed_.network().connect(bed_.cas_address()),
-                     bed_.cas().identity(),
-                     cas::encode_attest_payload(payload));
-  EXPECT_FALSE(accepted.has_value());
+  const Result<cas::AppConfig> accepted =
+      channel.attest(bed_.cas().identity(), payload);
+  EXPECT_FALSE(accepted.ok());
   EXPECT_EQ(bed_.cas().last_attest_verdict(), Verdict::kPolicyViolation);
 }
 

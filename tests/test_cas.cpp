@@ -300,7 +300,7 @@ TEST(CasTokenStripes, ExactlyOnceSpendUnderCrossStripeRaces) {
   constexpr int kTokens = 8;
   constexpr int kRacersPerToken = 2;
   struct Attempt {
-    std::unique_ptr<net::SecureClient> client;
+    std::unique_ptr<AttestedChannel> channel;
     AttestPayload payload;
     int token_index;
   };
@@ -317,13 +317,15 @@ TEST(CasTokenStripes, ExactlyOnceSpendUnderCrossStripeRaces) {
     ASSERT_TRUE(enclave.ok());
     for (int r = 0; r < kRacersPerToken; ++r) {
       Attempt a;
-      a.client = std::make_unique<net::SecureClient>(
+      a.channel = std::make_unique<AttestedChannel>(
+          &net,
+          CasClientConfig{.address = "cas", .retry = {.max_attempts = 1}},
           crypto::Drbg::from_seed(
               static_cast<std::uint64_t>(100 + t * kRacersPerToken + r),
               "race-channel"));
       const sgx::Report report =
           cpu.ereport(enclave.id, qe.target_info(),
-                      net::channel_binding(a.client->dh_public()));
+                      net::channel_binding(a.channel->dh_public()));
       const auto quote = qe.generate_quote(report);
       ASSERT_TRUE(quote.has_value());
       a.payload.session_name = "race";
@@ -338,11 +340,8 @@ TEST(CasTokenStripes, ExactlyOnceSpendUnderCrossStripeRaces) {
   std::atomic<int> rejected{0};
   std::vector<std::thread> racers;
   for (Attempt& a : attempts) {
-    racers.emplace_back([&net, &cas, &accepted, &rejected, &a] {
-      const auto outcome =
-          a.client->connect(net.connect("cas"), cas.identity(),
-                            encode_attest_payload(a.payload));
-      if (outcome.has_value())
+    racers.emplace_back([&cas, &accepted, &rejected, &a] {
+      if (a.channel->attest(cas.identity(), a.payload).ok())
         ++accepted[static_cast<std::size_t>(a.token_index)];
       else
         ++rejected;
@@ -407,17 +406,20 @@ TEST(Protocol, EnvelopeNeverMatchesRawMessages) {
   EXPECT_FALSE(Envelope::matches(Bytes{}));
 }
 
-TEST(Protocol, ConfigResponseRoundTrip) {
-  ConfigResponse ok;
+TEST(Protocol, AttestResponseRoundTrip) {
+  AttestResponse ok;
   ok.status = Status();
-  ok.config.program = "prog";
-  ok.config.secrets["k"] = Bytes{9, 9};
-  EXPECT_EQ(ConfigResponse::deserialize(ok.serialize()).config, ok.config);
+  ok.acceptance = Bytes{1, 2, 3, 9, 9};
+  EXPECT_EQ(AttestResponse::deserialize(ok.serialize()).acceptance,
+            ok.acceptance);
 
-  ConfigResponse denied;
-  denied.status = Status(StatusCode::kSessionNotAttested);
-  EXPECT_EQ(ConfigResponse::deserialize(denied.serialize()).status.code,
-            StatusCode::kSessionNotAttested);
+  // A refusal is its Status alone: no acceptance rides along.
+  AttestResponse denied;
+  denied.status = Status(StatusCode::kNotLeader, not_leader_detail("n2"));
+  denied.acceptance = Bytes{7};
+  const AttestResponse back = AttestResponse::deserialize(denied.serialize());
+  EXPECT_EQ(back.status, denied.status);
+  EXPECT_TRUE(back.acceptance.empty());
 }
 
 TEST(Protocol, PolicySerializationRoundTripAllFields) {
@@ -471,7 +473,7 @@ TEST(Protocol, MalformedBytesThrowParseError) {
   EXPECT_THROW(AppConfig::deserialize(Bytes{1, 2, 3}), ParseError);
   EXPECT_THROW(InstanceRequest::deserialize(Bytes{}), ParseError);
   EXPECT_THROW(AttestPayload::deserialize(Bytes(10, 0xff)), ParseError);
-  EXPECT_THROW(ConfigResponse::deserialize(Bytes{}), ParseError);
+  EXPECT_THROW(AttestResponse::deserialize(Bytes{}), ParseError);
   EXPECT_THROW(Envelope::deserialize(Bytes{}), ParseError);
 }
 
@@ -500,10 +502,13 @@ TEST(Protocol, TruncationAndBitFlipFuzzStaysInsideErrorHierarchy) {
   attest.session_name = "fuzz";
   attest.token = core::AttestationToken::from_view(Bytes(32, 7));
 
-  ConfigResponse cfg;
-  cfg.status = Status();
-  cfg.config.program = "p";
-  cfg.config.secrets["k"] = Bytes(16, 3);
+  AppConfig config;
+  config.program = "p";
+  config.secrets["k"] = Bytes(16, 3);
+
+  AttestResponse accepted;
+  accepted.status = Status();
+  accepted.acceptance = Bytes(64, 5);
 
   Envelope env;
   env.command = Command::kGetInstance;
@@ -524,9 +529,9 @@ TEST(Protocol, TruncationAndBitFlipFuzzStaysInsideErrorHierarchy) {
        [](ByteView b) { (void)InstanceResponse::deserialize(b); }},
       {"attest-payload", attest.serialize(),
        [](ByteView b) { (void)AttestPayload::deserialize(b); }},
-      {"config-response", cfg.serialize(),
-       [](ByteView b) { (void)ConfigResponse::deserialize(b); }},
-      {"app-config", cfg.config.serialize(),
+      {"attest-response", accepted.serialize(),
+       [](ByteView b) { (void)AttestResponse::deserialize(b); }},
+      {"app-config", config.serialize(),
        [](ByteView b) { (void)AppConfig::deserialize(b); }},
   };
 

@@ -59,7 +59,7 @@ class CasClientTest : public ::testing::Test {
   /// What a fake listener answers once it serves for real: the raw frame,
   /// relayed to the bed's own server.
   Bytes forward_to_bed(ByteView raw) {
-    return bed_.network().connect(bed_.cas_address() + ".instance").call(raw);
+    return bed_.network().connect(bed_.cas_address()).call(raw);
   }
 
   workload::Testbed bed_;
@@ -103,7 +103,7 @@ TEST_F(CasClientTest, RetryableServerStatusIsRetriedUntilItClears) {
   // A service that answers kUnavailable twice, then serves for real —
   // the brownout a replicated CAS will produce during failover.
   std::atomic<int> calls{0};
-  bed_.network().listen("flaky.instance", [&](ByteView raw) {
+  bed_.network().listen("flaky", [&](ByteView raw) {
     if (++calls > 2) return forward_to_bed(raw);
     InstanceResponse resp;
     resp.status = Status(StatusCode::kUnavailable);
@@ -117,7 +117,7 @@ TEST_F(CasClientTest, RetryableServerStatusIsRetriedUntilItClears) {
   const InstanceResult got = client.get_instance("s", signed_.sigstruct);
   ASSERT_TRUE(got.ok()) << got.status.message();
   EXPECT_EQ(got.attempts, 3u);
-  bed_.network().shutdown("flaky.instance");
+  bed_.network().shutdown("flaky");
 }
 
 TEST_F(CasClientTest, AsyncRetrievalDeliversTypedResultOnce) {
@@ -161,22 +161,22 @@ TEST_F(CasClientTest, AsyncDispatchFailureDeliversTypedUnavailable) {
 
 // --- version negotiation ----------------------------------------------------
 
-/// Raw-frame helper: send `frame` to the instance endpoint and decode the
+/// Raw-frame helper: send `frame` to the client endpoint and decode the
 /// (always well-formed, always enveloped) reply.
 InstanceResponse raw_instance_exchange(net::SimNetwork& net,
                                        const std::string& address,
                                        const Bytes& frame,
                                        Envelope* reply_env = nullptr) {
-  auto conn = net.connect(address + ".instance");
+  auto conn = net.connect(address);
   const Envelope env = Envelope::deserialize(conn.call(frame));
   if (reply_env != nullptr) *reply_env = env;
   return InstanceResponse::deserialize(env.payload);
 }
 
-// A frame without the envelope magic — a raw seed-era message included —
-// gets a typed v1 kMalformedRequest on every endpoint: the plain instance
-// endpoint and the attested handshake.
-TEST_F(CasClientTest, NonEnvelopeFramesAnsweredMalformedOnEveryEndpoint) {
+// A frame without the envelope magic — a raw seed-era message or a bare
+// handshake record included — gets a typed v1 kMalformedRequest, whatever
+// command it meant to be.
+TEST_F(CasClientTest, NonEnvelopeFramesAnsweredMalformedForEveryCommand) {
   InstanceRequest req;
   req.session_name = "s";
   req.common_sigstruct = signed_.sigstruct;
@@ -187,28 +187,23 @@ TEST_F(CasClientTest, NonEnvelopeFramesAnsweredMalformedOnEveryEndpoint) {
   EXPECT_EQ(reply.version, kProtocolVersion);
   EXPECT_EQ(reply.command, Command::kGetInstance);
 
-  // Handshake: the raw AttestPayload is refused with the typed status.
+  // Handshake: a genuine record sent without its kAttest envelope is
+  // refused with the typed status before the hook.
   const auto start = runtime::start_singleton_enclave(
       bed_.cpu(), bed_.network(), bed_.cas_address(), image_,
       signed_.sigstruct, "s");
   ASSERT_TRUE(start.ok()) << start.error;
-  const auto quoted = [&](const net::SecureClient& client) {
-    AttestPayload payload;
-    payload.session_name = "s";
-    payload.quote = *bed_.qe().generate_quote(
-        bed_.cpu().ereport(start.enclave.id, bed_.qe().target_info(),
-                           net::channel_binding(client.dh_public())));
-    payload.token = start.token;
-    return payload;
-  };
   net::SecureClient raw_attest(crypto::Drbg::from_seed(11, "raw-attest"));
-  Status rejected;
-  EXPECT_FALSE(raw_attest
-                   .connect(bed_.network().connect(bed_.cas_address()),
-                            bed_.cas().identity(),
-                            quoted(raw_attest).serialize(), &rejected)
-                   .has_value());
-  EXPECT_EQ(rejected.code, StatusCode::kMalformedRequest);
+  AttestPayload payload;
+  payload.session_name = "s";
+  payload.quote = *bed_.qe().generate_quote(
+      bed_.cpu().ereport(start.enclave.id, bed_.qe().target_info(),
+                         net::channel_binding(raw_attest.dh_public())));
+  payload.token = start.token;
+  const InstanceResponse handshake = raw_instance_exchange(
+      bed_.network(), bed_.cas_address(),
+      raw_attest.offer(payload.serialize()));
+  EXPECT_EQ(handshake.status.code, StatusCode::kMalformedRequest);
   EXPECT_EQ(bed_.cas().tokens_used(), 0u);  // nothing was spent
 }
 
@@ -247,7 +242,7 @@ TEST_F(CasClientTest, ClientSurfacesUnsupportedVersionAsNonRetryable) {
   // A peer that no longer (or does not yet) speak our version: whatever we
   // send, it answers kUnsupportedVersion. The SDK must surface the typed
   // code without burning retries.
-  bed_.network().listen("fromthefuture.instance", [](ByteView raw) {
+  bed_.network().listen("fromthefuture", [](ByteView raw) {
     const Envelope env = Envelope::deserialize(raw);
     InstanceResponse resp;
     resp.status = Status(StatusCode::kUnsupportedVersion);
@@ -260,7 +255,7 @@ TEST_F(CasClientTest, ClientSurfacesUnsupportedVersionAsNonRetryable) {
   const InstanceResult got = client.get_instance("s", signed_.sigstruct);
   EXPECT_EQ(got.status.code, StatusCode::kUnsupportedVersion);
   EXPECT_EQ(got.attempts, 1u);
-  bed_.network().shutdown("fromthefuture.instance");
+  bed_.network().shutdown("fromthefuture");
 }
 
 // --- malformed frames at the frontend ---------------------------------------
@@ -300,7 +295,7 @@ TEST_F(CasClientTest, NetworkLevelFuzzNeverStrandsACaller) {
   env.payload = req.serialize();
   const Bytes wire = env.serialize();
 
-  auto conn = bed_.network().connect("fuzzed.instance");
+  auto conn = bed_.network().connect("fuzzed");
   auto rng = crypto::Drbg::from_seed(99, "wire-fuzz");
   const auto exchange = [&](const Bytes& frame) {
     const Bytes raw = conn.call(frame);  // must not throw
@@ -350,36 +345,34 @@ TEST_F(CasClientTest, AttestedChannelReportsTypedStatuses) {
 
 TEST_F(CasClientTest, FutureVersionAttestHandshakeRejectedAsUnsupported) {
   // A future-version kAttest envelope cannot be verified by this server;
-  // the handshake rejection record carries the typed protocol-level
-  // status so the future client learns to downgrade rather than
-  // diagnosing a refused attestation.
+  // its reply carries the typed protocol-level status so the future
+  // client learns to downgrade rather than diagnosing a refused
+  // attestation.
   AttestPayload payload;
   payload.session_name = "s";
+  net::SecureClient client(crypto::Drbg::from_seed(9, "future-chan"));
   Envelope future;
   future.version = kProtocolVersion + 1;
   future.command = Command::kAttest;
-  future.payload = payload.serialize();
+  future.request_id = 5;
+  future.payload = client.offer(payload.serialize());
+  const auto exchange = [&](const Envelope& env) {
+    const Envelope reply = Envelope::deserialize(
+        bed_.network().connect(bed_.cas_address()).call(env.serialize()));
+    EXPECT_EQ(reply.command, Command::kAttest);
+    EXPECT_EQ(reply.request_id, 5u);
+    return AttestResponse::deserialize(reply.payload);
+  };
+  EXPECT_EQ(exchange(future).status.code, StatusCode::kUnsupportedVersion);
 
-  net::SecureClient client(crypto::Drbg::from_seed(9, "future-chan"));
-  Status rejected;
-  const auto accepted =
-      client.connect(bed_.network().connect(bed_.cas_address()),
-                     bed_.cas().identity(), future.serialize(), &rejected);
-  EXPECT_FALSE(accepted.has_value());
-  EXPECT_EQ(rejected.code, StatusCode::kUnsupportedVersion);
-
-  // Verification failures stay the generic rejection — the handshake is
+  // Verification failures stay the generic rejection — the exchange is
   // not an oracle for why the verifier said no.
-  net::SecureClient client2(crypto::Drbg::from_seed(10, "bogus-chan"));
   Envelope current = future;
   current.version = kProtocolVersion;
-  Status generic;
-  EXPECT_FALSE(client2
-                   .connect(bed_.network().connect(bed_.cas_address()),
-                            bed_.cas().identity(), current.serialize(),
-                            &generic)
-                   .has_value());
-  EXPECT_EQ(generic.code, StatusCode::kAttestationRejected);
+  const AttestResponse generic = exchange(current);
+  EXPECT_EQ(generic.status.code, StatusCode::kAttestationRejected);
+  EXPECT_EQ(generic.status.detail, "");
+  EXPECT_TRUE(generic.acceptance.empty());
 }
 
 // --- client resilience: jittered backoff, deadline budget, breaker ----------
@@ -433,7 +426,7 @@ TEST_F(CasClientTest, RetryAfterHintPacesTheNextAttempt) {
   // detail; the client must pace by the hint instead of its own (here
   // near-zero) jitter window.
   std::atomic<int> calls{0};
-  bed_.network().listen("shedding.instance", [&](ByteView raw) {
+  bed_.network().listen("shedding", [&](ByteView raw) {
     if (++calls > 2) return forward_to_bed(raw);
     InstanceResponse resp;
     resp.status = Status(StatusCode::kUnavailable,
@@ -459,7 +452,7 @@ TEST_F(CasClientTest, RetryAfterHintPacesTheNextAttempt) {
   EXPECT_EQ(got.attempts, 3u);
   // Two hinted sleeps of 25 ms each; jitter alone would have been ~2 us.
   EXPECT_GE(elapsed, 40ms);
-  bed_.network().shutdown("shedding.instance");
+  bed_.network().shutdown("shedding");
 }
 
 TEST_F(CasClientTest, BreakerOpensFailsFastAndClosesOnAHealthyProbe) {
@@ -486,7 +479,7 @@ TEST_F(CasClientTest, BreakerOpensFailsFastAndClosesOnAHealthyProbe) {
 
   // The service comes back; after the cooldown the next operation probes
   // the wire, succeeds, and the breaker closes (no further trips).
-  bed_.network().listen("late.instance",
+  bed_.network().listen("late",
                         [&](ByteView raw) { return forward_to_bed(raw); });
   std::this_thread::sleep_for(40ms);
   const InstanceResult probe = client.get_instance("s", signed_.sigstruct);
@@ -495,14 +488,14 @@ TEST_F(CasClientTest, BreakerOpensFailsFastAndClosesOnAHealthyProbe) {
   const InstanceResult after = client.get_instance("s", signed_.sigstruct);
   EXPECT_TRUE(after.ok());
   EXPECT_EQ(client.stats().breaker_trips, 1u);  // closed cleanly, stayed shut
-  bed_.network().shutdown("late.instance");
+  bed_.network().shutdown("late");
 }
 
 TEST_F(CasClientTest, UndecodableIntrospectReplyIsTypedInternal) {
   // A reply that does not decode is the server's answer, not a transport
   // failure: a typed kInternal after one wire call, never retried.
   std::atomic<int> hits{0};
-  bed_.network().listen("garbled.instance", [&](ByteView) {
+  bed_.network().listen("garbled", [&](ByteView) {
     ++hits;
     return Bytes(16, 0xee);
   });
@@ -514,7 +507,7 @@ TEST_F(CasClientTest, UndecodableIntrospectReplyIsTypedInternal) {
   const IntrospectResponse got = client.introspect();
   EXPECT_EQ(got.status.code, StatusCode::kInternal) << got.status.message();
   EXPECT_EQ(hits.load(), 1);
-  bed_.network().shutdown("garbled.instance");
+  bed_.network().shutdown("garbled");
 }
 
 // --- one retry rule across every operation ----------------------------------
@@ -537,10 +530,8 @@ const char* op_name(Op op) {
 
 /// One row of scripted answers: `script(n)` is what the fake endpoint
 /// answers its n-th call (1-based) — a refusal, or nullopt to forward the
-/// frame to the bed. The expectations hold for every operation alike; the
-/// handshake (AttestedChannel::attest) answers the rows whose refusal a
-/// handshake rejection can carry — every row but the retry-after one,
-/// since only a kNotLeader rejection keeps its detail.
+/// frame to the bed. The expectations hold for every operation alike, the
+/// attested handshake (AttestedChannel::attest) included.
 struct RuleRow {
   const char* name;
   std::function<std::optional<Status>(int)> script;
@@ -587,47 +578,22 @@ TEST_F(CasClientTest, EveryOperationFollowsTheOneRetryRule) {
        StatusCode::kOk, 2, 2, 0, kHint},
   };
 
-  // The refusing server below never signs; any identity will do.
-  const crypto::Ed25519KeyPair refuser_identity =
-      crypto::Ed25519KeyPair::from_seed(crypto::Ed25519Seed{});
   for (const RuleRow& row : rows) {
     for (const Op op : {Op::kGetInstance, Op::kGetInstanceAsync,
                         Op::kIntrospect, Op::kAttest}) {
-      if (op == Op::kAttest && row.hinted.count() > 0) continue;
       SCOPED_TRACE(std::string(row.name) + " via " + op_name(op));
       std::mutex mutex;
       std::vector<std::chrono::steady_clock::time_point> hits;
-      const std::string endpoint =
-          op == Op::kAttest ? "scripted" : "scripted.instance";
-      bed_.network().listen(endpoint, [&](ByteView raw) {
+      bed_.network().listen("scripted", [&](ByteView raw) {
         int n = 0;
         {
           std::lock_guard lock(mutex);
           hits.push_back(std::chrono::steady_clock::now());
           n = static_cast<int>(hits.size());
         }
-        const std::optional<Status> refusal = row.script(n);
-        if (op == Op::kAttest) {
-          if (!refusal.has_value())
-            return bed_.network().connect(bed_.cas_address()).call(raw);
-          net::SecureServer refuser(
-              &refuser_identity, crypto::Drbg::from_seed(n, "refuser"),
-              [&](ByteView, ByteView, Status* reject) {
-                *reject = *refusal;
-                return std::optional<Bytes>{};
-              });
-          return refuser.handle(raw);
-        }
-        if (!refusal.has_value()) return forward_to_bed(raw);
-        const Envelope env = Envelope::deserialize(raw);
-        if (env.command == Command::kIntrospect) {
-          IntrospectResponse resp;
-          resp.status = *refusal;
-          return env.reply(resp.serialize()).serialize();
-        }
-        InstanceResponse resp;
-        resp.status = *refusal;
-        return env.reply(resp.serialize()).serialize();
+        const std::optional<Status> refused = row.script(n);
+        if (!refused.has_value()) return forward_to_bed(raw);
+        return refuse_client_frame(raw, *refused);
       });
       const CasClientConfig config{.address = "scripted",
                                    .retry = {.max_attempts = 3,
@@ -679,7 +645,7 @@ TEST_F(CasClientTest, EveryOperationFollowsTheOneRetryRule) {
           break;
         }
       }
-      bed_.network().shutdown(endpoint);
+      bed_.network().shutdown("scripted");
       if (op != Op::kAttest) redirects = client.stats().leader_redirects;
 
       EXPECT_EQ(code, row.code) << to_string(code);
@@ -697,6 +663,135 @@ TEST_F(CasClientTest, EveryOperationFollowsTheOneRetryRule) {
       }
     }
   }
+}
+
+
+// --- one refusal shape for every command ------------------------------------
+
+/// A follower's replication gate: every write answers kNotLeader naming
+/// the leader.
+class FollowerGate : public ReplicationGate {
+ public:
+  Status register_token(const core::AttestationToken&, const std::string&,
+                        const sgx::Measurement&) override {
+    return refusal();
+  }
+  Status spend_token(const core::AttestationToken&, const std::string&,
+                     const sgx::Measurement&) override {
+    return refusal();
+  }
+  bool ready() const override { return false; }
+  Status accepts_writes() const override { return refusal(); }
+
+  static Status refusal() {
+    return Status(StatusCode::kNotLeader, not_leader_detail("cas.leader"));
+  }
+};
+
+TEST_F(CasClientTest, EveryCommandGetsTheSameRefusalShape) {
+  // get_instance, introspect and attest against a node that sheds at its
+  // admission limit, a follower, and a node that answers in a newer
+  // envelope version: each command decodes the same Status through the
+  // same reply decoder.
+  const auto start = runtime::start_singleton_enclave(
+      bed_.cpu(), bed_.network(), bed_.cas_address(), image_,
+      signed_.sigstruct, "s");
+  ASSERT_TRUE(start.ok()) << start.error;
+  const auto at = [](const std::string& address) {
+    return CasClientConfig{.address = address, .retry = {.max_attempts = 1}};
+  };
+  // One seed, so every channel below holds the same share and the one
+  // quote binds them all.
+  const auto channel_at = [&](const std::string& address) {
+    return AttestedChannel(&bed_.network(), at(address),
+                           crypto::Drbg::from_seed(21, "parity-chan"));
+  };
+  AttestPayload payload;
+  payload.session_name = "s";
+  payload.quote = *bed_.qe().generate_quote(bed_.cpu().ereport(
+      start.enclave.id, bed_.qe().target_info(),
+      net::channel_binding(channel_at("cas.any").dh_public())));
+  payload.token = start.token;
+
+  struct Answers {
+    Status get_instance, introspect, attest;
+  };
+  const auto ask = [&](const std::string& address) {
+    Answers got;
+    CasClient client(&bed_.network(), at(address));
+    got.get_instance = client.get_instance("s", signed_.sigstruct).status;
+    got.introspect = client.introspect().status;
+    got.attest =
+        channel_at(address).attest(bed_.cas().identity(), payload).status();
+    return got;
+  };
+
+  {
+    // A node at its admission limit: one retrieval parks on the backend
+    // stall, so the next three requests are shed.
+    server::CasServer node(&bed_.cas(),
+                           server::CasServerConfig{
+                               .workers = 1,
+                               .backend_io = std::chrono::milliseconds(300),
+                               .admission_limit = 1,
+                               .shed_retry_after =
+                                   std::chrono::milliseconds(9)});
+    node.bind(bed_.network(), "cas.shedding");
+    CasClient parked(&bed_.network(), at("cas.shedding"));
+    std::promise<InstanceResult> parked_done;
+    parked.get_instance_async(
+        "s", signed_.sigstruct,
+        [&](InstanceResult r) { parked_done.set_value(std::move(r)); });
+    while (node.metrics().requests_in_flight.load() < 1)
+      std::this_thread::yield();
+    const std::size_t spent = bed_.cas().tokens_used();
+    const Answers shed = ask("cas.shedding");
+    const Status expected(StatusCode::kUnavailable,
+                          retry_after_detail(std::chrono::milliseconds(9)));
+    EXPECT_EQ(shed.get_instance, expected);
+    EXPECT_EQ(shed.introspect, expected);
+    EXPECT_EQ(shed.attest, expected);
+    EXPECT_EQ(bed_.cas().tokens_used(), spent);  // the shed attest spent none
+    EXPECT_EQ(node.metrics().requests_shed.load(), 3u);
+    EXPECT_EQ(node.metrics().attest.errors.load(), 1u);
+    EXPECT_TRUE(parked_done.get_future().get().ok());
+    node.unbind();
+  }
+  {
+    // A follower: the writes — retrieval and the token spend — answer
+    // kNotLeader with the leader hint; introspection is a read any
+    // replica serves.
+    FollowerGate gate;
+    bed_.cas().set_replication_gate(&gate);
+    server::CasServer node(&bed_.cas(), server::CasServerConfig{.workers = 1});
+    node.bind(bed_.network(), "cas.follower");
+    const Answers follower = ask("cas.follower");
+    node.unbind();
+    bed_.cas().set_replication_gate(nullptr);
+    EXPECT_EQ(follower.get_instance, FollowerGate::refusal());
+    EXPECT_TRUE(follower.introspect.ok()) << follower.introspect.message();
+    EXPECT_EQ(follower.attest, FollowerGate::refusal());
+    EXPECT_EQ(bed_.cas().tokens_used(), 0u);
+  }
+  {
+    // A node from a newer protocol version refuses ours, in its envelope.
+    bed_.network().listen("cas.future", [](ByteView raw) {
+      Envelope reply = Envelope::deserialize(
+          refuse_client_frame(raw, Status(StatusCode::kUnsupportedVersion)));
+      reply.version = kProtocolVersion + 1;
+      return reply.serialize();
+    });
+    const Answers future = ask("cas.future");
+    bed_.network().shutdown("cas.future");
+    const Status expected(StatusCode::kUnsupportedVersion);
+    EXPECT_EQ(future.get_instance, expected);
+    EXPECT_EQ(future.introspect, expected);
+    EXPECT_EQ(future.attest, expected);
+  }
+  // The token survived every refusal: the same share still attests.
+  EXPECT_TRUE(channel_at(bed_.cas_address())
+                  .attest(bed_.cas().identity(), payload)
+                  .ok());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for the network simulator and the attestation-bindable secure
 // channel (server authentication, confidentiality of the sealed answer,
-// refusals typed before the hook).
+// refusals typed before the hook, carried on the CAS envelope's kAttest).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include "cas/client.h"
+#include "cas/protocol.h"
 #include "common/error.h"
 #include "common/serial.h"
 #include "crypto/sha256.h"
@@ -144,14 +146,52 @@ struct ChannelFixture : ::testing::Test {
   /// Server that accepts every handshake and answers its payload
   /// uppercased. Hooks run concurrently (no server lock wraps them), so
   /// the fixture guards its own capture state.
-  void serve(const std::string& address) {
+  void serve() {
     server_ = std::make_unique<SecureServer>(
-        &identity_, rng(2), [this](ByteView payload, ByteView, Status*) {
+        &identity_, rng(2), [this](ByteView payload, ByteView) {
           std::lock_guard lock(capture_mutex_);
           last_payload_ = Bytes{payload.begin(), payload.end()};
-          return std::optional<Bytes>(upper(payload));
+          return Result<Bytes>(upper(payload));
         });
-    net_.listen(address, [this](ByteView raw) { return server_->handle(raw); });
+  }
+
+  /// One exchange carried by hand: offer, handle, finish.
+  Bytes exchange(const SecureClient& client, ByteView payload,
+                 const crypto::Ed25519PublicKey& expected) {
+    const Result<Bytes> acceptance = server_->handle(client.offer(payload));
+    if (!acceptance.ok()) throw Error(acceptance.status().message());
+    return client.finish(expected, payload, *acceptance);
+  }
+
+  /// The kAttest envelope offering `payload` under `client`'s share.
+  static Bytes attest_frame(const SecureClient& client, ByteView payload) {
+    cas::Envelope env;
+    env.command = cas::Command::kAttest;
+    env.request_id = 7;
+    env.payload = client.offer(payload);
+    return env.serialize();
+  }
+
+  /// The reply server_ gives `frame` on the CAS client endpoint: the one
+  /// frame dispatch with kAttest bound to the channel, as the frontend
+  /// binds it.
+  Bytes serve_frame(ByteView frame) {
+    cas::FrameHandlers handlers;
+    handlers.attest = [this](ByteView record) {
+      cas::AttestResponse resp;
+      Result<Bytes> acceptance = server_->handle(record);
+      resp.status = acceptance.status();
+      if (acceptance.ok()) resp.acceptance = std::move(acceptance).value();
+      return resp;
+    };
+    return cas::serve_client_frame(frame, handlers);
+  }
+
+  static cas::AttestResponse reply_of(ByteView frame) {
+    const cas::Envelope env = cas::Envelope::deserialize(frame);
+    EXPECT_EQ(env.command, cas::Command::kAttest);
+    EXPECT_EQ(env.request_id, 7u);
+    return cas::AttestResponse::deserialize(env.payload);
   }
 
   Bytes last_payload() const {
@@ -162,20 +202,17 @@ struct ChannelFixture : ::testing::Test {
   crypto::Drbg setup_rng_ = rng(1);
   crypto::Ed25519KeyPair identity_;
   crypto::Ed25519KeyPair other_identity_;
-  SimNetwork net_;
   std::unique_ptr<SecureServer> server_;
   mutable std::mutex capture_mutex_;
   Bytes last_payload_;
 };
 
 TEST_F(ChannelFixture, ExchangeReturnsTheSealedAnswer) {
-  serve("svc");
+  serve();
   SecureClient client(rng(3));
-  const auto answer =
-      client.connect(net_.connect("svc"), identity_.public_key(),
-                     to_bytes("client-payload"));
-  ASSERT_TRUE(answer.has_value());
-  EXPECT_EQ(*answer, to_bytes("CLIENT-PAYLOAD"));
+  EXPECT_EQ(exchange(client, to_bytes("client-payload"),
+                     identity_.public_key()),
+            to_bytes("CLIENT-PAYLOAD"));
   EXPECT_EQ(last_payload(), to_bytes("client-payload"));
   // The server keeps nothing once it has answered.
   const SecureServer::Stats stats = server_->stats();
@@ -187,76 +224,61 @@ TEST_F(ChannelFixture, ExchangeReturnsTheSealedAnswer) {
 TEST_F(ChannelFixture, ServerIdentityPinningDetectsImpostor) {
   // The server signs with identity_, but the client expects other_identity_
   // — the exact check SinClave roots in the instance page.
-  serve("svc");
+  serve();
   SecureClient client(rng(4));
-  EXPECT_THROW(client.connect(net_.connect("svc"),
-                              other_identity_.public_key(), {}),
+  EXPECT_THROW(exchange(client, {}, other_identity_.public_key()),
                IdentityMismatchError);
 }
 
-TEST_F(ChannelFixture, RejectedHandshakeYieldsNullopt) {
+TEST_F(ChannelFixture, RejectedHandshakeYieldsTheGenericRefusal) {
   server_ = std::make_unique<SecureServer>(
-      &identity_, rng(5), [](ByteView, ByteView, Status*) {
-        return std::optional<Bytes>{};  // reject all
+      &identity_, rng(5), [](ByteView, ByteView) {
+        return Result<Bytes>(StatusCode::kTokenReused);  // reject all
       });
-  net_.listen("svc", [this](ByteView raw) { return server_->handle(raw); });
-
   SecureClient client(rng(6));
-  EXPECT_FALSE(
-      client.connect(net_.connect("svc"), identity_.public_key(), {})
-          .has_value());
+  const Result<Bytes> answer = server_->handle(client.offer({}));
+  EXPECT_EQ(answer.status().code, StatusCode::kAttestationRejected);
   EXPECT_EQ(server_->stats().handshakes_rejected, 1u);
 }
 
-TEST_F(ChannelFixture, RejectionRecordCarriesTypedProtocolStatus) {
-  // A rejecting hook may attach a protocol-level code to the rejection
-  // record; verification refusals use the generic default.
+TEST_F(ChannelFixture, HookRefusalKeepsItsProtocolLevelCode) {
+  // A rejecting hook may refuse with a protocol-level code; verification
+  // refusals become the generic one.
   server_ = std::make_unique<SecureServer>(
-      &identity_, rng(11), [](ByteView, ByteView, Status* reject) {
-        *reject = Status(StatusCode::kUnsupportedVersion);
-        return std::optional<Bytes>{};
+      &identity_, rng(11), [](ByteView, ByteView) {
+        return Result<Bytes>(StatusCode::kUnsupportedVersion);
       });
-  net_.listen("svc", [this](ByteView raw) { return server_->handle(raw); });
-
   SecureClient client(rng(12));
-  Status status;
-  EXPECT_FALSE(client
-                   .connect(net_.connect("svc"), identity_.public_key(), {},
-                            &status)
-                   .has_value());
-  EXPECT_EQ(status.code, StatusCode::kUnsupportedVersion);
+  EXPECT_EQ(server_->handle(client.offer({})).status().code,
+            StatusCode::kUnsupportedVersion);
 }
 
 TEST_F(ChannelFixture, OnlyANotLeaderRejectionCarriesItsDetail) {
-  // The leader hint rides a kNotLeader rejection to connect. A detail a
-  // hook sets on any other code never leaves the server: the record ends
-  // at the code byte, so the generic rejection stays oracle-free.
+  // The leader hint rides a kNotLeader refusal to the client. A detail a
+  // hook sets on any other code never leaves the server: the reply's
+  // Status ends at the code and an empty detail, so the generic refusal
+  // stays oracle-free.
   for (const Status& refusal :
        {Status(StatusCode::kNotLeader, not_leader_detail("x")),
         Status(StatusCode::kAttestationRejected, "token already spent"),
         Status(StatusCode::kUnavailable, "raft: node stopping")}) {
     SCOPED_TRACE(to_string(refusal.code));
-    SecureServer server(&identity_, rng(16),
-                        [refusal](ByteView, ByteView, Status* reject) {
-                          *reject = refusal;
-                          return std::optional<Bytes>{};
-                        });
-    SimNetwork net;
-    Bytes answer;
-    net.listen("svc",
-               [&](ByteView raw) { return answer = server.handle(raw); });
+    server_ = std::make_unique<SecureServer>(
+        &identity_, rng(16),
+        [refusal](ByteView, ByteView) { return Result<Bytes>(refusal); });
     SecureClient client(rng(17));
-    Status status;
-    EXPECT_FALSE(client
-                     .connect(net.connect("svc"), identity_.public_key(), {},
-                              &status)
-                     .has_value());
-    EXPECT_EQ(status.code, refusal.code);
+    const Bytes reply = serve_frame(attest_frame(client, {}));
+    const cas::AttestResponse resp = reply_of(reply);
+    EXPECT_EQ(resp.status.code, refusal.code);
+    EXPECT_TRUE(resp.acceptance.empty());
     if (refusal.code == StatusCode::kNotLeader) {
-      EXPECT_EQ(status.detail, not_leader_detail("x"));
+      EXPECT_EQ(resp.status.detail, not_leader_detail("x"));
     } else {
-      EXPECT_EQ(status.detail, "");
-      EXPECT_EQ(answer, (Bytes{0x00, static_cast<std::uint8_t>(refusal.code)}));
+      EXPECT_EQ(resp.status.detail, "");
+      // u8 code | u32 0 (no detail) | u32 0 (no acceptance)
+      EXPECT_EQ(cas::Envelope::deserialize(reply).payload,
+                (Bytes{static_cast<std::uint8_t>(refusal.code), 0, 0, 0, 0,
+                       0, 0, 0, 0}));
     }
   }
 }
@@ -265,40 +287,42 @@ TEST_F(ChannelFixture, RelayRewritingTheHandshakeAnswerIsCaught) {
   // The server signs a hash of the whole exchange, sealed answer
   // included, so an on-path relay that flips one byte of the server's
   // share, of the signature itself, or of the sealed answer (its first or
-  // last byte) fails the identity check at connect, and the client opens
-  // no answer. The answer is ok | u32 32 | share | u32 64 | signature |
-  // u32 n | sealed, so the share starts at byte 5, the signature's S half
-  // at byte 1 + 4 + 32 + 4 + 32 = 73, and the sealed answer at byte
-  // 73 + 32 + 4 = 109.
-  serve("svc");
+  // last byte) in the kAttest reply fails the identity check at finish,
+  // and the client opens no answer. The reply's acceptance is u32 32 |
+  // share | u32 64 | signature | u32 n | sealed, so from its start the
+  // share sits at byte 4, the signature's S half at 4 + 32 + 4 + 32 = 72,
+  // and the sealed answer at 72 + 32 + 4 = 108.
+  serve();
   enum class Flip { kShare, kSignature, kSealedFirst, kSealedLast };
   for (const Flip flip : {Flip::kShare, Flip::kSignature, Flip::kSealedFirst,
                           Flip::kSealedLast}) {
-    const std::string relay =
-        "relay-" + std::to_string(static_cast<int>(flip));
-    net_.listen(relay, [this, flip](ByteView raw) {
-      Bytes answer = server_->handle(raw);
-      const std::size_t at = flip == Flip::kShare         ? 5
-                             : flip == Flip::kSignature   ? 73
-                             : flip == Flip::kSealedFirst ? 109
-                                                          : answer.size() - 1;
-      answer[at] ^= 0x01;
-      return answer;
-    });
+    SCOPED_TRACE(static_cast<int>(flip));
     SecureClient client(rng(14));
+    Bytes reply = serve_frame(attest_frame(client, to_bytes("hello")));
+    const std::size_t acceptance_at =
+        reply.size() - reply_of(reply).acceptance.size();
+    const std::size_t at = flip == Flip::kShare         ? acceptance_at + 4
+                           : flip == Flip::kSignature   ? acceptance_at + 72
+                           : flip == Flip::kSealedFirst ? acceptance_at + 108
+                                                        : reply.size() - 1;
+    reply[at] ^= 0x01;
+    const cas::AttestResponse relayed = reply_of(reply);
+    ASSERT_TRUE(relayed.ok());
     std::optional<Bytes> opened;
-    EXPECT_THROW(opened = client.connect(net_.connect(relay),
-                                         identity_.public_key(),
-                                         to_bytes("hello")),
-                 IdentityMismatchError)
-        << relay;
-    EXPECT_FALSE(opened.has_value()) << relay;
+    EXPECT_THROW(opened = client.finish(identity_.public_key(),
+                                        to_bytes("hello"),
+                                        relayed.acceptance),
+                 IdentityMismatchError);
+    EXPECT_FALSE(opened.has_value());
   }
-  // The same relay passing the answer through untouched is harmless.
+  // The same reply passed through untouched is harmless.
   SecureClient client(rng(14));
-  EXPECT_EQ(client.connect(net_.connect("svc"), identity_.public_key(),
-                           to_bytes("hello")),
-            std::optional<Bytes>(to_bytes("HELLO")));
+  const cas::AttestResponse intact =
+      reply_of(serve_frame(attest_frame(client, to_bytes("hello"))));
+  ASSERT_TRUE(intact.ok());
+  EXPECT_EQ(client.finish(identity_.public_key(), to_bytes("hello"),
+                          intact.acceptance),
+            to_bytes("HELLO"));
 }
 
 TEST_F(ChannelFixture, HandshakeShapeIsRefusedBeforeTheHook) {
@@ -307,125 +331,151 @@ TEST_F(ChannelFixture, HandshakeShapeIsRefusedBeforeTheHook) {
   // verification or a token spend.
   std::atomic<int> hook_calls{0};
   server_ = std::make_unique<SecureServer>(
-      &identity_, rng(15), [&hook_calls](ByteView, ByteView, Status*) {
+      &identity_, rng(15), [&hook_calls](ByteView, ByteView) {
         ++hook_calls;
-        return std::optional<Bytes>(Bytes{});
+        return Result<Bytes>(Bytes{});
       });
   const auto handshake = [](std::optional<std::uint8_t> version,
-                            std::size_t share_bytes) {
+                            std::size_t share_bytes, bool marker = false) {
     ByteWriter w;
-    w.u8(0);  // handshake marker
+    if (marker) w.u8(0);
     if (version.has_value()) w.u8(*version);
     w.bytes(Bytes(share_bytes, 0x42));
     w.bytes(to_bytes("payload"));
-    return std::move(w).take();
+    cas::Envelope env;
+    env.command = cas::Command::kAttest;
+    env.request_id = 7;
+    env.payload = std::move(w).take();
+    return env.serialize();
   };
-  const auto refusal = [](StatusCode code) {
-    return Bytes{0x00, static_cast<std::uint8_t>(code)};
+  const auto refused = [this](const Bytes& frame) {
+    return reply_of(serve_frame(frame)).status.code;
   };
   // The first record format had no version byte: the low byte of its
   // 256-byte share's u32 length sits in the version's place and reads 0.
-  EXPECT_EQ(server_->handle(handshake(std::nullopt, 256)),
-            refusal(StatusCode::kUnsupportedVersion));
-  EXPECT_EQ(server_->handle(handshake(1, 32)),
-            refusal(StatusCode::kUnsupportedVersion));
+  EXPECT_EQ(refused(handshake(std::nullopt, 256)),
+            StatusCode::kUnsupportedVersion);
+  EXPECT_EQ(refused(handshake(1, 32)), StatusCode::kUnsupportedVersion);
   // Version 2 had this very shape but an RSA identity signature, and
   // version 3 an Ed25519 one over a session id and data records after it.
-  EXPECT_EQ(server_->handle(handshake(2, 32)),
-            refusal(StatusCode::kUnsupportedVersion));
-  EXPECT_EQ(server_->handle(handshake(3, 32)),
-            refusal(StatusCode::kUnsupportedVersion));
-  EXPECT_EQ(server_->handle(handshake(4, 31)),
-            refusal(StatusCode::kMalformedRequest));
-  EXPECT_EQ(server_->handle(handshake(4, 256)),
-            refusal(StatusCode::kMalformedRequest));
+  EXPECT_EQ(refused(handshake(2, 32)), StatusCode::kUnsupportedVersion);
+  EXPECT_EQ(refused(handshake(3, 32)), StatusCode::kUnsupportedVersion);
+  // Version 4 had these fields behind a marker byte, on its own endpoint.
+  EXPECT_EQ(refused(handshake(4, 32)), StatusCode::kUnsupportedVersion);
+  EXPECT_EQ(refused(handshake(4, 32, /*marker=*/true)),
+            StatusCode::kUnsupportedVersion);
+  EXPECT_EQ(refused(handshake(5, 31)), StatusCode::kMalformedRequest);
+  EXPECT_EQ(refused(handshake(5, 256)), StatusCode::kMalformedRequest);
   EXPECT_EQ(hook_calls.load(), 0);
   const SecureServer::Stats stats = server_->stats();
-  EXPECT_EQ(stats.handshakes_rejected, 6u);
+  EXPECT_EQ(stats.handshakes_rejected, 8u);
   EXPECT_EQ(stats.sessions_high_water, 0u);
 }
 
 TEST_F(ChannelFixture, HostileRejectionStatusCannotReadAsSuccess) {
-  // A hostile server answers a handshake with "rejected" + status byte 0
-  // (= kOk) or an out-of-enum byte: neither may pass the whitelist — a
-  // rejected handshake must never surface an ok (or unknown) status.
-  for (const Bytes& wire : {Bytes{0x00, 0x00}, Bytes{0x00, 0xfe}}) {
+  // A hostile server answers a kAttest with Status byte 0 (= kOk) and no
+  // acceptance, an empty or a garbage one, or with a code outside the
+  // enum: none may read as success. The client SDK delivers kInternal or
+  // the code as read, or throws IdentityMismatchError, and never a
+  // configuration.
+  struct Hostile {
+    const char* name;
+    Bytes payload;  // the reply envelope's payload
+    std::optional<StatusCode> delivered;  // nullopt: must throw
+  };
+  const std::vector<Hostile> replies = {
+      {"ok without an acceptance", Bytes{0x00, 0, 0, 0, 0},
+       StatusCode::kInternal},
+      {"ok with an empty acceptance", Bytes{0x00, 0, 0, 0, 0, 0, 0, 0, 0},
+       std::nullopt},
+      {"ok with a garbage acceptance",
+       Bytes{0x00, 0, 0, 0, 0, 3, 0, 0, 0, 0xde, 0xad, 0xbf}, std::nullopt},
+      {"a code outside the enum", Bytes{0xfe, 0, 0, 0, 0, 0, 0, 0, 0},
+       StatusCode::kInternal},
+      {"the generic refusal", Bytes{10, 0, 0, 0, 0, 0, 0, 0, 0},
+       StatusCode::kAttestationRejected},
+  };
+  for (const Hostile& hostile : replies) {
+    SCOPED_TRACE(hostile.name);
     SimNetwork net;
-    net.listen("svc", [wire](ByteView) { return wire; });
-    SecureClient client(rng(13));
-    Status status;
-    EXPECT_FALSE(client
-                     .connect(net.connect("svc"), identity_.public_key(), {},
-                              &status)
-                     .has_value());
-    EXPECT_EQ(status.code, StatusCode::kAttestationRejected);
+    net.listen("svc", [&hostile](ByteView raw) {
+      return cas::Envelope::deserialize(raw)
+          .reply(hostile.payload)
+          .serialize();
+    });
+    cas::AttestedChannel channel(
+        &net,
+        cas::CasClientConfig{.address = "svc", .retry = {.max_attempts = 1}},
+        rng(13));
+    if (!hostile.delivered.has_value()) {
+      EXPECT_THROW((void)channel.attest(identity_.public_key(), {}),
+                   IdentityMismatchError);
+      continue;
+    }
+    const Result<cas::AppConfig> got =
+        channel.attest(identity_.public_key(), {});
+    EXPECT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code, *hostile.delivered);
   }
 }
 
 TEST_F(ChannelFixture, EavesdropperSeesNoPlaintext) {
-  // Wrap the transport to capture both flights like an on-path adversary:
-  // the configuration the server releases never appears on the wire.
-  std::vector<Bytes> wire;
+  // Capture both flights like an on-path adversary: the configuration the
+  // server releases never appears on the wire.
   server_ = std::make_unique<SecureServer>(
-      &identity_, rng(7), [](ByteView, ByteView, Status*) {
-        return std::optional<Bytes>(to_bytes("topsecret-config"));
+      &identity_, rng(7), [](ByteView, ByteView) {
+        return Result<Bytes>(to_bytes("topsecret-config"));
       });
-  net_.listen("svc", [&](ByteView raw) {
-    wire.emplace_back(raw.begin(), raw.end());
-    Bytes resp = server_->handle(raw);
-    wire.push_back(resp);
-    return resp;
-  });
-
   SecureClient client(rng(8));
-  EXPECT_EQ(client.connect(net_.connect("svc"), identity_.public_key(), {}),
-            std::optional<Bytes>(to_bytes("topsecret-config")));
-  ASSERT_EQ(wire.size(), 2u);
-  for (const Bytes& frame : wire) {
-    const std::string hay(frame.begin(), frame.end());
+  const Bytes record = client.offer({});
+  const Result<Bytes> acceptance = server_->handle(record);
+  ASSERT_TRUE(acceptance.ok());
+  EXPECT_EQ(client.finish(identity_.public_key(), {}, *acceptance),
+            to_bytes("topsecret-config"));
+  for (const Bytes& flight : {record, *acceptance}) {
+    const std::string hay(flight.begin(), flight.end());
     EXPECT_EQ(hay.find("topsecret"), std::string::npos);
   }
 }
 
 TEST_F(ChannelFixture, SessionsAreIndependent) {
   // Each client's answer is sealed to its own share: a relay that hands
-  // b's answer to a is caught like any other rewrite.
-  serve("svc");
+  // b's acceptance to a is caught like any other rewrite.
+  serve();
   SecureClient a(rng(11)), b(rng(12));
-  EXPECT_EQ(a.connect(net_.connect("svc"), identity_.public_key(),
-                      to_bytes("a")),
-            std::optional<Bytes>(to_bytes("A")));
-  EXPECT_EQ(b.connect(net_.connect("svc"), identity_.public_key(),
-                      to_bytes("b")),
-            std::optional<Bytes>(to_bytes("B")));
+  EXPECT_EQ(exchange(a, to_bytes("a"), identity_.public_key()),
+            to_bytes("A"));
+  EXPECT_EQ(exchange(b, to_bytes("b"), identity_.public_key()),
+            to_bytes("B"));
 
-  Bytes b_answer;
-  net_.listen("tap", [&](ByteView raw) {
-    return b_answer = server_->handle(raw);
-  });
-  ASSERT_TRUE(b.connect(net_.connect("tap"), identity_.public_key(),
-                        to_bytes("b"))
-                  .has_value());
-  net_.listen("swap", [&](ByteView) { return b_answer; });
-  EXPECT_THROW(a.connect(net_.connect("swap"), identity_.public_key(),
-                         to_bytes("b")),
+  const Result<Bytes> b_acceptance = server_->handle(b.offer(to_bytes("b")));
+  ASSERT_TRUE(b_acceptance.ok());
+  EXPECT_THROW(a.finish(identity_.public_key(), to_bytes("b"), *b_acceptance),
                IdentityMismatchError);
   EXPECT_EQ(server_->stats().open_sessions, 0u);
 }
 
-TEST_F(ChannelFixture, MalformedFramesRejectedGracefully) {
-  serve("svc");
-  EXPECT_EQ(server_->handle(Bytes{})[0], 0);
-  EXPECT_EQ(server_->handle(Bytes{9, 9, 9})[0], 0);
-  EXPECT_EQ(server_->handle(Bytes{1, 0, 0})[0], 0);  // a retired data record
-  EXPECT_EQ(server_->handle(Bytes{0, 4, 0})[0], 0);  // truncated handshake
+TEST_F(ChannelFixture, MalformedRecordsRefusedGracefully) {
+  serve();
+  EXPECT_EQ(server_->handle(Bytes{}).status().code,
+            StatusCode::kMalformedRequest);
+  EXPECT_EQ(server_->handle(Bytes{9, 9, 9}).status().code,
+            StatusCode::kUnsupportedVersion);
+  // A retired data record, and a version-4 handshake behind its marker.
+  EXPECT_EQ(server_->handle(Bytes{1, 0, 0}).status().code,
+            StatusCode::kUnsupportedVersion);
+  EXPECT_EQ(server_->handle(Bytes{0, 4, 0}).status().code,
+            StatusCode::kUnsupportedVersion);
+  EXPECT_EQ(server_->handle(Bytes{5, 0}).status().code,  // truncated
+            StatusCode::kMalformedRequest);
+  EXPECT_EQ(server_->stats().handshakes_rejected, 5u);
 }
 
 TEST_F(ChannelFixture, ConcurrentExchangesEachGetTheirOwnAnswer) {
   // Many clients running the exchange at once, with no lock to serialize
   // them: every client must open exactly its own answer — run under TSAN
   // in CI, this also asserts the lock-free exchange is race-free.
-  serve("svc");
+  serve();
   constexpr int kThreads = 8;
   constexpr int kExchangesPerClient = 3;
   std::atomic<int> ok{0};
@@ -436,10 +486,8 @@ TEST_F(ChannelFixture, ConcurrentExchangesEachGetTheirOwnAnswer) {
       for (int i = 0; i < kExchangesPerClient; ++i) {
         const Bytes payload = to_bytes("c" + std::to_string(t) + "-" +
                                        std::to_string(i));
-        const auto answer = client.connect(
-            net_.connect("svc"), identity_.public_key(), payload);
-        ASSERT_TRUE(answer.has_value());
-        ASSERT_EQ(*answer, upper(payload));
+        ASSERT_EQ(exchange(client, payload, identity_.public_key()),
+                  upper(payload));
         ++ok;
       }
     });
@@ -461,22 +509,15 @@ TEST_F(ChannelFixture, HooksMayCallBackIntoTheServer) {
   // through handle().
   std::atomic<std::uint64_t> in_flight_seen{0};
   server_ = std::make_unique<SecureServer>(
-      &identity_, rng(23), [&](ByteView payload, ByteView, Status*) {
+      &identity_, rng(23), [&](ByteView payload, ByteView) {
         in_flight_seen = server_->stats().open_sessions;
-        if (payload.empty()) return std::optional<Bytes>(to_bytes("inner"));
+        if (payload.empty()) return Result<Bytes>(to_bytes("inner"));
         SecureClient inner(rng(25));
-        SimNetwork loop;
-        loop.listen("self", [this](ByteView raw) {
-          return server_->handle(raw);
-        });
-        return inner.connect(loop.connect("self"), identity_.public_key(), {});
+        return Result<Bytes>(exchange(inner, {}, identity_.public_key()));
       });
-  net_.listen("svc", [this](ByteView raw) { return server_->handle(raw); });
-
   SecureClient client(rng(24));
-  EXPECT_EQ(client.connect(net_.connect("svc"), identity_.public_key(),
-                           to_bytes("outer")),
-            std::optional<Bytes>(to_bytes("inner")));
+  EXPECT_EQ(exchange(client, to_bytes("outer"), identity_.public_key()),
+            to_bytes("inner"));
   EXPECT_EQ(in_flight_seen.load(), 2u);  // the inner hook saw both
   const SecureServer::Stats stats = server_->stats();
   EXPECT_EQ(stats.sessions_opened, 2u);

@@ -8,7 +8,7 @@
 //    overwrite-oldest, the slow-request log, reset isolation, per-phase
 //    summaries, and collect-while-recording (TSAN),
 //  * the introspection endpoint end to end: metrics formats, version
-//    gating, the channel_* series as the secure endpoint's one metrics
+//    gating, the channel_* series as the attested exchange's one metrics
 //    source, and the acceptance flow — a full attested exchange through
 //    the test bed's server::CasServer whose span tree is then retrieved
 //    via CasClient::introspect().
@@ -18,6 +18,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -531,7 +532,7 @@ TEST_F(ObsIntrospectionTest, FutureVersionIntrospectIsTyped) {
   fut.command = Command::kIntrospect;
   fut.request_id = 9;
   fut.payload = IntrospectRequest{}.serialize();
-  auto conn = bed_.network().connect(bed_.cas_address() + ".instance");
+  auto conn = bed_.network().connect(bed_.cas_address());
   const Envelope reply = Envelope::deserialize(conn.call(fut.serialize()));
   EXPECT_EQ(reply.command, Command::kIntrospect);
   EXPECT_EQ(reply.request_id, 9u);
@@ -575,10 +576,14 @@ TEST_F(ObsIntrospectionTest, AttestTraceRetrievableViaIntrospection) {
       << resp.metrics;
 
   const auto find_trace =
-      [&](const char* root) -> const TraceReport* {
-    for (const TraceReport& t : resp.traces)
+      [&](const char* root,
+          std::optional<std::uint64_t> request_id =
+              std::nullopt) -> const TraceReport* {
+    for (const TraceReport& t : resp.traces) {
+      if (request_id.has_value() && t.request_id != *request_id) continue;
       for (const TraceReport::Phase& p : t.phases)
         if (p.depth == 0 && p.name == root) return &t;
+    }
     return nullptr;
   };
   const auto has_phase = [](const TraceReport& t, const char* name) {
@@ -587,10 +592,15 @@ TEST_F(ObsIntrospectionTest, AttestTraceRetrievableViaIntrospection) {
     return false;
   };
 
-  // The attest trace: accept -> handshake crypto -> sealing the answer
-  // -> respond, >= 5 phases.
-  const TraceReport* attest = find_trace("request_attest");
-  ASSERT_NE(attest, nullptr) << "no request_attest trace in introspection";
+  // The attest trace, joined to the client's by the request id it sent:
+  // accept -> handshake crypto -> sealing the answer -> respond, >= 5
+  // phases.
+  const TraceReport* sent = find_trace("client_attest");
+  ASSERT_NE(sent, nullptr) << "no client_attest trace in introspection";
+  ASSERT_NE(sent->request_id, 0u);
+  const TraceReport* attest = find_trace("request_attest", sent->request_id);
+  ASSERT_NE(attest, nullptr) << "no request_attest trace for request "
+                             << sent->request_id;
   EXPECT_GE(attest->phases.size(), 5u);
   EXPECT_NE(attest->session_id, 0u);  // late-bound by the handshake
   EXPECT_GT(attest->duration_ns, 0);
@@ -607,8 +617,8 @@ TEST_F(ObsIntrospectionTest, AttestTraceRetrievableViaIntrospection) {
   EXPECT_NE(find_trace("request_get_instance"), nullptr);
 }
 
-// The secure endpoint's counters have one source: CasService's channel_*
-// series, read straight from the SecureServer at every snapshot.
+// The attested exchange's channel counters have one source: CasService's
+// channel_* series, read straight from the SecureServer at every snapshot.
 TEST_F(ObsIntrospectionTest, SecureChannelSeriesComeFromTheService) {
   const auto start = runtime::start_singleton_enclave(
       bed_.cpu(), bed_.network(), bed_.cas_address(), image_,

@@ -49,16 +49,14 @@ TEST_P(ChannelSizes, SealedAnswerRoundTrip) {
   const auto identity = crypto::Ed25519KeyPair::generate(setup);
   crypto::Drbg msg_rng = crypto::Drbg::from_seed(GetParam(), "msg");
   const Bytes msg = msg_rng.generate(GetParam());
-  net::SimNetwork net;
   net::SecureServer server(&identity, crypto::Drbg::from_seed(8, "srv"),
-                           [&msg](ByteView, ByteView, Status*) {
-                             return std::optional<Bytes>(msg);
+                           [&msg](ByteView, ByteView) {
+                             return Result<Bytes>(msg);
                            });
-  net.listen("svc", [&](ByteView raw) { return server.handle(raw); });
-
   net::SecureClient client(crypto::Drbg::from_seed(9 + GetParam(), "cli"));
-  EXPECT_EQ(client.connect(net.connect("svc"), identity.public_key(), {}),
-            std::optional<Bytes>(msg));
+  const Result<Bytes> acceptance = server.handle(client.offer({}));
+  ASSERT_TRUE(acceptance.ok());
+  EXPECT_EQ(client.finish(identity.public_key(), {}, *acceptance), msg);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, ChannelSizes,

@@ -693,11 +693,14 @@ TEST_F(CasServerTest, RacingReplaysOfOneTokenAttestExactlyOnce) {
     racers.emplace_back([&, i] {
       // Each racer plays the runtime's attestation flow with its own
       // channel (own DH key, own quote) but the same one-time token.
-      net::SecureClient client(
+      cas::AttestedChannel channel(
+          &bed_.network(),
+          cas::CasClientConfig{.address = kServerAddress,
+                               .retry = {.max_attempts = 1}},
           crypto::Drbg::from_seed(1000 + i, "racer-channel"));
       const sgx::Report report =
           bed_.cpu().ereport(start.enclave.id, bed_.qe().target_info(),
-                             net::channel_binding(client.dh_public()));
+                             net::channel_binding(channel.dh_public()));
       const auto quote = bed_.qe().generate_quote(report);
       ASSERT_TRUE(quote.has_value());
 
@@ -706,11 +709,7 @@ TEST_F(CasServerTest, RacingReplaysOfOneTokenAttestExactlyOnce) {
       payload.quote = *quote;
       payload.token = start.token;
 
-      const auto outcome =
-          client.connect(bed_.network().connect(kServerAddress),
-                         bed_.cas().identity(),
-                         cas::encode_attest_payload(payload));
-      if (outcome.has_value())
+      if (channel.attest(bed_.cas().identity(), payload).ok())
         ++accepted;
       else
         ++rejected;

@@ -111,13 +111,23 @@ int main(int argc, char** argv) {
     attest.token = token;
     write_seed(dir, "attest_payload", mode(5, attest.serialize()));
 
-    cas::ConfigResponse config;
-    config.status = Status(StatusCode::kOk);
-    config.config.program = "prog";
-    config.config.args = {"-v", "--mode=strict"};
-    config.config.env["K"] = "V";
-    write_seed(dir, "config_response", mode(6, config.serialize()));
-    write_seed(dir, "app_config", mode(1, config.config.serialize()));
+    cas::AppConfig config;
+    config.program = "prog";
+    config.args = {"-v", "--mode=strict"};
+    config.env["K"] = "V";
+    write_seed(dir, "app_config", mode(1, config.serialize()));
+    // A kAttest reply: ok, with an acceptance of the channel's shape
+    // (share | signature | sealed answer) that no verifier signed.
+    ByteWriter acceptance;
+    acceptance.bytes(Bytes(32, 0x09));
+    acceptance.bytes(Bytes(64, 0x5A));
+    acceptance.bytes(config.serialize());
+    cas::AttestResponse attest_reply;
+    attest_reply.status = Status(StatusCode::kOk);
+    attest_reply.acceptance = std::move(acceptance).take();
+    write_seed(dir, "attest_response", mode(6, attest_reply.serialize()));
+    write_seed(dir, "hostile_attest_reply",
+               mode(12, attest_reply.serialize()));
 
     cas::IntrospectRequest intro_req;
     intro_req.max_traces = 4;
@@ -128,7 +138,6 @@ int main(int argc, char** argv) {
     intro_resp.status = Status(StatusCode::kOk);
     intro_resp.metrics = "{\"requests\":1}";
     write_seed(dir, "introspect_response", mode(9, intro_resp.serialize()));
-    write_seed(dir, "raw_attest_payload", mode(12, attest.serialize()));
   }
 
   // --- fuzz_status_details ------------------------------------------------
@@ -287,27 +296,21 @@ int main(int argc, char** argv) {
     const Bytes data_record = std::move(record).take();
     write_seed(dir, "garbage_records", mode(0, chunk(data_record)));
     write_seed(dir, "evil_handshake", mode(2, data_record));
-    // Well-formed handshakes with a real X25519 share: version 4, which
-    // the accept-all server answers, and version 3, which it refuses
+    // Well-formed handshakes with a real X25519 share: version 5, which
+    // the accept-all server answers, and version 4, which it refuses
     // typed before its hook.
     crypto::X25519Bytes scalar;
     crypto::Drbg::from_seed(43, "gen-corpus-handshake")
         .generate(scalar.data(), scalar.size());
     const crypto::X25519Bytes share = crypto::x25519_public(scalar);
-    for (const std::uint8_t version : {3, 4}) {
+    for (const std::uint8_t version : {4, 5}) {
       ByteWriter hello;
-      hello.u8(0);  // handshake marker
       hello.u8(version);
       hello.bytes(ByteView{share.data(), share.size()});
       hello.bytes(text("hello"));
       write_seed(dir, "handshake_v" + std::to_string(version),
                  mode(0, chunk(std::move(hello).take())));
     }
-    // A kNotLeader rejection carrying its leader hint.
-    ByteWriter reject;
-    reject.u8(static_cast<std::uint8_t>(StatusCode::kNotLeader));
-    reject.str(not_leader_detail("cas-node2"));
-    write_seed(dir, "reject_not_leader", mode(4, std::move(reject).take()));
     // The relay modes: a kind, a u32 position, then the filler. Mode 1
     // rewrites the server's share (kind 0 flips bit 9), mode 3 the sealed
     // answer (kind 1 with bit 8 of the position set cuts 5 bytes), mode 5

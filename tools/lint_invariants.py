@@ -9,7 +9,7 @@ which files. This linter codifies eight documented ones:
                       friends ::serialize/::deserialize) stays inside
                       src/cas/protocol.* and src/cas/client.*. Everything
                       else goes through the shared frontend glue
-                      (serve_instance_frame & friends).
+                      (serve_client_frame & friends).
   raw-mutex           No std::mutex / std::shared_mutex / std::lock_guard
                       / std::condition_variable (etc.) outside
                       src/common/mutex.h. All locking goes through
@@ -40,10 +40,9 @@ which files. This linter codifies eight documented ones:
   handshake-confinement
                       The attested handshake has one path in: in src/,
                       SecureClient is named only by the channel itself
-                      (src/net/secure_channel.*), the client SDK
+                      (src/net/secure_channel.*) and the client SDK
                       (src/cas/client.*, whose AttestedChannel routes it by
-                      the retry rule) and src/workload/chaos.cpp, whose raw
-                      racers count untyped escapes on purpose.
+                      the retry rule).
   alloc-free          Files on the allocation-free signing, key-agreement
                       and volume hot paths (asserted by tests/test_alloc.cpp's
                       counting operator new) must not contain allocation
@@ -103,7 +102,7 @@ ALLOC_FREE_FILES = (
 )
 
 WIRE_TYPES = (
-    "InstanceRequest|InstanceResponse|ConfigResponse|AttestPayload|"
+    "InstanceRequest|InstanceResponse|AttestResponse|AttestPayload|"
     "IntrospectRequest|IntrospectResponse"
 )
 RE_WIRE = re.compile(
@@ -142,13 +141,12 @@ RETRY_SYMBOL_HOMES = {
 RE_RETRY_CALL = re.compile(
     r"\b(%s)\s*\(" % "|".join(RETRY_SYMBOL_HOMES))
 
-# The one path to the attested handshake (plus chaos's deliberate racers).
+# The one path to the attested handshake.
 HANDSHAKE_ALLOWED = {
     "src/net/secure_channel.h",
     "src/net/secure_channel.cpp",
     "src/cas/client.h",
     "src/cas/client.cpp",
-    "src/workload/chaos.cpp",
 }
 RE_SECURE_CLIENT = re.compile(r"\bSecureClient\b")
 
@@ -266,7 +264,7 @@ def check_wire(root, findings):
                 (relpath, line_of(text, m.start()), "wire-confinement",
                  "wire-protocol serialization '%s' outside "
                  "src/cas/protocol.*|client.* — route through the shared "
-                 "frontend glue (serve_instance_frame & friends)"
+                 "frontend glue (serve_client_frame & friends)"
                  % " ".join(m.group(0).split())))
 
 
@@ -354,10 +352,9 @@ def check_handshake_confinement(root, findings):
         for m in RE_SECURE_CLIENT.finditer(text):
             findings.append(
                 (relpath, line_of(text, m.start()), "handshake-confinement",
-                 "'SecureClient' outside net/secure_channel.*, "
-                 "cas/client.* and workload/chaos.cpp — attest through "
-                 "cas::AttestedChannel so the handshake follows the one "
-                 "retry rule"))
+                 "'SecureClient' outside net/secure_channel.* and "
+                 "cas/client.* — attest through cas::AttestedChannel so "
+                 "the handshake follows the one retry rule"))
 
 
 def check_alloc_free(root, findings):
@@ -454,7 +451,7 @@ SELFTEST_VIOLATIONS = {
         "const auto hint = parse_leader_hint(got.status.detail);\n",
         "retry-confinement",
     ),
-    "src/workload/cluster.cpp": (
+    "src/workload/chaos.cpp": (
         "// a comment naming net::SecureClient stays legal\n"
         "  net::SecureClient channel(crypto::Drbg::from_seed(\n",
         "handshake-confinement",
