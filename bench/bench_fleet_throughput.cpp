@@ -10,7 +10,8 @@
 //  1. Cache effect on a single retrieval through the client endpoint:
 //     a pre-minted cache hit skips the RSA-CRT signature (~2 ms at the
 //     SGX key size; smaller at this benchmark's 1024-bit keys), the
-//     dominant CPU cost of Fig. 7c.
+//     dominant CPU cost of Fig. 7c, and the MRENCLAVE prediction too:
+//     the pool serves by the stamp its credentials were minted under.
 //
 //  2. Batched vs serial minting: premint() coalesces its credentials
 //     into CasService::mint_batch calls, paying the per-batch costs

@@ -55,6 +55,7 @@ CasService::CasService(quote::AttestationService* attestation,
                        crypto::Ed25519KeyPair identity, crypto::Drbg rng)
     : attestation_(attestation),
       identity_(std::move(identity)),
+      verifier_id_(crypto::sha256(identity_.public_key().view())),
       rng_(std::move(rng)),
       token_rng_(crypto::Drbg(rng_.generate(32), "cas-token-root"),
                  "cas-tokens", kTokenStripes),
@@ -91,10 +92,6 @@ CasService::TokenStripe& CasService::token_stripe(
 const CasService::TokenStripe& CasService::token_stripe(
     const core::AttestationToken& token) const {
   return token_stripes_[token_stripe_index(token, kTokenStripes)];
-}
-
-Hash256 CasService::verifier_id() const {
-  return crypto::sha256(identity_.public_key().view());
 }
 
 void CasService::add_signer_key(crypto::RsaKeyPair signer) {
@@ -168,17 +165,16 @@ std::vector<MintedCredential> CasService::mint_batch(
   if (count == 0) return batch;
 
   // Per-batch costs, paid once: the common-SigStruct verification (inside
-  // OnDemandSigner) plus its scratch arena, the verifier-id hash, and one
-  // DRBG-stripe lease for all the tokens. The lease comes from the
-  // striped token_rng_ pool, so concurrent minters draw from different
-  // generators instead of serializing on a global RNG lock.
+  // OnDemandSigner) plus its scratch arena, and one DRBG-stripe lease for
+  // all the tokens. The lease comes from the striped token_rng_ pool, so
+  // concurrent minters draw from different generators instead of
+  // serializing on a global RNG lock.
   // The RSA-CRT signing loop below is the most expensive code in the
   // process (about 2.1 ms per RSA-3072 signature: perfbench `start`'s
   // traced `cas.mint_ms` on a shared 4-core x86-64 host); holding any lock
   // across it would serialize the whole service behind one batch.
   lockrank::assert_none_held("mint_batch signing");
   core::OnDemandSigner minter(common_sigstruct, *signer);
-  const Hash256 vid = verifier_id();
   {
     const auto lease = token_rng_.lease();
     for (MintedCredential& cred : batch)
@@ -190,7 +186,7 @@ std::vector<MintedCredential> CasService::mint_batch(
       obs::Span predict_span(p_predict);
       core::InstancePage page;
       page.token = cred.token;
-      page.verifier_id = vid;
+      page.verifier_id = verifier_id_;
       cred.mr_enclave =
           core::MeasurementPredictor::predict(*policy.base_hash, page);
     }

@@ -127,8 +127,8 @@ class CasService {
     return identity_.public_key();
   }
   /// SHA-256 of the identity's 32-byte public key — what instance pages
-  /// embed.
-  Hash256 verifier_id() const;
+  /// embed. Hashed once, at construction.
+  const Hash256& verifier_id() const { return verifier_id_; }
 
   /// Upload an enclave signer's key pair (required for on-demand SigStruct
   /// creation for that signer's enclaves).
@@ -162,11 +162,11 @@ class CasService {
                                    const sgx::SigStruct& common_sigstruct);
 
   /// Batch mint: `count` credentials with the per-batch costs paid once —
-  /// one signer lookup, one common-SigStruct RSA verification, one
-  /// verifier-id hash, one RNG critical section, and one Montgomery
-  /// scratch arena shared across all `count` signatures. This is how the
-  /// serving layer fills its pool (server::CasServer::premint coalesces
-  /// credentials into batches). Same preconditions as mint_credential.
+  /// one signer lookup, one common-SigStruct RSA verification, one RNG
+  /// critical section, and one Montgomery scratch arena shared across all
+  /// `count` signatures. This is how the serving layer fills its pool
+  /// (server::CasServer::premint coalesces credentials into batches). Same
+  /// preconditions as mint_credential.
   std::vector<MintedCredential> mint_batch(
       const Policy& policy, const sgx::SigStruct& common_sigstruct,
       std::size_t count);
@@ -278,6 +278,7 @@ class CasService {
 
   quote::AttestationService* attestation_;
   crypto::Ed25519KeyPair identity_;
+  const Hash256 verifier_id_;
 
   // Cold paths only (setup forks); token minting uses token_rng_ below.
   mutable Mutex rng_mutex_{LockRank::kCasRng, "cas.rng"};

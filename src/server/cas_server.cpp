@@ -117,16 +117,17 @@ void CasServer::accept(Bytes raw, net::SimNetwork::Completion done) {
   const auto accepted = Clock::now();
   const cas::Envelope::Header header =
       cas::Envelope::peek(raw).value_or(cas::Envelope::Header{});
-  // The attested exchange counts as `attest`; everything else, undecodable
-  // frames included, on `get_instance`.
-  CommandMetrics* command = header.command == cas::Command::kAttest
-                                ? &metrics_.attest
-                                : &metrics_.get_instance;
-  obs::Phase* root = header.command == cas::Command::kAttest
-                         ? &p_root_attest
-                     : header.command == cas::Command::kIntrospect
-                         ? &p_root_introspect
-                         : &p_root_instance;
+  // Each command counts on its own block; a frame whose header does not
+  // decode (or names an unknown command) counts on `get_instance`.
+  CommandMetrics* command = &metrics_.get_instance;
+  obs::Phase* root = &p_root_instance;
+  if (header.command == cas::Command::kAttest) {
+    command = &metrics_.attest;
+    root = &p_root_attest;
+  } else if (header.command == cas::Command::kIntrospect) {
+    command = &metrics_.introspect;
+    root = &p_root_introspect;
+  }
   obs::TraceContext ctx;
   ctx.trace_id = obs::Tracer::instance().new_trace_id();
   ctx.request_id = header.request_id;
@@ -247,59 +248,42 @@ void CasServer::accept(Bytes raw, net::SimNetwork::Completion done) {
   }
 }
 
-bool CasServer::check_common(const cas::Policy& policy,
-                             const cas::InstanceRequest& request,
-                             Status* status) {
-  bool flush_stale_pool = false;
-  bool verified = false;
+std::shared_ptr<const MintStamp> CasServer::check_common(
+    const cas::Policy& policy, const sgx::SigStruct& common,
+    Status* status) {
   {
     MutexLock lock(verified_mutex_);
     const auto it = verified_common_.find(policy.session_name);
-    if (it != verified_common_.end()) {
-      if (it->second.base_hash != *policy.base_hash ||
-          it->second.expected_signer != policy.expected_signer) {
-        // The policy rotated under the memo (new base hash, or a new
-        // signer pin — the memoized SigStruct may be signed by a now
-        // de-pinned signer): everything derived from the old memo — the
-        // memo itself and any pooled pre-minted credentials — is stale.
-        verified_common_.erase(it);
-        flush_stale_pool = true;
-      } else if (it->second.sigstruct == request.common_sigstruct) {
-        verified = true;  // repeat retrieval: skip the RSA verification
-      }
-      // Same base hash + signer but a different SigStruct (re-signed
-      // image, e.g. bumped SVN): pooled credentials copied their metadata
-      // from the old one — flushed once the new SigStruct verifies below.
-    }
+    // A repeat retrieval skips the RSA verification — unless the policy
+    // rotated under the memo (new base hash, or a new signer pin: the
+    // memoized SigStruct may be signed by a now de-pinned signer).
+    if (it != verified_common_.end() &&
+        it->second.expected_signer == policy.expected_signer &&
+        it->second.stamp->base_hash == *policy.base_hash &&
+        it->second.stamp->common == common)
+      return it->second.stamp;
   }
-  if (flush_stale_pool) sigstruct_cache_.flush(policy.session_name);
-  if (verified) return true;
 
-  if (!request.common_sigstruct.signature_valid()) {
+  if (!common.signature_valid()) {
     *status = Status(StatusCode::kBadSignature);
-    return false;
+    return nullptr;
   }
-  if (request.common_sigstruct.mr_signer() != policy.expected_signer) {
+  if (common.mr_signer() != policy.expected_signer) {
     *status = Status(StatusCode::kWrongSigner);
-    return false;
+    return nullptr;
   }
   const sgx::Measurement expected_common =
       core::MeasurementPredictor::predict_common(*policy.base_hash);
-  if (request.common_sigstruct.enclave_hash != expected_common) {
+  if (common.enclave_hash != expected_common) {
     *status = Status(StatusCode::kBaseHashMismatch);
-    return false;
+    return nullptr;
   }
-  bool replaced_same_base = false;
-  {
-    MutexLock lock(verified_mutex_);
-    auto& entry = verified_common_[policy.session_name];
-    replaced_same_base = entry.base_hash == *policy.base_hash &&
-                         !(entry.sigstruct == request.common_sigstruct);
-    entry = VerifiedCommon{*policy.base_hash, policy.expected_signer,
-                           request.common_sigstruct};
-  }
-  if (replaced_same_base) sigstruct_cache_.flush(policy.session_name);
-  return true;
+  auto stamp =
+      std::make_shared<const MintStamp>(MintStamp{*policy.base_hash, common});
+  MutexLock lock(verified_mutex_);
+  verified_common_.insert_or_assign(
+      policy.session_name, VerifiedCommon{policy.expected_signer, stamp});
+  return stamp;
 }
 
 cas::InstanceResponse CasServer::serve_instance(
@@ -324,37 +308,21 @@ cas::InstanceResponse CasServer::serve_instance(
     resp.status = Status(*refused);
     return resp;
   }
+  std::shared_ptr<const MintStamp> stamp;
   {
     obs::Span span(p_verify);
-    if (!check_common(*policy, request, &resp.status)) return resp;
+    stamp = check_common(*policy, request.common_sigstruct, &resp.status);
+    if (stamp == nullptr) return resp;
   }
   obs::Span cred_span(p_cred);
 
-  // Pooled credentials self-validate at pop time: a premint() racing
-  // install_policy() can deposit credentials minted under the old policy
-  // after the stale-pool flush. A credential is served only if (a) its
-  // MRENCLAVE re-predicts under the *current* base hash (~the 32 us
-  // predict cost; the RSA signature stays skipped) and (b) its
-  // SigStruct carries exactly the metadata of the just-verified common
-  // one — which catches even a re-signed image with unchanged base hash
-  // and signer.
-  const auto valid = [&](const cas::MintedCredential& c) {
-    core::InstancePage page;
-    page.token = c.token;
-    page.verifier_id = cas_->verifier_id();
-    const auto& common = request.common_sigstruct;
-    return core::MeasurementPredictor::predict(*policy->base_hash, page) ==
-               c.mr_enclave &&
-           c.sigstruct.signer_key == common.signer_key &&
-           c.sigstruct.attributes == common.attributes &&
-           c.sigstruct.attribute_mask == common.attribute_mask &&
-           c.sigstruct.isv_prod_id == common.isv_prod_id &&
-           c.sigstruct.isv_svn == common.isv_svn &&
-           c.sigstruct.date == common.date &&
-           c.sigstruct.debug_allowed == common.debug_allowed;
-  };
+  // The pop serves only credentials minted under the stamp just verified:
+  // the current policy's base hash and this request's common SigStruct.
+  // Runs deposited under any other stamp — by a premint() that raced a
+  // policy rotation or a re-signed image — are discarded whole at the
+  // pop, so a pooled retrieval predicts nothing and signs nothing.
   cas::MintedCredential cred;
-  auto pooled = sigstruct_cache_.take_if(request.session_name, valid);
+  auto pooled = sigstruct_cache_.take(request.session_name, *stamp);
   if (pooled.has_value()) {
     ++metrics_.sigstruct_cache_hits;
     cred = std::move(*pooled);
@@ -378,7 +346,7 @@ cas::InstanceResponse CasServer::serve_instance(
   resp.status = Status();
   resp.token = cred.token;
   resp.verifier_id = cas_->verifier_id();
-  resp.singleton_sigstruct = cred.sigstruct;
+  resp.singleton_sigstruct = std::move(cred.sigstruct);
   return resp;
 }
 
@@ -389,11 +357,10 @@ std::size_t CasServer::premint(const std::string& session,
   if (!policy.has_value() ||
       cas_->check_retrieval_preconditions(*policy).has_value())
     return 0;
-  cas::InstanceRequest probe;
-  probe.session_name = session;
-  probe.common_sigstruct = common_sigstruct;
   Status status;
-  if (!check_common(*policy, probe, &status)) return 0;
+  const std::shared_ptr<const MintStamp> stamp =
+      check_common(*policy, common_sigstruct, &status);
+  if (stamp == nullptr) return 0;
 
   // Minting is batched, chunked so one premint call cannot monopolize
   // the RNG lock for an unbounded stretch.
@@ -403,7 +370,7 @@ std::size_t CasServer::premint(const std::string& session,
     ++metrics_.mint_batches;
     metrics_.preminted_credentials += batch.size();
     minted += batch.size();
-    sigstruct_cache_.put_all(session, std::move(batch));
+    sigstruct_cache_.put_all(session, stamp, std::move(batch));
   }
   return n;
 }

@@ -31,10 +31,11 @@
 //
 //   * a verify-once memo per session skips the repeat RSA verification of
 //     an already-seen common SigStruct (invalidated when the session's
-//     base hash changes),
+//     base hash or signer pin changes),
 //   * an LRU SigStruct cache (server/sigstruct_cache.h) serves the
-//     credentials premint() signed ahead of time, so a pooled retrieval
-//     skips the RSA-CRT signature,
+//     credentials premint() signed ahead of time under the memo's stamp,
+//     so a pooled retrieval skips the RSA-CRT signature and the MRENCLAVE
+//     prediction,
 //   * metrics (server/metrics.h): atomic counters, the in-flight gauge +
 //     high-water mark, and latency histograms with p50/p99.
 //
@@ -47,12 +48,12 @@
 
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 
 #include "cas/service.h"
 #include "common/mutex.h"
-#include "core/base_hash.h"
 #include "net/sim_network.h"
 #include "net/timer_wheel.h"
 #include "obs/trace.h"
@@ -118,19 +119,21 @@ class CasServer {
 
  private:
   /// A session's verified common SigStruct + the policy facts it was
-  /// checked against (skips repeat RSA verification). Structural
+  /// checked against (skips repeat RSA verification). The stamp is the
+  /// one premint deposits under and a retrieval pops by. Structural
   /// comparisons only — no per-request serialization.
   struct VerifiedCommon {
-    core::BaseHash base_hash;
     Hash256 expected_signer;
-    sgx::SigStruct sigstruct;
+    std::shared_ptr<const MintStamp> stamp;
   };
 
   cas::InstanceResponse serve_instance(const cas::InstanceRequest& request);
-  /// Checks the request's common SigStruct (memoized). Returns false and
-  /// fills `status` with the typed refusal on rejection.
-  bool check_common(const cas::Policy& policy,
-                    const cas::InstanceRequest& request, Status* status);
+  /// Checks `common` against `policy` (memoized). Returns the stamp of
+  /// credentials minted from it, or nullptr with `status` filled with the
+  /// typed refusal on rejection.
+  std::shared_ptr<const MintStamp> check_common(const cas::Policy& policy,
+                                                const sgx::SigStruct& common,
+                                                Status* status);
   /// Fold one answered frame's status into the per-command counters.
   void note_frame(CommandMetrics& command, StatusCode answered);
 

@@ -21,6 +21,7 @@ void ServerMetrics::collect(obs::MetricsSnapshot& snap) const {
   };
   command("get_instance", get_instance);
   command("attest", attest);
+  command("introspect", introspect);
   snap.counter("malformed_frames", malformed_frames.load());
   snap.counter("unsupported_version_frames", unsupported_version_frames.load());
   snap.counter("unknown_command_frames", unknown_command_frames.load());

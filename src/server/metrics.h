@@ -34,13 +34,14 @@ struct CommandMetrics {
 /// (collect()). (The secure channel's counters live on CasService as the
 /// channel_* series.)
 struct ServerMetrics {
-  /// Every frame whose envelope header does not name kAttest: singleton
-  /// retrieval (Command::kGetInstance), introspection and undecodable
-  /// frames.
+  /// Singleton retrieval (Command::kGetInstance), and every frame whose
+  /// envelope header does not decode or names no other command.
   CommandMetrics get_instance;
   /// The attested exchange (Command::kAttest), answered with the sealed
   /// configuration.
   CommandMetrics attest;
+  /// Introspection (Command::kIntrospect).
+  CommandMetrics introspect;
 
   /// Protocol-level refusals, any command: frames answered with the
   /// matching typed status instead of being dropped (a kAttest record of

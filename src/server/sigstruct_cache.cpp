@@ -2,6 +2,14 @@
 
 namespace sinclave::server {
 
+namespace {
+/// The stamp a retrieval pops by is the verify memo's, the very one
+/// premint deposited under, so the address usually decides.
+bool same_stamp(const MintStamp& a, const MintStamp& b) {
+  return &a == &b || a == b;
+}
+}  // namespace
+
 SigStructCache::SigStructCache(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
@@ -32,11 +40,13 @@ void SigStructCache::evict_over_capacity() {
     bool empty;
     {
       MutexLock pool_lock(pool->mutex);
-      while (total_.load() > capacity_ && !pool->credentials.empty()) {
-        pool->credentials.pop_front();
+      while (total_.load() > capacity_ && !pool->runs.empty()) {
+        Run& oldest = pool->runs.front();
+        oldest.credentials.pop_front();
+        if (oldest.credentials.empty()) pool->runs.pop_front();
         --total_;
       }
-      empty = pool->credentials.empty();
+      empty = pool->runs.empty();
     }
     if (empty) {
       pools_.erase(victim);
@@ -57,14 +67,14 @@ void SigStructCache::erase_if_drained(const std::string& session) {
   pool = it->second;
   {
     MutexLock pool_lock(pool->mutex);
-    if (!pool->credentials.empty()) return;  // repopulated meanwhile
+    if (!pool->runs.empty()) return;  // repopulated meanwhile
     lru_.erase(pool->lru_position);
     pools_.erase(it);
   }
 }
 
 std::size_t SigStructCache::put_all(
-    const std::string& session,
+    const std::string& session, std::shared_ptr<const MintStamp> stamp,
     std::vector<cas::MintedCredential> credentials) {
   if (credentials.empty()) return 0;
   const std::size_t n = credentials.size();
@@ -72,17 +82,20 @@ std::size_t SigStructCache::put_all(
   SessionPool& pool = touch(session);
   {
     MutexLock pool_lock(pool.mutex);
+    if (pool.runs.empty() || !same_stamp(*pool.runs.back().stamp, *stamp))
+      pool.runs.emplace_back().stamp = std::move(stamp);
+    std::deque<Pooled>& run = pool.runs.back().credentials;
     for (cas::MintedCredential& credential : credentials)
-      pool.credentials.push_back(std::move(credential));
+      run.push_back(Pooled{credential.token, credential.mr_enclave,
+                           std::move(credential.sigstruct.signature)});
     total_ += n;
   }
   if (total_.load() > capacity_) evict_over_capacity();
   return n;
 }
 
-std::optional<cas::MintedCredential> SigStructCache::take_if(
-    const std::string& session,
-    const std::function<bool(const cas::MintedCredential&)>& valid) {
+std::optional<cas::MintedCredential> SigStructCache::take(
+    const std::string& session, const MintStamp& stamp) {
   std::shared_ptr<SessionPool> pool;
   {
     MutexLock lock(mutex_);
@@ -91,24 +104,36 @@ std::optional<cas::MintedCredential> SigStructCache::take_if(
     lru_.splice(lru_.begin(), lru_, it->second->lru_position);
     pool = it->second;
   }
-  std::optional<cas::MintedCredential> result;
+  std::optional<Pooled> popped;
   bool drained;
   {
     MutexLock pool_lock(pool->mutex);
-    // Credentials `valid` rejects are stale: discarded, not served.
-    while (!pool->credentials.empty()) {
-      cas::MintedCredential cred = std::move(pool->credentials.front());
-      pool->credentials.pop_front();
-      --total_;
-      if (valid(cred)) {
-        result = std::move(cred);
-        break;
-      }
+    // Runs minted from another stamp are stale: discarded whole, never
+    // served.
+    while (!pool->runs.empty() &&
+           !same_stamp(*pool->runs.front().stamp, stamp)) {
+      total_ -= pool->runs.front().credentials.size();
+      pool->runs.pop_front();
     }
-    drained = pool->credentials.empty();
+    if (!pool->runs.empty()) {
+      Run& current = pool->runs.front();
+      popped = std::move(current.credentials.front());
+      current.credentials.pop_front();
+      if (current.credentials.empty()) pool->runs.pop_front();
+      --total_;
+    }
+    drained = pool->runs.empty();
   }
   if (drained) erase_if_drained(session);
-  return result;
+  if (!popped.has_value()) return std::nullopt;
+
+  cas::MintedCredential credential;
+  credential.token = popped->token;
+  credential.mr_enclave = popped->mr_enclave;
+  credential.sigstruct = stamp.common;
+  credential.sigstruct.enclave_hash = popped->mr_enclave;
+  credential.sigstruct.signature = std::move(popped->signature);
+  return credential;
 }
 
 std::size_t SigStructCache::flush(const std::string& session) {
@@ -118,11 +143,11 @@ std::size_t SigStructCache::flush(const std::string& session) {
   // Local shared_ptr keeps the pool (and its locked mutex) alive past the
   // map erase below.
   const std::shared_ptr<SessionPool> pool = it->second;
-  std::size_t n;
+  std::size_t n = 0;
   {
     MutexLock pool_lock(pool->mutex);
-    n = pool->credentials.size();
-    pool->credentials.clear();
+    for (const Run& run : pool->runs) n += run.credentials.size();
+    pool->runs.clear();
     total_ -= n;
   }
   // Drained by definition — erase inline rather than re-acquiring the
@@ -141,7 +166,9 @@ std::size_t SigStructCache::pooled(const std::string& session) const {
     pool = it->second;
   }
   MutexLock pool_lock(pool->mutex);
-  return pool->credentials.size();
+  std::size_t n = 0;
+  for (const Run& run : pool->runs) n += run.credentials.size();
+  return n;
 }
 
 std::size_t SigStructCache::sessions() const {

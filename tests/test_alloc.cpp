@@ -8,7 +8,8 @@
 // The old implementation allocated two vectors per modular multiplication,
 // ~4,600 allocations per RSA-3072 signature. The wrapper also tracks live
 // blocks (allocations minus deallocations), which is how the CAS is held to
-// bounded memory: an attested exchange must leave nothing behind.
+// bounded memory: an attested exchange must leave nothing behind, and a
+// pooled credential keeps only what is its own.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -286,6 +287,43 @@ TEST(Allocation, AttestedExchangesLeaveNoAllocationBehind) {
     std::this_thread::sleep_for(5ms);
   EXPECT_EQ(g_live.load() - baseline, 0);
   EXPECT_EQ(bed.cas().secure_channel_stats().open_sessions, 0u);
+}
+
+// A pooled credential keeps its token, MRENCLAVE and signature; the
+// common SigStruct its pool-mates share (signer modulus, verify context,
+// metadata) is kept once, in the pool's stamp. So preminting into a warm
+// pool adds at most two live blocks per credential: its signature and its
+// share of a deque node.
+TEST(Allocation, PooledCredentialsHoldAtMostTwoBlocksEach) {
+  workload::Testbed bed(workload::TestbedConfig{.seed = 83});
+  const auto image = core::EnclaveImage::synthetic("alloc-pool", sgx::kPageSize,
+                                                   sgx::kPageSize);
+  const core::SinclaveSignedImage signed_image =
+      core::Signer(&bed.user_signer()).sign_sinclave(image);
+  cas::Policy policy;
+  policy.session_name = "pool";
+  policy.expected_signer =
+      crypto::sha256(bed.user_signer().public_key().modulus_be());
+  policy.require_singleton = true;
+  policy.base_hash = signed_image.base_hash;
+  bed.cas().install_policy(policy);
+  CasServerConfig config;
+  config.workers = 1;
+  CasServer server(&bed.cas(), config);
+
+  // The warm-up makes the pool, its stamp, the verify memo and the
+  // signer's contexts, which the 64 below share.
+  constexpr std::size_t kCredentials = 64;
+  ASSERT_EQ(server.premint("pool", signed_image.sigstruct, kCredentials),
+            kCredentials);
+  const std::int64_t before = g_live.load();
+  ASSERT_EQ(server.premint("pool", signed_image.sigstruct, kCredentials),
+            kCredentials);
+  const double per_credential =
+      static_cast<double>(g_live.load() - before) / kCredentials;
+  EXPECT_LE(per_credential, 2.0)
+      << per_credential << " live blocks per pooled credential";
+  EXPECT_EQ(server.sigstruct_cache().pooled("pool"), 2 * kCredentials);
 }
 
 }  // namespace

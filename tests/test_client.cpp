@@ -753,6 +753,8 @@ TEST_F(CasClientTest, EveryCommandGetsTheSameRefusalShape) {
     EXPECT_EQ(shed.attest, expected);
     EXPECT_EQ(bed_.cas().tokens_used(), spent);  // the shed attest spent none
     EXPECT_EQ(node.metrics().requests_shed.load(), 3u);
+    EXPECT_EQ(node.metrics().get_instance.errors.load(), 1u);
+    EXPECT_EQ(node.metrics().introspect.errors.load(), 1u);
     EXPECT_EQ(node.metrics().attest.errors.load(), 1u);
     EXPECT_TRUE(parked_done.get_future().get().ok());
     node.unbind();

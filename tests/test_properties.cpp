@@ -1,7 +1,14 @@
 // Cross-module property sweeps (parameterized): AEAD over payload sizes,
 // the secure channel's sealed answer over sizes, big-integer division over
-// operand widths, and end-to-end singleton prediction over token patterns.
+// operand widths, end-to-end singleton prediction over token patterns, and
+// the stamped SigStruct pool over seeded call sequences.
 #include <gtest/gtest.h>
+
+#include <array>
+#include <map>
+#include <memory>
+#include <random>
+#include <string>
 
 #include "core/predictor.h"
 #include "core/signer.h"
@@ -9,6 +16,7 @@
 #include "crypto/bignum.h"
 #include "crypto/drbg.h"
 #include "net/secure_channel.h"
+#include "server/sigstruct_cache.h"
 
 namespace sinclave {
 namespace {
@@ -123,6 +131,83 @@ TEST_P(TokenPatterns, PredictionIsInjectiveInToken) {
 INSTANTIATE_TEST_SUITE_P(Patterns, TokenPatterns,
                          ::testing::Values(0x00, 0x01, 0x55, 0x80, 0xaa,
                                            0xff));
+
+// --- stamped SigStruct pool over seeded call sequences ---
+
+class PoolSequences : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(PoolSequences, BooksCloseAndNoTakeCrossesStamps) {
+  constexpr std::size_t kCapacity = 5;
+  const std::array<std::string, 3> sessions{"a", "b", "c"};
+  std::array<std::shared_ptr<const server::MintStamp>, 2> stamps;
+  for (std::size_t k = 0; k < stamps.size(); ++k) {
+    auto stamp = std::make_shared<server::MintStamp>();
+    stamp->common.isv_svn = static_cast<std::uint16_t>(k + 1);
+    stamp->base_hash.enclave_size = 4096 * (k + 1);
+    stamps[k] = stamp;
+  }
+  server::SigStructCache cache(kCapacity);
+  std::mt19937 rng(GetParam());
+  // The stamp each deposited credential was minted from, by serial.
+  std::map<std::uint32_t, std::size_t> minted_from;
+  std::uint32_t serial = 0;
+
+  for (int step = 0; step < 400; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const std::string& session = sessions[rng() % sessions.size()];
+    const std::size_t k = rng() % stamps.size();
+    switch (rng() % 3) {
+      case 0: {
+        std::vector<cas::MintedCredential> batch(1 + rng() % 3);
+        for (cas::MintedCredential& cred : batch) {
+          ++serial;
+          for (int b = 0; b < 4; ++b)
+            cred.token.data[b] = static_cast<std::uint8_t>(serial >> (8 * b));
+          cred.mr_enclave = Hash256::from_view(cred.token.view());
+          cred.sigstruct = stamps[k]->common;
+          cred.sigstruct.enclave_hash = cred.mr_enclave;
+          cred.sigstruct.signature = Bytes(8, static_cast<std::uint8_t>(serial));
+          minted_from[serial] = k;
+        }
+        EXPECT_EQ(cache.put_all(session, stamps[k], batch), batch.size());
+        break;
+      }
+      case 1: {
+        const auto taken = cache.take(session, *stamps[k]);
+        if (!taken.has_value()) break;
+        std::uint32_t got = 0;
+        for (int b = 0; b < 4; ++b)
+          got |= static_cast<std::uint32_t>(taken->token.data[b]) << (8 * b);
+        ASSERT_TRUE(minted_from.contains(got));
+        EXPECT_EQ(minted_from[got], k) << "credential " << got
+                                       << " crossed stamps";
+        EXPECT_EQ(taken->sigstruct.isv_svn, stamps[k]->common.isv_svn);
+        EXPECT_EQ(taken->sigstruct.enclave_hash, taken->mr_enclave);
+        EXPECT_EQ(taken->sigstruct.signature,
+                  Bytes(8, static_cast<std::uint8_t>(got)));
+        minted_from.erase(got);  // a credential is handed out once
+        break;
+      }
+      default:
+        (void)cache.flush(session);
+        break;
+    }
+
+    std::size_t pooled_sum = 0;
+    std::size_t non_empty = 0;
+    for (const std::string& name : sessions) {
+      const std::size_t n = cache.pooled(name);
+      pooled_sum += n;
+      if (n != 0) ++non_empty;
+    }
+    ASSERT_EQ(cache.size(), pooled_sum);
+    ASSERT_LE(cache.size(), cache.capacity());
+    ASSERT_EQ(cache.sessions(), non_empty);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PoolSequences,
+                         ::testing::Values(1u, 2u, 3u, 29u, 4099u, 65537u));
 
 }  // namespace
 }  // namespace sinclave

@@ -3,17 +3,19 @@
 //  * the policy table under racing installs, LRU SigStruct cache semantics
 //    (and its locking when puts and takes race eviction),
 //  * retrievals through a bound CasServer and cas::CasClient, the one
-//    request path: verify-memo invalidation, stale-pool flushes, the
-//    pop-time validity check, premint batching, typed serving failures,
+//    request path: verify-memo invalidation, stale pools discarded by
+//    the pop's stamp check (racing premints included), the pooled
+//    credential being the minted one, premint batching, typed serving
+//    failures,
 //  * concurrent instance retrievals across sessions (token uniqueness),
 //  * cached (pre-minted) credentials remain fully usable end to end,
 //  * one-time-token / singleton guarantees under racing replays,
-//  * the server's idle-session sweep reaping an abandoned session,
 //  * metrics sanity after serving real traffic.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -187,41 +189,76 @@ TEST(PolicyTable, ConcurrentMixedAccess) {
   EXPECT_FALSE(cas.get_policy("s20").has_value());
 }
 
-/// take_if's predicate when no pooled credential has gone stale.
-bool always_valid(const cas::MintedCredential&) { return true; }
+/// A stamp for the cache's own tests: what the credentials were minted
+/// from only has to differ between `tag`s.
+std::shared_ptr<const MintStamp> test_stamp(std::uint16_t tag) {
+  auto stamp = std::make_shared<MintStamp>();
+  stamp->common.isv_svn = tag;
+  return stamp;
+}
 
 TEST(SigStructCacheTest, TakeFromEmptyIsMiss) {
   SigStructCache cache(8);
-  EXPECT_FALSE(cache.take_if("s", always_valid).has_value());
+  EXPECT_FALSE(cache.take("s", *test_stamp(1)).has_value());
   EXPECT_EQ(cache.sessions(), 0u);  // a miss creates no pool
 }
 
 TEST(SigStructCacheTest, PutTakeRoundTripIsHit) {
   SigStructCache cache(8);
+  const auto stamp = test_stamp(1);
   cas::MintedCredential cred;
   cred.token.data[0] = 7;
   cred.mr_enclave.data[0] = 9;
-  cache.put_all("s", {cred});
+  cred.sigstruct = stamp->common;
+  cred.sigstruct.enclave_hash = cred.mr_enclave;
+  cred.sigstruct.signature = Bytes{1, 2, 3};
+  cache.put_all("s", stamp, {cred});
   EXPECT_EQ(cache.pooled("s"), 1u);
 
-  const auto taken = cache.take_if("s", always_valid);
+  const auto taken = cache.take("s", *stamp);
   ASSERT_TRUE(taken.has_value());
   EXPECT_EQ(taken->token, cred.token);
   EXPECT_EQ(taken->mr_enclave, cred.mr_enclave);
+  EXPECT_EQ(taken->sigstruct, cred.sigstruct);  // rebuilt from the stamp
   EXPECT_EQ(cache.pooled("s"), 0u);
   // Pool drained: next take is a miss.
-  EXPECT_FALSE(cache.take_if("s", always_valid).has_value());
+  EXPECT_FALSE(cache.take("s", *stamp).has_value());
+}
+
+TEST(SigStructCacheTest, TakeDiscardsRunsOfAnotherStampWhole) {
+  SigStructCache cache(8);
+  const auto old_stamp = test_stamp(1);
+  const auto new_stamp = test_stamp(2);
+  std::vector<cas::MintedCredential> stale(3), fresh(2);
+  fresh[0].token.data[0] = 1;
+  fresh[1].token.data[0] = 2;
+  cache.put_all("s", old_stamp, std::move(stale));
+  cache.put_all("s", new_stamp, std::move(fresh));
+  EXPECT_EQ(cache.pooled("s"), 5u);
+
+  // An equal stamp at another address serves too.
+  const MintStamp request = *new_stamp;
+  const auto taken = cache.take("s", request);
+  ASSERT_TRUE(taken.has_value());
+  EXPECT_EQ(taken->token.data[0], 1);
+  EXPECT_EQ(cache.pooled("s"), 1u);  // the old run went whole
+  EXPECT_EQ(cache.size(), 1u);
+  // The old stamp now finds only the new run, and discards it.
+  EXPECT_FALSE(cache.take("s", *old_stamp).has_value());
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.sessions(), 0u);
 }
 
 TEST(SigStructCacheTest, LruEvictsLeastRecentlyUsedSession) {
   SigStructCache cache(4);
+  const auto stamp = test_stamp(1);
   cas::MintedCredential cred;
-  for (int i = 0; i < 2; ++i) cache.put_all("old", {cred});
-  for (int i = 0; i < 2; ++i) cache.put_all("hot", {cred});
+  for (int i = 0; i < 2; ++i) cache.put_all("old", stamp, {cred});
+  for (int i = 0; i < 2; ++i) cache.put_all("hot", stamp, {cred});
   // Touch "old"→"hot" order: make "hot" most recent, then overflow.
-  (void)cache.take_if("hot", always_valid);
-  cache.put_all("hot", {cred});  // back to 2+2 with "hot" most recent
-  cache.put_all("hot", {cred});  // 5 > capacity 4: evict from "old"
+  (void)cache.take("hot", *stamp);
+  cache.put_all("hot", stamp, {cred});  // back to 2+2, "hot" most recent
+  cache.put_all("hot", stamp, {cred});  // 5 > capacity 4: evict from "old"
   EXPECT_EQ(cache.size(), 4u);
   EXPECT_LT(cache.pooled("old"), 2u);
   EXPECT_EQ(cache.pooled("hot"), 3u);
@@ -229,26 +266,28 @@ TEST(SigStructCacheTest, LruEvictsLeastRecentlyUsedSession) {
 
 TEST(SigStructCacheTest, PutAllDepositsBatchInOrder) {
   SigStructCache cache(8);
+  const auto stamp = test_stamp(1);
   std::vector<cas::MintedCredential> batch(3);
   for (int i = 0; i < 3; ++i) batch[i].token.data[0] = static_cast<std::uint8_t>(i + 1);
-  EXPECT_EQ(cache.put_all("s", std::move(batch)), 3u);
+  EXPECT_EQ(cache.put_all("s", stamp, std::move(batch)), 3u);
   EXPECT_EQ(cache.pooled("s"), 3u);
   // FIFO: the oldest deposit is taken first.
   for (int i = 0; i < 3; ++i) {
-    const auto taken = cache.take_if("s", always_valid);
+    const auto taken = cache.take("s", *stamp);
     ASSERT_TRUE(taken.has_value());
     EXPECT_EQ(taken->token.data[0], i + 1);
   }
-  EXPECT_EQ(cache.put_all("s", {}), 0u);
+  EXPECT_EQ(cache.put_all("s", stamp, {}), 0u);
   EXPECT_EQ(cache.pooled("s"), 0u);
 }
 
 TEST(SigStructCacheTest, PutAllEvictsOverCapacityLikePuts) {
   SigStructCache cache(4);
+  const auto stamp = test_stamp(1);
   cas::MintedCredential cred;
-  for (int i = 0; i < 3; ++i) cache.put_all("old", {cred});
+  for (int i = 0; i < 3; ++i) cache.put_all("old", stamp, {cred});
   std::vector<cas::MintedCredential> batch(3);
-  cache.put_all("hot", std::move(batch));  // 6 > 4: evict from "old" first
+  cache.put_all("hot", stamp, std::move(batch));  // 6 > 4: "old" first
   EXPECT_EQ(cache.size(), 4u);
   EXPECT_EQ(cache.pooled("hot"), 3u);
   EXPECT_EQ(cache.pooled("old"), 1u);
@@ -257,8 +296,8 @@ TEST(SigStructCacheTest, PutAllEvictsOverCapacityLikePuts) {
 TEST(SigStructCacheTest, FlushDiscardsSessionPool) {
   SigStructCache cache(8);
   cas::MintedCredential cred;
-  cache.put_all("s", {cred});
-  cache.put_all("s", {cred});
+  cache.put_all("s", test_stamp(1), {cred});
+  cache.put_all("s", test_stamp(2), {cred});
   EXPECT_EQ(cache.flush("s"), 2u);
   EXPECT_EQ(cache.pooled("s"), 0u);
   EXPECT_EQ(cache.size(), 0u);
@@ -266,44 +305,50 @@ TEST(SigStructCacheTest, FlushDiscardsSessionPool) {
 
 TEST(SigStructCacheTest, EvictionErasesDrainedSessionPools) {
   SigStructCache cache(2);
+  const auto stamp = test_stamp(1);
   cas::MintedCredential cred;
-  cache.put_all("old", {cred});
-  cache.put_all("hot", {cred});
+  cache.put_all("old", stamp, {cred});
+  cache.put_all("hot", stamp, {cred});
   EXPECT_EQ(cache.sessions(), 2u);
-  cache.put_all("hot", {cred});  // 3 > capacity 2: "old" drained to zero
+  cache.put_all("hot", stamp, {cred});  // 3 > capacity 2: "old" drained
   EXPECT_EQ(cache.pooled("old"), 0u);
   EXPECT_EQ(cache.sessions(), 1u);  // the empty pool is gone, not leaked
 }
 
-// The cache's concurrency test: puts and validated takes on one session
-// race a second thread whose puts overflow capacity across eight others,
-// evicting (and erasing) pools under the first thread's feet.
+// The cache's concurrency test: puts under two stamps and takes by one
+// race on one session against a second thread whose puts overflow
+// capacity across eight others, evicting (and erasing) pools under the
+// first thread's feet.
 TEST(SigStructCacheTest, PutAndTakeRacingEvictionStayCoherent) {
   SigStructCache cache(4);
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> cycles{0};
+  std::atomic<std::uint64_t> served_stale{0};
   std::thread owner([&] {
+    const auto current = test_stamp(2);
+    const auto stale = test_stamp(1);
     cas::MintedCredential even, odd;
     odd.token.data[0] = 1;
-    const auto only_even = [](const cas::MintedCredential& c) {
-      return c.token.data[0] % 2 == 0;
-    };
     do {
-      cache.put_all("s", {odd});
-      cache.put_all("s", {even});
-      (void)cache.take_if("s", only_even);
+      cache.put_all("s", stale, {odd});
+      cache.put_all("s", current, {even});
+      if (const auto taken = cache.take("s", *current);
+          taken.has_value() && taken->token.data[0] % 2 != 0)
+        ++served_stale;
       ++cycles;
     } while (!stop);
   });
   std::thread evictor([&] {
+    const auto stamp = test_stamp(3);
     cas::MintedCredential cred;
     for (int i = 0; i < 2000; ++i)
-      cache.put_all("x" + std::to_string(i % 8), {cred});
+      cache.put_all("x" + std::to_string(i % 8), stamp, {cred});
     stop = true;
   });
   owner.join();
   evictor.join();
   EXPECT_GT(cycles.load(), 0u);
+  EXPECT_EQ(served_stale.load(), 0u);
 
   // Whatever interleaving happened, the books close once both stop.
   std::size_t pooled_sum = 0;
@@ -514,10 +559,11 @@ TEST_F(CasServerTest, ResignedCommonSigstructFlushesStalePool) {
   EXPECT_EQ(server.metrics().sigstruct_cache_hits.load(), 0u);
 }
 
-// The flush above answers a stale pool before any pop. This one reaches
-// the pop-time validity check: a premint() that raced a policy rotation
-// deposits credentials after the flush, when the memo already holds the
-// new policy, so nothing flushes them again.
+// The test above meets a stale pool the premint of the old SigStruct
+// left. This one meets what a premint() that raced a policy rotation
+// deposits once the memo already holds the new policy: runs stamped with
+// the old base hash, and with a re-signed SigStruct of the new image. The
+// pop compares stamps and discards both whole.
 TEST_F(CasServerTest, PopTimeCheckDropsCredentialsARacedPremintLeftStale) {
   const cas::Policy old_policy = singleton_policy("s");
   bed_.cas().install_policy(old_policy);
@@ -541,9 +587,15 @@ TEST_F(CasServerTest, PopTimeCheckDropsCredentialsARacedPremintLeftStale) {
   const auto signed_v2_resigned = signer_.sign_sinclave(v2_resigned);
   ASSERT_EQ(signed_v2_resigned.base_hash.state, signed_v2.base_hash.state);
   server.sigstruct_cache().put_all(
-      "s", bed_.cas().mint_batch(old_policy, signed_.sigstruct, 2));
+      "s",
+      std::make_shared<const MintStamp>(
+          MintStamp{*old_policy.base_hash, signed_.sigstruct}),
+      bed_.cas().mint_batch(old_policy, signed_.sigstruct, 2));
   server.sigstruct_cache().put_all(
-      "s", bed_.cas().mint_batch(new_policy, signed_v2_resigned.sigstruct, 2));
+      "s",
+      std::make_shared<const MintStamp>(
+          MintStamp{*new_policy.base_hash, signed_v2_resigned.sigstruct}),
+      bed_.cas().mint_batch(new_policy, signed_v2_resigned.sigstruct, 2));
   ASSERT_EQ(server.sigstruct_cache().pooled("s"), 4u);
 
   const auto resp = retrieve("s", signed_v2.sigstruct);
@@ -564,6 +616,85 @@ TEST_F(CasServerTest, PopTimeCheckDropsCredentialsARacedPremintLeftStale) {
   EXPECT_EQ(got.debug_allowed, want.debug_allowed);
   EXPECT_EQ(server.metrics().sigstruct_cache_hits.load(), 0u);
   EXPECT_EQ(server.sigstruct_cache().pooled("s"), 0u);
+}
+
+// A pooled credential keeps only its token, MRENCLAVE and signature; the
+// SigStruct served is rebuilt from the pool's stamp and must be the one
+// mint_batch signed, byte for byte.
+TEST_F(CasServerTest, PooledCredentialIsTheMintedOne) {
+  const cas::Policy policy = singleton_policy("s");
+  bed_.cas().install_policy(policy);
+  CasServer server(&bed_.cas(), CasServerConfig{.workers = 1});
+  server.bind(bed_.network(), kServerAddress);
+
+  const std::vector<cas::MintedCredential> minted =
+      bed_.cas().mint_batch(policy, signed_.sigstruct, 3);
+  server.sigstruct_cache().put_all(
+      "s",
+      std::make_shared<const MintStamp>(
+          MintStamp{*policy.base_hash, signed_.sigstruct}),
+      minted);
+
+  for (const cas::MintedCredential& want : minted) {
+    const auto got = retrieve("s");
+    ASSERT_TRUE(got.ok()) << got.status.message();
+    EXPECT_EQ(got.token, want.token);
+    EXPECT_EQ(got.singleton_sigstruct, want.sigstruct);
+    EXPECT_EQ(got.singleton_sigstruct.serialize(), want.sigstruct.serialize());
+    EXPECT_TRUE(got.singleton_sigstruct.signature_valid());
+  }
+  EXPECT_EQ(server.metrics().sigstruct_cache_hits.load(), 3u);
+  EXPECT_EQ(server.metrics().sigstruct_cache_misses.load(), 0u);
+}
+
+// A thread premints image A's credentials in a loop — through premint(),
+// and as a premint that read the policy before the rotation deposits
+// them — while this thread installs image B's policy and retrieves. No
+// retrieval may be served a credential minted for A.
+TEST_F(CasServerTest, RacingStalePremintIsNeverServed) {
+  const cas::Policy policy_a = singleton_policy("s");
+  bed_.cas().install_policy(policy_a);
+  CasServer server(&bed_.cas(), CasServerConfig{.workers = 2});
+  server.bind(bed_.network(), kServerAddress);
+  ASSERT_EQ(server.premint("s", signed_.sigstruct, 4), 4u);
+
+  core::EnclaveImage image_b = image_;
+  image_b.code[0] ^= 0xff;
+  const auto signed_b = signer_.sign_sinclave(image_b);
+  cas::Policy policy_b = singleton_policy("s");
+  policy_b.base_hash = signed_b.base_hash;
+
+  const auto stamp_a = std::make_shared<const MintStamp>(
+      MintStamp{*policy_a.base_hash, signed_.sigstruct});
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> stale_deposits{0};
+  std::thread preminter([&] {
+    while (!stop.load()) {
+      (void)server.premint("s", signed_.sigstruct, 2);
+      server.sigstruct_cache().put_all(
+          "s", stamp_a, bed_.cas().mint_batch(policy_a, signed_.sigstruct, 2));
+      ++stale_deposits;
+    }
+  });
+  bed_.cas().install_policy(policy_b);
+  // The pool holds runs deposited under A after the rotation before the
+  // first retrieval, and more arrive while they run.
+  const std::uint64_t seen = stale_deposits.load();
+  while (stale_deposits.load() == seen) std::this_thread::yield();
+  std::vector<cas::InstanceResult> served;
+  for (int i = 0; i < 50; ++i) served.push_back(retrieve("s", signed_b.sigstruct));
+  stop = true;
+  preminter.join();
+
+  for (const cas::InstanceResult& got : served) {
+    ASSERT_TRUE(got.ok()) << got.status.message();
+    core::InstancePage page;
+    page.token = got.token;
+    page.verifier_id = got.verifier_id;
+    EXPECT_EQ(got.singleton_sigstruct.enclave_hash,
+              core::MeasurementPredictor::predict(signed_b.base_hash, page));
+    EXPECT_TRUE(got.singleton_sigstruct.signature_valid());
+  }
 }
 
 TEST_F(CasServerTest, PremintCoalescesIntoMintBatches) {

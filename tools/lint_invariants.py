@@ -3,7 +3,7 @@
 
 The repository's layering and concurrency rules are enforceable without a
 compiler — they are confinement rules about which tokens may appear in
-which files. This linter codifies eight documented ones:
+which files. This linter codifies nine documented ones:
 
   wire-confinement    Wire-protocol serialization (InstanceRequest &
                       friends ::serialize/::deserialize) stays inside
@@ -43,6 +43,14 @@ which files. This linter codifies eight documented ones:
                       (src/net/secure_channel.*) and the client SDK
                       (src/cas/client.*, whose AttestedChannel routes it by
                       the retry rule).
+  prediction-confinement
+                      A singleton's MRENCLAVE is predicted once, when its
+                      credential is minted: in src/, outside
+                      src/core/predictor.*, MeasurementPredictor::predict(
+                      appears only in src/cas/service.cpp (the mint), and
+                      predict_common( only in src/server/cas_server.cpp
+                      (the verify-once memo). A pooled retrieval is served
+                      by its pool's stamp, not by predicting again.
   alloc-free          Files on the allocation-free signing, key-agreement
                       and volume hot paths (asserted by tests/test_alloc.cpp's
                       counting operator new) must not contain allocation
@@ -149,6 +157,16 @@ HANDSHAKE_ALLOWED = {
     "src/cas/client.cpp",
 }
 RE_SECURE_CLIENT = re.compile(r"\bSecureClient\b")
+
+# Where each prediction may be called from (its one home outside the
+# predictor itself).
+PREDICTOR_FILES = {"src/core/predictor.h", "src/core/predictor.cpp"}
+PREDICTION_HOMES = {
+    "predict": "src/cas/service.cpp",
+    "predict_common": "src/server/cas_server.cpp",
+}
+RE_PREDICTION = re.compile(
+    r"\bMeasurementPredictor\s*::\s*(predict)\s*\(|\b(predict_common)\s*\(")
 
 # Headers whose byte-facing decoders the fuzz layer must cover. A header
 # that does not exist is skipped (the rule is about decoders that DO
@@ -357,6 +375,23 @@ def check_handshake_confinement(root, findings):
                  "the handshake follows the one retry rule"))
 
 
+def check_prediction_confinement(root, findings):
+    for path in iter_sources(root):
+        relpath = rel(root, path)
+        if relpath in PREDICTOR_FILES:
+            continue
+        text = strip_code(path.read_text(encoding="utf-8"), blank_strings=True)
+        for m in RE_PREDICTION.finditer(text):
+            symbol = m.group(1) or m.group(2)
+            if relpath == PREDICTION_HOMES[symbol]:
+                continue
+            findings.append(
+                (relpath, line_of(text, m.start()), "prediction-confinement",
+                 "'%s(' outside %s — a singleton's MRENCLAVE is predicted "
+                 "once, at the mint; serve pooled credentials by their "
+                 "stamp" % (symbol, PREDICTION_HOMES[symbol])))
+
+
 def check_alloc_free(root, findings):
     for relpath in ALLOC_FREE_FILES:
         path = root / relpath
@@ -401,7 +436,8 @@ def check_fuzz_coverage(root, findings):
 
 CHECKS = (check_wire, check_raw_mutex, check_status_strings,
           check_status_details, check_retry_confinement,
-          check_handshake_confinement, check_alloc_free, check_fuzz_coverage)
+          check_handshake_confinement, check_prediction_confinement,
+          check_alloc_free, check_fuzz_coverage)
 
 
 def run_all(root):
@@ -455,6 +491,11 @@ SELFTEST_VIOLATIONS = {
         "// a comment naming net::SecureClient stays legal\n"
         "  net::SecureClient channel(crypto::Drbg::from_seed(\n",
         "handshake-confinement",
+    ),
+    "src/server/bad_predict.cpp": (
+        "// a comment calling MeasurementPredictor::predict(base, page)\n"
+        "  return core::MeasurementPredictor::predict(base, page) == mr;\n",
+        "prediction-confinement",
     ),
     "src/crypto/bignum.cpp": (
         "// never reallocates (comment token must not fire)\n"
