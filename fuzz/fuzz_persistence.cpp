@@ -52,7 +52,7 @@ struct Golden {
       p.expected_signer = crypto::sha256(identity.public_key().view());
       p.require_singleton = true;
       p.config.program = "prog";
-      p.config.env["K"] = "V";
+      p.config.env.emplace("K", "V");
       cas.install_policy(p);
     }
     for (std::uint8_t fill : {std::uint8_t{0xAA}, std::uint8_t{0xBB}}) {

@@ -120,8 +120,8 @@ int run_sha_aead_diff(const std::uint8_t* data, std::size_t size) {
       const Bytes msg = in.rest();
       const crypto::Aes aes(key);
 
-      Bytes src(offset + msg.size());
-      std::copy(msg.begin(), msg.end(), src.begin() + offset);
+      Bytes src(offset);
+      src.insert(src.end(), msg.begin(), msg.end());
       Bytes dst(src.size());
       crypto::aes_ctr_xor(aes, nonce, counter0, ByteView(src).subspan(offset),
                           dst.data() + offset);

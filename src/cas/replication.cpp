@@ -378,7 +378,7 @@ std::string RaftCore::leader_hint_locked() const {
   constexpr int kHintHeartbeats = 3;
   if (role_ != Role::kLeader &&
       std::chrono::steady_clock::now() - leader_contact_ >
-          kHintHeartbeats * config_.heartbeat_interval)
+          kHintHeartbeats * kRaftHeartbeatInterval)
     return "";
   for (const RaftPeer& p : config_.peers) {
     if (p.id == leader_id_) return p.address;
@@ -434,12 +434,11 @@ void RaftCore::persist_locked() { store_->save(PersistentState{
 
 void RaftCore::arm_election_timer_locked() {
   wheel_.cancel(election_timer_);
-  std::chrono::nanoseconds delay = config_.election_timeout_min;
-  const auto span = config_.election_timeout_max - config_.election_timeout_min;
-  if (span.count() > 0) {
-    delay += std::chrono::nanoseconds(
-        u64_from_drbg(rng_) % static_cast<std::uint64_t>(span.count()));
-  }
+  std::chrono::nanoseconds delay = kRaftElectionTimeoutMin;
+  constexpr auto span = kRaftElectionTimeoutMax - kRaftElectionTimeoutMin;
+  static_assert(span.count() > 0);
+  delay += std::chrono::nanoseconds(
+      u64_from_drbg(rng_) % static_cast<std::uint64_t>(span.count()));
   try {
     election_timer_ =
         wheel_.schedule_after(delay, [this] { on_election_timeout(); });
@@ -451,7 +450,7 @@ void RaftCore::arm_election_timer_locked() {
 
 void RaftCore::arm_heartbeat_timer_locked() {
   try {
-    heartbeat_timer_ = wheel_.schedule_after(config_.heartbeat_interval,
+    heartbeat_timer_ = wheel_.schedule_after(kRaftHeartbeatInterval,
                                              [this] { on_heartbeat(); });
   } catch (const Error&) {
   }
@@ -555,7 +554,7 @@ void RaftCore::apply_committed_locked() {
 }
 
 void RaftCore::maybe_compact_locked() {
-  if (last_applied_ - base_index_ < config_.snapshot_threshold) return;
+  if (last_applied_ - base_index_ < kRaftSnapshotThreshold) return;
   snapshot_ = take_snapshot_();
   base_term_ = term_at_locked(last_applied_);
   log_.erase(log_.begin(),
@@ -593,7 +592,7 @@ RaftCore::Outbound RaftCore::build_append_locked(const RaftPeer& peer) {
   m.leader_commit = commit_index_;
   const std::uint64_t last = last_index_locked();
   const std::uint64_t end =
-      std::min(last, next + config_.append_batch - 1);
+      std::min(last, next + kRaftAppendBatch - 1);
   for (std::uint64_t i = next; i <= end; ++i) {
     m.entries.push_back(log_.at(i - base_index_ - 1));
   }

@@ -248,22 +248,26 @@ struct RaftPeer {
   std::string address;
 };
 
+/// Randomized election timeout window (Raft's liveness lever).
+inline constexpr std::chrono::nanoseconds kRaftElectionTimeoutMin =
+    std::chrono::milliseconds(40);
+inline constexpr std::chrono::nanoseconds kRaftElectionTimeoutMax =
+    std::chrono::milliseconds(80);
+inline constexpr std::chrono::nanoseconds kRaftHeartbeatInterval =
+    std::chrono::milliseconds(10);
+/// Compact the applied log prefix into a snapshot beyond this many
+/// retained entries.
+inline constexpr std::size_t kRaftSnapshotThreshold = 256;
+/// Max log entries per AppendEntries frame.
+inline constexpr std::size_t kRaftAppendBatch = 64;
+
 struct RaftConfig {
   std::uint64_t node_id = 1;
   /// All cluster members, including this node.
   std::vector<RaftPeer> peers;
-  /// Randomized election timeout window (Raft's liveness lever).
-  std::chrono::nanoseconds election_timeout_min{std::chrono::milliseconds(40)};
-  std::chrono::nanoseconds election_timeout_max{std::chrono::milliseconds(80)};
-  std::chrono::nanoseconds heartbeat_interval{std::chrono::milliseconds(10)};
   /// How long propose() waits for majority commit + local apply before
   /// giving up with kUnavailable.
   std::chrono::nanoseconds propose_timeout{std::chrono::seconds(2)};
-  /// Compact the applied log prefix into a snapshot beyond this many
-  /// retained entries.
-  std::size_t snapshot_threshold = 256;
-  /// Max log entries per AppendEntries frame.
-  std::size_t append_batch = 64;
   /// Seeds the election-timeout DRBG (deterministic tests).
   std::uint64_t seed = 0;
 };

@@ -42,9 +42,9 @@ namespace sinclave {
 ///
 ///   - workload/client aggregates sit on top: they are entered from user
 ///     threads holding nothing and call down into the SDK;
-///   - the server frontend (verified-common memo, SigStruct cache -> pool)
-///     sits above the metrics registry, whose collectors reach into
-///     service shards;
+///   - the server frontend (its session table, the SigStruct cache) sits
+///     above the metrics registry, whose collectors reach into service
+///     shards;
 ///   - cas/ service locks: signer map above the RSA context lock (moving a
 ///     keypair into the map locks the source key's context), token stripes
 ///     above the observe hook;
@@ -58,9 +58,7 @@ enum class LockRank : std::uint16_t {
   kWorkloadResult = 110,    // load_gen result aggregation / open-loop state
   kClientConnection = 100,  // cas::CasClient connection cache
   kClientBreaker = 98,      // cas::CasClient circuit-breaker state
-  kServerVerified = 92,     // server::CasServer verified-common memo
-  kSigstructCache = 90,     // server::SigStructCache map + LRU
-  kSigstructPool = 88,      // server::SigStructCache per-session pool
+  kSigstructCache = 90,     // server::SigStructCache session table
   kThreadPool = 86,         // server::ThreadPool queue
   kMetricsRegistry = 80,    // obs::MetricsRegistry collector list
   kClusterLifecycle = 76,   // server::ClusterNode incarnation swap (held

@@ -156,10 +156,10 @@ void CasServer::accept(Bytes raw, net::SimNetwork::Completion done) {
   auto job = [this, raw = std::move(raw), done, accepted, deadline, ctx,
               accepted_ns, command, root]() mutable {
     // Stage 2 — serve, on a worker: decode + dispatch (retrieval: policy
-    // -> verify-once memo -> pooled credential | inline sign; attest: the
-    // handshake). serve_client_frame contains deserializer failures — a
-    // malformed or truncated frame answers a typed kMalformedRequest, it
-    // can never escape this worker as an exception.
+    // -> session table: memo + pooled credential | verify, inline sign;
+    // attest: the handshake). serve_client_frame contains deserializer
+    // failures — a malformed or truncated frame answers a typed
+    // kMalformedRequest, it can never escape this worker as an exception.
     if (ctx.active()) {
       obs::Tracer::instance().record_phase_span(p_queue, ctx, accepted_ns,
                                                 obs::Tracer::now_ns(), 1);
@@ -248,42 +248,17 @@ void CasServer::accept(Bytes raw, net::SimNetwork::Completion done) {
   }
 }
 
-std::shared_ptr<const MintStamp> CasServer::check_common(
-    const cas::Policy& policy, const sgx::SigStruct& common,
-    Status* status) {
-  {
-    MutexLock lock(verified_mutex_);
-    const auto it = verified_common_.find(policy.session_name);
-    // A repeat retrieval skips the RSA verification — unless the policy
-    // rotated under the memo (new base hash, or a new signer pin: the
-    // memoized SigStruct may be signed by a now de-pinned signer).
-    if (it != verified_common_.end() &&
-        it->second.expected_signer == policy.expected_signer &&
-        it->second.stamp->base_hash == *policy.base_hash &&
-        it->second.stamp->common == common)
-      return it->second.stamp;
-  }
-
-  if (!common.signature_valid()) {
-    *status = Status(StatusCode::kBadSignature);
-    return nullptr;
-  }
-  if (common.mr_signer() != policy.expected_signer) {
-    *status = Status(StatusCode::kWrongSigner);
-    return nullptr;
-  }
-  const sgx::Measurement expected_common =
-      core::MeasurementPredictor::predict_common(*policy.base_hash);
-  if (common.enclave_hash != expected_common) {
-    *status = Status(StatusCode::kBaseHashMismatch);
-    return nullptr;
-  }
-  auto stamp =
-      std::make_shared<const MintStamp>(MintStamp{*policy.base_hash, common});
-  MutexLock lock(verified_mutex_);
-  verified_common_.insert_or_assign(
-      policy.session_name, VerifiedCommon{policy.expected_signer, stamp});
-  return stamp;
+Status CasServer::check_common(const cas::Policy& policy,
+                               const sgx::SigStruct& common) {
+  if (!common.signature_valid()) return Status(StatusCode::kBadSignature);
+  if (common.mr_signer() != policy.expected_signer)
+    return Status(StatusCode::kWrongSigner);
+  if (common.enclave_hash !=
+      core::MeasurementPredictor::predict_common(*policy.base_hash))
+    return Status(StatusCode::kBaseHashMismatch);
+  sigstruct_cache_.remember(policy.session_name, policy.expected_signer,
+                            MintStamp{*policy.base_hash, common});
+  return Status();
 }
 
 cas::InstanceResponse CasServer::serve_instance(
@@ -308,28 +283,33 @@ cas::InstanceResponse CasServer::serve_instance(
     resp.status = Status(*refused);
     return resp;
   }
-  std::shared_ptr<const MintStamp> stamp;
+  // One session-table lookup: when the session remembers this common
+  // SigStruct under the current policy's signer pin and base hash, it was
+  // verified already, and the pop serves a credential minted under exactly
+  // that stamp, so a pooled retrieval verifies, predicts and signs nothing.
+  // Otherwise verify it; remembering it discards any pool minted under
+  // another stamp (a rotated policy, a re-signed image), and the
+  // credential is minted inline.
+  SigStructCache::Lookup found;
   {
     obs::Span span(p_verify);
-    stamp = check_common(*policy, request.common_sigstruct, &resp.status);
-    if (stamp == nullptr) return resp;
+    found = sigstruct_cache_.take(request.session_name,
+                                  policy->expected_signer, *policy->base_hash,
+                                  request.common_sigstruct);
+    if (!found.verified) {
+      resp.status = check_common(*policy, request.common_sigstruct);
+      if (!resp.status.ok()) return resp;
+    }
   }
   obs::Span cred_span(p_cred);
 
-  // The pop serves only credentials minted under the stamp just verified:
-  // the current policy's base hash and this request's common SigStruct.
-  // Runs deposited under any other stamp — by a premint() that raced a
-  // policy rotation or a re-signed image — are discarded whole at the
-  // pop, so a pooled retrieval predicts nothing and signs nothing.
-  cas::MintedCredential cred;
-  auto pooled = sigstruct_cache_.take(request.session_name, *stamp);
-  if (pooled.has_value()) {
+  if (found.credential.has_value()) {
     ++metrics_.sigstruct_cache_hits;
-    cred = std::move(*pooled);
   } else {
     ++metrics_.sigstruct_cache_misses;
-    cred = cas_->mint_credential(*policy, request.common_sigstruct);
+    found.credential = cas_->mint_credential(*policy, request.common_sigstruct);
   }
+  cas::MintedCredential& cred = *found.credential;
 
   // Arm the one-time token. Pre-minted or not, a credential reaches this
   // line exactly once (the pool pop is exclusive), so each token is armed
@@ -357,13 +337,15 @@ std::size_t CasServer::premint(const std::string& session,
   if (!policy.has_value() ||
       cas_->check_retrieval_preconditions(*policy).has_value())
     return 0;
-  Status status;
-  const std::shared_ptr<const MintStamp> stamp =
-      check_common(*policy, common_sigstruct, &status);
-  if (stamp == nullptr) return 0;
+  if (!sigstruct_cache_.verified(session, policy->expected_signer,
+                                 *policy->base_hash, common_sigstruct) &&
+      !check_common(*policy, common_sigstruct).ok())
+    return 0;
 
   // Minting is batched, chunked so one premint call cannot monopolize
-  // the RNG lock for an unbounded stretch.
+  // the RNG lock for an unbounded stretch. A batch the session table no
+  // longer takes (a rotation raced this premint) is discarded there.
+  const MintStamp stamp{*policy->base_hash, common_sigstruct};
   for (std::size_t minted = 0; minted < n;) {
     const std::size_t want = std::min(kMintBatch, n - minted);
     auto batch = cas_->mint_batch(*policy, common_sigstruct, want);

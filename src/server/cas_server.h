@@ -13,10 +13,11 @@
 //                                   in-flight gauge, admit or shed,
 //                                   enqueue to the worker pool
 //     serve  (worker thread)      — deadline check, then the command:
-//                                   retrieval (policy lookup -> verify-
-//                                   once memo -> pooled credential |
-//                                   inline sign), the attested handshake,
-//                                   or introspection
+//                                   retrieval (policy lookup -> session
+//                                   table: verify-once memo and pooled
+//                                   credential | verify, inline sign),
+//                                   the attested handshake, or
+//                                   introspection
 //     stall  (timer wheel)        — the simulated backend-I/O round trip
 //                                   parks on net::TimerWheel, freeing the
 //                                   worker for the next request
@@ -29,13 +30,12 @@
 // the configuration, so the server holds nothing per client once it has
 // answered. Supporting cast:
 //
-//   * a verify-once memo per session skips the repeat RSA verification of
-//     an already-seen common SigStruct (invalidated when the session's
-//     base hash or signer pin changes),
-//   * an LRU SigStruct cache (server/sigstruct_cache.h) serves the
-//     credentials premint() signed ahead of time under the memo's stamp,
-//     so a pooled retrieval skips the RSA-CRT signature and the MRENCLAVE
-//     prediction,
+//   * one session table (server/sigstruct_cache.h) holds, per session,
+//     the common SigStruct check_common verified (so a repeat retrieval
+//     skips the RSA verification; a new base hash or signer pin misses)
+//     and the credentials premint() signed ahead of time under it, popped
+//     in the same lookup (so a pooled retrieval skips the RSA-CRT
+//     signature and the MRENCLAVE prediction),
 //   * metrics (server/metrics.h): atomic counters, the in-flight gauge +
 //     high-water mark, and latency histograms with p50/p99.
 //
@@ -48,12 +48,9 @@
 
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <unordered_map>
 
 #include "cas/service.h"
-#include "common/mutex.h"
 #include "net/sim_network.h"
 #include "net/timer_wheel.h"
 #include "obs/trace.h"
@@ -108,8 +105,9 @@ class CasServer {
   void unbind();
 
   /// Warm the SigStruct pool: verify `common_sigstruct` for `session`
-  /// once, then mint `n` credentials into the cache. Returns the number
-  /// actually minted (0 when the session/sigstruct does not check out).
+  /// unless the session table remembers it, then mint `n` credentials
+  /// into the table. Returns the number actually minted (0 when the
+  /// session/sigstruct does not check out).
   std::size_t premint(const std::string& session,
                       const sgx::SigStruct& common_sigstruct, std::size_t n);
 
@@ -118,22 +116,11 @@ class CasServer {
   net::TimerWheel& timers() { return timer_; }
 
  private:
-  /// A session's verified common SigStruct + the policy facts it was
-  /// checked against (skips repeat RSA verification). The stamp is the
-  /// one premint deposits under and a retrieval pops by. Structural
-  /// comparisons only — no per-request serialization.
-  struct VerifiedCommon {
-    Hash256 expected_signer;
-    std::shared_ptr<const MintStamp> stamp;
-  };
-
   cas::InstanceResponse serve_instance(const cas::InstanceRequest& request);
-  /// Checks `common` against `policy` (memoized). Returns the stamp of
-  /// credentials minted from it, or nullptr with `status` filled with the
-  /// typed refusal on rejection.
-  std::shared_ptr<const MintStamp> check_common(const cas::Policy& policy,
-                                                const sgx::SigStruct& common,
-                                                Status* status);
+  /// Verifies `common` against `policy` (signature, signer pin, predicted
+  /// common MRENCLAVE) and on success remembers it in the session table.
+  /// Returns the typed refusal on rejection.
+  Status check_common(const cas::Policy& policy, const sgx::SigStruct& common);
   /// Fold one answered frame's status into the per-command counters.
   void note_frame(CommandMetrics& command, StatusCode answered);
 
@@ -166,10 +153,6 @@ class CasServer {
   std::uint64_t collector_id_ = 0;
   ServerMetrics metrics_;
   SigStructCache sigstruct_cache_;
-
-  Mutex verified_mutex_{LockRank::kServerVerified, "server.verified_common"};
-  std::unordered_map<std::string, VerifiedCommon> verified_common_
-      GUARDED_BY(verified_mutex_);
 
   net::SimNetwork* net_ = nullptr;
   std::string address_;

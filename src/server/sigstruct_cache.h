@@ -1,40 +1,42 @@
-// LRU cache of pre-minted on-demand SigStructs.
+// The serving path's session table: per session, one entry behind one
+// mutex holding the verify-once memo and the pool of pre-minted
+// credentials.
 //
-// Every singleton enclave needs a unique MRENCLAVE, so an on-demand
-// SigStruct can never be *reused* — a "cache hit" here means the RSA-CRT
-// signature (about 2.1 ms at 3072 bit: perfbench `start`'s traced
-// `cas.mint_ms` on a shared 4-core x86-64 host) and the MRENCLAVE
-// prediction were already paid ahead of time: CasServer::premint signs
-// credentials (token + predicted MRENCLAVE + signed SigStruct) into
-// per-session pools, and a retrieval pops one instead of signing inline.
-// One-time-token and singleton accounting are untouched: a pooled
-// credential's token is registered with CasService only at the moment it
-// is issued, and registered exactly once because the pop under the
-// per-session lock hands each credential to exactly one request.
+// A singleton retrieval (Fig. 7c) costs an RSA verification of the
+// received common SigStruct, the MRENCLAVE prediction and an RSA-CRT
+// signature of the on-demand SigStruct (about 2.1 ms at 3072 bit:
+// perfbench `start`'s traced `cas.mint_ms` on a shared 4-core x86-64
+// host). The table pays all three ahead of time:
 //
-// Credentials are deposited under a MintStamp: what they were minted
-// from, the policy's base hash and the verified common SigStruct. An
-// on-demand SigStruct is its common one with another enclave hash and
-// signature (core/on_demand.h), so the pool keeps the stamp once and, per
-// credential, only the token, the MRENCLAVE and the signature; take()
-// rebuilds the SigStruct, byte for byte the minted one, after the pop.
-// Consecutive deposits under one stamp share a run; a take discards
-// whole every run stamped otherwise than the request (a rotated policy, a
-// re-signed image, a premint that raced either), so a take compares
-// stamps and hashes nothing.
+//   * remember() records, once CasServer::check_common has verified a
+//     session's common SigStruct, the policy's signer pin and base hash
+//     with it (the entry's MintStamp), so a later retrieval sending the
+//     same SigStruct under the same policy skips the verification;
+//   * put_all() pools credentials CasServer::premint minted under the
+//     remembered stamp; a deposit under any other stamp (a premint that
+//     raced a policy rotation or a re-signed image) is discarded;
+//   * take() is a retrieval's memo check and pop in one lookup, comparing
+//     the request with the stamp in place.
 //
-// Pools are keyed by session; capacity is bounded across sessions, and
-// the pool of the least-recently-served session is evicted first (its
-// unsold credentials are simply discarded — their tokens were never
-// registered, so nothing can spend them). A session pool drained to
-// zero — by eviction, take, or flush — is erased outright, so the session
-// map is bounded by live credentials, not by sessions ever served.
+// So every pooled credential was minted under its session's stamp:
+// remembering another stamp discards the pool, and an equal one keeps it
+// (two premints verifying one session at once). An on-demand SigStruct is
+// its common one with another enclave hash and signature
+// (core/on_demand.h), so a credential keeps only its token, MRENCLAVE and
+// signature, and take() rebuilds the SigStruct after the lock. A pooled
+// token is registered with CasService only when issued, and exactly once:
+// the pop under the lock hands each credential to one request.
+//
+// Only remember() creates an entry, after a verification succeeded, so the
+// table is bounded by installed policies. Pooled credentials are bounded
+// by `capacity` across sessions; the least-recently-used session's oldest
+// are evicted first (their tokens were never registered, so nothing can
+// spend them).
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <deque>
 #include <list>
-#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -46,7 +48,7 @@
 
 namespace sinclave::server {
 
-/// What a pool's credentials were minted from: CasService::mint_batch
+/// What a session's credentials are minted from: CasService::mint_batch
 /// under a policy with `base_hash`, from the verified `common` SigStruct.
 struct MintStamp {
   core::BaseHash base_hash;
@@ -59,35 +61,52 @@ class SigStructCache {
  public:
   explicit SigStructCache(std::size_t capacity = 4096);
 
+  /// What a retrieval's lookup found.
+  struct Lookup {
+    /// The session remembers the request's common SigStruct as verified
+    /// under the policy's signer pin and base hash.
+    bool verified = false;
+    /// A hit (only when verified): the oldest credential pooled under
+    /// that stamp, as minted; the caller serves it and registers its
+    /// token. Empty: mint inline.
+    std::optional<cas::MintedCredential> credential;
+  };
+
+  /// Remember that `session`'s common SigStruct `stamp.common` verified
+  /// against signer pin `signer` and `stamp.base_hash`. Call only after
+  /// verifying it: later lookups skip the RSA verification. A stamp equal
+  /// to the remembered one keeps the pool; any other discards it.
+  void remember(const std::string& session, const Hash256& signer,
+                MintStamp stamp) EXCLUDES(mutex_);
+
+  /// Whether `session` remembers `common` as verified under `signer` and
+  /// `base_hash` (compared in place, as take() does).
+  bool verified(const std::string& session, const Hash256& signer,
+                const core::BaseHash& base_hash,
+                const sgx::SigStruct& common) const EXCLUDES(mutex_);
+
+  /// A retrieval's one lookup: the memo check, and on a match the pop of
+  /// the oldest pooled credential, under one lock acquisition. The
+  /// SigStruct is rebuilt from `common` after it.
+  Lookup take(const std::string& session, const Hash256& signer,
+              const core::BaseHash& base_hash, const sgx::SigStruct& common)
+      EXCLUDES(mutex_);
+
   /// Deposit a batch of pre-minted, not-yet-issued credentials for
-  /// `session` under one lock acquisition, in order. Each must have been
-  /// minted from `stamp` (its SigStruct is stamp->common with its own
-  /// enclave hash and signature). May evict from the least-recently-used
+  /// `session`, in order, under one lock acquisition. Each must have been
+  /// minted from `stamp` (its SigStruct is stamp.common with its own
+  /// enclave hash and signature). Unless `session` remembers `stamp`, the
+  /// batch is stale and discarded. May evict from the least-recently-used
   /// sessions if over capacity. Returns the number deposited.
-  std::size_t put_all(const std::string& session,
-                      std::shared_ptr<const MintStamp> stamp,
+  std::size_t put_all(const std::string& session, const MintStamp& stamp,
                       std::vector<cas::MintedCredential> credentials)
       EXCLUDES(mutex_);
 
-  /// Pop the oldest credential `session` holds under `stamp`, discarding
-  /// whole every older run deposited under another stamp (they are
-  /// stale). Hit: the credential as minted, and the caller serves it (and
-  /// must register its token). Miss: nullopt, mint inline. The pool lock
-  /// covers the stamp comparison and the pop; the SigStruct is rebuilt
-  /// after it.
-  std::optional<cas::MintedCredential> take(const std::string& session,
-                                            const MintStamp& stamp)
-      EXCLUDES(mutex_);
-
-  /// Discard every pooled credential of one session. Returns the number
-  /// discarded.
-  std::size_t flush(const std::string& session) EXCLUDES(mutex_);
-
   /// Credentials pooled for one session / across all sessions.
   std::size_t pooled(const std::string& session) const EXCLUDES(mutex_);
-  std::size_t size() const { return total_.load(); }
+  std::size_t size() const EXCLUDES(mutex_);
   std::size_t capacity() const { return capacity_; }
-  /// Distinct sessions currently holding a pool (bounded by eviction).
+  /// Sessions currently holding pooled credentials.
   std::size_t sessions() const EXCLUDES(mutex_);
 
  private:
@@ -97,37 +116,32 @@ class SigStructCache {
     sgx::Measurement mr_enclave;
     Bytes signature;
   };
-  /// Consecutive deposits under one stamp, oldest first; never empty
-  /// while in a pool.
-  struct Run {
-    std::shared_ptr<const MintStamp> stamp;
+  struct Entry {
+    Hash256 signer;
+    MintStamp stamp;
+    /// Minted under `stamp`, oldest first.
     std::deque<Pooled> credentials;
-  };
-  struct SessionPool {
-    mutable Mutex mutex{LockRank::kSigstructPool, "server.sigstruct_pool"};
-    std::deque<Run> runs GUARDED_BY(mutex);
-    /// Position in the LRU list (most recently used at the front).
-    /// Guarded by the *cache* mutex_, not the pool mutex — it indexes
-    /// cache-level state (a cross-object guard TSA cannot spell).
-    std::list<std::string>::iterator lru_position;
+    /// Position in lru_ while `credentials` is non-empty, else lru_.end().
+    std::list<Entry*>::iterator lru_position;
+
+    /// Compared in place: a lookup builds no MintStamp.
+    bool remembers(const Hash256& pin, const core::BaseHash& base_hash,
+                   const sgx::SigStruct& common) const {
+      return signer == pin && stamp.base_hash == base_hash &&
+             stamp.common == common;
+    }
   };
 
-  /// Find-or-create the session pool and mark it most recently used.
-  SessionPool& touch(const std::string& session) REQUIRES(mutex_);
+  void discard_pool(Entry& entry) REQUIRES(mutex_);
   void evict_over_capacity() REQUIRES(mutex_);
-  /// Erase `session`'s pool if it holds no credentials (keeps the session
-  /// map bounded).
-  void erase_if_drained(const std::string& session) REQUIRES_NOT(mutex_);
 
   const std::size_t capacity_;
-  // Guards pools_ map + lru_ list.
   mutable Mutex mutex_{LockRank::kSigstructCache, "server.sigstruct_cache"};
-  // shared_ptr (not unique_ptr): take works on the pool outside mutex_,
-  // and eviction may erase the map entry meanwhile.
-  std::unordered_map<std::string, std::shared_ptr<SessionPool>> pools_
-      GUARDED_BY(mutex_);
-  std::list<std::string> lru_ GUARDED_BY(mutex_);
-  std::atomic<std::size_t> total_{0};
+  // Entries are never erased, so the pointers in lru_ stay valid.
+  std::unordered_map<std::string, Entry> entries_ GUARDED_BY(mutex_);
+  /// Entries holding credentials, most recently used first.
+  std::list<Entry*> lru_ GUARDED_BY(mutex_);
+  std::size_t total_ GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace sinclave::server

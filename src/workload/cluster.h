@@ -56,10 +56,11 @@ struct ClusterBedConfig {
   std::string address_prefix = "cas-node";
   /// The fixture session default_policy() pins.
   std::string session_name = "cluster";
-  /// Raft template: node_id/peers/seed are overwritten per node, the
-  /// timing knobs (election window, heartbeat, propose_timeout,
-  /// snapshot_threshold) pass through — tests tighten propose_timeout so
-  /// partition scenarios fail fast instead of waiting out the default.
+  /// Raft template: node_id/peers/seed are overwritten per node, and
+  /// propose_timeout passes through — tests tighten it so partition
+  /// scenarios fail fast instead of waiting out the default. (The election
+  /// window, heartbeat, snapshot threshold and append batch are the
+  /// kRaft* constants in cas/replication.h.)
   cas::RaftConfig raft;
 };
 

@@ -78,10 +78,6 @@ std::vector<std::vector<ScheduledRequest>> make_schedule(
         config.sessions.size() - 1);
   };
 
-  const double think_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(config.mean_think)
-          .count();
-
   std::vector<std::vector<ScheduledRequest>> schedule(streams);
   for (std::size_t c = 0; c < streams; ++c) {
     SplitMix64 rng = client_rng(config.base_seed, c);
@@ -95,14 +91,6 @@ std::vector<std::vector<ScheduledRequest>> make_schedule(
         // arrival stream per logical client.
         at_ns += -mean_ns * std::log(rng.unit());
         r.at = std::chrono::nanoseconds(static_cast<std::int64_t>(at_ns));
-      } else if (config.think_time == ThinkTime::kConstant) {
-        r.think = std::chrono::nanoseconds(
-            static_cast<std::int64_t>(think_ns));
-      } else if (config.think_time == ThinkTime::kExponential) {
-        // Drawn after the session pick, and only when enabled: schedules
-        // under ThinkTime::kNone stay bit-identical with seed-era ones.
-        r.think = std::chrono::nanoseconds(
-            static_cast<std::int64_t>(-think_ns * std::log(rng.unit())));
       }
       schedule[c].push_back(r);
     }
@@ -136,9 +124,6 @@ LoadGenResult run_closed_loop(net::SimNetwork& net,
         &net, cas::CasClientConfig{.address = config.address,
                                    .retry = {.max_attempts = 1}});
     for (const ScheduledRequest& planned : schedule[client_index]) {
-      if (planned.think.count() > 0)
-        std::this_thread::sleep_for(planned.think);
-
       server::atomic_fetch_max(
           max_in_flight,
           in_flight.fetch_add(1, std::memory_order_relaxed) + 1);

@@ -20,11 +20,10 @@
 // async path.
 //
 // Reproducibility: every random decision (session choice, exponential
-// inter-arrival gaps, closed-loop think gaps) is drawn from a
-// per-logical-client RNG seeded from one base seed + the client index, and
-// the whole arrival schedule is a pure function of the config —
-// make_schedule(config) twice is bytewise identical
-// (tests/test_workload.cpp asserts it).
+// inter-arrival gaps) is drawn from a per-logical-client RNG seeded from
+// one base seed + the client index, and the whole arrival schedule is a
+// pure function of the config — make_schedule(config) twice is bytewise
+// identical (tests/test_workload.cpp asserts it).
 //
 // Latencies land in a shared wait-free histogram; the result carries
 // aggregate requests/sec, tail percentiles, and (open loop) the sustained
@@ -55,15 +54,6 @@ enum class SessionDist {
              // skew that stresses the SigStructCache's LRU eviction
 };
 
-/// Closed-loop think-time model: how long a client "thinks" before issuing
-/// each request (the interactive-user component of classic closed-loop
-/// models; without it, N clients degenerate to a saturation benchmark).
-enum class ThinkTime {
-  kNone,         // back-to-back (the saturating seed behavior)
-  kConstant,     // exactly mean_think before every request
-  kExponential,  // exponential with mean mean_think, per-client seeded
-};
-
 struct LoadGenConfig {
   LoadMode mode = LoadMode::kClosed;
   /// Issuing threads. Closed loop: one logical client per thread. Open
@@ -88,11 +78,6 @@ struct LoadGenConfig {
   /// Open loop only: mean of the exponential inter-arrival gap per
   /// logical client.
   std::chrono::microseconds mean_interarrival{1000};
-  /// Closed loop only: think-time model, sampled into the schedule (so a
-  /// run's gaps are as deterministic as its session choices).
-  ThinkTime think_time = ThinkTime::kNone;
-  /// Mean think gap (kConstant: the exact gap; kExponential: the mean).
-  std::chrono::microseconds mean_think{0};
 };
 
 /// One planned request of a logical client.
@@ -100,9 +85,6 @@ struct ScheduledRequest {
   std::size_t session_index = 0;
   /// Arrival time, relative to load start (always 0 in closed loop).
   std::chrono::nanoseconds at{0};
-  /// Closed loop: think gap slept before issuing this request (0 under
-  /// ThinkTime::kNone and in open loop).
-  std::chrono::nanoseconds think{0};
 };
 
 /// The full deterministic arrival plan: one vector per logical client

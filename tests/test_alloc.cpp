@@ -47,13 +47,19 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return operator new(size); }
-void operator delete(void* p) noexcept {
+namespace {
+// Every form of delete frees here. (A sized delete forwarding to
+// `operator delete(p)` reads to GCC as that delete called on a malloc'd
+// pointer, once the replaced operator new is inlined.)
+void release(void* p) noexcept {
   if (p != nullptr) g_live.fetch_sub(1, std::memory_order_relaxed);
   std::free(p);
 }
-void operator delete[](void* p) noexcept { operator delete(p); }
-void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept { operator delete(p); }
+}  // namespace
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
 
 namespace sinclave::crypto {
 namespace {
@@ -291,9 +297,9 @@ TEST(Allocation, AttestedExchangesLeaveNoAllocationBehind) {
 
 // A pooled credential keeps its token, MRENCLAVE and signature; the
 // common SigStruct its pool-mates share (signer modulus, verify context,
-// metadata) is kept once, in the pool's stamp. So preminting into a warm
-// pool adds at most two live blocks per credential: its signature and its
-// share of a deque node.
+// metadata) is kept once, in the session's stamp. So preminting into a
+// warm pool adds at most two live blocks per credential: its signature and
+// its share of a deque node.
 TEST(Allocation, PooledCredentialsHoldAtMostTwoBlocksEach) {
   workload::Testbed bed(workload::TestbedConfig{.seed = 83});
   const auto image = core::EnclaveImage::synthetic("alloc-pool", sgx::kPageSize,
@@ -311,8 +317,8 @@ TEST(Allocation, PooledCredentialsHoldAtMostTwoBlocksEach) {
   config.workers = 1;
   CasServer server(&bed.cas(), config);
 
-  // The warm-up makes the pool, its stamp, the verify memo and the
-  // signer's contexts, which the 64 below share.
+  // The warm-up makes the session's entry (its remembered stamp and
+  // pool) and the signer's contexts, which the 64 below share.
   constexpr std::size_t kCredentials = 64;
   ASSERT_EQ(server.premint("pool", signed_image.sigstruct, kCredentials),
             kCredentials);

@@ -1,6 +1,7 @@
-// Replicated-cluster failover suite (ISSUE 10): exactly-once token spend
-// through leader kill, election liveness under scripted partitions, the
-// sealed-log rollback gate on restart, and client leader-following. Every
+// Replicated-cluster failover suite: exactly-once token spend through
+// leader kill, election liveness under scripted partitions, the sealed-log
+// rollback gate on restart, a restarted follower's catch-up from a
+// compacted log's snapshot, and client leader-following. Every
 // test closes the spend ledger across ALL running replicas — a double
 // spend anywhere in the cluster is a test failure, not a statistic.
 #include <gtest/gtest.h>
@@ -238,7 +239,7 @@ TEST(Cluster, StaleLeaderHintExpires) {
   ClusterBed bed(fast_config(20));
   const std::size_t leader = bed.bootstrap();
   bed.node(leader).stop();
-  std::this_thread::sleep_for(4 * bed.config().raft.heartbeat_interval);
+  std::this_thread::sleep_for(4 * cas::kRaftHeartbeatInterval);
   for (std::size_t n = 0; n < bed.size(); ++n) {
     if (!bed.node(n).running()) continue;
     EXPECT_NE(bed.node(n).raft().leader_hint(), bed.address(leader))
@@ -418,6 +419,58 @@ TEST(Cluster, IsolatedFollowerRejoinsAndCatchesUp) {
   const ClusterBed::SpendAudit audit = bed.audit_spends(spent, 5000ms);
   EXPECT_TRUE(audit.converged) << audit.detail;
   ASSERT_EQ(audit.used.size(), 3u);
+}
+
+// Raft compaction and InstallSnapshot: a follower that was down while the
+// leader compacted its log past everything the follower holds can only
+// catch up from the snapshot, and boots from the snapshot it persisted.
+TEST(Cluster, RestartedFollowerCatchesUpFromASnapshot) {
+  ClusterBed bed(fast_config(18));
+  const std::size_t leader = bed.bootstrap();
+  const std::size_t follower = (leader + 1) % bed.size();
+  const auto policy_name = [](std::size_t i) {
+    std::string name = "snap-";
+    name += std::to_string(i);
+    return name;
+  };
+
+  bed.node(follower).stop();
+  const std::size_t policies = cas::kRaftSnapshotThreshold + 44;
+  for (std::size_t i = 0; i < policies; ++i) {
+    cas::Policy policy = bed.default_policy();
+    policy.session_name = policy_name(i);
+    const Status installed = bed.install_policy(policy, 2000ms);
+    ASSERT_TRUE(installed.ok()) << i << ": " << installed.message();
+  }
+  EXPECT_GE(bed.node(leader).raft().stats().snapshots_taken, 1u);
+
+  // The leader's log no longer reaches back to the follower's last
+  // entry: the follower catches up by InstallSnapshot.
+  const std::string last = policy_name(policies - 1);
+  bed.node(follower).start();
+  const auto deadline = std::chrono::steady_clock::now() + 3s;
+  while (!bed.node(follower).cas().get_policy(last).has_value() &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(5ms);
+  EXPECT_TRUE(bed.node(follower).cas().get_policy(last).has_value());
+  EXPECT_GE(bed.node(follower).raft().stats().snapshots_installed, 1u);
+
+  // Restarted again, it boots from its persisted snapshot before any
+  // leader contact.
+  bed.node(follower).stop();
+  bed.node(follower).start();
+  EXPECT_TRUE(bed.node(follower).cas().get_policy(policy_name(0)).has_value());
+
+  // The cluster still spends exactly once, on all three nodes.
+  cas::CasClient client = bed.make_client(leader);
+  const ClusterBed::SpendOutcome got = bed.attested_spend(client, 90);
+  ASSERT_TRUE(got.prepared.ok())
+      << got.prepared.instance.status.message() << " " << got.prepared.error;
+  EXPECT_TRUE(got.spend.attested)
+      << to_string(got.spend.reject) << " " << got.spend.error;
+  const ClusterBed::SpendAudit audit = bed.audit_spends(1, 3000ms);
+  EXPECT_TRUE(audit.converged) << audit.detail;
+  EXPECT_EQ(audit.used.size(), 3u);
 }
 
 TEST(Cluster, SealedStoreRollbackIsRefusedOnRestart) {

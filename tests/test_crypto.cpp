@@ -653,10 +653,11 @@ TEST(DrbgPool, ConcurrentLeasesYieldDistinctBytes) {
   // A DRBG never repeats 32-byte outputs; across stripes the domain
   // separation guarantees the same. Any duplicate means two threads tore
   // one generator's state.
-  std::set<Bytes> seen;
+  std::set<Hash256> seen;
   for (const auto& per_thread : out)
     for (const auto& draw : per_thread)
-      EXPECT_TRUE(seen.insert(draw).second) << "duplicate DRBG output";
+      EXPECT_TRUE(seen.insert(Hash256::from_view(draw)).second)
+          << "duplicate DRBG output";
   EXPECT_EQ(seen.size(),
             static_cast<std::size_t>(kThreads * kDrawsPerThread));
 }

@@ -1,12 +1,11 @@
 // Cross-module property sweeps (parameterized): AEAD over payload sizes,
 // the secure channel's sealed answer over sizes, big-integer division over
 // operand widths, end-to-end singleton prediction over token patterns, and
-// the stamped SigStruct pool over seeded call sequences.
+// the serving path's session table over seeded call sequences.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <map>
-#include <memory>
 #include <random>
 #include <string>
 
@@ -132,30 +131,58 @@ INSTANTIATE_TEST_SUITE_P(Patterns, TokenPatterns,
                          ::testing::Values(0x00, 0x01, 0x55, 0x80, 0xaa,
                                            0xff));
 
-// --- stamped SigStruct pool over seeded call sequences ---
+// --- the session table over seeded call sequences ---
 
 class PoolSequences : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(PoolSequences, BooksCloseAndNoTakeCrossesStamps) {
   constexpr std::size_t kCapacity = 5;
+  constexpr std::size_t kNone = 2;  // a session that remembers no stamp
   const std::array<std::string, 3> sessions{"a", "b", "c"};
-  std::array<std::shared_ptr<const server::MintStamp>, 2> stamps;
+  const Hash256 signer = Hash256::from_view(Bytes(32, 0x5a));
+  std::array<server::MintStamp, 2> stamps{};
   for (std::size_t k = 0; k < stamps.size(); ++k) {
-    auto stamp = std::make_shared<server::MintStamp>();
-    stamp->common.isv_svn = static_cast<std::uint16_t>(k + 1);
-    stamp->base_hash.enclave_size = 4096 * (k + 1);
-    stamps[k] = stamp;
+    stamps[k].common.isv_svn = static_cast<std::uint16_t>(k + 1);
+    stamps[k].base_hash.enclave_size = 4096 * (k + 1);
   }
   server::SigStructCache cache(kCapacity);
   std::mt19937 rng(GetParam());
-  // The stamp each deposited credential was minted from, by serial.
+  // The stamp each deposited credential was minted from, by serial, and
+  // the stamp each session remembers.
   std::map<std::uint32_t, std::size_t> minted_from;
   std::uint32_t serial = 0;
+  std::map<std::string, std::size_t> remembered;
+  for (const std::string& name : sessions) remembered[name] = kNone;
+
+  // Every credential `session` holds was minted under its remembered
+  // stamp: draining it by that stamp yields exactly pooled() of them.
+  const auto drain_checks_stamps = [&](const std::string& session) {
+    const std::size_t held = cache.pooled(session);
+    if (remembered[session] == kNone) {
+      EXPECT_EQ(held, 0u) << session << " pools without a verified stamp";
+      return;
+    }
+    const server::MintStamp& stamp = stamps[remembered[session]];
+    std::size_t drained = 0;
+    for (;;) {
+      const auto taken =
+          cache.take(session, signer, stamp.base_hash, stamp.common).credential;
+      if (!taken.has_value()) break;
+      std::uint32_t got = 0;
+      for (int b = 0; b < 4; ++b)
+        got |= static_cast<std::uint32_t>(taken->token.data[b]) << (8 * b);
+      EXPECT_EQ(minted_from.at(got), remembered[session])
+          << "credential " << got << " outlived its stamp";
+      ++drained;
+    }
+    EXPECT_EQ(drained, held);
+  };
 
   for (int step = 0; step < 400; ++step) {
     SCOPED_TRACE("step " + std::to_string(step));
     const std::string& session = sessions[rng() % sessions.size()];
     const std::size_t k = rng() % stamps.size();
+    const server::MintStamp& stamp = stamps[k];
     switch (rng() % 3) {
       case 0: {
         std::vector<cas::MintedCredential> batch(1 + rng() % 3);
@@ -164,33 +191,46 @@ TEST_P(PoolSequences, BooksCloseAndNoTakeCrossesStamps) {
           for (int b = 0; b < 4; ++b)
             cred.token.data[b] = static_cast<std::uint8_t>(serial >> (8 * b));
           cred.mr_enclave = Hash256::from_view(cred.token.view());
-          cred.sigstruct = stamps[k]->common;
+          cred.sigstruct = stamp.common;
           cred.sigstruct.enclave_hash = cred.mr_enclave;
-          cred.sigstruct.signature = Bytes(8, static_cast<std::uint8_t>(serial));
+          cred.sigstruct.signature =
+              Bytes(8, static_cast<std::uint8_t>(serial));
           minted_from[serial] = k;
         }
-        EXPECT_EQ(cache.put_all(session, stamps[k], batch), batch.size());
+        // Only a deposit under the remembered stamp is taken in.
+        const std::size_t want = remembered[session] == k ? batch.size() : 0;
+        EXPECT_EQ(cache.put_all(session, stamp, batch), want);
         break;
       }
       case 1: {
-        const auto taken = cache.take(session, *stamps[k]);
-        if (!taken.has_value()) break;
+        const auto found =
+            cache.take(session, signer, stamp.base_hash, stamp.common);
+        EXPECT_EQ(found.verified, remembered[session] == k);
+        if (!found.credential.has_value()) break;
+        const cas::MintedCredential& taken = *found.credential;
         std::uint32_t got = 0;
         for (int b = 0; b < 4; ++b)
-          got |= static_cast<std::uint32_t>(taken->token.data[b]) << (8 * b);
+          got |= static_cast<std::uint32_t>(taken.token.data[b]) << (8 * b);
         ASSERT_TRUE(minted_from.contains(got));
         EXPECT_EQ(minted_from[got], k) << "credential " << got
                                        << " crossed stamps";
-        EXPECT_EQ(taken->sigstruct.isv_svn, stamps[k]->common.isv_svn);
-        EXPECT_EQ(taken->sigstruct.enclave_hash, taken->mr_enclave);
-        EXPECT_EQ(taken->sigstruct.signature,
+        EXPECT_EQ(taken.sigstruct.isv_svn, stamp.common.isv_svn);
+        EXPECT_EQ(taken.sigstruct.enclave_hash, taken.mr_enclave);
+        EXPECT_EQ(taken.sigstruct.signature,
                   Bytes(8, static_cast<std::uint8_t>(got)));
         minted_from.erase(got);  // a credential is handed out once
         break;
       }
-      default:
-        (void)cache.flush(session);
+      default: {
+        // Remembering the remembered stamp keeps the pool; another stamp
+        // discards it.
+        const std::size_t before = cache.pooled(session);
+        cache.remember(session, signer, stamp);
+        EXPECT_EQ(cache.pooled(session),
+                  remembered[session] == k ? before : 0u);
+        remembered[session] = k;
         break;
+      }
     }
 
     std::size_t pooled_sum = 0;
@@ -199,11 +239,16 @@ TEST_P(PoolSequences, BooksCloseAndNoTakeCrossesStamps) {
       const std::size_t n = cache.pooled(name);
       pooled_sum += n;
       if (n != 0) ++non_empty;
+      if (remembered[name] == kNone) {
+        ASSERT_EQ(n, 0u) << name << " pools without a verified stamp";
+      }
     }
     ASSERT_EQ(cache.size(), pooled_sum);
     ASSERT_LE(cache.size(), cache.capacity());
     ASSERT_EQ(cache.sessions(), non_empty);
   }
+  for (const std::string& name : sessions) drain_checks_stamps(name);
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PoolSequences,

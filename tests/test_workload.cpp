@@ -7,6 +7,7 @@
 #include <chrono>
 #include <vector>
 
+#include "crypto/sha256.h"
 #include "workload/load_gen.h"
 #include "workload/workloads.h"
 
@@ -108,7 +109,9 @@ TEST(LoadGenSchedule, IsAPureFunctionOfTheConfig) {
     for (std::size_t i = 0; i < one[c].size(); ++i) {
       EXPECT_EQ(one[c][i].session_index, two[c][i].session_index);
       EXPECT_EQ(one[c][i].at, two[c][i].at);
-      if (i > 0) EXPECT_GE(one[c][i].at, one[c][i - 1].at);  // time moves on
+      if (i > 0) {
+        EXPECT_GE(one[c][i].at, one[c][i - 1].at);  // time moves on
+      }
     }
   }
 }
@@ -206,65 +209,29 @@ TEST(LoadGenSchedule, UniformAndZipfianDrawDifferentSessions) {
   EXPECT_TRUE(differs);
 }
 
-TEST(LoadGenSchedule, ThinkTimeModelsAreDeterministicAndShaped) {
+// perfbench's `retrieve` builds its plan from this schedule
+// (perfbench/src/plan.cpp: 64 sessions, zipfian theta 0.99, two closed-
+// loop clients of 50 warm-up + 5,000 requests, the run's seed as base
+// seed), so the session indices it draws are pinned by digest: a change
+// to them changes that benchmark's workload.
+TEST(LoadGenSchedule, PerfbenchRetrieveScheduleIsPinned) {
   LoadGenConfig cfg;
   cfg.mode = LoadMode::kClosed;
-  cfg.clients = 4;
-  cfg.requests_per_client = 64;
-  cfg.sessions = {"a", "b"};
-  cfg.base_seed = 21;
-  cfg.mean_think = std::chrono::microseconds(500);
-
-  // kNone: no gaps, and bit-identical to a config that never heard of
-  // think time (the field defaults keep seed-era schedules unchanged).
-  cfg.think_time = ThinkTime::kNone;
-  const auto none = make_schedule(cfg);
-  for (const auto& client : none)
-    for (const auto& r : client) EXPECT_EQ(r.think.count(), 0);
-
-  // kConstant: every gap is exactly the configured mean.
-  cfg.think_time = ThinkTime::kConstant;
-  const auto constant = make_schedule(cfg);
-  for (const auto& client : constant)
-    for (const auto& r : client)
-      EXPECT_EQ(r.think, std::chrono::nanoseconds(500'000));
-  // ...and the session choices are unchanged by enabling think time.
-  for (std::size_t c = 0; c < none.size(); ++c)
-    for (std::size_t i = 0; i < none[c].size(); ++i)
-      EXPECT_EQ(none[c][i].session_index, constant[c][i].session_index);
-
-  // kExponential: schedule-deterministic (same config -> same gaps),
-  // strictly positive, varying, with a mean in the right ballpark.
-  cfg.think_time = ThinkTime::kExponential;
-  const auto one = make_schedule(cfg);
-  const auto two = make_schedule(cfg);
-  double sum_ns = 0.0;
-  std::size_t n = 0;
-  bool varies = false;
-  for (std::size_t c = 0; c < one.size(); ++c)
-    for (std::size_t i = 0; i < one[c].size(); ++i) {
-      EXPECT_EQ(one[c][i].think, two[c][i].think);
-      EXPECT_GE(one[c][i].think.count(), 0);
-      if (i > 0 && one[c][i].think != one[c][i - 1].think) varies = true;
-      sum_ns += static_cast<double>(one[c][i].think.count());
-      ++n;
-    }
-  EXPECT_TRUE(varies);
-  const double mean_us = sum_ns / static_cast<double>(n) / 1e3;
-  EXPECT_GT(mean_us, 250.0);  // 256 draws: mean within ~2x of 500us
-  EXPECT_LT(mean_us, 1000.0);
-}
-
-TEST(LoadGenSchedule, ThinkTimeNeverLeaksIntoOpenLoop) {
-  LoadGenConfig cfg;
-  cfg.mode = LoadMode::kOpen;
-  cfg.logical_clients = 3;
-  cfg.requests_per_client = 16;
-  cfg.sessions = {"a"};
-  cfg.think_time = ThinkTime::kExponential;  // ignored in open loop
-  cfg.mean_think = std::chrono::microseconds(500);
+  cfg.clients = 2;
+  cfg.requests_per_client = 5050;
+  cfg.sessions.assign(64, "s");  // the draws see only the count
+  cfg.session_dist = SessionDist::kZipfian;
+  cfg.zipf_theta = 0.99;
+  cfg.base_seed = 3201;
+  Bytes indices;
   for (const auto& client : make_schedule(cfg))
-    for (const auto& r : client) EXPECT_EQ(r.think.count(), 0);
+    for (const ScheduledRequest& r : client)
+      for (int b = 0; b < 8; ++b)
+        indices.push_back(
+            static_cast<std::uint8_t>(r.session_index >> (8 * b)));
+  ASSERT_EQ(indices.size(), 2u * 5050u * 8u);
+  EXPECT_EQ(crypto::sha256(indices).hex(),
+            "12569bf039df501e41833808d7127f5e8ad12561d81560642d89bc288ba82e35");
 }
 
 TEST(LoadGenSchedule, ClosedLoopArrivesImmediatelyButStaysSeeded) {

@@ -9,6 +9,7 @@
 // driver replays + mutates them so even the fallback flavor starts from
 // deep program states. Everything here is deterministic (fixed Drbg
 // seeds) — running the tool twice yields identical corpora.
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -43,8 +44,8 @@ void write_seed(const stdfs::path& dir, const std::string& name,
 
 /// Harness inputs start with a mode byte; prepend it.
 Bytes mode(std::uint8_t m, const Bytes& body = {}) {
-  Bytes out{m};
-  out.insert(out.end(), body.begin(), body.end());
+  Bytes out(1 + body.size(), m);
+  std::copy(body.begin(), body.end(), out.begin() + 1);
   return out;
 }
 

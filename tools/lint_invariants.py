@@ -3,7 +3,7 @@
 
 The repository's layering and concurrency rules are enforceable without a
 compiler — they are confinement rules about which tokens may appear in
-which files. This linter codifies nine documented ones:
+which files. This linter codifies ten documented ones:
 
   wire-confinement    Wire-protocol serialization (InstanceRequest &
                       friends ::serialize/::deserialize) stays inside
@@ -51,6 +51,13 @@ which files. This linter codifies nine documented ones:
                       predict_common( only in src/server/cas_server.cpp
                       (the verify-once memo). A pooled retrieval is served
                       by its pool's stamp, not by predicting again.
+  memo-confinement    A stamp the session table remembers lets later
+                      retrievals skip the RSA verification, so in src/ the
+                      stamp-installing call (SigStructCache's .remember()
+                      or ->remember()) appears only in
+                      src/server/cas_server.cpp, and there only in a
+                      function that has already called signature_valid(,
+                      mr_signer( (the signer check) and predict_common(.
   alloc-free          Files on the allocation-free signing, key-agreement
                       and volume hot paths (asserted by tests/test_alloc.cpp's
                       counting operator new) must not contain allocation
@@ -167,6 +174,14 @@ PREDICTION_HOMES = {
 }
 RE_PREDICTION = re.compile(
     r"\bMeasurementPredictor\s*::\s*(predict)\s*\(|\b(predict_common)\s*\(")
+
+# The session table's stamp-installing call, its one caller, and what
+# that caller must have checked (in the same function) before it.
+MEMO_FILE = "src/server/cas_server.cpp"
+RE_REMEMBER = re.compile(r"(?:\.|->)\s*remember\s*\(")
+MEMO_CHECKS = ("signature_valid", "mr_signer", "predict_common")
+# A function definition ends with a closing brace in column 0.
+RE_FUNCTION_END = re.compile(r"^}", re.MULTILINE)
 
 # Headers whose byte-facing decoders the fuzz layer must cover. A header
 # that does not exist is skipped (the rule is about decoders that DO
@@ -392,6 +407,31 @@ def check_prediction_confinement(root, findings):
                  "stamp" % (symbol, PREDICTION_HOMES[symbol])))
 
 
+def check_memo_confinement(root, findings):
+    for path in iter_sources(root):
+        relpath = rel(root, path)
+        text = strip_code(path.read_text(encoding="utf-8"), blank_strings=True)
+        for m in RE_REMEMBER.finditer(text):
+            if relpath != MEMO_FILE:
+                findings.append(
+                    (relpath, line_of(text, m.start()), "memo-confinement",
+                     "'remember(' outside %s — only the verification in "
+                     "CasServer::check_common may install a stamp that "
+                     "skips it" % MEMO_FILE))
+                continue
+            ends = [e.end() for e in RE_FUNCTION_END.finditer(text, 0,
+                                                               m.start())]
+            body = text[ends[-1] if ends else 0:m.start()]
+            missing = [c for c in MEMO_CHECKS
+                       if not re.search(r"\b%s\s*\(" % c, body)]
+            if missing:
+                findings.append(
+                    (relpath, line_of(text, m.start()), "memo-confinement",
+                     "'remember(' before %s in its function — a stamp is "
+                     "remembered only once it verified" %
+                     ", ".join("'%s('" % c for c in missing)))
+
+
 def check_alloc_free(root, findings):
     for relpath in ALLOC_FREE_FILES:
         path = root / relpath
@@ -437,7 +477,7 @@ def check_fuzz_coverage(root, findings):
 CHECKS = (check_wire, check_raw_mutex, check_status_strings,
           check_status_details, check_retry_confinement,
           check_handshake_confinement, check_prediction_confinement,
-          check_alloc_free, check_fuzz_coverage)
+          check_memo_confinement, check_alloc_free, check_fuzz_coverage)
 
 
 def run_all(root):
@@ -497,6 +537,24 @@ SELFTEST_VIOLATIONS = {
         "  return core::MeasurementPredictor::predict(base, page) == mr;\n",
         "prediction-confinement",
     ),
+    "src/server/bad_memo.cpp": (
+        "// a comment calling sigstruct_cache_.remember(s, pin, stamp)\n"
+        "  table->remember(session, pin, MintStamp{base, common});\n",
+        "memo-confinement",
+    ),
+    "src/server/cas_server.cpp": (
+        "Status CasServer::check_common() {\n"
+        "  if (!common.signature_valid()) return bad;\n"
+        "  if (common.mr_signer() != pin) return wrong;\n"
+        "  if (common.enclave_hash != predict_common(base)) return bad;\n"
+        "  sigstruct_cache_.remember(session, pin, stamp);\n"
+        "}\n"
+        "void CasServer::premint() {\n"
+        "  // checked above: signature_valid() mr_signer() predict_common()\n"
+        "  sigstruct_cache_.remember(session, pin, stamp);\n"
+        "}\n",
+        "memo-confinement",
+    ),
     "src/crypto/bignum.cpp": (
         "// never reallocates (comment token must not fire)\n"
         "int* leak = new int;\n",
@@ -549,8 +607,10 @@ def self_test():
     for failure in failures:
         print("self-test FAIL: %s" % failure, file=sys.stderr)
     if not failures:
-        print("self-test: all %d violation classes detected, clean tree "
-              "clean" % len(SELFTEST_VIOLATIONS))
+        print("self-test: all %d rules detected in %d seeded files, clean "
+              "tree clean" % (len({r for (_, r) in
+                                   SELFTEST_VIOLATIONS.values()}),
+                              len(SELFTEST_VIOLATIONS)))
     return 1 if failures else 0
 
 
