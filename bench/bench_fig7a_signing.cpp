@@ -80,6 +80,27 @@ void BM_RsaSign3072(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
+// One CRT leg of that signature on the per-leg kernel: a 1024-bit
+// Montgomery::exp with the leg's full-size exponent (d mod p - 1). This is
+// what every prime costs on two-prime keys and on CPUs without AVX-512
+// IFMA; BM_RsaSign3072 runs its three legs in lockstep where IFMA exists.
+void BM_ModExp1024Leg(benchmark::State& state) {
+  const crypto::RsaKeyPair& key = signer_key();
+  const crypto::BigInt p = key.prime_factors().front();
+  const crypto::BigInt exponent =
+      key.private_exponent().mod(p - crypto::BigInt{1});
+  const crypto::Montgomery leg(p);
+  const crypto::BigInt base =
+      crypto::BigInt::from_bytes_be(Bytes(128, 0x5a)).mod(p);
+  crypto::Montgomery::Scratch scratch;
+  crypto::BigInt out;
+  for (auto _ : state) {
+    leg.exp(base, exponent, scratch, &out);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
 // RSA-3072 verification with the cached per-key context (65537 ladder) —
 // the per-retrieval cost of checking a common SigStruct when the serving
 // layer's verify-once memo misses.
@@ -127,6 +148,7 @@ BENCHMARK(BM_NativeCompile)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_BaselineSign)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SinClaveSign)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RsaSign3072)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ModExp1024Leg)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RsaVerify3072)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_Ed25519Sign)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_Ed25519Verify)->Unit(benchmark::kMicrosecond);

@@ -18,7 +18,11 @@
 // [p, 2^255) included). Mode 7 checks Ed25519's scalar arithmetic mod L
 // (Barrett reduction on fixed limbs) against BigInt's .mod: a 64-byte
 // digest reduced mod L, and r + k a mod L for fuzz-chosen 32-byte r, k
-// and a.
+// and a. Mode 8 makes one call of the three-leg radix-2^52 IFMA kernel
+// (crypto/mont52.h) on fuzz-chosen odd moduli of at most 1024 bits with
+// operands below 2p: each leg must be congruent to a * b * 2^-1040 mod p
+// on BigInt, below 2p, with every digit below 2^52. Without IFMA it
+// returns at once.
 #include "harnesses.h"
 
 #include <algorithm>
@@ -27,6 +31,7 @@
 #include "common/error.h"
 #include "crypto/bignum.h"
 #include "crypto/ed25519.h"
+#include "crypto/mont52.h"
 #include "crypto/x25519.h"
 #include "fuzz_util.h"
 
@@ -131,7 +136,7 @@ int run_bignum_diff(const std::uint8_t* data, std::size_t size) {
   FuzzInput in(data, size);
   const std::uint8_t mode = in.u8();
 
-  switch (mode % 8) {
+  switch (mode % 9) {
     case 0: {
       const BigInt m = odd_modulus(in, 24);
       const BigInt base = BigInt::from_bytes_be(in.take(1 + in.below(48)));
@@ -250,6 +255,40 @@ int run_bignum_diff(const std::uint8_t* data, std::size_t size) {
       require(from_le(crypto::detail::ed25519_muladd(k, a, r)) ==
                   (from_le(r) + from_le(k) * from_le(a)).mod(l),
               "Ed25519 r + k a mod L disagrees with BigInt");
+      break;
+    }
+    case 8: {
+      if (!crypto::Mont52::available()) break;
+      constexpr std::size_t kLegs = crypto::Mont52::kLegs;
+      constexpr std::size_t kDigits = crypto::Mont52::kDigits;
+      std::uint64_t a[kLegs * kDigits], b[kLegs * kDigits];
+      std::uint64_t p[kLegs * kDigits], out[kLegs * kDigits], k0[kLegs];
+      std::array<BigInt, kLegs> m, av, bv;
+      for (std::size_t l = 0; l < kLegs; ++l) {
+        m[l] = odd_modulus(in, 128);
+        const crypto::Mont52 leg(m[l]);
+        std::copy_n(leg.modulus(), kDigits, p + l * kDigits);
+        k0[l] = leg.k0();
+        const BigInt two_p = m[l] + m[l];
+        av[l] = BigInt::from_bytes_be(in.take(1 + in.below(131))).mod(two_p);
+        bv[l] = BigInt::from_bytes_be(in.take(1 + in.below(131))).mod(two_p);
+        crypto::Mont52::to_digits(av[l], a + l * kDigits);
+        crypto::Mont52::to_digits(bv[l], b + l * kDigits);
+      }
+      crypto::detail::amm52x20_x3(out, a, b, p, k0);
+      static const BigInt r = BigInt(1) << (52 * kDigits);
+      for (std::size_t l = 0; l < kLegs; ++l) {
+        const std::uint64_t* digits = out + l * kDigits;
+        require(std::all_of(digits, digits + kDigits,
+                            [](std::uint64_t d) { return (d >> 52) == 0; }),
+                "IFMA kernel left a digit at or above 2^52");
+        BigInt got;
+        crypto::Mont52::from_digits(digits, &got);
+        require(got < m[l] + m[l], "IFMA kernel result not below 2p");
+        const BigInt r_inv = BigInt::mod_inverse(r.mod(m[l]), m[l]);
+        require(got.mod(m[l]) == ((av[l] * bv[l]).mod(m[l]) * r_inv).mod(m[l]),
+                "IFMA kernel disagrees with a * b * 2^-1040 mod p on BigInt");
+      }
       break;
     }
   }

@@ -15,6 +15,7 @@
 namespace sinclave::crypto {
 
 class BigInt;
+class Mont52;
 
 /// Result of long division (declared outside BigInt because a nested struct
 /// could not hold the still-incomplete class type).
@@ -101,6 +102,7 @@ class BigInt {
  private:
   void trim();
   friend class Montgomery;
+  friend class Mont52;
 
   std::vector<std::uint64_t> limbs_;
 };
@@ -124,7 +126,12 @@ inline BigInt BigInt::mod(const BigInt& m) const {
 /// the multiply-accumulate row detail::mul_add_row: t[0..len) += x * y.
 /// The row has two bodies, chosen once by CPUID: a MULX/ADCX/ADOX loop
 /// on x86-64 CPUs with BMI2 and ADX, and the portable 128-bit loop on
-/// every other host (and as the tests' reference). Nothing else forks.
+/// every other host (and as the tests' reference). Nothing else in this
+/// class forks. The one other kernel is RSA's: on CPUs with AVX-512 IFMA
+/// (CPUID and XGETBV, probed once), a key of three primes of at most 1024
+/// bits signs with its three CRT legs in lockstep on the radix-2^52 kernel
+/// of crypto/mont52.h; two-prime keys and other CPUs run exp() below once
+/// per prime.
 ///
 /// Exponentiation is fixed-window (4-5 bit for RSA-sized exponents)
 /// over a precomputed odd-powers table, and every intermediate lives in a
@@ -152,9 +159,11 @@ class Montgomery {
 
    private:
     friend class Montgomery;
+    friend class Mont52;
     /// The arena is carved into acc/base/square/wide/table slices per
-    /// call (at most (4 + 16) * k limbs, for a 5-bit window); resize
-    /// within capacity is allocation-free after warm-up.
+    /// call (at most (4 + 16) * k limbs, for a 5-bit window; Mont52's
+    /// three-leg ladder takes about 2,300 limbs); resize within capacity
+    /// is allocation-free after warm-up.
     std::uint64_t* require(std::size_t limbs) {
       if (arena_.size() < limbs) arena_.resize(limbs);
       return arena_.data();

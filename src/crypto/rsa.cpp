@@ -1,7 +1,10 @@
 #include "crypto/rsa.h"
 
+#include <array>
+
 #include "common/error.h"
 #include "common/serial.h"
+#include "crypto/mont52.h"
 #include "crypto/sha256.h"
 
 namespace sinclave::crypto {
@@ -240,6 +243,8 @@ RsaKeyPair RsaKeyPair::generate(Drbg& rng, std::size_t bits) {
       // The CRT contexts live with the key: n' and R^2 are paid once per
       // key, not once per signature.
       leg.mont = std::make_shared<const Montgomery>(p);
+      if (n_primes == Mont52::kLegs && prime_bits <= Mont52::kMaxBits)
+        leg.mont52 = std::make_shared<const Mont52>(p);
       kp.primes_.push_back(std::move(leg));
       product = product * p;
     }
@@ -247,23 +252,35 @@ RsaKeyPair RsaKeyPair::generate(Drbg& rng, std::size_t bits) {
   }
 }
 
-BigInt RsaKeyPair::private_op(const BigInt& input,
-                              Montgomery::Scratch& scratch) const {
+BigInt RsaKeyPair::crt(const BigInt& input, Montgomery::Scratch& scratch,
+                       bool lockstep) const {
   if (input >= pub_.n) throw Error("rsa: input out of range");
   if (primes_.empty()) throw Error("rsa: key pair not initialized");
   // CRT with Garner recombination: m_i = c^(d mod p_i-1) mod p_i, then
   //   x := m_1;  x += (prod earlier primes) * h_i,
   //   h_i = coeff_i * (m_i - x) mod p_i.
   // The full-width input folds into each fractional-size context by
-  // Montgomery reduction inside exp(), and every mod-p_i step runs on the
-  // cached contexts — no long division anywhere on the sign path.
-  BigInt x;
-  primes_[0].mont->exp(input, primes_[0].exponent, scratch, &x);
+  // Montgomery reduction, and every mod-p_i step runs on the cached
+  // contexts — no long division anywhere on the sign path.
+  std::array<BigInt, 3> m;  // generate() makes two or three primes
+  if (lockstep) {
+    // c mod p_i lands in the BigInt that then takes the leg's result.
+    for (std::size_t i = 0; i < Mont52::kLegs; ++i)
+      primes_[i].mont->reduce(input, scratch, &m[i]);
+    Mont52::exp_x3(
+        {primes_[0].mont52.get(), primes_[1].mont52.get(),
+         primes_[2].mont52.get()},
+        {&primes_[0].exponent, &primes_[1].exponent, &primes_[2].exponent},
+        {&m[0], &m[1], &m[2]}, scratch);
+  } else {
+    for (std::size_t i = 0; i < primes_.size(); ++i)
+      primes_[i].mont->exp(input, primes_[i].exponent, scratch, &m[i]);
+  }
+  BigInt x = std::move(m[0]);
   BigInt product = primes_[0].prime;
   for (std::size_t i = 1; i < primes_.size(); ++i) {
     const CrtPrime& leg = primes_[i];
-    BigInt mi;
-    leg.mont->exp(input, leg.exponent, scratch, &mi);
+    const BigInt& mi = m[i];
     BigInt xi;
     leg.mont->reduce(x, scratch, &xi);
     const BigInt diff = mi >= xi ? mi - xi : (mi + leg.prime) - xi;
@@ -273,6 +290,25 @@ BigInt RsaKeyPair::private_op(const BigInt& input,
     if (i + 1 < primes_.size()) product = product * leg.prime;
   }
   return x;
+}
+
+BigInt RsaKeyPair::private_op(const BigInt& input,
+                              Montgomery::Scratch& scratch) const {
+  const bool lockstep = !primes_.empty() &&
+                        primes_.front().mont52 != nullptr &&
+                        Mont52::available();
+  return crt(input, scratch, lockstep);
+}
+
+std::vector<BigInt> RsaKeyPair::prime_factors() const {
+  std::vector<BigInt> out;
+  for (const CrtPrime& leg : primes_) out.push_back(leg.prime);
+  return out;
+}
+
+BigInt detail::private_op_per_leg(const RsaKeyPair& key, const BigInt& input) {
+  Montgomery::Scratch scratch;
+  return key.crt(input, scratch, false);
 }
 
 BigInt RsaKeyPair::private_op(const BigInt& input) const {

@@ -118,17 +118,34 @@ struct RsaPublicKey {
   mutable std::atomic<const VerifyContext*> ctx_{nullptr};
 };
 
+class RsaKeyPair;
+
+namespace detail {
+/// RsaKeyPair::private_op on the per-leg path (one sliding-window
+/// Montgomery::exp per prime) whatever the key's shape and the CPU: the
+/// reference the lockstep ladder is tested against.
+BigInt private_op_per_leg(const RsaKeyPair& key, const BigInt& input);
+}  // namespace detail
+
 /// Full key pair with CRT acceleration parameters. Each prime's Montgomery
 /// context is built once at generation time and shared across copies, so a
-/// signature costs one windowed fractional-size exponentiation per prime
-/// plus a Garner recombination — no per-call context setup and no long
-/// division.
+/// signature costs one fractional-size exponentiation per prime plus a
+/// Garner recombination — no per-call context setup and no long division.
 ///
 /// Keys of >= 3072 bits divisible by three use *multi-prime* RSA (RFC 8017
 /// §3.2: n = p1*p2*p3): schoolbook CRT cost scales with bits^3/primes^2,
 /// so three 1024-bit exponentiations undercut two 1536-bit ones by ~2.2x.
 /// The public key (n, 65537) is indistinguishable from the two-prime form;
 /// verification and the wire format are unchanged.
+///
+/// Which exponentiation runs is fixed by the key's shape and the CPU. A
+/// three-prime key whose primes have at most 1024 bits (every RSA-3072 key
+/// generate() makes) on a CPU with AVX-512 IFMA runs its three legs in
+/// lockstep on the radix-2^52 kernel (crypto/mont52.h): one fixed window
+/// schedule with masked table reads, so neither the operations nor the
+/// addresses depend on the exponents. Two-prime keys and other CPUs run
+/// one sliding-window Montgomery::exp per prime, which is not constant
+/// time.
 class RsaKeyPair {
  public:
   /// Generate a fresh key pair; `bits` must be even and >= 512. All entropy
@@ -151,17 +168,28 @@ class RsaKeyPair {
   /// Private exponent d (tests cross-check the CRT path against the plain
   /// mod_exp(d, n) definition).
   const BigInt& private_exponent() const { return d_; }
+  /// The prime factors of n (tests feed multiples of each to private_op).
+  std::vector<BigInt> prime_factors() const;
 
  private:
   /// One CRT leg: prime, reduced exponent d mod (p_i - 1), the Garner
   /// coefficient (product of all earlier primes)^-1 mod p_i, and the
-  /// cached Montgomery context (immutable; shared by copies).
+  /// cached Montgomery context and, on lockstep-shaped keys, the prime in
+  /// radix 2^52 (both immutable; shared by copies).
   struct CrtPrime {
     BigInt prime;
     BigInt exponent;
     BigInt coefficient;  // unused for the first prime
     std::shared_ptr<const Montgomery> mont;
+    std::shared_ptr<const Mont52> mont52;  // null unless lockstep-shaped
   };
+
+  /// The CRT exponentiations, on the lockstep ladder or per leg, then
+  /// Garner's recombination.
+  BigInt crt(const BigInt& input, Montgomery::Scratch& scratch,
+             bool lockstep) const;
+  friend BigInt detail::private_op_per_leg(const RsaKeyPair& key,
+                                           const BigInt& input);
 
   RsaPublicKey pub_;
   BigInt d_;

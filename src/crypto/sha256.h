@@ -34,8 +34,8 @@ namespace sinclave::crypto {
 /// required for a live hasher, but export is only allowed when it holds —
 /// exactly the condition SGX measurement streams always satisfy).
 struct Sha256State {
-  std::uint32_t h[8];
-  std::uint64_t byte_count;
+  std::uint32_t h[8] = {};
+  std::uint64_t byte_count = 0;
 
   /// 44-byte canonical encoding: 8 big-endian words + 64-bit length +
   /// 4-byte magic. This is the wire format of the base enclave hash.

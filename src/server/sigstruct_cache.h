@@ -4,9 +4,10 @@
 //
 // A singleton retrieval (Fig. 7c) costs an RSA verification of the
 // received common SigStruct, the MRENCLAVE prediction and an RSA-CRT
-// signature of the on-demand SigStruct (about 2.1 ms at 3072 bit:
-// perfbench `start`'s traced `cas.mint_ms` on a shared 4-core x86-64
-// host). The table pays all three ahead of time:
+// signature of the on-demand SigStruct (about 0.7 ms at 3072 bit on
+// AVX-512 IFMA, 2.1 ms without: perfbench `start`'s traced `cas.mint_ms`
+// on a shared 4-core x86-64 host). The table pays all three ahead of
+// time:
 //
 //   * remember() records, once CasServer::check_common has verified a
 //     session's common SigStruct, the policy's signer pin and base hash

@@ -135,6 +135,28 @@ TEST(Allocation, SteadyStateSignAllocationCountIsSmallAndFlat) {
   EXPECT_LE(second, 40u);
 }
 
+TEST(Allocation, SteadyStateSign3072AllocationCountIsSmallAndFlat) {
+  // The same bound for the SigStruct key's shape: three 1024-bit primes,
+  // which sign on the lockstep IFMA ladder where the CPU has it (its
+  // table and accumulators live in the scratch arena) and per leg
+  // elsewhere.
+  Drbg rng = Drbg::from_seed(9, "alloc-sign-3072");
+  const RsaKeyPair kp = RsaKeyPair::generate(rng, kRsaBits);
+  const Bytes msg = to_bytes("steady-state signing");
+
+  Montgomery::Scratch scratch;
+  (void)kp.sign_pkcs1_sha256(msg, scratch);  // warm-up
+
+  const std::uint64_t before = g_allocations.load();
+  (void)kp.sign_pkcs1_sha256(msg, scratch);
+  const std::uint64_t second = g_allocations.load() - before;
+  (void)kp.sign_pkcs1_sha256(msg, scratch);
+  const std::uint64_t third = g_allocations.load() - before - second;
+
+  EXPECT_EQ(second, third);
+  EXPECT_LE(second, 40u);
+}
+
 TEST(Allocation, SteadyStateCtrAndHmacAreAllocationFree) {
   // The volume mount's bulk work: CTR over a 64 KiB file and its MAC. The
   // warm-up pays the one-time CPUID probes of both dispatchers.

@@ -6,6 +6,7 @@
 #include "common/error.h"
 #include "crypto/bignum.h"
 #include "crypto/drbg.h"
+#include "crypto/mont52.h"
 #include "crypto/rsa.h"  // primes::generate_prime for boundary tests
 
 namespace sinclave::crypto {
@@ -470,6 +471,78 @@ TEST(MulAddRow, AdxMatchesPortable) {
 #else
   GTEST_SKIP() << "the ADX row exists on x86-64 only";
 #endif
+}
+
+TEST(Mont52, DigitsRoundTrip) {
+  // 20 digits of 52 bits hold every value below 2^1040 and nothing wider.
+  Drbg rng = Drbg::from_seed(50, "mont52-digits");
+  const BigInt top = (BigInt{1} << 1040) - BigInt{1};
+  for (const BigInt& v : {BigInt{}, BigInt{1}, top,
+                          BigInt::from_bytes_be(rng.generate(128))}) {
+    std::uint64_t digits[Mont52::kDigits];
+    Mont52::to_digits(v, digits);
+    for (const std::uint64_t d : digits) EXPECT_EQ(d >> 52, 0u);
+    BigInt back{7};
+    Mont52::from_digits(digits, &back);
+    EXPECT_EQ(back, v);
+  }
+  std::uint64_t digits[Mont52::kDigits];
+  EXPECT_THROW(Mont52::to_digits(BigInt{1} << 1040, digits), Error);
+  EXPECT_THROW(Mont52 even(BigInt{1} << 100), Error);
+  EXPECT_THROW(Mont52 wide((BigInt{1} << 1024) + BigInt{1}), Error);
+}
+
+TEST(Mont52, KernelMatchesBigIntAtItsBounds) {
+  // One call per row of three legs, each leg its own modulus: the smallest,
+  // the widest, and a random 1024-bit and 520-bit one, against operands
+  // 0, 1, 2p - 1 and random values below 2p. Each result must be
+  // a*b*2^-1040 mod p, below 2p, with every digit below 2^52.
+  if (!Mont52::available())
+    GTEST_SKIP() << "no AVX-512 IFMA on this CPU: the kernel does not run";
+  Drbg rng = Drbg::from_seed(51, "mont52-kernel");
+  const auto odd = [&](std::size_t bytes) {
+    Bytes b = rng.generate(bytes);
+    b[0] |= 0x80;
+    b[bytes - 1] |= 1;
+    return BigInt::from_bytes_be(b);
+  };
+  const std::vector<BigInt> moduli = {BigInt{3}, (BigInt{1} << 1024) - 1,
+                                      odd(128), odd(65)};
+  const BigInt r = BigInt{1} << 1040;
+  constexpr std::size_t kD = Mont52::kDigits;
+  for (std::size_t row = 0; row < 12; ++row) {
+    std::uint64_t a[3 * kD], b[3 * kD], p[3 * kD], out[3 * kD], k0[3];
+    BigInt m[3], av[3], bv[3];
+    for (std::size_t l = 0; l < 3; ++l) {
+      m[l] = moduli[(row + l) % moduli.size()];
+      const Mont52 leg(m[l]);
+      std::copy_n(leg.modulus(), kD, p + l * kD);
+      k0[l] = leg.k0();
+      const BigInt two_p = m[l] + m[l];
+      const auto pick = [&](std::size_t which) {
+        switch (which % 4) {
+          case 0: return BigInt{};
+          case 1: return BigInt{1};
+          case 2: return two_p - BigInt{1};
+          default: return BigInt::from_bytes_be(rng.generate(131)).mod(two_p);
+        }
+      };
+      av[l] = pick(row / 3 + l);
+      bv[l] = pick(row + 2 * l);
+      Mont52::to_digits(av[l], a + l * kD);
+      Mont52::to_digits(bv[l], b + l * kD);
+    }
+    detail::amm52x20_x3(out, a, b, p, k0);
+    for (std::size_t l = 0; l < 3; ++l) {
+      SCOPED_TRACE(testing::Message() << "row " << row << " leg " << l);
+      for (std::size_t j = 0; j < kD; ++j) EXPECT_EQ(out[l * kD + j] >> 52, 0u);
+      BigInt got;
+      Mont52::from_digits(out + l * kD, &got);
+      EXPECT_LT(got, m[l] + m[l]);
+      const BigInt r_inv = BigInt::mod_inverse(r.mod(m[l]), m[l]);
+      EXPECT_EQ(got.mod(m[l]), ((av[l] * bv[l]).mod(m[l]) * r_inv).mod(m[l]));
+    }
+  }
 }
 
 }  // namespace

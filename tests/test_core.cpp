@@ -114,6 +114,17 @@ TEST(BaseHash, EncodeDecodeRoundTrip) {
   EXPECT_EQ(BaseHash::decode(b.encode()), b);
 }
 
+TEST(BaseHash, DefaultsAreEqualAndEncodeAlike) {
+  // A default base hash is all zeros, not indeterminate words: two of
+  // them compare equal and encode to the same bytes.
+  const BaseHash a;
+  const BaseHash b;
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a.state.encode().size(), 44u);
+  EXPECT_EQ(a.state.encode(), b.state.encode());
+  EXPECT_EQ(a.encode(), b.encode());
+}
+
 TEST(BaseHash, DecodeRejectsInconsistentLayout) {
   crypto::Sha256 h;
   BaseHash b;

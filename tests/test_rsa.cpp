@@ -6,6 +6,7 @@
 
 #include "common/error.h"
 #include "crypto/drbg.h"
+#include "crypto/mont52.h"
 #include "crypto/rsa.h"
 #include "crypto/sha256.h"
 
@@ -248,6 +249,76 @@ TEST(Rsa, Rsa3072SignatureGolden) {
   EXPECT_EQ(sha256(sig).hex(),
             "488c4edf7a973ce4b8d03d3a9fa98ceda4047a9b96c21e37facc9ea382cc6f19");
   EXPECT_TRUE(kp.public_key().verify_pkcs1_sha256(msg, sig));
+}
+
+// --- the lockstep ladder (three-prime keys on AVX-512 IFMA) ---
+
+TEST(Rsa, LockstepLadderMatchesPerLegPathAndModExp) {
+  if (!Mont52::available())
+    GTEST_SKIP() << "no AVX-512 IFMA on this CPU: RSA-3072 keys sign on the "
+                    "per-leg path, so there is no second path to compare";
+  Drbg rng = test_rng(46);
+  for (int key = 0; key < 3; ++key) {
+    const RsaKeyPair kp = RsaKeyPair::generate(rng, kRsaBits);
+    const BigInt n = kp.public_key().n;
+    const std::vector<BigInt> primes = kp.prime_factors();
+    ASSERT_EQ(primes.size(), Mont52::kLegs);
+    std::vector<BigInt> inputs = {BigInt{}, BigInt{1}, BigInt{2},
+                                  n - BigInt{1}};
+    // Zero in one leg and not in the others, then zero in two legs.
+    for (const BigInt& p : primes) inputs.push_back(p * BigInt{3});
+    inputs.push_back(primes[0] * primes[2]);
+    for (int i = 0; i < 4; ++i)
+      inputs.push_back(BigInt::random_below(
+          n, [&](std::uint8_t* p, std::size_t len) { rng.generate(p, len); }));
+    for (const BigInt& m : inputs) {
+      SCOPED_TRACE(m.to_hex());
+      const BigInt got = kp.private_op(m);
+      EXPECT_EQ(got, detail::private_op_per_leg(kp, m));
+      EXPECT_EQ(got, BigInt::mod_exp(m, kp.private_exponent(), n));
+    }
+  }
+}
+
+TEST(Rsa, LockstepLadderScheduleIgnoresTheExponents) {
+  // Two 1024-bit exponents whose every 5-bit window differs (all ones; a
+  // 1 in each window under a top bit), and a short one: the ladder makes
+  // the same kernel calls and table scans for each, and still computes
+  // the right powers.
+  if (!Mont52::available())
+    GTEST_SKIP() << "no AVX-512 IFMA on this CPU: the lockstep ladder "
+                    "does not run";
+  Drbg rng = test_rng(47);
+  std::array<BigInt, Mont52::kLegs> ps;
+  for (BigInt& p : ps) p = primes::generate_prime(1024, rng);
+  const std::array<Mont52, Mont52::kLegs> legs = {Mont52(ps[0]), Mont52(ps[1]),
+                                                  Mont52(ps[2])};
+  BigInt sparse = BigInt{1} << 1023;
+  for (std::size_t w = 0; w < 204; ++w)
+    sparse = sparse + (BigInt{1} << (5 * w));
+  const BigInt dense = (BigInt{1} << 1024) - BigInt{1};
+  Montgomery::Scratch scratch;
+  std::vector<Mont52::Counts> counts;
+  for (const BigInt& e : {dense, sparse, BigInt{65537}}) {
+    std::array<BigInt, Mont52::kLegs> bases, io;
+    for (std::size_t l = 0; l < Mont52::kLegs; ++l) {
+      bases[l] = BigInt::random_below(
+          ps[l], [&](std::uint8_t* p, std::size_t len) { rng.generate(p, len); });
+      io[l] = bases[l];
+    }
+    counts.push_back(Mont52::exp_x3({&legs[0], &legs[1], &legs[2]},
+                                    {&e, &e, &e}, {&io[0], &io[1], &io[2]},
+                                    scratch));
+    for (std::size_t l = 0; l < Mont52::kLegs; ++l)
+      EXPECT_EQ(io[l], BigInt::mod_exp(bases[l], e, ps[l]));
+  }
+  for (const Mont52::Counts& c : counts) {
+    EXPECT_EQ(c.kernel_calls, counts[0].kernel_calls);
+    EXPECT_EQ(c.table_scans, counts[0].table_scans);
+  }
+  // ceil(1024 / 5) windows, each one scan and six kernel calls.
+  EXPECT_EQ(counts[0].table_scans, 205u);
+  EXPECT_GE(counts[0].kernel_calls, 6u * 205u);
 }
 
 }  // namespace

@@ -193,6 +193,21 @@ int main(int argc, char** argv) {
     }
     // Mode 7, Ed25519's scalars mod L: a 64-byte digest, then r, k, a.
     write_seed(dir, "mode7", mode(7, nums.generate(64 + 3 * 32)));
+    // Mode 8, the three-leg IFMA kernel: per leg a length byte and a
+    // 1024-bit modulus, then for each of the two operands a length byte
+    // and 131 bytes (the harness reduces them below 2p).
+    Bytes kernel;
+    for (int leg = 0; leg < 3; ++leg) {
+      kernel.push_back(127);
+      const Bytes modulus = nums.generate(128);
+      kernel.insert(kernel.end(), modulus.begin(), modulus.end());
+      for (int operand = 0; operand < 2; ++operand) {
+        kernel.push_back(130);
+        const Bytes digits = nums.generate(131);
+        kernel.insert(kernel.end(), digits.begin(), digits.end());
+      }
+    }
+    write_seed(dir, "mode8", mode(8, kernel));
   }
 
   // --- fuzz_sha_aead_diff -------------------------------------------------

@@ -107,6 +107,8 @@ ALLOC_FREE_FILES = (
     "src/crypto/aes.cpp",
     "src/crypto/bignum.h",
     "src/crypto/bignum.cpp",
+    "src/crypto/mont52.h",
+    "src/crypto/mont52.cpp",
     "src/crypto/sha256.cpp",
     "src/crypto/sha256_fast.cpp",
     "src/crypto/hmac.cpp",
